@@ -3,12 +3,15 @@
 //! With no arguments, runs the full matrix — pattern conformance for
 //! every boundary condition and kernel path over both the 17-stage
 //! (iord = 2) and the extended iord = 3 graphs, then plan-time
-//! disjointness over a spread of domains, partitions, team shapes and
-//! split axes — and exits non-zero if *any* diagnostic is produced.
+//! disjointness of the executor's own [`StepSchedule`]s over a spread of
+//! domains, partitions, team shapes and split axes crossed with the
+//! knob lattice (schedule × fuse depth × tile mode) — and exits
+//! non-zero if *any* diagnostic is produced.
 //!
 //! `--mutant <name>` instead seeds one known-bad input and runs the
 //! relevant pass on it; the exit code is still "non-zero iff
-//! diagnostics", so CI asserts the linter *fails* on these:
+//! diagnostics", so CI asserts the linter *fails* on these (the
+//! schedule mutants perturb the lowered real schedule):
 //!
 //! * `drop-offset` — stage 0's donor-cell pattern loses `(-1, 0, 0)`,
 //!   so the kernel reads an undeclared offset;
@@ -35,11 +38,11 @@
 //! (release build — rebuild in debug).
 
 use islands_analysis::{
-    check_disjointness, check_graph, check_problem, islands_plan, islands_plan_dynamic,
-    islands_plan_fused, islands_plan_tiled, with_offset_removed, Diagnostic, KernelPath,
+    check_disjointness, check_graph, check_problem, lower, with_offset_removed, Diagnostic, Epoch,
+    KernelPath, SchedulePlan,
 };
 use islands_core::Partition;
-use mpdata::{Boundary, MpdataProblem};
+use mpdata::{Boundary, MpdataProblem, ScheduleKnobs, SchedulePolicy, StepSchedule, TileMode};
 use stencil_engine::{balanced_cuts, trace, Axis, CostModel, Offset3, Range1, Region3};
 
 /// Cache budget used for all disjointness plans — small enough to force
@@ -192,89 +195,18 @@ fn full_matrix() -> Vec<Diagnostic> {
                         "uniform-2" => vec![2; parts.len()],
                         _ => (0..parts.len()).map(|n| 1 + n % 3).collect(),
                     };
-                    let plan =
-                        islands_plan(&problem, domain, parts, &sizes, split_axis, CACHE_BYTES)
-                            .expect("lint domains fit the cache budget");
-                    let found = check_disjointness(&plan);
-                    println!(
-                        "disjointness domain={:?} partition={desc} split={split_axis:?} \
-                         teams={shape}: {} diagnostic(s)",
-                        domain,
-                        found.len()
-                    );
-                    all.extend(found);
-
-                    // Same schedule under dynamic self-scheduling: every
-                    // chunk becomes its own claimable slot, so chunk-level
-                    // disjointness proves safety for *any* claim order.
-                    let dyn_plan = islands_plan_dynamic(
-                        &problem,
-                        domain,
-                        parts,
-                        &sizes,
-                        split_axis,
-                        CACHE_BYTES,
-                        3,
-                    )
-                    .expect("lint domains fit the cache budget");
-                    let found = check_disjointness(&dyn_plan);
-                    println!(
-                        "disjointness domain={:?} partition={desc} split={split_axis:?} \
-                         teams={shape} schedule=dynamic(3): {} diagnostic(s)",
-                        domain,
-                        found.len()
-                    );
-                    all.extend(found);
-
-                    // Temporally blocked schedules: prove the k-step
-                    // fused epoch tables — including the x-slot
-                    // hand-offs between fused steps — for the same
-                    // partitions. One (axis, shape) combination per
-                    // partition keeps the matrix affordable.
-                    if split_axis == Axis::J && shape == "uniform-2" {
-                        for fuse in [2, 3] {
-                            let fused_plan = islands_plan_fused(
-                                &problem,
-                                domain,
-                                parts,
-                                &sizes,
-                                split_axis,
-                                CACHE_BYTES,
-                                fuse,
-                            )
-                            .expect("lint domains fit the cache budget");
-                            let found = check_disjointness(&fused_plan);
-                            println!(
-                                "disjointness domain={:?} partition={desc} \
-                                 split={split_axis:?} teams={shape} fuse={fuse}: \
-                                 {} diagnostic(s)",
-                                domain,
-                                found.len()
+                    // The whole knob lattice on one (axis, shape)
+                    // combination per partition keeps the matrix
+                    // affordable; the others prove the two schedule
+                    // policies of the classic per-step sweeps.
+                    let whole_lattice = split_axis == Axis::J && shape == "uniform-2";
+                    for knobs in lattice(split_axis) {
+                        if whole_lattice || (knobs.fuse_steps == 1 && knobs.tile == TileMode::Off) {
+                            let what = format!(
+                                "domain={domain:?} partition={desc} split={split_axis:?} \
+                                 teams={shape}"
                             );
-                            all.extend(found);
-                        }
-
-                        // Tile-fused schedules: slot-per-tile plans
-                        // proving chain privacy, tile-halo sufficiency
-                        // and output disjointness — a mid-size tile
-                        // that straddles part boundaries and a fat
-                        // tile that swallows whole parts, alone and
-                        // under temporal blocking. (The team shape is
-                        // irrelevant: the proof holds for any tile →
-                        // rank assignment.)
-                        for (ti, tj) in [(3, 2), (64, 64)] {
-                            for fuse in [1, 2] {
-                                let tiled_plan =
-                                    islands_plan_tiled(&problem, domain, parts, (ti, tj), fuse);
-                                let found = check_disjointness(&tiled_plan);
-                                println!(
-                                    "disjointness domain={:?} partition={desc} \
-                                     tile={ti}x{tj} fuse={fuse}: {} diagnostic(s)",
-                                    domain,
-                                    found.len()
-                                );
-                                all.extend(found);
-                            }
+                            all.extend(prove(&problem, domain, parts, &sizes, knobs, &what));
                         }
                     }
                 }
@@ -286,17 +218,93 @@ fn full_matrix() -> Vec<Diagnostic> {
     // single (i, j) column, the degenerate extreme of the tile cutter.
     let domain = Region3::of_extent(11, 7, 4);
     let parts = domain.split(Axis::I, 2);
-    for fuse in [1, 2] {
-        let plan = islands_plan_tiled(&problem, domain, &parts, (1, 1), fuse);
-        let found = check_disjointness(&plan);
-        println!(
-            "disjointness domain={domain:?} partition=1D x 2 tile=1x1 fuse={fuse}: \
-             {} diagnostic(s)",
-            found.len()
-        );
-        all.extend(found);
+    for fuse_steps in [1, 2] {
+        let knobs = ScheduleKnobs {
+            cache_bytes: CACHE_BYTES,
+            fuse_steps,
+            tile: TileMode::Fixed { ti: 1, tj: 1 },
+            ..ScheduleKnobs::default()
+        };
+        let what = format!("domain={domain:?} partition=1D x 2");
+        all.extend(prove(&problem, domain, &parts, &[2, 2], knobs, &what));
     }
+
+    // The benchmark's `knobs_mid` workload, exactly as it runs: one
+    // island of two workers on 128×128×64 under the library-default
+    // cache budget, auto tiles × 2-step epochs × 4 chunks per rank.
+    let domain = Region3::of_extent(128, 128, 64);
+    let knobs = ScheduleKnobs {
+        schedule: SchedulePolicy::Dynamic { chunks_per_rank: 4 },
+        fuse_steps: 2,
+        tile: TileMode::Auto,
+        ..ScheduleKnobs::default()
+    };
+    let what = format!("domain={domain:?} partition=whole (knobs_mid)");
+    all.extend(prove(&problem, domain, &[domain], &[2], knobs, &what));
     all
+}
+
+/// The knob lattice the executor offers, at the lint cache budget:
+/// schedule policy × fuse depth × tile mode — a mid-size tile that
+/// straddles part boundaries, a fat tile that swallows whole parts, and
+/// the cache-driven auto sizer.
+fn lattice(split_axis: Axis) -> Vec<ScheduleKnobs> {
+    let mut out = Vec::new();
+    for schedule in [
+        SchedulePolicy::Static,
+        SchedulePolicy::Dynamic { chunks_per_rank: 3 },
+    ] {
+        for fuse_steps in [1, 2, 3] {
+            for tile in [
+                TileMode::Off,
+                TileMode::Fixed { ti: 3, tj: 2 },
+                TileMode::Fixed { ti: 64, tj: 64 },
+                TileMode::Auto,
+            ] {
+                out.push(ScheduleKnobs {
+                    cache_bytes: CACHE_BYTES,
+                    split_axis,
+                    schedule,
+                    fuse_steps,
+                    tile,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Builds the schedule an executor with these settings replays, lowers
+/// it and proves it; prints one line, returns the diagnostics.
+fn prove(
+    problem: &MpdataProblem,
+    domain: Region3,
+    parts: &[Region3],
+    team_sizes: &[usize],
+    knobs: ScheduleKnobs,
+    what: &str,
+) -> Vec<Diagnostic> {
+    let found = check_disjointness(&schedule_plan(problem, domain, parts, team_sizes, knobs));
+    println!(
+        "disjointness {what} schedule={:?} fuse={} tile={:?}: {} diagnostic(s)",
+        knobs.schedule,
+        knobs.fuse_steps,
+        knobs.tile,
+        found.len()
+    );
+    found
+}
+
+fn schedule_plan(
+    problem: &MpdataProblem,
+    domain: Region3,
+    parts: &[Region3],
+    team_sizes: &[usize],
+    knobs: ScheduleKnobs,
+) -> SchedulePlan {
+    let schedule = StepSchedule::build(problem, domain, parts, team_sizes, knobs)
+        .expect("lint domains fit the cache budget");
+    lower(&schedule)
 }
 
 fn mutant_drop_offset() -> Vec<Diagnostic> {
@@ -324,116 +332,96 @@ fn mutant_drop_offset() -> Vec<Diagnostic> {
     .diagnostics
 }
 
-fn mutant_overlap_partition() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
+/// The schedule every schedule mutant perturbs: two islands of two
+/// ranks on 16×12×6 (`parts` defaults to the even I-split), lowered
+/// from the real builder.
+fn mutant_plan(parts: Option<Vec<Region3>>, knobs: ScheduleKnobs) -> SchedulePlan {
     let domain = Region3::of_extent(16, 12, 6);
-    let halves = domain.split(Axis::I, 2);
+    let parts = parts.unwrap_or_else(|| domain.split(Axis::I, 2));
+    let knobs = ScheduleKnobs {
+        cache_bytes: CACHE_BYTES,
+        ..knobs
+    };
+    schedule_plan(&MpdataProblem::standard(), domain, &parts, &[2, 2], knobs)
+}
+
+/// Widens slot 0's writes one slab along the (default `J`) split axis,
+/// into slot 1's share of the same barrier-fenced epoch, in every epoch
+/// `select` picks.
+fn widen_slot0(plan: &mut SchedulePlan, select: impl Fn(&Epoch) -> bool) {
+    let axis = ScheduleKnobs::default().split_axis;
+    let hi_max = plan.domain.range(axis).hi;
+    for team in &mut plan.teams {
+        for ep in team.epochs.iter_mut().filter(|ep| select(ep)) {
+            if let Some(slot0) = ep.per_rank.first_mut() {
+                for acc in slot0.iter_mut().filter(|a| a.write) {
+                    let r = acc.region.range(axis);
+                    let hi = (r.hi + 1).min(hi_max);
+                    acc.region = acc.region.with_range(axis, Range1::new(r.lo, hi));
+                }
+            }
+        }
+    }
+}
+
+fn mutant_overlap_partition() -> Vec<Diagnostic> {
+    let halves = Region3::of_extent(16, 12, 6).split(Axis::I, 2);
     // Widen the second island one slab into the first: both teams now
     // write the overlap of the shared output with no step-internal sync.
+    // The parts go straight to the schedule builder — the executor's
+    // own cover assertion would reject them first.
     let grown = halves[1].with_range(Axis::I, Range1::new(halves[1].i.lo - 1, halves[1].i.hi));
-    let parts = vec![halves[0], grown];
-    let plan = islands_plan(&problem, domain, &parts, &[2, 2], Axis::J, CACHE_BYTES)
-        .expect("lint domain fits the cache budget");
+    let plan = mutant_plan(Some(vec![halves[0], grown]), ScheduleKnobs::default());
     check_disjointness(&plan)
 }
 
 fn mutant_overlap_ranks() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
-    let domain = Region3::of_extent(16, 12, 6);
-    let parts = domain.split(Axis::I, 2);
-    let split_axis = Axis::J;
-    let mut plan = islands_plan(&problem, domain, &parts, &[2, 2], split_axis, CACHE_BYTES)
-        .expect("lint domain fits the cache budget");
-    // Widen every rank-0 write one slab past its split boundary, into
-    // rank 1's share of the same barrier-fenced epoch.
-    for team in &mut plan.teams {
-        for ep in &mut team.epochs {
-            if let Some(rank0) = ep.per_rank.first_mut() {
-                for acc in rank0.iter_mut().filter(|a| a.write) {
-                    let r = acc.region.range(split_axis);
-                    let hi = (r.hi + 1).min(plan.domain.range(split_axis).hi);
-                    acc.region = acc.region.with_range(split_axis, Range1::new(r.lo, hi));
-                }
-            }
-        }
-    }
+    let mut plan = mutant_plan(None, ScheduleKnobs::default());
+    // Rank 0 past its split boundary, into rank 1's share.
+    widen_slot0(&mut plan, |_| true);
     check_disjointness(&plan)
 }
 
 fn mutant_overlap_chunks() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
-    let domain = Region3::of_extent(16, 12, 6);
-    let parts = domain.split(Axis::I, 2);
-    let split_axis = Axis::J;
     // Two ranks × two chunks each: four claimable slots per epoch.
-    let mut plan = islands_plan_dynamic(
-        &problem,
-        domain,
-        &parts,
-        &[2, 2],
-        split_axis,
-        CACHE_BYTES,
-        2,
-    )
-    .expect("lint domain fits the cache budget");
-    // Widen the first chunk's writes one slab into the second chunk's
-    // share. Unlike `overlap-ranks` this overlap is between two units a
-    // *single* worker may claim back to back — still unsafe, because
-    // another worker can claim the second chunk concurrently.
-    for team in &mut plan.teams {
-        for ep in &mut team.epochs {
-            if let Some(chunk0) = ep.per_rank.first_mut() {
-                for acc in chunk0.iter_mut().filter(|a| a.write) {
-                    let r = acc.region.range(split_axis);
-                    let hi = (r.hi + 1).min(plan.domain.range(split_axis).hi);
-                    acc.region = acc.region.with_range(split_axis, Range1::new(r.lo, hi));
-                }
-            }
-        }
-    }
+    let mut plan = mutant_plan(
+        None,
+        ScheduleKnobs {
+            schedule: SchedulePolicy::Dynamic { chunks_per_rank: 2 },
+            ..ScheduleKnobs::default()
+        },
+    );
+    // The first chunk into the second chunk's share. Unlike
+    // `overlap-ranks` this overlap is between two units a *single*
+    // worker may claim back to back — still unsafe, because another
+    // worker can claim the second chunk concurrently.
+    widen_slot0(&mut plan, |_| true);
     check_disjointness(&plan)
 }
 
 fn mutant_fused_overlap_step2() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
-    let domain = Region3::of_extent(16, 12, 6);
-    let parts = domain.split(Axis::I, 2);
-    let split_axis = Axis::J;
-    let mut plan = islands_plan_fused(
-        &problem,
-        domain,
-        &parts,
-        &[2, 2],
-        split_axis,
-        CACHE_BYTES,
-        3,
-    )
-    .expect("lint domain fits the cache budget");
-    // Widen rank 0's writes one slab past the split boundary — but only
-    // in the *second* fused step's epochs, so a checker that collapses
-    // the fused table to its first (or last) step would miss the race.
-    for team in &mut plan.teams {
-        for ep in &mut team.epochs {
-            if !ep.label.starts_with("step 1 /") {
-                continue;
-            }
-            if let Some(rank0) = ep.per_rank.first_mut() {
-                for acc in rank0.iter_mut().filter(|a| a.write) {
-                    let r = acc.region.range(split_axis);
-                    let hi = (r.hi + 1).min(plan.domain.range(split_axis).hi);
-                    acc.region = acc.region.with_range(split_axis, Range1::new(r.lo, hi));
-                }
-            }
-        }
-    }
+    let mut plan = mutant_plan(
+        None,
+        ScheduleKnobs {
+            fuse_steps: 3,
+            ..ScheduleKnobs::default()
+        },
+    );
+    // Only in the *second* fused step's epochs, so a checker that
+    // collapses the fused table to its first (or last) step would miss
+    // the race.
+    widen_slot0(&mut plan, |ep| ep.label.starts_with("step 1 /"));
     check_disjointness(&plan)
 }
 
 fn mutant_tile_halo_too_narrow() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
-    let domain = Region3::of_extent(16, 12, 6);
-    let parts = domain.split(Axis::I, 2);
-    let mut plan = islands_plan_tiled(&problem, domain, &parts, (4, 4), 1);
+    let mut plan = mutant_plan(
+        None,
+        ScheduleKnobs {
+            tile: TileMode::Fixed { ti: 4, tj: 4 },
+            ..ScheduleKnobs::default()
+        },
+    );
     // Shave one I-slab off every tile's first-stage scratch writes: the
     // chain now computes the producer over less than tile + halo —
     // exactly what a rebased scratch footprint one cell too narrow
@@ -452,11 +440,7 @@ fn mutant_tile_halo_too_narrow() -> Vec<Diagnostic> {
 }
 
 fn mutant_stale_output() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
-    let domain = Region3::of_extent(16, 12, 6);
-    let parts = domain.split(Axis::I, 2);
-    let mut plan = islands_plan(&problem, domain, &parts, &[2, 2], Axis::J, CACHE_BYTES)
-        .expect("lint domain fits the cache budget");
+    let mut plan = mutant_plan(None, ScheduleKnobs::default());
     // Drop the second island's writes to the shared output: its half of
     // the domain is never produced this step, which a reused output
     // buffer (the persistent-plan path) turns into last step's data.

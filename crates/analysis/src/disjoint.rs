@@ -1,12 +1,15 @@
 //! Pass 2 — plan-time disjointness.
 //!
-//! Reconstructs, from a partition plus a team schedule, exactly the
-//! per-rank read/write regions the islands executor will touch —
-//! [`islands_plan`] mirrors `IslandsExecutor::step` region for region —
-//! and then proves the schedule race-free by region arithmetic alone:
+//! Takes the schedule the islands executor replays —
+//! [`mpdata::StepSchedule`], the one derivation of per-team epochs,
+//! work units, tile chains and x-slot routing in the workspace — and
+//! [`lower`]s its access stream into the checker's IR, a
+//! [`SchedulePlan`]. Nothing here re-derives a region: what is proved
+//! is the table that runs. [`check_disjointness`] then proves the
+//! schedule race-free by region arithmetic alone:
 //!
 //! * within a team, every `(block, stage)` pair is one barrier-fenced
-//!   *epoch*; no rank's write region may intersect another rank's
+//!   *epoch*; no slot's write region may intersect another slot's
 //!   read-or-write region of the same field inside an epoch;
 //! * across teams, the whole time step is one epoch (teams synchronize
 //!   only at the step join); no team's write to a *shared* field
@@ -21,13 +24,14 @@
 //!   cell is not merely uninitialized, it silently carries the
 //!   previous step's value.
 //!
-//! The checks are sound for [`Boundary::Open`] problems — the only kind
-//! the islands executor accepts — because open-boundary reads clamp
-//! into the halo-expanded boxes recorded here.
+//! The checks are sound for [`mpdata::Boundary::Open`] problems — the
+//! only kind the islands executor accepts — because open-boundary reads
+//! clamp into the halo-expanded boxes the stream records.
 
 use crate::diag::{Diagnostic, DiagnosticCode};
-use mpdata::MpdataProblem;
-use stencil_engine::{tile_grid, Axis, BlockPlanner, FieldRole, PlanBlocksError, Region3};
+use mpdata::{Buffer, MpdataProblem, ScheduleKnobs, SchedulePolicy, StepSchedule, TileMode};
+use std::collections::HashMap;
+use stencil_engine::{Axis, FieldId, FieldRole, PlanBlocksError, Region3};
 
 /// One planned access of one rank inside an epoch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,11 +79,124 @@ pub struct SchedulePlan {
     pub teams: Vec<TeamPlan>,
 }
 
-/// Builds the [`SchedulePlan`] the islands executor would run: one part
-/// per team (empty parts allowed — surplus islands idle), `team_sizes`
-/// ranks per team splitting every stage sweep along `split_axis`
-/// (`TeamSpec::team_sizes` provides this shape), wavefront blocks under
-/// `cache_bytes`.
+/// Lowers a schedule's access stream to the checker's IR — the only
+/// producer of [`SchedulePlan`]s.
+///
+/// * Every slot of the stream — a rank slice, a dynamically claimable
+///   chunk or a tile — becomes one `per_rank` entry. Slot-level
+///   disjointness implies disjointness under **any** assignment of
+///   slots to ranks, which is exactly the freedom dynamic claiming and
+///   tile striding have; the epoch fencing (team barrier) is unchanged.
+/// * [`Buffer::Shared`] and [`Buffer::Scratch`] map to the graph field
+///   itself (intermediates are island-private, so rules 3/5 ignore
+///   them and rule 4 demands per-team coverage).
+/// * [`Buffer::XSlot`] becomes an island-private, non-external
+///   pseudo-field `x@slot{0,1}`: rule 2 forbids same-epoch slot races,
+///   rule 4 demands every slot read be covered by earlier same-team
+///   slot writes — i.e. that each fused step's halo enlargement is wide
+///   enough for the next step's reads — and rule 5 still demands the
+///   *last* fused step's shared-output writes tile the domain.
+/// * [`Buffer::TileScratch`] becomes one pseudo-field per `(team, step,
+///   tile, field)` (`t0/s0/tile3:f1`), mirroring the rank store rebased
+///   per tile — sharing them across tiles would let one tile's writes
+///   spuriously cover another's reads. Rule 4 is then the tile-halo
+///   sufficiency proof: a producer region too narrow for a consumer's
+///   halo read surfaces as `UncoveredRead`.
+///
+/// Tiled epochs are stage-granular although the replay fences tiles
+/// only between fused steps. The extra fences are sound for these
+/// graphs: within a tile the chain is serial on one rank (so the
+/// per-stage ordering is real), and the only cross-tile mutable buffers
+/// are the shared output and the x slots, all written solely at the
+/// final stage over tile regions that partition the step target —
+/// while an in-flight step writes slot `ts % 2` and reads slot
+/// `(ts - 1) % 2`, never the same slot.
+///
+/// The stream carries no refill (`must_zero`) writes, so for graphs
+/// that need them (the MPDATA graphs do not) the checker is
+/// conservative and reports the reads as uncovered.
+pub fn lower(schedule: &StepSchedule) -> SchedulePlan {
+    let graph = schedule.problem().graph();
+    let fields = graph.fields();
+    let ids = || (0..fields.len()).map(|n| FieldId(n as u32));
+    let mut field_names: Vec<String> = ids().map(|f| fields.name(f).to_string()).collect();
+    let mut shared: Vec<bool> = ids()
+        .map(|f| fields.role(f) != FieldRole::Intermediate)
+        .collect();
+    let mut external: Vec<bool> = ids()
+        .map(|f| fields.role(f) == FieldRole::External)
+        .collect();
+    // Pseudo-fields, keyed by the private buffer they stand for: an x
+    // slot by its number, tile scratch by `(team, step, tile, field)`.
+    let mut pseudo: HashMap<(usize, usize, usize, Buffer), usize> = HashMap::new();
+    let mut private = |key, name: &dyn Fn() -> String| {
+        *pseudo.entry(key).or_insert_with(|| {
+            field_names.push(name());
+            shared.push(false);
+            external.push(false);
+            field_names.len() - 1
+        })
+    };
+    let knobs = schedule.knobs();
+    let tiled = knobs.tile != TileMode::Off;
+    let suffix = match knobs.schedule {
+        _ if tiled => " (tiles)",
+        SchedulePolicy::Dynamic { .. } => " (dynamic chunks)",
+        SchedulePolicy::Static => "",
+    };
+    let mut teams = vec![TeamPlan { epochs: Vec::new() }; schedule.team_count()];
+    for a in schedule.accesses() {
+        let field = match a.buffer {
+            Buffer::Shared(f) | Buffer::Scratch(f) => f.index(),
+            Buffer::XSlot(n) => private((0, 0, 0, a.buffer), &|| format!("x@slot{n}")),
+            Buffer::TileScratch(f) => private((a.team, a.step, a.slot, a.buffer), &|| {
+                format!("t{}/s{}/tile{}:{}", a.team, a.step, a.slot, fields.name(f))
+            }),
+        };
+        let epochs = &mut teams[a.team].epochs;
+        if epochs.len() <= a.epoch {
+            epochs.resize_with(a.epoch + 1, || Epoch {
+                label: String::new(),
+                per_rank: Vec::new(),
+            });
+        }
+        let epoch = &mut epochs[a.epoch];
+        if epoch.label.is_empty() {
+            if knobs.fuse_steps > 1 || tiled {
+                epoch.label = format!("step {} / ", a.step);
+            }
+            if !tiled {
+                epoch.label += &format!("block {} / ", a.block);
+            }
+            epoch.label += &format!("stage {}{suffix}", graph.stages()[a.stage].name);
+        }
+        if epoch.per_rank.len() <= a.slot {
+            epoch.per_rank.resize_with(a.slot + 1, Vec::new);
+        }
+        epoch.per_rank[a.slot].push(PlannedAccess {
+            field,
+            region: a.region,
+            write: a.write,
+        });
+    }
+    SchedulePlan {
+        domain: schedule.domain(),
+        field_names,
+        shared,
+        external,
+        teams,
+    }
+}
+
+/// The [`SchedulePlan`] of the classic islands schedule (static rank
+/// slices, per-step synchronization, per-stage sweeps): builds the
+/// [`StepSchedule`] an executor with these settings replays and
+/// [`lower`]s it. One part per team (empty parts allowed — surplus
+/// islands idle), `team_sizes` ranks per team splitting every stage
+/// sweep along `split_axis` (`TeamSpec::team_sizes` provides this
+/// shape), wavefront blocks under `cache_bytes`. Any other knob
+/// combination goes through [`StepSchedule::build`] and [`lower`]
+/// directly.
 ///
 /// # Errors
 ///
@@ -98,141 +215,22 @@ pub fn islands_plan(
     split_axis: Axis,
     cache_bytes: usize,
 ) -> Result<SchedulePlan, PlanBlocksError> {
-    islands_plan_impl(
-        problem,
-        domain,
-        parts,
-        team_sizes,
-        split_axis,
+    let knobs = ScheduleKnobs {
         cache_bytes,
-        None,
-        1,
-    )
+        split_axis,
+        ..ScheduleKnobs::default()
+    };
+    StepSchedule::build(problem, domain, parts, team_sizes, knobs).map(|s| lower(&s))
 }
 
-/// Like [`islands_plan`], but for a *temporally blocked* executor that
-/// fuses `fuse_steps` whole time steps into one replay epoch. The
-/// reconstruction mirrors the fused `StepPlan`: fused step `k-1`
-/// computes each team's own part; every earlier step's target is
-/// enlarged backwards by one cumulative stencil halo
-/// ([`stencil_engine::StageGraph::external_read_regions`] on the
-/// advected field), and the advected field ping-pongs between two
-/// *team-private* pseudo-fields `x@slot0`/`x@slot1` (fused step
-/// `s < k-1` writes slot `s % 2`; fused step `s > 0` reads slot
-/// `(s-1) % 2` instead of the shared input). Because the slots are
-/// modelled island-private and non-external, the unchanged
-/// [`check_disjointness`] rules prove the fusion:
-///
-/// * rule 4 (coverage) demands every slot read be covered by earlier
-///   same-team slot writes — i.e. that each step's halo enlargement is
-///   wide enough for the next step's reads;
-/// * rules 2–3 prove no same-epoch or cross-team overlap anywhere in
-///   the fused step table, including the slot hand-offs;
-/// * rule 5 still demands the *last* fused step's shared-output writes
-///   tile the domain.
-///
-/// # Errors
-///
-/// Returns [`PlanBlocksError`] when a fused step's blocks cannot fit
-/// the cache budget.
+/// Like [`islands_plan`], but for the *tile-fused* schedule with
+/// explicit `(ti, tj)` tile extents and `fuse_steps` fused steps. There
+/// is no `team_sizes` parameter because the proof is independent of the
+/// team shape: every tile is its own slot.
 ///
 /// # Panics
 ///
-/// Panics like [`islands_plan`], and if `fuse_steps` is zero.
-pub fn islands_plan_fused(
-    problem: &MpdataProblem,
-    domain: Region3,
-    parts: &[Region3],
-    team_sizes: &[usize],
-    split_axis: Axis,
-    cache_bytes: usize,
-    fuse_steps: usize,
-) -> Result<SchedulePlan, PlanBlocksError> {
-    assert!(fuse_steps > 0, "need at least one fused step");
-    islands_plan_impl(
-        problem,
-        domain,
-        parts,
-        team_sizes,
-        split_axis,
-        cache_bytes,
-        None,
-        fuse_steps,
-    )
-}
-
-/// Like [`islands_plan`], but for the *self-scheduled* executor: each
-/// epoch is pre-split into `team_size × chunks_per_rank` chunks that
-/// ranks claim dynamically. The reconstruction models every chunk as
-/// its own schedule slot (`per_rank` index = chunk index) — sound
-/// because chunk-level disjointness implies disjointness under **any**
-/// assignment of chunks to claiming ranks, which is exactly the freedom
-/// dynamic claiming has; the epoch fencing (team barrier) is unchanged.
-///
-/// # Errors
-///
-/// Returns [`PlanBlocksError`] when a part's blocks cannot fit the
-/// cache budget.
-///
-/// # Panics
-///
-/// Panics like [`islands_plan`], and if `chunks_per_rank` is zero.
-pub fn islands_plan_dynamic(
-    problem: &MpdataProblem,
-    domain: Region3,
-    parts: &[Region3],
-    team_sizes: &[usize],
-    split_axis: Axis,
-    cache_bytes: usize,
-    chunks_per_rank: usize,
-) -> Result<SchedulePlan, PlanBlocksError> {
-    assert!(chunks_per_rank > 0, "need at least one chunk per rank");
-    islands_plan_impl(
-        problem,
-        domain,
-        parts,
-        team_sizes,
-        split_axis,
-        cache_bytes,
-        Some(chunks_per_rank),
-        1,
-    )
-}
-
-/// Like [`islands_plan`], but for the *tile-fused* executor: each
-/// fused-step target is cut into `(ti, tj)` column tiles and every
-/// tile's whole stage chain runs back to back on one rank against
-/// rank-private scratch rebased to the tile's halo footprint. The
-/// reconstruction models:
-///
-/// * one slot per **tile** (not per rank) in every epoch. Tile-level
-///   disjointness implies disjointness under *any* assignment of tiles
-///   to ranks, which covers both the static round-robin and the
-///   dynamic claiming schedule — there is no `team_sizes` parameter
-///   because the proof is independent of the team shape;
-/// * each tile's intermediates as tile-private pseudo-fields
-///   (`t0/s0/tile3:flux-i`), mirroring the rank store rebased per
-///   tile, so rule 4 demands every chain read be covered by the same
-///   tile's earlier-stage writes — the tile-halo sufficiency proof: a
-///   producer region too narrow for a consumer's halo read surfaces
-///   as `UncoveredRead`;
-/// * stage-granular epochs. The real executor fences only between
-///   fused steps, but the extra model fences are sound for these
-///   graphs: within a tile the chain is serial on one rank (so the
-///   per-stage ordering is real), and the only cross-tile mutable
-///   fields are the shared output and the fused x slots, all written
-///   solely at the final stage over tile regions that partition the
-///   step target — while an in-flight step writes slot `ts % 2` and
-///   reads slot `(ts - 1) % 2`, never the same slot.
-///
-/// Unlike the executor, the model does not zero-fill chain-uncovered
-/// scratch reads; for graphs that have any (the MPDATA graphs have
-/// none) the checker is conservative and reports them.
-///
-/// # Panics
-///
-/// Panics like [`islands_plan`], and if `fuse_steps` or a tile extent
-/// is zero.
+/// Panics if the problem is not open-boundary.
 pub fn islands_plan_tiled(
     problem: &MpdataProblem,
     domain: Region3,
@@ -240,277 +238,17 @@ pub fn islands_plan_tiled(
     tile: (usize, usize),
     fuse_steps: usize,
 ) -> SchedulePlan {
-    let (ti, tj) = tile;
-    assert!(ti > 0 && tj > 0, "tile extents must be positive");
-    assert!(fuse_steps > 0, "need at least one fused step");
-    assert_eq!(
-        problem.boundary(),
-        mpdata::Boundary::Open,
-        "the islands schedule is only defined for open boundaries"
-    );
-    let k = fuse_steps;
-    let graph = problem.graph();
-    let fields = graph.fields();
-    let xout = problem.xout();
-    let x_ext = problem.ext().x;
-    let final_stage = graph
-        .stages()
-        .iter()
-        .position(|st| st.outputs == [xout])
-        .expect("the graph ends in the advected-output stage");
-    let mut field_names: Vec<String> = (0..fields.len())
-        .map(|n| fields.name(stencil_engine::FieldId(n as u32)).to_string())
-        .collect();
-    let mut shared: Vec<bool> = (0..fields.len())
-        .map(|n| fields.role(stencil_engine::FieldId(n as u32)) != FieldRole::Intermediate)
-        .collect();
-    let mut external: Vec<bool> = (0..fields.len())
-        .map(|n| fields.role(stencil_engine::FieldId(n as u32)) == FieldRole::External)
-        .collect();
-    if k > 1 {
-        for slot in 0..2 {
-            field_names.push(format!("x@slot{slot}"));
-            shared.push(false);
-            external.push(false);
-        }
-    }
-
-    let mut teams = Vec::with_capacity(parts.len());
-    for (t, &part) in parts.iter().enumerate() {
-        let mut epochs = Vec::new();
-        if !part.is_empty() {
-            // Fused-step targets, identical to the fused reconstruction
-            // (and to `fused_step_targets` in the plan builder).
-            let mut step_parts = vec![part; k];
-            for ts in (0..k - 1).rev() {
-                step_parts[ts] = graph
-                    .external_read_regions(step_parts[ts + 1], domain)
-                    .get(&x_ext)
-                    .copied()
-                    .unwrap_or_else(Region3::empty);
-            }
-            for (ts, &sp) in step_parts.iter().enumerate() {
-                // Cut the step target into tiles exactly as the plan
-                // builder does: the shared balanced grid, I-bands
-                // outer, J-columns inner.
-                let tiles = tile_grid(sp, (ti, tj));
-                // Per-tile backward requirement regions, and one fresh
-                // pseudo-field per (tile, intermediate) pair — sharing
-                // them across tiles would let one tile's writes
-                // spuriously cover another tile's reads.
-                let reqs: Vec<Vec<Region3>> = tiles
-                    .iter()
-                    .map(|&tl| graph.required_regions(tl, domain))
-                    .collect();
-                let mut scratch = vec![vec![usize::MAX; fields.len()]; tiles.len()];
-                for (n, row) in scratch.iter_mut().enumerate() {
-                    for (f, slot) in row.iter_mut().enumerate() {
-                        let fid = stencil_engine::FieldId(f as u32);
-                        if fields.role(fid) == FieldRole::Intermediate {
-                            *slot = field_names.len();
-                            field_names.push(format!("t{t}/s{ts}/tile{n}:{}", fields.name(fid)));
-                            shared.push(false);
-                            external.push(false);
-                        }
-                    }
-                }
-                for (s, st) in graph.stages().iter().enumerate() {
-                    let mut per_rank = Vec::with_capacity(tiles.len());
-                    for (n, _) in tiles.iter().enumerate() {
-                        let r = reqs[n][st.id.index()];
-                        let mut acc = Vec::new();
-                        if !r.is_empty() {
-                            for &o in &st.outputs {
-                                // The final stage's requirement region
-                                // of a tile is the tile itself; before
-                                // the last fused step it lands in the
-                                // step's x slot, not the shared output.
-                                let field = if s == final_stage {
-                                    if ts + 1 < k {
-                                        fields.len() + ts % 2
-                                    } else {
-                                        o.index()
-                                    }
-                                } else {
-                                    scratch[n][o.index()]
-                                };
-                                acc.push(PlannedAccess {
-                                    field,
-                                    region: r,
-                                    write: true,
-                                });
-                            }
-                            for (f, pat) in &st.inputs {
-                                let field = if *f == x_ext && ts > 0 {
-                                    fields.len() + (ts - 1) % 2
-                                } else if fields.role(*f) == FieldRole::Intermediate {
-                                    scratch[n][f.index()]
-                                } else {
-                                    f.index()
-                                };
-                                acc.push(PlannedAccess {
-                                    field,
-                                    region: r.expand(pat.halo()).intersect(domain),
-                                    write: false,
-                                });
-                            }
-                        }
-                        per_rank.push(acc);
-                    }
-                    epochs.push(Epoch {
-                        label: format!("step {ts} / stage {} (tiles)", st.name),
-                        per_rank,
-                    });
-                }
-            }
-        }
-        teams.push(TeamPlan { epochs });
-    }
-    SchedulePlan {
-        domain,
-        field_names,
-        shared,
-        external,
-        teams,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn islands_plan_impl(
-    problem: &MpdataProblem,
-    domain: Region3,
-    parts: &[Region3],
-    team_sizes: &[usize],
-    split_axis: Axis,
-    cache_bytes: usize,
-    chunks_per_rank: Option<usize>,
-    fuse_steps: usize,
-) -> Result<SchedulePlan, PlanBlocksError> {
-    assert_eq!(parts.len(), team_sizes.len(), "one part per team");
-    assert_eq!(
-        problem.boundary(),
-        mpdata::Boundary::Open,
-        "the islands schedule is only defined for open boundaries"
-    );
-    let k = fuse_steps.max(1);
-    let graph = problem.graph();
-    let fields = graph.fields();
-    let xout = problem.xout();
-    let x_ext = problem.ext().x;
-    let mut field_names: Vec<String> = (0..fields.len())
-        .map(|n| fields.name(stencil_engine::FieldId(n as u32)).to_string())
-        .collect();
-    let mut shared: Vec<bool> = (0..fields.len())
-        .map(|n| fields.role(stencil_engine::FieldId(n as u32)) != FieldRole::Intermediate)
-        .collect();
-    let mut external: Vec<bool> = (0..fields.len())
-        .map(|n| fields.role(stencil_engine::FieldId(n as u32)) == FieldRole::External)
-        .collect();
-    if k > 1 {
-        // The team-private ping-pong buffers the advected field moves
-        // through between fused steps. Island-private and non-external,
-        // so rule 2 forbids same-epoch slot races, rule 4 demands every
-        // slot read be covered by earlier same-team slot writes, and
-        // rules 3/5 correctly ignore them.
-        for slot in 0..2 {
-            field_names.push(format!("x@slot{slot}"));
-            shared.push(false);
-            external.push(false);
-        }
-    }
-
-    let mut teams = Vec::with_capacity(parts.len());
-    for (&part, &size) in parts.iter().zip(team_sizes) {
-        // Dynamic self-scheduling pre-splits each epoch into
-        // `size × chunks_per_rank` chunks; a static schedule is the
-        // 1-chunk-per-rank special case (slot index = rank).
-        let slots = size * chunks_per_rank.unwrap_or(1);
-        let slot_word = if chunks_per_rank.is_some() {
-            " (dynamic chunks)"
-        } else {
-            ""
-        };
-        let mut epochs = Vec::new();
-        if !part.is_empty() {
-            // Fused-step targets, back to front: step k-1 computes the
-            // part itself, step s the hull of step s+1's advected-field
-            // reads (one cumulative stencil halo wider, clipped to the
-            // domain) — mirroring the fused `StepPlan` builder.
-            let mut step_parts = vec![part; k];
-            for ts in (0..k.saturating_sub(1)).rev() {
-                step_parts[ts] = graph
-                    .external_read_regions(step_parts[ts + 1], domain)
-                    .get(&x_ext)
-                    .copied()
-                    .unwrap_or_else(Region3::empty);
-            }
-            for (ts, &step_part) in step_parts.iter().enumerate() {
-                let step_word = if k > 1 {
-                    format!("step {ts} / ")
-                } else {
-                    String::new()
-                };
-                let blocking =
-                    BlockPlanner::new(cache_bytes).plan_wavefront(graph, step_part, domain)?;
-                for (b, block) in blocking.blocks.iter().enumerate() {
-                    for st in graph.stages() {
-                        let region = block.stage_regions[st.id.index()];
-                        let is_final = st.outputs == [xout];
-                        let mut per_rank = Vec::with_capacity(slots);
-                        for slot in 0..slots {
-                            let mine = mpdata::rank_slice(region, split_axis, slot, slots);
-                            let mut acc = Vec::new();
-                            if !mine.is_empty() {
-                                for &o in &st.outputs {
-                                    // Before the last fused step, the
-                                    // final stage writes the step's
-                                    // x slot, not the shared output.
-                                    let field = if is_final && ts + 1 < k {
-                                        fields.len() + ts % 2
-                                    } else {
-                                        o.index()
-                                    };
-                                    acc.push(PlannedAccess {
-                                        field,
-                                        region: mine,
-                                        write: true,
-                                    });
-                                }
-                                for (f, pat) in &st.inputs {
-                                    // After the first fused step, the
-                                    // advected input comes from the
-                                    // previous step's x slot.
-                                    let field = if *f == x_ext && ts > 0 {
-                                        fields.len() + (ts - 1) % 2
-                                    } else {
-                                        f.index()
-                                    };
-                                    acc.push(PlannedAccess {
-                                        field,
-                                        region: mine.expand(pat.halo()).intersect(domain),
-                                        write: false,
-                                    });
-                                }
-                            }
-                            per_rank.push(acc);
-                        }
-                        epochs.push(Epoch {
-                            label: format!("{step_word}block {b} / stage {}{slot_word}", st.name),
-                            per_rank,
-                        });
-                    }
-                }
-            }
-        }
-        teams.push(TeamPlan { epochs });
-    }
-    Ok(SchedulePlan {
-        domain,
-        field_names,
-        shared,
-        external,
-        teams,
-    })
+    let knobs = ScheduleKnobs {
+        fuse_steps,
+        tile: TileMode::Fixed {
+            ti: tile.0,
+            tj: tile.1,
+        },
+        ..ScheduleKnobs::default()
+    };
+    let schedule = StepSchedule::build(problem, domain, parts, &vec![1; parts.len()], knobs)
+        .expect("tiled schedules plan no wavefront blocks, the only failing step");
+    lower(&schedule)
 }
 
 /// Proves (or refutes) the plan race-free. Returns all violations, in

@@ -12,11 +12,12 @@
 //!    writes exactly the requested cells of its declared outputs,
 //!    observed through the debug-only access recorder of
 //!    [`stencil_engine::trace`].
-//! 2. **Plan-time disjointness** ([`islands_plan`] /
-//!    [`check_disjointness`]): for any partition and team schedule, no
-//!    rank's write region intersects another rank's read-or-write
-//!    region of the same field within a synchronization epoch, and all
-//!    island-private reads are covered by earlier same-team writes.
+//! 2. **Plan-time disjointness** ([`lower`] / [`check_disjointness`]):
+//!    for the very [`mpdata::StepSchedule`] an executor replays — any
+//!    partition, team shape and knob combination — no slot's write
+//!    region intersects another slot's read-or-write region of the same
+//!    field within a synchronization epoch, and all island-private
+//!    reads are covered by earlier same-team writes.
 //!
 //! The `stencil-lint` binary wires both passes into CI:
 //!
@@ -42,6 +43,6 @@ pub use conformance::{
 };
 pub use diag::{Diagnostic, DiagnosticCode};
 pub use disjoint::{
-    check_disjointness, islands_plan, islands_plan_dynamic, islands_plan_fused, islands_plan_tiled,
-    Epoch, PlannedAccess, SchedulePlan, TeamPlan,
+    check_disjointness, islands_plan, islands_plan_tiled, lower, Epoch, PlannedAccess,
+    SchedulePlan, TeamPlan,
 };

@@ -5,10 +5,10 @@
 //! refactor cannot silently lobotomize a check.
 
 use islands_analysis::{
-    check_disjointness, check_graph, islands_plan, islands_plan_dynamic, islands_plan_fused,
-    with_offset_removed, DiagnosticCode, KernelPath, PlannedAccess,
+    check_disjointness, check_graph, islands_plan, islands_plan_tiled, lower, with_offset_removed,
+    DiagnosticCode, KernelPath, PlannedAccess, SchedulePlan,
 };
-use mpdata::MpdataProblem;
+use mpdata::{MpdataProblem, ScheduleKnobs, SchedulePolicy, StepSchedule};
 use stencil_engine::{trace, Axis, Offset3, Range1, Region3, StageGraph, StencilPattern};
 
 fn domain() -> Region3 {
@@ -16,6 +16,32 @@ fn domain() -> Region3 {
 }
 
 const CACHE: usize = 64 * 1024;
+
+/// The lowered real schedule of two 2-rank islands over `parts` under
+/// `knobs` (at the test cache budget).
+fn plan_with(d: Region3, parts: &[Region3], knobs: ScheduleKnobs) -> SchedulePlan {
+    let knobs = ScheduleKnobs {
+        cache_bytes: CACHE,
+        ..knobs
+    };
+    let schedule =
+        StepSchedule::build(&MpdataProblem::standard(), d, parts, &[2, 2], knobs).unwrap();
+    lower(&schedule)
+}
+
+fn dynamic(chunks_per_rank: usize) -> ScheduleKnobs {
+    ScheduleKnobs {
+        schedule: SchedulePolicy::Dynamic { chunks_per_rank },
+        ..ScheduleKnobs::default()
+    }
+}
+
+fn fused(fuse_steps: usize) -> ScheduleKnobs {
+    ScheduleKnobs {
+        fuse_steps,
+        ..ScheduleKnobs::default()
+    }
+}
 
 #[test]
 fn dropped_offset_is_an_undeclared_read() {
@@ -219,14 +245,13 @@ fn dropping_an_islands_output_writes_is_an_uncovered_output() {
 
 #[test]
 fn widened_chunk_is_an_intra_team_overlap_naming_both_slots() {
-    let problem = MpdataProblem::standard();
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
     let split = Axis::J;
     // Two ranks × two chunks: four claimable slots per epoch. Widen the
     // first chunk's writes one slab into the second chunk's share — any
     // claim order where different workers take slots 0 and 1 races.
-    let mut plan = islands_plan_dynamic(&problem, d, &parts, &[2, 2], split, CACHE, 2).unwrap();
+    let mut plan = plan_with(d, &parts, dynamic(2));
     for team in &mut plan.teams {
         for ep in &mut team.epochs {
             if let Some(chunk0) = ep.per_rank.first_mut() {
@@ -266,7 +291,7 @@ fn clean_schedule_stays_clean_as_a_control() {
     assert_eq!(check_disjointness(&plan), vec![]);
     // The dynamic variant of the same schedule is clean too: chunk-level
     // disjointness holds, so any claim order is safe.
-    let dyn_plan = islands_plan_dynamic(&problem, d, &parts, &[2, 2], Axis::J, CACHE, 3).unwrap();
+    let dyn_plan = plan_with(d, &parts, dynamic(3));
     assert_eq!(check_disjointness(&dyn_plan), vec![]);
 }
 
@@ -276,11 +301,10 @@ fn widened_second_fused_step_is_an_intra_team_overlap() {
     // *second* fused step (label prefix "step 1 /") are widened past
     // the team split. A checker that only modelled the first or last
     // fused step would miss this.
-    let problem = MpdataProblem::standard();
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
     let split = Axis::J;
-    let mut plan = islands_plan_fused(&problem, d, &parts, &[2, 2], split, CACHE, 3).unwrap();
+    let mut plan = plan_with(d, &parts, fused(3));
     for team in &mut plan.teams {
         for ep in &mut team.epochs {
             if !ep.label.starts_with("step 1 /") {
@@ -321,10 +345,9 @@ fn dropping_first_step_producers_is_an_uncovered_slot_read() {
     // advected reads now resolve to a slot nobody produced. Rule 4 must
     // name the slot pseudo-field — this is the machine proof that the
     // halo widening of earlier fused steps is load-bearing.
-    let problem = MpdataProblem::standard();
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
-    let mut plan = islands_plan_fused(&problem, d, &parts, &[2, 2], Axis::J, CACHE, 2).unwrap();
+    let mut plan = plan_with(d, &parts, fused(2));
     let slot0 = plan
         .field_names
         .iter()
@@ -353,15 +376,64 @@ fn clean_fused_schedule_stays_clean_as_a_control() {
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
     for fuse in [2, 3, 4] {
-        let plan = islands_plan_fused(&problem, d, &parts, &[2, 2], Axis::J, CACHE, fuse).unwrap();
+        let plan = plan_with(d, &parts, fused(fuse));
         assert_eq!(check_disjointness(&plan), vec![], "fuse={fuse} not clean");
     }
     // fuse = 1 degenerates to the classic plan, labels included.
-    let fused1 = islands_plan_fused(&problem, d, &parts, &[2, 2], Axis::J, CACHE, 1).unwrap();
+    let fused1 = plan_with(d, &parts, fused(1));
     let plain = islands_plan(&problem, d, &parts, &[2, 2], Axis::J, CACHE).unwrap();
     assert_eq!(fused1.field_names, plain.field_names);
     assert_eq!(
         fused1.teams[0].epochs[0].label,
         plain.teams[0].epochs[0].label
     );
+}
+
+#[test]
+fn shaved_tile_producer_is_an_uncovered_tile_scratch_read() {
+    // The tile-halo mutant: every tile's first-stage scratch writes
+    // lose one I-slab, as a rebased scratch footprint one cell too
+    // narrow would; later stages of the chain then read cells no stage
+    // of that tile wrote, named by the tile's private pseudo-field.
+    let problem = MpdataProblem::standard();
+    let d = Region3::of_extent(16, 12, 6);
+    let parts = d.split(Axis::I, 2);
+    let mut plan = islands_plan_tiled(&problem, d, &parts, (4, 4), 1);
+    assert_eq!(check_disjointness(&plan), vec![], "control not clean");
+    for team in &mut plan.teams {
+        let ep = team.epochs.first_mut().unwrap();
+        for acc in ep.per_rank.iter_mut().flatten().filter(|a| a.write) {
+            let r = acc.region.range(Axis::I);
+            acc.region = acc.region.with_range(Axis::I, Range1::new(r.lo + 1, r.hi));
+        }
+    }
+    let found = check_disjointness(&plan);
+    assert!(
+        found
+            .iter()
+            .any(|f| f.code == DiagnosticCode::UncoveredRead && f.field == "t0/s0/tile0:f1"),
+        "expected an uncovered tile-scratch read, got: {found:?}"
+    );
+}
+
+#[test]
+fn composed_knobs_stay_clean_and_route_x_through_slots() {
+    // Combinations no hand-written mirror expressed: dynamic × fused,
+    // and tiled × dynamic × fused. The x-slot hand-off of the fused
+    // steps must show up in the lowered real schedule either way.
+    let d = Region3::of_extent(16, 12, 6);
+    let parts = d.split(Axis::I, 2);
+    for tile in [
+        mpdata::TileMode::Off,
+        mpdata::TileMode::Fixed { ti: 4, tj: 4 },
+    ] {
+        let knobs = ScheduleKnobs {
+            fuse_steps: 2,
+            tile,
+            ..dynamic(2)
+        };
+        let plan = plan_with(d, &parts, knobs);
+        assert_eq!(check_disjointness(&plan), vec![], "{tile:?} not clean");
+        assert!(plan.field_names.iter().any(|n| n == "x@slot0"));
+    }
 }

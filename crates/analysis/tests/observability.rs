@@ -14,6 +14,11 @@ use mpdata::{gaussian_pulse, mpdata_graph, IslandsExecutor, MpdataProblem};
 use stencil_engine::{Axis, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
 
+/// The trace session is process-global, and the test harness runs
+/// this file's tests on parallel threads: a traced run holds this lock
+/// so another test's spans cannot land in its session.
+static SESSION: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Runs `steps` traced islands steps and returns the aggregated
 /// per-step metrics (island order = partition order).
 fn traced_metrics(
@@ -30,6 +35,7 @@ fn traced_metrics(
         MpdataProblem::with_iord(2),
     );
     let mut fields = gaussian_pulse(d, (0.3, 0.0, 0.0));
+    let _exclusive = SESSION.lock().unwrap_or_else(|e| e.into_inner());
     let session = islands_trace::Session::start();
     exec.run(&mut fields, steps).unwrap();
     let drained = session.finish();

@@ -4,7 +4,7 @@
 
 use islands_bench::microbench::Harness;
 use mpdata::{
-    gaussian_pulse, ExchangeExecutor, FusedExecutor, IslandsExecutor, OriginalExecutor,
+    gaussian_pulse, ExchangeExecutor, IslandsExecutor, MpdataProblem, OriginalExecutor,
     ReferenceExecutor,
 };
 use stencil_engine::{Axis, Region3};
@@ -27,7 +27,8 @@ fn bench_step(h: &mut Harness) {
         group.bench_param("original_parallel", workers, || {
             std::hint::black_box(original.step(&fields));
         });
-        let fused = FusedExecutor::new(&pool).cache_bytes(256 * 1024);
+        let fused = IslandsExecutor::single_island(&pool, MpdataProblem::standard())
+            .cache_bytes(256 * 1024);
         group.bench_param("fused_3p1d", workers, || {
             std::hint::black_box(fused.step(&fields).unwrap());
         });

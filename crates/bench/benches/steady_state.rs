@@ -1,6 +1,6 @@
 //! First-step versus steady-state step cost of the threaded executors.
 //!
-//! The persistent-plan layer makes `IslandsExecutor`/`FusedExecutor`
+//! The persistent-plan layer makes `IslandsExecutor`
 //! compute their execution plan (partition, per-island blocking, epoch
 //! tables, scratch stores) once and replay it allocation-free on every
 //! further step. This bench measures both sides of that trade through
@@ -52,9 +52,7 @@
 
 use islands_bench::microbench::{Harness, Phases};
 use islands_trace::metrics::RunMetrics;
-use mpdata::{
-    gaussian_pulse, FusedExecutor, IslandsExecutor, MpdataFields, MpdataProblem, TileMode,
-};
+use mpdata::{gaussian_pulse, IslandsExecutor, MpdataFields, MpdataProblem, TileMode};
 use stencil_engine::{
     balanced_cuts, choose_tile, measured_plane_scale, staged_traffic_bytes, tile_grid,
     tiled_traffic_bytes, Axis, CostModel, Region3,
@@ -423,10 +421,12 @@ fn main() {
 
         let mut f = fields.clone();
         g.bench_param("fused_first", p, || {
-            let fresh = FusedExecutor::new(&pool).cache_bytes(CACHE_BYTES);
+            let fresh = IslandsExecutor::single_island(&pool, MpdataProblem::standard())
+                .cache_bytes(CACHE_BYTES);
             fresh.run(&mut f, 1).unwrap();
         });
-        let warmed = FusedExecutor::new(&pool).cache_bytes(CACHE_BYTES);
+        let warmed = IslandsExecutor::single_island(&pool, MpdataProblem::standard())
+            .cache_bytes(CACHE_BYTES);
         let mut f = fields.clone();
         warmed.run(&mut f, 1).unwrap();
         let steady = format!("fused_steady/{p}");

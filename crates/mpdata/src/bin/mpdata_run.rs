@@ -59,8 +59,8 @@
 //! forces the extents. Also bit-identical under `--verify`.
 
 use mpdata::{
-    gaussian_pulse, random_fields, rotating_cone, Boundary, FusedExecutor, IslandsExecutor,
-    MpdataFields, MpdataProblem, OriginalExecutor, ReferenceExecutor, TileMode,
+    gaussian_pulse, random_fields, rotating_cone, Boundary, IslandsExecutor, MpdataFields,
+    MpdataProblem, OriginalExecutor, ReferenceExecutor, TileMode,
 };
 use std::process::ExitCode;
 use std::time::Instant;
@@ -259,6 +259,18 @@ fn make_fields(a: &Args) -> MpdataFields {
     }
 }
 
+/// Rejects inputs outside MPDATA's stability preconditions — non-finite
+/// values, negative scalar, non-positive density, outflow Courant sum
+/// above 1 — before anything is planned or run, naming the cause.
+fn check_inputs(a: &Args, fields: &MpdataFields) -> Result<(), String> {
+    fields.validate().map_err(|e| {
+        format!(
+            "--problem {} violates MPDATA's stability preconditions: {e}",
+            a.problem
+        )
+    })
+}
+
 /// Solves the island cut positions for `--balance model|measured`.
 ///
 /// `measured` runs a short traced probe on cloned fields under the
@@ -331,6 +343,10 @@ fn main() -> ExitCode {
     }
     let problem = || MpdataProblem::with_iord(a.iord).with_boundary(a.boundary);
     let mut fields = make_fields(&a);
+    if let Err(e) = check_inputs(&a, &fields) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let mass0 = fields.mass();
     // `--verify` snapshots the initial fields here but runs the serial
     // reference pass only after the timed run: the live telemetry
@@ -425,14 +441,12 @@ fn main() -> ExitCode {
             Ok(())
         }
         "fused" => {
-            let mut exec = FusedExecutor::with_problem(&pool, problem())
+            let mut exec = IslandsExecutor::single_island(&pool, problem())
                 .cache_bytes(a.cache)
                 .fuse_steps(a.fuse_steps)
                 .tile(a.tile);
             if a.self_schedule > 0 {
-                exec = exec.schedule(mpdata::SchedulePolicy::Dynamic {
-                    chunks_per_rank: a.self_schedule,
-                });
+                exec = exec.self_schedule(a.self_schedule);
             }
             exec.run(&mut fields, a.steps).map_err(|e| e.to_string())
         }
@@ -581,4 +595,28 @@ fn main() -> ExitCode {
     // scrapes see the final registry state; it shuts down here.
     drop(server);
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn violating_inputs_are_rejected_with_the_cause() {
+        // No `--problem` generator produces such fields (the CLI test
+        // in `tests/cli.rs` pins that all of them pass), so the gate
+        // `main` calls is driven directly.
+        let a = Args::default();
+        let d = Region3::of_extent(8, 6, 4);
+        let err = check_inputs(&a, &gaussian_pulse(d, (0.8, 0.6, 0.0))).unwrap_err();
+        assert!(
+            err.contains("--problem gaussian") && err.contains("positivity bound exceeded"),
+            "{err}"
+        );
+        let mut f = gaussian_pulse(d, (0.3, 0.0, 0.0));
+        f.u2.set(1, 1, 1, f64::NAN);
+        let err = check_inputs(&a, &f).unwrap_err();
+        assert!(err.contains("`u2`") && err.contains("non-finite"), "{err}");
+        check_inputs(&a, &make_fields(&a)).unwrap();
+    }
 }

@@ -43,6 +43,12 @@ pub fn error_norms(a: &Array3, b: &Array3) -> ErrorNorms {
 /// A violation of MPDATA's stability preconditions.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CflViolation {
+    /// An input array holds a NaN or an infinity (every comparison
+    /// below is false for NaN, so it must be ruled out first).
+    NonFinite {
+        /// The offending array: `x`, `u1`, `u2`, `u3` or `h`.
+        field: &'static str,
+    },
     /// The scalar field has a negative value (MPDATA is positive
     /// definite: inputs must be non-negative).
     NegativeScalar {
@@ -65,6 +71,12 @@ pub enum CflViolation {
 impl fmt::Display for CflViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            CflViolation::NonFinite { field } => {
+                write!(
+                    f,
+                    "input field `{field}` holds a non-finite value (NaN or ±inf)"
+                )
+            }
             CflViolation::NegativeScalar { min } => {
                 write!(f, "scalar field has negative values (min {min})")
             }
@@ -112,9 +124,21 @@ impl MpdataFields {
     ///
     /// # Errors
     ///
-    /// Returns the first [`CflViolation`] found: negative scalar input,
-    /// non-positive density, or an outflow Courant sum above 1.
+    /// Returns the first [`CflViolation`] found: a non-finite value in
+    /// any input array, negative scalar input, non-positive density, or
+    /// an outflow Courant sum above 1.
     pub fn validate(&self) -> Result<(), CflViolation> {
+        for (field, array) in [
+            ("x", &self.x),
+            ("u1", &self.u1),
+            ("u2", &self.u2),
+            ("u3", &self.u3),
+            ("h", &self.h),
+        ] {
+            if !array.as_slice().iter().all(|v| v.is_finite()) {
+                return Err(CflViolation::NonFinite { field });
+            }
+        }
         let min_x = self.x.min();
         if min_x < 0.0 {
             return Err(CflViolation::NegativeScalar { min: min_x });
@@ -189,6 +213,30 @@ mod tests {
         f.u1.set(3, 2, 2, 0.8);
         let err = f.validate().unwrap_err();
         assert!(matches!(err, CflViolation::CourantTooLarge { worst } if worst > 1.0));
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_inputs_by_name() {
+        // NaN slips through every ordered comparison (`min() < 0.0` is
+        // false), so each array is screened for it — and for ±inf —
+        // before the range checks, and the error names the array.
+        let d = Region3::of_extent(4, 4, 4);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for field in ["x", "u1", "u2", "u3", "h"] {
+                let mut f = gaussian_pulse(d, (0.2, 0.0, 0.0));
+                let array = match field {
+                    "x" => &mut f.x,
+                    "u1" => &mut f.u1,
+                    "u2" => &mut f.u2,
+                    "u3" => &mut f.u3,
+                    _ => &mut f.h,
+                };
+                array.set(2, 1, 3, bad);
+                let err = f.validate().unwrap_err();
+                assert_eq!(err, CflViolation::NonFinite { field }, "{bad} in {field}");
+                assert!(err.to_string().contains(&format!("`{field}`")));
+            }
+        }
     }
 
     #[test]

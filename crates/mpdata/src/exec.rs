@@ -15,11 +15,7 @@ pub(crate) const MAX_STAGE_ARGS: usize = 16;
 
 /// The share of `region` that rank `rank` of `size` computes, cutting
 /// along `axis` (empty when the region is thinner than the team).
-///
-/// Public so that plan-time analyses (the `islands-analysis`
-/// disjointness checker) can reproduce the executors' work split
-/// bit-for-bit instead of re-deriving it.
-pub fn rank_slice(region: Region3, axis: Axis, rank: usize, size: usize) -> Region3 {
+pub(crate) fn rank_slice(region: Region3, axis: Axis, rank: usize, size: usize) -> Region3 {
     region.split(axis, size)[rank]
 }
 

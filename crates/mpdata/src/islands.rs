@@ -12,8 +12,10 @@
 
 use crate::fields::MpdataFields;
 use crate::graph::MpdataProblem;
-use crate::plan::{plan_run, plan_step, PartitionKind, SchedulePolicy, StepPlan, TileMode};
-use std::sync::Mutex;
+use crate::plan::{
+    PartitionKind, PlanConfig, ScheduleKnobs, SchedulePolicy, StepPlan, StepSchedule, TileMode,
+};
+use std::sync::{Arc, Mutex};
 use stencil_engine::{Array3, Axis, PlanBlocksError, Region3, StageGraph};
 use work_scheduler::{TeamSpec, WorkerPool};
 
@@ -37,28 +39,16 @@ use work_scheduler::{TeamSpec, WorkerPool};
 /// assert_eq!(islands.max_abs_diff(&reference), 0.0);
 /// # Ok::<(), stencil_engine::PlanBlocksError>(())
 /// ```
-/// Parallel islands-of-cores MPDATA executor (see the crate docs and
-/// the example above the struct's builder methods).
 #[derive(Debug)]
 pub struct IslandsExecutor<'p> {
     pool: &'p WorkerPool,
     teams: TeamSpec,
     problem: MpdataProblem,
-    cache_bytes: usize,
-    partition: PartitionKind,
-    /// Axis along which a team splits each stage sweep among its cores.
-    split_axis: Axis,
-    /// How epoch work units are handed to ranks (static slices or
-    /// self-scheduled chunks).
-    schedule: SchedulePolicy,
-    /// Time steps fused into one replay epoch (temporal blocking; 1 =
-    /// classic per-step global synchronization).
-    fuse_steps: usize,
-    /// Cache-tiled stage fusion ([`TileMode::Off`] by default).
-    tile: TileMode,
-    /// Cached execution plan, rebuilt whenever its key (domain,
-    /// partition, cache budget, split axis, schedule, fuse depth,
-    /// tile mode) stops matching.
+    /// The partition and builder knobs — with the domain, the key of
+    /// the cached plan.
+    config: PlanConfig,
+    /// Cached execution plan, rebuilt whenever the domain or `config`
+    /// stops matching.
     plan: Mutex<Option<StepPlan>>,
 }
 
@@ -80,14 +70,42 @@ impl<'p> IslandsExecutor<'p> {
             pool,
             teams,
             problem,
-            cache_bytes: crate::fused::DEFAULT_CACHE_BYTES,
-            partition: PartitionKind::Axis(partition_axis),
-            split_axis: Axis::J,
-            schedule: SchedulePolicy::Static,
-            fuse_steps: 1,
-            tile: TileMode::Off,
+            config: PlanConfig {
+                partition: PartitionKind::Axis(partition_axis),
+                knobs: ScheduleKnobs::default(),
+            },
             plan: Mutex::new(None),
         }
+    }
+
+    /// The pure (3+1)D decomposition as the degenerate one-island
+    /// schedule: every worker of `pool` in a single team whose part is
+    /// the whole domain. The domain is cut into cache-sized blocks
+    /// along the first dimension; within a block all stages run
+    /// back-to-back on block-local scratch (the "+1" dimension), each
+    /// stage split among *all* workers. This is the strategy that
+    /// shines on one socket and collapses on many NUMA nodes — the
+    /// per-stage halo reads between workers become remote-cache
+    /// traffic, which the `islands-core` planner charges accordingly.
+    /// Every builder knob applies unchanged; with one team the
+    /// `fuse_steps` halo enlargement clips to the domain, so its win is
+    /// purely the k× fewer global barrier pairs.
+    ///
+    /// ```
+    /// use mpdata::{gaussian_pulse, IslandsExecutor, MpdataProblem, ReferenceExecutor};
+    /// use stencil_engine::Region3;
+    /// use work_scheduler::WorkerPool;
+    ///
+    /// let pool = WorkerPool::new(2);
+    /// let fields = gaussian_pulse(Region3::of_extent(24, 8, 4), (0.3, 0.0, 0.0));
+    /// let fused = IslandsExecutor::single_island(&pool, MpdataProblem::standard())
+    ///     .cache_bytes(64 * 1024)
+    ///     .step(&fields)?;
+    /// assert_eq!(fused.max_abs_diff(&ReferenceExecutor::new().step(&fields)), 0.0);
+    /// # Ok::<(), stencil_engine::PlanBlocksError>(())
+    /// ```
+    pub fn single_island(pool: &'p WorkerPool, problem: MpdataProblem) -> Self {
+        Self::with_problem(pool, TeamSpec::even(pool.len(), 1), Axis::I, problem)
     }
 
     /// Replaces the 1-D axis split with an explicit partition: one part
@@ -100,26 +118,28 @@ impl<'p> IslandsExecutor<'p> {
             self.teams.team_count(),
             "one part per team required"
         );
-        self.partition = PartitionKind::Explicit(parts);
+        self.config.partition = PartitionKind::Explicit(parts);
         self
     }
 
-    /// Sets the per-block cache budget of each island.
+    /// Sets the per-block cache budget of each island (the block depth
+    /// follows from it).
     pub fn cache_bytes(mut self, bytes: usize) -> Self {
-        self.cache_bytes = bytes;
+        self.config.knobs.cache_bytes = bytes;
         self
     }
 
-    /// Sets the axis along which a team splits stage sweeps internally.
+    /// Sets the axis along which a team splits stage sweeps internally
+    /// (default `J`: blocks are thin in `I`).
     pub fn split_axis(mut self, axis: Axis) -> Self {
-        self.split_axis = axis;
+        self.config.knobs.split_axis = axis;
         self
     }
 
     /// Sets the intra-island schedule policy (static rank slices by
     /// default).
     pub fn schedule(mut self, policy: SchedulePolicy) -> Self {
-        self.schedule = policy;
+        self.config.knobs.schedule = policy;
         self
     }
 
@@ -141,7 +161,7 @@ impl<'p> IslandsExecutor<'p> {
     /// any step count (a trailing partial epoch replays only its last
     /// sections). Values below 1 are treated as 1.
     pub fn fuse_steps(mut self, k: usize) -> Self {
-        self.fuse_steps = k.max(1);
+        self.config.knobs.fuse_steps = k.max(1);
         self
     }
 
@@ -156,7 +176,7 @@ impl<'p> IslandsExecutor<'p> {
     /// schedule and fuse depth (the kernels are pointwise in their
     /// declared neighborhoods).
     pub fn tile(mut self, mode: TileMode) -> Self {
-        self.tile = mode;
+        self.config.knobs.tile = mode;
         self
     }
 
@@ -172,7 +192,37 @@ impl<'p> IslandsExecutor<'p> {
     /// Panics if an explicit partition does not disjointly cover
     /// `domain`.
     pub fn partition(&self, domain: Region3) -> Vec<Region3> {
-        self.partition.parts(domain, self.teams.team_count())
+        self.config.partition.parts(domain, self.teams.team_count())
+    }
+
+    /// Runs `f` on the plan for `domain` under the current config —
+    /// the cached one, or a rebuilt one when it no longer matches. Every
+    /// update leaves the slot either empty or holding a complete plan,
+    /// so a poisoned lock is recovered.
+    fn with_plan<R>(
+        &self,
+        domain: Region3,
+        f: impl FnOnce(&mut StepPlan) -> R,
+    ) -> Result<R, PlanBlocksError> {
+        let mut slot = self.plan.lock().unwrap_or_else(|e| e.into_inner());
+        let plan = StepPlan::ensure(&mut slot, &self.problem, &self.teams, domain, &self.config)?;
+        Ok(f(plan))
+    }
+
+    /// The schedule this executor replays on `domain` — the very
+    /// object `step`/`run` walk (planned and cached on first use), so
+    /// a proof about it is a proof about the run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanBlocksError`] when an island's block does not fit
+    /// the cache budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`IslandsExecutor::step`].
+    pub fn schedule_for(&self, domain: Region3) -> Result<Arc<StepSchedule>, PlanBlocksError> {
+        self.with_plan(domain, |plan| Arc::clone(plan.schedule()))
     }
 
     /// Performs one time step.
@@ -181,31 +231,16 @@ impl<'p> IslandsExecutor<'p> {
     ///
     /// Returns [`PlanBlocksError`] when an island's block does not fit
     /// the cache budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the problem is not open-boundary (periodic wrap
+    /// dependencies cannot be expressed by box-shaped island regions)
+    /// or an explicit partition does not disjointly cover the domain.
     pub fn step(&self, fields: &MpdataFields) -> Result<Array3, PlanBlocksError> {
-        self.check_boundary();
-        let mut slot = self.plan.lock().unwrap_or_else(|e| e.into_inner());
-        plan_step(
-            self.pool,
-            &self.teams,
-            &self.problem,
-            &mut slot,
-            &self.partition,
-            self.cache_bytes,
-            self.split_axis,
-            self.schedule,
-            self.fuse_steps,
-            self.tile,
-            fields,
-        )
-    }
-
-    fn check_boundary(&self) {
-        assert_eq!(
-            self.problem.boundary(),
-            crate::kernels::Boundary::Open,
-            "the islands executor requires open boundaries: periodic wrap \
-             dependencies cannot be expressed by box-shaped island regions"
-        );
+        self.with_plan(fields.domain(), |plan| {
+            plan.step(self.pool, &self.teams, fields)
+        })
     }
 
     /// Advances `fields.x` by `steps` time steps.
@@ -214,23 +249,17 @@ impl<'p> IslandsExecutor<'p> {
     ///
     /// Returns [`PlanBlocksError`] when an island's block does not fit
     /// the cache budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`IslandsExecutor::step`].
     pub fn run(&self, fields: &mut MpdataFields, steps: usize) -> Result<(), PlanBlocksError> {
-        self.check_boundary();
-        let mut slot = self.plan.lock().unwrap_or_else(|e| e.into_inner());
-        plan_run(
-            self.pool,
-            &self.teams,
-            &self.problem,
-            &mut slot,
-            &self.partition,
-            self.cache_bytes,
-            self.split_axis,
-            self.schedule,
-            self.fuse_steps,
-            self.tile,
-            fields,
-            steps,
-        )
+        if steps == 0 {
+            return Ok(());
+        }
+        self.with_plan(fields.domain(), |plan| {
+            plan.run(self.pool, &self.teams, fields, steps)
+        })
     }
 }
 
@@ -290,19 +319,74 @@ mod tests {
     }
 
     #[test]
-    fn single_island_equals_fused() {
+    fn single_island_matches_reference_across_block_sizes() {
+        // The pure (3+1)D schedule: one team of three ranks, from many
+        // thin blocks up to the default budget's single block.
+        let d = Region3::of_extent(20, 7, 5);
+        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        let f = random_fields(&mut rng, d, 0.7);
+        let expect = ReferenceExecutor::new().step(&f);
+        let pool = WorkerPool::new(3);
+        for cache in [64 * 1024, 256 * 1024, crate::DEFAULT_CACHE_BYTES] {
+            let got = IslandsExecutor::single_island(&pool, MpdataProblem::standard())
+                .cache_bytes(cache)
+                .step(&f)
+                .unwrap();
+            assert_eq!(got.max_abs_diff(&expect), 0.0, "cache {cache} diverged");
+        }
+        let one_block = stencil_engine::BlockPlanner::new(crate::DEFAULT_CACHE_BYTES)
+            .plan(MpdataProblem::standard().graph(), d, d)
+            .unwrap();
+        assert_eq!(one_block.len(), 1, "16 MiB ≫ domain: a single block");
+    }
+
+    #[test]
+    fn single_island_knobs_match_reference() {
+        // Every knob on the one-island schedule: self-scheduling, k-step
+        // epochs (with a partial tail), whole-domain tiling where every
+        // rank chews tiles on private scratch, and tiling × fusion.
         let d = Region3::of_extent(16, 8, 4);
-        let f = gaussian_pulse(d, (0.3, 0.0, 0.0));
+        let mut expect = rotating_cone(d, 0.25);
+        ReferenceExecutor::new().run(&mut expect, 7);
         let pool = WorkerPool::new(4);
-        let islands = IslandsExecutor::new(&pool, TeamSpec::even(4, 1), Axis::I)
-            .cache_bytes(64 * 1024)
-            .step(&f)
-            .unwrap();
-        let fused = crate::fused::FusedExecutor::new(&pool)
-            .cache_bytes(64 * 1024)
-            .step(&f)
-            .unwrap();
-        assert_eq!(islands.max_abs_diff(&fused), 0.0);
+        let single = || {
+            IslandsExecutor::single_island(&pool, MpdataProblem::standard()).cache_bytes(48 * 1024)
+        };
+        for (label, exec) in [
+            ("plain", single()),
+            ("dynamic", single().self_schedule(3)),
+            ("fuse 2", single().fuse_steps(2)),
+            ("fuse 3", single().fuse_steps(3)),
+            ("tile 4x4", single().tile(TileMode::Fixed { ti: 4, tj: 4 })),
+            ("tile 1x7", single().tile(TileMode::Fixed { ti: 1, tj: 7 })),
+            ("tile auto", single().tile(TileMode::Auto)),
+            (
+                "tile auto × fuse 2",
+                single().fuse_steps(2).tile(TileMode::Auto),
+            ),
+        ] {
+            let mut f = rotating_cone(d, 0.25);
+            exec.run(&mut f, 7).unwrap();
+            assert_eq!(f.x.max_abs_diff(&expect.x), 0.0, "{label} diverged");
+        }
+    }
+
+    #[test]
+    fn tiny_cache_errors_untiled_but_tiles_degrade() {
+        let pool = WorkerPool::new(2);
+        let single =
+            || IslandsExecutor::single_island(&pool, MpdataProblem::standard()).cache_bytes(1024);
+        // The wavefront planner cannot fit a block…
+        let big = gaussian_pulse(Region3::of_extent(64, 64, 64), (0.1, 0.0, 0.0));
+        assert!(matches!(
+            single().step(&big),
+            Err(PlanBlocksError::CacheTooSmall { .. })
+        ));
+        // …while the tile sizer degrades to 1×1 tiles instead of
+        // erroring: halo recompute explodes but the result stays exact.
+        let f = gaussian_pulse(Region3::of_extent(12, 6, 4), (0.1, 0.0, 0.0));
+        let got = single().tile(TileMode::Auto).step(&f).unwrap();
+        assert_eq!(got.max_abs_diff(&ReferenceExecutor::new().step(&f)), 0.0);
     }
 
     #[test]
@@ -515,7 +599,7 @@ mod tests {
 
     #[test]
     fn fused_interleaves_with_unfused_runs() {
-        // Changing the fuse depth mid-flight must replan (PlanKey keys
+        // Changing the fuse depth mid-flight must replan (the plan keys
         // on k) and stay exact.
         let d = Region3::of_extent(16, 8, 4);
         let mut expect = rotating_cone(d, 0.2);
@@ -658,6 +742,26 @@ mod tests {
         let _ = IslandsExecutor::with_problem(&pool, TeamSpec::even(2, 2), Axis::I, problem)
             .tile(TileMode::Auto)
             .step(&f);
+    }
+
+    #[test]
+    fn fused_more_islands_than_slabs_still_correct() {
+        // Idle islands own no x slots: their ranks must sit out a
+        // multi-step fused epoch instead of reaching for one.
+        let d = Region3::of_extent(5, 6, 4);
+        let mut expect = gaussian_pulse(d, (0.2, 0.1, 0.0));
+        ReferenceExecutor::new().run(&mut expect, 3);
+        let pool = WorkerPool::new(8);
+        for mode in [TileMode::Off, TileMode::Fixed { ti: 2, tj: 2 }] {
+            let mut f = gaussian_pulse(d, (0.2, 0.1, 0.0));
+            IslandsExecutor::new(&pool, TeamSpec::even(8, 8), Axis::I)
+                .cache_bytes(64 * 1024)
+                .fuse_steps(2)
+                .tile(mode)
+                .run(&mut f, 3)
+                .unwrap();
+            assert_eq!(f.x.max_abs_diff(&expect.x), 0.0, "{mode:?} diverged");
+        }
     }
 
     #[test]

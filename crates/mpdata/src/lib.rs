@@ -14,11 +14,14 @@
 //! * [`ReferenceExecutor`] — serial, full-size intermediates.
 //! * [`OriginalExecutor`] — the paper's "Original": per-stage parallel
 //!   sweeps with intermediates in main memory.
-//! * [`FusedExecutor`] — the pure (3+1)D decomposition: cache-sized
-//!   blocks, all 17 stages fused per block, all cores share each block.
 //! * [`IslandsExecutor`] — the contribution: one island (work team) per
-//!   processor, each running (3+1)D on its part and *recomputing* halo
-//!   elements instead of communicating within a time step.
+//!   processor, each running the (3+1)D decomposition (cache-sized
+//!   blocks, all 17 stages fused per block) on its part and
+//!   *recomputing* halo elements instead of communicating within a time
+//!   step. [`IslandsExecutor::single_island`] is the pure (3+1)D
+//!   strategy: one island spanning every core.
+//! * [`ExchangeExecutor`] — the ablation: islands that exchange halos
+//!   between stages instead of recomputing them.
 //!
 //! ## Quickstart
 //!
@@ -40,7 +43,6 @@ mod diagnostics;
 mod exchange;
 mod exec;
 mod fields;
-mod fused;
 mod graph;
 mod islands;
 mod kernels;
@@ -51,9 +53,7 @@ mod reference;
 
 pub use diagnostics::{error_norms, CflViolation, ErrorNorms};
 pub use exchange::ExchangeExecutor;
-pub use exec::rank_slice;
 pub use fields::{gaussian_pulse, random_fields, rotating_cone, MpdataFields, EPS};
-pub use fused::{FusedExecutor, DEFAULT_CACHE_BYTES};
 pub use graph::{
     flops_per_cell, mpdata_graph, ExternalIds, MpdataFieldIds, MpdataProblem, StageKind,
     STAGE_COUNT, STAGE_FLOPS, STANDARD_KINDS,
@@ -61,5 +61,7 @@ pub use graph::{
 pub use islands::IslandsExecutor;
 pub use kernels::{apply_kind, apply_kind_scalar, apply_stage, Boundary};
 pub use original::OriginalExecutor;
-pub use plan::{SchedulePolicy, TileMode};
+pub use plan::{
+    Access, Buffer, ScheduleKnobs, SchedulePolicy, StepSchedule, TileMode, DEFAULT_CACHE_BYTES,
+};
 pub use reference::ReferenceExecutor;

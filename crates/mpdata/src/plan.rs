@@ -5,20 +5,25 @@
 //! scratch store, and allocate a fresh full-domain output array on
 //! *every* time step. Once blocking amortizes memory traffic, that
 //! churn — plus per-stage dispatch — dominates the per-sweep cost. A
-//! [`StepPlan`] hoists all of it out of the loop:
+//! [`StepPlan`] hoists all of it out of the loop, in two layers:
 //!
-//! * the partition, per-island blocking, stage→region tables and
-//!   work-unit slices are computed once and keyed by [`PlanKey`] — any
-//!   change of domain, partition, cache budget, split axis, schedule
-//!   policy or fuse depth rebuilds the plan;
-//! * the island [`ParStore`]s persist across steps. Instead of
-//!   re-zeroing whole scratches, the builder runs the same coverage
-//!   analysis as the `islands-analysis` `uncovered-read` rule and
-//!   records exactly the cells each team reads before writing; the
-//!   replay re-zeroes only those (none, for the real MPDATA graphs);
-//! * `run` ping-pongs two persistent full-domain arrays (`cur`/`out`)
-//!   by pointer swap under the once-per-epoch global barrier, instead
-//!   of allocating `Array3::zeros(domain)` and copying back per step.
+//! * [`StepSchedule`] — the pure tables: per-island blocking, stage →
+//!   region tables, work-unit slices, tile chains, the refill/coverage
+//!   facts and the scratch footprints, built once from the problem,
+//!   the partition and the [`ScheduleKnobs`] with no buffer allocated.
+//!   It is the **only** derivation of the island schedule in the
+//!   workspace: the replay below walks these tables, and
+//!   [`StepSchedule::accesses`] streams the same tables to the
+//!   `islands-analysis` prover, so what is proved is what runs;
+//! * `StepPlan` — the schedule plus what it says to allocate: the
+//!   island [`ParStore`]s (persisting across steps; instead of
+//!   re-zeroing whole scratches the replay re-zeroes only the cells
+//!   the schedule's coverage analysis found read-before-written — none,
+//!   for the real MPDATA graphs), the claim queues, the x slots and
+//!   the two full-domain arrays (`cur`/`out`) `run` ping-pongs by
+//!   pointer swap under the once-per-epoch global barrier. Cached and
+//!   rebuilt whenever the domain or the executor's `PlanConfig` stops
+//!   matching.
 //!
 //! # Temporal blocking (`fuse_steps = k`)
 //!
@@ -32,12 +37,12 @@
 //! team can compute step s+1 of its enlarged region entirely from its
 //! *own* step-s values — no other island's output is ever read between
 //! global barriers. Intermediate advected fields ping-pong through two
-//! team-private x-slot buffers (`TeamPlan::xslots`), sized to the first
-//! (widest) fused step; the last fused step writes the shared output
-//! exactly as before. A `run` whose step count is not a multiple of k
-//! replays a tail epoch made of the *last* `steps mod k` sections,
-//! which keeps every section's enlargement exactly right; `step` is the
-//! one-section tail, identical to an unfused plan.
+//! team-private x-slot buffers, sized to the first (widest) fused step;
+//! the last fused step writes the shared output exactly as before. A
+//! `run` whose step count is not a multiple of k replays a tail epoch
+//! made of the *last* `steps mod k` sections, which keeps every
+//! section's enlargement exactly right; `step` is the one-section tail,
+//! identical to an unfused plan.
 //!
 //! Replay is bit-identical to the allocate-per-step path for every k:
 //! the kernels are pointwise in their declared neighborhoods, so
@@ -49,14 +54,20 @@
 //! partition) are re-zeroed at swap time.
 
 use crate::exec::{rank_slice, ExtFields, ParStore};
+use crate::fields::MpdataFields;
 use crate::graph::{MpdataProblem, StageKind};
 use crate::kernels::Boundary;
 use std::fmt;
+use std::sync::Arc;
 use stencil_engine::{
     choose_tile, tile_grid, Array3, Axis, BlockPlanner, FieldId, FieldRole, PlanBlocksError,
     Region3, StageDef, StageGraph,
 };
-use work_scheduler::{ChunkQueue, DisjointCell, TeamCtx, TeamSpec, WorkerPool};
+use work_scheduler::{AccessTracker, ChunkQueue, DisjointCell, TeamCtx, TeamSpec, WorkerPool};
+
+/// Default cache budget per block: the 16 MiB L3 of the paper's Xeon
+/// E5-4627v2.
+pub const DEFAULT_CACHE_BYTES: usize = 16 << 20;
 
 /// How each epoch's work units are assigned to the ranks of a team.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -119,16 +130,47 @@ pub enum TileMode {
     },
 }
 
+/// Everything besides the problem, the domain and the partition that
+/// shapes a [`StepSchedule`] — the executor's builder knobs as one
+/// value, so they travel as a unit from the builder to the plan key
+/// and to [`StepSchedule::build`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScheduleKnobs {
+    /// Per-block cache budget of each island (the wavefront block
+    /// depth and the `Auto` tile extents follow from it).
+    pub cache_bytes: usize,
+    /// Axis along which a team splits each stage sweep among its cores.
+    pub split_axis: Axis,
+    /// How epoch work units are handed to ranks.
+    pub schedule: SchedulePolicy,
+    /// Fused time steps per replay epoch (values below 1 mean 1 =
+    /// classic per-step synchronization).
+    pub fuse_steps: usize,
+    /// Tile-fused replay mode.
+    pub tile: TileMode,
+}
+
+impl Default for ScheduleKnobs {
+    fn default() -> Self {
+        ScheduleKnobs {
+            cache_bytes: DEFAULT_CACHE_BYTES,
+            split_axis: Axis::J,
+            schedule: SchedulePolicy::Static,
+            fuse_steps: 1,
+            tile: TileMode::Off,
+        }
+    }
+}
+
 /// How the domain is divided among islands.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum PartitionKind {
-    /// 1-D split along an axis (variant A = `I`, variant B = `J`).
+    /// 1-D split along an axis (variant A = `I`, variant B = `J`). With
+    /// a single team this is the whole domain — the pure (3+1)D
+    /// schedule.
     Axis(Axis),
     /// Explicit parts, one per team in order (e.g. 2-D island grids).
     Explicit(Vec<Region3>),
-    /// The whole domain as a single part (the fused (3+1)D executor:
-    /// one team spanning every worker).
-    Whole,
 }
 
 impl PartitionKind {
@@ -141,10 +183,6 @@ impl PartitionKind {
     pub(crate) fn parts(&self, domain: Region3, team_count: usize) -> Vec<Region3> {
         match self {
             PartitionKind::Axis(axis) => domain.split(*axis, team_count),
-            PartitionKind::Whole => {
-                assert_eq!(team_count, 1, "Whole partition is single-team");
-                vec![domain]
-            }
             PartitionKind::Explicit(parts) => {
                 assert_eq!(parts.len(), team_count, "one part per team required");
                 let covered: usize = parts.iter().map(|p| p.cells()).sum();
@@ -161,44 +199,15 @@ impl PartitionKind {
     }
 }
 
-/// Everything a cached [`StepPlan`] depends on. A `step`/`run` call
-/// whose inputs no longer match the cached key rebuilds the plan; the
-/// comparison itself ([`PlanKey::matches`]) is allocation-free so cache
+/// The executor-side half of a cached [`StepPlan`]'s key (the other
+/// half is the domain of the fields it is run on). A `step`/`run` call
+/// whose domain or config no longer equal the cached plan's rebuilds
+/// it; the comparison is the derived, allocation-free `==`, so cache
 /// hits cost a few field compares.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct PlanKey {
-    domain: Region3,
-    partition: PartitionKind,
-    cache_bytes: usize,
-    split_axis: Axis,
-    schedule: SchedulePolicy,
-    /// Fused time steps per replay epoch (≥ 1; 1 = classic per-step
-    /// synchronization). Keyed so flipping `--fuse-steps` replans.
-    fuse_steps: usize,
-    /// Tile-fused replay mode. Keyed so flipping `--tile` replans.
-    tile: TileMode,
-}
-
-impl PlanKey {
-    #[allow(clippy::too_many_arguments)]
-    fn matches(
-        &self,
-        domain: Region3,
-        partition: &PartitionKind,
-        cache_bytes: usize,
-        split_axis: Axis,
-        schedule: SchedulePolicy,
-        fuse_steps: usize,
-        tile: TileMode,
-    ) -> bool {
-        self.domain == domain
-            && self.cache_bytes == cache_bytes
-            && self.split_axis == split_axis
-            && self.schedule == schedule
-            && self.fuse_steps == fuse_steps.max(1)
-            && self.tile == tile
-            && &self.partition == partition
-    }
+pub(crate) struct PlanConfig {
+    pub(crate) partition: PartitionKind,
+    pub(crate) knobs: ScheduleKnobs,
 }
 
 /// One barrier-fenced unit of a team's replay: one stage of one block,
@@ -259,53 +268,97 @@ struct TileTask {
 }
 
 /// One team's replay schedule.
-struct TeamPlan {
+struct TeamSchedule {
     epochs: Vec<EpochPlan>,
     /// Epoch index range per fused step: `epochs[step_bounds[s].0 ..
     /// step_bounds[s].1]` are fused step `s`'s epochs (all `(0, 0)` for
-    /// empty islands).
+    /// empty islands and tiled schedules).
     step_bounds: Vec<(usize, usize)>,
-    /// One preallocated work queue per epoch (dynamic schedules only;
-    /// empty for static). Reset between steps by one relaxed store per
-    /// epoch, inside the serial sections the barriers already fence —
-    /// so self-scheduling adds no allocation to the steady state.
-    queues: Vec<ChunkQueue>,
     /// Scratch regions this team reads before writing them in one fused
     /// step — the cells the refill must re-zero *before every fused
     /// step* so scratch reuse stays bit-identical to freshly zeroed
     /// stores. Empty for the real MPDATA graphs (the `uncovered-read`
     /// analysis proves per-step coverage).
     must_zero: Vec<(FieldId, Region3)>,
-    /// Team-private ping-pong buffers for the advected field between
-    /// fused steps (`None` when `fuse_steps == 1`): fused step `s < k-1`
-    /// writes slot `s % 2`, fused step `s > 0` reads slot `(s-1) % 2`.
-    /// Sized to the first (widest) fused step's target, which contains
-    /// every later step's writes and reads.
-    xslots: Option<[DisjointCell<Array3>; 2]>,
-    /// Tile tables, one `Vec<TileTask>` per fused step (tiled plans
+    /// Extent of the team's shared scratch buffers: the hull of every
+    /// fused step's blocking (steps reuse the same scratch, refilled
+    /// before each). Empty for tiled schedules and empty islands.
+    scratch: Region3,
+    /// Extent of the team-private ping-pong buffers the advected field
+    /// moves through between fused steps (`None` when `fuse_steps == 1`
+    /// or the island is empty): the first (widest) fused step's target,
+    /// which contains every later step's writes and reads.
+    xslot: Option<Region3>,
+    /// Tile tables, one `Vec<TileTask>` per fused step (tiled schedules
     /// only; empty when `TileMode::Off`). Tiles of step `s` partition
     /// `fused_step_targets[s]`.
     tiles: Vec<Vec<TileTask>>,
-    /// One preallocated claim queue per fused step over that step's
-    /// tiles (dynamic tiled plans only). Same reset contract as
-    /// `queues`.
-    tile_queues: Vec<ChunkQueue>,
+    /// Per scratch field, the fattest tile footprint of any fused step:
+    /// what every rank's private store is sized to, so rebasing it tile
+    /// by tile never allocates.
+    tile_scratch: Vec<(FieldId, Region3)>,
 }
 
-/// A fully materialized, reusable execution plan for one time step (or,
-/// with `fuse_steps = k`, one k-step fused epoch).
-///
-/// Owns the per-island scratch stores and the two ping-pong domain
-/// buffers, so steps 2..N of `run` allocate nothing at all.
-pub(crate) struct StepPlan {
-    key: PlanKey,
-    teams: Vec<TeamPlan>,
-    stores: Vec<ParStore>,
-    /// Rank-private scratch stores for the tiled replay, indexed
-    /// `[team][rank]` (empty when `TileMode::Off`). Each holds every
-    /// scratch field at its worst-case tile footprint and is rebased
-    /// tile by tile, so the steady state allocates nothing.
-    tile_stores: Vec<Vec<ParStore>>,
+/// The storage one [`Access`] resolves to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Buffer {
+    /// A full-domain array every team sees: an external input (for the
+    /// advected field, `run`'s current-input buffer) or the shared
+    /// output.
+    Shared(FieldId),
+    /// One of the team-private ping-pong buffers (`0` or `1`) the
+    /// advected field moves through between fused steps.
+    XSlot(usize),
+    /// The team's scratch buffer of an intermediate field (per-stage
+    /// sweeps: shared by the team's ranks, fenced by team barriers).
+    Scratch(FieldId),
+    /// The executing rank's private scratch of an intermediate field,
+    /// rebased to the footprint of the tile named by the access's
+    /// `(team, step, slot)`.
+    TileScratch(FieldId),
+}
+
+/// One region-granular read or write the replay performs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Access {
+    /// The island (team) performing it.
+    pub team: usize,
+    /// Position in the team's program order. Per-stage sweeps: the
+    /// barrier-fenced `(step, block, stage)` epoch. Tiled schedules:
+    /// `step × stages + stage` — a tile's chain is serial on one rank,
+    /// but only step boundaries are fenced *between* tiles.
+    pub epoch: usize,
+    /// The unit of concurrency within the epoch: the rank slice (static
+    /// schedules), the claimable chunk (dynamic) or the tile (tiled) —
+    /// any two slots of one epoch may run on different ranks.
+    pub slot: usize,
+    /// Fused-step index within the k-step table.
+    pub step: usize,
+    /// Index into `graph.stages()`.
+    pub stage: usize,
+    /// Block index within the island's wavefront blocking (0 for tiled
+    /// schedules).
+    pub block: usize,
+    /// Where the access lands.
+    pub buffer: Buffer,
+    /// The cells touched.
+    pub region: Region3,
+    /// Write (`true`) or read (`false`).
+    pub write: bool,
+}
+
+/// The island schedule of one time step (or, with `fuse_steps = k`, one
+/// k-step fused epoch) as pure tables: what every rank of every team
+/// computes, in which order, over which regions, into which buffers.
+/// Owns no field data. [`IslandsExecutor`](crate::IslandsExecutor)
+/// replays exactly these tables; [`StepSchedule::accesses`] streams
+/// them to the plan-time prover.
+pub struct StepSchedule {
+    problem: MpdataProblem,
+    domain: Region3,
+    /// Normalized: `fuse_steps ≥ 1`.
+    knobs: ScheduleKnobs,
+    teams: Vec<TeamSchedule>,
     /// Stage kinds in stage order (the tiled replay walks the graph
     /// directly instead of through per-epoch tables).
     stage_kinds: Vec<StageKind>,
@@ -315,6 +368,71 @@ pub(crate) struct StepPlan {
     /// Domain cells no final-stage write covers (empty for covering
     /// partitions); re-zeroed in the output buffer at swap time.
     out_gaps: Vec<Region3>,
+}
+
+impl fmt::Debug for StepSchedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StepSchedule")
+            .field("domain", &self.domain)
+            .field("knobs", &self.knobs)
+            .field("teams", &self.teams.len())
+            .field(
+                "epochs",
+                &self.teams.iter().map(|t| t.epochs.len()).sum::<usize>(),
+            )
+            .finish_non_exhaustive()
+    }
+}
+
+/// What one team's [`TeamSchedule`] says to allocate.
+struct TeamBuffers {
+    /// The team's shared scratch store (per-stage sweeps).
+    store: ParStore,
+    /// Rank-private scratch stores for the tiled replay, one per rank
+    /// (empty when `TileMode::Off`). Each holds every scratch field at
+    /// its worst-case tile footprint and is rebased tile by tile, so
+    /// the steady state allocates nothing.
+    rank_stores: Vec<ParStore>,
+    /// One preallocated work queue per epoch (dynamic schedules only;
+    /// empty for static). Reset between steps by one relaxed store per
+    /// epoch, inside the serial sections the barriers already fence —
+    /// so self-scheduling adds no allocation to the steady state.
+    queues: Vec<ChunkQueue>,
+    /// One preallocated claim queue per fused step over that step's
+    /// tiles (dynamic tiled plans only). Same reset contract as
+    /// `queues`.
+    tile_queues: Vec<ChunkQueue>,
+    /// The x slots: fused step `s < k-1` writes slot `s % 2`, fused
+    /// step `s > 0` reads slot `(s-1) % 2` (see
+    /// [`StepSchedule::x_dest`] / [`StepSchedule::x_source`]).
+    xslots: Option<[DisjointCell<Array3>; 2]>,
+}
+
+/// Heap room [`StepPlan::build`] reserves *below* a large plan's arrays
+/// and frees once they are allocated. The worker pool allocates its
+/// per-dispatch bookkeeping (barriers, latch, task boxes) on every
+/// `run`; the allocator serves those from the lowest free chunk and,
+/// finding none, carves them from the top of the heap — above the
+/// arrays, where the freed remains would keep a dropped plan's arrays
+/// from ever being returned to the OS. A process that rebuilds
+/// executors (the benchmark's set-up loop) then re-touches every
+/// recycled array in full, and on a 128×128×64 grid its peak RSS grows
+/// by 25 MB. Plans with arrays under [`LARGE_ARRAY_BYTES`] skip the
+/// reservation: re-faulting a few returned MB on the next build costs
+/// more (a quarter of a 32×32×16 set-up) than holding on to them.
+const DISPATCH_SLACK_BYTES: usize = 16 << 10;
+const LARGE_ARRAY_BYTES: usize = 1 << 20;
+
+/// A fully materialized, reusable execution plan: a [`StepSchedule`]
+/// plus the per-island scratch stores and the two ping-pong domain
+/// buffers it calls for, so steps 2..N of `run` allocate nothing at
+/// all.
+pub(crate) struct StepPlan {
+    /// The executor config the plan was built for — with the
+    /// schedule's domain, the plan's key.
+    config: PlanConfig,
+    schedule: Arc<StepSchedule>,
+    teams: Vec<TeamBuffers>,
     /// `run`'s current-input buffer (`x` of the step being computed).
     cur: DisjointCell<Array3>,
     /// The shared output buffer all teams write disjoint parts of.
@@ -326,12 +444,8 @@ pub(crate) struct StepPlan {
 impl fmt::Debug for StepPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StepPlan")
-            .field("key", &self.key)
-            .field("teams", &self.teams.len())
-            .field(
-                "epochs",
-                &self.teams.iter().map(|t| t.epochs.len()).sum::<usize>(),
-            )
+            .field("config", &self.config)
+            .field("schedule", &self.schedule)
             .finish_non_exhaustive()
     }
 }
@@ -402,7 +516,7 @@ fn uncovered_reads(
 /// advected-field reads the next step's target requires (clipped to
 /// `domain`), i.e. one cumulative stencil halo wider per fused step.
 /// Monotone: `targets[s] ⊇ targets[s+1]`.
-pub(crate) fn fused_step_targets(
+fn fused_step_targets(
     graph: &StageGraph,
     x: FieldId,
     part: Region3,
@@ -503,24 +617,45 @@ fn plan_tile(
     }
 }
 
-impl StepPlan {
-    /// Builds the plan for `key`: partition, per-island and
-    /// per-fused-step blocking, epoch tables with precomputed rank
-    /// slices, persistent stores, and the refill/coverage facts. This
-    /// is the only allocating phase.
+impl StepSchedule {
+    /// Derives the schedule: per-island and per-fused-step blocking (or
+    /// tile grids), epoch tables with precomputed unit slices, scratch
+    /// footprints and the refill/coverage facts. `parts` holds one part
+    /// per team (empty parts allowed — surplus islands idle) and is
+    /// taken as given: the disjoint-cover check lives with the
+    /// executor's partition, so the prover can be fed seeded-bad parts.
+    /// `team_sizes` holds the rank count of each team.
     ///
     /// # Errors
     ///
     /// Returns [`PlanBlocksError`] when an island's block does not fit
-    /// the cache budget.
-    fn build(
+    /// the cache budget (per-stage sweeps only; tiling degrades to 1×1
+    /// tiles instead).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` and `team_sizes` disagree in length, or the
+    /// problem is not open-boundary: periodic wrap dependencies cannot
+    /// be expressed by box-shaped island regions.
+    pub fn build(
         problem: &MpdataProblem,
-        spec: &TeamSpec,
-        key: PlanKey,
+        domain: Region3,
+        parts: &[Region3],
+        team_sizes: &[usize],
+        knobs: ScheduleKnobs,
     ) -> Result<Self, PlanBlocksError> {
-        let domain = key.domain;
-        let k = key.fuse_steps.max(1);
-        let parts = key.partition.parts(domain, spec.team_count());
+        assert_eq!(parts.len(), team_sizes.len(), "one part per team");
+        assert_eq!(
+            problem.boundary(),
+            Boundary::Open,
+            "island schedules require open boundaries: periodic wrap \
+             dependencies cannot be expressed by box-shaped island regions"
+        );
+        let knobs = ScheduleKnobs {
+            fuse_steps: knobs.fuse_steps.max(1),
+            ..knobs
+        };
+        let k = knobs.fuse_steps;
         let graph = problem.graph();
         let xout = problem.xout();
         let x = problem.ext().x;
@@ -536,9 +671,9 @@ impl StepPlan {
             .collect();
         // Tile extents for tiled plans (`Fixed` is clamped to ≥ 1, so a
         // degenerate request still partitions the target).
-        let tile_extents = match key.tile {
+        let tile_extents = match knobs.tile {
             TileMode::Off => None,
-            TileMode::Auto => Some(choose_tile(graph, domain, key.cache_bytes)),
+            TileMode::Auto => Some(choose_tile(graph, domain, knobs.cache_bytes)),
             TileMode::Fixed { ti, tj } => Some((ti.max(1), tj.max(1))),
         };
         // Per-stage regions a zero-overlap schedule would compute —
@@ -549,191 +684,404 @@ impl StepPlan {
         // is recomputation some island performs anyway.
         let base_regions = graph.required_regions(domain, domain);
         let mut teams = Vec::with_capacity(parts.len());
-        let mut stores = Vec::with_capacity(parts.len());
-        let mut tile_stores = Vec::with_capacity(parts.len());
         let mut out_gaps = vec![domain];
-        for (t, &part) in parts.iter().enumerate() {
-            let size = spec.members(t).len();
-            let mut store = ParStore::new(graph.fields().len(), problem.ext());
-            let mut rank_stores = Vec::new();
-            let mut epochs = Vec::new();
-            let mut step_bounds = vec![(0usize, 0usize); k];
-            let mut xslots = None;
-            let mut queues = Vec::new();
-            let mut must_zero = Vec::new();
-            let mut tiles: Vec<Vec<TileTask>> = Vec::new();
-            let mut tile_queues = Vec::new();
-            if !part.is_empty() {
-                let step_parts = fused_step_targets(graph, x, part, domain, k);
-                if let Some((ti, tj)) = tile_extents {
-                    // Tiled: cut each fused-step target into the
-                    // balanced (i, j) tile grid and table the whole
-                    // chain per tile; no wavefront blocking and no
-                    // shared scratch.
-                    for (ts, &sp) in step_parts.iter().enumerate() {
-                        let mut tasks = Vec::new();
-                        for tile in tile_grid(sp, (ti, tj)) {
-                            let task = plan_tile(graph, xout, tile, part, domain, &base_regions);
-                            // Only the last fused step writes the
-                            // shared output buffer. The final-stage
-                            // requirement region of a tile is the
-                            // tile itself, which is what makes
-                            // concurrent output writes disjoint.
-                            if ts + 1 == k {
-                                let written =
-                                    task.stage_regions[graph.stages()[final_stage].id.index()];
-                                debug_assert_eq!(written, task.tile);
-                                out_gaps = subtract_all(out_gaps, written);
-                            }
-                            tasks.push(task);
+        for (&part, &size) in parts.iter().zip(team_sizes) {
+            let mut team = TeamSchedule {
+                epochs: Vec::new(),
+                step_bounds: vec![(0, 0); k],
+                must_zero: Vec::new(),
+                scratch: Region3::empty(),
+                xslot: None,
+                tiles: Vec::new(),
+                tile_scratch: Vec::new(),
+            };
+            if part.is_empty() {
+                teams.push(team);
+                continue;
+            }
+            let step_parts = fused_step_targets(graph, x, part, domain, k);
+            if let Some((ti, tj)) = tile_extents {
+                // Tiled: cut each fused-step target into the balanced
+                // (i, j) tile grid and table the whole chain per tile;
+                // no wavefront blocking and no shared scratch.
+                for (ts, &sp) in step_parts.iter().enumerate() {
+                    let mut tasks = Vec::new();
+                    for tile in tile_grid(sp, (ti, tj)) {
+                        let task = plan_tile(graph, xout, tile, part, domain, &base_regions);
+                        // Only the last fused step writes the shared
+                        // output buffer. The final-stage requirement
+                        // region of a tile is the tile itself, which is
+                        // what makes concurrent output writes disjoint.
+                        if ts + 1 == k {
+                            let written =
+                                task.stage_regions[graph.stages()[final_stage].id.index()];
+                            debug_assert_eq!(written, task.tile);
+                            out_gaps = subtract_all(out_gaps, written);
                         }
-                        if let SchedulePolicy::Dynamic { .. } = key.schedule {
-                            tile_queues.push(ChunkQueue::new(tasks.len()));
+                        tasks.push(task);
+                    }
+                    team.tiles.push(tasks);
+                }
+                let mut widest: Vec<Option<(FieldId, Region3)>> = vec![None; graph.fields().len()];
+                for task in team.tiles.iter().flatten() {
+                    for &(f, r) in &task.field_regions {
+                        let slot = &mut widest[f.index()];
+                        if slot.is_none_or(|(_, w)| w.cells() < r.cells()) {
+                            *slot = Some((f, r));
                         }
-                        tiles.push(tasks);
-                    }
-                    // Every rank owns a private store sized for the
-                    // fattest tile of any fused step; the replay
-                    // rebases it tile by tile, so the steady state
-                    // allocates nothing.
-                    let mut widest: Vec<Option<(FieldId, Region3)>> =
-                        vec![None; graph.fields().len()];
-                    for task in tiles.iter().flatten() {
-                        for &(f, r) in &task.field_regions {
-                            let slot = &mut widest[f.index()];
-                            if slot.is_none_or(|(_, w)| w.cells() < r.cells()) {
-                                *slot = Some((f, r));
-                            }
-                        }
-                    }
-                    for _ in 0..size {
-                        let mut rs = ParStore::new(graph.fields().len(), problem.ext());
-                        for &(f, r) in widest.iter().flatten() {
-                            rs.alloc(f, r);
-                        }
-                        rank_stores.push(rs);
-                    }
-                } else {
-                    // One wavefront blocking per fused step; the scratch
-                    // store spans the union of their hulls (steps reuse the
-                    // same scratch, refilled before each fused step).
-                    let mut blockings = Vec::with_capacity(k);
-                    let mut hull = Region3::empty();
-                    for &sp in &step_parts {
-                        let blocking =
-                            BlockPlanner::new(key.cache_bytes).plan_wavefront(graph, sp, domain)?;
-                        hull = hull.hull(blocking.hull());
-                        blockings.push(blocking);
-                    }
-                    if !hull.is_empty() {
-                        for st in graph.stages() {
-                            for &o in &st.outputs {
-                                if o != xout {
-                                    store.alloc(o, hull);
-                                }
-                            }
-                        }
-                    }
-                    let n_units = key.schedule.units_for(size);
-                    for (ts, blocking) in blockings.iter().enumerate() {
-                        let start = epochs.len();
-                        for (b, block) in blocking.blocks.iter().enumerate() {
-                            for (s, st) in graph.stages().iter().enumerate() {
-                                let region = block.stage_regions[st.id.index()];
-                                let is_final = st.outputs == [xout];
-                                // Only the last fused step writes the
-                                // shared output buffer.
-                                if is_final && ts + 1 == k {
-                                    out_gaps = subtract_all(out_gaps, region);
-                                }
-                                let units: Vec<Region3> = (0..n_units)
-                                    .map(|u| rank_slice(region, key.split_axis, u, n_units))
-                                    .collect();
-                                let needed = part.intersect(base_regions[st.id.index()]);
-                                let units_extra = units
-                                    .iter()
-                                    .map(|&mine| {
-                                        (mine.cells() - mine.intersect(needed).cells()) as u64
-                                    })
-                                    .collect();
-                                epochs.push(EpochPlan {
-                                    stage: s,
-                                    kind: problem.kind(st.id),
-                                    is_final,
-                                    step: ts.min(usize::from(u16::MAX)) as u16,
-                                    block: b.min(usize::from(u16::MAX)) as u16,
-                                    region,
-                                    units,
-                                    units_extra,
-                                });
-                            }
-                        }
-                        step_bounds[ts] = (start, epochs.len());
-                    }
-                    // The refill reruns before *every* fused step, so the
-                    // coverage analysis is per fused step (each step must
-                    // cover its own scratch reads — stale values from the
-                    // previous fused step are zeroed first, exactly like a
-                    // fresh store).
-                    for &(lo, hi) in &step_bounds {
-                        must_zero.extend(uncovered_reads(graph, &epochs[lo..hi], hull, domain));
-                    }
-                    if let SchedulePolicy::Dynamic { .. } = key.schedule {
-                        queues = epochs
-                            .iter()
-                            .map(|ep| ChunkQueue::new(ep.units.len()))
-                            .collect();
                     }
                 }
-                if k > 1 {
-                    // Ping-pong x buffers between fused steps, sized to
-                    // the widest (first) step: every later step writes
-                    // and reads inside it.
-                    xslots = Some([
-                        DisjointCell::new(Array3::zeros(step_parts[0])),
-                        DisjointCell::new(Array3::zeros(step_parts[0])),
-                    ]);
+                team.tile_scratch = widest.into_iter().flatten().collect();
+            } else {
+                // One wavefront blocking per fused step; the scratch
+                // spans the union of their hulls.
+                let n_units = knobs.schedule.units_for(size);
+                for (ts, &sp) in step_parts.iter().enumerate() {
+                    let blocking =
+                        BlockPlanner::new(knobs.cache_bytes).plan_wavefront(graph, sp, domain)?;
+                    team.scratch = team.scratch.hull(blocking.hull());
+                    let start = team.epochs.len();
+                    for (b, block) in blocking.blocks.iter().enumerate() {
+                        for (s, st) in graph.stages().iter().enumerate() {
+                            let region = block.stage_regions[st.id.index()];
+                            let is_final = s == final_stage;
+                            // Only the last fused step writes the
+                            // shared output buffer.
+                            if is_final && ts + 1 == k {
+                                out_gaps = subtract_all(out_gaps, region);
+                            }
+                            let units: Vec<Region3> = (0..n_units)
+                                .map(|u| rank_slice(region, knobs.split_axis, u, n_units))
+                                .collect();
+                            let needed = part.intersect(base_regions[st.id.index()]);
+                            let units_extra = units
+                                .iter()
+                                .map(|&mine| (mine.cells() - mine.intersect(needed).cells()) as u64)
+                                .collect();
+                            team.epochs.push(EpochPlan {
+                                stage: s,
+                                kind: stage_kinds[s],
+                                is_final,
+                                step: ts.min(usize::from(u16::MAX)) as u16,
+                                block: b.min(usize::from(u16::MAX)) as u16,
+                                region,
+                                units,
+                                units_extra,
+                            });
+                        }
+                    }
+                    team.step_bounds[ts] = (start, team.epochs.len());
+                }
+                // The refill reruns before *every* fused step, so the
+                // coverage analysis is per fused step (each step must
+                // cover its own scratch reads — stale values from the
+                // previous fused step are zeroed first, exactly like a
+                // fresh store).
+                for &(lo, hi) in &team.step_bounds {
+                    team.must_zero.extend(uncovered_reads(
+                        graph,
+                        &team.epochs[lo..hi],
+                        team.scratch,
+                        domain,
+                    ));
                 }
             }
-            teams.push(TeamPlan {
-                epochs,
-                step_bounds,
-                queues,
-                must_zero,
-                xslots,
-                tiles,
-                tile_queues,
-            });
-            stores.push(store);
-            tile_stores.push(rank_stores);
+            if k > 1 {
+                team.xslot = Some(step_parts[0]);
+            }
+            teams.push(team);
         }
-        Ok(StepPlan {
-            key,
+        Ok(StepSchedule {
+            problem: problem.clone(),
+            domain,
+            knobs,
             teams,
-            stores,
-            tile_stores,
             stage_kinds,
             final_stage,
             out_gaps,
-            cur: DisjointCell::new(Array3::zeros(domain)),
-            out: DisjointCell::new(Array3::zeros(domain)),
         })
     }
 
+    /// The problem the schedule was derived for.
+    pub fn problem(&self) -> &MpdataProblem {
+        &self.problem
+    }
+
+    /// The global domain.
+    pub fn domain(&self) -> Region3 {
+        self.domain
+    }
+
+    /// The knobs the schedule was derived under (`fuse_steps ≥ 1`).
+    pub fn knobs(&self) -> ScheduleKnobs {
+        self.knobs
+    }
+
+    /// Number of teams (islands), idle ones included.
+    pub fn team_count(&self) -> usize {
+        self.teams.len()
+    }
+
     /// The buffer fused step `ts`'s final stage writes: the shared
-    /// output for the last fused step, the step's team-private x slot
-    /// otherwise.
-    fn final_dest_for<'a>(&'a self, team: &'a TeamPlan, ts: usize) -> &'a DisjointCell<Array3> {
-        if ts + 1 == self.key.fuse_steps.max(1) {
-            &self.out
+    /// output for the last fused step, the step's x slot otherwise.
+    fn x_dest(&self, ts: usize) -> Buffer {
+        if ts + 1 == self.knobs.fuse_steps {
+            Buffer::Shared(self.problem.xout())
         } else {
-            &team.xslots.as_ref().expect("fused plans allocate x slots")[ts % 2]
+            Buffer::XSlot(ts % 2)
         }
     }
 
-    /// The buffer an epoch's final stage writes.
-    fn final_dest<'a>(&'a self, team: &'a TeamPlan, ep: &EpochPlan) -> &'a DisjointCell<Array3> {
-        self.final_dest_for(team, usize::from(ep.step))
+    /// The buffer fused step `ts` reads the advected field from, in a
+    /// replay that starts at fused step `first_ts`: the shared input
+    /// for the epoch's first step, afterwards the x slot the previous
+    /// fused step just produced.
+    fn x_source(&self, ts: usize, first_ts: usize) -> Buffer {
+        if ts == first_ts {
+            Buffer::Shared(self.problem.ext().x)
+        } else {
+            Buffer::XSlot((ts - 1) % 2)
+        }
+    }
+
+    /// Every read and write of one full k-step replay, in `(team,
+    /// program order)`: each work unit's outputs over its region and
+    /// its inputs over the halo-expanded region clipped to the domain
+    /// (open-boundary reads clamp into that box). The advected field is
+    /// routed through [`StepSchedule::x_dest`] / `x_source` — the very
+    /// functions the replay resolves its buffers with — so a consumer
+    /// proves the routing that runs, not a model of it.
+    ///
+    /// Not streamed: the `must_zero` refill writes (a schedule that
+    /// needs them — none of the MPDATA graphs does — therefore shows
+    /// reads no streamed write covers), and the shorter tail replays,
+    /// which perform a subset of these accesses except that their first
+    /// section reads the read-only shared input where the full table
+    /// reads an x slot.
+    pub fn accesses(&self) -> Vec<Access> {
+        let graph = self.problem.graph();
+        let x = self.problem.ext().x;
+        let mut out = Vec::new();
+        // One work unit: `at` carries its coordinates and compute region
+        // (`buffer`/`write` are filled in per access), `scratch` names
+        // the kind of store its intermediates live in.
+        let mut unit = |at: Access, scratch: fn(FieldId) -> Buffer| {
+            if at.region.is_empty() {
+                return;
+            }
+            let st = &graph.stages()[at.stage];
+            for &o in &st.outputs {
+                let buffer = if at.stage == self.final_stage {
+                    self.x_dest(at.step)
+                } else {
+                    scratch(o)
+                };
+                out.push(Access {
+                    buffer,
+                    write: true,
+                    ..at
+                });
+            }
+            for (f, pat) in &st.inputs {
+                let buffer = if *f == x {
+                    self.x_source(at.step, 0)
+                } else if graph.fields().role(*f) == FieldRole::Intermediate {
+                    scratch(*f)
+                } else {
+                    Buffer::Shared(*f)
+                };
+                out.push(Access {
+                    buffer,
+                    region: at.region.expand(pat.halo()).intersect(self.domain),
+                    write: false,
+                    ..at
+                });
+            }
+        };
+        for (team, t) in self.teams.iter().enumerate() {
+            for (epoch, ep) in t.epochs.iter().enumerate() {
+                for (slot, &region) in ep.units.iter().enumerate() {
+                    let at = Access {
+                        team,
+                        epoch,
+                        slot,
+                        step: usize::from(ep.step),
+                        stage: ep.stage,
+                        block: usize::from(ep.block),
+                        buffer: Buffer::Shared(x),
+                        region,
+                        write: false,
+                    };
+                    unit(at, Buffer::Scratch);
+                }
+            }
+            for (step, tasks) in t.tiles.iter().enumerate() {
+                for (slot, task) in tasks.iter().enumerate() {
+                    for (stage, st) in graph.stages().iter().enumerate() {
+                        let at = Access {
+                            team,
+                            epoch: step * graph.stages().len() + stage,
+                            slot,
+                            step,
+                            stage,
+                            block: 0,
+                            buffer: Buffer::Shared(x),
+                            region: task.stage_regions[st.id.index()],
+                            write: false,
+                        };
+                        unit(at, Buffer::TileScratch);
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+impl StepPlan {
+    /// Builds the schedule for `(domain, config)`, then allocates what
+    /// it says: stores, claim queues, x slots and the two domain
+    /// buffers. This is the only allocating phase.
+    fn build(
+        problem: &MpdataProblem,
+        spec: &TeamSpec,
+        domain: Region3,
+        config: PlanConfig,
+    ) -> Result<Self, PlanBlocksError> {
+        // `black_box`: the otherwise-unused allocation must not be elided.
+        let slack = (domain.cells() * size_of::<f64>() >= LARGE_ARRAY_BYTES)
+            .then(|| std::hint::black_box(Vec::<u8>::with_capacity(DISPATCH_SLACK_BYTES)));
+        let parts = config.partition.parts(domain, spec.team_count());
+        let schedule =
+            StepSchedule::build(problem, domain, &parts, &spec.team_sizes(), config.knobs)?;
+        let graph = problem.graph();
+        let new_store = || ParStore::new(graph.fields().len(), problem.ext());
+        let dynamic = matches!(config.knobs.schedule, SchedulePolicy::Dynamic { .. });
+        let queue = |len: usize| dynamic.then(|| ChunkQueue::new(len));
+        // Bookkeeping first…
+        let mut teams: Vec<TeamBuffers> = schedule
+            .teams
+            .iter()
+            .enumerate()
+            .map(|(t, team)| {
+                // Empty islands and untiled plans get no rank stores.
+                let ranks = if team.tiles.is_empty() {
+                    0
+                } else {
+                    spec.members(t).len()
+                };
+                TeamBuffers {
+                    store: new_store(),
+                    rank_stores: (0..ranks).map(|_| new_store()).collect(),
+                    queues: team
+                        .epochs
+                        .iter()
+                        .filter_map(|ep| queue(ep.units.len()))
+                        .collect(),
+                    tile_queues: team
+                        .tiles
+                        .iter()
+                        .filter_map(|tasks| queue(tasks.len()))
+                        .collect(),
+                    xslots: None,
+                }
+            })
+            .collect();
+        // …field data last: no small, plan-lifetime allocation sits among
+        // or above the arrays, so when the plan is dropped they coalesce
+        // with the top of the heap and go back to the OS in one piece
+        // (a small chunk in between would pin everything below it).
+        for (team, bufs) in schedule.teams.iter().zip(&mut teams) {
+            if !team.scratch.is_empty() {
+                for st in graph.stages() {
+                    for &o in &st.outputs {
+                        if o != problem.xout() {
+                            bufs.store.alloc(o, team.scratch);
+                        }
+                    }
+                }
+            }
+            for rs in &mut bufs.rank_stores {
+                for &(f, r) in &team.tile_scratch {
+                    rs.alloc(f, r);
+                }
+            }
+            bufs.xslots = team.xslot.map(|r| {
+                [
+                    DisjointCell::new(Array3::zeros(r)),
+                    DisjointCell::new(Array3::zeros(r)),
+                ]
+            });
+        }
+        let cur = DisjointCell::new(Array3::zeros(domain));
+        let out = DisjointCell::new(Array3::zeros(domain));
+        drop(std::hint::black_box(slack));
+        Ok(StepPlan {
+            config,
+            schedule: Arc::new(schedule),
+            teams,
+            cur,
+            out,
+        })
+    }
+
+    /// Returns the cached plan when `(domain, config)` still equal its
+    /// key, else rebuilds it (dropping the stale plan first). A
+    /// planning failure leaves the slot empty.
+    pub(crate) fn ensure<'s>(
+        slot: &'s mut Option<StepPlan>,
+        problem: &MpdataProblem,
+        spec: &TeamSpec,
+        domain: Region3,
+        config: &PlanConfig,
+    ) -> Result<&'s mut StepPlan, PlanBlocksError> {
+        let hit = slot
+            .as_ref()
+            .is_some_and(|p| p.schedule.domain == domain && p.config == *config);
+        if !hit {
+            *slot = None;
+            *slot = Some(StepPlan::build(problem, spec, domain, config.clone())?);
+        }
+        Ok(slot.as_mut().expect("just ensured"))
+    }
+
+    /// The schedule this plan replays.
+    pub(crate) fn schedule(&self) -> &Arc<StepSchedule> {
+        &self.schedule
+    }
+
+    /// The buffer fused step `ts`'s final stage writes (see
+    /// [`StepSchedule::x_dest`]).
+    fn final_dest<'a>(&'a self, bufs: &'a TeamBuffers, ts: usize) -> &'a DisjointCell<Array3> {
+        match self.schedule.x_dest(ts) {
+            Buffer::XSlot(n) => &bufs.xslots.as_ref().expect("fused plans allocate x slots")[n],
+            _ => &self.out,
+        }
+    }
+
+    /// The external inputs of fused step `ts` in a replay starting at
+    /// `first_ts` (see [`StepSchedule::x_source`]), with the read
+    /// tracker of the x slot when the advected field comes from one.
+    fn step_inputs<'a>(
+        &self,
+        bufs: &'a TeamBuffers,
+        ext: ExtFields<'a>,
+        ts: usize,
+        first_ts: usize,
+    ) -> (ExtFields<'a>, Option<AccessTracker<'a, Array3>>) {
+        match self.schedule.x_source(ts, first_ts) {
+            Buffer::XSlot(n) => {
+                let slot = &bufs.xslots.as_ref().expect("fused plans allocate x slots")[n];
+                let tracker = slot.track_read();
+                // SAFETY: the team barrier ending fused step ts-1
+                // fences its slot writes; within this step the slot
+                // is only read (this step writes the *other* slot
+                // or the shared output).
+                let x = unsafe { slot.get_ref() };
+                (ExtFields { x, ..ext }, Some(tracker))
+            }
+            _ => (ext, None),
+        }
     }
 
     /// Replays one fused epoch of `epoch_len ∈ 1..=k` time steps for
@@ -748,26 +1096,24 @@ impl StepPlan {
     /// including with tracing compiled in but disabled, where every
     /// instrumentation site below reduces to one relaxed load and a
     /// branch.
-    #[allow(clippy::too_many_arguments)]
-    fn replay(
-        &self,
-        ctx: &TeamCtx,
-        ext: ExtFields<'_>,
-        domain: Region3,
-        bc: Boundary,
-        graph: &StageGraph,
-        base_step: u32,
-        epoch_len: usize,
-    ) {
+    fn replay(&self, ctx: &TeamCtx, ext: ExtFields<'_>, base_step: u32, epoch_len: usize) {
         islands_trace::set_island_rank(ctx.team as u32, ctx.rank as u32);
-        if self.key.tile != TileMode::Off {
-            return self.replay_tiled(ctx, ext, domain, bc, graph, base_step, epoch_len);
+        let sched = &*self.schedule;
+        let team = &sched.teams[ctx.team];
+        if team.epochs.is_empty() && team.tiles.is_empty() {
+            // An idle island (empty part): no work, no buffers, and no
+            // team barrier any of its ranks would wait at.
+            return;
         }
-        let k = self.key.fuse_steps.max(1);
+        if sched.knobs.tile != TileMode::Off {
+            return self.replay_tiled(ctx, ext, base_step, epoch_len);
+        }
+        let k = sched.knobs.fuse_steps;
         debug_assert!((1..=k).contains(&epoch_len));
         let first_ts = k - epoch_len;
-        let team = &self.teams[ctx.team];
-        let store = &self.stores[ctx.team];
+        let bufs = &self.teams[ctx.team];
+        let store = &bufs.store;
+        let stages = sched.problem.graph().stages();
         for ts in first_ts..k {
             islands_trace::set_step(base_step + (ts - first_ts) as u32);
             if !team.must_zero.is_empty() {
@@ -790,48 +1136,27 @@ impl StepPlan {
                 // Publish the refill to the other ranks.
                 ctx.team_barrier();
             }
-            // The advected input of this fused step: the shared buffer
-            // for the epoch's first step, afterwards the team-private
-            // slot the previous fused step just produced.
-            let mut _slot_read = None;
-            let step_ext = if ts == first_ts {
-                ext
-            } else {
-                let slots = team.xslots.as_ref().expect("fused plans allocate x slots");
-                let slot = &slots[(ts - 1) % 2];
-                _slot_read = Some(slot.track_read());
-                ExtFields {
-                    // SAFETY: the team barrier ending fused step ts-1
-                    // fences its slot writes; within this step the slot
-                    // is only read (this step writes the *other* slot
-                    // or the shared output).
-                    x: unsafe { slot.get_ref() },
-                    ..ext
-                }
-            };
-            let (lo, hi) = team.step_bounds.get(ts).copied().unwrap_or((0, 0));
-            match self.key.schedule {
+            let (step_ext, _slot_read) = self.step_inputs(bufs, ext, ts, first_ts);
+            let dest = self.final_dest(bufs, ts);
+            let (lo, hi) = team.step_bounds[ts];
+            match sched.knobs.schedule {
                 SchedulePolicy::Static => {
                     for ep in &team.epochs[lo..hi] {
-                        let st = &graph.stages()[ep.stage];
-                        let dest = self.final_dest(team, ep);
                         // Static: unit index = rank, exactly one per epoch.
-                        self.run_unit(ep, st, store, ctx.rank, step_ext, domain, bc, dest);
+                        self.run_unit(ep, &stages[ep.stage], store, ctx.rank, step_ext, dest);
                         // Intra-island synchronization only — this is the
                         // whole point of the approach.
                         ctx.team_barrier();
                     }
                 }
                 SchedulePolicy::Dynamic { .. } => {
-                    for (ep, q) in team.epochs[lo..hi].iter().zip(&team.queues[lo..hi]) {
-                        let st = &graph.stages()[ep.stage];
-                        let dest = self.final_dest(team, ep);
+                    for (ep, q) in team.epochs[lo..hi].iter().zip(&bufs.queues[lo..hi]) {
                         // Self-schedule: claim precomputed chunks until the
                         // epoch drains. Any claim order is race-free — the
                         // chunks are pairwise disjoint and the epoch still
                         // ends at the same team barrier.
                         while let Some(u) = q.claim() {
-                            self.run_unit(ep, st, store, u, step_ext, domain, bc, dest);
+                            self.run_unit(ep, &stages[ep.stage], store, u, step_ext, dest);
                         }
                         ctx.team_barrier();
                     }
@@ -850,64 +1175,34 @@ impl StepPlan {
     /// rank; dynamic schedules claim tiles from the step's
     /// [`ChunkQueue`]. Allocation-free in release builds: the only
     /// per-tile bookkeeping is rebasing the rank store's arrays.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_tiled(
-        &self,
-        ctx: &TeamCtx,
-        ext: ExtFields<'_>,
-        domain: Region3,
-        bc: Boundary,
-        graph: &StageGraph,
-        base_step: u32,
-        epoch_len: usize,
-    ) {
-        let k = self.key.fuse_steps.max(1);
+    fn replay_tiled(&self, ctx: &TeamCtx, ext: ExtFields<'_>, base_step: u32, epoch_len: usize) {
+        let sched = &*self.schedule;
+        let k = sched.knobs.fuse_steps;
         debug_assert!((1..=k).contains(&epoch_len));
         let first_ts = k - epoch_len;
-        let team = &self.teams[ctx.team];
-        // Empty islands allocate no rank stores (and no tiles).
-        let rank_stores = &self.tile_stores[ctx.team];
+        let team = &sched.teams[ctx.team];
+        let bufs = &self.teams[ctx.team];
         for ts in first_ts..k {
             islands_trace::set_step(base_step + (ts - first_ts) as u32);
-            // The advected input of this fused step: the shared buffer
-            // for the epoch's first step, afterwards the team-private
-            // slot the previous fused step just produced.
-            let mut _slot_read = None;
-            let step_ext = if ts == first_ts {
-                ext
-            } else {
-                let slots = team.xslots.as_ref().expect("fused plans allocate x slots");
-                let slot = &slots[(ts - 1) % 2];
-                _slot_read = Some(slot.track_read());
-                ExtFields {
-                    // SAFETY: the team barrier ending fused step ts-1
-                    // fences its slot writes; within this step the slot
-                    // is only read (this step writes the *other* slot
-                    // or the shared output).
-                    x: unsafe { slot.get_ref() },
-                    ..ext
-                }
-            };
-            let tasks = team.tiles.get(ts).map_or(&[][..], |v| v.as_slice());
-            if !tasks.is_empty() {
-                let store = &rank_stores[ctx.rank];
-                let dest = self.final_dest_for(team, ts);
-                match self.key.schedule {
-                    SchedulePolicy::Static => {
-                        let mut n = ctx.rank;
-                        while n < tasks.len() {
-                            self.run_tile(&tasks[n], n, store, graph, step_ext, domain, bc, dest);
-                            n += ctx.size;
-                        }
+            let (step_ext, _slot_read) = self.step_inputs(bufs, ext, ts, first_ts);
+            let tasks = &team.tiles[ts];
+            let store = &bufs.rank_stores[ctx.rank];
+            let dest = self.final_dest(bufs, ts);
+            match sched.knobs.schedule {
+                SchedulePolicy::Static => {
+                    let mut n = ctx.rank;
+                    while n < tasks.len() {
+                        self.run_tile(&tasks[n], n, store, step_ext, dest);
+                        n += ctx.size;
                     }
-                    SchedulePolicy::Dynamic { .. } => {
-                        // Self-schedule whole tiles: any claim order is
-                        // race-free — tiles own disjoint output regions
-                        // and all scratch is rank-private.
-                        let q = &team.tile_queues[ts];
-                        while let Some(n) = q.claim() {
-                            self.run_tile(&tasks[n], n, store, graph, step_ext, domain, bc, dest);
-                        }
+                }
+                SchedulePolicy::Dynamic { .. } => {
+                    // Self-schedule whole tiles: any claim order is
+                    // race-free — tiles own disjoint output regions
+                    // and all scratch is rank-private.
+                    let q = &bufs.tile_queues[ts];
+                    while let Some(n) = q.claim() {
+                        self.run_tile(&tasks[n], n, store, step_ext, dest);
                     }
                 }
             }
@@ -926,40 +1221,38 @@ impl StepPlan {
     /// each stage over its requirement region — the final stage straight
     /// into `dest`, everything else into the rebased scratch.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn run_tile(
         &self,
         task: &TileTask,
         n: usize,
         store: &ParStore,
-        graph: &StageGraph,
         ext: ExtFields<'_>,
-        domain: Region3,
-        bc: Boundary,
         dest: &DisjointCell<Array3>,
     ) {
+        let sched = &*self.schedule;
+        let (domain, bc) = (sched.domain, sched.problem.boundary());
         for &(f, r) in &task.field_regions {
             store.rebase(f, r);
         }
         for &(f, r) in &task.must_zero {
             store.zero_region(f, r);
         }
-        for (s, st) in graph.stages().iter().enumerate() {
+        for (s, st) in sched.problem.graph().stages().iter().enumerate() {
             let mine = task.stage_regions[st.id.index()];
             if mine.is_empty() {
                 continue;
             }
             let t0 = islands_trace::now();
-            if s == self.final_stage {
+            if s == sched.final_stage {
                 let _wt = dest.track_write();
                 // SAFETY: tiles partition the fused-step target, so
                 // concurrent final-stage writes (this tile region) are
                 // pairwise disjoint; earlier steps' x slots are
                 // team-private.
                 let out_arr = unsafe { dest.get_mut() };
-                store.apply_into(st, self.stage_kinds[s], domain, bc, mine, out_arr, ext);
+                store.apply_into(st, sched.stage_kinds[s], domain, bc, mine, out_arr, ext);
             } else {
-                store.apply(st, self.stage_kinds[s], domain, bc, mine, ext);
+                store.apply(st, sched.stage_kinds[s], domain, bc, mine, ext);
             }
             if let Some(t0) = t0 {
                 islands_trace::record(
@@ -979,7 +1272,6 @@ impl StepPlan {
     /// — the step's x output buffer — with the kernel trace span
     /// attached.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn run_unit(
         &self,
         ep: &EpochPlan,
@@ -987,10 +1279,9 @@ impl StepPlan {
         store: &ParStore,
         unit: usize,
         ext: ExtFields<'_>,
-        domain: Region3,
-        bc: Boundary,
         dest: &DisjointCell<Array3>,
     ) {
+        let (domain, bc) = (self.schedule.domain, self.schedule.problem.boundary());
         let mine = ep.units[unit];
         let t0 = if mine.is_empty() {
             None
@@ -1029,58 +1320,118 @@ impl StepPlan {
     /// access or be in a barrier-fenced serial section.
     fn reset_queues(&self) {
         for team in &self.teams {
-            for q in &team.queues {
-                q.reset();
-            }
-            for q in &team.tile_queues {
+            for q in team.queues.iter().chain(&team.tile_queues) {
                 q.reset();
             }
         }
     }
-}
 
-/// Returns the cached plan when `(domain, partition, cache_bytes,
-/// split_axis, schedule, fuse_steps)` still match its key, else
-/// rebuilds it (dropping the stale plan first). A planning failure
-/// leaves the slot empty.
-#[allow(clippy::too_many_arguments)]
-fn ensure_plan<'s>(
-    slot: &'s mut Option<StepPlan>,
-    problem: &MpdataProblem,
-    spec: &TeamSpec,
-    domain: Region3,
-    partition: &PartitionKind,
-    cache_bytes: usize,
-    split_axis: Axis,
-    schedule: SchedulePolicy,
-    fuse_steps: usize,
-    tile: TileMode,
-) -> Result<&'s mut StepPlan, PlanBlocksError> {
-    let hit = slot.as_ref().is_some_and(|p| {
-        p.key.matches(
-            domain,
-            partition,
-            cache_bytes,
-            split_axis,
-            schedule,
-            fuse_steps,
-            tile,
-        )
-    });
-    if !hit {
-        *slot = None;
-        let key = PlanKey {
-            domain,
-            partition: partition.clone(),
-            cache_bytes,
-            split_axis,
-            schedule,
-            fuse_steps: fuse_steps.max(1),
-            tile,
-        };
-        *slot = Some(StepPlan::build(problem, spec, key)?);
+    /// One time step: lend the plan a fresh zeroed output buffer,
+    /// replay, and hand the buffer back. The persistent `out` buffer
+    /// (and its gap invariant) is untouched, so `step` and `run` calls
+    /// interleave freely. On a fused plan this replays the one-section
+    /// tail (the unenlarged last fused step), so a single `step` stays
+    /// bit-identical for every fuse depth.
+    pub(crate) fn step(
+        &mut self,
+        pool: &WorkerPool,
+        spec: &TeamSpec,
+        fields: &MpdataFields,
+    ) -> Array3 {
+        // Rewind the self-scheduling queues before the dispatch sees them.
+        self.reset_queues();
+        let mut result = Array3::zeros(self.schedule.domain);
+        std::mem::swap(self.out.get_mut_exclusive(), &mut result);
+        let ext = ExtFields::new(fields);
+        let plan: &StepPlan = self;
+        pool.run_teams(spec, |ctx| plan.replay(&ctx, ext, 0, 1));
+        // `result` currently holds the plan's persistent buffer; swap the
+        // freshly written output out and the persistent buffer back in.
+        std::mem::swap(self.out.get_mut_exclusive(), &mut result);
+        result
     }
-    Ok(slot.as_mut().expect("just ensured"))
+
+    /// Advances `fields.x` by `steps` steps inside a *single*
+    /// `run_teams` dispatch: each fused epoch (k steps; the final epoch
+    /// may be shorter) is one replay, one global barrier, one
+    /// leader-side `cur`/`out` pointer swap, and one more global
+    /// barrier — the paper's once-per-step global synchronization, now
+    /// paid once per k steps, with zero heap allocations from the
+    /// second step on (and none at all on a plan-cache hit, beyond the
+    /// pool dispatch itself).
+    pub(crate) fn run(
+        &mut self,
+        pool: &WorkerPool,
+        spec: &TeamSpec,
+        fields: &mut MpdataFields,
+        steps: usize,
+    ) {
+        self.reset_queues();
+        // Lend `fields.x` to the plan's current-input slot; the plan's old
+        // buffer parks in `fields.x` until the swap back below.
+        std::mem::swap(&mut fields.x, self.cur.get_mut_exclusive());
+        let (u1, u2, u3, h) = (&fields.u1, &fields.u2, &fields.u3, &fields.h);
+        let k = self.schedule.knobs.fuse_steps;
+        let plan: &StepPlan = self;
+        pool.run_teams(spec, |ctx| {
+            let mut done = 0usize;
+            while done < steps {
+                // Every worker computes the same epoch lengths, so the
+                // global-barrier counts agree without coordination.
+                let epoch_len = k.min(steps - done);
+                {
+                    let _xr = plan.cur.track_read();
+                    let ext = ExtFields {
+                        // SAFETY: between the surrounding global barriers
+                        // `cur` is only read; the leader's swap below is
+                        // fenced off by both barriers.
+                        x: unsafe { plan.cur.get_ref() },
+                        u1,
+                        u2,
+                        u3,
+                        h,
+                    };
+                    plan.replay(&ctx, ext, done as u32, epoch_len);
+                }
+                // All teams done writing `out` / reading `cur`.
+                if ctx.global_barrier() {
+                    let t0 = islands_trace::now();
+                    let _wc = plan.cur.track_write();
+                    let _wo = plan.out.track_write();
+                    // SAFETY: every other worker is parked between the two
+                    // global barriers; the serial worker has exclusive
+                    // access to both buffers.
+                    unsafe { std::mem::swap(plan.cur.get_mut(), plan.out.get_mut()) };
+                    // The next epoch's output buffer is the old input: its
+                    // gap cells (never written by final stages) carry stale
+                    // values and must read as zero, like a fresh buffer.
+                    let out_arr = unsafe { plan.out.get_mut() };
+                    for &g in &plan.schedule.out_gaps {
+                        zero_region_of(out_arr, g);
+                    }
+                    // Refill the self-scheduling queues for the next epoch
+                    // while every other worker is parked between the two
+                    // global barriers (the release of the second barrier
+                    // publishes the relaxed stores).
+                    plan.reset_queues();
+                    if let Some(t0) = t0 {
+                        islands_trace::record(
+                            islands_trace::SpanKind::Swap,
+                            t0,
+                            islands_trace::now_ns(),
+                            0,
+                            0,
+                            [0; 3],
+                        );
+                    }
+                }
+                // Publish the swap before the next epoch reads `cur`.
+                ctx.global_barrier();
+                done += epoch_len;
+            }
+        });
+        std::mem::swap(&mut fields.x, self.cur.get_mut_exclusive());
+    }
 }
 
 /// Zeroes `region` of `arr` in place.
@@ -1092,162 +1443,4 @@ fn zero_region_of(arr: &mut Array3, region: Region3) {
             }
         }
     }
-}
-
-/// One time step through the plan cache: ensure the plan, lend it a
-/// fresh zeroed output buffer, replay, and hand the buffer back. The
-/// persistent `out` buffer (and its gap invariant) is untouched, so
-/// `step` and `run` calls interleave freely. On a fused plan this
-/// replays the one-section tail (the unenlarged last fused step), so a
-/// single `step` stays bit-identical for every fuse depth.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_step(
-    pool: &WorkerPool,
-    spec: &TeamSpec,
-    problem: &MpdataProblem,
-    slot: &mut Option<StepPlan>,
-    partition: &PartitionKind,
-    cache_bytes: usize,
-    split_axis: Axis,
-    schedule: SchedulePolicy,
-    fuse_steps: usize,
-    tile: TileMode,
-    fields: &crate::fields::MpdataFields,
-) -> Result<Array3, PlanBlocksError> {
-    let domain = fields.domain();
-    let plan = ensure_plan(
-        slot,
-        problem,
-        spec,
-        domain,
-        partition,
-        cache_bytes,
-        split_axis,
-        schedule,
-        fuse_steps,
-        tile,
-    )?;
-    // Rewind the self-scheduling queues before the dispatch sees them.
-    plan.reset_queues();
-    let mut result = Array3::zeros(domain);
-    std::mem::swap(plan.out.get_mut_exclusive(), &mut result);
-    let ext = ExtFields::new(fields);
-    let graph = problem.graph();
-    let bc = problem.boundary();
-    let plan: &StepPlan = plan;
-    pool.run_teams(spec, |ctx| plan.replay(&ctx, ext, domain, bc, graph, 0, 1));
-    // `result` currently holds the plan's persistent buffer; swap the
-    // freshly written output out and the persistent buffer back in.
-    let plan = slot.as_mut().expect("ensured above");
-    std::mem::swap(plan.out.get_mut_exclusive(), &mut result);
-    Ok(result)
-}
-
-/// Advances `fields.x` by `steps` steps inside a *single* `run_teams`
-/// dispatch: each fused epoch (k steps; the final epoch may be
-/// shorter) is one replay, one global barrier, one leader-side
-/// `cur`/`out` pointer swap, and one more global barrier — the paper's
-/// once-per-step global synchronization, now paid once per k steps,
-/// with zero heap allocations from the second step on (and none at all
-/// on a plan-cache hit, beyond the pool dispatch itself).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_run(
-    pool: &WorkerPool,
-    spec: &TeamSpec,
-    problem: &MpdataProblem,
-    slot: &mut Option<StepPlan>,
-    partition: &PartitionKind,
-    cache_bytes: usize,
-    split_axis: Axis,
-    schedule: SchedulePolicy,
-    fuse_steps: usize,
-    tile: TileMode,
-    fields: &mut crate::fields::MpdataFields,
-    steps: usize,
-) -> Result<(), PlanBlocksError> {
-    if steps == 0 {
-        return Ok(());
-    }
-    let domain = fields.domain();
-    let plan = ensure_plan(
-        slot,
-        problem,
-        spec,
-        domain,
-        partition,
-        cache_bytes,
-        split_axis,
-        schedule,
-        fuse_steps,
-        tile,
-    )?;
-    plan.reset_queues();
-    // Lend `fields.x` to the plan's current-input slot; the plan's old
-    // buffer parks in `fields.x` until the swap back below.
-    std::mem::swap(&mut fields.x, plan.cur.get_mut_exclusive());
-    let (u1, u2, u3, h) = (&fields.u1, &fields.u2, &fields.u3, &fields.h);
-    let graph = problem.graph();
-    let bc = problem.boundary();
-    let k = fuse_steps.max(1);
-    let plan: &StepPlan = plan;
-    pool.run_teams(spec, |ctx| {
-        let mut done = 0usize;
-        while done < steps {
-            // Every worker computes the same epoch lengths, so the
-            // global-barrier counts agree without coordination.
-            let epoch_len = k.min(steps - done);
-            {
-                let _xr = plan.cur.track_read();
-                let ext = ExtFields {
-                    // SAFETY: between the surrounding global barriers
-                    // `cur` is only read; the leader's swap below is
-                    // fenced off by both barriers.
-                    x: unsafe { plan.cur.get_ref() },
-                    u1,
-                    u2,
-                    u3,
-                    h,
-                };
-                plan.replay(&ctx, ext, domain, bc, graph, done as u32, epoch_len);
-            }
-            // All teams done writing `out` / reading `cur`.
-            if ctx.global_barrier() {
-                let t0 = islands_trace::now();
-                let _wc = plan.cur.track_write();
-                let _wo = plan.out.track_write();
-                // SAFETY: every other worker is parked between the two
-                // global barriers; the serial worker has exclusive
-                // access to both buffers.
-                unsafe { std::mem::swap(plan.cur.get_mut(), plan.out.get_mut()) };
-                // The next epoch's output buffer is the old input: its
-                // gap cells (never written by final stages) carry stale
-                // values and must read as zero, like a fresh buffer.
-                let out_arr = unsafe { plan.out.get_mut() };
-                for &g in &plan.out_gaps {
-                    zero_region_of(out_arr, g);
-                }
-                // Refill the self-scheduling queues for the next epoch
-                // while every other worker is parked between the two
-                // global barriers (the release of the second barrier
-                // publishes the relaxed stores).
-                plan.reset_queues();
-                if let Some(t0) = t0 {
-                    islands_trace::record(
-                        islands_trace::SpanKind::Swap,
-                        t0,
-                        islands_trace::now_ns(),
-                        0,
-                        0,
-                        [0; 3],
-                    );
-                }
-            }
-            // Publish the swap before the next epoch reads `cur`.
-            ctx.global_barrier();
-            done += epoch_len;
-        }
-    });
-    let plan = slot.as_mut().expect("ensured above");
-    std::mem::swap(&mut fields.x, plan.cur.get_mut_exclusive());
-    Ok(())
 }

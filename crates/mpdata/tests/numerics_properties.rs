@@ -8,8 +8,8 @@
 //! case index reproduces exactly.
 
 use mpdata::{
-    random_fields, ExchangeExecutor, FusedExecutor, IslandsExecutor, MpdataProblem,
-    OriginalExecutor, ReferenceExecutor,
+    random_fields, ExchangeExecutor, IslandsExecutor, MpdataProblem, OriginalExecutor,
+    ReferenceExecutor,
 };
 use stencil_engine::rng::{Rng64, Xoshiro256pp};
 use stencil_engine::{Axis, Region3};
@@ -89,7 +89,7 @@ fn all_strategies_bitwise_equal() {
             "original diverged: {label}"
         );
 
-        let fused = FusedExecutor::new(&pool)
+        let fused = IslandsExecutor::single_island(&pool, MpdataProblem::standard())
             .cache_bytes(96 * 1024)
             .step(&f)
             .unwrap();
@@ -155,7 +155,7 @@ fn iord3_strategies_bitwise_equal() {
     let pool = WorkerPool::new(4);
     let orig = OriginalExecutor::with_problem(&pool, problem()).step(&f);
     assert_eq!(orig.max_abs_diff(&expect), 0.0, "original/iord3 diverged");
-    let fused = FusedExecutor::with_problem(&pool, problem())
+    let fused = IslandsExecutor::single_island(&pool, problem())
         .cache_bytes(128 * 1024)
         .step(&f)
         .unwrap();

@@ -120,7 +120,7 @@ fn fused_rejects_periodic() {
     let d = Region3::of_extent(12, 8, 4);
     let f = gaussian_pulse(d, (0.2, 0.0, 0.0));
     let pool = WorkerPool::new(2);
-    let _ = mpdata::FusedExecutor::with_problem(
+    let _ = mpdata::IslandsExecutor::single_island(
         &pool,
         MpdataProblem::standard().with_boundary(Boundary::Periodic),
     )

@@ -2,7 +2,7 @@
 //! not reused stale, not panic — whenever any input it was keyed on
 //! changes between `step`/`run` calls.
 
-use mpdata::{gaussian_pulse, FusedExecutor, IslandsExecutor, ReferenceExecutor};
+use mpdata::{gaussian_pulse, IslandsExecutor, MpdataProblem, ReferenceExecutor};
 use stencil_engine::{Axis, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
 
@@ -178,7 +178,8 @@ fn step_and_run_interleave_on_one_cache() {
 fn fused_cache_invalidation_matches_reference() {
     let pool = WorkerPool::new(3);
     let v = (0.15, 0.1, 0.0);
-    let exec = FusedExecutor::new(&pool).cache_bytes(64 * 1024);
+    let exec =
+        IslandsExecutor::single_island(&pool, MpdataProblem::standard()).cache_bytes(64 * 1024);
     for domain in [Region3::of_extent(20, 8, 4), Region3::of_extent(8, 20, 4)] {
         let f = gaussian_pulse(domain, v);
         assert_eq!(

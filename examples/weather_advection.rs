@@ -11,7 +11,7 @@
 //! Run: `cargo run --release --example weather_advection`
 
 use islands_of_cores::mpdata::{
-    rotating_cone, FusedExecutor, IslandsExecutor, OriginalExecutor, ReferenceExecutor,
+    rotating_cone, IslandsExecutor, MpdataProblem, OriginalExecutor, ReferenceExecutor,
 };
 use islands_of_cores::scheduler::{TeamSpec, WorkerPool};
 use islands_of_cores::stencil::{Axis, Region3};
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut fused = base.clone();
     let t0 = Instant::now();
-    FusedExecutor::new(&pool)
+    IslandsExecutor::single_island(&pool, MpdataProblem::standard())
         .cache_bytes(512 * 1024)
         .run(&mut fused, steps)?;
     let t_fused = t0.elapsed();

@@ -1,0 +1,131 @@
+//! One schedule: the plan that is proved is the plan that runs.
+//!
+//! For a seeded sample of the configuration lattice — domain (prime
+//! extents included) × partition (P > nx included) × schedule policy ×
+//! fuse depth × tile mode — one `IslandsExecutor` instance must (a)
+//! reproduce the serial reference bitwise and (b) hand out, from the
+//! very plan it just replayed, a [`mpdata::StepSchedule`] whose lowering
+//! `check_disjointness` finds race-free. A second, source-level test
+//! keeps the prover from growing a private copy of the schedule again.
+
+use islands_analysis::{check_disjointness, lower};
+use mpdata::{random_fields, IslandsExecutor, ReferenceExecutor, SchedulePolicy, TileMode};
+use std::sync::Arc;
+use stencil_engine::rng::{Rng64, Xoshiro256pp};
+use stencil_engine::{Axis, Range1, Region3};
+use work_scheduler::{TeamSpec, WorkerPool};
+
+#[test]
+fn sampled_lattice_runs_bitwise_and_lints_clean() {
+    const SAMPLES: usize = 24;
+    let mut rng = Xoshiro256pp::seed_from_u64(0x15_1A2D5);
+    // Extents mix composite and prime lengths; the bases are shifted
+    // so relative-vs-global coordinate slips surface.
+    let extents = [(12, 8, 4), (13, 7, 5), (5, 11, 3), (16, 6, 4)];
+    for case in 0..SAMPLES {
+        let (ni, nj, nk) = extents[rng.below(extents.len())];
+        let lo = rng.below(4) as i64 - 2;
+        let domain = Region3::new(
+            Range1::new(lo, lo + ni as i64),
+            Range1::new(1, 1 + nj as i64),
+            Range1::new(0, nk as i64),
+        );
+        // 1 island, a few, or more than there are I-slabs (P > nx: the
+        // surplus islands own empty parts).
+        let islands = [1, 2, 3, 4, ni + 2][rng.below(5)];
+        let ranks = 1 + rng.below(2);
+        let pool = WorkerPool::new(islands * ranks);
+        let teams = TeamSpec::even(islands * ranks, islands);
+        let axis = [Axis::I, Axis::J][rng.below(2)];
+        let fuse = 1 + rng.below(3);
+        let tile = match rng.below(3) {
+            0 => TileMode::Off,
+            1 => TileMode::Auto,
+            _ => TileMode::Fixed {
+                ti: 1 + rng.below(6),
+                tj: 1 + rng.below(6),
+            },
+        };
+        let schedule = match rng.below(8) {
+            chunks_per_rank @ 1..=4 => SchedulePolicy::Dynamic { chunks_per_rank },
+            _ => SchedulePolicy::Static,
+        };
+        // Even island counts may instead form an explicit 2 × P/2 grid.
+        let grid = islands % 2 == 0 && rng.next_bool();
+        let mut exec = IslandsExecutor::new(&pool, teams, axis)
+            .cache_bytes(48 * 1024)
+            .fuse_steps(fuse)
+            .tile(tile)
+            .schedule(schedule);
+        if grid {
+            let halves = domain.split(Axis::I, 2);
+            exec = exec.with_partition(
+                halves
+                    .iter()
+                    .flat_map(|h| h.split(Axis::J, islands / 2))
+                    .collect(),
+            );
+        }
+        let steps = 1 + rng.below(5);
+        let label = format!(
+            "case {case}: {domain:?}, {islands} islands × {ranks} along {axis:?} (grid: {grid}), \
+             {schedule:?}, fuse {fuse}, {tile:?}, {steps} steps"
+        );
+
+        eprintln!("{label}");
+        let mut fields = random_fields(&mut rng, domain, 0.7);
+        let mut expect = fields.clone();
+        ReferenceExecutor::new().run(&mut expect, steps);
+        let planned = exec.schedule_for(domain).unwrap();
+        exec.run(&mut fields, steps).unwrap();
+        assert_eq!(fields.x.max_abs_diff(&expect.x), 0.0, "diverged — {label}");
+
+        // The run replayed the cached plan, and the schedule handed out
+        // is that plan's own table, not a rebuilt copy.
+        let ran = exec.schedule_for(domain).unwrap();
+        assert!(Arc::ptr_eq(&planned, &ran), "plan rebuilt — {label}");
+        assert_eq!(check_disjointness(&lower(&ran)), vec![], "{label}");
+    }
+}
+
+/// Strips `//` comments (line and doc) so prose may name what code may
+/// not.
+fn code_only(source: &str) -> String {
+    source
+        .lines()
+        .map(|l| l.split("//").next().unwrap_or(""))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn the_prover_derives_no_schedule_of_its_own() {
+    // The region-deriving primitives `StepSchedule::build` is made of.
+    // If the prover names one, it is re-deriving (a mirror of) the
+    // schedule instead of lowering the one that runs.
+    const DERIVING: &[&str] = &[
+        "BlockPlanner",
+        "plan_wavefront",
+        "tile_grid",
+        "rank_slice",
+        "required_regions",
+        "external_read_regions",
+    ];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect("readable source file");
+    let prover = code_only(&read("crates/analysis/src/disjoint.rs"));
+    for name in DERIVING {
+        assert!(
+            !prover.contains(name),
+            "crates/analysis/src/disjoint.rs names `{name}`: lower \
+             `mpdata::StepSchedule::accesses` instead of re-deriving regions"
+        );
+    }
+    // And `mpdata` keeps the work split to itself, so no mirror can be
+    // rebuilt from outside the crate.
+    assert!(
+        code_only(&read("crates/mpdata/src/exec.rs")).contains("pub(crate) fn rank_slice"),
+        "mpdata::rank_slice must stay crate-private"
+    );
+    assert!(!code_only(&read("crates/mpdata/src/lib.rs")).contains("rank_slice"));
+}
