@@ -124,8 +124,8 @@ fn full_matrix() -> Vec<Diagnostic> {
     // iord = 3 graph adds the second corrective iteration's stages.
     for (iord, bcs) in [
         (2, &[Boundary::Open, Boundary::Periodic][..]),
-        // Periodic dispatch degenerates to the scalar path, already
-        // covered by iord = 2; keep the wider graph to Open.
+        // The stage kinds and their kernels are those of iord = 2,
+        // which covers both boundaries; keep the wider graph to Open.
         (3, &[Boundary::Open][..]),
     ] {
         for &bc in bcs {

@@ -18,9 +18,12 @@
 //!   outputs ⇒ `undeclared-write`, `out-of-region-write`,
 //!   `missing-write`.
 //!
-//! Single-cell regions make attribution exact and keep the
-//! fast-path/scalar dispatch of [`mpdata::apply_kind`] all-or-nothing
-//! per cell, so both row kernels and scalar kernels are exercised.
+//! Single-cell regions make attribution exact. Under either boundary
+//! [`mpdata::apply_kind`] takes them as 1-long rows — a row slice per
+//! operand where the stencil stays inside the domain along `k`, the
+//! clamped or wrapped `k`-end cell where it does not — so the row
+//! kernels are exercised at every face, edge and corner, next to the
+//! per-cell oracle [`mpdata::apply_kind_scalar`].
 
 use crate::diag::{Diagnostic, DiagnosticCode};
 use mpdata::{apply_kind, apply_kind_scalar, Boundary, MpdataProblem, StageKind};
@@ -32,11 +35,11 @@ use stencil_engine::{trace, Array3, Offset3, Range1, Region3, StageGraph, Stenci
 /// Which kernel implementation the harness drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPath {
-    /// [`mpdata::apply_kind`]: row fast paths where eligible, scalar
-    /// boundary shells elsewhere (the production dispatch).
+    /// [`mpdata::apply_kind`]: the production row kernels, boundary
+    /// rows and `k`-end cells included, under either boundary.
     Dispatch,
-    /// [`mpdata::apply_kind_scalar`]: the clamp-everything reference
-    /// kernels, everywhere.
+    /// [`mpdata::apply_kind_scalar`]: the per-cell oracle — the same
+    /// stage expressions, every operand read on its own.
     Scalar,
 }
 
@@ -203,7 +206,7 @@ pub fn check_graph(
     })
 }
 
-/// Boundary resolution, bit-for-bit the formula of the kernels' `rd_bc`.
+/// Boundary resolution, bit-for-bit the formula of the kernels' `resolve`.
 fn resolve(bc: Boundary, d: Region3, i: i64, j: i64, k: i64) -> (i64, i64, i64) {
     match bc {
         Boundary::Open => (

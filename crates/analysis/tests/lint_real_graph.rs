@@ -37,11 +37,13 @@ fn iord3_graph_conforms_too() {
     if !trace::is_enabled() {
         return;
     }
-    let problem = MpdataProblem::with_iord(3);
-    for path in [KernelPath::Dispatch, KernelPath::Scalar] {
-        let rep = check_problem(&problem, domain(), path).unwrap();
-        assert!(rep.stages > 17, "iord=3 adds stages");
-        assert_eq!(rep.diagnostics, vec![]);
+    for bc in [Boundary::Open, Boundary::Periodic] {
+        let problem = MpdataProblem::with_iord(3).with_boundary(bc);
+        for path in [KernelPath::Dispatch, KernelPath::Scalar] {
+            let rep = check_problem(&problem, domain(), path).unwrap();
+            assert!(rep.stages > 17, "iord=3 adds stages");
+            assert_eq!(rep.diagnostics, vec![], "bc={bc:?} path={path:?}");
+        }
     }
 }
 

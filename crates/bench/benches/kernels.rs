@@ -95,7 +95,7 @@ fn bench_fast_vs_scalar(h: &mut Harness) {
     group.sample_size(40);
     {
         let mut f = Array3::zeros(domain);
-        group.bench("split_fast", || {
+        group.bench("rows", || {
             apply_kind(
                 StageKind::FluxI,
                 domain,
@@ -122,10 +122,49 @@ fn bench_fast_vs_scalar(h: &mut Harness) {
     group.finish();
 }
 
+/// Every stage kind over one 32×32×16 block, twice: as the whole
+/// domain (`boundary/<kind>` — all six faces, `k`-end cells included)
+/// and strictly inside a larger domain (`interior/<kind>` — same rows,
+/// no boundary). `bench-check --max-boundary-ratio` gates the Σ17
+/// ratio of the two: domain faces must cost next to nothing.
+fn bench_kernel_blocks(h: &mut Harness) {
+    use mpdata::{apply_kind, Boundary, MpdataProblem};
+    use stencil_engine::Array3;
+    let block = Region3::of_extent(32, 32, 16);
+    let problem = MpdataProblem::standard();
+    let mut group = h.group("kernel_blocks");
+    group.sample_size(15);
+    let mut seen = Vec::new();
+    for st in problem.graph().stages() {
+        let kind = problem.kind(st.id);
+        if seen.contains(&kind) {
+            continue;
+        }
+        seen.push(kind);
+        for (side, domain) in [("interior", block.expand_uniform(2)), ("boundary", block)] {
+            let inputs: Vec<Array3> = (0..st.inputs.len())
+                .map(|n| {
+                    Array3::from_fn(domain, |i, j, k| {
+                        0.3 + 0.01 * ((n as i64 * 31 + i * 7 + j * 5 + k * 3) % 61) as f64
+                    })
+                })
+                .collect();
+            let ins: Vec<&Array3> = inputs.iter().collect();
+            let mut outputs = vec![Array3::zeros(domain); st.outputs.len()];
+            group.bench(&format!("{side}/{kind:?}"), || {
+                let mut outs: Vec<&mut Array3> = outputs.iter_mut().collect();
+                apply_kind(kind, domain, Boundary::Open, &ins, &mut outs, block);
+            });
+        }
+    }
+    group.finish();
+}
+
 fn main() {
     let mut h = Harness::from_env();
     bench_step(&mut h);
     bench_single_stage(&mut h);
     bench_fast_vs_scalar(&mut h);
+    bench_kernel_blocks(&mut h);
     h.finish();
 }

@@ -2,7 +2,7 @@
 //!
 //! Usage: `bench-check [<bench.json>] [--phases] [--max-steady-ratio R]
 //! [--max-barrier-share S] [--min-traffic-reduction F]
-//! [--max-p99-ratio R] [--chrome <trace.json>]
+//! [--max-p99-ratio R] [--max-boundary-ratio R] [--chrome <trace.json>]
 //! [--prom <scrape.txt> [<scrape2.txt>]] [--scrape <addr>]`.
 //! Exits non-zero when
 //!
@@ -44,6 +44,13 @@
 //!   `p99_step_ns / p50_step_ns` from the phase breakdown's
 //!   log2-histogram quantiles, so the ratio quantizes to powers of two
 //!   and the cap bounds step-time *jitter*, not absolute speed, or
+//! * `--max-boundary-ratio R` is given and the `kernel_blocks` group of
+//!   `benches/kernels.rs` shows domain faces costing more than `R`×:
+//!   the gated quantity is Σ17 `boundary/<kind>` ÷ Σ17
+//!   `interior/<kind>` (each kind weighted by its count in the
+//!   17-stage step) over the rows' `min_ns` — the two rows run the same
+//!   block seconds apart, and the minimum is the least noise-sensitive
+//!   estimate of a kernel's cost, or
 //! * `--chrome <trace.json>` names a file the in-repo Chrome
 //!   trace-event validator rejects.
 //!
@@ -79,6 +86,7 @@ struct Opts {
     max_barrier_share: Option<f64>,
     min_traffic_reduction: Option<f64>,
     max_p99_ratio: Option<f64>,
+    max_boundary_ratio: Option<f64>,
     prom_paths: Vec<String>,
     scrape_addr: Option<String>,
 }
@@ -92,6 +100,7 @@ fn parse_opts() -> Result<Opts, String> {
         max_barrier_share: None,
         min_traffic_reduction: None,
         max_p99_ratio: None,
+        max_boundary_ratio: None,
         prom_paths: Vec::new(),
         scrape_addr: None,
     };
@@ -141,6 +150,16 @@ fn parse_opts() -> Result<Opts, String> {
                 }
                 o.max_p99_ratio = Some(r);
             }
+            "--max-boundary-ratio" => {
+                let v = args.next().ok_or("--max-boundary-ratio needs a value")?;
+                let r: f64 = v
+                    .parse()
+                    .map_err(|e| format!("bad --max-boundary-ratio {v:?}: {e}"))?;
+                if !(r.is_finite() && r >= 1.0) {
+                    return Err(format!("--max-boundary-ratio must be at least 1, got {v}"));
+                }
+                o.max_boundary_ratio = Some(r);
+            }
             "--prom" => {
                 o.prom_paths.push(args.next().ok_or("--prom needs a path")?);
                 // A second positional path is the follow-up scrape.
@@ -170,7 +189,8 @@ fn parse_opts() -> Result<Opts, String> {
         return Err("usage: bench-check [<bench.json>] [--phases] \
                     [--max-steady-ratio R] [--max-barrier-share S] \
                     [--min-traffic-reduction F] [--max-p99-ratio R] \
-                    [--chrome <trace.json>] [--prom <scrape.txt> [<scrape2.txt>]] \
+                    [--max-boundary-ratio R] [--chrome <trace.json>] \
+                    [--prom <scrape.txt> [<scrape2.txt>]] \
                     [--scrape <addr>]"
             .into());
     }
@@ -398,6 +418,7 @@ struct PhaseRec {
 struct Rec {
     group: String,
     label: String,
+    min_ns: f64,
     median_ns: f64,
     phases: Option<PhaseRec>,
 }
@@ -497,6 +518,7 @@ fn check(doc: &Json, o: &Opts) -> Result<String, String> {
         recs.push(Rec {
             group: group.to_string(),
             label: label.to_string(),
+            min_ns: min,
             median_ns: median,
             phases,
         });
@@ -690,6 +712,33 @@ fn check(doc: &Json, o: &Opts) -> Result<String, String> {
         }
     }
 
+    // Boundary gate: the 17-stage step over a whole-domain block must
+    // cost at most `cap` times the same block inside a larger domain.
+    let mut boundary_note = String::new();
+    if let Some(cap) = o.max_boundary_ratio {
+        let sum17 = |side: &str| -> Result<f64, String> {
+            let mut sum = 0.0;
+            for kind in mpdata::STANDARD_KINDS {
+                let label = format!("{side}/{kind:?}");
+                let row = recs
+                    .iter()
+                    .find(|r| r.group == "kernel_blocks" && r.label == label);
+                sum += row
+                    .ok_or_else(|| format!("--max-boundary-ratio: no `kernel_blocks/{label}` row"))?
+                    .min_ns;
+            }
+            Ok(sum)
+        };
+        let ratio = sum17("boundary")? / sum17("interior")?;
+        if ratio > cap {
+            return Err(format!(
+                "boundary rows too expensive: Σ17 boundary / interior = {ratio:.3} \
+                 over the cap {cap} — domain faces are no longer served by the row kernels"
+            ));
+        }
+        boundary_note = format!(", boundary/interior Σ17 = {ratio:.3} under the cap");
+    }
+
     let phase_note = if o.phases {
         format!(", {with_phases} phase breakdown(s) present")
     } else {
@@ -712,7 +761,7 @@ fn check(doc: &Json, o: &Opts) -> Result<String, String> {
     };
     Ok(format!(
         "{} record(s) well-formed, {pairs} steady/first pair(s) \
-         ordered{phase_note}{gate_note}{traffic_note}{tail_note}",
+         ordered{phase_note}{gate_note}{traffic_note}{tail_note}{boundary_note}",
         recs.len()
     ))
 }

@@ -102,7 +102,7 @@ impl Default for Args {
             iord: 2,
             boundary: Boundary::Open,
             problem: "gaussian".into(),
-            cache: 1 << 20,
+            cache: mpdata::DEFAULT_CACHE_BYTES,
             verify: false,
             balance: "uniform".into(),
             self_schedule: 0,

@@ -1,323 +1,195 @@
-//! Row-based fast paths for the streaming kernels.
+//! The one traversal every stage kernel runs through.
 //!
-//! The scalar kernels in [`crate::kernels`] clamp every read — simple
-//! and correct everywhere, but branchy and opaque to the
-//! auto-vectorizer. For cells whose stencil reads provably stay inside
-//! the domain, the donor-cell fluxes, the updates and the limited
-//! fluxes (the bandwidth-bound kinds the paper's AVX kernels care most
-//! about) can instead run over contiguous `k`-rows with no clamping.
+//! A stage is a list of [`Tap`]s — which input is read at which offset
+//! from the output cell — plus one per-cell expression over the tapped
+//! values ([`crate::kernels`]). [`Sweep::run`] walks a region row by row
+//! (`k` is the contiguous axis):
 //!
-//! **Bitwise contract**: each fast kernel evaluates *exactly the same
-//! expression in the same order* as its scalar twin, so results are
-//! bit-identical — enforced by the `fast_paths_bitwise_equal` test.
-//! Dispatch (interior → fast, boundary shells → scalar) lives in
-//! [`crate::kernels::apply_kind`].
+//! * every tap's neighbour row `(i + di, j + dj)` is resolved through
+//!   the boundary policy — clamped for [`Boundary::Open`], wrapped for
+//!   [`Boundary::Periodic`] — so domain faces in `i` and `j` cost
+//!   nothing extra;
+//! * on the `k`-window where no tap leaves the domain the expression
+//!   runs over shifted row slices, a branch-free loop the
+//!   auto-vectoriser handles;
+//! * the at most two `k`-end cells of a row evaluate the *same*
+//!   expression with the `k` index clamped or wrapped.
+//!
+//! With `rows` off every cell evaluates the expression on operands
+//! read through [`Array3::get`]: that is [`crate::apply_kind_scalar`],
+//! the per-cell oracle. Both forms read exactly the cells the boundary
+//! policy resolves and share the arithmetic, so they agree bitwise by
+//! construction.
 
+use crate::kernels::{resolve, Boundary};
+use std::array::from_fn;
 use stencil_engine::{Array3, Range1, Region3};
 
-#[inline(always)]
-fn donor(xl: f64, xr: f64, u: f64) -> f64 {
-    u.max(0.0) * xl + u.min(0.0) * xr
+/// One read of a stage: `(input slot, (di, dj, dk))`, each offset in
+/// `-1..=1`.
+pub(crate) type Tap = (usize, (i64, i64, i64));
+
+/// One kernel invocation: where to compute and how reads resolve.
+pub(crate) struct Sweep<'a> {
+    pub domain: Region3,
+    pub bc: Boundary,
+    pub inputs: &'a [&'a Array3],
+    pub region: Region3,
+    /// Row slices on the `k`-interior (production) or single cells
+    /// everywhere (oracle).
+    pub rows: bool,
 }
 
-/// Unit offset per axis index (0 = i, 1 = j, 2 = k).
-#[inline]
-fn unit(axis: usize) -> (i64, i64) {
-    match axis {
-        0 => (1, 0),
-        1 => (0, 1),
-        _ => unreachable!("k is handled by the shifted-row path"),
+impl Sweep<'_> {
+    /// Writes `f(tapped values)` to the `M <= 2` outputs over the region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input/output counts do not match the taps and `M`.
+    pub(crate) fn run<const N: usize, const M: usize>(
+        &self,
+        taps: [Tap; N],
+        outputs: &mut [&mut Array3],
+        f: impl Fn([f64; N]) -> [f64; M],
+    ) {
+        let slots = taps.iter().map(|t| t.0 + 1).max().unwrap_or(0);
+        assert_eq!(self.inputs.len(), slots, "stage takes {slots} inputs");
+        assert_eq!(outputs.len(), M, "stage writes {M} outputs");
+        assert!(M == 1 || M == 2, "row_body carries two output rows");
+        // Rows assume at most one k-end cell per side: the region must
+        // not leave the domain along k (no executor's does).
+        if self.rows && self.domain.k.contains_range(self.region.k) {
+            self.by_rows(taps, outputs, f);
+        } else {
+            self.by_cells(taps, outputs, f);
+        }
     }
-}
 
-/// Donor-cell flux along axis `m` (0 = i, 1 = j, 2 = k) over an
-/// interior region: `f = donor(x[-1_m], x, u)`.
-pub(crate) fn flux_axis_rows(x: &Array3, u: &Array3, f: &mut Array3, region: Region3, m: usize) {
-    let kr = region.k;
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            let ur = u.row(i, j, kr);
-            let out = f.row_mut(i, j, kr);
-            if m == 2 {
-                // Shifted row: xs[k] is x at k-1, xs[k+1] at k.
-                let xs = x.row(i, j, Range1::new(kr.lo - 1, kr.hi));
-                for (n, o) in out.iter_mut().enumerate() {
-                    *o = donor(xs[n], xs[n + 1], ur[n]);
+    /// Every cell on its own, every operand through [`Array3::get`].
+    fn by_cells<const N: usize, const M: usize>(
+        &self,
+        taps: [Tap; N],
+        outputs: &mut [&mut Array3],
+        f: impl Fn([f64; N]) -> [f64; M],
+    ) {
+        let (d, bc) = (self.domain, self.bc);
+        for (i, j, k) in self.region.points() {
+            let mut v = [0.0; N];
+            for (v, &(s, (di, dj, dk))) in v.iter_mut().zip(&taps) {
+                let (ii, jj) = (resolve(bc, d.i, i + di), resolve(bc, d.j, j + dj));
+                *v = self.inputs[s].get(ii, jj, resolve(bc, d.k, k + dk));
+            }
+            for (o, v) in outputs.iter_mut().zip(f(v)) {
+                o.set(i, j, k, v);
+            }
+        }
+    }
+
+    /// Row slices on the k-window, the k-end cells by index into the
+    /// same slices. (Plain loops throughout: `array::map` of a large
+    /// closure is not inlined and would cost a call per row.)
+    fn by_rows<const N: usize, const M: usize>(
+        &self,
+        taps: [Tap; N],
+        outputs: &mut [&mut Array3],
+        f: impl Fn([f64; N]) -> [f64; M],
+    ) {
+        let (d, bc, rk) = (self.domain, self.bc, self.region.k);
+        // The k-window [klo, khi) on which no tap leaves the domain, and
+        // the k-end cells left over below and above it.
+        let below = taps.iter().map(|t| -t.1 .2).max().unwrap_or(0).max(0);
+        let above = taps.iter().map(|t| t.1 .2).max().unwrap_or(0).max(0);
+        let klo = (d.k.lo + below).clamp(rk.lo, rk.hi);
+        let khi = (d.k.hi - above).clamp(klo, rk.hi);
+        let ends = [
+            (rk.lo < klo).then_some(rk.lo),
+            (khi < rk.hi).then_some(rk.hi - 1),
+        ];
+        // Row-invariant per tap: its array; the in-domain part `win` of
+        // its shifted row, read as one slice per row; where the k-window
+        // starts in that slice; where each k-end cell's resolved index
+        // falls in it (outside: that one read goes through `get`).
+        let arr: [&Array3; N] = from_fn(|t| self.inputs[taps[t].0]);
+        let mut win = [Range1::empty(); N];
+        let mut skip = [0; N];
+        let mut end_at = [[0; N]; 2];
+        for (t, &(_, (_, _, dk))) in taps.iter().enumerate() {
+            win[t] = Range1::new(rk.lo + dk, rk.hi + dk).intersect(d.k);
+            skip[t] = (klo + dk - win[t].lo) as usize;
+            for (e, k) in ends.iter().enumerate() {
+                let kk = k.map_or(0, |k| resolve(bc, d.k, k + dk));
+                end_at[e][t] = (kk - win[t].lo) as usize;
+            }
+        }
+        // Offsets reach one cell at most, so each axis resolves once per
+        // neighbour: `[c - 1, c, c + 1]`, indexed by offset + 1.
+        let near = |r, c| {
+            [
+                resolve(bc, r, c - 1),
+                resolve(bc, r, c),
+                resolve(bc, r, c + 1),
+            ]
+        };
+        let at: [[usize; 2]; N] =
+            from_fn(|t| [(taps[t].1 .0 + 1) as usize, (taps[t].1 .1 + 1) as usize]);
+        for i in self.region.i.lo..self.region.i.hi {
+            let ni = near(d.i, i);
+            for j in self.region.j.lo..self.region.j.hi {
+                let nj = near(d.j, j);
+                let mut src: [&[f64]; N] = [&[]; N];
+                for t in 0..N {
+                    if !win[t].is_empty() {
+                        src[t] = arr[t].row(ni[at[t][0]], nj[at[t][1]], win[t]);
+                    }
                 }
-            } else {
-                let (di, dj) = unit(m);
-                let xl = x.row(i - di, j - dj, kr);
-                let xr = x.row(i, j, kr);
-                for (n, o) in out.iter_mut().enumerate() {
-                    *o = donor(xl[n], xr[n], ur[n]);
+                for (e, k) in ends.iter().enumerate() {
+                    let Some(k) = *k else { continue };
+                    let mut v = [0.0; N];
+                    for t in 0..N {
+                        v[t] = match src[t].get(end_at[e][t]) {
+                            Some(&x) => x,
+                            None => {
+                                let kk = resolve(bc, d.k, k + taps[t].1 .2);
+                                arr[t].get(ni[at[t][0]], nj[at[t][1]], kk)
+                            }
+                        };
+                    }
+                    for (o, v) in outputs.iter_mut().zip(f(v)) {
+                        o.set(i, j, k, v);
+                    }
                 }
-            }
-        }
-    }
-}
-
-/// Update `out = x − div(f)/h` over an interior region (reads the +1
-/// neighbour of every flux).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn update_rows(
-    x: &Array3,
-    f1: &Array3,
-    f2: &Array3,
-    f3: &Array3,
-    h: &Array3,
-    out: &mut Array3,
-    region: Region3,
-) {
-    let kr = region.k;
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            let xr = x.row(i, j, kr);
-            let hr = h.row(i, j, kr);
-            let f1a = f1.row(i, j, kr);
-            let f1b = f1.row(i + 1, j, kr);
-            let f2a = f2.row(i, j, kr);
-            let f2b = f2.row(i, j + 1, kr);
-            let f3s = f3.row(i, j, Range1::new(kr.lo, kr.hi + 1));
-            let o = out.row_mut(i, j, kr);
-            for n in 0..o.len() {
-                // Same association order as the scalar kernel.
-                let div = (f1b[n] - f1a[n]) + (f2b[n] - f2a[n]) + (f3s[n + 1] - f3s[n]);
-                o[n] = xr[n] - div / hr[n];
-            }
-        }
-    }
-}
-
-/// Row fetch at an `(i, j)` offset with a `k` shift: returns the slice
-/// whose index `n` corresponds to global `k = kr.lo + n + kshift`.
-#[inline]
-fn row_at(a: &Array3, i: i64, j: i64, kr: Range1, di: i64, dj: i64, kshift: i64) -> &[f64] {
-    a.row(i + di, j + dj, Range1::new(kr.lo + kshift, kr.hi + kshift))
-}
-
-/// Antidiffusive pseudo-velocity along axis `m` (0/1/2) over an interior
-/// region — same expression order as the scalar kernel.
-#[allow(clippy::too_many_arguments)] // mirrors the stage's declared inputs
-pub(crate) fn antidiff_rows(
-    xp: &Array3,
-    ua: &Array3,
-    ub: &Array3,
-    uc: &Array3,
-    h: &Array3,
-    v: &mut Array3,
-    region: Region3,
-    m: usize,
-) {
-    use crate::fields::EPS;
-    // Unit offsets of the face axis and the two cross axes as
-    // (di, dj, kshift) triples.
-    let unit3 = |ax: usize| -> (i64, i64, i64) {
-        match ax {
-            0 => (1, 0, 0),
-            1 => (0, 1, 0),
-            _ => (0, 0, 1),
-        }
-    };
-    let (p, q) = match m {
-        0 => (1, 2),
-        1 => (0, 2),
-        _ => (0, 1),
-    };
-    let um = unit3(m);
-    let up = unit3(p);
-    let uq = unit3(q);
-    let kr = region.k;
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            // A closure cannot express the borrow-through lifetime, so
-            // use a macro for the offset-row fetch.
-            macro_rules! r {
-                ($a:expr, $o:expr) => {{
-                    let o: (i64, i64, i64) = $o;
-                    row_at($a, i, j, kr, o.0, o.1, o.2)
-                }};
-            }
-            let add = |a: (i64, i64, i64), b: (i64, i64, i64)| (a.0 + b.0, a.1 + b.1, a.2 + b.2);
-            let neg = |a: (i64, i64, i64)| (-a.0, -a.1, -a.2);
-            let zero = (0, 0, 0);
-            let xc = r!(xp, zero);
-            let xm = r!(xp, neg(um));
-            let xpp_c = r!(xp, up);
-            let xpp_m = r!(xp, add(neg(um), up));
-            let xpm_c = r!(xp, neg(up));
-            let xpm_m = r!(xp, add(neg(um), neg(up)));
-            let xqp_c = r!(xp, uq);
-            let xqp_m = r!(xp, add(neg(um), uq));
-            let xqm_c = r!(xp, neg(uq));
-            let xqm_m = r!(xp, add(neg(um), neg(uq)));
-            let ua_r = r!(ua, zero);
-            let ub_c = r!(ub, zero);
-            let ub_m = r!(ub, neg(um));
-            let ub_cp = r!(ub, up);
-            let ub_mp = r!(ub, add(neg(um), up));
-            let uc_c = r!(uc, zero);
-            let uc_m = r!(uc, neg(um));
-            let uc_cq = r!(uc, uq);
-            let uc_mq = r!(uc, add(neg(um), uq));
-            let h_c = r!(h, zero);
-            let h_m = r!(h, neg(um));
-            let out = v.row_mut(i, j, kr);
-            for (n, ov) in out.iter_mut().enumerate() {
-                let a = (xc[n] - xm[n]) / (xc[n] + xm[n] + EPS);
-                let xpp = xpp_c[n] + xpp_m[n];
-                let xpm = xpm_c[n] + xpm_m[n];
-                let b_p = 0.5 * (xpp - xpm) / (xpp + xpm + EPS);
-                let xqp = xqp_c[n] + xqp_m[n];
-                let xqm = xqm_c[n] + xqm_m[n];
-                let b_q = 0.5 * (xqp - xqm) / (xqp + xqm + EPS);
-                let u = ua_r[n];
-                let ub_bar = 0.25 * (ub_c[n] + ub_m[n] + ub_cp[n] + ub_mp[n]);
-                let uc_bar = 0.25 * (uc_c[n] + uc_m[n] + uc_cq[n] + uc_mq[n]);
-                let hbar = 0.5 * (h_c[n] + h_m[n]);
-                *ov =
-                    u.abs() * (1.0 - u.abs() / hbar) * a - u * (ub_bar * b_p + uc_bar * b_q) / hbar;
-            }
-        }
-    }
-}
-
-/// Local 7-point extrema over an interior region.
-pub(crate) fn minmax_rows(
-    x: &Array3,
-    xp: &Array3,
-    mx: &mut Array3,
-    mn: &mut Array3,
-    region: Region3,
-) {
-    let kr = region.k;
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            // Rows for the 7 face offsets of both fields; k-offsets are
-            // handled by a shifted window.
-            let xs = x.row(i, j, Range1::new(kr.lo - 1, kr.hi + 1));
-            let xps = xp.row(i, j, Range1::new(kr.lo - 1, kr.hi + 1));
-            let xim = x.row(i - 1, j, kr);
-            let xip = x.row(i + 1, j, kr);
-            let xjm = x.row(i, j - 1, kr);
-            let xjp = x.row(i, j + 1, kr);
-            let pim = xp.row(i - 1, j, kr);
-            let pip = xp.row(i + 1, j, kr);
-            let pjm = xp.row(i, j - 1, kr);
-            let pjp = xp.row(i, j + 1, kr);
-            let mxo = mx.row_mut(i, j, kr);
-            for (n, o) in mxo.iter_mut().enumerate() {
-                // Same accumulation order as the scalar kernel: per
-                // offset, x then xp; offsets in the OFFS order
-                // (centre, -i, +i, -j, +j, -k, +k).
-                let mut hi = f64::NEG_INFINITY;
-                hi = hi.max(xs[n + 1]).max(xps[n + 1]);
-                hi = hi.max(xim[n]).max(pim[n]);
-                hi = hi.max(xip[n]).max(pip[n]);
-                hi = hi.max(xjm[n]).max(pjm[n]);
-                hi = hi.max(xjp[n]).max(pjp[n]);
-                hi = hi.max(xs[n]).max(xps[n]);
-                hi = hi.max(xs[n + 2]).max(xps[n + 2]);
-                *o = hi;
-            }
-            let mno = mn.row_mut(i, j, kr);
-            for (n, o) in mno.iter_mut().enumerate() {
-                let mut lo = f64::INFINITY;
-                lo = lo.min(xs[n + 1]).min(xps[n + 1]);
-                lo = lo.min(xim[n]).min(pim[n]);
-                lo = lo.min(xip[n]).min(pip[n]);
-                lo = lo.min(xjm[n]).min(pjm[n]);
-                lo = lo.min(xjp[n]).min(pjp[n]);
-                lo = lo.min(xs[n]).min(xps[n]);
-                lo = lo.min(xs[n + 2]).min(xps[n + 2]);
-                *o = lo;
-            }
-        }
-    }
-}
-
-/// β limiter over an interior region (`up = true` for β↑).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn beta_rows(
-    ext: &Array3,
-    xp: &Array3,
-    g1: &Array3,
-    g2: &Array3,
-    g3: &Array3,
-    h: &Array3,
-    out: &mut Array3,
-    region: Region3,
-    up: bool,
-) {
-    use crate::fields::EPS;
-    let kr = region.k;
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            let e = ext.row(i, j, kr);
-            let xr = xp.row(i, j, kr);
-            let hr = h.row(i, j, kr);
-            let g1a = g1.row(i, j, kr);
-            let g1b = g1.row(i + 1, j, kr);
-            let g2a = g2.row(i, j, kr);
-            let g2b = g2.row(i, j + 1, kr);
-            let g3s = g3.row(i, j, Range1::new(kr.lo, kr.hi + 1));
-            let o = out.row_mut(i, j, kr);
-            for n in 0..o.len() {
-                let (num, den) = if up {
-                    let inflow = g1a[n].max(0.0) - g1b[n].min(0.0) + g2a[n].max(0.0)
-                        - g2b[n].min(0.0)
-                        + g3s[n].max(0.0)
-                        - g3s[n + 1].min(0.0);
-                    (e[n] - xr[n], inflow)
-                } else {
-                    let outflow = g1b[n].max(0.0) - g1a[n].min(0.0) + g2b[n].max(0.0)
-                        - g2a[n].min(0.0)
-                        + g3s[n + 1].max(0.0)
-                        - g3s[n].min(0.0);
-                    (xr[n] - e[n], outflow)
-                };
-                o[n] = num * hr[n] / (den + EPS);
-            }
-        }
-    }
-}
-
-/// Monotone flux limiting along axis `m` over an interior region:
-/// `out = min(1, bd[-1_m], bu) · g⁺ + min(1, bu[-1_m], bd) · g⁻`.
-pub(crate) fn lim_flux_rows(
-    g: &Array3,
-    bu: &Array3,
-    bd: &Array3,
-    out: &mut Array3,
-    region: Region3,
-    m: usize,
-) {
-    let kr = region.k;
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            let gr = g.row(i, j, kr);
-            let o = out.row_mut(i, j, kr);
-            if m == 2 {
-                let bus = bu.row(i, j, Range1::new(kr.lo - 1, kr.hi));
-                let bds = bd.row(i, j, Range1::new(kr.lo - 1, kr.hi));
-                for (n, ov) in o.iter_mut().enumerate() {
-                    let gv = gr[n];
-                    let cp = 1.0_f64.min(bds[n]).min(bus[n + 1]);
-                    let cn = 1.0_f64.min(bus[n]).min(bds[n + 1]);
-                    *ov = cp * gv.max(0.0) + cn * gv.min(0.0);
-                }
-            } else {
-                let (di, dj) = unit(m);
-                let bum = bu.row(i - di, j - dj, kr);
-                let bdm = bd.row(i - di, j - dj, kr);
-                let bur = bu.row(i, j, kr);
-                let bdr = bd.row(i, j, kr);
-                for (n, ov) in o.iter_mut().enumerate() {
-                    let gv = gr[n];
-                    let cp = 1.0_f64.min(bdm[n]).min(bur[n]);
-                    let cn = 1.0_f64.min(bum[n]).min(bdr[n]);
-                    *ov = cp * gv.max(0.0) + cn * gv.min(0.0);
+                if klo < khi {
+                    let (o0, rest) = outputs.split_first_mut().expect("M >= 1");
+                    let kr = Range1::new(klo, khi);
+                    let d1 = rest
+                        .first_mut()
+                        .map_or(&mut [][..], |o| o.row_mut(i, j, kr));
+                    row_body(&src, &skip, o0.row_mut(i, j, kr), d1, &f);
                 }
             }
+        }
+    }
+}
+
+/// The vector body: `f` over `N` operand rows, each from its `skip` on.
+/// A function of its own so the output rows are `noalias` arguments and
+/// the loop vectorises without run-time overlap checks.
+#[inline(never)]
+fn row_body<const N: usize, const M: usize>(
+    src: &[&[f64]; N],
+    skip: &[usize; N],
+    d0: &mut [f64],
+    d1: &mut [f64],
+    f: &impl Fn([f64; N]) -> [f64; M],
+) {
+    let len = d0.len();
+    let src: [&[f64]; N] = from_fn(|t| &src[t][skip[t]..][..len]);
+    let d1 = if M > 1 { &mut d1[..len] } else { d1 };
+    for n in 0..len {
+        let v = f(from_fn(|t| src[t][n]));
+        d0[n] = v[0];
+        if M > 1 {
+            d1[n] = v[1];
         }
     }
 }

@@ -47,6 +47,25 @@ fn every_problem_passes_the_input_gate_and_verifies() {
     }
 }
 
+/// The default `--cache` is the library's budget, so a paper-shaped
+/// (256 × 64 cross-section) grid plans out of the box.
+#[test]
+fn paper_cross_section_runs_without_a_cache_flag() {
+    let out = run(&[
+        "--domain",
+        "8,256,64",
+        "--steps",
+        "1",
+        "--strategy",
+        "islands",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn bad_input_exits_non_zero_naming_the_cause() {
     for (args, cause) in [

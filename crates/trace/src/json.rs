@@ -369,13 +369,19 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by
-                    // construction of `&str`).
+                    // Consume the plain run up to the next quote or
+                    // escape. Both are ASCII, so the run ends on a
+                    // scalar boundary; validating only the run keeps
+                    // parsing linear in the document size.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -420,6 +426,27 @@ mod tests {
         for bad in ["", "[1,", "{\"a\" 1}", "[1] trailing", "\"open", "01a"] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    /// Parsing is linear in the document: each plain run is validated
+    /// once, not the whole remaining input per character (which made a
+    /// 17 k-event trace take a minute and this document take hours).
+    #[test]
+    fn large_documents_of_short_strings_parse_in_linear_time() {
+        let item = r#"{"name":"kernel","cat":"stage é→ψ","note":"a\"b\\c\n"},"#;
+        let mut text = String::from("[");
+        while text.len() < 4 << 20 {
+            text.push_str(item);
+        }
+        text.push_str("\"end\"]");
+        let t = std::time::Instant::now();
+        let doc = parse(&text).unwrap();
+        assert!(t.elapsed().as_secs() < 20, "took {:?}", t.elapsed());
+        let items = doc.as_array().unwrap();
+        assert_eq!(items.len(), (4 << 20) / item.len() + 2);
+        assert_eq!(items[7].get("cat").unwrap().as_str(), Some("stage é→ψ"));
+        assert_eq!(items[7].get("note").unwrap().as_str(), Some("a\"b\\c\n"));
+        assert_eq!(items.last().unwrap().as_str(), Some("end"));
     }
 
     #[test]

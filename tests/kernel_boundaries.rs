@@ -1,0 +1,110 @@
+//! Tier-1 smoke of the kernel contract (the full matrix lives in
+//! `mpdata::kernels`' unit tests): the row kernels behind `apply_kind`
+//! agree bitwise with the per-cell oracle `apply_kind_scalar` on domain
+//! faces, edges and corners under both boundaries, and the select-form
+//! extrema treat NaN, ±∞ and ±0 like the `f64::max`/`f64::min` chains
+//! they replaced.
+
+use islands_of_cores::mpdata::{apply_kind, apply_kind_scalar, Boundary, MpdataProblem, StageKind};
+use islands_of_cores::stencil::{Array3, Range1, Region3};
+
+type Kernel = fn(StageKind, Region3, Boundary, &[&Array3], &mut [&mut Array3], Region3);
+
+/// Bit patterns of every output array after `f` runs over `region`.
+fn run(
+    f: Kernel,
+    kind: StageKind,
+    n_out: usize,
+    domain: Region3,
+    bc: Boundary,
+    ins: &[&Array3],
+    region: Region3,
+) -> Vec<u64> {
+    let mut out = vec![Array3::filled(domain, -9.0); n_out];
+    let mut refs: Vec<&mut Array3> = out.iter_mut().collect();
+    f(kind, domain, bc, ins, &mut refs, region);
+    out.iter()
+        .flat_map(|a| a.as_slice())
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+#[test]
+fn rows_equal_the_per_cell_oracle_on_every_boundary() {
+    let p = MpdataProblem::standard();
+    for (ni, nj, nk) in [(1, 1, 1), (1, 7, 3), (2, 2, 2), (5, 3, 7), (6, 5, 9)] {
+        let domain = Region3::of_extent(ni, nj, nk);
+        let hi_corner = Region3::new(
+            Range1::new(ni as i64 - 1, ni as i64),
+            Range1::new(nj as i64 - 1, nj as i64),
+            Range1::new(nk as i64 - 1, nk as i64),
+        );
+        for st in p.graph().stages() {
+            let kind = p.kind(st.id);
+            let ins: Vec<Array3> = (0..st.inputs.len())
+                .map(|n| {
+                    Array3::from_fn(domain, |i, j, k| {
+                        0.6 + 0.01 * ((n as i64 * 29 + i * 13 + j * 7 + k * 3) % 31) as f64
+                            - 0.75 * (n % 2) as f64
+                    })
+                })
+                .collect();
+            let ins: Vec<&Array3> = ins.iter().collect();
+            for bc in [Boundary::Open, Boundary::Periodic] {
+                for region in [domain, Region3::of_extent(1, 1, 1), hi_corner] {
+                    let n_out = st.outputs.len();
+                    assert_eq!(
+                        run(apply_kind, kind, n_out, domain, bc, &ins, region),
+                        run(apply_kind_scalar, kind, n_out, domain, bc, &ins, region),
+                        "{kind:?} {bc:?} on {region:?} of {domain:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn extrema_ignore_nan_like_f64_max_and_min() {
+    let domain = Region3::of_extent(4, 3, 6);
+    let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 2.5];
+    let x = Array3::from_fn(domain, |i, j, k| {
+        special[((i * 5 + j * 3 + k) % 6) as usize]
+    });
+    let xp = Array3::from_fn(domain, |i, j, k| {
+        special[((i + j * 2 + k * 5) % 6) as usize]
+    });
+    let mut mx = Array3::zeros(domain);
+    let mut mn = Array3::zeros(domain);
+    apply_kind(
+        StageKind::MinMax,
+        domain,
+        Boundary::Open,
+        &[&x, &xp],
+        &mut [&mut mx, &mut mn],
+        domain,
+    );
+    let at =
+        |a: &Array3, i: i64, j: i64, k: i64| a.get(i.clamp(0, 3), j.clamp(0, 2), k.clamp(0, 5));
+    for (i, j, k) in domain.points() {
+        let (mut hi, mut lo) = (f64::NEG_INFINITY, f64::INFINITY);
+        for (di, dj, dk) in [
+            (0, 0, 0),
+            (-1, 0, 0),
+            (1, 0, 0),
+            (0, -1, 0),
+            (0, 1, 0),
+            (0, 0, -1),
+            (0, 0, 1),
+        ] {
+            for a in [&x, &xp] {
+                hi = hi.max(at(a, i + di, j + dj, k + dk));
+                lo = lo.min(at(a, i + di, j + dj, k + dk));
+            }
+        }
+        // `f64::max` may return either zero of an equal pair.
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0);
+        assert!(same(mx.get(i, j, k), hi), "max at ({i},{j},{k})");
+        assert!(same(mn.get(i, j, k), lo), "min at ({i},{j},{k})");
+    }
+}
