@@ -32,7 +32,10 @@
 //! * `tile-halo-too-narrow` — in a tile-fused plan, every tile's
 //!   first-stage scratch writes are shaved by one I-slab, modelling a
 //!   rebased scratch footprint too small for the chain's halo reads;
-//!   later stages then read cells no earlier stage of the tile wrote.
+//!   later stages then read cells no earlier stage of the tile wrote;
+//! * `window-too-narrow` — one scratch buffer's sliding window is
+//!   declared a plane shallower than the schedule sized it, so some
+//!   block reads a plane its alias has already overwritten.
 //!
 //! Exit codes: 0 clean, 1 diagnostics found, 2 tracing unavailable
 //! (release build — rebuild in debug).
@@ -72,7 +75,7 @@ fn run(args: &[String]) -> i32 {
             eprintln!(
                 "usage: stencil-lint [--mutant drop-offset|overlap-partition\
                  |overlap-ranks|stale-output|overlap-chunks|fused-overlap-step2\
-                 |tile-halo-too-narrow]"
+                 |tile-halo-too-narrow|window-too-narrow]"
             );
             return 2;
         }
@@ -86,6 +89,7 @@ fn run(args: &[String]) -> i32 {
         Some("overlap-chunks") => mutant_overlap_chunks(),
         Some("fused-overlap-step2") => mutant_fused_overlap_step2(),
         Some("tile-halo-too-narrow") => mutant_tile_halo_too_narrow(),
+        Some("window-too-narrow") => mutant_window_too_narrow(),
         Some(other) => {
             eprintln!("stencil-lint: unknown mutant `{other}`");
             return 2;
@@ -436,6 +440,22 @@ fn mutant_tile_halo_too_narrow() -> Vec<Diagnostic> {
             }
         }
     }
+    check_disjointness(&plan)
+}
+
+fn mutant_window_too_narrow() -> Vec<Diagnostic> {
+    // One island of two ranks on 24 planes under a budget that cuts it
+    // into several wavefront blocks, so the windows are genuinely
+    // shallower than the scratch hull.
+    let domain = Region3::of_extent(24, 12, 6);
+    let knobs = ScheduleKnobs {
+        cache_bytes: CACHE_BYTES / 2,
+        ..ScheduleKnobs::default()
+    };
+    let mut plan = schedule_plan(&MpdataProblem::standard(), domain, &[domain], &[2], knobs);
+    // The first stage's output loses one plane of storage: the deepest
+    // reach-back of its consumers now lands on a recycled slot.
+    plan.teams[0].windows[0].1 -= 1;
     check_disjointness(&plan)
 }
 

@@ -31,6 +31,10 @@ pub enum DiagnosticCode {
     /// reused (persistent-plan) output buffers it would leak the
     /// previous step's value.
     UncoveredOutput,
+    /// An access to a windowed scratch buffer reaches at least a
+    /// window's depth below the buffer's write frontier: the plane it
+    /// wants has been overwritten by the plane one window above it.
+    WindowAlias,
 }
 
 impl fmt::Display for DiagnosticCode {
@@ -46,6 +50,7 @@ impl fmt::Display for DiagnosticCode {
             DiagnosticCode::ExternalWrite => "external-write",
             DiagnosticCode::UncoveredRead => "uncovered-read",
             DiagnosticCode::UncoveredOutput => "uncovered-output",
+            DiagnosticCode::WindowAlias => "window-alias",
         };
         f.write_str(s)
     }

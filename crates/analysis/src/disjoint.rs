@@ -22,7 +22,11 @@
 //!   across steps (the persistent-plan path re-claims scratch and
 //!   output per step instead of reallocating), so an unwritten output
 //!   cell is not merely uninitialized, it silently carries the
-//!   previous step's value.
+//!   previous step's value;
+//! * a team's scratch buffer may store only a sliding window of its
+//!   planes along `i` (plane `p` and plane `p + W` share storage), so
+//!   no access may reach `W` or more planes below the highest plane
+//!   written to the buffer so far in the same fused step.
 //!
 //! The checks are sound for [`mpdata::Boundary::Open`] problems — the
 //! only kind the islands executor accepts — because open-boundary reads
@@ -50,6 +54,9 @@ pub struct PlannedAccess {
 pub struct Epoch {
     /// Human-readable position, e.g. `block 2 / stage upd-1`.
     pub label: String,
+    /// Fused-step index: every fused step sweeps the team's scratch
+    /// anew, so write frontiers (rule 6) restart with it.
+    pub step: usize,
     /// Accesses per rank (index = rank).
     pub per_rank: Vec<Vec<PlannedAccess>>,
 }
@@ -59,6 +66,10 @@ pub struct Epoch {
 pub struct TeamPlan {
     /// Epochs in execution order.
     pub epochs: Vec<Epoch>,
+    /// `(field, planes)` for every island-private field whose buffer
+    /// stores a sliding window of `planes` i-planes: plane `i` aliases
+    /// plane `i + planes`. Fields not listed keep every plane.
+    pub windows: Vec<(usize, usize)>,
 }
 
 /// Everything the disjointness checker needs about one planned step.
@@ -112,6 +123,9 @@ pub struct SchedulePlan {
 /// while an in-flight step writes slot `ts % 2` and reads slot
 /// `(ts - 1) % 2`, never the same slot.
 ///
+/// [`StepSchedule::scratch_windows`] travels along as each team's
+/// `windows`, so rule 6 can prove the storage the accesses land in.
+///
 /// The stream carries no refill (`must_zero`) writes, so for graphs
 /// that need them (the MPDATA graphs do not) the checker is
 /// conservative and reports the reads as uncovered.
@@ -144,7 +158,14 @@ pub fn lower(schedule: &StepSchedule) -> SchedulePlan {
         SchedulePolicy::Dynamic { .. } => " (dynamic chunks)",
         SchedulePolicy::Static => "",
     };
-    let mut teams = vec![TeamPlan { epochs: Vec::new() }; schedule.team_count()];
+    let idle = TeamPlan {
+        epochs: Vec::new(),
+        windows: Vec::new(),
+    };
+    let mut teams = vec![idle; schedule.team_count()];
+    for w in schedule.scratch_windows() {
+        teams[w.team].windows.push((w.field.index(), w.planes));
+    }
     for a in schedule.accesses() {
         let field = match a.buffer {
             Buffer::Shared(f) | Buffer::Scratch(f) => f.index(),
@@ -157,6 +178,7 @@ pub fn lower(schedule: &StepSchedule) -> SchedulePlan {
         if epochs.len() <= a.epoch {
             epochs.resize_with(a.epoch + 1, || Epoch {
                 label: String::new(),
+                step: a.step,
                 per_rank: Vec::new(),
             });
         }
@@ -424,6 +446,53 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
                          those cells the previous step's values"
                     ),
                 });
+            }
+        }
+    }
+
+    // Rule 6: window aliasing — re-derived from the accesses alone. A
+    // windowed buffer holds the `planes` planes below its write
+    // frontier; anything deeper has been overwritten by its alias.
+    for (t, team) in plan.teams.iter().enumerate() {
+        let mut planes: Vec<Option<usize>> = vec![None; plan.field_names.len()];
+        for &(f, w) in &team.windows {
+            planes[f] = Some(w);
+        }
+        // Per field: one past the highest plane written this fused step.
+        let mut frontier: Vec<Option<i64>> = vec![None; plan.field_names.len()];
+        let mut step = None;
+        for ep in &team.epochs {
+            if step != Some(ep.step) {
+                step = Some(ep.step);
+                frontier.fill(None);
+            }
+            for wr in ep.per_rank.iter().flatten().filter(|a| a.write) {
+                let front = &mut frontier[wr.field];
+                *front = Some(front.map_or(wr.region.i.hi, |f| f.max(wr.region.i.hi)));
+            }
+            for (rank, accs) in ep.per_rank.iter().enumerate() {
+                for a in accs {
+                    let (Some(w), Some(front)) = (planes[a.field], frontier[a.field]) else {
+                        continue;
+                    };
+                    let lo = a.region.i.lo;
+                    if front - lo > w as i64 {
+                        found.push(Diagnostic {
+                            code: DiagnosticCode::WindowAlias,
+                            site: format!("team {t} rank {rank} / {}", ep.label),
+                            field: fname(a.field),
+                            detail: format!(
+                                "{} plane {lo} with plane {} already written: {} planes \
+                                 in flight, but the buffer's window holds {w}, so plane {lo} \
+                                 shares its storage with plane {}",
+                                if a.write { "writes" } else { "reads" },
+                                front - 1,
+                                front - lo,
+                                lo + w as i64,
+                            ),
+                        });
+                    }
+                }
             }
         }
     }

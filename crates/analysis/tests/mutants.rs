@@ -437,3 +437,52 @@ fn composed_knobs_stay_clean_and_route_x_through_slots() {
         assert!(plan.field_names.iter().any(|n| n == "x@slot0"));
     }
 }
+
+#[test]
+fn narrowed_scratch_window_is_a_window_alias() {
+    // The sliding-window mutant: one island of two ranks, cut into
+    // many thin wavefront blocks, so its scratch buffers store far
+    // fewer planes than the 24-plane hull. The first stage's output
+    // loses one plane of storage.
+    let d = Region3::of_extent(24, 12, 6);
+    let knobs = ScheduleKnobs {
+        cache_bytes: CACHE / 2,
+        ..ScheduleKnobs::default()
+    };
+    let schedule = StepSchedule::build(&MpdataProblem::standard(), d, &[d], &[2], knobs).unwrap();
+    let clean = lower(&schedule);
+    let (field, planes) = clean.teams[0].windows[0];
+    assert_eq!(clean.field_names[field], "f1");
+    assert!(planes < 24 / 2, "the control must really be windowed");
+    assert_eq!(check_disjointness(&clean), vec![], "control not clean");
+    // A deeper window than needed wastes memory, never correctness.
+    let mut roomy = clean.clone();
+    roomy.teams[0].windows[0].1 += 1;
+    assert_eq!(check_disjointness(&roomy), vec![]);
+
+    let mut narrow = clean.clone();
+    narrow.teams[0].windows[0].1 -= 1;
+    let found = check_disjointness(&narrow);
+    // Block 0 computes planes 0..planes of f1 — exactly one window.
+    let write = format!("writes plane 0 with plane {} already written", planes - 1);
+    let read = format!("reads plane 0 with plane {} already written", planes - 1);
+    assert!(
+        !found.is_empty()
+            && found
+                .iter()
+                .all(|f| f.code == DiagnosticCode::WindowAlias && f.field == "f1"),
+        "expected only window aliases of f1, got: {found:?}"
+    );
+    // Both sides of the hazard are named, with block and planes: the
+    // producer recycling a live slot and the consumer reading it.
+    for (stage, what) in [("flux_i", &write), ("low_order", &read)] {
+        assert!(
+            found.iter().any(|f| {
+                f.site.contains(&format!("block 0 / stage {stage}"))
+                    && f.detail.contains(what.as_str())
+                    && f.detail.contains(&format!("window holds {}", planes - 1))
+            }),
+            "no `{what}` at block 0 / stage {stage}: {found:?}"
+        );
+    }
+}

@@ -1,7 +1,10 @@
 //! **E11 — cache-model check of the (3+1)D premise** (§3.2): run the
 //! exact address streams of the per-stage schedule and the wavefront
 //! blocked schedule through a set-associative LRU cache and compare the
-//! measured miss traffic against the analytic traffic model. The study
+//! measured miss traffic against the analytic traffic model. The blocked
+//! schedule's intermediates live in the sliding windows the executors
+//! allocate (`FieldLayout::windowed`), at two block budgets — one whose
+//! windows overflow the cache and one whose windows fit. The study
 //! runs on a geometrically scaled-down configuration (domain and cache
 //! shrunk together) because the full 1024×512×64 trace is ~3 × 10⁹
 //! accesses; the working-set : cache ratios are preserved.
@@ -11,8 +14,8 @@
 use mpdata::mpdata_graph;
 use numa_sim::CacheConfig;
 use perf_model::{
-    blocked_schedule_stats, compulsory_miss_bytes, fused_traffic_ideal, original_traffic,
-    per_stage_schedule_stats, Table,
+    blocked_schedule_stats, fused_traffic_ideal, original_traffic, per_stage_schedule_stats,
+    FieldLayout, Table,
 };
 use stencil_engine::{BlockPlanner, Region3};
 
@@ -28,12 +31,7 @@ fn main() {
     };
 
     let per_stage = per_stage_schedule_stats(&graph, domain, cache);
-    let blocking = BlockPlanner::new(cache.capacity_bytes / 2)
-        .min_depth(2)
-        .plan_wavefront(&graph, domain, domain)
-        .expect("blocks fit");
-    let blocked = blocked_schedule_stats(&graph, domain, &blocking, cache);
-    let floor = compulsory_miss_bytes(&graph, domain, cache.line_bytes);
+    let whole = FieldLayout::new(&graph, domain).compulsory_miss_bytes(cache.line_bytes);
 
     let mut t = Table::new(
         format!(
@@ -43,45 +41,81 @@ fn main() {
             domain.k.len(),
             cache.capacity_bytes / 1024
         ),
-        vec!["miss bytes [MB]".into(), "miss ratio [%]".into()],
+        vec![
+            "miss bytes [MB]".into(),
+            "miss ratio [%]".into(),
+            "floor [MB]".into(),
+            "× floor".into(),
+        ],
     )
     .precision(2);
+    // The per-stage sweeps store 23 whole arrays: that is their floor.
     t.push_row(
         "per-stage schedule (Original)",
         vec![
             per_stage.miss_bytes(64) / 1e6,
             100.0 * per_stage.miss_ratio(),
+            whole / 1e6,
+            per_stage.miss_bytes(64) / whole,
         ],
     );
-    t.push_row(
-        "wavefront blocks ((3+1)D)",
-        vec![blocked.miss_bytes(64) / 1e6, 100.0 * blocked.miss_ratio()],
-    );
-    t.push_row("compulsory floor", vec![floor / 1e6, f64::NAN]);
+    // The wavefront stores externals + output + the intermediates'
+    // sliding windows, sized by the blocking. The planner's budget
+    // counts the peak *live* buffers of one block (7), but all 17
+    // windows stay resident across blocks — so a block budget of half
+    // the cache overflows it, a third fits.
+    let mut excess = Vec::new();
+    for share in [2, 3] {
+        let blocking = BlockPlanner::new(cache.capacity_bytes / share)
+            .min_depth(2)
+            .plan_wavefront(&graph, domain, domain)
+            .expect("blocks fit");
+        let blocked = blocked_schedule_stats(&graph, domain, &blocking, cache);
+        let floor = FieldLayout::windowed(&graph, domain, &blocking)
+            .compulsory_miss_bytes(cache.line_bytes);
+        t.push_row(
+            format!("wavefront, budget cache/{share} (depth {})", blocking.depth),
+            vec![
+                blocked.miss_bytes(64) / 1e6,
+                100.0 * blocked.miss_ratio(),
+                floor / 1e6,
+                blocked.miss_bytes(64) / floor,
+            ],
+        );
+        excess.push((
+            blocked.miss_bytes(64) / floor,
+            per_stage.miss_bytes(64) / blocked.miss_bytes(64),
+        ));
+    }
     println!("{}", t.render());
 
-    let measured_ratio = per_stage.miss_bytes(64) / blocked.miss_bytes(64);
     // Analytic model at the same scaled domain for comparison.
     let analytic_ratio = original_traffic(&graph, domain, 1).total_bytes
         / fused_traffic_ideal(&graph, domain, 1).total_bytes;
-    println!("measured traffic reduction : {measured_ratio:.2}×");
+    let [(spill_floor, spill_cut), (fit_floor, fit_cut)] = excess[..] else {
+        unreachable!("two budgets studied");
+    };
+    println!("measured traffic reduction : {spill_cut:.2}× (cache/2), {fit_cut:.2}× (cache/3)");
     println!("analytic model's reduction : {analytic_ratio:.2}× (ideal; write-allocate counted)");
     println!(
-        "blocked misses vs compulsory floor: {:.2}×",
-        blocked.miss_bytes(64) / floor
+        "\ncheck: cache/3 blocks within 1.25× of their floor ... {}",
+        fit_floor < 1.25
     );
     println!(
-        "\ncheck: blocked schedule within 2× of the floor .... {}",
-        blocked.miss_bytes(64) < 2.0 * floor
+        "check: cache/2 blocks within 3× of their floor ...... {}",
+        spill_floor < 3.0
     );
     println!(
-        "check: measured reduction ≥ 2.5× ................... {}",
-        measured_ratio >= 2.5
+        "check: measured reduction ≥ 2.5× at both budgets .... {}",
+        spill_cut.min(fit_cut) >= 2.5
     );
     println!(
-        "\nreading: the cache model confirms the (3+1)D premise — the blocked\n\
-         schedule's misses are near-compulsory (intermediates never leave the\n\
-         cache), while the per-stage schedule re-streams every array every sweep.\n\
-         This grounds the traffic claims of §3.2 in a measured mechanism."
+        "\nreading: with the intermediates in sliding windows the floor is\n\
+         externals + output + windows, and a blocking whose windows fit the\n\
+         cache sits on it — the intermediates never leave the cache and the\n\
+         measured reduction approaches the analytic one. Sized to half the\n\
+         cache the 17 windows overflow it and part of them is re-fetched:\n\
+         the block budget has to leave room for every window, not only for\n\
+         one block's live buffers."
     );
 }

@@ -208,7 +208,7 @@ fn st_slice(region: Region3, split_axis: Axis, team: usize, rank: usize) -> Regi
     if region.is_empty() {
         Region3::empty()
     } else {
-        region.split(split_axis, team)[rank]
+        region.split_nth(split_axis, team, rank)
     }
 }
 

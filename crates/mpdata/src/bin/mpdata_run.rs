@@ -53,19 +53,27 @@
 //! switches those strategies to tile-fused execution: each island's
 //! part is cut into (i, j) column tiles and every tile's whole stage
 //! chain replays back to back against rank-private scratch shrunk to
-//! the tile's halo footprint, so intermediates stay cache-resident
-//! instead of streaming through main memory once per stage. `auto`
+//! the tile's halo footprint, so intermediates stay L2-resident and
+//! the per-stage team barriers collapse to one per fused step. `auto`
 //! sizes tiles from `--cache`; an explicit `TIxTJ` (e.g. `8x16`)
 //! forces the extents. Also bit-identical under `--verify`.
+//!
+//! For the islands and fused strategies the summary carries a
+//! `scratch` line: the bytes the intermediates occupy under the
+//! schedule that ran — sliding windows of a few i-planes per field
+//! beside what hull-sized arrays would take, or the rank-private tile
+//! scratch.
 
 use mpdata::{
     gaussian_pulse, random_fields, rotating_cone, Boundary, IslandsExecutor, MpdataFields,
-    MpdataProblem, OriginalExecutor, ReferenceExecutor, TileMode,
+    MpdataProblem, OriginalExecutor, ReferenceExecutor, StepSchedule, TileMode,
 };
 use std::process::ExitCode;
 use std::time::Instant;
 use stencil_engine::rng::Xoshiro256pp;
-use stencil_engine::{balanced_cuts, measured_plane_scale, Axis, CostModel, Region3};
+use stencil_engine::{
+    balanced_cuts, measured_plane_scale, Axis, CostModel, PlanBlocksError, Region3,
+};
 use work_scheduler::{TeamSpec, WorkerPool};
 
 #[derive(Debug)]
@@ -271,6 +279,29 @@ fn check_inputs(a: &Args, fields: &MpdataFields) -> Result<(), String> {
     })
 }
 
+/// The summary's `scratch` line: what the intermediates occupy under
+/// the schedule that ran, beside what whole-hull arrays would.
+fn scratch_line(schedule: &StepSchedule) -> String {
+    let mb = |bytes: usize| bytes as f64 / 1e6;
+    let windows = schedule.scratch_windows();
+    if windows.is_empty() {
+        return format!(
+            "{:.1} MB of rank-private tile scratch",
+            mb(schedule.scratch_bytes())
+        );
+    }
+    format!(
+        "{:.1} MB in {} windows of ≤ {} planes; hull would be {:.1} MB",
+        mb(schedule.scratch_bytes()),
+        windows.len(),
+        windows.iter().map(|w| w.planes).max().unwrap_or(0),
+        mb(windows
+            .iter()
+            .map(|w| w.hull.cells() * size_of::<f64>())
+            .sum()),
+    )
+}
+
 /// Solves the island cut positions for `--balance model|measured`.
 ///
 /// `measured` runs a short traced probe on cloned fields under the
@@ -430,6 +461,13 @@ fn main() -> ExitCode {
             ticker = Some((tx, handle));
         }
     }
+    let mut scratch = None;
+    let mut run_islands = |exec: IslandsExecutor<'_>, fields: &mut MpdataFields| {
+        exec.run(fields, a.steps)?;
+        // The schedule the run just replayed (a plan-cache hit).
+        scratch = Some(scratch_line(&*exec.schedule_for(fields.domain())?));
+        Ok::<(), PlanBlocksError>(())
+    };
     let t0 = Instant::now();
     let run = match a.strategy.as_str() {
         "reference" => {
@@ -448,7 +486,7 @@ fn main() -> ExitCode {
             if a.self_schedule > 0 {
                 exec = exec.self_schedule(a.self_schedule);
             }
-            exec.run(&mut fields, a.steps).map_err(|e| e.to_string())
+            run_islands(exec, &mut fields).map_err(|e| e.to_string())
         }
         "islands" => {
             let mut exec = IslandsExecutor::with_problem(
@@ -466,7 +504,7 @@ fn main() -> ExitCode {
             if a.self_schedule > 0 {
                 exec = exec.self_schedule(a.self_schedule);
             }
-            exec.run(&mut fields, a.steps).map_err(|e| e.to_string())
+            run_islands(exec, &mut fields).map_err(|e| e.to_string())
         }
         "exchange" => {
             mpdata::ExchangeExecutor::with_problem(
@@ -513,6 +551,9 @@ fn main() -> ExitCode {
         "throughput   : {:.2} Mcells/s",
         (fields.domain().cells() * a.steps) as f64 / elapsed.as_secs_f64() / 1e6
     );
+    if let Some(line) = scratch {
+        println!("scratch      : {line}");
+    }
     println!("mass drift   : {:+.3e}", fields.mass() / mass0 - 1.0);
     println!(
         "min / max    : {:+.4e} / {:+.4e}",

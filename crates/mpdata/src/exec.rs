@@ -16,7 +16,7 @@ pub(crate) const MAX_STAGE_ARGS: usize = 16;
 /// The share of `region` that rank `rank` of `size` computes, cutting
 /// along `axis` (empty when the region is thinner than the team).
 pub(crate) fn rank_slice(region: Region3, axis: Axis, rank: usize, size: usize) -> Region3 {
-    region.split(axis, size)[rank]
+    region.split_nth(axis, size, rank)
 }
 
 /// Borrowed views of the five external input arrays, resolved once per
@@ -252,6 +252,13 @@ impl ParStore {
     /// Installs a zeroed buffer for `f` (single-threaded setup phase).
     pub(crate) fn alloc(&mut self, f: FieldId, region: Region3) {
         *self.cells.cell_mut(f).get_mut_exclusive() = Some(Array3::zeros(region));
+    }
+
+    /// Installs a zeroed buffer for `f` that answers for `region` but
+    /// stores a sliding window of `planes` i-planes
+    /// ([`Array3::windowed`]).
+    pub(crate) fn alloc_windowed(&mut self, f: FieldId, region: Region3, planes: usize) {
+        *self.cells.cell_mut(f).get_mut_exclusive() = Some(Array3::windowed(region, planes));
     }
 
     /// Removes the buffer for `f` (single-threaded teardown phase).

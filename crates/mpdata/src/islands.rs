@@ -169,9 +169,9 @@ impl<'p> IslandsExecutor<'p> {
     /// into `(i, j)` tiles sized so a tile's scratch (tile plus
     /// cumulative halo) stays cache-resident, and the whole 17-stage
     /// chain of one tile runs back-to-back on the executing rank's
-    /// private scratch. Intermediates stop round-tripping through main
-    /// memory and the per-stage team barriers collapse to one per fused
-    /// step, at the price of redundant halo recomputation along tile
+    /// private scratch. Intermediates live in L2-sized rank-private
+    /// buffers instead of the team's block-deep windows, and the
+    /// per-stage team barriers collapse to one per fused step, at the price of redundant halo recomputation along tile
     /// faces. Bit-identical to the untiled replay for every tile size,
     /// schedule and fuse depth (the kernels are pointwise in their
     /// declared neighborhoods).

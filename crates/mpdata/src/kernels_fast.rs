@@ -8,7 +8,9 @@
 //! * every tap's neighbour row `(i + di, j + dj)` is resolved through
 //!   the boundary policy — clamped for [`Boundary::Open`], wrapped for
 //!   [`Boundary::Periodic`] — so domain faces in `i` and `j` cost
-//!   nothing extra;
+//!   nothing extra; the neighbour *plane* is borrowed once per `i`
+//!   ([`Array3::plane`]), which is where a windowed scratch array pays
+//!   for its slot lookup;
 //! * on the `k`-window where no tap leaves the domain the expression
 //!   runs over shifted row slices, a branch-free loop the
 //!   auto-vectoriser handles;
@@ -23,7 +25,7 @@
 
 use crate::kernels::{resolve, Boundary};
 use std::array::from_fn;
-use stencil_engine::{Array3, Range1, Region3};
+use stencil_engine::{Array3, Plane, Range1, Region3};
 
 /// One read of a stage: `(input slot, (di, dj, dk))`, each offset in
 /// `-1..=1`.
@@ -134,12 +136,15 @@ impl Sweep<'_> {
             from_fn(|t| [(taps[t].1 .0 + 1) as usize, (taps[t].1 .1 + 1) as usize]);
         for i in self.region.i.lo..self.region.i.hi {
             let ni = near(d.i, i);
+            // Each tap's neighbour plane, found once per `i`: a windowed
+            // scratch array resolves its storage slot here, not per row.
+            let plane: [Plane<'_>; N] = from_fn(|t| arr[t].plane(ni[at[t][0]]));
             for j in self.region.j.lo..self.region.j.hi {
                 let nj = near(d.j, j);
                 let mut src: [&[f64]; N] = [&[]; N];
                 for t in 0..N {
                     if !win[t].is_empty() {
-                        src[t] = arr[t].row(ni[at[t][0]], nj[at[t][1]], win[t]);
+                        src[t] = plane[t].row(nj[at[t][1]], win[t]);
                     }
                 }
                 for (e, k) in ends.iter().enumerate() {

@@ -62,6 +62,7 @@ pub use islands::IslandsExecutor;
 pub use kernels::{apply_kind, apply_kind_scalar, apply_stage, Boundary};
 pub use original::OriginalExecutor;
 pub use plan::{
-    Access, Buffer, ScheduleKnobs, SchedulePolicy, StepSchedule, TileMode, DEFAULT_CACHE_BYTES,
+    Access, Buffer, ScheduleKnobs, SchedulePolicy, ScratchWindow, StepSchedule, TileMode,
+    DEFAULT_CACHE_BYTES,
 };
 pub use reference::ReferenceExecutor;

@@ -16,7 +16,8 @@
 //!   [`StepSchedule::accesses`] streams the same tables to the
 //!   `islands-analysis` prover, so what is proved is what runs;
 //! * `StepPlan` — the schedule plus what it says to allocate: the
-//!   island [`ParStore`]s (persisting across steps; instead of
+//!   island [`ParStore`]s (each intermediate a sliding window of a few
+//!   i-planes, [`ScratchWindow`], persisting across steps; instead of
 //!   re-zeroing whole scratches the replay re-zeroes only the cells
 //!   the schedule's coverage analysis found read-before-written — none,
 //!   for the real MPDATA graphs), the claim queues, the x slots and
@@ -104,15 +105,17 @@ impl SchedulePolicy {
 /// is cut into `(i, j)` tiles whose whole stage chain runs back-to-back
 /// on tile-local scratch.
 ///
-/// Untiled replay sweeps each stage across the island's full part,
-/// round-tripping every intermediate array through main memory between
-/// stages. Tiled replay instead partitions the target into tiles sized
-/// so one tile's scratch (tile + cumulative halo, times the peak live
-/// buffer count) stays resident in L2, and executes all 17 stages of
-/// one tile before moving to the next: intermediates never leave cache,
-/// and the per-stage team barriers collapse to one per fused step. Tile
-/// faces pay redundant halo recomputation — the same overlapped-tiling
-/// trade the (3+1)D blocks make along `I`, here in both `I` and `J`.
+/// Untiled replay sweeps each stage across one wavefront block of the
+/// island's part — full extent in `J` and `K` — with the intermediates
+/// in team-shared sliding windows ([`ScratchWindow`]) sized by the
+/// block depth, and a team barrier after every stage. Tiled replay
+/// instead partitions the target into tiles sized so one tile's scratch
+/// (tile + cumulative halo, times the peak live buffer count) stays
+/// resident in L2, and executes all 17 stages of one tile before moving
+/// to the next: intermediates never leave cache, and the per-stage team
+/// barriers collapse to one per fused step. Tile faces pay redundant
+/// halo recomputation — the overlapped-tiling trade the wavefront
+/// blocks avoid along `I`, here made in both `I` and `J`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TileMode {
     /// Per-stage sweeps (the classic replay; the default).
@@ -280,10 +283,16 @@ struct TeamSchedule {
     /// stores. Empty for the real MPDATA graphs (the `uncovered-read`
     /// analysis proves per-step coverage).
     must_zero: Vec<(FieldId, Region3)>,
-    /// Extent of the team's shared scratch buffers: the hull of every
-    /// fused step's blocking (steps reuse the same scratch, refilled
-    /// before each). Empty for tiled schedules and empty islands.
+    /// Logical extent of the team's shared scratch buffers: the hull of
+    /// every fused step's blocking (steps reuse the same scratch,
+    /// refilled before each). Empty for tiled schedules and empty
+    /// islands.
     scratch: Region3,
+    /// Per scratch field, how many i-planes of `scratch` its buffer
+    /// stores (see [`ScratchWindow`]).
+    windows: Vec<(FieldId, usize)>,
+    /// Ranks in the team (each holds one tile scratch set when tiled).
+    ranks: usize,
     /// Extent of the team-private ping-pong buffers the advected field
     /// moves through between fused steps (`None` when `fuse_steps == 1`
     /// or the island is empty): the first (widest) fused step's target,
@@ -345,6 +354,25 @@ pub struct Access {
     pub region: Region3,
     /// Write (`true`) or read (`false`).
     pub write: bool,
+}
+
+/// The storage behind one team's [`Buffer::Scratch`] of one field: a
+/// sliding window of `planes` i-planes over the team's scratch hull,
+/// plane `i` in slot `(i - hull.i.lo) mod planes`
+/// ([`Array3::windowed`]). Planes `i` and `i + planes` alias, so the
+/// schedule is only sound if no access reaches `planes` or more below
+/// the field's write frontier — which is how `planes` is chosen, and
+/// what the prover re-derives from [`StepSchedule::accesses`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScratchWindow {
+    /// The island (team) owning the buffer.
+    pub team: usize,
+    /// The intermediate field stored.
+    pub field: FieldId,
+    /// I-planes of storage (`hull.i.len()` = no aliasing at all).
+    pub planes: usize,
+    /// The logical region the buffer answers for.
+    pub hull: Region3,
 }
 
 /// The island schedule of one time step (or, with `fuse_steps = k`, one
@@ -691,6 +719,8 @@ impl StepSchedule {
                 step_bounds: vec![(0, 0); k],
                 must_zero: Vec::new(),
                 scratch: Region3::empty(),
+                windows: Vec::new(),
+                ranks: size,
                 xslot: None,
                 tiles: Vec::new(),
                 tile_scratch: Vec::new(),
@@ -736,10 +766,14 @@ impl StepSchedule {
                 // One wavefront blocking per fused step; the scratch
                 // spans the union of their hulls.
                 let n_units = knobs.schedule.units_for(size);
+                let mut reach = vec![0; graph.fields().len()];
                 for (ts, &sp) in step_parts.iter().enumerate() {
                     let blocking =
                         BlockPlanner::new(knobs.cache_bytes).plan_wavefront(graph, sp, domain)?;
                     team.scratch = team.scratch.hull(blocking.hull());
+                    for (most, now) in reach.iter_mut().zip(blocking.window_depths(graph, domain)) {
+                        *most = now.max(*most);
+                    }
                     let start = team.epochs.len();
                     for (b, block) in blocking.blocks.iter().enumerate() {
                         for (s, st) in graph.stages().iter().enumerate() {
@@ -785,6 +819,22 @@ impl StepSchedule {
                         domain,
                     ));
                 }
+                // One window per scratch field, as deep as the deepest
+                // reach-back of any fused step's blocking. A schedule
+                // that needs the refill reads planes no write frontier
+                // accounts for (and the refill writes them out of sweep
+                // order), so it keeps every plane of the hull: the
+                // plain array.
+                let depth = team.scratch.i.len();
+                let outputs = graph.stages().iter().flat_map(|st| &st.outputs);
+                for &o in outputs.filter(|&&o| o != xout) {
+                    let planes = if team.must_zero.is_empty() {
+                        reach[o.index()].clamp(1, depth)
+                    } else {
+                        depth
+                    };
+                    team.windows.push((o, planes));
+                }
             }
             if k > 1 {
                 team.xslot = Some(step_parts[0]);
@@ -820,6 +870,40 @@ impl StepSchedule {
     /// Number of teams (islands), idle ones included.
     pub fn team_count(&self) -> usize {
         self.teams.len()
+    }
+
+    /// The storage of every [`Buffer::Scratch`] the replay touches, in
+    /// `(team, stage order)` — the companion of
+    /// [`StepSchedule::accesses`]: accesses say which planes are
+    /// touched when, this says which of them share storage. Empty for
+    /// tiled schedules (tile scratch is plain and rank-private).
+    pub fn scratch_windows(&self) -> Vec<ScratchWindow> {
+        let mut out = Vec::new();
+        for (team, t) in self.teams.iter().enumerate() {
+            out.extend(t.windows.iter().map(|&(field, planes)| ScratchWindow {
+                team,
+                field,
+                planes,
+                hull: t.scratch,
+            }));
+        }
+        out
+    }
+
+    /// Bytes of intermediate-field storage the replay allocates: every
+    /// team's scratch windows, or — tiled — every rank's tile scratch
+    /// set. The rest of the executor's field footprint is the five
+    /// externals, the output and, in fused plans, two x slots per team.
+    pub fn scratch_bytes(&self) -> usize {
+        let windows = self
+            .scratch_windows()
+            .into_iter()
+            .map(|w| w.planes * w.hull.j.len() * w.hull.k.len());
+        let tiles = self
+            .teams
+            .iter()
+            .map(|t| t.ranks * t.tile_scratch.iter().map(|(_, r)| r.cells()).sum::<usize>());
+        windows.chain(tiles).sum::<usize>() * size_of::<f64>()
     }
 
     /// The buffer fused step `ts`'s final stage writes: the shared
@@ -992,14 +1076,8 @@ impl StepPlan {
         // with the top of the heap and go back to the OS in one piece
         // (a small chunk in between would pin everything below it).
         for (team, bufs) in schedule.teams.iter().zip(&mut teams) {
-            if !team.scratch.is_empty() {
-                for st in graph.stages() {
-                    for &o in &st.outputs {
-                        if o != problem.xout() {
-                            bufs.store.alloc(o, team.scratch);
-                        }
-                    }
-                }
+            for &(f, planes) in &team.windows {
+                bufs.store.alloc_windowed(f, team.scratch, planes);
             }
             for rs in &mut bufs.rank_stores {
                 for &(f, r) in &team.tile_scratch {

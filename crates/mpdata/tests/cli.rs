@@ -85,3 +85,47 @@ fn bad_input_exits_non_zero_naming_the_cause() {
         );
     }
 }
+
+/// The summary says what the intermediates occupy: windows beside the
+/// hull they replace (untiled), tile scratch (tiled), nothing for the
+/// strategies that plan no islands schedule.
+#[test]
+fn summary_reports_the_scratch_footprint() {
+    let scratch_line = |extra: &[&str]| {
+        let mut args = vec!["--domain", "40,16,8", "--steps", "2", "--workers", "1"];
+        args.extend(["--islands", "1", "--cache", "65536", "--verify"]);
+        args.extend(extra);
+        let out = run(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success() && stdout.contains("max |Δ| vs reference = 0.000e0"),
+            "{extra:?}: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let line = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("scratch      : "));
+        line.map(str::to_owned)
+    };
+    // 64 KiB cuts the 40 planes into several blocks: 17 windows, each
+    // far shallower than the hull, and the bytes say so.
+    let line = scratch_line(&["--strategy", "fused"]).expect("a scratch line");
+    let numbers: Vec<f64> = line
+        .split(|c: char| !c.is_ascii_digit() && c != '.')
+        .filter_map(|t| t.parse().ok())
+        .collect();
+    let [window_mb, count, planes, hull_mb] = numbers[..] else {
+        panic!("unexpected scratch line: {line}");
+    };
+    assert!(line.contains("windows of ≤") && line.contains("hull would be"));
+    assert_eq!(count, 17.0, "{line}");
+    assert!(planes < 20.0 && window_mb < hull_mb / 2.0, "{line}");
+    assert_eq!(hull_mb, 0.7, "17 × 40×16×8 × 8 B — {line}");
+
+    let tiled = scratch_line(&["--strategy", "fused", "--tile", "8x8"]).expect("a scratch line");
+    assert!(
+        tiled.ends_with("MB of rank-private tile scratch"),
+        "{tiled}"
+    );
+    assert_eq!(scratch_line(&["--strategy", "original"]), None);
+}

@@ -77,6 +77,13 @@ fn steady_state_steps_do_not_allocate() {
     exec.run(&mut fields, 1).unwrap();
     let cold = allocs() - before;
     assert!(cold > 0, "cold run should build its plan on the heap");
+    // The untiled sections below replay through sliding-window scratch,
+    // not hull-sized arrays: the pin covers the windows' slot lookup.
+    let windows = exec.schedule_for(domain).unwrap().scratch_windows();
+    assert!(
+        windows.iter().any(|w| w.planes < w.hull.i.len()),
+        "no scratch buffer is windowed: {windows:?}"
+    );
 
     // One more warm-up so lazily initialized runtime paths (channel
     // blocks, thread locals) are settled before measuring.

@@ -15,26 +15,56 @@ use stencil_engine::{Blocking, Region3, StageGraph, BYTES_PER_CELL};
 /// Byte addresses for the fields of a graph over one domain: fields are
 /// laid out back to back, each padded to a line boundary plus a 4 KiB
 /// stagger to avoid pathological set aliasing between fields.
+///
+/// A field stores `planes[f]` i-planes, plane `i` in slot `i mod
+/// planes[f]` — every plane of the domain for [`FieldLayout::new`]; for
+/// [`FieldLayout::windowed`] the intermediates keep only the sliding
+/// windows the executors allocate under a wavefront blocking, so the
+/// study replays the addresses the replay touches.
 #[derive(Clone, Debug)]
 pub struct FieldLayout {
     domain: Region3,
     nj: u64,
     nk: u64,
+    planes: Vec<u64>,
     bases: Vec<u64>,
 }
 
 impl FieldLayout {
-    /// Lays out every field of `graph` over `domain`.
+    /// Lays out every field of `graph` over the whole of `domain`.
     pub fn new(graph: &StageGraph, domain: Region3) -> Self {
-        let field_bytes = (domain.cells() * BYTES_PER_CELL) as u64;
-        let stride = field_bytes.div_ceil(4096) * 4096 + 4096;
-        let bases = (0..graph.fields().len() as u64)
-            .map(|f| f * stride)
+        Self::with_planes(domain, vec![domain.i.len() as u64; graph.fields().len()])
+    }
+
+    /// Lays out externals and outputs over `domain` and each
+    /// intermediate in the window [`Blocking::window_depths`] gives it
+    /// — the storage rule of `stencil_engine::Array3::windowed`.
+    pub fn windowed(graph: &StageGraph, domain: Region3, blocking: &Blocking) -> Self {
+        let depth = domain.i.len();
+        let planes = blocking
+            .window_depths(graph, domain)
+            .into_iter()
+            .map(|w| if w == 0 { depth } else { w.min(depth) } as u64)
+            .collect();
+        Self::with_planes(domain, planes)
+    }
+
+    fn with_planes(domain: Region3, planes: Vec<u64>) -> Self {
+        let (nj, nk) = (domain.j.len() as u64, domain.k.len() as u64);
+        let mut next = 0;
+        let bases = planes
+            .iter()
+            .map(|p| {
+                let base = next;
+                next += (p * nj * nk * BYTES_PER_CELL as u64).div_ceil(4096) * 4096 + 4096;
+                base
+            })
             .collect();
         FieldLayout {
             domain,
-            nj: domain.j.len() as u64,
-            nk: domain.k.len() as u64,
+            nj,
+            nk,
+            planes,
             bases,
         }
     }
@@ -44,10 +74,18 @@ impl FieldLayout {
     #[inline]
     fn addr(&self, field: usize, i: i64, j: i64, k: i64) -> u64 {
         let d = self.domain;
-        let i = (i.clamp(d.i.lo, d.i.hi - 1) - d.i.lo) as u64;
+        let i = (i.clamp(d.i.lo, d.i.hi - 1) - d.i.lo) as u64 % self.planes[field];
         let j = (j.clamp(d.j.lo, d.j.hi - 1) - d.j.lo) as u64;
         let k = (k.clamp(d.k.lo, d.k.hi - 1) - d.k.lo) as u64;
         self.bases[field] + ((i * self.nj + j) * self.nk + k) * BYTES_PER_CELL as u64
+    }
+
+    /// Compulsory (cold) miss floor: every distinct line of every
+    /// field's storage touched at least once.
+    pub fn compulsory_miss_bytes(&self, line_bytes: usize) -> f64 {
+        let plane_bytes = (self.nj * self.nk) as usize * BYTES_PER_CELL;
+        let lines = |p: &u64| (*p as usize * plane_bytes).div_ceil(line_bytes);
+        (self.planes.iter().map(lines).sum::<usize>() * line_bytes) as f64
     }
 }
 
@@ -93,14 +131,15 @@ pub fn per_stage_schedule_stats(
 }
 
 /// Cache statistics of a **blocked schedule** (the (3+1)D wavefront):
-/// blocks in order, all stages per block.
+/// blocks in order, all stages per block, intermediates in their
+/// sliding windows ([`FieldLayout::windowed`]).
 pub fn blocked_schedule_stats(
     graph: &StageGraph,
     domain: Region3,
     blocking: &Blocking,
     cache_cfg: CacheConfig,
 ) -> CacheStats {
-    let layout = FieldLayout::new(graph, domain);
+    let layout = FieldLayout::windowed(graph, domain, blocking);
     let mut cache = CacheSim::new(cache_cfg);
     for block in &blocking.blocks {
         for s in 0..graph.stage_count() {
@@ -111,13 +150,6 @@ pub fn blocked_schedule_stats(
         }
     }
     cache.stats()
-}
-
-/// Compulsory (cold) miss floor: every distinct line of every field
-/// touched at least once.
-pub fn compulsory_miss_bytes(graph: &StageGraph, domain: Region3, line_bytes: usize) -> f64 {
-    let field_lines = (domain.cells() * BYTES_PER_CELL).div_ceil(line_bytes);
-    (graph.fields().len() * field_lines * line_bytes) as f64
 }
 
 #[cfg(test)]
@@ -169,7 +201,14 @@ mod tests {
             .plan_wavefront(&g, domain, domain)
             .unwrap();
         let blocked = blocked_schedule_stats(&g, domain, &blocking, cache);
-        let floor = compulsory_miss_bytes(&g, domain, 64);
+        // Externals + output + windows: far below the 23 whole arrays
+        // a full-hull layout would have to touch once.
+        let floor = FieldLayout::windowed(&g, domain, &blocking).compulsory_miss_bytes(64);
+        let whole = FieldLayout::new(&g, domain).compulsory_miss_bytes(64);
+        assert!(
+            floor < 0.6 * whole,
+            "windows {floor} vs whole arrays {whole}"
+        );
         let excess = blocked.miss_bytes(64) / floor;
         assert!(
             excess < 2.0,
@@ -210,5 +249,33 @@ mod tests {
         // Clamping mirrors the kernels.
         assert_eq!(l.addr(0, -3, 0, 0), l.addr(0, 0, 0, 0));
         assert_eq!(l.addr(0, 9, 7, 7), l.addr(0, 7, 7, 7));
+    }
+
+    #[test]
+    fn windowed_layout_wraps_intermediates_only() {
+        let (g, _) = mpdata_graph();
+        let domain = Region3::of_extent(32, 8, 8);
+        let blocking = BlockPlanner::new(64 * 1024)
+            .plan_wavefront(&g, domain, domain)
+            .unwrap();
+        let depths = blocking.window_depths(&g, domain);
+        let l = FieldLayout::windowed(&g, domain, &blocking);
+        for (f, _, role) in g.fields().iter() {
+            let w = depths[f.index()] as i64;
+            if role == stencil_engine::FieldRole::Intermediate {
+                assert!(0 < w && w < 32, "field {f:?} window {w}");
+                // The slot rule of `Array3::windowed`.
+                assert_eq!(l.addr(f.index(), 3, 1, 2), l.addr(f.index(), 3 + w, 1, 2));
+                assert_ne!(l.addr(f.index(), 3, 1, 2), l.addr(f.index(), 2 + w, 1, 2));
+            } else {
+                let all: std::collections::HashSet<u64> =
+                    (0..32).map(|i| l.addr(f.index(), i, 0, 0)).collect();
+                assert_eq!(all.len(), 32);
+            }
+        }
+        // Storage never overlaps between fields.
+        for f in 1..g.fields().len() {
+            assert!(l.addr(f, 0, 0, 0) > l.addr(f - 1, 31, 7, 7));
+        }
     }
 }

@@ -31,9 +31,7 @@ mod plot;
 mod tables;
 mod traffic;
 
-pub use cache_study::{
-    blocked_schedule_stats, compulsory_miss_bytes, per_stage_schedule_stats, FieldLayout,
-};
+pub use cache_study::{blocked_schedule_stats, per_stage_schedule_stats, FieldLayout};
 pub use metrics::{
     overall_speedup, parallel_efficiency_percent, partial_speedup, sustained_gflops, useful_flops,
     utilization_percent,

@@ -7,8 +7,16 @@
 //! block-local scratch arrays for the (3+1)D decomposition and enlarged
 //! island sub-domains are represented without index translation at every
 //! kernel site.
+//!
+//! An array may also be *windowed* along `i` ([`Array3::windowed`]): it
+//! still answers for its whole region, but stores only `W` i-planes,
+//! plane `i` living in slot `(i - base.i) mod W`. That is the (3+1)D
+//! wavefront's scratch: a block's stages only ever reach a few planes
+//! back, so the planes behind the reach are dead and their storage is
+//! recycled — the intermediates occupy a cache-sized ring instead of a
+//! main-memory-sized array.
 
-use crate::region::Region3;
+use crate::region::{Range1, Region3};
 use std::fmt;
 
 /// A dense 3-D array of `f64` covering a [`Region3`] of the global index
@@ -33,7 +41,47 @@ pub struct Array3 {
     region: Region3,
     nj: i64,
     nk: i64,
+    /// Stored i-planes: `region.i.len()` for a plain array, fewer for a
+    /// windowed one.
+    planes: i64,
+    /// `ceil(2^64 / planes)` for windowed arrays (see [`Array3::slot`]);
+    /// unused, and 0, for plain ones.
+    magic: u64,
     data: Vec<f64>,
+}
+
+/// One i-plane of an [`Array3`], borrowed for reading: the plane's
+/// storage slot is resolved once ([`Array3::plane`]) and every row of it
+/// then costs one multiply-add — what a kernel sweeping `(j, k)` under a
+/// fixed `i` wants, and what keeps a windowed array's slot lookup off
+/// the per-row path.
+#[derive(Clone, Copy)]
+pub struct Plane<'a> {
+    cells: &'a [f64],
+    j_lo: i64,
+    k_lo: i64,
+    nk: i64,
+    #[cfg(debug_assertions)]
+    key: crate::trace::ArrayKey,
+    #[cfg(debug_assertions)]
+    i: i64,
+}
+
+impl<'a> Plane<'a> {
+    /// Borrows the contiguous `k`-row of cells `(j, kr)` of the plane
+    /// (global coordinates).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row leaves the plane; `kr` must be non-empty.
+    #[inline]
+    pub fn row(&self, j: i64, kr: Range1) -> &'a [f64] {
+        #[cfg(debug_assertions)]
+        crate::trace::on_read_row(self.key, self.i, j, kr);
+        debug_assert!(j >= self.j_lo && kr.lo >= self.k_lo && kr.hi <= self.k_lo + self.nk);
+        let o = ((j - self.j_lo) * self.nk + (kr.lo - self.k_lo)) as usize;
+        &self.cells[o..o + kr.len()]
+    }
 }
 
 impl Array3 {
@@ -57,8 +105,51 @@ impl Array3 {
             region,
             nj: region.j.len() as i64,
             nk: region.k.len() as i64,
+            planes: region.i.len() as i64,
+            magic: 0,
             data: vec![value; region.cells()],
         }
+    }
+
+    /// Creates a zero-filled array that answers for all of `region` but
+    /// stores only `planes` i-planes: plane `i` lives in slot
+    /// `(i - region.i.lo) mod planes`, so planes `i` and `i + planes`
+    /// share storage and a write to one replaces the other. Sound for a
+    /// producer/consumer pair that sweeps `i` upward and never reaches
+    /// back `planes` or more behind the newest plane written — the
+    /// caller's obligation, not checked here. `planes` is clamped to
+    /// `1..=region.i.len()`; at the upper end this is [`Array3::zeros`].
+    ///
+    /// ```
+    /// use stencil_engine::{Array3, Region3};
+    /// let mut a = Array3::windowed(Region3::of_extent(10, 2, 2), 3);
+    /// assert_eq!(a.len(), 3 * 2 * 2);
+    /// a.set(1, 0, 0, 1.0);
+    /// a.set(4, 0, 0, 4.0); // same slot as plane 1
+    /// assert_eq!(a.get(1, 0, 0), 4.0);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is empty or deeper than `u32::MAX` planes.
+    pub fn windowed(region: Region3, planes: usize) -> Self {
+        assert!(!region.is_empty(), "cannot allocate an empty Array3");
+        let depth = region.i.len();
+        // `slot`'s multiply-shift is exact for 32-bit operands.
+        assert!(u32::try_from(depth).is_ok(), "windowed region too deep");
+        let planes = planes.clamp(1, depth);
+        let stored = Range1::new(region.i.lo, region.i.lo + planes as i64);
+        let mut a = Self::zeros(Region3::new(stored, region.j, region.k));
+        if planes < depth {
+            a.region = region;
+            a.magic = Self::magic(planes as i64);
+        }
+        a
+    }
+
+    /// `ceil(2^64 / planes)`, the multiplier [`Array3::slot`] reduces by.
+    fn magic(planes: i64) -> u64 {
+        (u64::MAX / planes as u64).wrapping_add(1)
     }
 
     /// Creates an array by evaluating `f(i, j, k)` at every point of
@@ -86,9 +177,10 @@ impl Array3 {
         self.region
     }
 
-    /// Re-targets the array at `region`, reusing the existing
-    /// allocation — the per-tile scratch shrink of the tile-fused
-    /// replay, which must not allocate on the steady-state path.
+    /// Re-targets the array at `region` as a plain (unwindowed) array,
+    /// reusing the existing allocation — the per-tile scratch shrink of
+    /// the tile-fused replay, which must not allocate on the
+    /// steady-state path.
     ///
     /// The contents are *not* cleared: cells keep whatever bytes the
     /// previous region left at the same linear offsets, so callers must
@@ -112,9 +204,12 @@ impl Array3 {
         self.region = region;
         self.nj = region.j.len() as i64;
         self.nk = region.k.len() as i64;
+        self.planes = region.i.len() as i64;
+        self.magic = 0;
     }
 
-    /// Number of elements.
+    /// Number of stored elements (for a windowed array, those of its
+    /// window, not of its region).
     #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
@@ -127,6 +222,22 @@ impl Array3 {
         self.data.is_empty()
     }
 
+    /// Storage slot of the plane `di` planes above the region's base:
+    /// `di mod planes`. Plain arrays never leave the first arm; windowed
+    /// ones reduce by multiply-shift (Lemire's fastmod, exact for
+    /// 32-bit operands — [`Array3::windowed`] bounds the depth), so the
+    /// kernels' per-row address computation never issues a hardware
+    /// division.
+    #[inline(always)]
+    fn slot(&self, di: i64) -> i64 {
+        if di < self.planes {
+            di
+        } else {
+            let low = self.magic.wrapping_mul(di as u64);
+            ((u128::from(low) * self.planes as u128) >> 64) as i64
+        }
+    }
+
     /// Linear offset of global coordinates `(i, j, k)`.
     #[inline(always)]
     fn offset(&self, i: i64, j: i64, k: i64) -> usize {
@@ -135,7 +246,7 @@ impl Array3 {
             "index ({i},{j},{k}) outside array region {:?}",
             self.region
         );
-        (((i - self.region.i.lo) * self.nj + (j - self.region.j.lo)) * self.nk
+        ((self.slot(i - self.region.i.lo) * self.nj + (j - self.region.j.lo)) * self.nk
             + (k - self.region.k.lo)) as usize
     }
 
@@ -164,7 +275,8 @@ impl Array3 {
         self.data[o] = v;
     }
 
-    /// Borrow of the raw storage in layout order.
+    /// Borrow of the raw storage in layout order (slot order for a
+    /// windowed array).
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -248,11 +360,35 @@ impl Array3 {
     /// Panics (in debug builds, via the offset check) if the row is not
     /// fully inside the array's region; `kr` must be non-empty.
     #[inline]
-    pub fn row(&self, i: i64, j: i64, kr: crate::region::Range1) -> &[f64] {
-        #[cfg(debug_assertions)]
-        crate::trace::on_read_row(self.trace_key(), i, j, kr);
-        let o = self.offset(i, j, kr.lo);
-        &self.data[o..o + kr.len()]
+    pub fn row(&self, i: i64, j: i64, kr: Range1) -> &[f64] {
+        self.plane(i).row(j, kr)
+    }
+
+    /// Borrows the i-plane `i` (global coordinate), resolving its
+    /// storage slot once for all the rows read from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is outside the array's region.
+    #[inline]
+    pub fn plane(&self, i: i64) -> Plane<'_> {
+        debug_assert!(
+            self.region.i.contains(i),
+            "plane {i} outside {:?}",
+            self.region
+        );
+        let n = (self.nj * self.nk) as usize;
+        let o = self.slot(i - self.region.i.lo) as usize * n;
+        Plane {
+            cells: &self.data[o..o + n],
+            j_lo: self.region.j.lo,
+            k_lo: self.region.k.lo,
+            nk: self.nk,
+            #[cfg(debug_assertions)]
+            key: self.trace_key(),
+            #[cfg(debug_assertions)]
+            i,
+        }
     }
 
     /// Mutably borrows the contiguous `k`-row of cells `(i, j, kr)`.
@@ -261,7 +397,7 @@ impl Array3 {
     ///
     /// Same conditions as [`Array3::row`].
     #[inline]
-    pub fn row_mut(&mut self, i: i64, j: i64, kr: crate::region::Range1) -> &mut [f64] {
+    pub fn row_mut(&mut self, i: i64, j: i64, kr: Range1) -> &mut [f64] {
         #[cfg(debug_assertions)]
         crate::trace::on_write_row(self.trace_key(), i, j, kr);
         let o = self.offset(i, j, kr.lo);
@@ -404,6 +540,107 @@ mod tests {
         // Rebasing back to a same-cell-count region also works.
         a.rebase(big);
         assert_eq!(a.region(), big);
+    }
+
+    /// A shifted-base hull of 11 planes behind a 4-plane window.
+    fn window_fixture() -> (Region3, Array3) {
+        let r = Region3::new(Range1::new(-3, 8), Range1::new(2, 5), Range1::new(1, 6));
+        (r, Array3::windowed(r, 4))
+    }
+
+    #[test]
+    fn windowed_starts_zeroed_and_stores_only_the_window() {
+        let (r, a) = window_fixture();
+        assert_eq!(a.region(), r);
+        assert_eq!(a.len(), 4 * 3 * 5);
+        assert!(r.points().all(|(i, j, k)| a.get(i, j, k) == 0.0));
+    }
+
+    #[test]
+    fn windowed_accessors_agree_across_the_wrap() {
+        let (r, mut a) = window_fixture();
+        let val = |i: i64, j: i64, k: i64| (i * 100 + j * 10 + k) as f64;
+        // Sweep upward like a wavefront: once plane i is written, it and
+        // the three planes below read back intact through every accessor
+        // (the window wraps three times on the way).
+        for i in r.i.lo..r.i.hi {
+            for j in r.j.lo..r.j.hi {
+                if (i + j) % 2 == 0 {
+                    for (n, v) in a.row_mut(i, j, r.k).iter_mut().enumerate() {
+                        *v = val(i, j, r.k.lo + n as i64);
+                    }
+                } else {
+                    for k in r.k.lo..r.k.hi {
+                        a.set(i, j, k, val(i, j, k));
+                    }
+                }
+            }
+            for p in (i - 3).max(r.i.lo)..=i {
+                for j in r.j.lo..r.j.hi {
+                    let row = a.row(p, j, Range1::new(2, 5));
+                    for k in 2..5 {
+                        assert_eq!(row[(k - 2) as usize], val(p, j, k));
+                        assert_eq!(a.get(p, j, k), val(p, j, k));
+                    }
+                }
+            }
+        }
+        // Plane i and plane i + 4 are one slot.
+        assert_eq!(a.get(0, 2, 1), val(4, 2, 1));
+    }
+
+    #[test]
+    fn windowed_copy_region_from_in_both_directions() {
+        let (r, mut w) = window_fixture();
+        let plain = Array3::from_fn(r, |i, j, k| (i * 100 + j * 10 + k) as f64);
+        // Four planes straddling the wrap (slots 2, 3, 0, 1).
+        let band = Region3::new(Range1::new(3, 7), r.j, Range1::new(2, 6));
+        w.copy_region_from(&plain, band);
+        let mut back = Array3::zeros(r);
+        back.copy_region_from(&w, band);
+        for (i, j, k) in r.points() {
+            let expect = if band.contains(i, j, k) {
+                plain.get(i, j, k)
+            } else {
+                0.0
+            };
+            assert_eq!(back.get(i, j, k), expect, "at ({i},{j},{k})");
+        }
+    }
+
+    #[test]
+    fn window_as_deep_as_the_region_is_the_plain_array() {
+        let r = Region3::new(Range1::new(5, 9), Range1::new(0, 2), Range1::new(0, 3));
+        for planes in [4, 5, usize::MAX] {
+            assert!(Array3::windowed(r, planes) == Array3::zeros(r));
+        }
+        // Zero planes clamp to one; rebasing makes any array plain again.
+        let mut a = Array3::windowed(r, 0);
+        assert_eq!(a.len(), 6);
+        a.rebase(Region3::of_extent(1, 2, 3));
+        assert!(a == Array3::zeros(Region3::of_extent(1, 2, 3)));
+    }
+
+    #[test]
+    fn slot_is_the_remainder() {
+        let r = Region3::of_extent(u32::MAX as usize, 1, 1);
+        for planes in (1..200).chain([4096, 65_537, (1 << 31) - 1, (1 << 31) + 1]) {
+            // Only the index arithmetic is under test: no storage.
+            let a = Array3 {
+                region: r,
+                nj: 1,
+                nk: 1,
+                planes,
+                magic: Array3::magic(planes),
+                data: Vec::new(),
+            };
+            let probes = (0..3 * planes.min(5000))
+                .chain([planes * 7 - 1, planes * 7, u32::MAX as i64 - 1])
+                .filter(|&di| di < u32::MAX as i64);
+            for di in probes {
+                assert_eq!(a.slot(di), di % planes, "{di} mod {planes}");
+            }
+        }
     }
 
     #[test]

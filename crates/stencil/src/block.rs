@@ -1,4 +1,4 @@
-//! (3+1)D decomposition: block planning with overlapped tiling.
+//! (3+1)D decomposition: wavefront block planning.
 //!
 //! The (3+1)D decomposition of Szustak et al. partitions the 3-D domain
 //! into sub-domains ("blocks") processed one after another — the "+1"
@@ -8,12 +8,20 @@
 //! output.
 //!
 //! Blocks are cut along [`Axis::I`] (the slowest-varying axis, so each
-//! block is a contiguous slab of memory). Because the stages read across
-//! block boundaries, each block computes its stages on enlarged regions
-//! produced by [`StageGraph::required_regions`] — overlapped tiling: a few
-//! boundary cells are recomputed by both neighbouring blocks instead of
-//! being carried between them.
+//! block is a contiguous slab of memory). The stages read across block
+//! boundaries, and every executor runs the **wavefront** schedule of
+//! [`BlockPlanner::plan_wavefront`]: block `b` computes, per stage, only
+//! the slab its output prefix newly requires, early stages running ahead
+//! of the output slab by their cumulative halo, and reaches *back* into
+//! the planes earlier blocks left behind instead of recomputing them.
+//! That reach-back is bounded ([`Blocking::window_depths`]), which is
+//! what lets a cross-block scratch buffer be a cache-sized sliding
+//! window rather than an array over the whole part.
+//! [`BlockPlanner::plan`] is the simpler overlapped tiling — every block
+//! recomputes its full halo-enlarged regions and shares nothing — which
+//! the traffic model prices as the pessimistic blocked variant.
 
+use crate::field::FieldRole;
 use crate::graph::StageGraph;
 use crate::region::{Axis, Region3};
 use std::error::Error;
@@ -321,10 +329,61 @@ impl Blocking {
     }
 
     /// The hull of every stage region of every block — the region a
-    /// persistent (cross-block) scratch buffer must cover under the
-    /// wavefront schedule.
+    /// persistent (cross-block) scratch buffer answers for under the
+    /// wavefront schedule. It need not *store* all of it: see
+    /// [`Blocking::window_depths`].
     pub fn hull(&self) -> Region3 {
         (0..self.blocks.len()).fold(Region3::empty(), |acc, b| acc.hull(self.scratch_region(b)))
+    }
+
+    /// Per field (indexed like the graph's field table), how many
+    /// planes along the blocking axis a cross-block scratch buffer of
+    /// that intermediate must keep alive: the deepest any stage reaches
+    /// below the field's write frontier — over every block and stage
+    /// touching the field, (one past the highest plane written so far)
+    /// − (the lowest plane the stage reads or writes). Planes further
+    /// back are dead, so a buffer storing plane `p` in slot
+    /// `p mod depth` ([`crate::Array3::windowed`]) never overwrites a
+    /// plane some later stage still reads; one plane fewer and it
+    /// does. Zero for fields that are not intermediates.
+    ///
+    /// Reads are the stage regions halo-expanded and clipped to
+    /// `domain`, as the open-boundary kernels perform them. A read of a
+    /// field nothing has written yet does not count — such a schedule
+    /// reads initial scratch contents and needs whole-hull buffers
+    /// anyway.
+    pub fn window_depths(&self, graph: &StageGraph, domain: Region3) -> Vec<usize> {
+        let fields = graph.fields();
+        let mut depth = vec![0usize; fields.len()];
+        let mut frontier: Vec<Option<i64>> = vec![None; fields.len()];
+        let mut touch = |f: usize, front: Option<i64>, lo: i64| {
+            if let Some(front) = front {
+                depth[f] = depth[f].max((front - lo).max(0) as usize);
+            }
+        };
+        for block in &self.blocks {
+            for st in graph.stages() {
+                let region = block.stage_regions[st.id.index()];
+                if region.is_empty() {
+                    continue;
+                }
+                for (f, pat) in &st.inputs {
+                    let read = region.expand(pat.halo()).intersect(domain);
+                    if fields.role(*f) == FieldRole::Intermediate && !read.is_empty() {
+                        touch(f.index(), frontier[f.index()], read.range(self.axis).lo);
+                    }
+                }
+                let wrote = region.range(self.axis);
+                for o in &st.outputs {
+                    if fields.role(*o) == FieldRole::Intermediate {
+                        let front = &mut frontier[o.index()];
+                        *front = Some(front.map_or(wrote.hi, |f| f.max(wrote.hi)));
+                        touch(o.index(), *front, wrote.lo);
+                    }
+                }
+            }
+        }
+        depth
     }
 }
 
@@ -351,9 +410,14 @@ pub fn fused_traffic_bytes(graph: &StageGraph, domain: Region3) -> usize {
 }
 
 /// Bytes of main-memory traffic per time step for a *per-stage sweep*
-/// replay over explicit stage regions (the untiled islands/fused plan
-/// path): every stage streams each input over its enlarged region and
-/// writes its outputs back through main memory (write-allocate 2×).
+/// replay over explicit stage regions — what a schedule costs when its
+/// intermediates do **not** stay cache-resident between stages: every
+/// stage streams each input over its enlarged region and writes its
+/// outputs back through main memory (write-allocate 2×). It is the
+/// yardstick the tiled and windowed replays are set against, not a
+/// description of either: the untiled replay keeps its intermediates in
+/// sliding windows (see [`Blocking::window_depths`]) and moves
+/// [`fused_traffic_bytes`] plus whatever the windows spill.
 /// `regions` is indexed like [`StageGraph::stages`] — pass the output
 /// of [`StageGraph::required_regions`] for one worker's part, or the
 /// union over all parts for a whole schedule.
@@ -619,6 +683,72 @@ mod tests {
         assert!(last.stage_regions[0].cells() <= last.stage_regions[2].cells());
         // Hull covers everything.
         assert!(b.hull().contains_region(domain));
+    }
+
+    #[test]
+    fn window_depths_bound_the_wavefront_reach_back() {
+        // A 4-stage chain with halo 1: f0..f2 are intermediates, each
+        // read one plane either side by the next stage.
+        let g = chain_graph(1, 4);
+        let domain = Region3::of_extent(40, 4, 4);
+        let b = BlockPlanner::new(1 << 20)
+            .max_depth(3)
+            .plan_wavefront(&g, domain, domain)
+            .unwrap();
+        assert!(b.len() > 10);
+        let depths = b.window_depths(&g, domain);
+        // x (external) and f3 (output) need no window.
+        assert_eq!((depths[0], depths[4]), (0, 0));
+        // An interior block writes 3 new planes of f_s and its consumer
+        // then reads from one plane below its own 3-plane slab, which
+        // trails the producer's by one: 3 + 1 + 1. The first block's
+        // lookahead (the whole cumulative halo at once) is deeper for
+        // the earliest stage: 3 + 3 planes written in one go.
+        assert_eq!(&depths[1..4], &[6, 5, 5]);
+        // Replaying the schedule through buffers of exactly that depth
+        // never reads a recycled plane; one plane fewer does.
+        let replay = |shrink: usize| {
+            let mut held: Vec<Vec<Option<i64>>> = depths
+                .iter()
+                .map(|&d| vec![None; d.saturating_sub(shrink).max(1)])
+                .collect();
+            for block in &b.blocks {
+                for st in g.stages() {
+                    let r = block.stage_regions[st.id.index()];
+                    if r.is_empty() {
+                        continue;
+                    }
+                    for (f, pat) in &st.inputs {
+                        if depths[f.index()] == 0 {
+                            continue;
+                        }
+                        let read = r.expand(pat.halo()).intersect(domain);
+                        for p in read.i.lo..read.i.hi {
+                            let slots = &held[f.index()];
+                            if slots[p as usize % slots.len()] != Some(p) {
+                                return false;
+                            }
+                        }
+                    }
+                    for o in st.outputs.iter().filter(|o| depths[o.index()] > 0) {
+                        for p in r.i.lo..r.i.hi {
+                            let slots = &mut held[o.index()];
+                            let n = slots.len();
+                            slots[p as usize % n] = Some(p);
+                        }
+                    }
+                }
+            }
+            true
+        };
+        assert!(replay(0), "exact windows must serve every read");
+        assert!(!replay(1), "one plane fewer must lose a live plane");
+        // One block: everything is written before anything is read, so
+        // the window is the whole region each stage computes.
+        let whole = BlockPlanner::new(1 << 30)
+            .plan_wavefront(&g, domain, domain)
+            .unwrap();
+        assert_eq!(whole.window_depths(&g, domain), [0, 40, 40, 40, 0]);
     }
 
     #[test]

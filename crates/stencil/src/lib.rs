@@ -57,7 +57,7 @@ pub mod rng;
 mod stage;
 pub mod trace;
 
-pub use array3::Array3;
+pub use array3::{Array3, Plane};
 pub use balance::{
     balanced_cuts, choose_tile, island_cost, measured_plane_scale, suggest_k, tile_grid, CostModel,
 };

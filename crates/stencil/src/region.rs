@@ -136,6 +136,21 @@ impl Range1 {
         out
     }
 
+    /// The `n`-th chunk of [`Range1::split`]`(parts)` in closed form —
+    /// no `Vec` built to take one element, which is what planners that
+    /// ask per (block, stage, rank) want.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n >= parts`.
+    pub fn split_nth(self, parts: usize, n: usize) -> Range1 {
+        assert!(n < parts, "chunk {n} of a {parts}-way split");
+        let base = self.len() / parts;
+        let rem = self.len() % parts;
+        let lo = self.lo + (n * base + n.min(rem)) as i64;
+        Range1::new(lo, lo + (base + usize::from(n < rem)) as i64)
+    }
+
     /// Splits the range into chunks of at most `chunk` indices.
     ///
     /// # Panics
@@ -386,6 +401,16 @@ impl Region3 {
             .collect()
     }
 
+    /// The `n`-th part of [`Region3::split`]`(axis, parts)`, without
+    /// building the others (see [`Range1::split_nth`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n >= parts`.
+    pub fn split_nth(self, axis: Axis, parts: usize, n: usize) -> Region3 {
+        self.with_range(axis, self.range(axis).split_nth(parts, n))
+    }
+
     /// Splits along `axis` into chunks of at most `chunk` indices.
     ///
     /// # Panics
@@ -629,6 +654,21 @@ mod tests {
         let parts = Range1::new(0, 2).split(5);
         assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), 2);
         assert_eq!(parts.len(), 5);
+    }
+
+    #[test]
+    fn split_nth_is_the_nth_of_split() {
+        for len in 0..40 {
+            for parts in 1..45 {
+                let r = Range1::new(-7, -7 + len);
+                let reg = Region3::new(Range1::new(0, 3), r, Range1::new(1, 2));
+                let (all, all3) = (r.split(parts), reg.split(Axis::J, parts));
+                for n in 0..parts {
+                    assert_eq!(r.split_nth(parts, n), all[n], "len {len} parts {parts}");
+                    assert_eq!(reg.split_nth(Axis::J, parts, n), all3[n]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,156 @@
+//! The untiled replay keeps each intermediate in a sliding window of
+//! i-planes instead of an array over the island's whole hull.
+//!
+//! For a seeded sample of domain (prime extents, shifted bases) ×
+//! partition (1-D along I or J, 2 × P/2 grids, more islands than slabs)
+//! × schedule policy × fuse depth, under the smallest cache budget every
+//! island still plans with (thin wavefront blocks, many of them): the
+//! run reproduces the serial reference bitwise *through the windows*,
+//! the schedule it replayed lints clean (rule 6 `window-alias`
+//! included), every island cut into three or more blocks stores fewer
+//! planes than its hull for every field, and the windows are exact —
+//! one plane less on any one field and the prover names it.
+
+use islands_analysis::{check_disjointness, lower, DiagnosticCode};
+use mpdata::{random_fields, IslandsExecutor, ReferenceExecutor, SchedulePolicy};
+use stencil_engine::rng::{Rng64, Xoshiro256pp};
+use stencil_engine::{Axis, PlanBlocksError, Range1, Region3};
+use work_scheduler::{TeamSpec, WorkerPool};
+
+#[test]
+fn windows_run_bitwise_lint_clean_and_are_exact() {
+    const SAMPLES: usize = 16;
+    let mut rng = Xoshiro256pp::seed_from_u64(0x5C2A_7C11);
+    let extents = [(23, 7, 5), (29, 5, 3), (31, 6, 4), (17, 11, 3)];
+    let mut windowed_cases = 0;
+    for case in 0..SAMPLES {
+        let (ni, nj, nk) = extents[rng.below(extents.len())];
+        let lo = rng.below(7) as i64 - 3;
+        let domain = Region3::new(
+            Range1::new(lo, lo + ni as i64),
+            Range1::new(-2, nj as i64 - 2),
+            Range1::new(1, 1 + nk as i64),
+        );
+        // Every partition shape comes round twice; the rest is drawn.
+        let (axis, islands, grid) = [
+            (Axis::I, 1, false),
+            (Axis::I, 2, false),
+            (Axis::J, 3, false),
+            (Axis::I, 4, true),
+            (Axis::I, ni + 2, false),
+            (Axis::J, 2, false),
+            (Axis::I, 3, false),
+            (Axis::J, nj + 2, false),
+        ][case % 8];
+        let parts: Vec<Region3> = if grid {
+            let halves = domain.split(Axis::I, 2);
+            halves.iter().flat_map(|h| h.split(Axis::J, 2)).collect()
+        } else {
+            domain.split(axis, islands)
+        };
+        let ranks = 1 + rng.below(2);
+        let fuse = 1 + rng.below(3);
+        let schedule = match rng.below(4) {
+            chunks_per_rank @ 1..=2 => SchedulePolicy::Dynamic { chunks_per_rank },
+            _ => SchedulePolicy::Static,
+        };
+        let pool = WorkerPool::new(islands * ranks);
+        let build = |cache: usize| {
+            let teams = TeamSpec::even(islands * ranks, islands);
+            let exec = IslandsExecutor::new(&pool, teams, axis)
+                .cache_bytes(cache)
+                .fuse_steps(fuse)
+                .schedule(schedule);
+            if grid {
+                exec.with_partition(parts.clone())
+            } else {
+                exec
+            }
+        };
+        // The smallest budget every island plans under: its fattest
+        // fused-step target gets depth-1 blocks, the others stay thin.
+        let mut cache = 1;
+        let exec = loop {
+            let exec = build(cache);
+            match exec.schedule_for(domain) {
+                Ok(_) => break exec,
+                Err(PlanBlocksError::CacheTooSmall { need, .. }) => cache = need,
+                Err(e) => panic!("{e}"),
+            }
+        };
+        let steps = 1 + rng.below(5);
+        let label = format!(
+            "case {case}: {domain:?}, {islands} islands × {ranks} along {axis:?} (grid: {grid}), \
+             {schedule:?}, fuse {fuse}, cache {cache}, {steps} steps"
+        );
+        eprintln!("{label}");
+
+        let mut fields = random_fields(&mut rng, domain, 0.7);
+        let mut expect = fields.clone();
+        ReferenceExecutor::new().run(&mut expect, steps);
+        exec.run(&mut fields, steps).unwrap();
+        assert_eq!(fields.x.max_abs_diff(&expect.x), 0.0, "diverged — {label}");
+
+        let ran = exec.schedule_for(domain).unwrap();
+        let mut plan = lower(&ran);
+        assert_eq!(check_disjointness(&plan), vec![], "{label}");
+
+        // Blocks per island, off the stream the prover reads: of the
+        // fused step with the fewest (each step has its own blocking,
+        // and a window must serve the deepest).
+        let mut per_step = vec![vec![0; fuse]; islands];
+        for a in ran.accesses() {
+            per_step[a.team][a.step] = per_step[a.team][a.step].max(a.block + 1);
+        }
+        let blocks: Vec<usize> = per_step
+            .iter()
+            .map(|steps| steps.iter().copied().min().unwrap_or(0))
+            .collect();
+        let windows = ran.scratch_windows();
+        for w in &windows {
+            assert!(
+                w.planes >= 1 && w.planes <= w.hull.i.len(),
+                "{w:?} — {label}"
+            );
+            if blocks[w.team] >= 3 {
+                assert!(w.planes < w.hull.i.len(), "{w:?} keeps its hull — {label}");
+            }
+        }
+        // Unfused, the budget is the fattest part's minimum, so some
+        // island is cut that thin — unless there are more islands than
+        // I-slabs (one-plane parts). Fused, the fat first-step targets
+        // set the budget and the last step may fit one block.
+        let cut = blocks.iter().any(|&b| b >= 3);
+        let one_plane_parts = axis == Axis::I && islands > ni;
+        assert!(cut || fuse > 1 || one_plane_parts, "{blocks:?} — {label}");
+        windowed_cases += usize::from(cut);
+        let stored: usize = windows
+            .iter()
+            .map(|w| w.planes * w.hull.j.len() * w.hull.k.len() * 8)
+            .sum();
+        assert_eq!(ran.scratch_bytes(), stored, "{label}");
+
+        // Exactness: any one window a plane shallower is an alias.
+        let pick = windows[rng.below(windows.len())];
+        let slot = plan.teams[pick.team]
+            .windows
+            .iter_mut()
+            .find(|(f, _)| *f == pick.field.index())
+            .expect("every scratch window is lowered");
+        assert_eq!(slot.1, pick.planes);
+        slot.1 -= 1;
+        let name = &plan.field_names[pick.field.index()];
+        let found = check_disjointness(&plan);
+        assert!(
+            !found.is_empty()
+                && found.iter().all(|d| d.code == DiagnosticCode::WindowAlias
+                    && d.field == *name
+                    && d.site.starts_with(&format!("team {} ", pick.team))),
+            "{pick:?} shrunk by a plane: {found:?} — {label}"
+        );
+    }
+    assert!(
+        windowed_cases * 2 >= SAMPLES,
+        "only {windowed_cases} of {SAMPLES} samples had an island of three or more blocks"
+    );
+}
