@@ -46,7 +46,7 @@ use islands_analysis::{
 };
 use islands_core::Partition;
 use mpdata::{Boundary, MpdataProblem, ScheduleKnobs, SchedulePolicy, StepSchedule, TileMode};
-use stencil_engine::{balanced_cuts, trace, Axis, CostModel, Offset3, Range1, Region3};
+use stencil_engine::{trace, Axis, Offset3, Range1, Region3};
 
 /// Cache budget used for all disjointness plans — small enough to force
 /// several wavefront blocks per island on the lint domains.
@@ -151,12 +151,17 @@ fn full_matrix() -> Vec<Diagnostic> {
 
     // Pass 2: disjointness over a spread of schedules.
     let problem = MpdataProblem::standard();
+    // Each domain carries the I-cut points of its uneven three-island
+    // partition (widths 8/7/9 and 4/4/5).
     let domains = [
-        Region3::of_extent(24, 12, 6),
+        (Region3::of_extent(24, 12, 6), [0, 8, 15, 24]),
         // Prime extents (13 × 7 × 5) with mixed bases.
-        Region3::new(Range1::new(-3, 10), Range1::new(2, 9), Range1::new(0, 5)),
+        (
+            Region3::new(Range1::new(-3, 10), Range1::new(2, 9), Range1::new(0, 5)),
+            [-3, 1, 5, 10],
+        ),
     ];
-    for domain in domains {
+    for (domain, uneven_cuts) in domains {
         let mut partitions: Vec<(String, Vec<Region3>)> = Vec::new();
         for islands in [1, 2, 4, 16] {
             // 16 islands exceed the slab count of both domains along I:
@@ -170,11 +175,13 @@ fn full_matrix() -> Vec<Diagnostic> {
         let grid = Partition::grid2d(domain, 2, 2).expect("non-zero");
         partitions.push((grid.description().to_string(), grid.parts().to_vec()));
 
-        // Non-uniform cuts from the cost model: slab widths differ, so
-        // any "equal shares" assumption in the planner would misalign.
-        let model = CostModel::from_graph(problem.graph());
-        let balanced = balanced_cuts(problem.graph(), domain, domain, Axis::I, 3, &model);
-        partitions.push(("balanced 1D A x 3".to_string(), balanced));
+        // Non-uniform explicit cuts: slab widths differ, so any "equal
+        // shares" assumption in the planner would misalign.
+        let uneven = uneven_cuts
+            .windows(2)
+            .map(|c| domain.with_range(Axis::I, Range1::new(c[0], c[1])))
+            .collect();
+        partitions.push(("uneven 1D A x 3".to_string(), uneven));
 
         // Degenerate extremes: a 1-cell-wide island next to the rest of
         // the domain, and more islands than there are I-slabs (the

@@ -1,49 +1,14 @@
 //! `bench-check` — validates benchmark and trace artifacts in CI.
 //!
-//! Usage: `bench-check [<bench.json>] [--phases] [--max-steady-ratio R]
-//! [--max-barrier-share S] [--min-traffic-reduction F]
-//! [--max-p99-ratio R] [--max-boundary-ratio R] [--chrome <trace.json>]
-//! [--prom <scrape.txt> [<scrape2.txt>]] [--scrape <addr>]`.
-//! Exits non-zero when
+//! Usage: `bench-check [<bench.json>] [--max-boundary-ratio R]
+//! [--chrome <trace.json>] [--prom <scrape.txt> [<scrape2.txt>]]
+//! [--scrape <addr>]`. Performance is measured by `benchmark/` (see
+//! `BENCHMARK.json`); this binary only checks artifacts nothing else
+//! reads. Exits non-zero when
 //!
 //! * the bench file is not well-formed JSON or not an array of complete
 //!   `{group, label, min_ns, median_ns, max_ns, iters}` records with
 //!   `min ≤ median ≤ max` and positive `iters`, or
-//! * any `steady_state` group pairs a `*_first/P` label with its
-//!   `*_steady/P` partner where the steady median fails to beat the
-//!   first-step median — the whole point of the persistent-plan layer
-//!   is that replaying a cached plan is cheaper than building one, or
-//! * `--phases` is given and a `*_steady/P` row lacks the phase
-//!   breakdown (worker-summed `kernel_ns` / `barrier_ns` / `swap_ns`,
-//!   the `workers` count, the per-worker `*_pw_ns` values and
-//!   `imbalance_ns`), its kernel time is not positive, or a per-worker
-//!   value disagrees with its summed value over `workers`, or
-//! * the steady/first median ratio of any pair exceeds
-//!   `--max-steady-ratio R` (`--phases` alone implies the default cap
-//!   0.95 — committed artifacts sit at ≤ 0.83, so a cap breach flags a
-//!   regression of the replay path, not noise), or
-//! * `--max-barrier-share S` is given and any multi-worker islands
-//!   steady row spends more than `S` of its compute time on
-//!   inter-island imbalance: the gated quantity is
-//!   `imbalance_ns / (kernel_ns + imbalance_ns)`, the fraction of
-//!   kernel-plus-lost worker time attributable to unequal island
-//!   finish times. Raw barrier time is deliberately *not* gated — on
-//!   an oversubscribed host (more workers than cores) summed barrier
-//!   wait is dominated by the scheduler, approaching `(P−1)/P` of the
-//!   step regardless of how well the islands are balanced, or
-//! * `--min-traffic-reduction F` is given and any `tiled_steady/P` row
-//!   fails to cut the modeled main-memory traffic (`bytes_moved`, from
-//!   the compulsory-stream models) by at least the fraction `F`
-//!   relative to its untiled `islands_steady/P` baseline — or the
-//!   tiled steady step is slower than the untiled one beyond a 5 %
-//!   noise allowance: cache-resident scratch must save traffic without
-//!   costing time. Phase rows must also carry finite, non-negative
-//!   `bytes_moved` / `mlups` members (positive on the gated rows), or
-//! * `--max-p99-ratio R` is given and any steady row's per-step
-//!   latency tail exceeds it: the gated quantity is
-//!   `p99_step_ns / p50_step_ns` from the phase breakdown's
-//!   log2-histogram quantiles, so the ratio quantizes to powers of two
-//!   and the cap bounds step-time *jitter*, not absolute speed, or
 //! * `--max-boundary-ratio R` is given and the `kernel_blocks` group of
 //!   `benches/kernels.rs` shows domain faces costing more than `R`×:
 //!   the gated quantity is Σ17 `boundary/<kind>` ÷ Σ17
@@ -81,11 +46,6 @@ fn main() {
 struct Opts {
     bench_path: Option<String>,
     chrome_path: Option<String>,
-    phases: bool,
-    max_steady_ratio: Option<f64>,
-    max_barrier_share: Option<f64>,
-    min_traffic_reduction: Option<f64>,
-    max_p99_ratio: Option<f64>,
     max_boundary_ratio: Option<f64>,
     prom_paths: Vec<String>,
     scrape_addr: Option<String>,
@@ -95,11 +55,6 @@ fn parse_opts() -> Result<Opts, String> {
     let mut o = Opts {
         bench_path: None,
         chrome_path: None,
-        phases: false,
-        max_steady_ratio: None,
-        max_barrier_share: None,
-        min_traffic_reduction: None,
-        max_p99_ratio: None,
         max_boundary_ratio: None,
         prom_paths: Vec::new(),
         scrape_addr: None,
@@ -107,49 +62,6 @@ fn parse_opts() -> Result<Opts, String> {
     let mut args = std::env::args().skip(1).peekable();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--phases" => o.phases = true,
-            "--max-steady-ratio" => {
-                let v = args.next().ok_or("--max-steady-ratio needs a value")?;
-                let r: f64 = v
-                    .parse()
-                    .map_err(|e| format!("bad --max-steady-ratio {v:?}: {e}"))?;
-                if !(r.is_finite() && r > 0.0) {
-                    return Err(format!("--max-steady-ratio must be positive, got {v}"));
-                }
-                o.max_steady_ratio = Some(r);
-            }
-            "--max-barrier-share" => {
-                let v = args.next().ok_or("--max-barrier-share needs a value")?;
-                let s: f64 = v
-                    .parse()
-                    .map_err(|e| format!("bad --max-barrier-share {v:?}: {e}"))?;
-                if !(s.is_finite() && s > 0.0 && s <= 1.0) {
-                    return Err(format!("--max-barrier-share must be in (0, 1], got {v}"));
-                }
-                o.max_barrier_share = Some(s);
-            }
-            "--min-traffic-reduction" => {
-                let v = args.next().ok_or("--min-traffic-reduction needs a value")?;
-                let f: f64 = v
-                    .parse()
-                    .map_err(|e| format!("bad --min-traffic-reduction {v:?}: {e}"))?;
-                if !(f.is_finite() && f > 0.0 && f < 1.0) {
-                    return Err(format!(
-                        "--min-traffic-reduction must be in (0, 1), got {v}"
-                    ));
-                }
-                o.min_traffic_reduction = Some(f);
-            }
-            "--max-p99-ratio" => {
-                let v = args.next().ok_or("--max-p99-ratio needs a value")?;
-                let r: f64 = v
-                    .parse()
-                    .map_err(|e| format!("bad --max-p99-ratio {v:?}: {e}"))?;
-                if !(r.is_finite() && r >= 1.0) {
-                    return Err(format!("--max-p99-ratio must be at least 1, got {v}"));
-                }
-                o.max_p99_ratio = Some(r);
-            }
             "--max-boundary-ratio" => {
                 let v = args.next().ok_or("--max-boundary-ratio needs a value")?;
                 let r: f64 = v
@@ -175,9 +87,6 @@ fn parse_opts() -> Result<Opts, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    if o.phases && o.max_steady_ratio.is_none() {
-        o.max_steady_ratio = Some(0.95);
-    }
     if o.prom_paths.len() > 2 {
         return Err("--prom takes at most two scrape files".into());
     }
@@ -186,9 +95,7 @@ fn parse_opts() -> Result<Opts, String> {
         && o.prom_paths.is_empty()
         && o.scrape_addr.is_none()
     {
-        return Err("usage: bench-check [<bench.json>] [--phases] \
-                    [--max-steady-ratio R] [--max-barrier-share S] \
-                    [--min-traffic-reduction F] [--max-p99-ratio R] \
+        return Err("usage: bench-check [<bench.json>] \
                     [--max-boundary-ratio R] [--chrome <trace.json>] \
                     [--prom <scrape.txt> [<scrape2.txt>]] \
                     [--scrape <addr>]"
@@ -220,7 +127,7 @@ fn run() -> i32 {
                 return 1;
             }
         };
-        match check(&doc, &o) {
+        match check(&doc, o.max_boundary_ratio) {
             Ok(summary) => println!("bench-check: {path}: {summary}"),
             Err(e) => {
                 eprintln!("bench-check: {path}: {e}");
@@ -401,26 +308,11 @@ fn check_exposition(docs: &[String]) -> Result<String, String> {
     }
 }
 
-/// Phase breakdown of one record, as read back from the artifact.
-struct PhaseRec {
-    kernel: f64,
-    barrier: f64,
-    swap: f64,
-    workers: f64,
-    imbalance: f64,
-    bytes_moved: f64,
-    mlups: f64,
-    p50_step: f64,
-    p99_step: f64,
-}
-
 /// One validated record (only the fields the checks need).
 struct Rec {
     group: String,
     label: String,
     min_ns: f64,
-    median_ns: f64,
-    phases: Option<PhaseRec>,
 }
 
 fn field_f64(obj: &Json, key: &str, n: usize) -> Result<f64, String> {
@@ -429,13 +321,7 @@ fn field_f64(obj: &Json, key: &str, n: usize) -> Result<f64, String> {
         .ok_or_else(|| format!("record {n}: missing numeric `{key}`"))
 }
 
-/// Checks `summed / workers == pw` up to rounding.
-fn pw_consistent(summed: f64, workers: f64, pw: f64) -> bool {
-    let expect = summed / workers.max(1.0);
-    (expect - pw).abs() <= 1e-6 * expect.abs() + 1e-3
-}
-
-fn check(doc: &Json, o: &Opts) -> Result<String, String> {
+fn check(doc: &Json, max_boundary_ratio: Option<f64>) -> Result<String, String> {
     let arr = doc
         .as_array()
         .ok_or("top-level value must be an array of records")?;
@@ -467,255 +353,17 @@ fn check(doc: &Json, o: &Opts) -> Result<String, String> {
                 "record {n} ({group}/{label}): `iters` must be a positive integer, got {iters}"
             ));
         }
-        let phases = match item.get("kernel_ns") {
-            Some(_) => {
-                let p = PhaseRec {
-                    kernel: field_f64(item, "kernel_ns", n)?,
-                    barrier: field_f64(item, "barrier_ns", n)?,
-                    swap: field_f64(item, "swap_ns", n)?,
-                    workers: field_f64(item, "workers", n)?,
-                    imbalance: field_f64(item, "imbalance_ns", n)?,
-                    bytes_moved: field_f64(item, "bytes_moved", n)?,
-                    mlups: field_f64(item, "mlups", n)?,
-                    p50_step: field_f64(item, "p50_step_ns", n)?,
-                    p99_step: field_f64(item, "p99_step_ns", n)?,
-                };
-                if !(p.p50_step >= 0.0 && p.p99_step >= p.p50_step) {
-                    return Err(format!(
-                        "record {n} ({group}/{label}): expected 0 ≤ p50_step_ns ≤ \
-                         p99_step_ns, got {}/{}",
-                        p.p50_step, p.p99_step
-                    ));
-                }
-                if !(p.bytes_moved >= 0.0 && p.mlups >= 0.0) {
-                    return Err(format!(
-                        "record {n} ({group}/{label}): `bytes_moved` ({}) and `mlups` \
-                         ({}) must be non-negative",
-                        p.bytes_moved, p.mlups
-                    ));
-                }
-                // The per-worker values must be the summed values over
-                // `workers` — they are derived at render time, so a
-                // mismatch means a corrupted or hand-edited artifact.
-                for (key, summed) in [
-                    ("kernel_pw_ns", p.kernel),
-                    ("barrier_pw_ns", p.barrier),
-                    ("swap_pw_ns", p.swap),
-                ] {
-                    let pw = field_f64(item, key, n)?;
-                    if !pw_consistent(summed, p.workers, pw) {
-                        return Err(format!(
-                            "record {n} ({group}/{label}): `{key}` = {pw} disagrees with \
-                             its summed value {summed} over {} worker(s)",
-                            p.workers
-                        ));
-                    }
-                }
-                Some(p)
-            }
-            None => None,
-        };
         recs.push(Rec {
             group: group.to_string(),
             label: label.to_string(),
             min_ns: min,
-            median_ns: median,
-            phases,
         });
-    }
-
-    // Steady-state pairing: every `X_first/P` must have an `X_steady/P`
-    // partner that is strictly faster (and under the ratio cap, when
-    // one is set).
-    let mut pairs = 0;
-    for first in recs.iter().filter(|r| r.group == "steady_state") {
-        let Some(pos) = first.label.find("_first/") else {
-            continue;
-        };
-        let steady_label = format!(
-            "{}_steady/{}",
-            &first.label[..pos],
-            &first.label[pos + "_first/".len()..]
-        );
-        pairs += check_pair(&recs, first, &steady_label, o)?;
-    }
-    if recs.iter().any(|r| r.group == "steady_state") && pairs == 0 {
-        return Err("steady_state group present but no first/steady pairs found".into());
-    }
-
-    // Phase coverage: with --phases, every steady row must carry the
-    // breakdown and must have spent time in kernels.
-    let mut with_phases = 0;
-    if o.phases {
-        for r in recs
-            .iter()
-            .filter(|r| r.group == "steady_state" && r.label.contains("_steady/"))
-        {
-            let Some(p) = &r.phases else {
-                return Err(format!(
-                    "`{}`: --phases requires the phase breakdown on steady rows",
-                    r.label
-                ));
-            };
-            if !(p.kernel > 0.0
-                && p.barrier >= 0.0
-                && p.swap >= 0.0
-                && p.workers >= 1.0
-                && p.imbalance >= 0.0)
-            {
-                return Err(format!(
-                    "`{}`: implausible phase breakdown kernel {} / barrier {} / \
-                     swap {} / workers {} / imbalance {}",
-                    r.label, p.kernel, p.barrier, p.swap, p.workers, p.imbalance
-                ));
-            }
-            with_phases += 1;
-        }
-        if with_phases == 0 {
-            return Err("--phases: no steady rows with a phase breakdown".into());
-        }
-    }
-
-    // Imbalance gate: multi-worker islands steady rows must keep the
-    // imbalance-attributable share of compute time under the cap.
-    let mut gated = 0;
-    if let Some(cap) = o.max_barrier_share {
-        for r in recs.iter().filter(|r| {
-            r.group == "steady_state"
-                && r.label.starts_with("islands")
-                && r.label.contains("_steady/")
-        }) {
-            let Some(p) = &r.phases else {
-                return Err(format!(
-                    "`{}`: --max-barrier-share requires the phase breakdown",
-                    r.label
-                ));
-            };
-            if p.workers < 2.0 {
-                continue; // a single worker cannot be imbalanced
-            }
-            let share = p.imbalance / (p.kernel + p.imbalance).max(1.0);
-            if share > cap {
-                return Err(format!(
-                    "imbalance share too high: `{}` loses {share:.3} of its compute \
-                     time to unequal island finish times (cap {cap}) — the cost-model \
-                     cuts are no longer balancing the islands",
-                    r.label
-                ));
-            }
-            gated += 1;
-        }
-        if gated == 0 {
-            return Err("--max-barrier-share: no multi-worker islands steady rows to gate".into());
-        }
-    }
-
-    // Latency-tail gate: every steady row with a per-step histogram
-    // must keep its p99/p50 jitter under the cap. The quantiles are
-    // log2 bucket ceilings, so the ratio quantizes to powers of two —
-    // a cap of 4 tolerates one-bucket spread, 8 tolerates two.
-    let mut tails = 0;
-    if let Some(cap) = o.max_p99_ratio {
-        for r in recs
-            .iter()
-            .filter(|r| r.group == "steady_state" && r.label.contains("_steady/"))
-        {
-            let Some(p) = &r.phases else {
-                return Err(format!(
-                    "`{}`: --max-p99-ratio requires the phase breakdown",
-                    r.label
-                ));
-            };
-            if p.p50_step <= 0.0 {
-                return Err(format!(
-                    "`{}`: --max-p99-ratio requires a per-step histogram \
-                     (p50_step_ns is zero — the traced replay tracked no steps)",
-                    r.label
-                ));
-            }
-            let ratio = p.p99_step / p.p50_step;
-            if ratio > cap {
-                return Err(format!(
-                    "per-step latency tail too heavy: `{}` p99 {} ns / p50 {} ns \
-                     = {ratio:.1}, over the cap {cap} — steady-state step times \
-                     are no longer tight",
-                    r.label, p.p99_step, p.p50_step
-                ));
-            }
-            tails += 1;
-        }
-        if tails == 0 {
-            return Err("--max-p99-ratio: no steady rows to gate".into());
-        }
-    }
-
-    // Traffic gate: every tiled steady row must cut the modeled
-    // main-memory traffic against its untiled islands baseline by at
-    // least the requested fraction, without giving the time back.
-    let mut traffic_pairs = 0;
-    if let Some(min_red) = o.min_traffic_reduction {
-        for tiled in recs
-            .iter()
-            .filter(|r| r.group == "steady_state" && r.label.starts_with("tiled_steady/"))
-        {
-            let p = &tiled.label["tiled_steady/".len()..];
-            let base_label = format!("islands_steady/{p}");
-            let base = recs
-                .iter()
-                .find(|r| r.group == "steady_state" && r.label == base_label)
-                .ok_or_else(|| {
-                    format!(
-                        "`{}` has no `{base_label}` baseline to gate against",
-                        tiled.label
-                    )
-                })?;
-            let (tp, bp) = match (&tiled.phases, &base.phases) {
-                (Some(tp), Some(bp)) if tp.bytes_moved > 0.0 && bp.bytes_moved > 0.0 => (tp, bp),
-                _ => {
-                    return Err(format!(
-                        "--min-traffic-reduction: `{}` and `{base_label}` must both \
-                         carry positive `bytes_moved` traffic models",
-                        tiled.label
-                    ))
-                }
-            };
-            if !(tp.mlups > 0.0 && bp.mlups > 0.0) {
-                return Err(format!(
-                    "--min-traffic-reduction: `{}` and `{base_label}` must both \
-                     carry positive `mlups` throughput figures",
-                    tiled.label
-                ));
-            }
-            let reduction = 1.0 - tp.bytes_moved / bp.bytes_moved;
-            if reduction < min_red {
-                return Err(format!(
-                    "modeled traffic reduction too small: `{}` moves {} bytes/step vs \
-                     `{base_label}`'s {} — a {reduction:.3} cut, below the required \
-                     {min_red} — tile fusion is no longer keeping intermediates \
-                     cache-resident",
-                    tiled.label, tp.bytes_moved, bp.bytes_moved
-                ));
-            }
-            // "No worse" with a small allowance for timer noise between
-            // the two rows of one artifact.
-            if tiled.median_ns > base.median_ns * 1.05 {
-                return Err(format!(
-                    "tiled steady step is slower than untiled: `{}` median {} ns vs \
-                     `{base_label}` median {} ns — the traffic cut is costing time",
-                    tiled.label, tiled.median_ns, base.median_ns
-                ));
-            }
-            traffic_pairs += 1;
-        }
-        if traffic_pairs == 0 {
-            return Err("--min-traffic-reduction: no tiled_steady rows to gate".into());
-        }
     }
 
     // Boundary gate: the 17-stage step over a whole-domain block must
     // cost at most `cap` times the same block inside a larger domain.
     let mut boundary_note = String::new();
-    if let Some(cap) = o.max_boundary_ratio {
+    if let Some(cap) = max_boundary_ratio {
         let sum17 = |side: &str| -> Result<f64, String> {
             let mut sum = 0.0;
             for kind in mpdata::STANDARD_KINDS {
@@ -739,54 +387,8 @@ fn check(doc: &Json, o: &Opts) -> Result<String, String> {
         boundary_note = format!(", boundary/interior Σ17 = {ratio:.3} under the cap");
     }
 
-    let phase_note = if o.phases {
-        format!(", {with_phases} phase breakdown(s) present")
-    } else {
-        String::new()
-    };
-    let gate_note = if o.max_barrier_share.is_some() {
-        format!(", {gated} imbalance share(s) under the cap")
-    } else {
-        String::new()
-    };
-    let traffic_note = if o.min_traffic_reduction.is_some() {
-        format!(", {traffic_pairs} tiled traffic cut(s) over the floor")
-    } else {
-        String::new()
-    };
-    let tail_note = if o.max_p99_ratio.is_some() {
-        format!(", {tails} latency tail(s) under the cap")
-    } else {
-        String::new()
-    };
     Ok(format!(
-        "{} record(s) well-formed, {pairs} steady/first pair(s) \
-         ordered{phase_note}{gate_note}{traffic_note}{tail_note}{boundary_note}",
+        "{} record(s) well-formed{boundary_note}",
         recs.len()
     ))
-}
-
-fn check_pair(recs: &[Rec], first: &Rec, steady_label: &str, o: &Opts) -> Result<usize, String> {
-    let steady = recs
-        .iter()
-        .find(|r| r.group == "steady_state" && r.label == steady_label)
-        .ok_or_else(|| format!("`{}` has no `{steady_label}` partner", first.label))?;
-    if steady.median_ns >= first.median_ns {
-        return Err(format!(
-            "steady step is not faster than the first step: `{}` median {} ns \
-             vs `{}` median {} ns",
-            steady_label, steady.median_ns, first.label, first.median_ns
-        ));
-    }
-    if let Some(cap) = o.max_steady_ratio {
-        let ratio = steady.median_ns / first.median_ns;
-        if ratio > cap {
-            return Err(format!(
-                "steady/first ratio regressed: `{steady_label}` / `{}` = {ratio:.3} \
-                 exceeds the cap {cap} — plan replay is no longer pulling its weight",
-                first.label
-            ));
-        }
-    }
-    Ok(1)
 }

@@ -16,83 +16,13 @@
 //!
 //! A single positional command-line argument (as in
 //! `cargo bench --bench kernels -- fused`) filters benchmarks by
-//! substring of `group/label`. Two flags extend that:
-//!
-//! * `--json <path>` — besides the human-readable report, write every
-//!   result as a JSON array of `{group, label, min_ns, median_ns,
-//!   max_ns, iters}` objects to `path` (the `bench-check` binary
-//!   validates such artifacts in CI). Rows with a phase breakdown
-//!   attached via [`Group::attach_phases`] additionally carry the
-//!   worker-summed `kernel_ns` / `barrier_ns` / `swap_ns`, the worker
-//!   count, comparable-across-P `*_pw_ns` per-worker values, the
-//!   imbalance-attributable `imbalance_ns` and the per-step latency
-//!   quantiles `p50_step_ns` / `p99_step_ns` (see [`Phases`]);
-//! * `--quick` — benches that call [`Harness::quick`] shrink their
-//!   configurations for smoke runs.
+//! substring of `group/label`. `--json <path>` writes, besides the
+//! human-readable report, every result as a JSON array of `{group,
+//! label, min_ns, median_ns, max_ns, iters}` objects to `path` (the
+//! `bench-check` binary validates such artifacts in CI).
 
 use crate::json::Json;
 use std::time::{Duration, Instant};
-
-/// Phase breakdown of one benchmark iteration, measured by an untimed
-/// traced replay of the benched operation (see
-/// [`Group::attach_phases`]). The `*_ns` phase fields are
-/// *worker-summed* nanoseconds per iteration — on a P-worker run an
-/// iteration can account up to P × its wall time — so raw phase values
-/// are not comparable across different worker counts. The JSON artifact
-/// therefore also carries per-worker (`*_pw_ns = *_ns / workers`)
-/// values, which are on the wall-clock scale of `median_ns` and compare
-/// across P.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Phases {
-    /// Workers that contributed to the summed phase times.
-    pub workers: f64,
-    /// Kernel (stencil sweep) time.
-    pub kernel_ns: f64,
-    /// Barrier wait (team + global, all of spin/yield/park).
-    pub barrier_ns: f64,
-    /// Serial buffer-swap and gap re-zero time.
-    pub swap_ns: f64,
-    /// Worker time lost to inter-island imbalance per iteration:
-    /// `Σ_i workers_i × (max_pw − pw_i)` over islands, where `pw_i` is
-    /// island i's per-worker share of the step (kernel time on
-    /// dedicated cores; the steady-state bench derives it from the
-    /// deterministic per-island cell counts at the measured kernel
-    /// rate, so the value is preemption-noise-free on oversubscribed
-    /// hosts). Worker-summed, like the phase fields. On dedicated
-    /// cores this is the barrier wait attributable to imbalance rather
-    /// than oversubscription.
-    pub imbalance_ns: f64,
-    /// Global barrier crossings per iteration (a count, not a time) —
-    /// per logical step when the bench uses `bench_per_unit`. Temporal
-    /// blocking (`--fuse-steps=k`) amortizes the global pair over k
-    /// steps, so this falls from 2 toward 2/k as k grows.
-    pub global_barriers: f64,
-    /// Modeled main-memory bytes moved per iteration (logical step) by
-    /// the benched schedule, from the compulsory-stream traffic models
-    /// (`staged_traffic_bytes` for per-stage sweeps,
-    /// `tiled_traffic_bytes` for tile-fused chains). Zero when the
-    /// bench attaches no traffic model to the row.
-    pub bytes_moved: f64,
-    /// Measured throughput in millions of lattice updates per second,
-    /// derived from the row's median time and the domain cell count
-    /// (`cells × 1000 / median_ns`). Zero when not attached.
-    pub mlups: f64,
-    /// Median per-step wall time of the traced replay, from the
-    /// `islands-trace` log2-bucketed latency histogram — the value is
-    /// the histogram's bucket ceiling, so it quantizes to powers of
-    /// two. Zero when the replay tracked no steps.
-    pub p50_step_ns: f64,
-    /// 99th-percentile per-step wall time, same histogram and same
-    /// quantization. The p99/p50 ratio is the per-step jitter figure
-    /// `bench-check --max-p99-ratio` gates.
-    pub p99_step_ns: f64,
-}
-
-impl Phases {
-    fn per_worker(&self, summed: f64) -> f64 {
-        summed / self.workers.max(1.0)
-    }
-}
 
 /// One finished measurement, as serialized by `--json`.
 #[derive(Clone, Debug, PartialEq)]
@@ -109,9 +39,6 @@ pub struct Record {
     pub max_ns: f64,
     /// Total timed iterations (samples × calibrated batch).
     pub iters: u64,
-    /// Optional phase breakdown (kernel / barrier / swap), attached
-    /// after the timed samples by [`Group::attach_phases`].
-    pub phases: Option<Phases>,
 }
 
 /// Minimum duration of one timed sample, before the `criterion`
@@ -149,21 +76,18 @@ fn effort_multiplier() -> u64 {
 pub struct Harness {
     filter: Option<String>,
     json_path: Option<String>,
-    quick: bool,
     records: Vec<Record>,
     ran: usize,
     skipped: usize,
 }
 
 impl Harness {
-    /// Builds a harness from `std::env::args`: `--json <path>` and
-    /// `--quick` are consumed, the first remaining non-flag argument
-    /// becomes the substring filter, and other flags cargo may pass are
-    /// ignored.
+    /// Builds a harness from `std::env::args`: `--json <path>` is
+    /// consumed, the first remaining non-flag argument becomes the
+    /// substring filter, and other flags cargo may pass are ignored.
     pub fn from_env() -> Self {
         let mut filter = None;
         let mut json_path = None;
-        let mut quick = false;
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             if a == "--json" {
@@ -171,8 +95,6 @@ impl Harness {
                     eprintln!("--json requires a path argument");
                     std::process::exit(2);
                 }));
-            } else if a == "--quick" {
-                quick = true;
             } else if !a.starts_with('-') && filter.is_none() {
                 filter = Some(a);
             }
@@ -180,17 +102,10 @@ impl Harness {
         Harness {
             filter,
             json_path,
-            quick,
             records: Vec::new(),
             ran: 0,
             skipped: 0,
         }
-    }
-
-    /// True when `--quick` was passed: benches should shrink their
-    /// configurations to smoke-test size.
-    pub fn quick(&self) -> bool {
-        self.quick
     }
 
     /// Starts a named group of benchmarks.
@@ -222,12 +137,9 @@ impl Harness {
 }
 
 /// Renders records as a JSON array (stable key order) — the exact
-/// format `bench-check` parses back. Rows with an attached phase
-/// breakdown carry the extra members described in [`Phases`]
-/// (worker-summed phases, `workers`, per-worker `*_pw_ns` values and
-/// `imbalance_ns`). Goes through [`crate::json`]'s emitter, so a NaN or
-/// infinity in a record is an error here rather than an invalid
-/// artifact downstream.
+/// format `bench-check` parses back. Goes through [`crate::json`]'s
+/// emitter, so a NaN or infinity in a record is an error here rather
+/// than an invalid artifact downstream.
 ///
 /// # Panics
 ///
@@ -236,36 +148,14 @@ pub fn render_json(records: &[Record]) -> String {
     let items: Vec<Json> = records
         .iter()
         .map(|r| {
-            let mut m = vec![
+            Json::Object(vec![
                 ("group".to_string(), Json::Str(r.group.clone())),
                 ("label".to_string(), Json::Str(r.label.clone())),
                 ("min_ns".to_string(), Json::Num(r.min_ns)),
                 ("median_ns".to_string(), Json::Num(r.median_ns)),
                 ("max_ns".to_string(), Json::Num(r.max_ns)),
                 ("iters".to_string(), Json::Num(r.iters as f64)),
-            ];
-            if let Some(p) = r.phases {
-                m.push(("kernel_ns".to_string(), Json::Num(p.kernel_ns)));
-                m.push(("barrier_ns".to_string(), Json::Num(p.barrier_ns)));
-                m.push(("swap_ns".to_string(), Json::Num(p.swap_ns)));
-                m.push(("workers".to_string(), Json::Num(p.workers)));
-                m.push((
-                    "kernel_pw_ns".to_string(),
-                    Json::Num(p.per_worker(p.kernel_ns)),
-                ));
-                m.push((
-                    "barrier_pw_ns".to_string(),
-                    Json::Num(p.per_worker(p.barrier_ns)),
-                ));
-                m.push(("swap_pw_ns".to_string(), Json::Num(p.per_worker(p.swap_ns))));
-                m.push(("imbalance_ns".to_string(), Json::Num(p.imbalance_ns)));
-                m.push(("global_barriers".to_string(), Json::Num(p.global_barriers)));
-                m.push(("bytes_moved".to_string(), Json::Num(p.bytes_moved)));
-                m.push(("mlups".to_string(), Json::Num(p.mlups)));
-                m.push(("p50_step_ns".to_string(), Json::Num(p.p50_step_ns)));
-                m.push(("p99_step_ns".to_string(), Json::Num(p.p99_step_ns)));
-            }
-            Json::Object(m)
+            ])
         })
         .collect();
     let mut s = Json::Array(items)
@@ -292,20 +182,7 @@ impl Group<'_> {
 
     /// Times `f`, reporting per-iteration statistics under
     /// `group/label`.
-    pub fn bench<F: FnMut()>(&mut self, label: &str, f: F) {
-        self.bench_per_unit(label, 1, f);
-    }
-
-    /// Like [`Group::bench`], but one call of `f` performs `units`
-    /// logical iterations (e.g. a multi-step `run`), so measured times
-    /// are divided by `units` before reporting — the honest per-step
-    /// cost of a batched operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `units` is zero.
-    pub fn bench_per_unit<F: FnMut()>(&mut self, label: &str, units: u64, mut f: F) {
-        assert!(units > 0, "a call must cover at least one unit");
+    pub fn bench<F: FnMut()>(&mut self, label: &str, mut f: F) {
         let full = format!("{}/{}", self.name, label);
         if let Some(flt) = &self.harness.filter {
             if !full.contains(flt.as_str()) {
@@ -351,7 +228,7 @@ impl Group<'_> {
             for _ in 0..batch {
                 f();
             }
-            per_iter.push(t.elapsed().as_nanos() as f64 / (batch * units) as f64);
+            per_iter.push(t.elapsed().as_nanos() as f64 / batch as f64);
         }
         per_iter.sort_by(|a, b| a.total_cmp(b));
         let min = per_iter[0];
@@ -369,49 +246,9 @@ impl Group<'_> {
             min_ns: min,
             median_ns: median,
             max_ns: max,
-            iters: samples as u64 * batch * units,
-            phases: None,
+            iters: samples as u64 * batch,
         });
         self.harness.ran += 1;
-    }
-
-    /// The median per-iteration time of the already-benched `label` of
-    /// this group, or `None` when it was filtered out — lets a bench
-    /// derive throughput figures (MLUPS) from its own timed result.
-    pub fn median_ns(&self, label: &str) -> Option<f64> {
-        let name = self.name.as_str();
-        self.harness
-            .records
-            .iter()
-            .find(|r| r.group == name && r.label == label)
-            .map(|r| r.median_ns)
-    }
-
-    /// True when `label` in this group survived the filter and was
-    /// benched — callers can skip the extra traced replay otherwise.
-    pub fn benched(&self, label: &str) -> bool {
-        let name = self.name.as_str();
-        self.harness
-            .records
-            .iter()
-            .any(|r| r.group == name && r.label == label)
-    }
-
-    /// Attaches a phase breakdown to the already-benched `label` of
-    /// this group (measured separately, e.g. by replaying the benched
-    /// operation once under the `islands-trace` recorder — tracing
-    /// never runs during the timed samples). A no-op when the label
-    /// was filtered out or never benched.
-    pub fn attach_phases(&mut self, label: &str, phases: Phases) {
-        let name = self.name.as_str();
-        if let Some(r) = self
-            .harness
-            .records
-            .iter_mut()
-            .find(|r| r.group == name && r.label == label)
-        {
-            r.phases = Some(phases);
-        }
     }
 
     /// Criterion-style alias: benchmark `f` with a parameter shown in
@@ -453,7 +290,6 @@ mod tests {
         Harness {
             filter,
             json_path: None,
-            quick: false,
             records: Vec::new(),
             ran: 0,
             skipped: 0,
@@ -489,26 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn per_unit_divides_reported_times() {
-        let mut h = test_harness(None);
-        let mut g = h.group("t");
-        g.sample_size(3);
-        // One call covers 4 units of ~400 µs total: the per-unit median
-        // must come out near a quarter of the call, far below the whole.
-        g.bench_per_unit("batched", 4, || {
-            std::thread::sleep(Duration::from_micros(400));
-        });
-        g.finish();
-        let r = &h.records[0];
-        assert!(
-            r.median_ns < 400_000.0,
-            "per-unit time {} ns should be well below the whole call",
-            r.median_ns
-        );
-        assert_eq!(r.iters % 4, 0);
-    }
-
-    #[test]
     fn json_rendering_is_parseable_and_escaped() {
         let records = vec![
             Record {
@@ -518,7 +334,6 @@ mod tests {
                 median_ns: 2.5,
                 max_ns: 3.5,
                 iters: 60,
-                phases: None,
             },
             Record {
                 group: "g".into(),
@@ -527,18 +342,6 @@ mod tests {
                 median_ns: 20.0,
                 max_ns: 30.0,
                 iters: 3,
-                phases: Some(Phases {
-                    workers: 2.0,
-                    kernel_ns: 15.5,
-                    barrier_ns: 3.0,
-                    swap_ns: 0.5,
-                    imbalance_ns: 1.25,
-                    global_barriers: 0.75,
-                    bytes_moved: 4096.0,
-                    mlups: 12.5,
-                    p50_step_ns: 8192.0,
-                    p99_step_ns: 16384.0,
-                }),
             },
         ];
         let s = render_json(&records);
@@ -551,51 +354,10 @@ mod tests {
         );
         assert_eq!(arr[0].get("median_ns").and_then(|v| v.as_f64()), Some(2.5));
         assert_eq!(arr[0].get("iters").and_then(|v| v.as_f64()), Some(60.0));
-        assert!(arr[0].get("kernel_ns").is_none());
         assert_eq!(
             arr[1].get("label").and_then(|v| v.as_str()),
             Some("quo\"te\\back")
         );
-        assert_eq!(arr[1].get("kernel_ns").and_then(|v| v.as_f64()), Some(15.5));
-        assert_eq!(arr[1].get("barrier_ns").and_then(|v| v.as_f64()), Some(3.0));
-        assert_eq!(arr[1].get("swap_ns").and_then(|v| v.as_f64()), Some(0.5));
-        // Per-worker values are the summed phases over `workers`, on the
-        // same wall-clock scale as median_ns.
-        assert_eq!(arr[1].get("workers").and_then(|v| v.as_f64()), Some(2.0));
-        assert_eq!(
-            arr[1].get("kernel_pw_ns").and_then(|v| v.as_f64()),
-            Some(7.75)
-        );
-        assert_eq!(
-            arr[1].get("barrier_pw_ns").and_then(|v| v.as_f64()),
-            Some(1.5)
-        );
-        assert_eq!(
-            arr[1].get("swap_pw_ns").and_then(|v| v.as_f64()),
-            Some(0.25)
-        );
-        assert_eq!(
-            arr[1].get("imbalance_ns").and_then(|v| v.as_f64()),
-            Some(1.25)
-        );
-        assert_eq!(
-            arr[1].get("global_barriers").and_then(|v| v.as_f64()),
-            Some(0.75)
-        );
-        assert_eq!(
-            arr[1].get("bytes_moved").and_then(|v| v.as_f64()),
-            Some(4096.0)
-        );
-        assert_eq!(arr[1].get("mlups").and_then(|v| v.as_f64()), Some(12.5));
-        assert_eq!(
-            arr[1].get("p50_step_ns").and_then(|v| v.as_f64()),
-            Some(8192.0)
-        );
-        assert_eq!(
-            arr[1].get("p99_step_ns").and_then(|v| v.as_f64()),
-            Some(16384.0)
-        );
-        assert!(arr[0].get("p50_step_ns").is_none());
     }
 
     #[test]
@@ -624,46 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn attach_phases_marks_only_the_named_record() {
-        let mut h = test_harness(None);
-        let mut g = h.group("t");
-        g.sample_size(3);
-        g.bench("a", || {});
-        g.bench("b", || {});
-        let attached = Phases {
-            workers: 4.0,
-            kernel_ns: 1.0,
-            barrier_ns: 2.0,
-            swap_ns: 3.0,
-            imbalance_ns: 0.5,
-            global_barriers: 2.0,
-            bytes_moved: 0.0,
-            mlups: 0.0,
-            p50_step_ns: 0.0,
-            p99_step_ns: 0.0,
-        };
-        g.attach_phases("b", attached);
-        g.attach_phases(
-            "absent",
-            Phases {
-                workers: 1.0,
-                kernel_ns: 9.0,
-                barrier_ns: 9.0,
-                swap_ns: 9.0,
-                imbalance_ns: 9.0,
-                global_barriers: 9.0,
-                bytes_moved: 9.0,
-                mlups: 9.0,
-                p50_step_ns: 9.0,
-                p99_step_ns: 9.0,
-            },
-        );
-        g.finish();
-        assert_eq!(h.records[0].phases, None);
-        assert_eq!(h.records[1].phases, Some(attached));
-    }
-
-    #[test]
     #[should_panic(expected = "non-finite")]
     fn render_rejects_non_finite_medians() {
         let records = vec![Record {
@@ -673,7 +395,6 @@ mod tests {
             median_ns: f64::NAN,
             max_ns: 3.0,
             iters: 1,
-            phases: None,
         }];
         render_json(&records);
     }

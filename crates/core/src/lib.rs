@@ -44,13 +44,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod balance;
 mod mapping;
 mod overlap;
 mod partition;
 mod planner;
 
-pub use balance::{modeled_imbalance, plan_islands_balanced};
 pub use mapping::{IslandLayout, IslandSpec};
 pub use overlap::{extra_elements, per_island_extra, ExtraElements};
 pub use partition::{BuildPartitionError, Partition, Variant};

@@ -112,16 +112,6 @@ impl Partition {
         })
     }
 
-    /// Internal constructor for partitions whose parts were computed
-    /// elsewhere (the balanced constructors in `balance.rs`).
-    pub(crate) fn from_parts(domain: Region3, parts: Vec<Region3>, description: String) -> Self {
-        Partition {
-            domain,
-            parts,
-            description,
-        }
-    }
-
     /// The partitioned domain.
     pub fn domain(&self) -> Region3 {
         self.domain

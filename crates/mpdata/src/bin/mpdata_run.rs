@@ -4,9 +4,9 @@
 //! mpdata-run [--domain NI,NJ,NK] [--steps N] [--strategy reference|original|fused|islands|exchange]
 //!            [--workers W] [--islands P] [--iord N] [--boundary open|periodic]
 //!            [--problem gaussian|cone|random] [--cache BYTES] [--verify]
-//!            [--balance uniform|model|measured] [--self-schedule N]
-//!            [--fuse-steps K] [--tile auto|TIxTJ] [--trace OUT.json] [--metrics]
-//!            [--metrics-json OUT.json] [--serve-metrics ADDR] [--metrics-interval SECS]
+//!            [--self-schedule N] [--fuse-steps K] [--tile auto|TIxTJ]
+//!            [--trace OUT.json] [--metrics] [--metrics-json OUT.json]
+//!            [--serve-metrics ADDR] [--metrics-interval SECS]
 //! ```
 //!
 //! Example: advect a rotating cone for 50 steps on 2 islands × 2 cores
@@ -37,19 +37,15 @@
 //! perturbs the workers beyond the wait-free ring writes they already
 //! do.
 //!
-//! `--balance` (islands strategy only) picks the island cut positions:
-//! `uniform` splits the axis evenly, `model` solves non-uniform cuts
-//! that equalize the static cost model's per-island cost (interior plus
-//! redundant halo cells, stage-weighted), and `measured` first runs a
-//! few *untraced-output* probe steps on cloned fields under the uniform
-//! cuts, feeds the observed per-island kernel rates back into the
-//! model, and re-cuts. `--self-schedule N` splits each barrier-fenced
-//! epoch into N chunks per rank that the island's workers claim
-//! dynamically (islands and fused strategies). `--fuse-steps K` fuses
-//! K whole time steps into one replay epoch (temporal blocking):
-//! islands widen their halos by K cumulative stencil radii and pay the
-//! global-barrier pair once per K steps — still bit-identical under
-//! `--verify` (islands and fused strategies). `--tile auto|TIxTJ`
+//! Islands are cut uniformly along `i` (`Region3::split`).
+//! `--self-schedule N` splits each barrier-fenced epoch into N chunks
+//! per rank that the island's workers claim dynamically (islands and
+//! fused strategies) — the remedy for whatever imbalance `--metrics`
+//! reports. `--fuse-steps K` fuses K whole time steps into one replay
+//! epoch (temporal blocking): islands widen their halos by K
+//! cumulative stencil radii and pay the global-barrier pair once per K
+//! steps — still bit-identical under `--verify` (islands and fused
+//! strategies). `--tile auto|TIxTJ`
 //! switches those strategies to tile-fused execution: each island's
 //! part is cut into (i, j) column tiles and every tile's whole stage
 //! chain replays back to back against rank-private scratch shrunk to
@@ -71,24 +67,80 @@ use mpdata::{
 use std::process::ExitCode;
 use std::time::Instant;
 use stencil_engine::rng::Xoshiro256pp;
-use stencil_engine::{
-    balanced_cuts, measured_plane_scale, Axis, CostModel, PlanBlocksError, Region3,
-};
+use stencil_engine::{Axis, PlanBlocksError, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Strategy {
+    Reference,
+    Original,
+    Fused,
+    Islands,
+    Exchange,
+}
+
+const STRATEGIES: [(&str, Strategy); 5] = [
+    ("reference", Strategy::Reference),
+    ("original", Strategy::Original),
+    ("fused", Strategy::Fused),
+    ("islands", Strategy::Islands),
+    ("exchange", Strategy::Exchange),
+];
+
+impl Strategy {
+    /// Whether the strategy replays an `IslandsExecutor` schedule, i.e.
+    /// takes `--self-schedule`, `--fuse-steps` and `--tile`.
+    fn plans_islands(self) -> bool {
+        matches!(self, Strategy::Islands | Strategy::Fused)
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Problem {
+    Gaussian,
+    Cone,
+    Random,
+}
+
+const PROBLEMS: [(&str, Problem); 3] = [
+    ("gaussian", Problem::Gaussian),
+    ("cone", Problem::Cone),
+    ("random", Problem::Random),
+];
+
+/// Parses the value of an enumerated `flag` against its `accepted`
+/// names; the error lists them.
+fn parse_choice<T: Copy>(flag: &str, value: &str, accepted: &[(&str, T)]) -> Result<T, String> {
+    match accepted.iter().find(|(name, _)| *name == value) {
+        Some(&(_, choice)) => Ok(choice),
+        None => {
+            let names: Vec<&str> = accepted.iter().map(|&(name, _)| name).collect();
+            Err(format!("unknown {flag} {value:?}; use {}", names.join("|")))
+        }
+    }
+}
+
+/// The command-line spelling of `choice`.
+fn choice_name<T: Copy + PartialEq>(choice: T, accepted: &[(&'static str, T)]) -> &'static str {
+    let (name, _) = accepted
+        .iter()
+        .find(|&&(_, c)| c == choice)
+        .expect("every variant is listed in its table");
+    name
+}
 
 #[derive(Debug)]
 struct Args {
     domain: (usize, usize, usize),
     steps: usize,
-    strategy: String,
+    strategy: Strategy,
     workers: usize,
     islands: usize,
     iord: usize,
     boundary: Boundary,
-    problem: String,
+    problem: Problem,
     cache: usize,
     verify: bool,
-    balance: String,
     self_schedule: usize,
     fuse_steps: usize,
     tile: TileMode,
@@ -104,15 +156,14 @@ impl Default for Args {
         Args {
             domain: (64, 32, 16),
             steps: 20,
-            strategy: "islands".into(),
+            strategy: Strategy::Islands,
             workers: 4,
             islands: 2,
             iord: 2,
             boundary: Boundary::Open,
-            problem: "gaussian".into(),
+            problem: Problem::Gaussian,
             cache: mpdata::DEFAULT_CACHE_BYTES,
             verify: false,
-            balance: "uniform".into(),
             self_schedule: 0,
             fuse_steps: 1,
             tile: TileMode::Off,
@@ -146,7 +197,7 @@ fn parse_args() -> Result<Args, String> {
                 a.domain = (parts[0], parts[1], parts[2]);
             }
             "--steps" => a.steps = val()?.parse().map_err(|e| format!("bad --steps: {e}"))?,
-            "--strategy" => a.strategy = val()?,
+            "--strategy" => a.strategy = parse_choice("--strategy", &val()?, &STRATEGIES)?,
             "--workers" => a.workers = val()?.parse().map_err(|e| format!("bad --workers: {e}"))?,
             "--islands" => a.islands = val()?.parse().map_err(|e| format!("bad --islands: {e}"))?,
             "--iord" => a.iord = val()?.parse().map_err(|e| format!("bad --iord: {e}"))?,
@@ -157,10 +208,9 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown boundary {other:?}")),
                 }
             }
-            "--problem" => a.problem = val()?,
+            "--problem" => a.problem = parse_choice("--problem", &val()?, &PROBLEMS)?,
             "--cache" => a.cache = val()?.parse().map_err(|e| format!("bad --cache: {e}"))?,
             "--verify" => a.verify = true,
-            "--balance" => a.balance = val()?,
             "--self-schedule" => {
                 a.self_schedule = val()?
                     .parse()
@@ -211,9 +261,9 @@ fn parse_args() -> Result<Args, String> {
                     "mpdata-run --domain NI,NJ,NK --steps N --strategy reference|original|fused|islands|exchange\n\
                      \x20          --workers W --islands P --iord N --boundary open|periodic\n\
                      \x20          --problem gaussian|cone|random --cache BYTES --verify\n\
-                     \x20          --balance uniform|model|measured --self-schedule N\n\
-                     \x20          --fuse-steps K --tile auto|TIxTJ --trace OUT.json --metrics\n\
-                     \x20          --metrics-json OUT.json --serve-metrics ADDR --metrics-interval SECS"
+                     \x20          --self-schedule N --fuse-steps K --tile auto|TIxTJ\n\
+                     \x20          --trace OUT.json --metrics --metrics-json OUT.json\n\
+                     \x20          --serve-metrics ADDR --metrics-interval SECS"
                 );
                 std::process::exit(0);
             }
@@ -229,22 +279,13 @@ fn parse_args() -> Result<Args, String> {
             a.workers, a.islands
         ));
     }
-    if !matches!(a.balance.as_str(), "uniform" | "model" | "measured") {
-        return Err(format!(
-            "unknown --balance {:?}; use uniform|model|measured",
-            a.balance
-        ));
-    }
-    if a.balance != "uniform" && a.strategy != "islands" {
-        return Err("--balance model|measured only applies to --strategy islands".into());
-    }
-    if a.self_schedule > 0 && !matches!(a.strategy.as_str(), "islands" | "fused") {
+    if a.self_schedule > 0 && !a.strategy.plans_islands() {
         return Err("--self-schedule only applies to --strategy islands|fused".into());
     }
-    if a.fuse_steps > 1 && !matches!(a.strategy.as_str(), "islands" | "fused") {
+    if a.fuse_steps > 1 && !a.strategy.plans_islands() {
         return Err("--fuse-steps only applies to --strategy islands|fused".into());
     }
-    if a.tile != TileMode::Off && !matches!(a.strategy.as_str(), "islands" | "fused") {
+    if a.tile != TileMode::Off && !a.strategy.plans_islands() {
         return Err("--tile only applies to --strategy islands|fused".into());
     }
     Ok(a)
@@ -252,10 +293,10 @@ fn parse_args() -> Result<Args, String> {
 
 fn make_fields(a: &Args) -> MpdataFields {
     let d = Region3::of_extent(a.domain.0, a.domain.1, a.domain.2);
-    match a.problem.as_str() {
-        "cone" => rotating_cone(d, 0.35),
-        "random" => random_fields(&mut Xoshiro256pp::seed_from_u64(7), d, 0.8),
-        _ => {
+    match a.problem {
+        Problem::Cone => rotating_cone(d, 0.35),
+        Problem::Random => random_fields(&mut Xoshiro256pp::seed_from_u64(7), d, 0.8),
+        Problem::Gaussian => {
             let mut f = gaussian_pulse(d, (0.3, 0.0, 0.0));
             if a.boundary == Boundary::Open {
                 // keep the default open pulse
@@ -274,7 +315,7 @@ fn check_inputs(a: &Args, fields: &MpdataFields) -> Result<(), String> {
     fields.validate().map_err(|e| {
         format!(
             "--problem {} violates MPDATA's stability preconditions: {e}",
-            a.problem
+            choice_name(a.problem, &PROBLEMS)
         )
     })
 }
@@ -302,59 +343,6 @@ fn scratch_line(schedule: &StepSchedule) -> String {
     )
 }
 
-/// Solves the island cut positions for `--balance model|measured`.
-///
-/// `measured` runs a short traced probe on cloned fields under the
-/// uniform cuts and scales the cost model's per-plane weights by the
-/// observed per-island kernel rates before re-cutting.
-fn balanced_partition(
-    a: &Args,
-    pool: &WorkerPool,
-    domain: Region3,
-    mode: &str,
-    problem: impl Fn() -> MpdataProblem,
-) -> Result<Vec<Region3>, String> {
-    let prob = problem();
-    let graph = prob.graph();
-    let mut model = CostModel::from_graph(graph);
-    if mode == "measured" {
-        const PROBE_STEPS: usize = 3;
-        let uniform = domain.split(Axis::I, a.islands);
-        let probe = IslandsExecutor::with_problem(
-            pool,
-            TeamSpec::even(a.workers, a.islands),
-            Axis::I,
-            problem(),
-        )
-        .cache_bytes(a.cache)
-        .with_partition(uniform.clone());
-        let mut f = make_fields(a);
-        probe
-            .run(&mut f, 1)
-            .map_err(|e| format!("balance probe: {e}"))?; // plan build
-        let session = islands_trace::Session::start();
-        let run = probe.run(&mut f, PROBE_STEPS);
-        let totals = islands_trace::metrics::RunMetrics::aggregate(&session.finish()).totals();
-        run.map_err(|e| format!("balance probe: {e}"))?;
-        let mut stats = vec![(0_u64, 0_u64); a.islands];
-        for m in &totals {
-            if m.island != islands_trace::NO_ISLAND && (m.island as usize) < a.islands {
-                stats[m.island as usize] = (m.kernel_ns, m.computed_cells);
-            }
-        }
-        let scale = measured_plane_scale(&uniform, Axis::I, domain.range(Axis::I), &stats);
-        model = model.with_plane_scale(scale);
-    }
-    Ok(balanced_cuts(
-        graph,
-        domain,
-        domain,
-        Axis::I,
-        a.islands,
-        &model,
-    ))
-}
-
 fn main() -> ExitCode {
     let a = match parse_args() {
         Ok(a) => a,
@@ -364,7 +352,10 @@ fn main() -> ExitCode {
         }
     };
     if a.boundary == Boundary::Periodic
-        && matches!(a.strategy.as_str(), "fused" | "islands" | "exchange")
+        && matches!(
+            a.strategy,
+            Strategy::Fused | Strategy::Islands | Strategy::Exchange
+        )
     {
         eprintln!(
             "error: --boundary periodic is only supported by --strategy reference|original\n\
@@ -386,23 +377,6 @@ fn main() -> ExitCode {
     let initial = a.verify.then(|| fields.clone());
 
     let mut pool = WorkerPool::new(a.workers);
-    // Non-uniform island cuts are solved before the timed run (and
-    // before the trace session opens — the `measured` probe drives its
-    // own short session, which must finish first).
-    let balanced_parts = match a.balance.as_str() {
-        "uniform" => None,
-        mode => match balanced_partition(&a, &pool, fields.domain(), mode, problem) {
-            Ok(parts) => {
-                let widths: Vec<usize> = parts.iter().map(|p| p.range(Axis::I).len()).collect();
-                println!("balance      : {mode}, island widths {widths:?}");
-                Some(parts)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
     let live = a.serve_metrics.is_some() || a.metrics_interval.is_some();
     let tracing = a.trace.is_some() || a.metrics || a.metrics_json.is_some() || live;
     let session = tracing.then(|| {
@@ -469,16 +443,16 @@ fn main() -> ExitCode {
         Ok::<(), PlanBlocksError>(())
     };
     let t0 = Instant::now();
-    let run = match a.strategy.as_str() {
-        "reference" => {
+    let run = match a.strategy {
+        Strategy::Reference => {
             ReferenceExecutor::with_problem(problem()).run(&mut fields, a.steps);
             Ok(())
         }
-        "original" => {
+        Strategy::Original => {
             OriginalExecutor::with_problem(&pool, problem()).run(&mut fields, a.steps);
             Ok(())
         }
-        "fused" => {
+        Strategy::Fused => {
             let mut exec = IslandsExecutor::single_island(&pool, problem())
                 .cache_bytes(a.cache)
                 .fuse_steps(a.fuse_steps)
@@ -488,7 +462,7 @@ fn main() -> ExitCode {
             }
             run_islands(exec, &mut fields).map_err(|e| e.to_string())
         }
-        "islands" => {
+        Strategy::Islands => {
             let mut exec = IslandsExecutor::with_problem(
                 &pool,
                 TeamSpec::even(a.workers, a.islands),
@@ -498,15 +472,12 @@ fn main() -> ExitCode {
             .cache_bytes(a.cache)
             .fuse_steps(a.fuse_steps)
             .tile(a.tile);
-            if let Some(parts) = balanced_parts {
-                exec = exec.with_partition(parts);
-            }
             if a.self_schedule > 0 {
                 exec = exec.self_schedule(a.self_schedule);
             }
             run_islands(exec, &mut fields).map_err(|e| e.to_string())
         }
-        "exchange" => {
+        Strategy::Exchange => {
             mpdata::ExchangeExecutor::with_problem(
                 &pool,
                 TeamSpec::even(a.workers, a.islands),
@@ -516,7 +487,6 @@ fn main() -> ExitCode {
             .run(&mut fields, a.steps);
             Ok(())
         }
-        other => Err(format!("unknown strategy {other:?}")),
     };
     if let Err(e) = run {
         eprintln!("error: {e}");
@@ -536,7 +506,7 @@ fn main() -> ExitCode {
 
     println!(
         "strategy={} domain={}x{}x{} steps={} workers={} islands={} iord={} boundary={:?}",
-        a.strategy,
+        choice_name(a.strategy, &STRATEGIES),
         a.domain.0,
         a.domain.1,
         a.domain.2,

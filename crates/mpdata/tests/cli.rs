@@ -69,8 +69,8 @@ fn paper_cross_section_runs_without_a_cache_flag() {
 #[test]
 fn bad_input_exits_non_zero_naming_the_cause() {
     for (args, cause) in [
-        (&["--strategy", "bogus"][..], "unknown strategy"),
         (&["--workers", "4", "--islands", "3"][..], "divisible"),
+        (&["--balance", "model"][..], "unknown flag \"--balance\""),
         (
             &["--boundary", "periodic", "--strategy", "fused"][..],
             "--boundary periodic",
@@ -84,6 +84,41 @@ fn bad_input_exits_non_zero_naming_the_cause() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+/// A mistyped `--problem` / `--strategy` is rejected while parsing —
+/// naming the flag and what it accepts — before the pool is spawned or
+/// `--serve-metrics` binds and announces a port.
+#[test]
+fn unknown_problem_or_strategy_is_rejected_before_anything_starts() {
+    for (flag, value, accepted) in [
+        ("--problem", "cnoe", "gaussian|cone|random"),
+        (
+            "--strategy",
+            "bogus",
+            "reference|original|fused|islands|exchange",
+        ),
+    ] {
+        let out = run(&[flag, value, "--serve-metrics", "127.0.0.1:0"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!(
+                "error: unknown {flag} {value:?}; use {accepted}\n"
+            )),
+            "{flag}: {stderr}"
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("metrics "), "{flag}: {stdout}");
+    }
+}
+
+#[test]
+fn help_lists_no_balance_flag() {
+    let out = run(&["--help"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success() && stdout.contains("--self-schedule"));
+    assert!(!stdout.contains("--balance"), "{stdout}");
 }
 
 /// The summary says what the intermediates occupy: windows beside the

@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 
 mod array3;
-mod balance;
 mod block;
 mod field;
 mod graph;
@@ -55,12 +54,10 @@ mod pattern;
 mod region;
 pub mod rng;
 mod stage;
+mod tile;
 pub mod trace;
 
 pub use array3::{Array3, Plane};
-pub use balance::{
-    balanced_cuts, choose_tile, island_cost, measured_plane_scale, suggest_k, tile_grid, CostModel,
-};
 pub use block::{
     fused_traffic_bytes, original_traffic_bytes, staged_traffic_bytes, tiled_traffic_bytes,
     BlockPlan, BlockPlanner, Blocking, PlanBlocksError, BYTES_PER_CELL,
@@ -70,3 +67,4 @@ pub use graph::{BuildGraphError, StageGraph};
 pub use pattern::{Offset3, StencilPattern};
 pub use region::{Axis, Halo3, Range1, Region3};
 pub use stage::{Kernel, StageDef, StageId};
+pub use tile::{choose_tile, tile_grid};
