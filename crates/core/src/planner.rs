@@ -21,6 +21,11 @@
 //!   node-local memory, synchronizes per stage only within the socket,
 //!   and meets the other islands once per time step.
 //!
+//! The block strategies — fused, islands and the exchange variant of
+//! E8 — stamp their per-core ops through one `BlockEmitter` (tables in
+//! `DESIGN.md` §2.2): what a (3+1)D block costs a rank is derived once,
+//! and the planners keep only their teams, placement and barriers.
+//!
 //! Traces describe **one time step**; [`estimate`] simulates it and
 //! scales by the step count (the paper relies on the same homogeneity:
 //! "such a relatively small number of time steps is sufficient ...
@@ -34,7 +39,8 @@ use numa_sim::{
     TraceSet,
 };
 use stencil_engine::{
-    Axis, BlockPlanner, Blocking, FieldRole, PlanBlocksError, Region3, StageGraph, BYTES_PER_CELL,
+    Axis, BlockPlan, BlockPlanner, Blocking, FieldRole, PlanBlocksError, Range1, Region3,
+    StageGraph, BYTES_PER_CELL,
 };
 
 /// The problem a planner schedules.
@@ -94,41 +100,21 @@ fn placement(init: InitPolicy, domain: Region3, machine: &Machine, axis: Axis) -
 /// Emits read streams for `bytes_by_node`, distributing `flops`
 /// proportionally to bytes (all-compute op when there is nothing to
 /// read).
-fn push_streams(ts: &mut TraceSet, core: CoreId, bytes_by_node: &[(NodeId, f64)], flops: f64) {
+fn push_streams(stream: &mut Vec<Op>, bytes_by_node: &[(NodeId, f64)], flops: f64) {
     let total: f64 = bytes_by_node.iter().map(|(_, b)| b).sum();
     if total <= 0.0 {
         if flops > 0.0 {
-            ts.push(core, Op::Compute { flops });
+            stream.push(Op::Compute { flops });
         }
         return;
     }
     for &(node, bytes) in bytes_by_node {
-        ts.push(
-            core,
-            Op::Stream {
-                node,
-                bytes,
-                flops: flops * bytes / total,
-                write: false,
-            },
-        );
-    }
-}
-
-/// Emits the write-back of one output slab: write-allocate makes a store
-/// miss cost a read *and* a write of the line, so the memory system sees
-/// twice the slab size.
-fn push_writes(ts: &mut TraceSet, core: CoreId, bytes_by_node: &[(NodeId, f64)]) {
-    for &(node, bytes) in bytes_by_node {
-        if bytes > 0.0 {
-            ts.push(
-                core,
-                Op::MemWrite {
-                    node,
-                    bytes: 2.0 * bytes,
-                },
-            );
-        }
+        stream.push(Op::Stream {
+            node,
+            bytes,
+            flops: flops * bytes / total,
+            write: false,
+        });
     }
 }
 
@@ -140,154 +126,334 @@ pub fn plan_original(machine: &Machine, w: &Workload, init: InitPolicy) -> Trace
     let mut ts = TraceSet::for_cores(machine.core_count());
     let global = ts.add_barrier(cores.clone());
     let slices = w.domain.split(Axis::I, cores.len());
-    for st in graph.stages() {
-        for (&core, &slice) in cores.iter().zip(&slices) {
+    let mut reads: Vec<(NodeId, f64)> = Vec::new();
+    for (&core, &slice) in cores.iter().zip(&slices) {
+        // A core sweeps the same slice in every stage, and every array
+        // is placed alike: one answer serves all inputs and outputs.
+        let on = place.bytes_on(slice);
+        let stream = &mut ts.ops[core.index()];
+        for st in graph.stages() {
             let flops = slice.cells() as f64 * st.flops_per_cell;
             // Every input — external or intermediate — streams from DRAM
             // in this version.
-            let mut reads: Vec<(NodeId, f64)> = Vec::new();
+            reads.clear();
             for _ in &st.inputs {
-                reads.extend(place.bytes_on(slice));
+                reads.extend_from_slice(&on);
             }
-            push_streams(&mut ts, core, &reads, flops);
+            push_streams(stream, &reads, flops);
+            // Write-allocate makes a store miss cost a read *and* a
+            // write of the line: the memory system sees twice the slab.
             for _ in &st.outputs {
-                push_writes(&mut ts, core, &place.bytes_on(slice));
+                for &(node, bytes) in &on {
+                    stream.push(Op::MemWrite {
+                        node,
+                        bytes: 2.0 * bytes,
+                    });
+                }
             }
-            ts.push(core, Op::Barrier { id: global });
+            stream.push(Op::Barrier { id: global });
         }
     }
     ts
 }
 
-/// Per-core load phase of one (3+1)D/islands block: stream the block's
-/// external slabs from their home nodes while executing the block's
-/// arithmetic (stages run out of cache once the slabs arrive, so the
-/// hardware overlaps the two; the final stage's flops are excluded —
-/// they overlap the output write-back instead).
-fn push_block_load(
-    ts: &mut TraceSet,
-    graph: &StageGraph,
-    place: &Placement,
-    block: &stencil_engine::BlockPlan,
-    team: &[CoreId],
-    rank: usize,
-    split_axis: Axis,
-) {
-    let core = team[rank];
-    let mut flops = 0.0;
-    for st in graph.stages().iter().take(graph.stage_count() - 1) {
-        let slice = st_slice(
-            block.stage_regions[st.id.index()],
-            split_axis,
-            team.len(),
-            rank,
-        );
-        flops += slice.cells() as f64 * st.flops_per_cell;
-    }
-    // Each external field is loaded over the hull of the regions of the
-    // stages that read it in this block (not the whole block hull — the
-    // wavefront lookahead of deep stages does not touch every input).
-    let mut reads: Vec<(NodeId, f64)> = Vec::new();
-    for f in graph.external_fields() {
-        let mut hull = Region3::empty();
-        for st in graph.stages() {
-            if st.reads(f) {
-                hull = hull.hull(block.stage_regions[st.id.index()]);
-            }
-        }
-        let slice = st_slice(hull, split_axis, team.len(), rank);
-        if !slice.is_empty() {
-            reads.extend(place.bytes_on(slice));
-        }
-    }
-    push_streams(ts, core, &reads, flops);
-}
+/// Axis along which the ranks of a team split every stage region of a
+/// (3+1)D block.
+const RANK_AXIS: Axis = Axis::J;
 
-/// The rank's slice of a stage region (empty regions slice to empty).
-fn st_slice(region: Region3, split_axis: Axis, team: usize, rank: usize) -> Region3 {
-    if region.is_empty() {
-        Region3::empty()
-    } else {
-        region.split_nth(split_axis, team, rank)
-    }
-}
-
-/// Per-core synchronization-path work of one stage: intra-step halo
-/// pulls from neighbouring ranks' caches, and the final stage's
-/// write-back stream (overlapping the final stage's arithmetic).
-#[allow(clippy::too_many_arguments)]
-fn push_block_stage(
-    ts: &mut TraceSet,
-    graph: &StageGraph,
-    machine: &Machine,
-    out_place: &Placement,
-    stage_idx: usize,
+/// A region cut into near-equal slices along [`RANK_AXIS`], one per
+/// rank: the rank-invariant half of `Region3::split_nth`, worked out
+/// once per (block, stage) instead of once per (block, stage, rank).
+#[derive(Clone, Copy)]
+struct RankSlices {
     region: Region3,
-    team: &[CoreId],
-    rank: usize,
-    split_axis: Axis,
-) {
-    let st = &graph.stages()[stage_idx];
-    let core = team[rank];
-    let slice = st_slice(region, split_axis, team.len(), rank);
-    let is_final = stage_idx + 1 == graph.stage_count();
+    /// Cells of one index plane across [`RANK_AXIS`].
+    plane: usize,
+    /// Every rank gets `base` planes, the first `rem` ranks one more.
+    base: usize,
+    rem: usize,
+}
 
-    if is_final && !slice.is_empty() {
-        let flops = slice.cells() as f64 * st.flops_per_cell;
-        let slabs = out_place.bytes_on(slice);
-        let total: f64 = slabs.iter().map(|(_, b)| b).sum();
-        for (node, bytes) in slabs {
-            ts.push(
-                core,
-                Op::Stream {
-                    node,
-                    bytes: 2.0 * bytes,
-                    flops: flops * bytes / total.max(1.0),
-                    write: true,
-                },
-            );
+impl RankSlices {
+    fn new(region: Region3, ranks: usize) -> Self {
+        let planes = region.range(RANK_AXIS).len();
+        RankSlices {
+            region,
+            plane: if region.is_empty() {
+                0
+            } else {
+                region.cells() / planes
+            },
+            base: planes / ranks,
+            rem: planes % ranks,
         }
     }
 
-    // Halo pulls: intermediate inputs reach `halo` cells across the
-    // split axis into the slices of the neighbouring ranks, whose caches
-    // hold those freshly written values.
-    let mut pulls: Vec<(NodeId, f64)> = Vec::new();
-    if !slice.is_empty() {
-        for (f, pattern) in &st.inputs {
-            if graph.fields().role(*f) == FieldRole::External {
-                continue;
+    /// Cells in the slice of `rank` (zero for an empty region).
+    fn cells(&self, rank: usize) -> usize {
+        (self.base + usize::from(rank < self.rem)) * self.plane
+    }
+
+    /// The slice of `rank`; the canonical empty region when the region
+    /// is empty or has run out of planes before this rank.
+    fn slice(&self, rank: usize) -> Region3 {
+        let planes = self.base + usize::from(rank < self.rem);
+        if planes * self.plane == 0 {
+            return Region3::empty();
+        }
+        let lo = self.region.range(RANK_AXIS).lo + (rank * self.base + rank.min(self.rem)) as i64;
+        self.region
+            .with_range(RANK_AXIS, Range1::new(lo, lo + planes as i64))
+    }
+}
+
+/// Per stage, how far its *intermediate* inputs reach along `axis`, each
+/// direction summed over those inputs: a stage pulls that many index
+/// planes of freshly written values across a slice (or part) boundary.
+/// Planes and bytes per plane are integers, so pulls folded through
+/// these sums are exact whatever order they are added in.
+fn pulled_planes(graph: &StageGraph, axis: Axis) -> Vec<(usize, usize)> {
+    graph
+        .stages()
+        .iter()
+        .map(|st| {
+            st.inputs
+                .iter()
+                .filter(|(f, _)| graph.fields().role(*f) != FieldRole::External)
+                .map(|(_, pattern)| pattern.halo().along(axis))
+                .fold((0, 0), |sum, (neg, pos)| {
+                    (sum.0 + neg.max(0) as usize, sum.1 + pos.max(0) as usize)
+                })
+        })
+        .collect()
+}
+
+/// A team of cores sweeping blocks together, with the node of each
+/// member (rank order).
+struct Team<'a> {
+    cores: &'a [CoreId],
+    nodes: Vec<NodeId>,
+}
+
+impl<'a> Team<'a> {
+    fn new(machine: &Machine, cores: &'a [CoreId]) -> Self {
+        Team {
+            cores,
+            nodes: cores.iter().map(|&c| machine.node_of(c)).collect(),
+        }
+    }
+}
+
+/// Stamps the per-core ops of (3+1)D blocks: everything the fused,
+/// islands and exchange strategies have in common.
+///
+/// Built once per plan, it holds what the stage graph says about every
+/// block — flops per cell, the planes each stage pulls from neighbouring
+/// ranks, which stages read each external field. Per block it works out
+/// the rank-invariant facts once (slice arithmetic per stage, the load
+/// hull of every external field and the placement slabs it touches) and
+/// then stamps each rank's epochs into scratch it reuses, so a rank
+/// costs no heap allocation and no walk of the graph.
+struct BlockEmitter {
+    flops_per_cell: Vec<f64>,
+    /// [`pulled_planes`] along [`RANK_AXIS`].
+    pulled: Vec<(usize, usize)>,
+    /// Per external field, the stages reading it.
+    readers: Vec<Vec<usize>>,
+    // Per-block scratch.
+    stages: Vec<RankSlices>,
+    loads: Vec<RankSlices>,
+    /// Placement slabs clipped to each load hull, then to the final
+    /// stage's region; `clip_ends[n]` closes the `n`-th of these lists.
+    clipped: Vec<(Region3, NodeId)>,
+    clip_ends: Vec<usize>,
+    // Per-rank scratch.
+    reads: Vec<(NodeId, f64)>,
+}
+
+impl BlockEmitter {
+    fn new(graph: &StageGraph) -> Self {
+        let readers = graph
+            .external_fields()
+            .into_iter()
+            .map(|f| {
+                graph
+                    .stages()
+                    .iter()
+                    .filter(|st| st.reads(f))
+                    .map(|st| st.id.index())
+                    .collect()
+            })
+            .collect();
+        BlockEmitter {
+            flops_per_cell: graph.stages().iter().map(|st| st.flops_per_cell).collect(),
+            pulled: pulled_planes(graph, RANK_AXIS),
+            readers,
+            stages: Vec::new(),
+            loads: Vec::new(),
+            clipped: Vec::new(),
+            clip_ends: Vec::new(),
+            reads: Vec::new(),
+        }
+    }
+
+    /// An upper bound on the ops [`BlockEmitter::emit`] appends to one
+    /// core's stream for a block whose stage regions span `hull`, one of
+    /// them per stage by the caller.
+    fn ops_bound(&self, place: &Placement, hull: Region3) -> usize {
+        let mut slabs = 0;
+        place.for_each_in(hull, |_, _| slabs += 1);
+        // Load and write-back streams per touched slab; two pulls and
+        // the caller's op per stage.
+        (self.readers.len() + 1) * slabs.max(1) + self.pulled.len() * 3
+    }
+
+    /// One team sweeps every block of `blocking`, meeting on `barrier`
+    /// after each stage; each member's stream is reserved once, for the
+    /// whole sweep.
+    fn sweep(
+        &mut self,
+        ts: &mut TraceSet,
+        place: &Placement,
+        blocking: &Blocking,
+        team: &Team<'_>,
+        barrier: BarrierId,
+    ) {
+        let ops: usize = (0..blocking.len())
+            .map(|b| self.ops_bound(place, blocking.scratch_region(b)))
+            .sum();
+        for core in team.cores {
+            ts.ops[core.index()].reserve(ops);
+        }
+        for block in &blocking.blocks {
+            self.emit(ts, place, block, team, |stream, _, _, _| {
+                stream.push(Op::Barrier { id: barrier })
+            });
+        }
+    }
+
+    /// Appends one block's ops to the stream of every member of `team`:
+    /// the load phase, then per stage the write-back (final stage only),
+    /// the halo pulls from neighbouring ranks and whatever `tail` adds —
+    /// the synchronization closing the epoch. `tail` sees the stream,
+    /// the stage index, the block's region of that stage and the rank's
+    /// slice of it.
+    fn emit(
+        &mut self,
+        ts: &mut TraceSet,
+        place: &Placement,
+        block: &BlockPlan,
+        team: &Team<'_>,
+        mut tail: impl FnMut(&mut Vec<Op>, usize, Region3, Region3),
+    ) {
+        let ranks = team.cores.len();
+        let last = self.flops_per_cell.len() - 1;
+        self.stages.clear();
+        self.stages.extend(
+            block
+                .stage_regions
+                .iter()
+                .map(|&region| RankSlices::new(region, ranks)),
+        );
+        // Each external field is loaded over the hull of the regions of
+        // the stages that read it in this block (not the whole block
+        // hull — the wavefront lookahead of deep stages does not touch
+        // every input).
+        self.loads.clear();
+        self.clipped.clear();
+        self.clip_ends.clear();
+        for readers in &self.readers {
+            let hull = readers.iter().fold(Region3::empty(), |hull, &s| {
+                hull.hull(block.stage_regions[s])
+            });
+            self.loads.push(RankSlices::new(hull, ranks));
+            place.for_each_in(hull, |part, node| self.clipped.push((part, node)));
+            self.clip_ends.push(self.clipped.len());
+        }
+        place.for_each_in(block.stage_regions[last], |part, node| {
+            self.clipped.push((part, node))
+        });
+        let final_slabs = self.clip_ends.last().copied().unwrap_or(0);
+
+        for rank in 0..ranks {
+            let stream = &mut ts.ops[team.cores[rank].index()];
+            // Load phase: stream the block's external slabs from their
+            // home nodes while executing the block's arithmetic (stages
+            // run out of cache once the slabs arrive, so the hardware
+            // overlaps the two; the final stage's flops are excluded —
+            // they overlap the output write-back instead).
+            let flops = self.stages[..last]
+                .iter()
+                .zip(&self.flops_per_cell)
+                .fold(0.0, |flops, (slices, per_cell)| {
+                    flops + slices.cells(rank) as f64 * per_cell
+                });
+            self.reads.clear();
+            let mut begin = 0;
+            for (load, &end) in self.loads.iter().zip(&self.clip_ends) {
+                let slice = load.slice(rank);
+                bytes_of(&self.clipped[begin..end], slice, &mut self.reads);
+                begin = end;
             }
-            let h = pattern.halo();
-            let (neg, pos) = h.along(split_axis);
-            let plane_cells = match split_axis {
-                Axis::I => slice.j.len() * slice.k.len(),
-                Axis::J => slice.i.len() * slice.k.len(),
-                Axis::K => slice.i.len() * slice.j.len(),
-            };
-            let r = slice.range(split_axis);
-            let whole = region.range(split_axis);
-            if neg > 0 && r.lo > whole.lo && rank > 0 {
-                let owner = machine.node_of(team[rank - 1]);
-                pulls.push((owner, (neg as usize * plane_cells * BYTES_PER_CELL) as f64));
-            }
-            if pos > 0 && r.hi < whole.hi && rank + 1 < team.len() {
-                let owner = machine.node_of(team[rank + 1]);
-                pulls.push((owner, (pos as usize * plane_cells * BYTES_PER_CELL) as f64));
+            push_streams(stream, &self.reads, flops);
+
+            for (s, slices) in self.stages.iter().enumerate() {
+                let slice = slices.slice(rank);
+                if !slice.is_empty() {
+                    if s == last {
+                        // Write-back stream, overlapping the final
+                        // stage's arithmetic; write-allocate doubles it.
+                        let flops = slices.cells(rank) as f64 * self.flops_per_cell[s];
+                        self.reads.clear();
+                        bytes_of(&self.clipped[final_slabs..], slice, &mut self.reads);
+                        let total: f64 = self.reads.iter().map(|(_, b)| b).sum();
+                        for &(node, bytes) in &self.reads {
+                            stream.push(Op::Stream {
+                                node,
+                                bytes: 2.0 * bytes,
+                                flops: flops * bytes / total.max(1.0),
+                                write: true,
+                            });
+                        }
+                    }
+                    // Halo pulls: intermediate inputs reach across the
+                    // slice boundary into the neighbouring ranks' slices,
+                    // whose caches hold those freshly written values.
+                    let (neg, pos) = self.pulled[s];
+                    let (mine, whole) = (slice.range(RANK_AXIS), slices.region.range(RANK_AXIS));
+                    let plane_bytes = slices.plane * BYTES_PER_CELL;
+                    let below = (neg > 0 && mine.lo > whole.lo && rank > 0)
+                        .then(|| (team.nodes[rank - 1], (neg * plane_bytes) as f64));
+                    let above = (pos > 0 && mine.hi < whole.hi && rank + 1 < ranks)
+                        .then(|| (team.nodes[rank + 1], (pos * plane_bytes) as f64));
+                    // One read per source node, lower node first.
+                    let pulls = match (below, above) {
+                        (Some((a, x)), Some((b, y))) if a == b => [Some((a, x + y)), None],
+                        (Some(a), Some(b)) if b.0 < a.0 => [Some(b), Some(a)],
+                        (below, above) => [below, above],
+                    };
+                    for (node, bytes) in pulls.into_iter().flatten() {
+                        stream.push(Op::CacheRead { node, bytes });
+                    }
+                }
+                tail(stream, s, slices.region, slice);
             }
         }
     }
-    // Aggregate per source node to keep traces small.
-    pulls.sort_by_key(|(n, _)| n.index());
-    let mut agg: Vec<(NodeId, f64)> = Vec::new();
-    for (n, b) in pulls {
-        match agg.last_mut() {
-            Some((last, acc)) if *last == n => *acc += b,
-            _ => agg.push((n, b)),
-        }
+}
+
+/// Appends to `on` how many bytes of `slice` live in each of `slabs`
+/// (slab order, empty intersections skipped): `Placement::bytes_on` for
+/// slabs already clipped to a region containing `slice`.
+fn bytes_of(slabs: &[(Region3, NodeId)], slice: Region3, on: &mut Vec<(NodeId, f64)>) {
+    if slice.is_empty() {
+        return;
     }
-    for (node, bytes) in agg {
-        ts.push(core, Op::CacheRead { node, bytes });
+    for &(part, node) in slabs {
+        let cells = part.intersect(slice).cells();
+        if cells > 0 {
+            on.push((node, (cells * BYTES_PER_CELL) as f64));
+        }
     }
 }
 
@@ -309,28 +475,15 @@ pub fn plan_fused(
     let cores: Vec<CoreId> = (0..machine.core_count()).map(CoreId).collect();
     let mut ts = TraceSet::for_cores(machine.core_count());
     let global = ts.add_barrier(cores.clone());
-    for block in &blocking.blocks {
-        for rank in 0..cores.len() {
-            push_block_load(&mut ts, &graph, &place, block, &cores, rank, Axis::J);
-        }
-        for stage_idx in 0..graph.stage_count() {
-            let region = block.stage_regions[stage_idx];
-            for rank in 0..cores.len() {
-                push_block_stage(
-                    &mut ts,
-                    &graph,
-                    machine,
-                    &place,
-                    stage_idx,
-                    region,
-                    &cores,
-                    rank,
-                    Axis::J,
-                );
-                ts.push(cores[rank], Op::Barrier { id: global });
-            }
-        }
-    }
+    // All cores of all sockets are one team; every stage of every block
+    // ends in a machine-wide barrier.
+    BlockEmitter::new(&graph).sweep(
+        &mut ts,
+        &place,
+        &blocking,
+        &Team::new(machine, &cores),
+        global,
+    );
     Ok(ts)
 }
 
@@ -368,6 +521,19 @@ pub fn plan_islands_with_layout(
     plan_islands_partitioned(machine, w, &partition, layout)
 }
 
+/// First touch by islands: every island initializes its own part, so
+/// each slab of every array lives on its island's node.
+fn island_placement(domain: Region3, partition: &Partition, layout: &IslandLayout) -> Placement {
+    let slabs = partition
+        .parts()
+        .iter()
+        .zip(layout.islands())
+        .filter(|(r, _)| !r.is_empty())
+        .map(|(&r, island)| (r, island.node))
+        .collect();
+    Placement::explicit(domain, slabs)
+}
+
 /// The most general islands planner: explicit partition and layout
 /// (parts are assigned to islands in order; counts must match).
 ///
@@ -391,51 +557,28 @@ pub fn plan_islands_partitioned(
         "partition and layout island counts differ"
     );
     let (graph, _) = mpdata_graph();
-    // First touch: every island initializes its own part, so each slab
-    // of every array lives on its island's node.
-    let slabs: Vec<(Region3, NodeId)> = partition
-        .parts()
-        .iter()
-        .zip(layout.islands())
-        .filter(|(r, _)| !r.is_empty())
-        .map(|(&r, island)| (r, island.node))
-        .collect();
-    let place = Placement::explicit(w.domain, slabs);
+    let place = island_placement(w.domain, partition, layout);
     let mut ts = TraceSet::for_cores(machine.core_count());
     let all_cores = layout.all_cores();
     let global = ts.add_barrier(all_cores.clone());
+    let mut emitter = BlockEmitter::new(&graph);
 
     for (part, island) in partition.parts().iter().zip(layout.islands()) {
         if part.is_empty() {
             continue;
         }
+        // Intra-island synchronization only.
         let team_barrier = ts.add_barrier(island.cores.clone());
         let blocking: Blocking = BlockPlanner::new(w.cache_bytes)
             .min_depth(4)
             .plan_wavefront(&graph, *part, w.domain)?;
-        for block in &blocking.blocks {
-            for rank in 0..island.cores.len() {
-                push_block_load(&mut ts, &graph, &place, block, &island.cores, rank, Axis::J);
-            }
-            for stage_idx in 0..graph.stage_count() {
-                let region = block.stage_regions[stage_idx];
-                for rank in 0..island.cores.len() {
-                    push_block_stage(
-                        &mut ts,
-                        &graph,
-                        machine,
-                        &place,
-                        stage_idx,
-                        region,
-                        &island.cores,
-                        rank,
-                        Axis::J,
-                    );
-                    // Intra-island synchronization only.
-                    ts.push(island.cores[rank], Op::Barrier { id: team_barrier });
-                }
-            }
-        }
+        emitter.sweep(
+            &mut ts,
+            &place,
+            &blocking,
+            &Team::new(machine, &island.cores),
+            team_barrier,
+        );
     }
     // All islands synchronize once per time step.
     for core in all_cores {
@@ -468,14 +611,7 @@ pub fn plan_islands_exchange(
     let partition =
         Partition::one_d(w.domain, variant, layout.len()).expect("layout has at least one island");
     let (graph, _) = mpdata_graph();
-    let slabs: Vec<(Region3, NodeId)> = partition
-        .parts()
-        .iter()
-        .zip(layout.islands())
-        .filter(|(r, _)| !r.is_empty())
-        .map(|(&r, island)| (r, island.node))
-        .collect();
-    let place = Placement::explicit(w.domain, slabs);
+    let place = island_placement(w.domain, &partition, &layout);
     let mut ts = TraceSet::for_cores(machine.core_count());
     let all_cores = layout.all_cores();
     let global = ts.add_barrier(all_cores.clone());
@@ -503,96 +639,56 @@ pub fn plan_islands_exchange(
         .max()
         .unwrap_or(0);
     let axis = variant.axis();
+    let crossing = pulled_planes(&graph, axis);
+    let mut emitter = BlockEmitter::new(&graph);
+    let teams: Vec<Team<'_>> = layout
+        .islands()
+        .iter()
+        .map(|island| Team::new(machine, &island.cores))
+        .collect();
 
     for b in 0..n_blocks {
-        // Load + compute phase of this block round on every island.
-        for (p, island) in layout.islands().iter().enumerate() {
-            let Some(blocking) = &plans[p] else { continue };
-            if let Some(block) = blocking.blocks.get(b) {
-                for rank in 0..island.cores.len() {
-                    push_block_load(&mut ts, &graph, &place, block, &island.cores, rank, Axis::J);
-                }
-            }
-        }
-        for stage_idx in 0..graph.stage_count() {
-            let st = &graph.stages()[stage_idx];
-            for (p, island) in layout.islands().iter().enumerate() {
-                let region = plans[p]
-                    .as_ref()
-                    .and_then(|bl| bl.blocks.get(b))
-                    .map(|blk| blk.stage_regions[stage_idx])
-                    .unwrap_or(Region3::empty());
-                for rank in 0..island.cores.len() {
-                    push_block_stage(
-                        &mut ts,
-                        &graph,
-                        machine,
-                        &place,
-                        stage_idx,
-                        region,
-                        &island.cores,
-                        rank,
-                        Axis::J,
-                    );
-                    // Inter-island halo pulls: the rank whose slice
-                    // touches the part boundary pulls the neighbour
-                    // island's freshly computed boundary planes.
-                    if !region.is_empty() {
-                        let slice = st_slice(region, Axis::J, island.cores.len(), rank);
-                        if !slice.is_empty() {
-                            let mut bytes_lo = 0.0;
-                            let mut bytes_hi = 0.0;
-                            for (f, pattern) in &st.inputs {
-                                if graph.fields().role(*f) == FieldRole::External {
-                                    continue;
-                                }
-                                let h = pattern.halo();
-                                let (neg, pos) = h.along(axis);
-                                let plane = match axis {
-                                    Axis::I => slice.j.len() * slice.k.len(),
-                                    Axis::J => slice.i.len() * slice.k.len(),
-                                    Axis::K => slice.i.len() * slice.j.len(),
-                                } as f64
-                                    * BYTES_PER_CELL as f64;
-                                if neg > 0
-                                    && region.range(axis).lo == partition.parts()[p].range(axis).lo
-                                {
-                                    bytes_lo += neg as f64 * plane;
-                                }
-                                if pos > 0
-                                    && region.range(axis).hi == partition.parts()[p].range(axis).hi
-                                {
-                                    bytes_hi += pos as f64 * plane;
-                                }
-                            }
-                            if bytes_lo > 0.0 && p > 0 {
-                                ts.push(
-                                    island.cores[rank],
-                                    Op::CacheRead {
-                                        node: layout.islands()[p - 1].node,
-                                        bytes: bytes_lo,
-                                    },
-                                );
-                            }
-                            if bytes_hi > 0.0 && p + 1 < layout.len() {
-                                ts.push(
-                                    island.cores[rank],
-                                    Op::CacheRead {
-                                        node: layout.islands()[p + 1].node,
-                                        bytes: bytes_hi,
-                                    },
-                                );
-                            }
-                        }
+        for (p, team) in teams.iter().enumerate() {
+            let block = plans[p]
+                .as_ref()
+                .and_then(|blocking| blocking.blocks.get(b));
+            let Some(block) = block else {
+                // An island out of blocks still meets every barrier.
+                for core in team.cores {
+                    for _ in 0..graph.stage_count() {
+                        ts.push(*core, Op::Barrier { id: global });
                     }
                 }
-            }
-            // Machine-wide synchronization after every stage: the
-            // neighbours' values must exist before the next stage reads
-            // them across the boundary.
-            for core in &all_cores {
-                ts.push(*core, Op::Barrier { id: global });
-            }
+                continue;
+            };
+            let part = partition.parts()[p].range(axis);
+            emitter.emit(&mut ts, &place, block, team, |stream, s, region, slice| {
+                // Inter-island halo pulls: a rank of a stage region that
+                // touches the part boundary pulls the neighbour island's
+                // freshly computed boundary planes.
+                if !slice.is_empty() {
+                    let (neg, pos) = crossing[s];
+                    let across = region.range(axis);
+                    let plane_bytes =
+                        (slice.cells() / slice.range(axis).len() * BYTES_PER_CELL) as f64;
+                    if neg > 0 && across.lo == part.lo && p > 0 {
+                        stream.push(Op::CacheRead {
+                            node: layout.islands()[p - 1].node,
+                            bytes: neg as f64 * plane_bytes,
+                        });
+                    }
+                    if pos > 0 && across.hi == part.hi && p + 1 < layout.len() {
+                        stream.push(Op::CacheRead {
+                            node: layout.islands()[p + 1].node,
+                            bytes: pos as f64 * plane_bytes,
+                        });
+                    }
+                }
+                // Machine-wide synchronization after every stage: the
+                // neighbours' values must exist before the next stage
+                // reads them across the boundary.
+                stream.push(Op::Barrier { id: global });
+            });
         }
     }
     Ok(ts)
@@ -643,6 +739,35 @@ mod tests {
             domain: Region3::of_extent(64, 32, 8),
             steps: 5,
             cache_bytes: 256 * 1024,
+        }
+    }
+
+    #[test]
+    fn rank_slices_are_the_nth_parts_of_a_split() {
+        // More ranks than planes, uneven and even splits, an empty region.
+        let regions = [
+            Region3::new(Range1::new(3, 9), Range1::new(-2, 11), Range1::new(0, 4)),
+            Region3::new(Range1::new(0, 2), Range1::new(5, 8), Range1::new(1, 3)),
+            Region3::of_extent(4, 16, 2),
+            Region3::empty(),
+        ];
+        for region in regions {
+            for ranks in [1, 3, 8] {
+                let slices = RankSlices::new(region, ranks);
+                for rank in 0..ranks {
+                    let expect = if region.is_empty() {
+                        region
+                    } else {
+                        region.split_nth(RANK_AXIS, ranks, rank)
+                    };
+                    assert_eq!(slices.cells(rank), expect.cells(), "{region:?} / {ranks}");
+                    if expect.is_empty() {
+                        assert_eq!(slices.slice(rank), Region3::empty());
+                    } else {
+                        assert_eq!(slices.slice(rank), expect);
+                    }
+                }
+            }
         }
     }
 

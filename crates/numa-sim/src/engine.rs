@@ -8,7 +8,7 @@
 //! bottlenecks emerge from the schedule instead of being closed-form
 //! estimates.
 //!
-//! Modelling choices (see `DESIGN.md` §2):
+//! Modelling choices (see `DESIGN.md` §2, and §2.1 for the event order):
 //! * Transfers are split into quanta (default 1 MiB) so concurrent
 //!   streams interleave fairly on shared resources.
 //! * DRAM streams run at full route bandwidth (hardware prefetchers hide
@@ -19,9 +19,10 @@
 //!   parallelism, which is precisely why the pure (3+1)D decomposition
 //!   collapses on the UV 2000.
 
-use crate::topology::{CoreId, Machine};
+use crate::topology::{CoreId, LinkId, Machine, NodeId};
 use crate::trace::{BarrierId, Op, TraceError, TraceSet};
 use std::cmp::Ordering as CmpOrdering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
@@ -111,6 +112,14 @@ impl SimReport {
 pub enum SimError {
     /// The trace set failed validation.
     InvalidTrace(TraceError),
+    /// A [`SimConfig`] field is outside the range the engine can run
+    /// with: a non-finite or non-positive quantum, line size, miss
+    /// concurrency or per-core bandwidth, or a negative or non-finite
+    /// latency or barrier cost.
+    InvalidConfig {
+        /// Name of the offending [`SimConfig`] field.
+        field: &'static str,
+    },
     /// All runnable cores are exhausted but some core is still blocked at
     /// a barrier that can never complete.
     BarrierDeadlock {
@@ -123,6 +132,9 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::InvalidTrace(e) => write!(f, "invalid trace: {e}"),
+            SimError::InvalidConfig { field } => {
+                write!(f, "invalid configuration: `{field}` is out of range")
+            }
             SimError::BarrierDeadlock { id } => {
                 write!(f, "deadlock: barrier {} never releases", id.0)
             }
@@ -134,7 +146,7 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::InvalidTrace(e) => Some(e),
-            SimError::BarrierDeadlock { .. } => None,
+            SimError::InvalidConfig { .. } | SimError::BarrierDeadlock { .. } => None,
         }
     }
 }
@@ -145,28 +157,59 @@ impl From<TraceError> for SimError {
     }
 }
 
-/// Min-heap key over f64 times.
+impl SimConfig {
+    /// Rejects values the event loop cannot make progress with (a zero
+    /// quantum never drains a transfer, a negative one grows it) or that
+    /// would poison every statistic (NaN and negative times).
+    fn validate(&self) -> Result<(), SimError> {
+        // (field, value, whether zero is in range)
+        let fields = [
+            ("quantum_bytes", self.quantum_bytes, false),
+            ("cache_line_bytes", self.cache_line_bytes, false),
+            ("miss_concurrency", self.miss_concurrency, false),
+            ("per_core_mem_bandwidth", self.per_core_mem_bandwidth, false),
+            ("remote_cache_latency", self.remote_cache_latency, true),
+            ("barrier_base", self.barrier_base, true),
+            ("barrier_per_hop", self.barrier_per_hop, true),
+        ];
+        for (field, value, zero_ok) in fields {
+            if !(value.is_finite() && (value > 0.0 || (zero_ok && value == 0.0))) {
+                return Err(SimError::InvalidConfig { field });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A runnable core's place in the engine's event order: by time, ties
+/// by core index.
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct HeapEntry {
+struct Key {
     time: f64,
     core: usize,
 }
 
-impl Eq for HeapEntry {}
+impl Eq for Key {}
 
-impl PartialOrd for HeapEntry {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for HeapEntry {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Reverse: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.core.cmp(&self.core))
+        self.time
+            .total_cmp(&other.time)
+            .then_with(|| self.core.cmp(&other.core))
+    }
+}
+
+impl Key {
+    /// Whether this key precedes `other`; an empty queue has no key and
+    /// precedes nothing.
+    fn precedes(self, other: Option<Key>) -> bool {
+        other.is_none_or(|o| self < o)
     }
 }
 
@@ -179,307 +222,506 @@ struct CoreState {
     bytes_left: f64,
     /// Whether the latency of the current transfer is already charged.
     latency_charged: bool,
+    /// Parked at a barrier; `time` is then the arrival time.
     blocked: bool,
-    done: bool,
 }
 
+/// The open episode of one barrier.
 #[derive(Clone, Debug, Default)]
 struct BarrierState {
-    arrivals: Vec<(usize, f64)>,
-    episodes: usize,
+    arrived: usize,
+    /// Latest arrival time so far.
+    latest: f64,
+}
+
+/// The cores one barrier episode released and that have not resumed
+/// yet: `members[barrier][next..]`, ascending by core and all at the
+/// release time — exactly the heap entries the episode would have
+/// pushed, already in pop order. `front` is the key of the first.
+#[derive(Clone, Copy, Debug)]
+struct ReleaseBatch {
+    front: Key,
+    barrier: usize,
+    next: usize,
+}
+
+/// The shortest path between an ordered pair of nodes, priced once per
+/// run (same summation order as [`Machine::route_latency`], so the same
+/// bits as pricing it per quantum).
+#[derive(Clone, Copy)]
+struct Route<'a> {
+    links: &'a [LinkId],
+    latency: f64,
+    /// Narrowest link, `f64::INFINITY` for the local route.
+    bandwidth: f64,
 }
 
 /// Runs `traces` on `machine` under `config`.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidTrace`] for malformed inputs and
+/// Returns [`SimError::InvalidConfig`] for a configuration the engine
+/// cannot run with, [`SimError::InvalidTrace`] for malformed inputs and
 /// [`SimError::BarrierDeadlock`] if a barrier can never be released.
 pub fn simulate(
     machine: &Machine,
     traces: &TraceSet,
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
+    config.validate()?;
     traces.validate(machine.node_count(), machine.core_count())?;
-    let cores = traces.ops.len();
-    let n_links = machine.links().len() * 2;
-    let n_nodes = machine.node_count();
+    Engine::new(machine, traces, config).run()
+}
 
-    let mut report = SimReport {
-        core_compute: vec![0.0; cores],
-        core_transfer: vec![0.0; cores],
-        core_barrier_wait: vec![0.0; cores],
-        link_busy: vec![0.0; n_links],
-        link_bytes: vec![0.0; n_links],
-        memctrl_busy: vec![0.0; n_nodes],
-        ..SimReport::default()
-    };
+/// One simulation run: the machine priced into tables, the resource
+/// clocks, every core's cursor and the two queues of runnable cores.
+///
+/// The event order is `(time, core)` over all runnable cores (DESIGN.md
+/// §2.1). `heap` and `released` together are that priority queue:
+/// `released` holds barrier-release batches (sorted by construction),
+/// `heap` every other runnable core.
+struct Engine<'a> {
+    machine: &'a Machine,
+    traces: &'a TraceSet,
+    config: &'a SimConfig,
+    report: SimReport,
+    /// `routes[from * nodes + to]`.
+    routes: Vec<Route<'a>>,
+    /// Bandwidth per directed link resource.
+    link_bandwidth: Vec<f64>,
+    /// Sustained flop rate of a core, per node.
+    flop_rate: Vec<f64>,
+    link_free: Vec<f64>,
+    memctrl_free: Vec<f64>,
+    l3_free: Vec<f64>,
+    cores: Vec<CoreState>,
+    barriers: Vec<BarrierState>,
+    /// Episode cost per barrier, from the node spread of its members.
+    barrier_cost: Vec<f64>,
+    /// Participants per barrier as core indices, ascending.
+    members: Vec<Vec<usize>>,
+    heap: BinaryHeap<Reverse<Key>>,
+    /// Pending release batches, latest `front` first — the earliest is
+    /// taken off the end.
+    released: Vec<ReleaseBatch>,
+}
 
-    // Resource clocks.
-    let mut link_free = vec![0.0_f64; n_links];
-    let mut memctrl_free = vec![0.0_f64; n_nodes];
-    let mut l3_free = vec![0.0_f64; n_nodes];
-
-    let mut states: Vec<CoreState> = (0..cores)
-        .map(|_| CoreState {
-            time: 0.0,
-            ip: 0,
-            bytes_left: 0.0,
-            latency_charged: false,
-            blocked: false,
-            done: false,
-        })
-        .collect();
-    let mut barriers: Vec<BarrierState> = (0..traces.barriers.len())
-        .map(|_| BarrierState::default())
-        .collect();
-    // Precompute barrier episode costs from the node spread.
-    let barrier_cost: Vec<f64> = traces
-        .barriers
-        .iter()
-        .map(|spec| {
-            let mut max_hops = 0;
-            for (n, &a) in spec.participants.iter().enumerate() {
-                for &b in &spec.participants[n + 1..] {
-                    max_hops = max_hops.max(machine.hops(machine.node_of(a), machine.node_of(b)));
+impl<'a> Engine<'a> {
+    fn new(machine: &'a Machine, traces: &'a TraceSet, config: &'a SimConfig) -> Self {
+        let cores = traces.ops.len();
+        let n_links = machine.links().len() * 2;
+        let n_nodes = machine.node_count();
+        let node_ids = || (0..n_nodes).map(NodeId);
+        let routes = node_ids()
+            .flat_map(|from| node_ids().map(move |to| (from, to)))
+            .map(|(from, to)| Route {
+                links: machine.route(from, to),
+                latency: machine.route_latency(from, to),
+                bandwidth: machine.route_bandwidth(from, to),
+            })
+            .collect();
+        // A barrier episode costs by the widest hop distance between the
+        // nodes of its members.
+        let barrier_cost = traces
+            .barriers
+            .iter()
+            .map(|spec| {
+                let mut nodes: Vec<NodeId> = spec
+                    .participants
+                    .iter()
+                    .map(|&c| machine.node_of(c))
+                    .collect();
+                nodes.sort_unstable();
+                nodes.dedup();
+                let mut max_hops = 0;
+                for (n, &a) in nodes.iter().enumerate() {
+                    for &b in &nodes[n + 1..] {
+                        max_hops = max_hops.max(machine.hops(a, b));
+                    }
                 }
-            }
-            config.barrier_base + config.barrier_per_hop * max_hops as f64
-        })
-        .collect();
-
-    let mut heap = BinaryHeap::new();
-    for (c, stream) in traces.ops.iter().enumerate() {
-        if stream.is_empty() {
-            states[c].done = true;
-        } else {
-            heap.push(HeapEntry { time: 0.0, core: c });
+                config.barrier_base + config.barrier_per_hop * max_hops as f64
+            })
+            .collect();
+        let members = traces
+            .barriers
+            .iter()
+            .map(|spec| {
+                let mut cores: Vec<usize> = spec.participants.iter().map(|c| c.index()).collect();
+                cores.sort_unstable();
+                cores
+            })
+            .collect();
+        Engine {
+            machine,
+            traces,
+            config,
+            report: SimReport {
+                core_compute: vec![0.0; cores],
+                core_transfer: vec![0.0; cores],
+                core_barrier_wait: vec![0.0; cores],
+                link_busy: vec![0.0; n_links],
+                link_bytes: vec![0.0; n_links],
+                memctrl_busy: vec![0.0; n_nodes],
+                ..SimReport::default()
+            },
+            routes,
+            link_bandwidth: (0..n_links)
+                .map(|l| machine.link_bandwidth(LinkId(l)))
+                .collect(),
+            flop_rate: machine
+                .nodes()
+                .iter()
+                .map(|n| n.core.sustained_flops())
+                .collect(),
+            link_free: vec![0.0; n_links],
+            memctrl_free: vec![0.0; n_nodes],
+            l3_free: vec![0.0; n_nodes],
+            cores: vec![
+                CoreState {
+                    time: 0.0,
+                    ip: 0,
+                    bytes_left: 0.0,
+                    latency_charged: false,
+                    blocked: false,
+                };
+                cores
+            ],
+            barriers: vec![BarrierState::default(); traces.barriers.len()],
+            barrier_cost,
+            members,
+            heap: BinaryHeap::new(),
+            released: Vec::new(),
         }
     }
 
-    while let Some(HeapEntry { time, core }) = heap.pop() {
-        let st = &mut states[core];
-        if st.done || st.blocked || st.time > time {
-            // Stale entry (core was re-pushed with a later time).
-            continue;
+    fn run(mut self) -> Result<SimReport, SimError> {
+        for core in 0..self.cores.len() {
+            self.heap.push(Reverse(Key { time: 0.0, core }));
         }
+        while let Some(core) = self.pop_earliest() {
+            self.resume(core);
+        }
+        // Any core still blocked means a barrier never filled.
+        for (c, st) in self.cores.iter().enumerate() {
+            if st.blocked {
+                // ip - 1 is the barrier op it is stuck on.
+                if let Op::Barrier { id } = self.traces.ops[c][st.ip - 1] {
+                    return Err(SimError::BarrierDeadlock { id });
+                }
+            }
+            self.report.makespan = self.report.makespan.max(st.time);
+        }
+        Ok(self.report)
+    }
+
+    fn heap_front(&self) -> Option<Key> {
+        self.heap.peek().map(|e| e.0)
+    }
+
+    fn release_front(&self) -> Option<Key> {
+        self.released.last().map(|b| b.front)
+    }
+
+    /// Restores the order of `released` after the `front` of its last
+    /// batch moved later (it advanced to its next core, or it is new):
+    /// sinks it below every batch that now precedes it. Batches with
+    /// distinct release times — the usual case — never pass each other.
+    fn settle_last_release(&mut self) {
+        let mut n = self.released.len() - 1;
+        while n > 0 && self.released[n - 1].front < self.released[n].front {
+            self.released.swap(n - 1, n);
+            n -= 1;
+        }
+    }
+
+    /// Removes and returns the earliest runnable core: the merge of the
+    /// heap with the release batches.
+    fn pop_earliest(&mut self) -> Option<usize> {
+        let heap_front = self.heap_front();
+        let batch = match self.released.last_mut() {
+            Some(batch) if batch.front.precedes(heap_front) => batch,
+            _ => return self.heap.pop().map(|e| e.0.core),
+        };
+        let core = batch.front.core;
+        batch.next += 1;
+        match self.members[batch.barrier].get(batch.next) {
+            Some(&next) => {
+                batch.front.core = next;
+                self.settle_last_release();
+            }
+            None => {
+                self.released.pop();
+            }
+        }
+        Some(core)
+    }
+
+    /// Whether `core`, about to take its next step at its current time,
+    /// precedes every queued core — pushing it would only pop it again.
+    fn is_earliest(&self, core: usize) -> bool {
+        let me = Key {
+            time: self.cores[core].time,
+            core,
+        };
+        me.precedes(self.heap_front()) && me.precedes(self.release_front())
+    }
+
+    /// Advances `core`, which precedes every queued core, until it
+    /// finishes, parks at a barrier or has to queue for its next turn.
+    ///
+    /// Its first step is its turn in the event order. After that it
+    /// keeps going only through steps that *commute* with every other
+    /// core's events — they read and write nothing but this core's own
+    /// state, so running them ahead of their turn changes no statistic
+    /// (DESIGN.md §2.1) — or while it is still the earliest core, where
+    /// going on is what a push-then-pop would do.
+    fn resume(&mut self, core: usize) {
+        let traces = self.traces;
         let stream = &traces.ops[core];
-        if st.ip >= stream.len() {
-            st.done = true;
-            report.makespan = report.makespan.max(st.time);
-            continue;
-        }
-        let my_node = machine.node_of(CoreId(core));
-        match stream[st.ip] {
-            Op::Compute { flops } => {
-                let rate = machine.nodes()[my_node.index()].core.sustained_flops();
-                let dur = if rate > 0.0 { flops / rate } else { 0.0 };
-                st.time += dur;
-                report.core_compute[core] += dur;
-                st.ip += 1;
-            }
-            Op::MemRead { node, bytes }
-            | Op::MemWrite { node, bytes }
-            | Op::Stream { node, bytes, .. } => {
-                let (is_read, op_flops) = match stream[st.ip] {
-                    Op::MemRead { .. } => (true, 0.0),
-                    Op::MemWrite { .. } => (false, 0.0),
-                    Op::Stream { flops, write, .. } => (!write, flops),
-                    _ => unreachable!(),
-                };
-                if st.bytes_left == 0.0 {
-                    st.bytes_left = bytes;
-                    st.latency_charged = false;
-                    if bytes == 0.0 {
-                        // A pure-compute "stream": charge the flops.
-                        if op_flops > 0.0 {
-                            let rate = machine.nodes()[my_node.index()].core.sustained_flops();
-                            let dur = if rate > 0.0 { op_flops / rate } else { 0.0 };
-                            st.time += dur;
-                            report.core_compute[core] += dur;
-                        }
-                        st.ip += 1;
-                        heap.push(HeapEntry {
-                            time: st.time,
-                            core,
-                        });
-                        continue;
-                    }
+        let node = self.machine.node_of(CoreId(core));
+        let mut my_turn = true;
+        loop {
+            let Some(&op) = stream.get(self.cores[core].ip) else {
+                self.report.makespan = self.report.makespan.max(self.cores[core].time);
+                return;
+            };
+            match op {
+                Op::Compute { flops } => {
+                    self.compute(core, node, flops);
+                    self.cores[core].ip += 1;
                 }
-                let q = st.bytes_left.min(config.quantum_bytes);
-                // Data flows home→core for reads, core→home for writes.
-                let (from, to) = if is_read {
-                    (node, my_node)
-                } else {
-                    (my_node, node)
-                };
-                let route: Vec<_> = machine.route(from, to).to_vec();
-                // Start when the core and all resources are available.
-                let mut start = st.time;
-                for &l in &route {
-                    start = start.max(link_free[l.index()]);
-                }
-                start = start.max(memctrl_free[node.index()]);
-                // Core-side duration: narrowest pipe, incl. per-core cap.
-                let mut bw = config.per_core_mem_bandwidth;
-                let dram_bw = machine.nodes()[node.index()].dram_bandwidth;
-                if dram_bw > 0.0 {
-                    bw = bw.min(dram_bw);
-                }
-                for &l in &route {
-                    bw = bw.min(machine.link_bandwidth(l));
-                }
-                let xfer = q / bw;
-                // Overlapped compute share of this quantum (Stream ops).
-                let rate = machine.nodes()[my_node.index()].core.sustained_flops();
-                let comp = if op_flops > 0.0 && rate > 0.0 {
-                    (op_flops * q / bytes) / rate
-                } else {
-                    0.0
-                };
-                let mut dur = xfer.max(comp);
-                if !st.latency_charged {
-                    dur += machine.nodes()[node.index()].dram_latency
-                        + machine.route_latency(from, to);
-                    st.latency_charged = true;
-                }
-                // Reserve capacity on shared resources.
-                for &l in &route {
-                    let t = q / machine.link_bandwidth(l);
-                    link_free[l.index()] = start + t;
-                    report.link_busy[l.index()] += t;
-                    report.link_bytes[l.index()] += q;
-                }
-                if dram_bw > 0.0 {
-                    let t = q / dram_bw;
-                    memctrl_free[node.index()] = start + t;
-                    report.memctrl_busy[node.index()] += t;
-                }
-                // Attribute the quantum to whichever side dominates.
-                if comp > xfer {
-                    report.core_compute[core] += dur;
-                    report.core_transfer[core] += start - st.time;
-                } else {
-                    report.core_transfer[core] += (start - st.time) + dur;
-                }
-                st.time = start + dur;
-                st.bytes_left -= q;
-                if route.is_empty() {
-                    report.mem_local_bytes += q;
-                } else {
-                    report.mem_remote_bytes += q;
-                }
-                if st.bytes_left <= 0.0 {
-                    st.bytes_left = 0.0;
-                    st.ip += 1;
-                }
-            }
-            Op::CacheRead { node, bytes } => {
-                if st.bytes_left == 0.0 {
-                    st.bytes_left = bytes;
-                    st.latency_charged = false;
-                    if bytes == 0.0 {
-                        st.ip += 1;
-                        heap.push(HeapEntry {
-                            time: st.time,
-                            core,
-                        });
-                        continue;
-                    }
-                }
-                let q = st.bytes_left.min(config.quantum_bytes);
-                let local = node == my_node;
-                let route: Vec<_> = machine.route(node, my_node).to_vec();
-                let mut start = st.time;
-                for &l in &route {
-                    start = start.max(link_free[l.index()]);
-                }
-                start = start.max(l3_free[node.index()]);
-                let l3_bw = machine.nodes()[node.index()].l3_bandwidth.max(1.0);
-                let dur = if local {
-                    q / l3_bw
-                } else {
-                    // Latency-bound demand misses: `miss_concurrency`
-                    // lines in flight per round trip.
-                    let rtt =
-                        2.0 * machine.route_latency(my_node, node) + config.remote_cache_latency;
-                    let eff_bw = (config.cache_line_bytes * config.miss_concurrency / rtt).max(1.0);
-                    let wire_bw = machine.route_bandwidth(node, my_node);
-                    q / eff_bw.min(wire_bw)
-                };
-                for &l in &route {
-                    let t = q / machine.link_bandwidth(l);
-                    link_free[l.index()] = start + t;
-                    report.link_busy[l.index()] += t;
-                    report.link_bytes[l.index()] += q;
-                }
+                Op::MemRead { bytes, .. }
+                | Op::MemWrite { bytes, .. }
+                | Op::CacheRead { bytes, .. }
+                | Op::Stream { bytes, .. }
+                    if bytes == 0.0 =>
                 {
-                    let t = q / l3_bw;
-                    l3_free[node.index()] = start + t;
-                }
-                report.core_transfer[core] += (start - st.time) + dur;
-                st.time = start + dur;
-                st.bytes_left -= q;
-                if local {
-                    report.cache_local_bytes += q;
-                } else {
-                    report.cache_remote_bytes += q;
-                }
-                if st.bytes_left <= 0.0 {
-                    st.bytes_left = 0.0;
-                    st.ip += 1;
-                }
-            }
-            Op::Barrier { id } => {
-                let b = &mut barriers[id.index()];
-                b.arrivals.push((core, st.time));
-                st.ip += 1;
-                let parties = traces.barriers[id.index()].participants.len();
-                if b.arrivals.len() == parties {
-                    let release = b.arrivals.iter().map(|&(_, t)| t).fold(0.0_f64, f64::max)
-                        + barrier_cost[id.index()];
-                    for &(c, arrived) in &b.arrivals {
-                        report.core_barrier_wait[c] += release - arrived;
-                        states[c].time = release;
-                        states[c].blocked = false;
-                        heap.push(HeapEntry {
-                            time: release,
-                            core: c,
-                        });
+                    // Nothing moves: only a stream's flops remain.
+                    if let Op::Stream { flops, .. } = op {
+                        self.compute(core, node, flops);
                     }
-                    barriers[id.index()].arrivals.clear();
-                    barriers[id.index()].episodes += 1;
-                    report.barrier_episodes += 1;
-                    continue; // current core re-pushed above
-                } else {
-                    st.blocked = true;
-                    continue; // do not re-push: released by last arrival
+                    self.cores[core].ip += 1;
                 }
+                Op::Barrier { id } => {
+                    // An arrival touches only the barrier's own episode,
+                    // and the cores it may release resume strictly after
+                    // this core's turn — unless the episode cost vanishes
+                    // against the arrival time: then a released core can
+                    // tie with that turn, and the arrival must wait for it.
+                    let time = self.cores[core].time;
+                    let commutes = time + self.barrier_cost[id.index()] > time;
+                    if !(my_turn || commutes || self.is_earliest(core)) {
+                        break;
+                    }
+                    self.arrive(core, id.index());
+                    return;
+                }
+                // A transfer quantum reserves shared resources: only in
+                // this core's turn.
+                _ if !(my_turn || self.is_earliest(core)) => break,
+                Op::CacheRead { node: home, bytes } => self.cache_quantum(core, node, home, bytes),
+                Op::MemRead { node: home, bytes } => {
+                    self.memory_quantum(core, node, home, bytes, true, 0.0)
+                }
+                Op::MemWrite { node: home, bytes } => {
+                    self.memory_quantum(core, node, home, bytes, false, 0.0)
+                }
+                Op::Stream {
+                    node: home,
+                    bytes,
+                    flops,
+                    write,
+                } => self.memory_quantum(core, node, home, bytes, !write, flops),
             }
+            my_turn = false;
         }
-        let st = &states[core];
-        if st.ip >= stream.len() && st.bytes_left == 0.0 {
-            states[core].done = true;
-            report.makespan = report.makespan.max(states[core].time);
-        } else {
-            heap.push(HeapEntry {
-                time: states[core].time,
-                core,
-            });
+        self.heap.push(Reverse(Key {
+            time: self.cores[core].time,
+            core,
+        }));
+    }
+
+    fn route(&self, from: NodeId, to: NodeId) -> Route<'a> {
+        self.routes[from.index() * self.machine.node_count() + to.index()]
+    }
+
+    /// The earliest time at or after `ready` at which every link is free.
+    fn links_free(&self, links: &[LinkId], ready: f64) -> f64 {
+        links
+            .iter()
+            .fold(ready, |t, l| t.max(self.link_free[l.index()]))
+    }
+
+    /// Books `q` bytes on every link from `start`.
+    fn reserve_links(&mut self, links: &[LinkId], start: f64, q: f64) {
+        for l in links {
+            let t = q / self.link_bandwidth[l.index()];
+            self.link_free[l.index()] = start + t;
+            self.report.link_busy[l.index()] += t;
+            self.report.link_bytes[l.index()] += q;
         }
     }
 
-    // Any core still blocked means a barrier never filled.
-    for (c, st) in states.iter().enumerate() {
-        if st.blocked {
-            // Find the barrier it is stuck on (ip - 1 was the barrier op).
-            if let Op::Barrier { id } = traces.ops[c][st.ip - 1] {
-                return Err(SimError::BarrierDeadlock { id });
-            }
-        }
-        report.makespan = report.makespan.max(st.time);
+    /// Charges `flops` of cache-resident arithmetic to `core`.
+    fn compute(&mut self, core: usize, node: NodeId, flops: f64) {
+        let rate = self.flop_rate[node.index()];
+        let dur = if rate > 0.0 { flops / rate } else { 0.0 };
+        self.cores[core].time += dur;
+        self.report.core_compute[core] += dur;
     }
-    Ok(report)
+
+    /// Records `core`'s arrival at barrier `id`; the last arrival
+    /// releases the episode as one batch.
+    fn arrive(&mut self, core: usize, id: usize) {
+        let st = &mut self.cores[core];
+        st.ip += 1;
+        st.blocked = true;
+        let episode = &mut self.barriers[id];
+        episode.arrived += 1;
+        episode.latest = episode.latest.max(st.time);
+        if episode.arrived < self.traces.barriers[id].participants.len() {
+            return;
+        }
+        let release = episode.latest + self.barrier_cost[id];
+        *episode = BarrierState::default();
+        for &c in &self.members[id] {
+            let st = &mut self.cores[c];
+            self.report.core_barrier_wait[c] += release - st.time;
+            st.time = release;
+            st.blocked = false;
+        }
+        self.report.barrier_episodes += 1;
+        self.released.push(ReleaseBatch {
+            front: Key {
+                time: release,
+                core: self.members[id][0],
+            },
+            barrier: id,
+            next: 0,
+        });
+        self.settle_last_release();
+    }
+
+    /// Starts the op's transfer if this is its first quantum and returns
+    /// the size of the quantum to move now.
+    fn next_quantum(&mut self, core: usize, bytes: f64) -> f64 {
+        let st = &mut self.cores[core];
+        if st.bytes_left == 0.0 {
+            st.bytes_left = bytes;
+            st.latency_charged = false;
+        }
+        st.bytes_left.min(self.config.quantum_bytes)
+    }
+
+    /// Moves `core` to `end` with `q` fewer bytes left in its op, and on
+    /// to the next op once they are all through.
+    fn finish_quantum(&mut self, core: usize, end: f64, q: f64) {
+        let st = &mut self.cores[core];
+        st.time = end;
+        st.bytes_left -= q;
+        if st.bytes_left <= 0.0 {
+            st.bytes_left = 0.0;
+            st.ip += 1;
+        }
+    }
+
+    /// Streams one quantum of a DRAM transfer between `core` (on `node`)
+    /// and the memory of `home`, overlapping `op_flops` of arithmetic
+    /// spread evenly over the op's bytes.
+    fn memory_quantum(
+        &mut self,
+        core: usize,
+        node: NodeId,
+        home: NodeId,
+        bytes: f64,
+        is_read: bool,
+        op_flops: f64,
+    ) {
+        let q = self.next_quantum(core, bytes);
+        // Data flows home→core for reads, core→home for writes.
+        let route = if is_read {
+            self.route(home, node)
+        } else {
+            self.route(node, home)
+        };
+        // Start when the core and all resources are available.
+        let ready = self.cores[core].time;
+        let start = self
+            .links_free(route.links, ready)
+            .max(self.memctrl_free[home.index()]);
+        // Core-side duration: narrowest pipe, incl. per-core cap.
+        let mut bw = self.config.per_core_mem_bandwidth;
+        let home_spec = &self.machine.nodes()[home.index()];
+        let dram_bw = home_spec.dram_bandwidth;
+        if dram_bw > 0.0 {
+            bw = bw.min(dram_bw);
+        }
+        bw = bw.min(route.bandwidth);
+        let xfer = q / bw;
+        // Overlapped compute share of this quantum (Stream ops).
+        let rate = self.flop_rate[node.index()];
+        let comp = if op_flops > 0.0 && rate > 0.0 {
+            (op_flops * q / bytes) / rate
+        } else {
+            0.0
+        };
+        let mut dur = xfer.max(comp);
+        if !self.cores[core].latency_charged {
+            dur += home_spec.dram_latency + route.latency;
+            self.cores[core].latency_charged = true;
+        }
+        // Reserve capacity on shared resources.
+        self.reserve_links(route.links, start, q);
+        if dram_bw > 0.0 {
+            let t = q / dram_bw;
+            self.memctrl_free[home.index()] = start + t;
+            self.report.memctrl_busy[home.index()] += t;
+        }
+        // Attribute the quantum to whichever side dominates.
+        if comp > xfer {
+            self.report.core_compute[core] += dur;
+            self.report.core_transfer[core] += start - ready;
+        } else {
+            self.report.core_transfer[core] += (start - ready) + dur;
+        }
+        if route.links.is_empty() {
+            self.report.mem_local_bytes += q;
+        } else {
+            self.report.mem_remote_bytes += q;
+        }
+        self.finish_quantum(core, start + dur, q);
+    }
+
+    /// Pulls one quantum out of the cache of `home` into `core` (on
+    /// `node`).
+    fn cache_quantum(&mut self, core: usize, node: NodeId, home: NodeId, bytes: f64) {
+        let q = self.next_quantum(core, bytes);
+        let route = self.route(home, node);
+        let ready = self.cores[core].time;
+        let start = self
+            .links_free(route.links, ready)
+            .max(self.l3_free[home.index()]);
+        let l3_bw = self.machine.nodes()[home.index()].l3_bandwidth.max(1.0);
+        let dur = if home == node {
+            q / l3_bw
+        } else {
+            // Latency-bound demand misses: `miss_concurrency` lines in
+            // flight per round trip.
+            let rtt = 2.0 * self.route(node, home).latency + self.config.remote_cache_latency;
+            let eff_bw =
+                (self.config.cache_line_bytes * self.config.miss_concurrency / rtt).max(1.0);
+            q / eff_bw.min(route.bandwidth)
+        };
+        self.reserve_links(route.links, start, q);
+        self.l3_free[home.index()] = start + q / l3_bw;
+        self.report.core_transfer[core] += (start - ready) + dur;
+        if home == node {
+            self.report.cache_local_bytes += q;
+        } else {
+            self.report.cache_remote_bytes += q;
+        }
+        self.finish_quantum(core, start + dur, q);
+    }
 }
 
 #[cfg(test)]
@@ -516,6 +758,131 @@ mod tests {
         SimConfig {
             quantum_bytes: 1024.0,
             ..SimConfig::default()
+        }
+    }
+
+    /// One `MemRead` on one core: the smallest trace whose simulation
+    /// used to spin forever under a zero quantum.
+    fn one_read() -> TraceSet {
+        let mut t = TraceSet::for_cores(1);
+        t.push(
+            CoreId(0),
+            Op::MemRead {
+                node: NodeId(0),
+                bytes: 4096.0,
+            },
+        );
+        t
+    }
+
+    fn rejected_field(config: SimConfig) -> &'static str {
+        match simulate(&two_socket_machine(), &one_read(), &config) {
+            Err(SimError::InvalidConfig { field }) => field,
+            other => panic!("{config:?} gave {other:?}"),
+        }
+    }
+
+    #[test]
+    fn default_config_is_accepted() {
+        let r = simulate(&two_socket_machine(), &one_read(), &SimConfig::default()).unwrap();
+        assert_eq!(r.mem_local_bytes, 4096.0);
+    }
+
+    #[test]
+    fn zero_quantum_is_rejected_instead_of_spinning() {
+        let config = SimConfig {
+            quantum_bytes: 0.0,
+            ..SimConfig::default()
+        };
+        let err = simulate(&two_socket_machine(), &one_read(), &config).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::InvalidConfig {
+                field: "quantum_bytes"
+            }
+        );
+        assert!(err.to_string().contains("`quantum_bytes`"), "{err}");
+    }
+
+    #[test]
+    fn rates_and_sizes_must_be_finite_and_positive() {
+        let d = SimConfig::default();
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cases = [
+                (
+                    "quantum_bytes",
+                    SimConfig {
+                        quantum_bytes: bad,
+                        ..d
+                    },
+                ),
+                (
+                    "cache_line_bytes",
+                    SimConfig {
+                        cache_line_bytes: bad,
+                        ..d
+                    },
+                ),
+                (
+                    "miss_concurrency",
+                    SimConfig {
+                        miss_concurrency: bad,
+                        ..d
+                    },
+                ),
+                (
+                    "per_core_mem_bandwidth",
+                    SimConfig {
+                        per_core_mem_bandwidth: bad,
+                        ..d
+                    },
+                ),
+            ];
+            for (field, config) in cases {
+                assert_eq!(rejected_field(config), field, "{bad}");
+            }
+        }
+    }
+
+    #[test]
+    fn latencies_and_barrier_costs_must_be_finite_and_non_negative() {
+        let d = SimConfig::default();
+        let with = |value: f64| {
+            [
+                (
+                    "remote_cache_latency",
+                    SimConfig {
+                        remote_cache_latency: value,
+                        ..d
+                    },
+                ),
+                (
+                    "barrier_base",
+                    SimConfig {
+                        barrier_base: value,
+                        ..d
+                    },
+                ),
+                (
+                    "barrier_per_hop",
+                    SimConfig {
+                        barrier_per_hop: value,
+                        ..d
+                    },
+                ),
+            ]
+        };
+        for bad in [-1e-9, f64::NAN, f64::INFINITY] {
+            for (field, config) in with(bad) {
+                assert_eq!(rejected_field(config), field, "{bad}");
+            }
+        }
+        // Zero is a legitimate cost.
+        for (field, config) in with(0.0) {
+            assert!(
+                simulate(&two_socket_machine(), &one_read(), &config).is_ok(),
+                "{field}"
+            );
         }
     }
 

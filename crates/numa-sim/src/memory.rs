@@ -108,20 +108,27 @@ impl Placement {
             .map(|&(_, n)| n)
     }
 
+    /// Visits the part of `sub` that lives in each slab, as
+    /// `(slab ∩ sub, node)` in slab order, skipping slabs `sub` misses.
+    /// Allocation-free: planners that ask once per (block, rank) clip a
+    /// rank-invariant region through this and re-clip the few survivors.
+    pub fn for_each_in(&self, sub: Region3, mut visit: impl FnMut(Region3, NodeId)) {
+        for &(slab, node) in &self.slabs {
+            let part = slab.intersect(sub);
+            if !part.is_empty() {
+                visit(part, node);
+            }
+        }
+    }
+
     /// How many bytes of `sub` live on each node, as `(node, bytes)`
     /// pairs in slab order (nodes may repeat if they own several slabs).
     pub fn bytes_on(&self, sub: Region3) -> Vec<(NodeId, f64)> {
-        self.slabs
-            .iter()
-            .filter_map(|&(r, n)| {
-                let cells = r.intersect(sub).cells();
-                if cells == 0 {
-                    None
-                } else {
-                    Some((n, (cells * BYTES_PER_CELL) as f64))
-                }
-            })
-            .collect()
+        let mut on = Vec::new();
+        self.for_each_in(sub, |part, node| {
+            on.push((node, (part.cells() * BYTES_PER_CELL) as f64));
+        });
+        on
     }
 
     /// Total bytes of the placed array.
@@ -163,6 +170,27 @@ mod tests {
         let sub = Region3::new(Range1::new(3, 8), r.j, r.k);
         let b = p.bytes_on(sub);
         assert_eq!(b, vec![(NodeId(0), 16.0), (NodeId(1), 24.0)]);
+    }
+
+    #[test]
+    fn visitor_clips_slabs_in_order_and_skips_misses() {
+        let r = Region3::of_extent(12, 2, 1);
+        let p = Placement::interleaved(r, Axis::I, &[NodeId(0), NodeId(1)], 4);
+        // Cells 2..9 of slabs [0,4) [4,8) [8,12); the j = 1 row only.
+        let sub = Region3::new(Range1::new(2, 9), Range1::new(1, 2), r.k);
+        let mut seen = Vec::new();
+        p.for_each_in(sub, |part, node| seen.push((part.i, part.cells(), node)));
+        assert_eq!(
+            seen,
+            vec![
+                (Range1::new(2, 4), 2, NodeId(0)),
+                (Range1::new(4, 8), 4, NodeId(1)),
+                (Range1::new(8, 9), 1, NodeId(0)),
+            ]
+        );
+        let far = Region3::new(Range1::new(20, 30), r.j, r.k);
+        p.for_each_in(far, |_, _| panic!("nothing of {far:?} is placed"));
+        assert!(p.bytes_on(far).is_empty());
     }
 
     #[test]

@@ -194,10 +194,19 @@ impl TraceSet {
                 available: core_count,
             });
         }
-        let mut episodes = vec![Vec::new(); self.barriers.len()];
+        // One row of `cores` entries per barrier: who belongs to it, and
+        // how often each core waits on it. A barrier op is then one table
+        // lookup, whatever the size of its team.
+        let cores = self.ops.len();
+        let mut member = vec![false; self.barriers.len() * cores];
+        for (b, spec) in self.barriers.iter().enumerate() {
+            for p in spec.participants.iter().filter(|p| p.index() < cores) {
+                member[b * cores + p.index()] = true;
+            }
+        }
+        let mut waits = vec![0usize; member.len()];
         for (c, stream) in self.ops.iter().enumerate() {
             let core = CoreId(c);
-            let mut my_episodes = vec![0usize; self.barriers.len()];
             for (n, op) in stream.iter().enumerate() {
                 match *op {
                     Op::Compute { flops } => {
@@ -226,45 +235,28 @@ impl TraceSet {
                         }
                     }
                     Op::Barrier { id } => {
-                        if id.index() >= self.barriers.len() {
+                        if id.index() >= self.barriers.len() || !member[id.index() * cores + c] {
                             return Err(TraceError::BadBarrier { id });
                         }
-                        if !self.barriers[id.index()].participants.contains(&core) {
-                            return Err(TraceError::BadBarrier { id });
-                        }
-                        my_episodes[id.index()] += 1;
+                        waits[id.index() * cores + c] += 1;
                     }
-                }
-            }
-            for (b, &count) in my_episodes.iter().enumerate() {
-                if count > 0 {
-                    episodes[b].push((core, count));
                 }
             }
         }
         for (b, spec) in self.barriers.iter().enumerate() {
             let id = BarrierId(b);
-            // Every participant must hit the barrier the same number of
-            // times (possibly zero for an unused barrier), and only
-            // participants may hit it (checked above).
-            let counts: Vec<usize> = spec
+            // Every participant must have a stream and hit the barrier
+            // the same number of times (possibly zero for an unused
+            // barrier); only participants may hit it (checked above).
+            if spec.participants.iter().any(|p| p.index() >= cores) {
+                return Err(TraceError::BadBarrier { id });
+            }
+            let mut counts = spec
                 .participants
                 .iter()
-                .map(|p| {
-                    episodes[b]
-                        .iter()
-                        .find(|(c, _)| c == p)
-                        .map(|(_, n)| *n)
-                        .unwrap_or(0)
-                })
-                .collect();
-            if let Some(&first) = counts.first() {
-                if counts.iter().any(|&c| c != first) {
-                    return Err(TraceError::BadBarrier { id });
-                }
-            }
-            for p in &spec.participants {
-                if p.index() >= self.ops.len() {
+                .map(|p| waits[b * cores + p.index()]);
+            if let Some(first) = counts.next() {
+                if counts.any(|c| c != first) {
                     return Err(TraceError::BadBarrier { id });
                 }
             }
@@ -327,6 +319,26 @@ mod tests {
         let b = t.add_barrier(vec![CoreId(0)]);
         t.push(CoreId(1), Op::Barrier { id: b });
         assert_eq!(t.validate(1, 2), Err(TraceError::BadBarrier { id: b }));
+    }
+
+    #[test]
+    fn validate_rejects_participant_without_a_stream() {
+        let mut t = TraceSet::for_cores(2);
+        let ok = t.add_barrier(vec![CoreId(0), CoreId(1)]);
+        let b = t.add_barrier(vec![CoreId(1), CoreId(2)]);
+        t.push(CoreId(0), Op::Barrier { id: ok });
+        t.push(CoreId(1), Op::Barrier { id: ok });
+        assert_eq!(t.validate(1, 4), Err(TraceError::BadBarrier { id: b }));
+    }
+
+    #[test]
+    fn validate_rejects_unknown_barrier() {
+        let mut t = TraceSet::for_cores(1);
+        t.push(CoreId(0), Op::Barrier { id: BarrierId(3) });
+        assert_eq!(
+            t.validate(1, 1),
+            Err(TraceError::BadBarrier { id: BarrierId(3) })
+        );
     }
 
     #[test]

@@ -199,3 +199,146 @@ fn barrier_equalizes_finish_times() {
         );
     }
 }
+
+#[allow(dead_code)]
+#[path = "support/fingerprint.rs"]
+mod fingerprint;
+
+/// A random op for the pinned sweep: like [`any_op`], plus the
+/// degenerate amounts (zero bytes, zero flops) and a coarse size grid so
+/// that distinct cores draw *identical* ops and tie on time.
+fn tie_prone_op(rng: &mut Xoshiro256pp, nodes: usize) -> Op {
+    let node = NodeId(rng.below(nodes));
+    let bytes = [0.0, 4096.0, 65536.0, 3e5][rng.below(4)];
+    let flops = [0.0, 1e4, 1e6][rng.below(3)];
+    match rng.below(5) {
+        0 => Op::Compute { flops },
+        1 => Op::MemRead { node, bytes },
+        2 => Op::MemWrite { node, bytes },
+        3 => Op::CacheRead { node, bytes },
+        _ => Op::Stream {
+            node,
+            bytes,
+            flops,
+            write: rng.next_bool(),
+        },
+    }
+}
+
+/// A deadlock-free random trace: barriers over arbitrary, overlapping
+/// core subsets (one per socket team, one global, a few random ones down
+/// to a single participant) are hit in one global phase order, between
+/// phases of random or deliberately identical work. The last socket's
+/// upper half stays outside every barrier.
+fn barrier_trace(rng: &mut Xoshiro256pp, sockets: usize) -> TraceSet {
+    let cores = 8 * sockets;
+    let synced = cores - 4;
+    let mut t = TraceSet::for_cores(cores);
+    let mut barriers = vec![t.add_barrier((0..synced).map(CoreId).collect())];
+    for s in 0..sockets {
+        let team = (8 * s..(8 * s + 8).min(synced)).map(CoreId).collect();
+        barriers.push(t.add_barrier(team));
+    }
+    for _ in 0..3 {
+        // Participants in shuffled order: the engine must not rely on
+        // the table being sorted.
+        let mut subset: Vec<CoreId> = (0..synced)
+            .filter(|_| rng.below(3) == 0)
+            .map(CoreId)
+            .collect();
+        if subset.is_empty() {
+            subset.push(CoreId(rng.below(synced)));
+        }
+        for n in (1..subset.len()).rev() {
+            subset.swap(n, rng.below(n + 1));
+        }
+        barriers.push(t.add_barrier(subset));
+    }
+    for _ in 0..(4 + rng.below(12)) {
+        match rng.below(4) {
+            // Everybody draws their own ops.
+            0 => {
+                for c in 0..cores {
+                    for _ in 0..rng.below(3) {
+                        t.push(CoreId(c), tie_prone_op(rng, sockets));
+                    }
+                }
+            }
+            // A run of cores executes the same op: equal-time ties.
+            1 => {
+                let op = tie_prone_op(rng, sockets);
+                let lo = rng.below(cores);
+                for c in lo..(lo + 1 + rng.below(10)).min(cores) {
+                    t.push(CoreId(c), op);
+                }
+            }
+            // One or two barriers back to back: the second fires while
+            // the first one's released cores are still being resumed.
+            _ => {
+                for _ in 0..(1 + rng.below(2)) {
+                    let id = barriers[rng.below(barriers.len())];
+                    for p in t.barriers[id.index()].participants.clone() {
+                        t.push(p, Op::Barrier { id });
+                    }
+                }
+            }
+        }
+    }
+    t
+}
+
+/// The engine's statistics on random barrier-heavy traces are pinned
+/// bit for bit (constants from the commit before the release-batch /
+/// commuting-op engine): the global event order `(time, core)` is part
+/// of the simulator's contract, not an implementation detail. Zero-cost
+/// barriers make released cores tie with the core that released them —
+/// the one case where an arrival may *not* be run ahead of its turn.
+#[test]
+fn statistics_of_random_barrier_traces_are_pinned() {
+    let configs = [
+        ("default quantum", cfg()),
+        (
+            "zero-cost barriers",
+            SimConfig {
+                barrier_base: 0.0,
+                barrier_per_hop: 0.0,
+                ..cfg()
+            },
+        ),
+        (
+            "4 KiB quantum, free remote caches",
+            SimConfig {
+                quantum_bytes: 4096.0,
+                remote_cache_latency: 0.0,
+                ..SimConfig::default()
+            },
+        ),
+    ];
+    let actual: Vec<(&str, u64)> = configs
+        .iter()
+        .map(|(label, config)| {
+            let mut rng = Xoshiro256pp::seed_from_u64(0x51D0_0017);
+            let mut h = fingerprint::hasher();
+            for case in 0..96 {
+                let sockets = [1, 2, 4, 7][case % 4];
+                let machine = UvParams::uv2000(sockets).build();
+                let traces = barrier_trace(&mut rng, sockets);
+                let report = simulate(&machine, &traces, config)
+                    .unwrap_or_else(|e| panic!("{label}, case {case}: {e}"));
+                assert!(report.makespan.is_finite(), "{label}, case {case}");
+                h.absorb(fingerprint::trace_fingerprint(&traces))
+                    .absorb(fingerprint::report_fingerprint(&report));
+            }
+            (*label, h.next_u64())
+        })
+        .collect();
+    let pinned: [(&str, u64); 3] = [
+        ("default quantum", 0x250e_6cbf_54c9_f4ff),
+        ("zero-cost barriers", 0x7a88_c723_f020_b210),
+        ("4 KiB quantum, free remote caches", 0x03db_af32_e115_7dd5),
+    ];
+    assert!(
+        actual == pinned,
+        "engine statistics moved; the sweep now reads {actual:#018x?}"
+    );
+}

@@ -2,10 +2,21 @@
 # Regenerates every table, figure and ablation of the reproduction into
 # results/ (text + CSV embedded in each report). Takes well under a
 # minute on a laptop: the experiments run on the simulated UV 2000.
+#
+# With --check nothing is overwritten: the reports go to a temporary
+# directory and are diffed against results/ (CI's `results-drift` step).
+# The CSV blocks print full precision, so that is a bit-equality gate on
+# every simulated statistic — and on results/ holding exactly the
+# reports of the list below.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-mkdir -p results
-cargo build --release -p islands-bench
+out=results
+if [[ "${1:-}" == --check ]]; then
+  out=$(mktemp -d)
+  trap 'rm -rf "$out"' EXIT
+fi
+mkdir -p "$out"
+cargo build --release --offline -p islands-bench
 
 BINARIES=(
   fig1            # Fig. 1  — the two scenarios, counted
@@ -26,7 +37,12 @@ BINARIES=(
 )
 for b in "${BINARIES[@]}"; do
   echo "== $b =="
-  "./target/release/$b" | tee "results/$b.txt"
+  "./target/release/$b" | tee "$out/$b.txt"
   echo
 done
-echo "All experiment reports written to results/."
+if [[ $out == results ]]; then
+  echo "All experiment reports written to results/."
+else
+  diff -r results "$out"
+  echo "results/ matches all ${#BINARIES[@]} regenerated reports."
+fi
