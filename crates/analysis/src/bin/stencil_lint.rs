@@ -200,7 +200,10 @@ fn full_matrix() -> Vec<Diagnostic> {
         ));
 
         for (desc, parts) in &partitions {
-            for split_axis in [Axis::J, Axis::K] {
+            // `None`: the cut an executor derives when none is named —
+            // each team's longest axis among I and J.
+            for split_axis in [Some(Axis::J), Some(Axis::K), Some(Axis::I), None] {
+                let split = split_axis.map_or("derived".to_string(), |a| format!("{a:?}"));
                 for shape in ["uniform-2", "mixed"] {
                     let sizes: Vec<usize> = match shape {
                         "uniform-2" => vec![2; parts.len()],
@@ -208,14 +211,22 @@ fn full_matrix() -> Vec<Diagnostic> {
                     };
                     // The whole knob lattice on one (axis, shape)
                     // combination per partition keeps the matrix
-                    // affordable; the others prove the two schedule
-                    // policies of the classic per-step sweeps.
-                    let whole_lattice = split_axis == Axis::J && shape == "uniform-2";
+                    // affordable — with its untiled half again under
+                    // the derived cut, which follows the fused steps'
+                    // regions (tiles are handed out whole: no cut); the
+                    // others prove the two schedule policies of the
+                    // classic per-step sweeps.
                     for knobs in lattice(split_axis) {
-                        if whole_lattice || (knobs.fuse_steps == 1 && knobs.tile == TileMode::Off) {
+                        let classic = knobs.fuse_steps == 1 && knobs.tile == TileMode::Off;
+                        let wider = shape == "uniform-2"
+                            && match split_axis {
+                                Some(Axis::J) => true,
+                                None => knobs.tile == TileMode::Off,
+                                Some(_) => false,
+                            };
+                        if classic || wider {
                             let what = format!(
-                                "domain={domain:?} partition={desc} split={split_axis:?} \
-                                 teams={shape}"
+                                "domain={domain:?} partition={desc} split={split} teams={shape}"
                             );
                             all.extend(prove(&problem, domain, parts, &sizes, knobs, &what));
                         }
@@ -259,7 +270,7 @@ fn full_matrix() -> Vec<Diagnostic> {
 /// schedule policy × fuse depth × tile mode — a mid-size tile that
 /// straddles part boundaries, a fat tile that swallows whole parts, and
 /// the cache-driven auto sizer.
-fn lattice(split_axis: Axis) -> Vec<ScheduleKnobs> {
+fn lattice(split_axis: Option<Axis>) -> Vec<ScheduleKnobs> {
     let mut out = Vec::new();
     for schedule in [
         SchedulePolicy::Static,
@@ -343,24 +354,29 @@ fn mutant_drop_offset() -> Vec<Diagnostic> {
     .diagnostics
 }
 
+/// The rank cut of every schedule mutant, named so that the seeded
+/// overlaps do not move with the derived choice.
+const MUTANT_SPLIT: Axis = Axis::J;
+
 /// The schedule every schedule mutant perturbs: two islands of two
-/// ranks on 16×12×6 (`parts` defaults to the even I-split), lowered
-/// from the real builder.
+/// ranks on 16×12×6 (`parts` defaults to the even I-split) cut along
+/// [`MUTANT_SPLIT`], lowered from the real builder.
 fn mutant_plan(parts: Option<Vec<Region3>>, knobs: ScheduleKnobs) -> SchedulePlan {
     let domain = Region3::of_extent(16, 12, 6);
     let parts = parts.unwrap_or_else(|| domain.split(Axis::I, 2));
     let knobs = ScheduleKnobs {
         cache_bytes: CACHE_BYTES,
+        split_axis: Some(MUTANT_SPLIT),
         ..knobs
     };
     schedule_plan(&MpdataProblem::standard(), domain, &parts, &[2, 2], knobs)
 }
 
-/// Widens slot 0's writes one slab along the (default `J`) split axis,
-/// into slot 1's share of the same barrier-fenced epoch, in every epoch
-/// `select` picks.
+/// Widens slot 0's writes one slab along the split axis, into slot 1's
+/// share of the same barrier-fenced epoch, in every epoch `select`
+/// picks.
 fn widen_slot0(plan: &mut SchedulePlan, select: impl Fn(&Epoch) -> bool) {
-    let axis = ScheduleKnobs::default().split_axis;
+    let axis = MUTANT_SPLIT;
     let hi_max = plan.domain.range(axis).hi;
     for team in &mut plan.teams {
         for ep in team.epochs.iter_mut().filter(|ep| select(ep)) {
@@ -457,6 +473,7 @@ fn mutant_window_too_narrow() -> Vec<Diagnostic> {
     let domain = Region3::of_extent(24, 12, 6);
     let knobs = ScheduleKnobs {
         cache_bytes: CACHE_BYTES / 2,
+        split_axis: Some(MUTANT_SPLIT),
         ..ScheduleKnobs::default()
     };
     let mut plan = schedule_plan(&MpdataProblem::standard(), domain, &[domain], &[2], knobs);

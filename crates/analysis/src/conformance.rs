@@ -35,7 +35,7 @@ use stencil_engine::{trace, Array3, Offset3, Range1, Region3, StageGraph, Stenci
 /// Which kernel implementation the harness drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPath {
-    /// [`mpdata::apply_kind`]: the production row kernels, boundary
+    /// [`mpdata::apply_kind`]: the production run kernels, boundary
     /// rows and `k`-end cells included, under either boundary.
     Dispatch,
     /// [`mpdata::apply_kind_scalar`]: the per-cell oracle — the same

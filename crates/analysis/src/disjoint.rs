@@ -239,7 +239,7 @@ pub fn islands_plan(
 ) -> Result<SchedulePlan, PlanBlocksError> {
     let knobs = ScheduleKnobs {
         cache_bytes,
-        split_axis,
+        split_axis: Some(split_axis),
         ..ScheduleKnobs::default()
     };
     StepSchedule::build(problem, domain, parts, team_sizes, knobs).map(|s| lower(&s))

@@ -251,7 +251,12 @@ fn widened_chunk_is_an_intra_team_overlap_naming_both_slots() {
     // Two ranks × two chunks: four claimable slots per epoch. Widen the
     // first chunk's writes one slab into the second chunk's share — any
     // claim order where different workers take slots 0 and 1 races.
-    let mut plan = plan_with(d, &parts, dynamic(2));
+    // The cut is named: the widening below must follow it.
+    let knobs = ScheduleKnobs {
+        split_axis: Some(split),
+        ..dynamic(2)
+    };
+    let mut plan = plan_with(d, &parts, knobs);
     for team in &mut plan.teams {
         for ep in &mut team.epochs {
             if let Some(chunk0) = ep.per_rank.first_mut() {
@@ -304,7 +309,11 @@ fn widened_second_fused_step_is_an_intra_team_overlap() {
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
     let split = Axis::J;
-    let mut plan = plan_with(d, &parts, fused(3));
+    let knobs = ScheduleKnobs {
+        split_axis: Some(split),
+        ..fused(3)
+    };
+    let mut plan = plan_with(d, &parts, knobs);
     for team in &mut plan.teams {
         for ep in &mut team.epochs {
             if !ep.label.starts_with("step 1 /") {

@@ -122,11 +122,15 @@ fn bench_fast_vs_scalar(h: &mut Harness) {
     group.finish();
 }
 
-/// Every stage kind over one 32×32×16 block, twice: as the whole
-/// domain (`boundary/<kind>` — all six faces, `k`-end cells included)
-/// and strictly inside a larger domain (`interior/<kind>` — same rows,
-/// no boundary). `bench-check --max-boundary-ratio` gates the Σ17
-/// ratio of the two: domain faces must cost next to nothing.
+/// Every stage kind over one 32×32×16 block, three times: strictly
+/// inside a larger domain (`interior/<kind>` — no boundary, and rows of
+/// a sub-`k` region do not chain: one row per run), as whole `k`-columns
+/// of a domain larger along `i` and `j` only (`plane/<kind>` — each
+/// plane of the block is a single run, `k`-end cells included) and as
+/// the whole domain (`boundary/<kind>` — all six faces: the `j`-face
+/// rows are runs of their own). `bench-check --max-boundary-ratio`
+/// gates the Σ17 ratio of the last to the first: domain faces must cost
+/// next to nothing.
 fn bench_kernel_blocks(h: &mut Harness) {
     use mpdata::{apply_kind, Boundary, MpdataProblem};
     use stencil_engine::Array3;
@@ -141,7 +145,12 @@ fn bench_kernel_blocks(h: &mut Harness) {
             continue;
         }
         seen.push(kind);
-        for (side, domain) in [("interior", block.expand_uniform(2)), ("boundary", block)] {
+        let columns = Region3::new(block.i.expand(2, 2), block.j.expand(2, 2), block.k);
+        for (side, domain) in [
+            ("interior", block.expand_uniform(2)),
+            ("plane", columns),
+            ("boundary", block),
+        ] {
             let inputs: Vec<Array3> = (0..st.inputs.len())
                 .map(|n| {
                     Array3::from_fn(domain, |i, j, k| {

@@ -58,12 +58,16 @@
 //! `scratch` line: the bytes the intermediates occupy under the
 //! schedule that ran — sliding windows of a few i-planes per field
 //! beside what hull-sized arrays would take, or the rank-private tile
-//! scratch.
+//! scratch. Untiled, a `rank cut` line names the axis the first
+//! island's cores split each sweep along, with the sweep that decided
+//! it: `I (32 planes ≥ 32 rows)` when every sweep is at least as deep
+//! as it is wide, else `J (6 planes < 256 rows)`.
 
 use mpdata::{
     gaussian_pulse, random_fields, rotating_cone, Boundary, IslandsExecutor, MpdataFields,
     MpdataProblem, OriginalExecutor, ReferenceExecutor, StepSchedule, TileMode,
 };
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
 use stencil_engine::rng::Xoshiro256pp;
@@ -320,6 +324,36 @@ fn check_inputs(a: &Args, fields: &MpdataFields) -> Result<(), String> {
     })
 }
 
+/// The summary's `rank cut` line: the axis the first working team's
+/// ranks slice every sweep along, and why — the sweep closest to (or
+/// furthest past) the longest-axis rule's tipping point, read off the
+/// schedule's own write regions. `None` for tiled schedules, whose
+/// ranks take whole tiles.
+fn rank_cut_line(schedule: &StepSchedule) -> Option<String> {
+    if schedule.knobs().tile != TileMode::Off {
+        return None;
+    }
+    let accesses = schedule.accesses();
+    let team = accesses.first()?.team;
+    let axis = schedule.rank_axis(team);
+    if schedule.knobs().split_axis.is_some() {
+        return Some(format!("{axis:?} (explicit)"));
+    }
+    // Per epoch, the sweep its slots cut up; then the least deep for
+    // its width.
+    let mut sweeps: BTreeMap<usize, Region3> = BTreeMap::new();
+    for a in accesses.iter().filter(|a| a.write && a.team == team) {
+        let sweep = sweeps.entry(a.epoch).or_insert(a.region);
+        *sweep = sweep.hull(a.region);
+    }
+    let tip = sweeps
+        .values()
+        .min_by_key(|r| r.i.len() as i64 - r.j.len() as i64)?;
+    let (planes, rows) = (tip.i.len(), tip.j.len());
+    let cmp = if planes >= rows { '≥' } else { '<' };
+    Some(format!("{axis:?} ({planes} planes {cmp} {rows} rows)"))
+}
+
 /// The summary's `scratch` line: what the intermediates occupy under
 /// the schedule that ran, beside what whole-hull arrays would.
 fn scratch_line(schedule: &StepSchedule) -> String {
@@ -435,11 +469,12 @@ fn main() -> ExitCode {
             ticker = Some((tx, handle));
         }
     }
-    let mut scratch = None;
+    let mut plan_lines = None;
     let mut run_islands = |exec: IslandsExecutor<'_>, fields: &mut MpdataFields| {
         exec.run(fields, a.steps)?;
         // The schedule the run just replayed (a plan-cache hit).
-        scratch = Some(scratch_line(&*exec.schedule_for(fields.domain())?));
+        let schedule = exec.schedule_for(fields.domain())?;
+        plan_lines = Some((rank_cut_line(&schedule), scratch_line(&schedule)));
         Ok::<(), PlanBlocksError>(())
     };
     let t0 = Instant::now();
@@ -521,8 +556,11 @@ fn main() -> ExitCode {
         "throughput   : {:.2} Mcells/s",
         (fields.domain().cells() * a.steps) as f64 / elapsed.as_secs_f64() / 1e6
     );
-    if let Some(line) = scratch {
-        println!("scratch      : {line}");
+    if let Some((rank_cut, scratch)) = plan_lines {
+        if let Some(line) = rank_cut {
+            println!("rank cut     : {line}");
+        }
+        println!("scratch      : {scratch}");
     }
     println!("mass drift   : {:+.3e}", fields.mass() / mass0 - 1.0);
     println!(
@@ -629,5 +667,19 @@ mod tests {
         let err = check_inputs(&a, &f).unwrap_err();
         assert!(err.contains("`u2`") && err.contains("non-finite"), "{err}");
         check_inputs(&a, &make_fields(&a)).unwrap();
+    }
+
+    #[test]
+    fn a_named_rank_cut_is_reported_as_such() {
+        // The CLI names no cut; a library caller's schedule may.
+        let pool = WorkerPool::new(2);
+        let d = Region3::of_extent(12, 6, 4);
+        let cut = |exec: IslandsExecutor<'_>| rank_cut_line(&exec.schedule_for(d).unwrap());
+        let exec = || IslandsExecutor::single_island(&pool, MpdataProblem::standard());
+        assert_eq!(cut(exec()).as_deref(), Some("I (12 planes ≥ 6 rows)"));
+        assert_eq!(
+            cut(exec().split_axis(Axis::J)).as_deref(),
+            Some("J (explicit)")
+        );
     }
 }

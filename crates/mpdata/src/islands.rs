@@ -129,10 +129,11 @@ impl<'p> IslandsExecutor<'p> {
         self
     }
 
-    /// Sets the axis along which a team splits stage sweeps internally
-    /// (default `J`: blocks are thin in `I`).
+    /// Sets the axis along which a team splits stage sweeps internally.
+    /// Left unset, each team cuts its longest axis among `I` and `J`
+    /// (see [`ScheduleKnobs::split_axis`]).
     pub fn split_axis(mut self, axis: Axis) -> Self {
-        self.config.knobs.split_axis = axis;
+        self.config.knobs.split_axis = Some(axis);
         self
     }
 

@@ -311,22 +311,103 @@ mod tests {
     use crate::graph::mpdata_graph;
     use stencil_engine::FieldRole;
 
+    /// How the arrays of one `fast_paths_bitwise_equal` case are laid
+    /// out around the domain: what decides whether rows chain into runs.
+    #[derive(Clone, Copy, Debug)]
+    enum Layout {
+        /// Every array covers exactly the domain: interior rows chain.
+        Exact,
+        /// Same `k`-range, a different `j` base and margin per slot:
+        /// rows still chain (one pitch), from different row offsets.
+        JMargins,
+        /// Odd input slots carry a `k`-halo (the shape of an island's
+        /// enlarged sub-domain): two pitches, so every row is a run of
+        /// its own.
+        KHalo,
+        /// The same with the halo on the outputs alone.
+        KHaloOut,
+        /// A larger allocation rebased onto the domain (tile scratch).
+        Rebased,
+        /// Two-plane sliding windows (wavefront scratch): planes alias.
+        Windowed,
+    }
+
+    impl Layout {
+        /// The array of input (or output) slot `n`, holding `v(i, j, k)`
+        /// wherever it answers.
+        fn array(
+            self,
+            domain: Region3,
+            n: usize,
+            output: bool,
+            v: impl Fn(i64, i64, i64) -> f64,
+        ) -> Array3 {
+            let n = n as i64;
+            let (dj, dk) = (domain.j, domain.k);
+            let mut a = match self {
+                Layout::Exact => Array3::zeros(domain),
+                Layout::JMargins => {
+                    let j = Range1::new(dj.lo - n % 3, dj.hi + (n + 1) % 2);
+                    Array3::zeros(Region3::new(domain.i, j, dk))
+                }
+                Layout::KHalo | Layout::KHaloOut => {
+                    let halo = i64::from(
+                        output == matches!(self, Layout::KHaloOut) && (output || n % 2 == 1),
+                    );
+                    let k = Range1::new(dk.lo - halo, dk.hi + 2 * halo);
+                    Array3::zeros(Region3::new(domain.i, dj, k))
+                }
+                Layout::Rebased => {
+                    let big = Range1::new(dj.lo - 1, dj.hi + 2);
+                    let mut a = Array3::zeros(Region3::new(domain.i, big, dk));
+                    a.rebase(domain);
+                    a
+                }
+                Layout::Windowed => Array3::windowed(domain, 2),
+            };
+            for (i, j, k) in a.region().points() {
+                a.set(i, j, k, v(i, j, k));
+            }
+            a
+        }
+    }
+
     /// `apply_kind` ≡ `apply_kind_scalar`, bitwise, for every kind under
     /// both boundaries: regions touching each face, edge and corner of
-    /// the domain (incl. 1-long rows), on an irregular (non-origin)
-    /// domain and on 1-cell / prime extents. Cells outside the region
-    /// stay untouched.
+    /// the domain (incl. 1-long rows and sub-`k` windows), on an
+    /// irregular (non-origin) domain, on 1-cell / prime extents and —
+    /// under every array [`Layout`] — on domains with three or more
+    /// interior rows of 1, 2, 3 and 16 cells, where runs form. Cells
+    /// outside the region stay untouched.
     #[test]
     fn fast_paths_bitwise_equal() {
         use crate::graph::MpdataProblem;
         type Kernel = fn(StageKind, Region3, Boundary, &[&Array3], &mut [&mut Array3], Region3);
         let irregular = Region3::new(Range1::new(3, 14), Range1::new(-2, 7), Range1::new(5, 18));
-        let p = MpdataProblem::standard();
-        for domain in [(1, 1, 1), (1, 7, 3), (2, 2, 2), (5, 3, 7)]
-            .map(|(ni, nj, nk)| Region3::of_extent(ni, nj, nk))
+        let shifted = |ni: i64, nj: i64, nk: i64| {
+            Region3::new(
+                Range1::new(-1, ni - 1),
+                Range1::new(2, nj + 2),
+                Range1::new(1, nk + 1),
+            )
+        };
+        let exact = [(1, 1, 1), (1, 7, 3), (2, 2, 2), (5, 3, 7)]
+            .map(|(ni, nj, nk)| (Region3::of_extent(ni, nj, nk), Layout::Exact))
             .into_iter()
-            .chain([irregular])
-        {
+            .chain([(irregular, Layout::Exact)]);
+        let layouts = [
+            Layout::Exact,
+            Layout::JMargins,
+            Layout::KHalo,
+            Layout::KHaloOut,
+            Layout::Rebased,
+            Layout::Windowed,
+        ];
+        let chained = [(3, 5, 1), (3, 6, 2), (4, 5, 3), (3, 7, 16)]
+            .into_iter()
+            .flat_map(|(ni, nj, nk)| layouts.map(|l| (shifted(ni, nj, nk), l)));
+        let p = MpdataProblem::standard();
+        for (domain, layout) in exact.chain(chained) {
             // Per axis: everything, the low cell, the high cell, the interior.
             let cuts = |r: Range1| {
                 let ends = [Range1::new(r.lo, r.lo + 1), Range1::new(r.hi - 1, r.hi)];
@@ -343,7 +424,7 @@ mod tests {
                 let kind = p.kind(st.id);
                 let ins: Vec<Array3> = (0..st.inputs.len())
                     .map(|n| {
-                        Array3::from_fn(domain, |i, j, k| {
+                        layout.array(domain, n, false, |i, j, k| {
                             0.7 + 0.013 * n as f64 + 0.001 * ((i * 37 + j * 11 + k * 3) % 97) as f64
                                 - 0.0005 * ((i + 2 * j + 3 * k) % 13) as f64
                                 - 0.75 * (n % 2) as f64
@@ -354,7 +435,9 @@ mod tests {
                 for bc in [Boundary::Open, Boundary::Periodic] {
                     for &region in &regions {
                         let run = |f: Kernel| {
-                            let mut out = vec![Array3::filled(domain, -9.0); st.outputs.len()];
+                            let mut out: Vec<Array3> = (0..st.outputs.len())
+                                .map(|n| layout.array(domain, n, true, |_, _, _| -9.0))
+                                .collect();
                             let mut refs: Vec<&mut Array3> = out.iter_mut().collect();
                             f(kind, domain, bc, &ins, &mut refs, region);
                             let bits = out.iter().flat_map(|a| a.as_slice());
@@ -363,7 +446,7 @@ mod tests {
                         assert_eq!(
                             run(apply_kind),
                             run(apply_kind_scalar),
-                            "{kind:?} ({}) {bc:?} diverged on {region:?} of {domain:?}",
+                            "{kind:?} ({}) {bc:?} diverged on {region:?} of {domain:?}, {layout:?}",
                             st.name
                         );
                     }

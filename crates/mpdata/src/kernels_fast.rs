@@ -2,8 +2,9 @@
 //!
 //! A stage is a list of [`Tap`]s — which input is read at which offset
 //! from the output cell — plus one per-cell expression over the tapped
-//! values ([`crate::kernels`]). [`Sweep::run`] walks a region row by row
-//! (`k` is the contiguous axis):
+//! values ([`crate::kernels`]). [`Sweep::run`] walks a region plane by
+//! plane, and each plane *run* by run (`k` is the contiguous axis, `j`
+//! the next):
 //!
 //! * every tap's neighbour row `(i + di, j + dj)` is resolved through
 //!   the boundary policy — clamped for [`Boundary::Open`], wrapped for
@@ -11,17 +12,28 @@
 //!   nothing extra; the neighbour *plane* is borrowed once per `i`
 //!   ([`Array3::plane`]), which is where a windowed scratch array pays
 //!   for its slot lookup;
+//! * a run is a maximal set of consecutive rows that are one slice in
+//!   every array: no tap's neighbour row is clamped or wrapped there
+//!   (it is exactly `j + dj`), and every tapped input and every output
+//!   stores exactly the region's `k`-range, so consecutive rows follow
+//!   each other at one common pitch. Any other row — at a `j`-face of
+//!   the domain, of a `K`-cut or sub-`k` region, of an array with a
+//!   `k`-halo — is a run of one row;
 //! * on the `k`-window where no tap leaves the domain the expression
-//!   runs over shifted row slices, a branch-free loop the
-//!   auto-vectoriser handles;
-//! * the at most two `k`-end cells of a row evaluate the *same*
-//!   expression with the `k` index clamped or wrapped.
+//!   runs once per run over shifted slices ([`Plane::run`]), a
+//!   branch-free loop the auto-vectoriser handles. Between the windows
+//!   of two rows of a run lie their `k`-end cells: there the loop reads
+//!   a cell of the adjacent row where the boundary policy names
+//!   another, and stores a value nobody uses —
+//! * because the at most two `k`-end cells of every row are then
+//!   evaluated by the *same* expression on operands read at the clamped
+//!   or wrapped `k` index, and stored over it.
 //!
 //! With `rows` off every cell evaluates the expression on operands
 //! read through [`Array3::get`]: that is [`crate::apply_kind_scalar`],
-//! the per-cell oracle. Both forms read exactly the cells the boundary
-//! policy resolves and share the arithmetic, so they agree bitwise by
-//! construction.
+//! the per-cell oracle. Both forms hand the expression exactly the
+//! cells the boundary policy resolves for every value that survives,
+//! and share the arithmetic, so they agree bitwise by construction.
 
 use crate::kernels::{resolve, Boundary};
 use std::array::from_fn;
@@ -58,10 +70,10 @@ impl Sweep<'_> {
         assert_eq!(self.inputs.len(), slots, "stage takes {slots} inputs");
         assert_eq!(outputs.len(), M, "stage writes {M} outputs");
         assert!(M == 1 || M == 2, "row_body carries two output rows");
-        // Rows assume at most one k-end cell per side: the region must
+        // Runs assume at most one k-end cell per side: the region must
         // not leave the domain along k (no executor's does).
         if self.rows && self.domain.k.contains_range(self.region.k) {
-            self.by_rows(taps, outputs, f);
+            self.by_runs(taps, outputs, f);
         } else {
             self.by_cells(taps, outputs, f);
         }
@@ -87,40 +99,59 @@ impl Sweep<'_> {
         }
     }
 
-    /// Row slices on the k-window, the k-end cells by index into the
-    /// same slices. (Plain loops throughout: `array::map` of a large
-    /// closure is not inlined and would cost a call per row.)
-    fn by_rows<const N: usize, const M: usize>(
+    /// One slice per run on the k-window, then the k-end cells of its
+    /// rows by index into the same slices. (Plain loops throughout:
+    /// `array::map` of a large closure is not inlined and would cost a
+    /// call per run.)
+    fn by_runs<const N: usize, const M: usize>(
         &self,
         taps: [Tap; N],
         outputs: &mut [&mut Array3],
         f: impl Fn([f64; N]) -> [f64; M],
     ) {
-        let (d, bc, rk) = (self.domain, self.bc, self.region.k);
+        let (d, bc, rj, rk) = (self.domain, self.bc, self.region.j, self.region.k);
+        // Per axis, how far the taps reach below and above the cell.
+        let reach = |axis: fn(&Tap) -> i64| {
+            let below = taps.iter().map(|t| -axis(t)).max().unwrap_or(0).max(0);
+            let above = taps.iter().map(axis).max().unwrap_or(0).max(0);
+            (below, above)
+        };
         // The k-window [klo, khi) on which no tap leaves the domain, and
         // the k-end cells left over below and above it.
-        let below = taps.iter().map(|t| -t.1 .2).max().unwrap_or(0).max(0);
-        let above = taps.iter().map(|t| t.1 .2).max().unwrap_or(0).max(0);
+        let (below, above) = reach(|t| t.1 .2);
         let klo = (d.k.lo + below).clamp(rk.lo, rk.hi);
         let khi = (d.k.hi - above).clamp(klo, rk.hi);
         let ends = [
             (rk.lo < klo).then_some(rk.lo),
             (khi < rk.hi).then_some(rk.hi - 1),
         ];
-        // Row-invariant per tap: its array; the in-domain part `win` of
-        // its shifted row, read as one slice per row; where the k-window
-        // starts in that slice; where each k-end cell's resolved index
-        // falls in it (outside: that one read goes through `get`).
+        // The rows `chain` on which every tap's neighbour row is `j + dj`
+        // itself form one run — if rows are `pitch` cells apart in every
+        // array, i.e. each stores exactly `rk` (and there is a k-window
+        // to sweep); else no rows chain.
+        let (below, above) = reach(|t| t.1 .1);
+        let jlo = (d.j.lo + below).clamp(rj.lo, rj.hi);
+        let jhi = (d.j.hi - above).clamp(jlo, rj.hi);
+        let pitch = rk.len();
         let arr: [&Array3; N] = from_fn(|t| self.inputs[taps[t].0]);
+        let one_pitch = klo < khi
+            && arr.iter().all(|a| a.region().k == rk)
+            && outputs.iter().all(|o| o.region().k == rk);
+        let chain = if one_pitch { jlo..jhi } else { jlo..jlo };
+        // Run-invariant per tap: the in-domain part `win` of its shifted
+        // row, read as one slice per run from `win.lo` on; where the
+        // k-window starts in that slice; where each k-end cell's
+        // resolved index falls in a row of it (outside `win`: that one
+        // read goes through `get`).
         let mut win = [Range1::empty(); N];
         let mut skip = [0; N];
-        let mut end_at = [[0; N]; 2];
+        let mut end_at = [[None; N]; 2];
         for (t, &(_, (_, _, dk))) in taps.iter().enumerate() {
             win[t] = Range1::new(rk.lo + dk, rk.hi + dk).intersect(d.k);
             skip[t] = (klo + dk - win[t].lo) as usize;
             for (e, k) in ends.iter().enumerate() {
                 let kk = k.map_or(0, |k| resolve(bc, d.k, k + dk));
-                end_at[e][t] = (kk - win[t].lo) as usize;
+                end_at[e][t] = win[t].contains(kk).then(|| (kk - win[t].lo) as usize);
             }
         }
         // Offsets reach one cell at most, so each axis resolves once per
@@ -139,46 +170,58 @@ impl Sweep<'_> {
             // Each tap's neighbour plane, found once per `i`: a windowed
             // scratch array resolves its storage slot here, not per row.
             let plane: [Plane<'_>; N] = from_fn(|t| arr[t].plane(ni[at[t][0]]));
-            for j in self.region.j.lo..self.region.j.hi {
+            let mut j = rj.lo;
+            while j < rj.hi {
+                let rows = if chain.contains(&j) {
+                    (chain.end - j) as usize
+                } else {
+                    1
+                };
+                // The neighbour rows of the run's first row; row `r` of
+                // a longer run has its own at `+ r` by construction.
                 let nj = near(d.j, j);
                 let mut src: [&[f64]; N] = [&[]; N];
                 for t in 0..N {
                     if !win[t].is_empty() {
-                        src[t] = plane[t].row(nj[at[t][1]], win[t]);
-                    }
-                }
-                for (e, k) in ends.iter().enumerate() {
-                    let Some(k) = *k else { continue };
-                    let mut v = [0.0; N];
-                    for t in 0..N {
-                        v[t] = match src[t].get(end_at[e][t]) {
-                            Some(&x) => x,
-                            None => {
-                                let kk = resolve(bc, d.k, k + taps[t].1 .2);
-                                arr[t].get(ni[at[t][0]], nj[at[t][1]], kk)
-                            }
-                        };
-                    }
-                    for (o, v) in outputs.iter_mut().zip(f(v)) {
-                        o.set(i, j, k, v);
+                        let len = (rows - 1) * pitch + win[t].len();
+                        src[t] = plane[t].run(nj[at[t][1]], win[t].lo, len);
                     }
                 }
                 if klo < khi {
+                    let len = (rows - 1) * pitch + (khi - klo) as usize;
                     let (o0, rest) = outputs.split_first_mut().expect("M >= 1");
-                    let kr = Range1::new(klo, khi);
                     let d1 = rest
                         .first_mut()
-                        .map_or(&mut [][..], |o| o.row_mut(i, j, kr));
-                    row_body(&src, &skip, o0.row_mut(i, j, kr), d1, &f);
+                        .map_or(&mut [][..], |o| o.run_mut(i, j, klo, len));
+                    row_body(&src, &skip, o0.run_mut(i, j, klo, len), d1, &f);
                 }
+                for r in 0..rows {
+                    for (e, k) in ends.iter().enumerate() {
+                        let Some(k) = *k else { continue };
+                        let mut v = [0.0; N];
+                        for t in 0..N {
+                            v[t] = match end_at[e][t] {
+                                Some(at_k) => src[t][r * pitch + at_k],
+                                None => {
+                                    let kk = resolve(bc, d.k, k + taps[t].1 .2);
+                                    arr[t].get(ni[at[t][0]], nj[at[t][1]] + r as i64, kk)
+                                }
+                            };
+                        }
+                        for (o, v) in outputs.iter_mut().zip(f(v)) {
+                            o.set(i, j + r as i64, k, v);
+                        }
+                    }
+                }
+                j += rows as i64;
             }
         }
     }
 }
 
-/// The vector body: `f` over `N` operand rows, each from its `skip` on.
-/// A function of its own so the output rows are `noalias` arguments and
-/// the loop vectorises without run-time overlap checks.
+/// The vector body: `f` over `N` operand slices, each from its `skip`
+/// on. A function of its own so the output slices are `noalias`
+/// arguments and the loop vectorises without run-time overlap checks.
 #[inline(never)]
 fn row_body<const N: usize, const M: usize>(
     src: &[&[f64]; N],

@@ -143,7 +143,13 @@ pub struct ScheduleKnobs {
     /// depth and the `Auto` tile extents follow from it).
     pub cache_bytes: usize,
     /// Axis along which a team splits each stage sweep among its cores.
-    pub split_axis: Axis,
+    /// `None` (the default) leaves it to [`StepSchedule::build`], which
+    /// cuts each team along its longest axis among `I` and `J`: `I` —
+    /// whole contiguous planes per rank, one halo plane between two
+    /// ranks — when every sweep of the team is at least as deep in `i`
+    /// as it is wide in `j`, else `J` (thin wavefront blocks).
+    /// [`StepSchedule::rank_axis`] reports the outcome.
+    pub split_axis: Option<Axis>,
     /// How epoch work units are handed to ranks.
     pub schedule: SchedulePolicy,
     /// Fused time steps per replay epoch (values below 1 mean 1 =
@@ -157,7 +163,7 @@ impl Default for ScheduleKnobs {
     fn default() -> Self {
         ScheduleKnobs {
             cache_bytes: DEFAULT_CACHE_BYTES,
-            split_axis: Axis::J,
+            split_axis: None,
             schedule: SchedulePolicy::Static,
             fuse_steps: 1,
             tile: TileMode::Off,
@@ -272,6 +278,9 @@ struct TileTask {
 
 /// One team's replay schedule.
 struct TeamSchedule {
+    /// The axis every epoch's units slice its region along: the knob's
+    /// when given, else the team's longest ([`rank_axis_of`]).
+    axis: Axis,
     epochs: Vec<EpochPlan>,
     /// Epoch index range per fused step: `epochs[step_bounds[s].0 ..
     /// step_bounds[s].1]` are fused step `s`'s epochs (all `(0, 0)` for
@@ -563,6 +572,19 @@ fn fused_step_targets(
     targets
 }
 
+/// The axis a team's ranks cut their sweeps along when the caller named
+/// none: `I` iff every non-empty region is at least as deep in `i` as
+/// it is wide in `j` (ties to `I`: a rank then owns whole planes, one
+/// contiguous span per field, and meets its neighbour at one plane
+/// instead of at two strided rows of every plane), else `J`.
+fn rank_axis_of<'a>(mut regions: impl Iterator<Item = &'a Region3>) -> Axis {
+    if regions.all(|r| r.is_empty() || r.i.len() >= r.j.len()) {
+        Axis::I
+    } else {
+        Axis::J
+    }
+}
+
 /// Builds one tile's chain table: per-stage compute regions from the
 /// backward requirement analysis, the scratch footprints the rank store
 /// is rebased to, and the chain-coverage obligations.
@@ -715,6 +737,7 @@ impl StepSchedule {
         let mut out_gaps = vec![domain];
         for (&part, &size) in parts.iter().zip(team_sizes) {
             let mut team = TeamSchedule {
+                axis: knobs.split_axis.unwrap_or(Axis::J),
                 epochs: Vec::new(),
                 step_bounds: vec![(0, 0); k],
                 must_zero: Vec::new(),
@@ -767,9 +790,16 @@ impl StepSchedule {
                 // spans the union of their hulls.
                 let n_units = knobs.schedule.units_for(size);
                 let mut reach = vec![0; graph.fields().len()];
-                for (ts, &sp) in step_parts.iter().enumerate() {
-                    let blocking =
-                        BlockPlanner::new(knobs.cache_bytes).plan_wavefront(graph, sp, domain)?;
+                let planner = BlockPlanner::new(knobs.cache_bytes);
+                let blockings = step_parts
+                    .iter()
+                    .map(|&sp| planner.plan_wavefront(graph, sp, domain))
+                    .collect::<Result<Vec<_>, _>>()?;
+                if knobs.split_axis.is_none() {
+                    let blocks = blockings.iter().flat_map(|b| &b.blocks);
+                    team.axis = rank_axis_of(blocks.flat_map(|b| &b.stage_regions));
+                }
+                for (ts, blocking) in blockings.iter().enumerate() {
                     team.scratch = team.scratch.hull(blocking.hull());
                     for (most, now) in reach.iter_mut().zip(blocking.window_depths(graph, domain)) {
                         *most = now.max(*most);
@@ -785,7 +815,7 @@ impl StepSchedule {
                                 out_gaps = subtract_all(out_gaps, region);
                             }
                             let units: Vec<Region3> = (0..n_units)
-                                .map(|u| rank_slice(region, knobs.split_axis, u, n_units))
+                                .map(|u| rank_slice(region, team.axis, u, n_units))
                                 .collect();
                             let needed = part.intersect(base_regions[st.id.index()]);
                             let units_extra = units
@@ -870,6 +900,19 @@ impl StepSchedule {
     /// Number of teams (islands), idle ones included.
     pub fn team_count(&self) -> usize {
         self.teams.len()
+    }
+
+    /// The axis along which `team`'s ranks (or claimable chunks) slice
+    /// every sweep: [`ScheduleKnobs::split_axis`] when the caller set
+    /// it, else the longest-axis rule's choice for this team's regions.
+    /// Tiled schedules hand out whole tiles and idle teams nothing, so
+    /// the axis (the knob's, else `J`) goes unused there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `team >= self.team_count()`.
+    pub fn rank_axis(&self, team: usize) -> Axis {
+        self.teams[team].axis
     }
 
     /// The storage of every [`Buffer::Scratch`] the replay touches, in

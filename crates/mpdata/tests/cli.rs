@@ -164,3 +164,46 @@ fn summary_reports_the_scratch_footprint() {
     );
     assert_eq!(scratch_line(&["--strategy", "original"]), None);
 }
+
+/// The summary names the rank cut that ran and the sweep that decided
+/// it: `I` where every sweep is at least as deep as wide, `J` where
+/// wavefront blocks are thin; tiled and non-islands runs have none.
+#[test]
+fn summary_reports_the_rank_cut() {
+    let rank_cut = |extra: &[&str]| {
+        let mut args = vec!["--steps", "2", "--workers", "2"];
+        args.extend(["--islands", "1", "--verify"]);
+        args.extend(extra);
+        let out = run(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success() && stdout.contains("max |Δ| vs reference = 0.000e0"),
+            "{extra:?}: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let line = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("rank cut     : "));
+        line.map(str::to_owned)
+    };
+    let fused = ["--strategy", "fused", "--domain"];
+    assert_eq!(
+        rank_cut(&[&fused[..], &["32,32,16"]].concat()).as_deref(),
+        Some("I (32 planes ≥ 32 rows)")
+    );
+    // 64 KiB cuts the 40 planes into blocks thinner than 16 rows.
+    let line = rank_cut(&[&fused[..], &["40,16,8", "--cache", "65536"]].concat())
+        .expect("a rank cut line");
+    assert!(
+        line.starts_with("J (") && line.ends_with(" planes < 16 rows)"),
+        "{line}"
+    );
+    assert_eq!(
+        rank_cut(&[&fused[..], &["32,32,16", "--tile", "8x8"]].concat()),
+        None
+    );
+    assert_eq!(
+        rank_cut(&["--strategy", "original", "--domain", "16,8,4"]),
+        None
+    );
+}

@@ -51,10 +51,10 @@ pub struct Array3 {
 }
 
 /// One i-plane of an [`Array3`], borrowed for reading: the plane's
-/// storage slot is resolved once ([`Array3::plane`]) and every row of it
-/// then costs one multiply-add — what a kernel sweeping `(j, k)` under a
-/// fixed `i` wants, and what keeps a windowed array's slot lookup off
-/// the per-row path.
+/// storage slot is resolved once ([`Array3::plane`]) and every row — or
+/// run of consecutive rows — of it then costs one multiply-add: what a
+/// kernel sweeping `(j, k)` under a fixed `i` wants, and what keeps a
+/// windowed array's slot lookup off the per-row path.
 #[derive(Clone, Copy)]
 pub struct Plane<'a> {
     cells: &'a [f64],
@@ -67,20 +67,54 @@ pub struct Plane<'a> {
     i: i64,
 }
 
+/// How many rows a run of `len` cells from column `k` touches in rows
+/// of `nk` cells based at `k_lo`, and the `k`-window `[k, last cell's
+/// column]` it has in each: what the access recorder logs for it.
+#[cfg(debug_assertions)]
+fn run_rows(k_lo: i64, nk: i64, k: i64, len: usize) -> (i64, Range1) {
+    let last = k - k_lo + len as i64 - 1;
+    (
+        last.div_euclid(nk) + 1,
+        Range1::new(k, k_lo + last.rem_euclid(nk) + 1),
+    )
+}
+
 impl<'a> Plane<'a> {
     /// Borrows the contiguous `k`-row of cells `(j, kr)` of the plane
-    /// (global coordinates).
+    /// (global coordinates): a [`Plane::run`] of one row.
     ///
     /// # Panics
     ///
-    /// Panics if the row leaves the plane; `kr` must be non-empty.
+    /// Panics if the row leaves the plane.
     #[inline]
     pub fn row(&self, j: i64, kr: Range1) -> &'a [f64] {
+        self.run(j, kr.lo, kr.len())
+    }
+
+    /// Borrows the `len` cells that follow `(j, k)` in layout order: a
+    /// *run* of consecutive rows seen as one slice. A run that ends at
+    /// column `k + w - 1` of its last row stands for the window
+    /// `[k, k + w)` of each of its rows; the cells of the slice between
+    /// two windows (the tail of one row, the head of the next) are
+    /// reachable but not part of the run — a caller may load them only
+    /// into values it discards, and the debug access recorder logs the
+    /// windows alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run leaves the plane.
+    #[inline]
+    pub fn run(&self, j: i64, k: i64, len: usize) -> &'a [f64] {
         #[cfg(debug_assertions)]
-        crate::trace::on_read_row(self.key, self.i, j, kr);
-        debug_assert!(j >= self.j_lo && kr.lo >= self.k_lo && kr.hi <= self.k_lo + self.nk);
-        let o = ((j - self.j_lo) * self.nk + (kr.lo - self.k_lo)) as usize;
-        &self.cells[o..o + kr.len()]
+        {
+            let (rows, window) = run_rows(self.k_lo, self.nk, k, len);
+            for r in 0..rows {
+                crate::trace::on_read_row(self.key, self.i, j + r, window);
+            }
+        }
+        debug_assert!(j >= self.j_lo && k >= self.k_lo && k <= self.k_lo + self.nk);
+        let o = ((j - self.j_lo) * self.nk + (k - self.k_lo)) as usize;
+        &self.cells[o..o + len]
     }
 }
 
@@ -391,17 +425,43 @@ impl Array3 {
         }
     }
 
-    /// Mutably borrows the contiguous `k`-row of cells `(i, j, kr)`.
+    /// Mutably borrows the contiguous `k`-row of cells `(i, j, kr)`: a
+    /// [`Array3::run_mut`] of one row.
     ///
     /// # Panics
     ///
     /// Same conditions as [`Array3::row`].
     #[inline]
     pub fn row_mut(&mut self, i: i64, j: i64, kr: Range1) -> &mut [f64] {
+        self.run_mut(i, j, kr.lo, kr.len())
+    }
+
+    /// Mutably borrows the `len` cells that follow `(i, j, k)` in layout
+    /// order — the writing counterpart of [`Plane::run`], with the same
+    /// reading of the slice: the run is the window `[k, k + w)` of each
+    /// row it touches, and a caller that stores into the cells between
+    /// two windows must store their real values over them afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds, via the offset check) if the run leaves
+    /// the i-plane.
+    #[inline]
+    pub fn run_mut(&mut self, i: i64, j: i64, k: i64, len: usize) -> &mut [f64] {
         #[cfg(debug_assertions)]
-        crate::trace::on_write_row(self.trace_key(), i, j, kr);
-        let o = self.offset(i, j, kr.lo);
-        &mut self.data[o..o + kr.len()]
+        {
+            let (rows, window) = run_rows(self.region.k.lo, self.nk, k, len);
+            debug_assert!(
+                j + rows <= self.region.j.hi,
+                "run of {len} cells from ({i},{j},{k}) leaves its plane in {:?}",
+                self.region
+            );
+            for r in 0..rows {
+                crate::trace::on_write_row(self.trace_key(), i, j + r, window);
+            }
+        }
+        let o = self.offset(i, j, k);
+        &mut self.data[o..o + len]
     }
 
     /// Iterates over `(i, j, k, value)` in layout order.
@@ -519,6 +579,39 @@ mod tests {
         let row = a.row_mut(4, 1, Range1::new(10, 16));
         row[5] = -7.0;
         assert_eq!(a.get(4, 1, 15), -7.0);
+    }
+
+    #[test]
+    fn run_accessors_span_consecutive_rows() {
+        let r = Region3::new(Range1::new(2, 5), Range1::new(1, 5), Range1::new(10, 14));
+        let val = |i: i64, j: i64, k: i64| (i * 1000 + j * 100 + k) as f64;
+        // A plain array and a two-plane window over the same region.
+        for mut a in [Array3::zeros(r), Array3::windowed(r, 2)] {
+            for i in r.i.lo..r.i.hi {
+                // Rows 2..=4 from column 11 to column 12 of the last.
+                for (n, v) in a.run_mut(i, 2, 11, 2 * 4 + 2).iter_mut().enumerate() {
+                    let at = 1 + n as i64;
+                    *v = val(i, 2 + at / 4, 10 + at % 4);
+                }
+                let run = a.plane(i).run(2, 11, 10);
+                assert_eq!(run.len(), 10);
+                assert_eq!(run[0], a.get(i, 2, 11));
+                assert_eq!(run[3], a.get(i, 3, 10));
+                assert_eq!(run[9], a.get(i, 4, 12));
+                assert_eq!(a.get(i, 4, 12), val(i, 4, 12));
+                assert_eq!(a.get(i, 4, 13), 0.0, "past the run");
+                assert_eq!(a.get(i, 2, 10), 0.0, "before the run");
+                // One row is a run of one row.
+                assert_eq!(a.row(i, 3, Range1::new(10, 14)), a.plane(i).run(3, 10, 4));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn run_past_the_plane_panics() {
+        let a = Array3::zeros(Region3::of_extent(2, 2, 3));
+        let _ = a.plane(0).run(1, 1, 3);
     }
 
     #[test]

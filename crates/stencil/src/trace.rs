@@ -5,9 +5,11 @@
 //! observed access set against the [`crate::StencilPattern`]s a stage
 //! declares. Rather than interposing a wrapper type (impossible for the
 //! concrete `Array3` methods the row kernels monomorphize against), the
-//! four accessors [`crate::Array3::get`], [`crate::Array3::set`],
-//! [`crate::Array3::row`] and [`crate::Array3::row_mut`] call into this
-//! module.
+//! accessors [`crate::Array3::get`], [`crate::Array3::set`],
+//! [`crate::Plane::run`] and [`crate::Array3::run_mut`] (and the one-row
+//! forms built on them, `row` and `row_mut`) call into this module. A
+//! run is logged as the `k`-window it stands for in each of its rows,
+//! not as the slice it borrows.
 //!
 //! The hooks are compiled only under `debug_assertions` and are further
 //! gated at runtime behind a single relaxed atomic load, so release
@@ -206,6 +208,27 @@ mod tests {
             vec![(key, 1, 0, 1), (key, 1, 0, 2), (key, 1, 0, 3)]
         );
         assert_eq!(log.writes, vec![(key, 0, 1, 0), (key, 0, 1, 1)]);
+    }
+
+    #[test]
+    fn record_expands_runs_per_row_window() {
+        if !is_enabled() {
+            return;
+        }
+        let r = Region3::new(Range1::new(0, 2), Range1::new(3, 7), Range1::new(-1, 3));
+        let mut a = Array3::zeros(r);
+        let key = array_key(&a);
+        // Three rows of window [0, 2): 2 * 4 + 2 cells from (.., 0).
+        let (_, log) = record(|| {
+            assert_eq!(a.plane(1).run(4, 0, 10).len(), 10);
+            assert_eq!(a.run_mut(0, 3, 0, 10).len(), 10);
+        });
+        let cells = |i, j0: i64| {
+            let rows = (j0..j0 + 3).flat_map(|j| [(key, i, j, 0), (key, i, j, 1)]);
+            rows.collect::<Vec<_>>()
+        };
+        assert_eq!(log.reads, cells(1, 4));
+        assert_eq!(log.writes, cells(0, 3));
     }
 
     #[test]

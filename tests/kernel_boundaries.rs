@@ -1,16 +1,21 @@
 //! Tier-1 smoke of the kernel contract (the full matrix lives in
-//! `mpdata::kernels`' unit tests): the row kernels behind `apply_kind`
+//! `mpdata::kernels`' unit tests): the run kernels behind `apply_kind`
 //! agree bitwise with the per-cell oracle `apply_kind_scalar` on domain
-//! faces, edges and corners under both boundaries, and the select-form
-//! extrema treat NaN, ±∞ and ±0 like the `f64::max`/`f64::min` chains
-//! they replaced.
+//! faces, edges and corners under both boundaries — where interior rows
+//! chain into one slice per plane, and where a sub-`k` region or a
+//! `k`-halo on one array keeps every row a run of its own; the `k`-end
+//! cells a run sweeps across are recomputed, not left as swept; and
+//! the select-form extrema treat NaN, ±∞ and ±0 like the
+//! `f64::max`/`f64::min` chains they replaced.
 
 use islands_of_cores::mpdata::{apply_kind, apply_kind_scalar, Boundary, MpdataProblem, StageKind};
 use islands_of_cores::stencil::{Array3, Range1, Region3};
 
 type Kernel = fn(StageKind, Region3, Boundary, &[&Array3], &mut [&mut Array3], Region3);
 
-/// Bit patterns of every output array after `f` runs over `region`.
+/// Bit patterns of every output array (each covering `cover`) after
+/// `f` runs over `region`.
+#[allow(clippy::too_many_arguments)]
 fn run(
     f: Kernel,
     kind: StageKind,
@@ -19,8 +24,9 @@ fn run(
     bc: Boundary,
     ins: &[&Array3],
     region: Region3,
+    cover: Region3,
 ) -> Vec<u64> {
-    let mut out = vec![Array3::filled(domain, -9.0); n_out];
+    let mut out = vec![Array3::filled(cover, -9.0); n_out];
     let mut refs: Vec<&mut Array3> = out.iter_mut().collect();
     f(kind, domain, bc, ins, &mut refs, region);
     out.iter()
@@ -32,15 +38,41 @@ fn run(
 #[test]
 fn rows_equal_the_per_cell_oracle_on_every_boundary() {
     let p = MpdataProblem::standard();
-    for (ni, nj, nk) in [(1, 1, 1), (1, 7, 3), (2, 2, 2), (5, 3, 7), (6, 5, 9)] {
+    // The last four: three or more interior rows of 1, 2, 3, 16 cells.
+    let extents = [
+        (1, 1, 1),
+        (2, 2, 2),
+        (5, 3, 7),
+        (6, 5, 9),
+        (3, 6, 1),
+        (3, 5, 2),
+        (1, 7, 3),
+        (2, 6, 16),
+    ];
+    for (ni, nj, nk) in extents {
         let domain = Region3::of_extent(ni, nj, nk);
         let hi_corner = Region3::new(
             Range1::new(ni as i64 - 1, ni as i64),
             Range1::new(nj as i64 - 1, nj as i64),
             Range1::new(nk as i64 - 1, nk as i64),
         );
+        let sub_k = Region3::new(domain.i, domain.j, Range1::new(1, nk as i64));
+        // Odd input slots (then the outputs) carry a k-halo: rows of
+        // two pitches, which must not chain.
+        let halo = Region3::new(domain.i, domain.j, Range1::new(-1, nk as i64 + 2));
         for st in p.graph().stages() {
             let kind = p.kind(st.id);
+            let fill = |n: usize, cover: Region3| {
+                Array3::from_fn(cover, |i, j, k| {
+                    0.6 + 0.01 * ((n as i64 * 29 + i * 13 + j * 7 + k * 3) % 31) as f64
+                        - 0.75 * (n % 2) as f64
+                })
+            };
+            let slots = 0..st.inputs.len();
+            let haloed: Vec<Array3> = slots
+                .map(|n| fill(n, if n % 2 == 1 { halo } else { domain }))
+                .collect();
+            let haloed: Vec<&Array3> = haloed.iter().collect();
             let ins: Vec<Array3> = (0..st.inputs.len())
                 .map(|n| {
                     Array3::from_fn(domain, |i, j, k| {
@@ -51,13 +83,101 @@ fn rows_equal_the_per_cell_oracle_on_every_boundary() {
                 .collect();
             let ins: Vec<&Array3> = ins.iter().collect();
             for bc in [Boundary::Open, Boundary::Periodic] {
-                for region in [domain, Region3::of_extent(1, 1, 1), hi_corner] {
-                    let n_out = st.outputs.len();
+                let n_out = st.outputs.len();
+                for region in [domain, Region3::of_extent(1, 1, 1), hi_corner, sub_k] {
+                    if region.is_empty() {
+                        continue;
+                    }
                     assert_eq!(
-                        run(apply_kind, kind, n_out, domain, bc, &ins, region),
-                        run(apply_kind_scalar, kind, n_out, domain, bc, &ins, region),
+                        run(apply_kind, kind, n_out, domain, bc, &ins, region, domain),
+                        run(
+                            apply_kind_scalar,
+                            kind,
+                            n_out,
+                            domain,
+                            bc,
+                            &ins,
+                            region,
+                            domain
+                        ),
                         "{kind:?} {bc:?} on {region:?} of {domain:?}"
                     );
+                }
+                for (ins, cover) in [(&haloed, domain), (&ins, halo)] {
+                    assert_eq!(
+                        run(apply_kind, kind, n_out, domain, bc, ins, domain, cover),
+                        run(
+                            apply_kind_scalar,
+                            kind,
+                            n_out,
+                            domain,
+                            bc,
+                            ins,
+                            domain,
+                            cover
+                        ),
+                        "{kind:?} {bc:?} on {domain:?}, outputs over {cover:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Between the `k`-windows of two rows of a run the vector body sweeps
+/// their `k`-end cells with the *adjacent row's* cell where the boundary
+/// names another. Every other row carries NaN / ±∞ / ±1e308 in exactly
+/// those cells, so a swept value left in place would be non-finite (or
+/// an overflow) where the resolved operands are clean: every cell still
+/// equals the oracle's, and the clean rows of the pure-`k` flux stay
+/// finite — the poison is where the sweep looks, not where the stage
+/// does.
+#[test]
+fn k_end_cells_are_recomputed_over_what_the_run_swept() {
+    let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e308, -1e308];
+    let p = MpdataProblem::standard();
+    for nk in [3, 16] {
+        let domain = Region3::of_extent(3, 7, nk);
+        let (k_lo, k_hi) = (0, nk as i64 - 1);
+        for st in p.graph().stages() {
+            let kind = p.kind(st.id);
+            let ins: Vec<Array3> = (0..st.inputs.len())
+                .map(|n| {
+                    Array3::from_fn(domain, |i, j, k| {
+                        if j % 2 == 0 && (k == k_lo || k == k_hi) {
+                            poison[((n as i64 + i + j + k) % 5) as usize]
+                        } else {
+                            0.6 + 0.01 * ((n as i64 * 29 + i * 13 + j * 7 + k * 3) % 31) as f64
+                                - 0.75 * (n % 2) as f64
+                        }
+                    })
+                })
+                .collect();
+            let ins: Vec<&Array3> = ins.iter().collect();
+            for bc in [Boundary::Open, Boundary::Periodic] {
+                let n_out = st.outputs.len();
+                let fast = run(apply_kind, kind, n_out, domain, bc, &ins, domain, domain);
+                let oracle = run(
+                    apply_kind_scalar,
+                    kind,
+                    n_out,
+                    domain,
+                    bc,
+                    &ins,
+                    domain,
+                    domain,
+                );
+                let cells = (0..n_out).flat_map(|_| domain.points());
+                for ((got, want), (i, j, k)) in fast.iter().zip(&oracle).zip(cells) {
+                    let (got, want) = (f64::from_bits(*got), f64::from_bits(*want));
+                    // Two NaNs may differ in payload with operand order.
+                    assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "{kind:?} {bc:?} nk={nk} at ({i},{j},{k}): {got:e} vs {want:e}"
+                    );
+                    if kind == StageKind::FluxK && j % 2 == 1 {
+                        assert!(got.is_finite(), "{bc:?} nk={nk} at ({i},{j},{k}): {got:e}");
+                    }
                 }
             }
         }

@@ -5,25 +5,89 @@
 //! fuse depth × tile mode — one `IslandsExecutor` instance must (a)
 //! reproduce the serial reference bitwise and (b) hand out, from the
 //! very plan it just replayed, a [`mpdata::StepSchedule`] whose lowering
-//! `check_disjointness` finds race-free. A second, source-level test
-//! keeps the prover from growing a private copy of the schedule again.
+//! `check_disjointness` finds race-free. The executors name no rank
+//! cut, so the lattice is proved under the one `StepSchedule::build`
+//! derives — `I` wherever a team's sweeps are at least as deep as wide
+//! (fixed cases add teams with more ranks than planes), `J` elsewhere —
+//! and `rank_axis` must report the cut the unit slices really have. A
+//! second, source-level test keeps the prover from growing a private
+//! copy of the schedule again.
 
 use islands_analysis::{check_disjointness, lower};
-use mpdata::{random_fields, IslandsExecutor, ReferenceExecutor, SchedulePolicy, TileMode};
+use mpdata::{
+    random_fields, IslandsExecutor, ReferenceExecutor, SchedulePolicy, StepSchedule, TileMode,
+};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use stencil_engine::rng::{Rng64, Xoshiro256pp};
 use stencil_engine::{Axis, Range1, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
 
+/// Per untiled multi-rank team, the rank cut its unit slices have —
+/// read off the write regions the prover is fed — checked against what
+/// `rank_axis` reports and against the longest-axis rule. Returns how
+/// many such teams are cut along `[I, J]`.
+fn rank_cuts(sched: &StepSchedule, label: &str) -> [usize; 2] {
+    assert_eq!(sched.knobs().split_axis, None, "no cut was named — {label}");
+    // (team, epoch) → the written region of every slot.
+    let mut epochs: BTreeMap<(usize, usize), Vec<Region3>> = BTreeMap::new();
+    if sched.knobs().tile == TileMode::Off {
+        for a in sched.accesses().into_iter().filter(|a| a.write) {
+            epochs.entry((a.team, a.epoch)).or_default().push(a.region);
+        }
+    }
+    let mut seen = [0; 2];
+    for team in 0..sched.team_count() {
+        let regions: Vec<Region3> = epochs
+            .iter()
+            .filter(|((t, _), _)| *t == team)
+            .map(|(_, slots)| slots.iter().fold(Region3::empty(), |h, r| h.hull(*r)))
+            .collect();
+        let sliced = epochs
+            .iter()
+            .any(|((t, _), slots)| *t == team && slots.len() > 1);
+        if !sliced {
+            continue;
+        }
+        let axis = sched.rank_axis(team);
+        let deep = regions.iter().all(|r| r.i.len() >= r.j.len());
+        assert_eq!(axis == Axis::I, deep, "team {team} cut {axis:?} — {label}");
+        // Slots of one epoch differ along the reported axis only.
+        for ((t, _), slots) in &epochs {
+            for r in slots.iter().filter(|_| *t == team) {
+                for other in [Axis::I, Axis::J, Axis::K] {
+                    if other != axis {
+                        assert_eq!(r.range(other), slots[0].range(other), "{label}");
+                    }
+                }
+            }
+        }
+        seen[usize::from(axis == Axis::J)] += 1;
+    }
+    seen
+}
+
 #[test]
 fn sampled_lattice_runs_bitwise_and_lints_clean() {
     const SAMPLES: usize = 24;
+    // Teams whose derived cut is I with more ranks than some sweep has
+    // planes (the surplus ranks idle at the team barriers, they do not
+    // hang; the last one in six wavefront blocks): `[ni, nj, nk,
+    // islands, ranks, cache]`. Run after the samples.
+    const DEEP_TEAMS: [[usize; 6]; 3] = [
+        [3, 2, 4, 1, 4, 48 * 1024],
+        [9, 3, 5, 2, 3, 48 * 1024],
+        [40, 2, 3, 1, 3, 4 * 1024],
+    ];
+    let mut cuts = [0; 2];
     let mut rng = Xoshiro256pp::seed_from_u64(0x15_1A2D5);
     // Extents mix composite and prime lengths; the bases are shifted
     // so relative-vs-global coordinate slips surface.
     let extents = [(12, 8, 4), (13, 7, 5), (5, 11, 3), (16, 6, 4)];
-    for case in 0..SAMPLES {
-        let (ni, nj, nk) = extents[rng.below(extents.len())];
+    for case in 0..SAMPLES + DEEP_TEAMS.len() {
+        let deep = DEEP_TEAMS.get(case.wrapping_sub(SAMPLES)).copied();
+        let (ni, nj, nk) =
+            deep.map_or_else(|| extents[rng.below(extents.len())], |d| (d[0], d[1], d[2]));
         let lo = rng.below(4) as i64 - 2;
         let domain = Region3::new(
             Range1::new(lo, lo + ni as i64),
@@ -32,13 +96,13 @@ fn sampled_lattice_runs_bitwise_and_lints_clean() {
         );
         // 1 island, a few, or more than there are I-slabs (P > nx: the
         // surplus islands own empty parts).
-        let islands = [1, 2, 3, 4, ni + 2][rng.below(5)];
-        let ranks = 1 + rng.below(2);
+        let islands = deep.map_or_else(|| [1, 2, 3, 4, ni + 2][rng.below(5)], |d| d[3]);
+        let ranks = deep.map_or_else(|| 1 + rng.below(2), |d| d[4]);
         let pool = WorkerPool::new(islands * ranks);
         let teams = TeamSpec::even(islands * ranks, islands);
         let axis = [Axis::I, Axis::J][rng.below(2)];
         let fuse = 1 + rng.below(3);
-        let tile = match rng.below(3) {
+        let tile = match if deep.is_some() { 0 } else { rng.below(3) } {
             0 => TileMode::Off,
             1 => TileMode::Auto,
             _ => TileMode::Fixed {
@@ -51,9 +115,9 @@ fn sampled_lattice_runs_bitwise_and_lints_clean() {
             _ => SchedulePolicy::Static,
         };
         // Even island counts may instead form an explicit 2 × P/2 grid.
-        let grid = islands % 2 == 0 && rng.next_bool();
+        let grid = deep.is_none() && islands % 2 == 0 && rng.next_bool();
         let mut exec = IslandsExecutor::new(&pool, teams, axis)
-            .cache_bytes(48 * 1024)
+            .cache_bytes(deep.map_or(48 * 1024, |d| d[5]))
             .fuse_steps(fuse)
             .tile(tile)
             .schedule(schedule);
@@ -85,7 +149,16 @@ fn sampled_lattice_runs_bitwise_and_lints_clean() {
         let ran = exec.schedule_for(domain).unwrap();
         assert!(Arc::ptr_eq(&planned, &ran), "plan rebuilt — {label}");
         assert_eq!(check_disjointness(&lower(&ran)), vec![], "{label}");
+        let seen = rank_cuts(&ran, &label);
+        if deep.is_some() {
+            assert!(seen[0] > 0 && seen[1] == 0, "expected I teams — {label}");
+        }
+        cuts = [cuts[0] + seen[0], cuts[1] + seen[1]];
     }
+    assert!(
+        cuts[0] > DEEP_TEAMS.len() && cuts[1] > 0,
+        "the samples should meet both derived cuts: {cuts:?} teams along [I, J]"
+    );
 }
 
 /// Strips `//` comments (line and doc) so prose may name what code may

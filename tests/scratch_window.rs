@@ -9,7 +9,11 @@
 //! the schedule it replayed lints clean (rule 6 `window-alias`
 //! included), every island cut into three or more blocks stores fewer
 //! planes than its hull for every field, and the windows are exact —
-//! one plane less on any one field and the prover names it.
+//! one plane less on any one field and the prover names it. Blocks that
+//! thin are wider than deep, so the derived rank cut of the samples is
+//! `J`; fixed one-row-wide domains follow whose teams it cuts along `I`
+//! — ranks own whole planes of the windows, and the ones beyond a
+//! block's depth idle.
 
 use islands_analysis::{check_disjointness, lower, DiagnosticCode};
 use mpdata::{random_fields, IslandsExecutor, ReferenceExecutor, SchedulePolicy};
@@ -20,11 +24,16 @@ use work_scheduler::{TeamSpec, WorkerPool};
 #[test]
 fn windows_run_bitwise_lint_clean_and_are_exact() {
     const SAMPLES: usize = 16;
+    // `[ni, nj, nk, islands, ranks]` of the I-cut cases, run after the
+    // samples.
+    const DEEP_TEAMS: [[usize; 5]; 3] = [[37, 1, 4, 1, 3], [43, 1, 3, 2, 2], [29, 1, 5, 1, 2]];
     let mut rng = Xoshiro256pp::seed_from_u64(0x5C2A_7C11);
     let extents = [(23, 7, 5), (29, 5, 3), (31, 6, 4), (17, 11, 3)];
     let mut windowed_cases = 0;
-    for case in 0..SAMPLES {
-        let (ni, nj, nk) = extents[rng.below(extents.len())];
+    for case in 0..SAMPLES + DEEP_TEAMS.len() {
+        let deep = DEEP_TEAMS.get(case.wrapping_sub(SAMPLES)).copied();
+        let (ni, nj, nk) =
+            deep.map_or_else(|| extents[rng.below(extents.len())], |d| (d[0], d[1], d[2]));
         let lo = rng.below(7) as i64 - 3;
         let domain = Region3::new(
             Range1::new(lo, lo + ni as i64),
@@ -42,13 +51,14 @@ fn windows_run_bitwise_lint_clean_and_are_exact() {
             (Axis::I, 3, false),
             (Axis::J, nj + 2, false),
         ][case % 8];
+        let (axis, islands, grid) = deep.map_or((axis, islands, grid), |d| (Axis::I, d[3], false));
         let parts: Vec<Region3> = if grid {
             let halves = domain.split(Axis::I, 2);
             halves.iter().flat_map(|h| h.split(Axis::J, 2)).collect()
         } else {
             domain.split(axis, islands)
         };
-        let ranks = 1 + rng.below(2);
+        let ranks = deep.map_or_else(|| 1 + rng.below(2), |d| d[4]);
         let fuse = 1 + rng.below(3);
         let schedule = match rng.below(4) {
             chunks_per_rank @ 1..=2 => SchedulePolicy::Dynamic { chunks_per_rank },
@@ -94,6 +104,11 @@ fn windows_run_bitwise_lint_clean_and_are_exact() {
         let ran = exec.schedule_for(domain).unwrap();
         let mut plan = lower(&ran);
         assert_eq!(check_disjointness(&plan), vec![], "{label}");
+        if deep.is_some() {
+            for team in 0..islands {
+                assert_eq!(ran.rank_axis(team), Axis::I, "team {team} — {label}");
+            }
+        }
 
         // Blocks per island, off the stream the prover reads: of the
         // fused step with the fewest (each step has its own blocking,
@@ -150,7 +165,8 @@ fn windows_run_bitwise_lint_clean_and_are_exact() {
         );
     }
     assert!(
-        windowed_cases * 2 >= SAMPLES,
-        "only {windowed_cases} of {SAMPLES} samples had an island of three or more blocks"
+        windowed_cases >= SAMPLES / 2 + DEEP_TEAMS.len(),
+        "only {windowed_cases} of {} cases had an island of three or more blocks",
+        SAMPLES + DEEP_TEAMS.len()
     );
 }
