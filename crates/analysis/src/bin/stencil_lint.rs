@@ -5,7 +5,8 @@
 //! (iord = 2) and the extended iord = 3 graphs, then plan-time
 //! disjointness of the executor's own [`StepSchedule`]s over a spread of
 //! domains, partitions, team shapes and split axes crossed with the
-//! knob lattice (schedule × fuse depth × tile mode) — and exits
+//! knob lattice (schedule × fuse depth × tile mode), and of the
+//! stage-synchronous Original and Exchange schedules — and exits
 //! non-zero if *any* diagnostic is produced.
 //!
 //! `--mutant <name>` instead seeds one known-bad input and runs the
@@ -35,7 +36,11 @@
 //!   later stages then read cells no earlier stage of the tile wrote;
 //! * `window-too-narrow` — one scratch buffer's sliding window is
 //!   declared a plane shallower than the schedule sized it, so some
-//!   block reads a plane its alias has already overwritten.
+//!   block reads a plane its alias has already overwritten;
+//! * `exchange-fence-dropped` — a two-island Exchange schedule loses
+//!   its per-stage global barriers (`stage_synchronous` cleared), so an
+//!   island's halo reads of the shared intermediates race with its
+//!   neighbour's writes of them.
 //!
 //! Exit codes: 0 clean, 1 diagnostics found, 2 tracing unavailable
 //! (release build — rebuild in debug).
@@ -45,8 +50,12 @@ use islands_analysis::{
     KernelPath, SchedulePlan,
 };
 use islands_core::Partition;
-use mpdata::{Boundary, MpdataProblem, ScheduleKnobs, SchedulePolicy, StepSchedule, TileMode};
+use mpdata::{
+    Boundary, ExchangeExecutor, MpdataProblem, OriginalExecutor, ScheduleKnobs, SchedulePolicy,
+    StepSchedule, TileMode,
+};
 use stencil_engine::{trace, Axis, Offset3, Range1, Region3};
+use work_scheduler::{TeamSpec, WorkerPool};
 
 /// Cache budget used for all disjointness plans — small enough to force
 /// several wavefront blocks per island on the lint domains.
@@ -75,7 +84,7 @@ fn run(args: &[String]) -> i32 {
             eprintln!(
                 "usage: stencil-lint [--mutant drop-offset|overlap-partition\
                  |overlap-ranks|stale-output|overlap-chunks|fused-overlap-step2\
-                 |tile-halo-too-narrow|window-too-narrow]"
+                 |tile-halo-too-narrow|window-too-narrow|exchange-fence-dropped]"
             );
             return 2;
         }
@@ -90,6 +99,7 @@ fn run(args: &[String]) -> i32 {
         Some("fused-overlap-step2") => mutant_fused_overlap_step2(),
         Some("tile-halo-too-narrow") => mutant_tile_halo_too_narrow(),
         Some("window-too-narrow") => mutant_window_too_narrow(),
+        Some("exchange-fence-dropped") => mutant_exchange_fence_dropped(),
         Some(other) => {
             eprintln!("stencil-lint: unknown mutant `{other}`");
             return 2;
@@ -263,7 +273,54 @@ fn full_matrix() -> Vec<Diagnostic> {
     };
     let what = format!("domain={domain:?} partition=whole (knobs_mid)");
     all.extend(prove(&problem, domain, &[domain], &[2], knobs, &what));
+
+    // The stage-synchronous baselines, lowered from the executors that
+    // replay them: Original on 1–8 ranks, Exchange on 1–4 islands of
+    // 1–2 ranks cut along I or J — on a domain thinner than four cells
+    // both ways too (P > nx: idle islands) — for both graphs.
+    let pools: Vec<WorkerPool> = (1..=8).map(WorkerPool::new).collect();
+    for iord in [2, 3] {
+        let problem = MpdataProblem::with_iord(iord);
+        for domain in [
+            Region3::of_extent(24, 12, 6),
+            Region3::new(Range1::new(-3, 10), Range1::new(2, 9), Range1::new(0, 5)),
+            Region3::of_extent(3, 3, 4),
+        ] {
+            for (ranks, pool) in (1..).zip(&pools) {
+                let exec = OriginalExecutor::with_problem(pool, problem.clone());
+                let what = format!("original iord={iord} domain={domain:?} ranks={ranks}");
+                all.extend(prove_baseline(&exec.schedule_for(domain), &what));
+            }
+            for islands in 1..=4 {
+                for axis in [Axis::I, Axis::J] {
+                    for ranks in 1..=2 {
+                        let workers = islands * ranks;
+                        let teams = TeamSpec::even(workers, islands);
+                        let exec = ExchangeExecutor::with_problem(
+                            &pools[workers - 1],
+                            teams,
+                            axis,
+                            problem.clone(),
+                        );
+                        let what = format!(
+                            "exchange iord={iord} domain={domain:?} partition={axis:?} x \
+                             {islands} ranks={ranks}"
+                        );
+                        all.extend(prove_baseline(&exec.schedule_for(domain), &what));
+                    }
+                }
+            }
+        }
+    }
     all
+}
+
+/// Lowers and proves a stage-synchronous executor's own schedule;
+/// prints one line, returns the diagnostics.
+fn prove_baseline(schedule: &StepSchedule, what: &str) -> Vec<Diagnostic> {
+    let found = check_disjointness(&lower(schedule));
+    println!("disjointness {what}: {} diagnostic(s)", found.len());
+    found
 }
 
 /// The knob lattice the executor offers, at the lint cache budget:
@@ -480,6 +537,18 @@ fn mutant_window_too_narrow() -> Vec<Diagnostic> {
     // The first stage's output loses one plane of storage: the deepest
     // reach-back of its consumers now lands on a recycled slot.
     plan.teams[0].windows[0].1 -= 1;
+    check_disjointness(&plan)
+}
+
+fn mutant_exchange_fence_dropped() -> Vec<Diagnostic> {
+    // Two islands of two ranks, lowered from the Exchange executor —
+    // then the plan forgets that every stage ends at the global
+    // barrier: an island's halo reads of its neighbour's intermediates
+    // now race with the neighbour's writes.
+    let pool = WorkerPool::new(4);
+    let exec = ExchangeExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I);
+    let mut plan = lower(&exec.schedule_for(Region3::of_extent(16, 12, 6)));
+    plan.stage_synchronous = false;
     check_disjointness(&plan)
 }
 

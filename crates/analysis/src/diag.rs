@@ -20,12 +20,14 @@ pub enum DiagnosticCode {
     /// one barrier-fenced epoch, at least one of them writing.
     IntraTeamOverlap,
     /// Two teams touch overlapping regions of a shared field within one
-    /// time step, at least one of them writing.
+    /// time step (one epoch of a stage-synchronous schedule), at least
+    /// one of them writing.
     CrossTeamOverlap,
     /// A schedule writes an external (read-only) field.
     ExternalWrite,
     /// A team reads an island-private cell no earlier epoch of the same
-    /// team has written.
+    /// team has written (a shared intermediate no earlier epoch of any
+    /// team has written, in a stage-synchronous schedule).
     UncoveredRead,
     /// A domain cell of a shared output field no team ever writes: with
     /// reused (persistent-plan) output buffers it would leak the

@@ -12,15 +12,19 @@
 //!   *epoch*; no slot's write region may intersect another slot's
 //!   read-or-write region of the same field inside an epoch;
 //! * across teams, the whole time step is one epoch (teams synchronize
-//!   only at the step join); no team's write to a *shared* field
-//!   (externals and outputs) may intersect any other team's access;
+//!   only at the step join) — or, in a stage-synchronous plan, each
+//!   epoch index is (every epoch ends at the global barrier); no team's
+//!   write to a *shared* field (externals, outputs and a
+//!   stage-synchronous plan's intermediates) may intersect any other
+//!   team's access within one;
 //! * external fields are read-only everywhere;
 //! * every read of an island-private (intermediate) field must be
-//!   covered by same-team writes from strictly earlier epochs;
-//! * the union of all teams' writes to each shared output field must
-//!   cover the whole domain — the executors keep output buffers alive
-//!   across steps (the persistent-plan path re-claims scratch and
-//!   output per step instead of reallocating), so an unwritten output
+//!   covered by same-team writes from strictly earlier epochs — in a
+//!   stage-synchronous plan, every read of a non-external field by
+//!   *any* team's writes from strictly earlier epochs;
+//! * the union of all teams' writes to each shared, non-external field
+//!   must cover the whole domain — the executors keep output buffers
+//!   (and shared intermediates) alive across steps, so an unwritten
 //!   cell is not merely uninitialized, it silently carries the
 //!   previous step's value;
 //! * a team's scratch buffer may store only a sliding window of its
@@ -28,9 +32,12 @@
 //!   no access may reach `W` or more planes below the highest plane
 //!   written to the buffer so far in the same fused step.
 //!
-//! The checks are sound for [`mpdata::Boundary::Open`] problems — the
-//! only kind the islands executor accepts — because open-boundary reads
-//! clamp into the halo-expanded boxes the stream records.
+//! The checks are sound for [`mpdata::Boundary::Open`] problems because
+//! open-boundary reads clamp into the halo-expanded boxes the stream
+//! records. Periodic reads wrap out of those boxes, which only
+//! stage-synchronous plans allow: there each intermediate is written in
+//! one epoch over the whole domain (rule 5), so a read whose box rule 4
+//! finds written earlier has its wrapped cells written too.
 
 use crate::diag::{Diagnostic, DiagnosticCode};
 use mpdata::{Buffer, MpdataProblem, ScheduleKnobs, SchedulePolicy, StepSchedule, TileMode};
@@ -88,6 +95,11 @@ pub struct SchedulePlan {
     pub external: Vec<bool>,
     /// One plan per team, in team order.
     pub teams: Vec<TeamPlan>,
+    /// Every epoch ends at a barrier *all* teams cross, so epoch `e` of
+    /// one team runs only beside epoch `e` of the others
+    /// ([`StepSchedule::stage_synchronous`]). Unset, teams meet only at
+    /// the step's end.
+    pub stage_synchronous: bool,
 }
 
 /// Lowers a schedule's access stream to the checker's IR — the only
@@ -99,8 +111,11 @@ pub struct SchedulePlan {
 ///   slots to ranks, which is exactly the freedom dynamic claiming and
 ///   tile striding have; the epoch fencing (team barrier) is unchanged.
 /// * [`Buffer::Shared`] and [`Buffer::Scratch`] map to the graph field
-///   itself (intermediates are island-private, so rules 3/5 ignore
-///   them and rule 4 demands per-team coverage).
+///   itself. Intermediates are island-private (rules 3/5 ignore them,
+///   rule 4 demands per-team coverage) unless the schedule is
+///   stage-synchronous: then they are shared, and
+///   [`SchedulePlan::stage_synchronous`] tells rules 3 and 4 that teams
+///   meet after every epoch.
 /// * [`Buffer::XSlot`] becomes an island-private, non-external
 ///   pseudo-field `x@slot{0,1}`: rule 2 forbids same-epoch slot races,
 ///   rule 4 demands every slot read be covered by earlier same-team
@@ -132,10 +147,11 @@ pub struct SchedulePlan {
 pub fn lower(schedule: &StepSchedule) -> SchedulePlan {
     let graph = schedule.problem().graph();
     let fields = graph.fields();
+    let stage_synchronous = schedule.stage_synchronous();
     let ids = || (0..fields.len()).map(|n| FieldId(n as u32));
     let mut field_names: Vec<String> = ids().map(|f| fields.name(f).to_string()).collect();
     let mut shared: Vec<bool> = ids()
-        .map(|f| fields.role(f) != FieldRole::Intermediate)
+        .map(|f| stage_synchronous || fields.role(f) != FieldRole::Intermediate)
         .collect();
     let mut external: Vec<bool> = ids()
         .map(|f| fields.role(f) == FieldRole::External)
@@ -187,7 +203,7 @@ pub fn lower(schedule: &StepSchedule) -> SchedulePlan {
             if knobs.fuse_steps > 1 || tiled {
                 epoch.label = format!("step {} / ", a.step);
             }
-            if !tiled {
+            if !tiled && !stage_synchronous {
                 epoch.label += &format!("block {} / ", a.block);
             }
             epoch.label += &format!("stage {}{suffix}", graph.stages()[a.stage].name);
@@ -207,6 +223,7 @@ pub fn lower(schedule: &StepSchedule) -> SchedulePlan {
         shared,
         external,
         teams,
+        stage_synchronous,
     }
 }
 
@@ -332,80 +349,119 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
         }
     }
 
-    // Rule 3: cross-team, whole step — writes to shared fields must not
-    // intersect any other team's access to them.
-    let step_accesses = |team: &TeamPlan| -> Vec<PlannedAccess> {
-        team.epochs
-            .iter()
-            .flat_map(|ep| ep.per_rank.iter().flatten().cloned())
-            .collect()
+    // Rule 3: cross-team — writes to shared fields must not intersect
+    // any other team's access to them between two fences the teams
+    // share: the whole step, or one epoch of a stage-synchronous plan.
+    let fenced = |team: &TeamPlan| -> Vec<Vec<PlannedAccess>> {
+        let span = |eps: &[Epoch]| -> Vec<PlannedAccess> {
+            let accesses = eps.iter().flat_map(|ep| ep.per_rank.iter().flatten());
+            accesses.cloned().collect()
+        };
+        if plan.stage_synchronous {
+            team.epochs.chunks(1).map(span).collect()
+        } else {
+            vec![span(&team.epochs)]
+        }
     };
     for ta in 0..plan.teams.len() {
-        let accs_a = step_accesses(&plan.teams[ta]);
+        let spans_a = fenced(&plan.teams[ta]);
         for tb in 0..plan.teams.len() {
             if ta == tb {
                 continue;
             }
-            let accs_b = step_accesses(&plan.teams[tb]);
-            for wa in accs_a.iter().filter(|a| a.write && plan.shared[a.field]) {
-                for ab in accs_b.iter().filter(|b| b.field == wa.field) {
-                    if (ab.write && ta > tb) || !wa.region.overlaps(ab.region) {
-                        continue;
-                    }
-                    found.push(Diagnostic {
-                        code: DiagnosticCode::CrossTeamOverlap,
-                        site: format!("teams {ta}+{tb}"),
-                        field: fname(wa.field),
-                        detail: format!(
-                            "team {ta} writes {:?} while team {tb} {} {:?} with no \
-                             intra-step synchronization between teams",
-                            wa.region,
-                            if ab.write { "writes" } else { "reads" },
-                            ab.region
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    // Rule 4: coverage — island-private reads must resolve to cells the
-    // same team wrote in a strictly earlier epoch.
-    for (t, team) in plan.teams.iter().enumerate() {
-        let mut written: Vec<(usize, Region3)> = Vec::new();
-        for ep in &team.epochs {
-            for (rank, accs) in ep.per_rank.iter().enumerate() {
-                for rd in accs.iter().filter(|a| !a.write) {
-                    if plan.shared[rd.field] {
-                        continue; // pre-existing inputs / the output
-                    }
-                    let mut remaining = vec![rd.region];
-                    for (_, wr) in written.iter().filter(|(wf, _)| *wf == rd.field) {
-                        remaining = remaining
-                            .into_iter()
-                            .flat_map(|r| r.subtract(*wr))
-                            .collect();
-                        if remaining.is_empty() {
-                            break;
+            let spans_b = fenced(&plan.teams[tb]);
+            for (n, (accs_a, accs_b)) in spans_a.iter().zip(&spans_b).enumerate() {
+                for wa in accs_a.iter().filter(|a| a.write && plan.shared[a.field]) {
+                    for ab in accs_b.iter().filter(|b| b.field == wa.field) {
+                        if (ab.write && ta > tb) || !wa.region.overlaps(ab.region) {
+                            continue;
                         }
-                    }
-                    if let Some(gap) = remaining.first() {
+                        let (site, unfenced) = if plan.stage_synchronous {
+                            let label = &plan.teams[ta].epochs[n].label;
+                            let site = format!("teams {ta}+{tb} / {label}");
+                            (site, "before the epoch's global barrier")
+                        } else {
+                            let site = format!("teams {ta}+{tb}");
+                            (site, "with no intra-step synchronization between teams")
+                        };
                         found.push(Diagnostic {
-                            code: DiagnosticCode::UncoveredRead,
-                            site: format!("team {t} rank {rank} / {}", ep.label),
-                            field: fname(rd.field),
+                            code: DiagnosticCode::CrossTeamOverlap,
+                            site,
+                            field: fname(wa.field),
                             detail: format!(
-                                "reads {:?} but no earlier epoch of this team wrote {:?}",
-                                rd.region, gap
+                                "team {ta} writes {:?} while team {tb} {} {:?} {unfenced}",
+                                wa.region,
+                                if ab.write { "writes" } else { "reads" },
+                                ab.region
                             ),
                         });
                     }
                 }
             }
-            // Merge this epoch's writes only after its reads were
+        }
+    }
+
+    // Rule 4: coverage — reads of a field the step produces must
+    // resolve to cells written in a strictly earlier epoch: by the same
+    // team (island-private scratch), or — every epoch of a
+    // stage-synchronous plan ending at the global barrier — by any team
+    // (its shared intermediates). A history is the sequence of rounds of
+    // concurrent epochs: each team's own, or — stage-synchronous — one
+    // for all teams, round `e` holding every team's epoch `e`.
+    let mut histories: Vec<Vec<Vec<(usize, &Epoch)>>> = Vec::new();
+    for (t, team) in plan.teams.iter().enumerate() {
+        if histories.is_empty() || !plan.stage_synchronous {
+            histories.push(Vec::new());
+        }
+        let rounds = histories.last_mut().expect("pushed above");
+        for (e, ep) in team.epochs.iter().enumerate() {
+            match rounds.get_mut(e) {
+                Some(round) => round.push((t, ep)),
+                None => rounds.push(vec![(t, ep)]),
+            }
+        }
+    }
+    // Fields the step reads but does not produce: the inputs — and,
+    // step-synchronous, every shared field (the output is never read).
+    let (exempt, whose): (&[bool], _) = if plan.stage_synchronous {
+        (&plan.external, "any team")
+    } else {
+        (&plan.shared, "this team")
+    };
+    for history in histories {
+        let mut written: Vec<(usize, Region3)> = Vec::new();
+        for round in history {
+            for &(t, ep) in &round {
+                for (rank, accs) in ep.per_rank.iter().enumerate() {
+                    for rd in accs.iter().filter(|a| !a.write && !exempt[a.field]) {
+                        let mut remaining = vec![rd.region];
+                        for (_, wr) in written.iter().filter(|(wf, _)| *wf == rd.field) {
+                            remaining = remaining
+                                .into_iter()
+                                .flat_map(|r| r.subtract(*wr))
+                                .collect();
+                            if remaining.is_empty() {
+                                break;
+                            }
+                        }
+                        if let Some(gap) = remaining.first() {
+                            found.push(Diagnostic {
+                                code: DiagnosticCode::UncoveredRead,
+                                site: format!("team {t} rank {rank} / {}", ep.label),
+                                field: fname(rd.field),
+                                detail: format!(
+                                    "reads {:?} but no earlier epoch of {whose} wrote {:?}",
+                                    rd.region, gap
+                                ),
+                            });
+                        }
+                    }
+                }
+            }
+            // Merge the round's writes only after its reads were
             // checked: same-epoch write→read has no fence between them.
-            for accs in &ep.per_rank {
-                for wr in accs.iter().filter(|a| a.write) {
+            for (_, ep) in round {
+                for wr in ep.per_rank.iter().flatten().filter(|a| a.write) {
                     written.push((wr.field, wr.region));
                 }
             }

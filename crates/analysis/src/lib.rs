@@ -14,10 +14,11 @@
 //!    [`stencil_engine::trace`].
 //! 2. **Plan-time disjointness** ([`lower`] / [`check_disjointness`]):
 //!    for the very [`mpdata::StepSchedule`] an executor replays — any
-//!    partition, team shape and knob combination — no slot's write
-//!    region intersects another slot's read-or-write region of the same
-//!    field within a synchronization epoch, and all island-private
-//!    reads are covered by earlier same-team writes.
+//!    partition, team shape and knob combination, and the
+//!    stage-synchronous baselines — no slot's write region intersects
+//!    another slot's read-or-write region of the same field within a
+//!    synchronization epoch, and all reads of produced fields are
+//!    covered by earlier writes behind a fence.
 //!
 //! The `stencil-lint` binary wires both passes into CI:
 //!

@@ -8,8 +8,11 @@ use islands_analysis::{
     check_disjointness, check_graph, islands_plan, islands_plan_tiled, lower, with_offset_removed,
     DiagnosticCode, KernelPath, PlannedAccess, SchedulePlan,
 };
-use mpdata::{MpdataProblem, ScheduleKnobs, SchedulePolicy, StepSchedule};
+use mpdata::{
+    ExchangeExecutor, MpdataProblem, OriginalExecutor, ScheduleKnobs, SchedulePolicy, StepSchedule,
+};
 use stencil_engine::{trace, Axis, Offset3, Range1, Region3, StageGraph, StencilPattern};
+use work_scheduler::{TeamSpec, WorkerPool};
 
 fn domain() -> Region3 {
     Region3::new(Range1::new(2, 7), Range1::new(-1, 3), Range1::new(3, 6))
@@ -445,6 +448,97 @@ fn composed_knobs_stay_clean_and_route_x_through_slots() {
         assert_eq!(check_disjointness(&plan), vec![], "{tile:?} not clean");
         assert!(plan.field_names.iter().any(|n| n == "x@slot0"));
     }
+}
+
+/// The lowered schedule of a two-island Exchange executor (two ranks
+/// per island) on 16×12×6.
+fn exchange_plan() -> SchedulePlan {
+    let pool = WorkerPool::new(4);
+    let exec = ExchangeExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I);
+    lower(&exec.schedule_for(Region3::of_extent(16, 12, 6)))
+}
+
+#[test]
+fn dropped_exchange_fence_is_a_cross_team_overlap() {
+    let clean = exchange_plan();
+    assert!(clean.stage_synchronous);
+    assert_eq!(check_disjointness(&clean), vec![], "control not clean");
+    // The stage-synchronous Original is clean too, and keeps its flag.
+    let pool = WorkerPool::new(3);
+    let original = lower(&OriginalExecutor::new(&pool).schedule_for(Region3::of_extent(9, 7, 4)));
+    assert!(original.stage_synchronous);
+    assert_eq!(check_disjointness(&original), vec![]);
+
+    // Without the per-stage global barriers, each island's halo reads
+    // of the shared intermediates race with its neighbour's writes.
+    let mut unfenced = clean;
+    unfenced.stage_synchronous = false;
+    let found = check_disjointness(&unfenced);
+    assert!(
+        !found.is_empty()
+            && found
+                .iter()
+                .all(|f| f.code == DiagnosticCode::CrossTeamOverlap),
+        "expected only cross-team overlaps, got: {found:?}"
+    );
+    // The low-order update reads f1 one plane past island 0's part.
+    assert!(
+        found.iter().any(|f| f.site == "teams 1+0"
+            && f.field == "f1"
+            && f.detail.contains("team 1 writes [8, 16)")
+            && f.detail.contains("team 0 reads [0, 9)")),
+        "expected island 0 reading island 1's f1, got: {found:?}"
+    );
+}
+
+#[test]
+fn stage_synchronous_rules_hold_per_epoch() {
+    let clean = exchange_plan();
+    let f1 = clean.field_names.iter().position(|n| n == "f1").unwrap();
+    assert!(clean.shared[f1] && !clean.external[f1]);
+
+    // Island 1's f1 producer widened one plane into island 0's part:
+    // both write it in the same epoch, before the global barrier.
+    let mut widened = clean.clone();
+    let ep = &mut widened.teams[1].epochs[0];
+    assert_eq!(ep.label, "stage flux_i");
+    for acc in ep.per_rank.iter_mut().flatten().filter(|a| a.write) {
+        let r = acc.region.range(Axis::I);
+        acc.region = acc.region.with_range(Axis::I, Range1::new(r.lo - 1, r.hi));
+    }
+    let found = check_disjointness(&widened);
+    assert!(
+        found
+            .iter()
+            .any(|f| f.code == DiagnosticCode::CrossTeamOverlap
+                && f.site == "teams 0+1 / stage flux_i"
+                && f.field == "f1"),
+        "expected a same-epoch f1 overlap, got: {found:?}"
+    );
+
+    // Island 1 never produces its half of f1: island 0's halo read of
+    // it is covered by no team, and the shared array is left stale.
+    let mut dropped = clean;
+    dropped.teams[1].epochs[0]
+        .per_rank
+        .iter_mut()
+        .for_each(|accs| {
+            accs.retain(|a| !(a.write && a.field == f1));
+        });
+    let found = check_disjointness(&dropped);
+    assert!(
+        found.iter().any(|f| f.code == DiagnosticCode::UncoveredRead
+            && f.field == "f1"
+            && f.site.starts_with("team 0 ")
+            && f.detail.contains("no earlier epoch of any team wrote")),
+        "expected island 0's f1 halo read uncovered, got: {found:?}"
+    );
+    assert!(
+        found
+            .iter()
+            .any(|f| f.code == DiagnosticCode::UncoveredOutput && f.field == "f1"),
+        "expected f1's stale half reported, got: {found:?}"
+    );
 }
 
 #[test]

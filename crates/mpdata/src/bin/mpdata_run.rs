@@ -54,21 +54,30 @@
 //! sizes tiles from `--cache`; an explicit `TIxTJ` (e.g. `8x16`)
 //! forces the extents. Also bit-identical under `--verify`.
 //!
-//! For the islands and fused strategies the summary carries a
-//! `scratch` line: the bytes the intermediates occupy under the
-//! schedule that ran — sliding windows of a few i-planes per field
-//! beside what hull-sized arrays would take, or the rank-private tile
-//! scratch. Untiled, a `rank cut` line names the axis the first
-//! island's cores split each sweep along, with the sweep that decided
-//! it: `I (32 planes ≥ 32 rows)` when every sweep is at least as deep
-//! as it is wide, else `J (6 planes < 256 rows)`.
+//! `original` and `exchange` replay the same kind of schedule in its
+//! stage-synchronous shape — one team of every worker, or one per
+//! island, each stage over the team's own part into full-domain shared
+//! intermediates, a global barrier per stage — so they also run
+//! `--boundary periodic`, which the cache-blocked `fused` and
+//! `islands` refuse.
+//!
+//! For every strategy but `reference` the summary carries a `scratch`
+//! line: the bytes the intermediates occupy under the schedule that
+//! ran — sliding windows of a few i-planes per field beside what
+//! hull-sized arrays would take, the rank-private tile scratch, or the
+//! full-domain arrays the stage-synchronous teams share. Untiled, a
+//! `rank cut` line names the axis the first island's cores split each
+//! sweep along, with the sweep that decided it: `I (32 planes ≥ 32
+//! rows)` when every sweep is at least as deep as it is wide, else `J
+//! (6 planes < 256 rows)`.
 
 use mpdata::{
-    gaussian_pulse, random_fields, rotating_cone, Boundary, IslandsExecutor, MpdataFields,
-    MpdataProblem, OriginalExecutor, ReferenceExecutor, StepSchedule, TileMode,
+    gaussian_pulse, random_fields, rotating_cone, Boundary, ExchangeExecutor, IslandsExecutor,
+    MpdataFields, MpdataProblem, ReferenceExecutor, StepSchedule, TileMode,
 };
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 use stencil_engine::rng::Xoshiro256pp;
 use stencil_engine::{Axis, PlanBlocksError, Region3};
@@ -359,6 +368,15 @@ fn rank_cut_line(schedule: &StepSchedule) -> Option<String> {
 fn scratch_line(schedule: &StepSchedule) -> String {
     let mb = |bytes: usize| bytes as f64 / 1e6;
     let windows = schedule.scratch_windows();
+    if schedule.stage_synchronous() {
+        let teams = schedule.team_count();
+        return format!(
+            "{:.1} MB in {} full-domain arrays shared by {teams} island{}",
+            mb(schedule.scratch_bytes()),
+            windows.len(),
+            if teams == 1 { "" } else { "s" },
+        );
+    }
     if windows.is_empty() {
         return format!(
             "{:.1} MB of rank-private tile scratch",
@@ -385,14 +403,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if a.boundary == Boundary::Periodic
-        && matches!(
-            a.strategy,
-            Strategy::Fused | Strategy::Islands | Strategy::Exchange
-        )
-    {
+    if a.boundary == Boundary::Periodic && a.strategy.plans_islands() {
         eprintln!(
-            "error: --boundary periodic is only supported by --strategy reference|original\n\
+            "error: --boundary periodic is not supported by --strategy fused|islands\n\
              (cache-blocked schedules cannot express wrap-around dependencies)"
         );
         return ExitCode::FAILURE;
@@ -469,64 +482,46 @@ fn main() -> ExitCode {
             ticker = Some((tx, handle));
         }
     }
-    let mut plan_lines = None;
-    let mut run_islands = |exec: IslandsExecutor<'_>, fields: &mut MpdataFields| {
-        exec.run(fields, a.steps)?;
-        // The schedule the run just replayed (a plan-cache hit).
-        let schedule = exec.schedule_for(fields.domain())?;
-        plan_lines = Some((rank_cut_line(&schedule), scratch_line(&schedule)));
-        Ok::<(), PlanBlocksError>(())
+    let domain = fields.domain();
+    // Fused and Original are the one-island schedules of the islands and
+    // exchange strategies.
+    let islands = match a.strategy {
+        Strategy::Fused | Strategy::Original => 1,
+        _ => a.islands,
     };
+    let teams = TeamSpec::even(a.workers, islands);
     let t0 = Instant::now();
-    let run = match a.strategy {
+    // Every strategy but the serial reference replays a schedule; the
+    // one it ran (a plan-cache hit) feeds the summary.
+    let ran: Result<Option<Arc<StepSchedule>>, PlanBlocksError> = match a.strategy {
         Strategy::Reference => {
             ReferenceExecutor::with_problem(problem()).run(&mut fields, a.steps);
-            Ok(())
+            Ok(None)
         }
-        Strategy::Original => {
-            OriginalExecutor::with_problem(&pool, problem()).run(&mut fields, a.steps);
-            Ok(())
+        Strategy::Original | Strategy::Exchange => {
+            let exec = ExchangeExecutor::with_problem(&pool, teams, Axis::I, problem());
+            exec.run(&mut fields, a.steps);
+            Ok(Some(exec.schedule_for(domain)))
         }
-        Strategy::Fused => {
-            let mut exec = IslandsExecutor::single_island(&pool, problem())
+        Strategy::Fused | Strategy::Islands => {
+            let mut exec = IslandsExecutor::with_problem(&pool, teams, Axis::I, problem())
                 .cache_bytes(a.cache)
                 .fuse_steps(a.fuse_steps)
                 .tile(a.tile);
             if a.self_schedule > 0 {
                 exec = exec.self_schedule(a.self_schedule);
             }
-            run_islands(exec, &mut fields).map_err(|e| e.to_string())
-        }
-        Strategy::Islands => {
-            let mut exec = IslandsExecutor::with_problem(
-                &pool,
-                TeamSpec::even(a.workers, a.islands),
-                Axis::I,
-                problem(),
-            )
-            .cache_bytes(a.cache)
-            .fuse_steps(a.fuse_steps)
-            .tile(a.tile);
-            if a.self_schedule > 0 {
-                exec = exec.self_schedule(a.self_schedule);
-            }
-            run_islands(exec, &mut fields).map_err(|e| e.to_string())
-        }
-        Strategy::Exchange => {
-            mpdata::ExchangeExecutor::with_problem(
-                &pool,
-                TeamSpec::even(a.workers, a.islands),
-                Axis::I,
-                problem(),
-            )
-            .run(&mut fields, a.steps);
-            Ok(())
+            exec.run(&mut fields, a.steps)
+                .and_then(|()| exec.schedule_for(domain).map(Some))
         }
     };
-    if let Err(e) = run {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+    let schedule = match ran {
+        Ok(schedule) => schedule,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let elapsed = t0.elapsed();
     // Live-plane shutdown, in dependency order: stop the periodic
     // printer, then the collector (its final pass folds every span the
@@ -556,11 +551,11 @@ fn main() -> ExitCode {
         "throughput   : {:.2} Mcells/s",
         (fields.domain().cells() * a.steps) as f64 / elapsed.as_secs_f64() / 1e6
     );
-    if let Some((rank_cut, scratch)) = plan_lines {
-        if let Some(line) = rank_cut {
+    if let Some(schedule) = &schedule {
+        if let Some(line) = rank_cut_line(schedule) {
             println!("rank cut     : {line}");
         }
-        println!("scratch      : {scratch}");
+        println!("scratch      : {}", scratch_line(schedule));
     }
     println!("mass drift   : {:+.3e}", fields.mass() / mass0 - 1.0);
     println!(

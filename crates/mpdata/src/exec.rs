@@ -261,15 +261,6 @@ impl ParStore {
         *self.cells.cell_mut(f).get_mut_exclusive() = Some(Array3::windowed(region, planes));
     }
 
-    /// Removes the buffer for `f` (single-threaded teardown phase).
-    pub(crate) fn take(&mut self, f: FieldId) -> Array3 {
-        self.cells
-            .cell_mut(f)
-            .get_mut_exclusive()
-            .take()
-            .expect("buffer present")
-    }
-
     /// Re-targets `f`'s buffer at `region`, reusing its allocation
     /// ([`Array3::rebase`]) — the per-tile scratch shrink of the
     /// tile-fused replay, which must stay allocation-free.
@@ -332,7 +323,7 @@ impl ParStore {
     /// Concurrent callers must pass mutually disjoint `region`s for the
     /// same stage, and stages must be separated by a barrier or join.
     /// Both are guaranteed by the executors: regions come from
-    /// [`rank_slice`] and stages are fenced by broadcasts/team barriers.
+    /// [`rank_slice`] and stages are fenced by team or global barriers.
     pub(crate) fn apply(
         &self,
         stage: &StageDef,
@@ -402,37 +393,6 @@ impl ParStore {
         drop(trackers);
     }
 
-    /// Copies `region` of `f` out of the store (shared access only —
-    /// safe to run while other threads also read this store).
-    ///
-    /// # Safety contract (internal)
-    ///
-    /// No concurrent writer may overlap `region` of `f`; callers
-    /// separate extraction and mutation phases with joins.
-    pub(crate) fn extract(&self, f: FieldId, region: Region3) -> Array3 {
-        #[cfg(debug_assertions)]
-        let _claim = self.cells.claim(&[(f, region, false)], "extract");
-        let _tracker = self.cells.cell(f).track_read();
-        // SAFETY: see the contract above.
-        let src = unsafe { self.cells.cell(f).get_ref() }
-            .as_ref()
-            .expect("buffer present");
-        let mut out = Array3::zeros(region);
-        out.copy_region_from(src, region);
-        out
-    }
-
-    /// Copies `piece` into `f`'s buffer (exclusive access).
-    pub(crate) fn blit(&mut self, f: FieldId, piece: &Array3) {
-        let dst = self
-            .cells
-            .cell_mut(f)
-            .get_mut_exclusive()
-            .as_mut()
-            .expect("buffer present");
-        dst.copy_region_from(piece, piece.region());
-    }
-
     /// Applies a single-output `stage` over `region`, writing into the
     /// caller-supplied buffer instead of a store slot (used by the
     /// islands executor to write the final stage straight into the
@@ -491,6 +451,11 @@ mod tests {
     use crate::fields::gaussian_pulse;
     use crate::graph::MpdataProblem;
     use stencil_engine::Range1;
+
+    /// Removes the buffer for `f` from a store no other thread touches.
+    fn take(ps: &mut ParStore, f: FieldId) -> Array3 {
+        ps.cells.cell_mut(f).get_mut_exclusive().take().unwrap()
+    }
 
     #[test]
     fn rank_slice_partitions() {
@@ -555,8 +520,7 @@ mod tests {
             Region3::new(Range1::new(3, 6), d.j, d.k),
             ext,
         );
-        let par = ps.extract(f1, d);
-        assert_eq!(par.max_abs_diff(&serial), 0.0);
+        assert_eq!(take(&mut ps, f1).max_abs_diff(&serial), 0.0);
     }
 
     #[test]
@@ -567,13 +531,12 @@ mod tests {
         *ps.cells.cell_mut(f).get_mut_exclusive() = Some(Array3::filled(d, 7.0));
         let sub = Region3::new(Range1::new(1, 3), Range1::new(0, 4), Range1::new(2, 4));
         ps.zero_region(f, sub);
-        let arr = ps.extract(f, d);
-        for (i, j, k, v) in arr.iter_indexed() {
+        // Empty regions are a no-op, not a panic.
+        ps.zero_region(f, Region3::empty());
+        for (i, j, k, v) in take(&mut ps, f).iter_indexed() {
             let inside = sub.contains(i, j, k);
             assert_eq!(v, if inside { 0.0 } else { 7.0 }, "at ({i},{j},{k})");
         }
-        // Empty regions are a no-op, not a panic.
-        ps.zero_region(f, Region3::empty());
     }
 
     #[test]

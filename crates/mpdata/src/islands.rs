@@ -9,6 +9,12 @@
 //! (the paper's "extra elements", Table 2). Within a time step islands
 //! synchronize only among their own cores (team barriers between
 //! stages); all islands meet once per step when the team run joins.
+//!
+//! The paper's two baselines are the same executor in the
+//! stage-synchronous shape (every stage over each team's own part,
+//! full-domain shared intermediates, a global barrier per stage):
+//! [`OriginalExecutor`] with one team of every worker, and
+//! [`ExchangeExecutor`] with one team per island.
 
 use crate::fields::MpdataFields;
 use crate::graph::MpdataProblem;
@@ -73,6 +79,7 @@ impl<'p> IslandsExecutor<'p> {
             config: PlanConfig {
                 partition: PartitionKind::Axis(partition_axis),
                 knobs: ScheduleKnobs::default(),
+                stage_sync: false,
             },
             plan: Mutex::new(None),
         }
@@ -106,6 +113,16 @@ impl<'p> IslandsExecutor<'p> {
     /// ```
     pub fn single_island(pool: &'p WorkerPool, problem: MpdataProblem) -> Self {
         Self::with_problem(pool, TeamSpec::even(pool.len(), 1), Axis::I, problem)
+    }
+
+    /// Switches to the stage-synchronous shape of the same partition
+    /// ([`StepSchedule::stage_synchronous`]) — what
+    /// [`OriginalExecutor`] and [`ExchangeExecutor`] are made of.
+    /// Private, so that no public builder combines it with a knob it
+    /// ignores.
+    fn stage_synchronous(mut self) -> Self {
+        self.config.stage_sync = true;
+        self
     }
 
     /// Replaces the 1-D axis split with an explicit partition: one part
@@ -261,6 +278,119 @@ impl<'p> IslandsExecutor<'p> {
         self.with_plan(fields.domain(), |plan| {
             plan.run(self.pool, &self.teams, fields, steps)
         })
+    }
+}
+
+/// Why a stage-synchronous plan cannot fail to build.
+const NO_BLOCKS: &str = "a stage-synchronous schedule plans no cache-sized blocks";
+
+/// The parallel "original version" of the paper's Table 1/3: all
+/// workers of the pool sweep each stage over the full domain, with
+/// full-size intermediates in main memory and a global barrier between
+/// stages — the one-team [stage-synchronous
+/// schedule](StepSchedule::stage_synchronous), planned once and
+/// replayed allocation-free like the islands.
+///
+/// # Examples
+///
+/// ```
+/// use mpdata::{gaussian_pulse, OriginalExecutor, ReferenceExecutor};
+/// use stencil_engine::Region3;
+/// use work_scheduler::WorkerPool;
+///
+/// let pool = WorkerPool::new(4);
+/// let domain = Region3::of_extent(16, 8, 8);
+/// let fields = gaussian_pulse(domain, (0.2, 0.1, 0.0));
+/// let par = OriginalExecutor::new(&pool).step(&fields);
+/// let ser = ReferenceExecutor::new().step(&fields);
+/// assert_eq!(par.max_abs_diff(&ser), 0.0); // bitwise identical
+/// ```
+#[derive(Debug)]
+pub struct OriginalExecutor<'p>(IslandsExecutor<'p>);
+
+impl<'p> OriginalExecutor<'p> {
+    /// Creates the executor on `pool` for the paper's problem.
+    pub fn new(pool: &'p WorkerPool) -> Self {
+        Self::with_problem(pool, MpdataProblem::standard())
+    }
+
+    /// Creates the executor for any MPDATA problem, periodic included.
+    pub fn with_problem(pool: &'p WorkerPool, problem: MpdataProblem) -> Self {
+        OriginalExecutor(IslandsExecutor::single_island(pool, problem).stage_synchronous())
+    }
+
+    /// See [`IslandsExecutor::schedule_for`].
+    pub fn schedule_for(&self, domain: Region3) -> Arc<StepSchedule> {
+        self.0.schedule_for(domain).expect(NO_BLOCKS)
+    }
+
+    /// Performs one time step and returns the advected scalar.
+    pub fn step(&self, fields: &MpdataFields) -> Array3 {
+        self.0.step(fields).expect(NO_BLOCKS)
+    }
+
+    /// Advances `fields.x` by `steps` time steps.
+    pub fn run(&self, fields: &mut MpdataFields, steps: usize) {
+        self.0.run(fields, steps).expect(NO_BLOCKS);
+    }
+}
+
+/// Fig. 1's **scenario 1** as real code: islands that *communicate*
+/// instead of recomputing. Each island computes every stage on exactly
+/// its own part into full-domain intermediates all islands share, and
+/// after the global barrier ending the stage the next one reads its
+/// neighbours' halo cells in place — the [stage-synchronous
+/// schedule](StepSchedule::stage_synchronous) with one team per part.
+/// Pinned bitwise against the recomputing [`IslandsExecutor`].
+///
+/// # Examples
+///
+/// ```
+/// use mpdata::{gaussian_pulse, ExchangeExecutor, ReferenceExecutor};
+/// use stencil_engine::{Axis, Region3};
+/// use work_scheduler::{TeamSpec, WorkerPool};
+///
+/// let pool = WorkerPool::new(4);
+/// let domain = Region3::of_extent(24, 8, 4);
+/// let fields = gaussian_pulse(domain, (0.3, 0.0, 0.0));
+/// let got = ExchangeExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I).step(&fields);
+/// let expect = ReferenceExecutor::new().step(&fields);
+/// assert_eq!(got.max_abs_diff(&expect), 0.0);
+/// ```
+#[derive(Debug)]
+pub struct ExchangeExecutor<'p>(IslandsExecutor<'p>);
+
+impl<'p> ExchangeExecutor<'p> {
+    /// Creates the executor: one island per team, parts cut along
+    /// `partition_axis`.
+    pub fn new(pool: &'p WorkerPool, teams: TeamSpec, partition_axis: Axis) -> Self {
+        Self::with_problem(pool, teams, partition_axis, MpdataProblem::standard())
+    }
+
+    /// Creates the executor for any MPDATA problem, periodic included.
+    pub fn with_problem(
+        pool: &'p WorkerPool,
+        teams: TeamSpec,
+        partition_axis: Axis,
+        problem: MpdataProblem,
+    ) -> Self {
+        let islands = IslandsExecutor::with_problem(pool, teams, partition_axis, problem);
+        ExchangeExecutor(islands.stage_synchronous())
+    }
+
+    /// See [`IslandsExecutor::schedule_for`].
+    pub fn schedule_for(&self, domain: Region3) -> Arc<StepSchedule> {
+        self.0.schedule_for(domain).expect(NO_BLOCKS)
+    }
+
+    /// Performs one time step and returns the advected scalar.
+    pub fn step(&self, fields: &MpdataFields) -> Array3 {
+        self.0.step(fields).expect(NO_BLOCKS)
+    }
+
+    /// Advances `fields.x` by `steps` time steps.
+    pub fn run(&self, fields: &mut MpdataFields, steps: usize) {
+        self.0.run(fields, steps).expect(NO_BLOCKS);
     }
 }
 
@@ -758,6 +888,113 @@ mod tests {
                 .run(&mut f, 3)
                 .unwrap();
             assert_eq!(f.x.max_abs_diff(&expect.x), 0.0, "{mode:?} diverged");
+        }
+    }
+
+    #[test]
+    fn stage_synchronous_baselines_match_reference() {
+        // Per row: inputs, `(workers, teams)` shapes — one team is
+        // Original, more are Exchange over parts cut along `axis` — and
+        // steps (a single one goes through `step`, more through `run`).
+        type Row = (
+            &'static str,
+            MpdataFields,
+            &'static [(usize, usize)],
+            Axis,
+            usize,
+        );
+        let ext = Region3::of_extent;
+        let random = |d, seed| random_fields(&mut Xoshiro256pp::seed_from_u64(seed), d, 0.7);
+        let rows: [Row; 8] = [
+            (
+                "pools 1-8",
+                random(ext(12, 9, 5), 11),
+                &[(1, 1), (2, 1), (3, 1), (5, 1), (8, 1)],
+                Axis::I,
+                1,
+            ),
+            (
+                "derived J cut",
+                gaussian_pulse(ext(8, 16, 4), (0.1, 0.2, 0.05)),
+                &[(4, 1)],
+                Axis::I,
+                1,
+            ),
+            (
+                "multi-step",
+                rotating_cone(ext(10, 8, 6), 0.3),
+                &[(3, 1)],
+                Axis::I,
+                4,
+            ),
+            (
+                "P > nx",
+                gaussian_pulse(ext(3, 4, 4), (0.2, 0.0, 0.0)),
+                &[(8, 1)],
+                Axis::I,
+                1,
+            ),
+            (
+                "variant A",
+                random(ext(20, 9, 5), 17),
+                &[(2, 2), (4, 2), (6, 3), (8, 4)],
+                Axis::I,
+                1,
+            ),
+            (
+                "variant B",
+                gaussian_pulse(ext(10, 18, 4), (0.15, 0.25, 0.0)),
+                &[(6, 3)],
+                Axis::J,
+                1,
+            ),
+            (
+                "multi-step",
+                rotating_cone(ext(16, 12, 4), 0.3),
+                &[(4, 2)],
+                Axis::I,
+                4,
+            ),
+            (
+                "P > nx",
+                gaussian_pulse(ext(3, 8, 4), (0.2, 0.1, 0.0)),
+                &[(6, 6)],
+                Axis::I,
+                1,
+            ),
+        ];
+        for (what, init, shapes, axis, steps) in rows {
+            let mut expect = init.clone();
+            ReferenceExecutor::new().run(&mut expect, steps);
+            for &(workers, teams) in shapes {
+                let label = format!("{what}: {workers} workers in {teams} teams");
+                let pool = WorkerPool::new(workers);
+                let spec = TeamSpec::even(workers, teams);
+                let mut got = init.clone();
+                if teams == 1 {
+                    let exec = OriginalExecutor::new(&pool);
+                    match steps {
+                        1 => got.x = exec.step(&init),
+                        _ => exec.run(&mut got, steps),
+                    }
+                } else {
+                    let exec = ExchangeExecutor::new(&pool, spec.clone(), axis);
+                    match steps {
+                        1 => got.x = exec.step(&init),
+                        _ => exec.run(&mut got, steps),
+                    }
+                    // Scenario 1 (exchange) and scenario 2 (recompute)
+                    // agree exactly — the paper's two parallelizations
+                    // of the same computation.
+                    let mut recomputed = init.clone();
+                    IslandsExecutor::new(&pool, spec, axis)
+                        .cache_bytes(128 * 1024)
+                        .run(&mut recomputed, steps)
+                        .unwrap();
+                    assert_eq!(got.x.max_abs_diff(&recomputed.x), 0.0, "{label}");
+                }
+                assert_eq!(got.x.max_abs_diff(&expect.x), 0.0, "{label}");
+            }
         }
     }
 

@@ -9,11 +9,14 @@
 //!
 //! Four executors share the same kernels and the same declared stage
 //! graph, so their results are **bitwise identical** (asserted by the
-//! test suite):
+//! test suite). Every parallel one replays a [`StepSchedule`] — one
+//! derivation, proved by `islands-analysis` — in one of two shapes:
 //!
 //! * [`ReferenceExecutor`] — serial, full-size intermediates.
-//! * [`OriginalExecutor`] — the paper's "Original": per-stage parallel
-//!   sweeps with intermediates in main memory.
+//! * [`OriginalExecutor`] — the paper's "Original": one team of every
+//!   worker sweeps each stage over the whole domain, intermediates in
+//!   main memory, a global barrier between stages (the
+//!   stage-synchronous shape).
 //! * [`IslandsExecutor`] — the contribution: one island (work team) per
 //!   processor, each running the (3+1)D decomposition (cache-sized
 //!   blocks, all 17 stages fused per block) on its part and
@@ -21,7 +24,9 @@
 //!   step. [`IslandsExecutor::single_island`] is the pure (3+1)D
 //!   strategy: one island spanning every core.
 //! * [`ExchangeExecutor`] — the ablation: islands that exchange halos
-//!   between stages instead of recomputing them.
+//!   between stages instead of recomputing them (the stage-synchronous
+//!   shape with one team per island, halos read in place from shared
+//!   full-domain intermediates).
 //!
 //! ## Quickstart
 //!
@@ -40,27 +45,23 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod diagnostics;
-mod exchange;
 mod exec;
 mod fields;
 mod graph;
 mod islands;
 mod kernels;
 mod kernels_fast;
-mod original;
 mod plan;
 mod reference;
 
 pub use diagnostics::{error_norms, CflViolation, ErrorNorms};
-pub use exchange::ExchangeExecutor;
 pub use fields::{gaussian_pulse, random_fields, rotating_cone, MpdataFields, EPS};
 pub use graph::{
     flops_per_cell, mpdata_graph, ExternalIds, MpdataFieldIds, MpdataProblem, StageKind,
     STAGE_COUNT, STAGE_FLOPS, STANDARD_KINDS,
 };
-pub use islands::IslandsExecutor;
+pub use islands::{ExchangeExecutor, IslandsExecutor, OriginalExecutor};
 pub use kernels::{apply_kind, apply_kind_scalar, apply_stage, Boundary};
-pub use original::OriginalExecutor;
 pub use plan::{
     Access, Buffer, ScheduleKnobs, SchedulePolicy, ScratchWindow, StepSchedule, TileMode,
     DEFAULT_CACHE_BYTES,

@@ -26,6 +26,9 @@
 //!   rebuilt whenever the domain or the executor's `PlanConfig` stops
 //!   matching.
 //!
+//! The paper's baselines are the same tables in a second shape,
+//! [`StepSchedule::stage_synchronous`].
+//!
 //! # Temporal blocking (`fuse_steps = k`)
 //!
 //! With `fuse_steps = k > 1` the plan fuses k whole time steps into one
@@ -217,6 +220,9 @@ impl PartitionKind {
 pub(crate) struct PlanConfig {
     pub(crate) partition: PartitionKind,
     pub(crate) knobs: ScheduleKnobs,
+    /// The stage-synchronous shape ([`StepSchedule::stage_synchronous`])
+    /// instead of the islands' (3+1)D one.
+    pub(crate) stage_sync: bool,
 }
 
 /// One barrier-fenced unit of a team's replay: one stage of one block,
@@ -321,8 +327,8 @@ struct TeamSchedule {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Buffer {
     /// A full-domain array every team sees: an external input (for the
-    /// advected field, `run`'s current-input buffer) or the shared
-    /// output.
+    /// advected field, `run`'s current-input buffer), the shared output
+    /// or — in a stage-synchronous schedule — an intermediate.
     Shared(FieldId),
     /// One of the team-private ping-pong buffers (`0` or `1`) the
     /// advected field moves through between fused steps.
@@ -374,7 +380,8 @@ pub struct Access {
 /// what the prover re-derives from [`StepSchedule::accesses`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScratchWindow {
-    /// The island (team) owning the buffer.
+    /// The island (team) owning the buffer — `0` for the full-domain
+    /// arrays of a stage-synchronous schedule, which every team shares.
     pub team: usize,
     /// The intermediate field stored.
     pub field: FieldId,
@@ -387,9 +394,11 @@ pub struct ScratchWindow {
 /// The island schedule of one time step (or, with `fuse_steps = k`, one
 /// k-step fused epoch) as pure tables: what every rank of every team
 /// computes, in which order, over which regions, into which buffers.
-/// Owns no field data. [`IslandsExecutor`](crate::IslandsExecutor)
-/// replays exactly these tables; [`StepSchedule::accesses`] streams
-/// them to the plan-time prover.
+/// Owns no field data. [`IslandsExecutor`](crate::IslandsExecutor) —
+/// and through it [`OriginalExecutor`](crate::OriginalExecutor) and
+/// [`ExchangeExecutor`](crate::ExchangeExecutor) — replays exactly
+/// these tables; [`StepSchedule::accesses`] streams them to the
+/// plan-time prover.
 pub struct StepSchedule {
     problem: MpdataProblem,
     domain: Region3,
@@ -405,6 +414,8 @@ pub struct StepSchedule {
     /// Domain cells no final-stage write covers (empty for covering
     /// partitions); re-zeroed in the output buffer at swap time.
     out_gaps: Vec<Region3>,
+    /// See [`StepSchedule::stage_synchronous`].
+    stage_sync: bool,
 }
 
 impl fmt::Debug for StepSchedule {
@@ -412,6 +423,7 @@ impl fmt::Debug for StepSchedule {
         f.debug_struct("StepSchedule")
             .field("domain", &self.domain)
             .field("knobs", &self.knobs)
+            .field("stage_synchronous", &self.stage_sync)
             .field("teams", &self.teams.len())
             .field(
                 "epochs",
@@ -476,6 +488,10 @@ pub(crate) struct StepPlan {
     ///
     /// Invariant between steps: cells in `out_gaps` are zero.
     out: DisjointCell<Array3>,
+    /// The full-domain intermediates every team of a stage-synchronous
+    /// plan reads and writes (`None` otherwise: the teams' stores hold
+    /// their scratch).
+    shared: Option<ParStore>,
 }
 
 impl fmt::Debug for StepPlan {
@@ -694,13 +710,31 @@ impl StepSchedule {
         team_sizes: &[usize],
         knobs: ScheduleKnobs,
     ) -> Result<Self, PlanBlocksError> {
+        Self::derive(problem, domain, parts, team_sizes, knobs, false)
+    }
+
+    /// [`StepSchedule::build`] in either shape. The stage-synchronous
+    /// one (`stage_sync`) takes the rank cut and the schedule policy
+    /// from `knobs`, is built for any boundary, and never fails: it
+    /// plans no blocks. Its callers leave the other knobs at their
+    /// defaults.
+    pub(crate) fn derive(
+        problem: &MpdataProblem,
+        domain: Region3,
+        parts: &[Region3],
+        team_sizes: &[usize],
+        knobs: ScheduleKnobs,
+        stage_sync: bool,
+    ) -> Result<Self, PlanBlocksError> {
         assert_eq!(parts.len(), team_sizes.len(), "one part per team");
-        assert_eq!(
-            problem.boundary(),
-            Boundary::Open,
+        // A stage-synchronous read lands in a full-domain array finished
+        // before the last global barrier, wherever the wrap sends it.
+        assert!(
+            stage_sync || problem.boundary() == Boundary::Open,
             "island schedules require open boundaries: periodic wrap \
              dependencies cannot be expressed by box-shaped island regions"
         );
+        debug_assert!(!stage_sync || (knobs.fuse_steps <= 1 && knobs.tile == TileMode::Off));
         let knobs = ScheduleKnobs {
             fuse_steps: knobs.fuse_steps.max(1),
             ..knobs
@@ -733,6 +767,44 @@ impl StepSchedule {
         // same baseline: everything beyond `part ∩ region_s(domain)`
         // is recomputation some island performs anyway.
         let base_regions = graph.required_regions(domain, domain);
+        // Appends one epoch per stage of block `b` of fused step `ts`,
+        // stage `s` sweeping `regions[s]` cut into `n_units` unit slices
+        // along the team's axis, and takes the sweeps that write the
+        // shared output out of its gaps.
+        let push_block = |team: &mut TeamSchedule,
+                          out_gaps: &mut Vec<Region3>,
+                          (ts, b): (usize, usize),
+                          part: Region3,
+                          n_units: usize,
+                          regions: &[Region3]| {
+            for (s, st) in graph.stages().iter().enumerate() {
+                let region = regions[st.id.index()];
+                let is_final = s == final_stage;
+                // Only the last fused step writes the shared output
+                // buffer.
+                if is_final && ts + 1 == k {
+                    *out_gaps = subtract_all(std::mem::take(out_gaps), region);
+                }
+                let units: Vec<Region3> = (0..n_units)
+                    .map(|u| rank_slice(region, team.axis, u, n_units))
+                    .collect();
+                let needed = part.intersect(base_regions[st.id.index()]);
+                let units_extra = units
+                    .iter()
+                    .map(|&mine| (mine.cells() - mine.intersect(needed).cells()) as u64)
+                    .collect();
+                team.epochs.push(EpochPlan {
+                    stage: s,
+                    kind: stage_kinds[s],
+                    is_final,
+                    step: ts.min(usize::from(u16::MAX)) as u16,
+                    block: b.min(usize::from(u16::MAX)) as u16,
+                    region,
+                    units,
+                    units_extra,
+                });
+            }
+        };
         let mut teams = Vec::with_capacity(parts.len());
         let mut out_gaps = vec![domain];
         for (&part, &size) in parts.iter().zip(team_sizes) {
@@ -748,6 +820,20 @@ impl StepSchedule {
                 tiles: Vec::new(),
                 tile_scratch: Vec::new(),
             };
+            if stage_sync {
+                // One epoch per stage over the whole part. An idle team
+                // (empty part) keeps its empty epochs: its ranks must
+                // cross every global barrier the working teams do.
+                if knobs.split_axis.is_none() {
+                    team.axis = rank_axis_of(std::iter::once(&part));
+                }
+                let whole = vec![part; graph.stages().len()];
+                let n_units = knobs.schedule.units_for(size);
+                push_block(&mut team, &mut out_gaps, (0, 0), part, n_units, &whole);
+                team.step_bounds[0] = (0, team.epochs.len());
+                teams.push(team);
+                continue;
+            }
             if part.is_empty() {
                 teams.push(team);
                 continue;
@@ -806,33 +892,8 @@ impl StepSchedule {
                     }
                     let start = team.epochs.len();
                     for (b, block) in blocking.blocks.iter().enumerate() {
-                        for (s, st) in graph.stages().iter().enumerate() {
-                            let region = block.stage_regions[st.id.index()];
-                            let is_final = s == final_stage;
-                            // Only the last fused step writes the
-                            // shared output buffer.
-                            if is_final && ts + 1 == k {
-                                out_gaps = subtract_all(out_gaps, region);
-                            }
-                            let units: Vec<Region3> = (0..n_units)
-                                .map(|u| rank_slice(region, team.axis, u, n_units))
-                                .collect();
-                            let needed = part.intersect(base_regions[st.id.index()]);
-                            let units_extra = units
-                                .iter()
-                                .map(|&mine| (mine.cells() - mine.intersect(needed).cells()) as u64)
-                                .collect();
-                            team.epochs.push(EpochPlan {
-                                stage: s,
-                                kind: stage_kinds[s],
-                                is_final,
-                                step: ts.min(usize::from(u16::MAX)) as u16,
-                                block: b.min(usize::from(u16::MAX)) as u16,
-                                region,
-                                units,
-                                units_extra,
-                            });
-                        }
+                        let regions = &block.stage_regions;
+                        push_block(&mut team, &mut out_gaps, (ts, b), part, n_units, regions);
                     }
                     team.step_bounds[ts] = (start, team.epochs.len());
                 }
@@ -879,6 +940,7 @@ impl StepSchedule {
             stage_kinds,
             final_stage,
             out_gaps,
+            stage_sync,
         })
     }
 
@@ -906,7 +968,7 @@ impl StepSchedule {
     /// every sweep: [`ScheduleKnobs::split_axis`] when the caller set
     /// it, else the longest-axis rule's choice for this team's regions.
     /// Tiled schedules hand out whole tiles and idle teams nothing, so
-    /// the axis (the knob's, else `J`) goes unused there.
+    /// the axis goes unused there.
     ///
     /// # Panics
     ///
@@ -915,12 +977,38 @@ impl StepSchedule {
         self.teams[team].axis
     }
 
-    /// The storage of every [`Buffer::Scratch`] the replay touches, in
-    /// `(team, stage order)` — the companion of
-    /// [`StepSchedule::accesses`]: accesses say which planes are
-    /// touched when, this says which of them share storage. Empty for
-    /// tiled schedules (tile scratch is plain and rank-private).
+    /// The schedule's shape. `false`: step-synchronous — each team
+    /// replays its (3+1)D blocks on team-private scratch between team
+    /// barriers; teams meet once per step. `true`: stage-synchronous —
+    /// each team sweeps every stage once over its own part into
+    /// full-domain intermediates all teams share ([`Buffer::Shared`]),
+    /// and every stage ends at the global barrier. Only
+    /// [`OriginalExecutor`](crate::OriginalExecutor) (one team) and
+    /// [`ExchangeExecutor`](crate::ExchangeExecutor) plan this shape.
+    pub fn stage_synchronous(&self) -> bool {
+        self.stage_sync
+    }
+
+    /// The storage of every intermediate the replay touches, in `(team,
+    /// stage order)` — the companion of [`StepSchedule::accesses`]:
+    /// accesses say which planes are touched when, this says which of
+    /// them share storage. Empty for tiled schedules (tile scratch is
+    /// plain and rank-private); one whole-domain window per field for
+    /// stage-synchronous ones, whose arrays all teams share.
     pub fn scratch_windows(&self) -> Vec<ScratchWindow> {
+        if self.stage_sync {
+            // Every stage output but the advected one, in stage order.
+            let stages = self.problem.graph().stages();
+            let outputs = stages.iter().flat_map(|st| &st.outputs);
+            let window = |&field| ScratchWindow {
+                team: 0,
+                field,
+                planes: self.domain.i.len(),
+                hull: self.domain,
+            };
+            let xout = self.problem.xout();
+            return outputs.filter(|&&o| o != xout).map(window).collect();
+        }
         let mut out = Vec::new();
         for (team, t) in self.teams.iter().enumerate() {
             out.extend(t.windows.iter().map(|&(field, planes)| ScratchWindow {
@@ -934,9 +1022,10 @@ impl StepSchedule {
     }
 
     /// Bytes of intermediate-field storage the replay allocates: every
-    /// team's scratch windows, or — tiled — every rank's tile scratch
-    /// set. The rest of the executor's field footprint is the five
-    /// externals, the output and, in fused plans, two x slots per team.
+    /// team's scratch windows (each shared array once), or — tiled —
+    /// every rank's tile scratch set. The rest of the executor's field
+    /// footprint is the five externals, the output and, in fused plans,
+    /// two x slots per team.
     pub fn scratch_bytes(&self) -> usize {
         let windows = self
             .scratch_windows()
@@ -974,8 +1063,10 @@ impl StepSchedule {
     /// Every read and write of one full k-step replay, in `(team,
     /// program order)`: each work unit's outputs over its region and
     /// its inputs over the halo-expanded region clipped to the domain
-    /// (open-boundary reads clamp into that box). The advected field is
-    /// routed through [`StepSchedule::x_dest`] / `x_source` — the very
+    /// (open-boundary reads clamp into that box; a periodic read, which
+    /// only a stage-synchronous schedule performs, wraps to cells of the
+    /// same full-domain array instead). The advected field is routed
+    /// through [`StepSchedule::x_dest`] / `x_source` — the very
     /// functions the replay resolves its buffers with — so a consumer
     /// proves the routing that runs, not a model of it.
     ///
@@ -1025,6 +1116,11 @@ impl StepSchedule {
                 });
             }
         };
+        let scratch: fn(FieldId) -> Buffer = if self.stage_sync {
+            Buffer::Shared
+        } else {
+            Buffer::Scratch
+        };
         for (team, t) in self.teams.iter().enumerate() {
             for (epoch, ep) in t.epochs.iter().enumerate() {
                 for (slot, &region) in ep.units.iter().enumerate() {
@@ -1039,7 +1135,7 @@ impl StepSchedule {
                         region,
                         write: false,
                     };
-                    unit(at, Buffer::Scratch);
+                    unit(at, scratch);
                 }
             }
             for (step, tasks) in t.tiles.iter().enumerate() {
@@ -1079,8 +1175,14 @@ impl StepPlan {
         let slack = (domain.cells() * size_of::<f64>() >= LARGE_ARRAY_BYTES)
             .then(|| std::hint::black_box(Vec::<u8>::with_capacity(DISPATCH_SLACK_BYTES)));
         let parts = config.partition.parts(domain, spec.team_count());
-        let schedule =
-            StepSchedule::build(problem, domain, &parts, &spec.team_sizes(), config.knobs)?;
+        let schedule = StepSchedule::derive(
+            problem,
+            domain,
+            &parts,
+            &spec.team_sizes(),
+            config.knobs,
+            config.stage_sync,
+        )?;
         let graph = problem.graph();
         let new_store = || ParStore::new(graph.fields().len(), problem.ext());
         let dynamic = matches!(config.knobs.schedule, SchedulePolicy::Dynamic { .. });
@@ -1114,6 +1216,7 @@ impl StepPlan {
                 }
             })
             .collect();
+        let mut shared = schedule.stage_sync.then(new_store);
         // …field data last: no small, plan-lifetime allocation sits among
         // or above the arrays, so when the plan is dropped they coalesce
         // with the top of the heap and go back to the OS in one piece
@@ -1134,6 +1237,11 @@ impl StepPlan {
                 ]
             });
         }
+        if let Some(store) = &mut shared {
+            for w in schedule.scratch_windows() {
+                store.alloc(w.field, w.hull);
+            }
+        }
         let cur = DisjointCell::new(Array3::zeros(domain));
         let out = DisjointCell::new(Array3::zeros(domain));
         drop(std::hint::black_box(slack));
@@ -1143,6 +1251,7 @@ impl StepPlan {
             teams,
             cur,
             out,
+            shared,
         })
     }
 
@@ -1210,7 +1319,7 @@ impl StepPlan {
     /// sections of the table, so a tail epoch keeps each section's halo
     /// enlargement exact. Per fused step: scratch refill (rank 0, only
     /// when the coverage analysis demands it), then every `(block,
-    /// stage)` epoch fenced by the team barrier; the team barrier
+    /// stage)` epoch fenced by [`StepPlan::fence`]; the team barrier
     /// ending one fused step fences its x-slot writes from the next
     /// step's reads. `base_step` numbers the trace spans, so per-step
     /// attribution survives fusion. Allocation-free in release builds —
@@ -1223,7 +1332,8 @@ impl StepPlan {
         let team = &sched.teams[ctx.team];
         if team.epochs.is_empty() && team.tiles.is_empty() {
             // An idle island (empty part): no work, no buffers, and no
-            // team barrier any of its ranks would wait at.
+            // team barrier any of its ranks would wait at. (Idle teams
+            // of a stage-synchronous plan keep empty epochs instead.)
             return;
         }
         if sched.knobs.tile != TileMode::Off {
@@ -1233,7 +1343,7 @@ impl StepPlan {
         debug_assert!((1..=k).contains(&epoch_len));
         let first_ts = k - epoch_len;
         let bufs = &self.teams[ctx.team];
-        let store = &bufs.store;
+        let store = self.shared.as_ref().unwrap_or(&bufs.store);
         let stages = sched.problem.graph().stages();
         for ts in first_ts..k {
             islands_trace::set_step(base_step + (ts - first_ts) as u32);
@@ -1265,9 +1375,7 @@ impl StepPlan {
                     for ep in &team.epochs[lo..hi] {
                         // Static: unit index = rank, exactly one per epoch.
                         self.run_unit(ep, &stages[ep.stage], store, ctx.rank, step_ext, dest);
-                        // Intra-island synchronization only — this is the
-                        // whole point of the approach.
-                        ctx.team_barrier();
+                        self.fence(ctx, ep);
                     }
                 }
                 SchedulePolicy::Dynamic { .. } => {
@@ -1275,14 +1383,27 @@ impl StepPlan {
                         // Self-schedule: claim precomputed chunks until the
                         // epoch drains. Any claim order is race-free — the
                         // chunks are pairwise disjoint and the epoch still
-                        // ends at the same team barrier.
+                        // ends at the same fence.
                         while let Some(u) = q.claim() {
                             self.run_unit(ep, &stages[ep.stage], store, u, step_ext, dest);
                         }
-                        ctx.team_barrier();
+                        self.fence(ctx, ep);
                     }
                 }
             }
+        }
+    }
+
+    /// Ends epoch `ep`: the team barrier — intra-island synchronization
+    /// only, the whole point of the approach — or, stage-synchronous,
+    /// the global barrier, except after the final stage, which the
+    /// step's own global barrier (or the dispatch join) fences.
+    #[inline]
+    fn fence(&self, ctx: &TeamCtx, ep: &EpochPlan) {
+        if !self.schedule.stage_sync {
+            ctx.team_barrier();
+        } else if !ep.is_final {
+            ctx.global_barrier();
         }
     }
 

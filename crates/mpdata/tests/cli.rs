@@ -122,8 +122,9 @@ fn help_lists_no_balance_flag() {
 }
 
 /// The summary says what the intermediates occupy: windows beside the
-/// hull they replace (untiled), tile scratch (tiled), nothing for the
-/// strategies that plan no islands schedule.
+/// hull they replace (untiled), tile scratch (tiled), shared
+/// full-domain arrays (stage-synchronous), nothing for the serial
+/// reference, which plans no schedule.
 #[test]
 fn summary_reports_the_scratch_footprint() {
     let scratch_line = |extra: &[&str]| {
@@ -162,12 +163,57 @@ fn summary_reports_the_scratch_footprint() {
         tiled.ends_with("MB of rank-private tile scratch"),
         "{tiled}"
     );
-    assert_eq!(scratch_line(&["--strategy", "original"]), None);
+    assert_eq!(
+        scratch_line(&["--strategy", "original"]).as_deref(),
+        Some("0.7 MB in 17 full-domain arrays shared by 1 island")
+    );
+    assert_eq!(scratch_line(&["--strategy", "reference"]), None);
+}
+
+/// The stage-synchronous strategies run periodic boundaries, verify
+/// bitwise, and print the same plan summary as the islands.
+#[test]
+fn original_and_exchange_run_periodic_and_report_their_plan() {
+    for (strategy, rank_cut, shared_by) in [
+        ("original", "I (24 planes ≥ 12 rows)", "1 island"),
+        ("exchange", "I (12 planes ≥ 12 rows)", "2 islands"),
+    ] {
+        let out = run(&[
+            "--strategy",
+            strategy,
+            "--boundary",
+            "periodic",
+            "--problem",
+            "random",
+            "--domain",
+            "24,12,8",
+            "--steps",
+            "3",
+            "--workers",
+            "2",
+            "--islands",
+            "2",
+            "--verify",
+        ]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("max |Δ| vs reference = 0.000e0"),
+            "{strategy}: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains(&format!("rank cut     : {rank_cut}\n")),
+            "{strategy}: {stdout}"
+        );
+        let scratch =
+            format!("scratch      : 0.3 MB in 17 full-domain arrays shared by {shared_by}\n");
+        assert!(stdout.contains(&scratch), "{strategy}: {stdout}");
+    }
 }
 
 /// The summary names the rank cut that ran and the sweep that decided
 /// it: `I` where every sweep is at least as deep as wide, `J` where
-/// wavefront blocks are thin; tiled and non-islands runs have none.
+/// wavefront blocks are thin; tiled and reference runs have none.
 #[test]
 fn summary_reports_the_rank_cut() {
     let rank_cut = |extra: &[&str]| {
@@ -203,7 +249,11 @@ fn summary_reports_the_rank_cut() {
         None
     );
     assert_eq!(
-        rank_cut(&["--strategy", "original", "--domain", "16,8,4"]),
+        rank_cut(&["--strategy", "original", "--domain", "16,8,4"]).as_deref(),
+        Some("I (16 planes ≥ 8 rows)")
+    );
+    assert_eq!(
+        rank_cut(&["--strategy", "reference", "--domain", "16,8,4"]),
         None
     );
 }

@@ -165,6 +165,9 @@ fn iord3_strategies_bitwise_equal() {
         .step(&f)
         .unwrap();
     assert_eq!(isl.max_abs_diff(&expect), 0.0, "islands/iord3 diverged");
+    let exc =
+        ExchangeExecutor::with_problem(&pool, TeamSpec::even(4, 2), Axis::I, problem()).step(&f);
+    assert_eq!(exc.max_abs_diff(&expect), 0.0, "exchange/iord3 diverged");
 }
 
 /// The classic rotating-cone benchmark: after a full revolution the

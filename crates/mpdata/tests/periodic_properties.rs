@@ -5,12 +5,12 @@
 //! (see `numerics_properties.rs`); `--features proptest` widens it.
 
 use mpdata::{
-    gaussian_pulse, random_fields, Boundary, MpdataFields, MpdataProblem, OriginalExecutor,
-    ReferenceExecutor,
+    gaussian_pulse, random_fields, Boundary, ExchangeExecutor, MpdataFields, MpdataProblem,
+    OriginalExecutor, ReferenceExecutor,
 };
 use stencil_engine::rng::{Rng64, Xoshiro256pp};
-use stencil_engine::{Array3, Region3};
-use work_scheduler::WorkerPool;
+use stencil_engine::{Array3, Axis, Region3};
+use work_scheduler::{TeamSpec, WorkerPool};
 
 fn periodic_reference() -> ReferenceExecutor {
     ReferenceExecutor::with_problem(MpdataProblem::standard().with_boundary(Boundary::Periodic))
@@ -98,8 +98,11 @@ fn periodic_conservation_any_flow() {
     }
 }
 
-/// The original (parallel, full-sweep) executor supports periodic
-/// boundaries and stays bitwise-equal to the reference.
+/// The stage-synchronous executors — Original and Exchange, whose
+/// wrapped reads land in shared full-domain arrays finished a global
+/// barrier earlier — support periodic boundaries and stay
+/// bitwise-equal to the reference, the wrap crossing island parts
+/// along either cut included.
 #[test]
 fn original_executor_periodic_matches_reference() {
     let d = Region3::of_extent(12, 8, 4);
@@ -110,6 +113,15 @@ fn original_executor_periodic_matches_reference() {
     let pool = WorkerPool::new(4);
     let got = OriginalExecutor::with_problem(&pool, problem()).step(&f);
     assert_eq!(got.max_abs_diff(&expect), 0.0);
+    for (teams, axis) in [(2, Axis::I), (4, Axis::I), (2, Axis::J), (4, Axis::J)] {
+        let spec = TeamSpec::even(4, teams);
+        let got = ExchangeExecutor::with_problem(&pool, spec, axis, problem()).step(&f);
+        assert_eq!(
+            got.max_abs_diff(&expect),
+            0.0,
+            "{teams} islands along {axis:?}"
+        );
+    }
 }
 
 /// The cache-blocked executors refuse periodic problems loudly instead

@@ -1,6 +1,8 @@
 //! Zero-allocation steady state: after the first step has built the
-//! execution plan, every further step of [`IslandsExecutor::run`] must
-//! replay it without touching the heap.
+//! execution plan, every further step of [`IslandsExecutor::run`] —
+//! and of the [`OriginalExecutor`] / [`ExchangeExecutor`] baselines,
+//! which replay the same kind of plan — must replay it without
+//! touching the heap.
 //!
 //! The pin works by installing a counting [`GlobalAlloc`] wrapper for
 //! this test binary and comparing the allocation counts of a warmed
@@ -12,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mpdata::{gaussian_pulse, IslandsExecutor, TileMode};
+use mpdata::{gaussian_pulse, ExchangeExecutor, IslandsExecutor, OriginalExecutor, TileMode};
 use stencil_engine::{Axis, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
 
@@ -203,6 +205,60 @@ fn steady_state_steps_do_not_allocate() {
     );
     #[cfg(debug_assertions)]
     let _ = (tiled_one, tiled_many);
+
+    // Same pin for the paper's Original: the stage-synchronous plan
+    // holds every full-domain intermediate, so its per-stage global
+    // barriers replace what used to be a fresh allocation of every
+    // stage output on every step.
+    let original = OriginalExecutor::new(&pool);
+    let before = allocs();
+    original.run(&mut fields, 1);
+    let original_cold = allocs() - before;
+    assert!(original_cold > 0, "cold original run should build its plan");
+    original.run(&mut fields, 2);
+
+    let before = allocs();
+    original.run(&mut fields, 1);
+    let original_one = allocs() - before;
+
+    let before = allocs();
+    original.run(&mut fields, STEPS);
+    let original_many = allocs() - before;
+
+    #[cfg(not(debug_assertions))]
+    assert!(
+        original_many <= original_one + 4,
+        "original steps 2..{STEPS} allocated: run({STEPS}) made {original_many} \
+         allocations vs {original_one} for run(1)"
+    );
+    #[cfg(debug_assertions)]
+    let _ = (original_one, original_many);
+
+    // Same pin for Exchange (scenario 1): halos are read in place from
+    // the shared intermediates, so no copy buffer exists to allocate.
+    let exchange = ExchangeExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I);
+    let before = allocs();
+    exchange.run(&mut fields, 1);
+    let exchange_cold = allocs() - before;
+    assert!(exchange_cold > 0, "cold exchange run should build its plan");
+    exchange.run(&mut fields, 2);
+
+    let before = allocs();
+    exchange.run(&mut fields, 1);
+    let exchange_one = allocs() - before;
+
+    let before = allocs();
+    exchange.run(&mut fields, STEPS);
+    let exchange_many = allocs() - before;
+
+    #[cfg(not(debug_assertions))]
+    assert!(
+        exchange_many <= exchange_one + 4,
+        "exchange steps 2..{STEPS} allocated: run({STEPS}) made {exchange_many} \
+         allocations vs {exchange_one} for run(1)"
+    );
+    #[cfg(debug_assertions)]
+    let _ = (exchange_one, exchange_many);
 
     // Same pin with the live telemetry plane running: a trace session
     // open AND the background collector attached. Ring slots are

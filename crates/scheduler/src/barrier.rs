@@ -533,10 +533,10 @@ mod tests {
         assert_eq!(spin_huge, 0);
         assert_eq!(yield_huge, 1);
         // Degenerate core counts clamp to one core (no division by
-        // zero): 4 workers on "no" cores is 4× oversubscription. The
-        // `.max(1)` mirrors the budget floor — under the model
-        // feature's collapsed YIELD_ROUNDS the quotient rounds to 0.
-        assert_eq!(spin_budget_for(4, 0), (0, (YIELD_ROUNDS / 4).max(1)));
+        // zero): 4 workers on "no" cores is 4× oversubscription. Rounding
+        // up mirrors the budget floor — under the model feature's
+        // collapsed YIELD_ROUNDS the plain quotient would be 0.
+        assert_eq!(spin_budget_for(4, 0), (0, YIELD_ROUNDS.div_ceil(4)));
     }
 
     #[test]

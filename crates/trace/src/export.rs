@@ -99,7 +99,7 @@ type IslandCounter = (
 /// is non-finite — the same strictness contract as the JSON path.
 pub fn prometheus(s: &RegistrySnapshot) -> Result<String, NonFiniteError> {
     let mut out = String::new();
-    let island_counters: [IslandCounter; 9] = [
+    let island_counters: [IslandCounter; 8] = [
         (
             "islands_kernel_ns_total",
             "Kernel (stencil sweep) time per island, ns",
@@ -124,11 +124,6 @@ pub fn prometheus(s: &RegistrySnapshot) -> Result<String, NonFiniteError> {
             "islands_refill_ns_total",
             "Plan refill time per island, ns",
             |i| i.refill_ns,
-        ),
-        (
-            "islands_exchange_ns_total",
-            "Halo exchange time per island, ns",
-            |i| i.exchange_ns,
         ),
         (
             "islands_computed_cells_total",
@@ -298,7 +293,6 @@ pub fn json_snapshot(s: &RegistrySnapshot) -> Json {
                 ),
                 ("swap_ns".into(), Json::Num(i.swap_ns as f64)),
                 ("refill_ns".into(), Json::Num(i.refill_ns as f64)),
-                ("exchange_ns".into(), Json::Num(i.exchange_ns as f64)),
                 ("computed_cells".into(), Json::Num(i.computed_cells as f64)),
                 (
                     "redundant_cells".into(),

@@ -143,8 +143,6 @@ pub enum SpanKind {
     /// A whole pool broadcast, recorded on the caller thread
     /// (island = [`NO_ISLAND`]). `aux = [workers, 0, 0]`.
     Dispatch,
-    /// Halo extract / blit traffic in the exchange executor.
-    Exchange,
 }
 
 impl SpanKind {
@@ -157,7 +155,6 @@ impl SpanKind {
             SpanKind::Swap => "swap",
             SpanKind::Refill => "refill",
             SpanKind::Dispatch => "dispatch",
-            SpanKind::Exchange => "exchange",
         }
     }
 }
@@ -218,13 +215,12 @@ impl Event {
     /// fallback.
     fn decode(w: [u64; EVENT_WORDS]) -> Event {
         let kind = match w[0] {
-            0 => SpanKind::Kernel,
             1 => SpanKind::TeamBarrier,
             2 => SpanKind::GlobalBarrier,
             3 => SpanKind::Swap,
             4 => SpanKind::Refill,
             5 => SpanKind::Dispatch,
-            _ => SpanKind::Exchange,
+            _ => SpanKind::Kernel,
         };
         Event {
             kind,
@@ -745,6 +741,37 @@ mod tests {
 
     fn span(kind: SpanKind, start: u64, end: u64) {
         record(kind, start, end, 0, 0, [0; 3]);
+    }
+
+    #[test]
+    fn decode_round_trips_and_falls_back_to_kernel() {
+        let kinds = [
+            SpanKind::Kernel,
+            SpanKind::TeamBarrier,
+            SpanKind::GlobalBarrier,
+            SpanKind::Swap,
+            SpanKind::Refill,
+            SpanKind::Dispatch,
+        ];
+        for kind in kinds {
+            let ev = Event {
+                kind,
+                start_ns: 5,
+                dur_ns: 7,
+                aux: [1, 2, 3],
+                island: 4,
+                rank: 2,
+                step: 9,
+                stage: 16,
+                block: 3,
+            };
+            assert_eq!(Event::decode(ev.encode()), ev);
+        }
+        for word in [6, 7, u64::MAX] {
+            let mut w = [0; EVENT_WORDS];
+            w[0] = word;
+            assert_eq!(Event::decode(w).kind, SpanKind::Kernel, "kind word {word}");
+        }
     }
 
     #[test]

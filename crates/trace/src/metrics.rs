@@ -37,8 +37,6 @@ pub struct IslandMetrics {
     pub swap_ns: u64,
     /// Plan scratch refill/zero time.
     pub refill_ns: u64,
-    /// Halo extract/blit time (exchange executor only).
-    pub exchange_ns: u64,
     /// Cells computed by kernel sweeps.
     pub computed_cells: u64,
     /// Of those, cells outside the island's own partition — the
@@ -55,7 +53,7 @@ impl IslandMetrics {
 
     /// Worker time accounted to *any* phase.
     pub fn accounted_ns(&self) -> u64 {
-        self.kernel_ns + self.barrier_wait_ns() + self.swap_ns + self.refill_ns + self.exchange_ns
+        self.kernel_ns + self.barrier_wait_ns() + self.swap_ns + self.refill_ns
     }
 
     fn absorb(&mut self, kind: SpanKind, dur_ns: u64, aux: [u64; 3]) {
@@ -79,7 +77,6 @@ impl IslandMetrics {
             }
             SpanKind::Swap => self.swap_ns += dur_ns,
             SpanKind::Refill => self.refill_ns += dur_ns,
-            SpanKind::Exchange => self.exchange_ns += dur_ns,
             SpanKind::Dispatch => {}
         }
     }
@@ -94,7 +91,6 @@ impl IslandMetrics {
         self.park_ns += other.park_ns;
         self.swap_ns += other.swap_ns;
         self.refill_ns += other.refill_ns;
-        self.exchange_ns += other.exchange_ns;
         self.computed_cells += other.computed_cells;
         self.redundant_cells += other.redundant_cells;
     }
@@ -370,7 +366,6 @@ impl RunMetrics {
                             ("park_ns".into(), num(m.park_ns)),
                             ("swap_ns".into(), num(m.swap_ns)),
                             ("refill_ns".into(), num(m.refill_ns)),
-                            ("exchange_ns".into(), num(m.exchange_ns)),
                             ("computed_cells".into(), num(m.computed_cells)),
                             ("redundant_cells".into(), num(m.redundant_cells)),
                         ])
@@ -521,7 +516,7 @@ impl RunMetrics {
         ));
         out.push_str(
             "island workers kernel_ms team_bar_ms glob_bar_ms  spin_ms yield_ms  park_ms  \
-             swap_ms refill_ms exch_ms      cells  redundant\n",
+             swap_ms refill_ms      cells  redundant\n",
         );
         for m in self.totals() {
             let island = if m.island == NO_ISLAND {
@@ -531,7 +526,7 @@ impl RunMetrics {
             };
             out.push_str(&format!(
                 "{island:>6} {:>7} {:>9.3} {:>11.3} {:>11.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} \
-                 {:>9.3} {:>7.3} {:>10} {:>10}\n",
+                 {:>9.3} {:>10} {:>10}\n",
                 m.workers,
                 ms(m.kernel_ns),
                 ms(m.team_barrier_ns),
@@ -541,7 +536,6 @@ impl RunMetrics {
                 ms(m.park_ns),
                 ms(m.swap_ns),
                 ms(m.refill_ns),
-                ms(m.exchange_ns),
                 m.computed_cells,
                 m.redundant_cells,
             ));

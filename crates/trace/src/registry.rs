@@ -76,8 +76,6 @@ pub struct IslandSlot {
     pub swap_ns: PadCounter,
     /// Plan refill time.
     pub refill_ns: PadCounter,
-    /// Halo exchange traffic time.
-    pub exchange_ns: PadCounter,
     /// Cells computed (kernel `aux[0]`).
     pub computed_cells: PadCounter,
     /// Redundant halo cells recomputed (kernel `aux[1]`).
@@ -103,8 +101,6 @@ pub struct IslandSnapshot {
     pub swap_ns: u64,
     /// Plan refill time.
     pub refill_ns: u64,
-    /// Halo exchange traffic time.
-    pub exchange_ns: u64,
     /// Cells computed.
     pub computed_cells: u64,
     /// Redundant halo cells recomputed.
@@ -195,7 +191,6 @@ impl MetricsRegistry {
             }
             SpanKind::Swap => slot.swap_ns.add(ev.dur_ns),
             SpanKind::Refill => slot.refill_ns.add(ev.dur_ns),
-            SpanKind::Exchange => slot.exchange_ns.add(ev.dur_ns),
             SpanKind::Dispatch => unreachable!("handled above"),
         }
     }
@@ -232,7 +227,6 @@ impl MetricsRegistry {
                 global_barrier_ns: s.global_barrier_ns.get(),
                 swap_ns: s.swap_ns.get(),
                 refill_ns: s.refill_ns.get(),
-                exchange_ns: s.exchange_ns.get(),
                 computed_cells: s.computed_cells.get(),
                 redundant_cells: s.redundant_cells.get(),
                 workers: s.workers.get(),

@@ -9,13 +9,17 @@
 //! cut, so the lattice is proved under the one `StepSchedule::build`
 //! derives — `I` wherever a team's sweeps are at least as deep as wide
 //! (fixed cases add teams with more ranks than planes), `J` elsewhere —
-//! and `rank_axis` must report the cut the unit slices really have. A
-//! second, source-level test keeps the prover from growing a private
-//! copy of the schedule again.
+//! and `rank_axis` must report the cut the unit slices really have. The
+//! paper's baselines, `OriginalExecutor` and `ExchangeExecutor`, are
+//! sampled the same way in their stage-synchronous shape — periodic
+//! boundaries included, which only that shape runs. A source-level
+//! test keeps the prover from growing a private copy of the schedule
+//! again.
 
 use islands_analysis::{check_disjointness, lower};
 use mpdata::{
-    random_fields, IslandsExecutor, ReferenceExecutor, SchedulePolicy, StepSchedule, TileMode,
+    random_fields, Boundary, ExchangeExecutor, IslandsExecutor, MpdataProblem, OriginalExecutor,
+    ReferenceExecutor, SchedulePolicy, StepSchedule, TileMode,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -158,6 +162,74 @@ fn sampled_lattice_runs_bitwise_and_lints_clean() {
     assert!(
         cuts[0] > DEEP_TEAMS.len() && cuts[1] > 0,
         "the samples should meet both derived cuts: {cuts:?} teams along [I, J]"
+    );
+}
+
+#[test]
+fn stage_synchronous_baselines_run_bitwise_and_lint_clean() {
+    const SAMPLES: usize = 16;
+    let mut rng = Xoshiro256pp::seed_from_u64(0x0E_C4A6);
+    // Prime and composite extents, one thinner than any island count
+    // below, with shifted bases.
+    let extents = [(12, 8, 4), (13, 7, 5), (5, 11, 3), (3, 2, 4)];
+    // [Original, Exchange] × [Open, Periodic] samples, and Exchange
+    // samples with idle islands (P > nx).
+    let mut seen = [[0; 2]; 2];
+    let mut idle = 0;
+    for case in 0..SAMPLES {
+        let (ni, nj, nk) = extents[rng.below(extents.len())];
+        let lo = rng.below(4) as i64 - 2;
+        let domain = Region3::new(
+            Range1::new(lo, lo + ni as i64),
+            Range1::new(-1, nj as i64 - 1),
+            Range1::new(0, nk as i64),
+        );
+        let bc = [Boundary::Open, Boundary::Periodic][rng.below(2)];
+        let problem = MpdataProblem::standard().with_boundary(bc);
+        let exchange = rng.next_bool();
+        let axis = [Axis::I, Axis::J][rng.below(2)];
+        // Original: one team of 1–8 ranks. Exchange: a few islands, or
+        // more than there are slabs along the cut, of 1–2 ranks each.
+        let (islands, ranks) = if exchange {
+            ([2, 3, 4, ni.max(nj) + 1][rng.below(4)], 1 + rng.below(2))
+        } else {
+            (1, 1 + rng.below(8))
+        };
+        let steps = 1 + rng.below(5);
+        let shape = if exchange {
+            format!("exchange, {islands} islands × {ranks} along {axis:?}")
+        } else {
+            format!("original, {ranks} ranks")
+        };
+        let label = format!("case {case}: {shape} on {domain:?}, {bc:?}, {steps} steps");
+        eprintln!("{label}");
+        let pool = WorkerPool::new(islands * ranks);
+        let mut fields = random_fields(&mut rng, domain, 0.7);
+        let mut expect = fields.clone();
+        ReferenceExecutor::with_problem(problem.clone()).run(&mut expect, steps);
+        let (planned, ran) = if exchange {
+            let teams = TeamSpec::even(islands * ranks, islands);
+            let exec = ExchangeExecutor::with_problem(&pool, teams, axis, problem);
+            let planned = exec.schedule_for(domain);
+            exec.run(&mut fields, steps);
+            (planned, exec.schedule_for(domain))
+        } else {
+            let exec = OriginalExecutor::with_problem(&pool, problem);
+            let planned = exec.schedule_for(domain);
+            exec.run(&mut fields, steps);
+            (planned, exec.schedule_for(domain))
+        };
+        assert_eq!(fields.x.max_abs_diff(&expect.x), 0.0, "diverged — {label}");
+        assert!(Arc::ptr_eq(&planned, &ran), "plan rebuilt — {label}");
+        assert!(ran.stage_synchronous(), "{label}");
+        assert_eq!(check_disjointness(&lower(&ran)), vec![], "{label}");
+        seen[usize::from(exchange)][usize::from(bc == Boundary::Periodic)] += 1;
+        idle += usize::from(islands > domain.range(axis).len());
+    }
+    assert!(
+        seen.iter().flatten().all(|&n| n > 0) && idle > 0,
+        "the samples should meet both baselines under both boundaries and idle \
+         islands: {seen:?} [original, exchange] × [open, periodic], {idle} with idle islands"
     );
 }
 
