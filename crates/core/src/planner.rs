@@ -24,7 +24,10 @@
 //! The block strategies — fused, islands and the exchange variant of
 //! E8 — stamp their per-core ops through one `BlockEmitter` (tables in
 //! `DESIGN.md` §2.2): what a (3+1)D block costs a rank is derived once,
-//! and the planners keep only their teams, placement and barriers.
+//! and the planners keep only their teams, placement and barriers. They
+//! do their fallible work (blockings) up front and return team programs,
+//! not stored ops: `numa-sim` expands a program one block at a time as
+//! the simulation reaches it.
 //!
 //! Traces describe **one time step**; [`estimate`] simulates it and
 //! scales by the step count (the paper relies on the same homogeneity:
@@ -35,9 +38,10 @@ use crate::mapping::IslandLayout;
 use crate::partition::{Partition, Variant};
 use mpdata::mpdata_graph;
 use numa_sim::{
-    simulate, BarrierId, CoreId, Machine, NodeId, Op, Placement, SimConfig, SimError, SimReport,
-    TraceSet,
+    simulate, BarrierId, CoreId, Cursor, Machine, NodeId, Op, Placement, SimConfig, SimError,
+    SimReport, TeamProgram, TraceSet,
 };
+use std::sync::Arc;
 use stencil_engine::{
     Axis, BlockPlan, BlockPlanner, Blocking, FieldRole, PlanBlocksError, Range1, Region3,
     StageGraph, BYTES_PER_CELL,
@@ -127,11 +131,11 @@ pub fn plan_original(machine: &Machine, w: &Workload, init: InitPolicy) -> Trace
     let global = ts.add_barrier(cores.clone());
     let slices = w.domain.split(Axis::I, cores.len());
     let mut reads: Vec<(NodeId, f64)> = Vec::new();
+    let mut stream = Vec::new();
     for (&core, &slice) in cores.iter().zip(&slices) {
         // A core sweeps the same slice in every stage, and every array
         // is placed alike: one answer serves all inputs and outputs.
         let on = place.bytes_on(slice);
-        let stream = &mut ts.ops[core.index()];
         for st in graph.stages() {
             let flops = slice.cells() as f64 * st.flops_per_cell;
             // Every input — external or intermediate — streams from DRAM
@@ -140,7 +144,7 @@ pub fn plan_original(machine: &Machine, w: &Workload, init: InitPolicy) -> Trace
             for _ in &st.inputs {
                 reads.extend_from_slice(&on);
             }
-            push_streams(stream, &reads, flops);
+            push_streams(&mut stream, &reads, flops);
             // Write-allocate makes a store miss cost a read *and* a
             // write of the line: the memory system sees twice the slab.
             for _ in &st.outputs {
@@ -152,6 +156,9 @@ pub fn plan_original(machine: &Machine, w: &Workload, init: InitPolicy) -> Trace
                 }
             }
             stream.push(Op::Barrier { id: global });
+        }
+        for op in stream.drain(..) {
+            ts.push(core, op);
         }
     }
     ts
@@ -228,46 +235,42 @@ fn pulled_planes(graph: &StageGraph, axis: Axis) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// A team of cores sweeping blocks together, with the node of each
-/// member (rank order).
-struct Team<'a> {
-    cores: &'a [CoreId],
-    nodes: Vec<NodeId>,
-}
-
-impl<'a> Team<'a> {
-    fn new(machine: &Machine, cores: &'a [CoreId]) -> Self {
-        Team {
-            cores,
-            nodes: cores.iter().map(|&c| machine.node_of(c)).collect(),
-        }
-    }
+/// The node of each of `cores` (rank order).
+fn nodes_of(machine: &Machine, cores: &[CoreId]) -> Vec<NodeId> {
+    cores.iter().map(|&c| machine.node_of(c)).collect()
 }
 
 /// Stamps the per-core ops of (3+1)D blocks: everything the fused,
 /// islands and exchange strategies have in common.
 ///
-/// Built once per plan, it holds what the stage graph says about every
-/// block — flops per cell, the planes each stage pulls from neighbouring
-/// ranks, which stages read each external field. Per block it works out
-/// the rank-invariant facts once (slice arithmetic per stage, the load
-/// hull of every external field and the placement slabs it touches) and
-/// then stamps each rank's epochs into scratch it reuses, so a rank
-/// costs no heap allocation and no walk of the graph.
+/// Built once per plan and owned by its team programs, it holds what the
+/// stage graph says about every block — flops per cell, the planes each
+/// stage pulls from neighbouring ranks, which stages read each external
+/// field. Per block it works out the rank-invariant facts once (slice
+/// arithmetic per stage, the load hull of every external field and the
+/// placement slabs it touches) into a cursor's [`EmitScratch`] and then
+/// stamps each rank's epochs, so a rank costs no heap allocation and no
+/// walk of the graph.
+#[derive(Debug)]
 struct BlockEmitter {
     flops_per_cell: Vec<f64>,
     /// [`pulled_planes`] along [`RANK_AXIS`].
     pulled: Vec<(usize, usize)>,
     /// Per external field, the stages reading it.
     readers: Vec<Vec<usize>>,
-    // Per-block scratch.
+}
+
+/// The scratch [`BlockEmitter::emit`] reuses, owned by one cursor.
+#[derive(Default)]
+struct EmitScratch {
+    // Per block.
     stages: Vec<RankSlices>,
     loads: Vec<RankSlices>,
     /// Placement slabs clipped to each load hull, then to the final
     /// stage's region; `clip_ends[n]` closes the `n`-th of these lists.
     clipped: Vec<(Region3, NodeId)>,
     clip_ends: Vec<usize>,
-    // Per-rank scratch.
+    // Per rank.
     reads: Vec<(NodeId, f64)>,
 }
 
@@ -289,67 +292,35 @@ impl BlockEmitter {
             flops_per_cell: graph.stages().iter().map(|st| st.flops_per_cell).collect(),
             pulled: pulled_planes(graph, RANK_AXIS),
             readers,
-            stages: Vec::new(),
-            loads: Vec::new(),
-            clipped: Vec::new(),
-            clip_ends: Vec::new(),
-            reads: Vec::new(),
         }
     }
 
-    /// An upper bound on the ops [`BlockEmitter::emit`] appends to one
-    /// core's stream for a block whose stage regions span `hull`, one of
-    /// them per stage by the caller.
-    fn ops_bound(&self, place: &Placement, hull: Region3) -> usize {
-        let mut slabs = 0;
-        place.for_each_in(hull, |_, _| slabs += 1);
-        // Load and write-back streams per touched slab; two pulls and
-        // the caller's op per stage.
-        (self.readers.len() + 1) * slabs.max(1) + self.pulled.len() * 3
-    }
-
-    /// One team sweeps every block of `blocking`, meeting on `barrier`
-    /// after each stage; each member's stream is reserved once, for the
-    /// whole sweep.
-    fn sweep(
-        &mut self,
-        ts: &mut TraceSet,
-        place: &Placement,
-        blocking: &Blocking,
-        team: &Team<'_>,
-        barrier: BarrierId,
-    ) {
-        let ops: usize = (0..blocking.len())
-            .map(|b| self.ops_bound(place, blocking.scratch_region(b)))
-            .sum();
-        for core in team.cores {
-            ts.ops[core.index()].reserve(ops);
-        }
-        for block in &blocking.blocks {
-            self.emit(ts, place, block, team, |stream, _, _, _| {
-                stream.push(Op::Barrier { id: barrier })
-            });
-        }
-    }
-
-    /// Appends one block's ops to the stream of every member of `team`:
-    /// the load phase, then per stage the write-back (final stage only),
-    /// the halo pulls from neighbouring ranks and whatever `tail` adds —
-    /// the synchronization closing the epoch. `tail` sees the stream,
-    /// the stage index, the block's region of that stage and the rank's
-    /// slice of it.
+    /// Appends one block's ops to `streams[rank]` for every rank of a
+    /// team whose members sit on `nodes`: the load phase, then per stage
+    /// the write-back (final stage only), the halo pulls from
+    /// neighbouring ranks and whatever `tail` adds — the synchronization
+    /// closing the epoch. `tail` sees the stream, the stage index, the
+    /// block's region of that stage and the rank's slice of it.
     fn emit(
-        &mut self,
-        ts: &mut TraceSet,
+        &self,
+        scratch: &mut EmitScratch,
+        streams: &mut [Vec<Op>],
         place: &Placement,
         block: &BlockPlan,
-        team: &Team<'_>,
+        nodes: &[NodeId],
         mut tail: impl FnMut(&mut Vec<Op>, usize, Region3, Region3),
     ) {
-        let ranks = team.cores.len();
+        let ranks = nodes.len();
         let last = self.flops_per_cell.len() - 1;
-        self.stages.clear();
-        self.stages.extend(
+        let EmitScratch {
+            stages,
+            loads,
+            clipped,
+            clip_ends,
+            reads,
+        } = scratch;
+        stages.clear();
+        stages.extend(
             block
                 .stage_regions
                 .iter()
@@ -359,55 +330,54 @@ impl BlockEmitter {
         // the stages that read it in this block (not the whole block
         // hull — the wavefront lookahead of deep stages does not touch
         // every input).
-        self.loads.clear();
-        self.clipped.clear();
-        self.clip_ends.clear();
+        loads.clear();
+        clipped.clear();
+        clip_ends.clear();
         for readers in &self.readers {
             let hull = readers.iter().fold(Region3::empty(), |hull, &s| {
                 hull.hull(block.stage_regions[s])
             });
-            self.loads.push(RankSlices::new(hull, ranks));
-            place.for_each_in(hull, |part, node| self.clipped.push((part, node)));
-            self.clip_ends.push(self.clipped.len());
+            loads.push(RankSlices::new(hull, ranks));
+            place.for_each_in(hull, |part, node| clipped.push((part, node)));
+            clip_ends.push(clipped.len());
         }
         place.for_each_in(block.stage_regions[last], |part, node| {
-            self.clipped.push((part, node))
+            clipped.push((part, node))
         });
-        let final_slabs = self.clip_ends.last().copied().unwrap_or(0);
+        let final_slabs = clip_ends.last().copied().unwrap_or(0);
 
-        for rank in 0..ranks {
-            let stream = &mut ts.ops[team.cores[rank].index()];
+        for (rank, stream) in streams.iter_mut().enumerate() {
             // Load phase: stream the block's external slabs from their
             // home nodes while executing the block's arithmetic (stages
             // run out of cache once the slabs arrive, so the hardware
             // overlaps the two; the final stage's flops are excluded —
             // they overlap the output write-back instead).
-            let flops = self.stages[..last]
+            let flops = stages[..last]
                 .iter()
                 .zip(&self.flops_per_cell)
                 .fold(0.0, |flops, (slices, per_cell)| {
                     flops + slices.cells(rank) as f64 * per_cell
                 });
-            self.reads.clear();
+            reads.clear();
             let mut begin = 0;
-            for (load, &end) in self.loads.iter().zip(&self.clip_ends) {
+            for (load, &end) in loads.iter().zip(&*clip_ends) {
                 let slice = load.slice(rank);
-                bytes_of(&self.clipped[begin..end], slice, &mut self.reads);
+                bytes_of(&clipped[begin..end], slice, reads);
                 begin = end;
             }
-            push_streams(stream, &self.reads, flops);
+            push_streams(stream, reads, flops);
 
-            for (s, slices) in self.stages.iter().enumerate() {
+            for (s, slices) in stages.iter().enumerate() {
                 let slice = slices.slice(rank);
                 if !slice.is_empty() {
                     if s == last {
                         // Write-back stream, overlapping the final
                         // stage's arithmetic; write-allocate doubles it.
                         let flops = slices.cells(rank) as f64 * self.flops_per_cell[s];
-                        self.reads.clear();
-                        bytes_of(&self.clipped[final_slabs..], slice, &mut self.reads);
-                        let total: f64 = self.reads.iter().map(|(_, b)| b).sum();
-                        for &(node, bytes) in &self.reads {
+                        reads.clear();
+                        bytes_of(&clipped[final_slabs..], slice, reads);
+                        let total: f64 = reads.iter().map(|(_, b)| b).sum();
+                        for &(node, bytes) in &*reads {
                             stream.push(Op::Stream {
                                 node,
                                 bytes: 2.0 * bytes,
@@ -423,9 +393,9 @@ impl BlockEmitter {
                     let (mine, whole) = (slice.range(RANK_AXIS), slices.region.range(RANK_AXIS));
                     let plane_bytes = slices.plane * BYTES_PER_CELL;
                     let below = (neg > 0 && mine.lo > whole.lo && rank > 0)
-                        .then(|| (team.nodes[rank - 1], (neg * plane_bytes) as f64));
+                        .then(|| (nodes[rank - 1], (neg * plane_bytes) as f64));
                     let above = (pos > 0 && mine.hi < whole.hi && rank + 1 < ranks)
-                        .then(|| (team.nodes[rank + 1], (pos * plane_bytes) as f64));
+                        .then(|| (nodes[rank + 1], (pos * plane_bytes) as f64));
                     // One read per source node, lower node first.
                     let pulls = match (below, above) {
                         (Some((a, x)), Some((b, y))) if a == b => [Some((a, x + y)), None],
@@ -457,6 +427,45 @@ fn bytes_of(slabs: &[(Region3, NodeId)], slice: Region3, on: &mut Vec<(NodeId, f
     }
 }
 
+/// One team sweeping every block of `blocking`, meeting on `barrier`
+/// after each stage: one chunk per block.
+#[derive(Debug)]
+struct Sweep {
+    cores: Vec<CoreId>,
+    /// The node of each rank.
+    nodes: Vec<NodeId>,
+    blocking: Blocking,
+    barrier: BarrierId,
+    place: Arc<Placement>,
+    emitter: Arc<BlockEmitter>,
+}
+
+impl TeamProgram for Sweep {
+    fn cores(&self) -> &[CoreId] {
+        &self.cores
+    }
+
+    fn cursor(&self) -> Cursor<'_> {
+        let mut scratch = EmitScratch::default();
+        let mut blocks = self.blocking.blocks.iter();
+        Box::new(move |streams| {
+            let Some(block) = blocks.next() else {
+                return false;
+            };
+            let barrier = Op::Barrier { id: self.barrier };
+            self.emitter.emit(
+                &mut scratch,
+                streams,
+                &self.place,
+                block,
+                &self.nodes,
+                |stream, _, _, _| stream.push(barrier),
+            );
+            true
+        })
+    }
+}
+
 /// Plans one time step of the **pure (3+1)D decomposition**.
 ///
 /// # Errors
@@ -477,13 +486,14 @@ pub fn plan_fused(
     let global = ts.add_barrier(cores.clone());
     // All cores of all sockets are one team; every stage of every block
     // ends in a machine-wide barrier.
-    BlockEmitter::new(&graph).sweep(
-        &mut ts,
-        &place,
-        &blocking,
-        &Team::new(machine, &cores),
-        global,
-    );
+    ts.add_program(Sweep {
+        nodes: nodes_of(machine, &cores),
+        cores,
+        blocking,
+        barrier: global,
+        place: Arc::new(place),
+        emitter: Arc::new(BlockEmitter::new(&graph)),
+    });
     Ok(ts)
 }
 
@@ -557,11 +567,11 @@ pub fn plan_islands_partitioned(
         "partition and layout island counts differ"
     );
     let (graph, _) = mpdata_graph();
-    let place = island_placement(w.domain, partition, layout);
+    let place = Arc::new(island_placement(w.domain, partition, layout));
     let mut ts = TraceSet::for_cores(machine.core_count());
     let all_cores = layout.all_cores();
     let global = ts.add_barrier(all_cores.clone());
-    let mut emitter = BlockEmitter::new(&graph);
+    let emitter = Arc::new(BlockEmitter::new(&graph));
 
     for (part, island) in partition.parts().iter().zip(layout.islands()) {
         if part.is_empty() {
@@ -569,18 +579,19 @@ pub fn plan_islands_partitioned(
         }
         // Intra-island synchronization only.
         let team_barrier = ts.add_barrier(island.cores.clone());
-        let blocking: Blocking = BlockPlanner::new(w.cache_bytes)
+        let blocking = BlockPlanner::new(w.cache_bytes)
             .min_depth(4)
             .plan_wavefront(&graph, *part, w.domain)?;
-        emitter.sweep(
-            &mut ts,
-            &place,
-            &blocking,
-            &Team::new(machine, &island.cores),
-            team_barrier,
-        );
+        ts.add_program(Sweep {
+            cores: island.cores.clone(),
+            nodes: nodes_of(machine, &island.cores),
+            blocking,
+            barrier: team_barrier,
+            place: Arc::clone(&place),
+            emitter: Arc::clone(&emitter),
+        });
     }
-    // All islands synchronize once per time step.
+    // All islands synchronize once per time step, after their programs.
     for core in all_cores {
         ts.push(core, Op::Barrier { id: global });
     }
@@ -639,59 +650,124 @@ pub fn plan_islands_exchange(
         .max()
         .unwrap_or(0);
     let axis = variant.axis();
-    let crossing = pulled_planes(&graph, axis);
-    let mut emitter = BlockEmitter::new(&graph);
-    let teams: Vec<Team<'_>> = layout
+    let islands = layout
         .islands()
         .iter()
-        .map(|island| Team::new(machine, &island.cores))
+        .zip(plans)
+        .zip(partition.parts())
+        .map(|((island, blocking), part)| ExchangeIsland {
+            node: island.node,
+            nodes: nodes_of(machine, &island.cores),
+            part: part.range(axis),
+            blocking,
+        })
         .collect();
-
-    for b in 0..n_blocks {
-        for (p, team) in teams.iter().enumerate() {
-            let block = plans[p]
-                .as_ref()
-                .and_then(|blocking| blocking.blocks.get(b));
-            let Some(block) = block else {
-                // An island out of blocks still meets every barrier.
-                for core in team.cores {
-                    for _ in 0..graph.stage_count() {
-                        ts.push(*core, Op::Barrier { id: global });
-                    }
-                }
-                continue;
-            };
-            let part = partition.parts()[p].range(axis);
-            emitter.emit(&mut ts, &place, block, team, |stream, s, region, slice| {
-                // Inter-island halo pulls: a rank of a stage region that
-                // touches the part boundary pulls the neighbour island's
-                // freshly computed boundary planes.
-                if !slice.is_empty() {
-                    let (neg, pos) = crossing[s];
-                    let across = region.range(axis);
-                    let plane_bytes =
-                        (slice.cells() / slice.range(axis).len() * BYTES_PER_CELL) as f64;
-                    if neg > 0 && across.lo == part.lo && p > 0 {
-                        stream.push(Op::CacheRead {
-                            node: layout.islands()[p - 1].node,
-                            bytes: neg as f64 * plane_bytes,
-                        });
-                    }
-                    if pos > 0 && across.hi == part.hi && p + 1 < layout.len() {
-                        stream.push(Op::CacheRead {
-                            node: layout.islands()[p + 1].node,
-                            bytes: pos as f64 * plane_bytes,
-                        });
-                    }
-                }
-                // Machine-wide synchronization after every stage: the
-                // neighbours' values must exist before the next stage
-                // reads them across the boundary.
-                stream.push(Op::Barrier { id: global });
-            });
-        }
-    }
+    ts.add_program(Exchange {
+        cores: all_cores,
+        islands,
+        blocks: n_blocks,
+        axis,
+        crossing: pulled_planes(&graph, axis),
+        global,
+        place,
+        emitter: BlockEmitter::new(&graph),
+    });
     Ok(ts)
+}
+
+/// One island of the exchange variant.
+#[derive(Debug)]
+struct ExchangeIsland {
+    node: NodeId,
+    /// The node of each rank.
+    nodes: Vec<NodeId>,
+    /// The island's part along the island axis.
+    part: Range1,
+    /// `None` for an empty part.
+    blocking: Option<Blocking>,
+}
+
+/// The exchange variant as one program over every core, island after
+/// island: chunk `b` is block `b` of every island, each stage closed by
+/// the machine-wide barrier.
+#[derive(Debug)]
+struct Exchange {
+    cores: Vec<CoreId>,
+    islands: Vec<ExchangeIsland>,
+    /// The most blocks any island has.
+    blocks: usize,
+    axis: Axis,
+    /// [`pulled_planes`] along `axis`.
+    crossing: Vec<(usize, usize)>,
+    global: BarrierId,
+    place: Placement,
+    emitter: BlockEmitter,
+}
+
+impl TeamProgram for Exchange {
+    fn cores(&self) -> &[CoreId] {
+        &self.cores
+    }
+
+    fn cursor(&self) -> Cursor<'_> {
+        let mut scratch = EmitScratch::default();
+        let mut b = 0;
+        let global = Op::Barrier { id: self.global };
+        Box::new(move |streams| {
+            if b == self.blocks {
+                return false;
+            }
+            let mut first = 0;
+            for (p, island) in self.islands.iter().enumerate() {
+                let team = &mut streams[first..first + island.nodes.len()];
+                first += island.nodes.len();
+                let block = island
+                    .blocking
+                    .as_ref()
+                    .and_then(|blocking| blocking.blocks.get(b));
+                let Some(block) = block else {
+                    // An island out of blocks still meets every barrier.
+                    for stream in team {
+                        for _ in &self.emitter.flops_per_cell {
+                            stream.push(global);
+                        }
+                    }
+                    continue;
+                };
+                let tail = |stream: &mut Vec<Op>, s: usize, region: Region3, slice: Region3| {
+                    // Inter-island halo pulls: a rank of a stage region
+                    // that touches the part boundary pulls the neighbour
+                    // island's freshly computed boundary planes.
+                    if !slice.is_empty() {
+                        let (neg, pos) = self.crossing[s];
+                        let across = region.range(self.axis);
+                        let plane_bytes =
+                            (slice.cells() / slice.range(self.axis).len() * BYTES_PER_CELL) as f64;
+                        if neg > 0 && across.lo == island.part.lo && p > 0 {
+                            stream.push(Op::CacheRead {
+                                node: self.islands[p - 1].node,
+                                bytes: neg as f64 * plane_bytes,
+                            });
+                        }
+                        if pos > 0 && across.hi == island.part.hi && p + 1 < self.islands.len() {
+                            stream.push(Op::CacheRead {
+                                node: self.islands[p + 1].node,
+                                bytes: pos as f64 * plane_bytes,
+                            });
+                        }
+                    }
+                    // Machine-wide synchronization after every stage: the
+                    // neighbours' values must exist before the next stage
+                    // reads them across the boundary.
+                    stream.push(global);
+                };
+                self.emitter
+                    .emit(&mut scratch, team, &self.place, block, &island.nodes, tail);
+            }
+            b += 1;
+            true
+        })
+    }
 }
 
 /// Outcome of simulating one strategy.
@@ -878,7 +954,7 @@ mod tests {
 
     /// Sums the flops carried by every op of a trace set.
     fn trace_flops(ts: &numa_sim::TraceSet) -> f64 {
-        ts.ops
+        ts.streams()
             .iter()
             .flatten()
             .map(|op| match *op {

@@ -20,12 +20,13 @@
 //!   collapses on the UV 2000.
 
 use crate::topology::{CoreId, LinkId, Machine, NodeId};
-use crate::trace::{BarrierId, Op, TraceError, TraceSet};
+use crate::trace::{BarrierId, Cursor, Op, OpCheck, TraceError, TraceSet};
 use std::cmp::Ordering as CmpOrdering;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Tunable simulation parameters (machine-independent).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -216,7 +217,8 @@ impl Key {
 #[derive(Clone, Debug)]
 struct CoreState {
     time: f64,
-    /// Index of the current op.
+    /// Index of the current op in the core's current source
+    /// ([`Streams::source`]).
     ip: usize,
     /// Bytes remaining in the current transfer op (0 when starting).
     bytes_left: f64,
@@ -224,6 +226,144 @@ struct CoreState {
     latency_charged: bool,
     /// Parked at a barrier; `time` is then the arrival time.
     blocked: bool,
+}
+
+/// Where the cores' ops come from: a core with a team program reads its
+/// queue, which the team's cursor refills one chunk at a time when the
+/// core runs dry; then every core reads the ops pushed to it in place.
+struct Streams<'a> {
+    pushed: &'a [Vec<Op>],
+    /// Checks program ops as they are queued and pushed ops as a core
+    /// reaches them (a trace without programs was checked up front).
+    check: OpCheck,
+    sources: Vec<Source>,
+    /// Team-program ops not yet run, `queues[sources[c].queue][ip..]`
+    /// for core `c`; a team's queues are contiguous, in rank order.
+    queues: Vec<Vec<Op>>,
+    teams: Vec<Team<'a>>,
+}
+
+/// Where one core's ops come from now.
+#[derive(Clone, Copy, Debug)]
+struct Source {
+    /// The team whose program the core runs.
+    team: Option<usize>,
+    /// Which of the queues is the core's.
+    queue: usize,
+    /// Whether the core has moved on to its pushed ops.
+    pushed: bool,
+    /// Position in the core's whole stream of the first op of its queue
+    /// (errors name an op by that position).
+    base: usize,
+}
+
+/// A team program being expanded: its cursor, and its members' queues
+/// `queues[slots]` in rank order.
+struct Team<'a> {
+    cores: &'a [CoreId],
+    next: Cursor<'a>,
+    slots: Range<usize>,
+    done: bool,
+}
+
+impl<'a> Streams<'a> {
+    fn new(traces: &'a TraceSet, check: OpCheck) -> Self {
+        let pushed = &traces.ops;
+        // Without programs every core starts on its pushed ops.
+        let mut sources = vec![
+            Source {
+                team: None,
+                queue: 0,
+                pushed: traces.programs.is_empty(),
+                base: 0,
+            };
+            pushed.len()
+        ];
+        let mut teams = Vec::new();
+        // Queues: every team's members in rank order, then everyone else.
+        let mut slots = 0;
+        for (t, program) in traces.programs.iter().enumerate() {
+            let members = program.cores();
+            for (slot, core) in (slots..).zip(members) {
+                sources[core.index()].team = Some(t);
+                sources[core.index()].queue = slot;
+            }
+            teams.push(Team {
+                cores: members,
+                next: program.cursor(),
+                slots: slots..slots + members.len(),
+                done: false,
+            });
+            slots += members.len();
+        }
+        for source in sources.iter_mut().filter(|s| s.team.is_none()) {
+            source.queue = slots;
+            slots += 1;
+        }
+        Streams {
+            pushed,
+            check,
+            sources,
+            queues: vec![Vec::new(); slots],
+            teams,
+        }
+    }
+
+    /// The ops `core` reads now; its `ip` indexes them.
+    #[inline]
+    fn source(&self, core: usize) -> &[Op] {
+        let source = &self.sources[core];
+        if source.pushed {
+            &self.pushed[core]
+        } else {
+            &self.queues[source.queue]
+        }
+    }
+
+    /// Moves `core`, whose source has run dry, on to its next ops: its
+    /// team's next chunk, or — once its team's program is exhausted, or
+    /// if it has none — its pushed ops. Returns the new source, run dry
+    /// too once the core's stream has ended.
+    #[cold]
+    fn refill(&mut self, core: usize, cores: &mut [CoreState]) -> Result<&[Op], SimError> {
+        while !self.sources[core].pushed {
+            match self.sources[core].team {
+                Some(t) if !self.teams[t].done => self.next_chunk(t, cores)?,
+                _ => {
+                    let source = &mut self.sources[core];
+                    let first = source.base + self.queues[source.queue].len();
+                    self.check.check_all(core, first, &self.pushed[core])?;
+                    source.pushed = true;
+                    cores[core].ip = 0;
+                }
+            }
+            if cores[core].ip < self.source(core).len() {
+                break;
+            }
+        }
+        Ok(self.source(core))
+    }
+
+    /// Appends team `t`'s next chunk to its members' queues, first
+    /// dropping the ops they have already run, and checks the queued
+    /// ops (a member whose queue was not empty — never the case when
+    /// every chunk ends at a team barrier — has some checked twice).
+    fn next_chunk(&mut self, t: usize, cores: &mut [CoreState]) -> Result<(), SimError> {
+        let team = &mut self.teams[t];
+        let queues = &mut self.queues[team.slots.clone()];
+        for (core, queue) in team.cores.iter().zip(&mut *queues) {
+            let (st, source) = (&mut cores[core.index()], &mut self.sources[core.index()]);
+            queue.drain(..st.ip);
+            source.base += st.ip;
+            st.ip = 0;
+        }
+        team.done = !(team.next)(queues);
+        for (core, queue) in team.cores.iter().zip(&*queues) {
+            let c = core.index();
+            self.check.check_all(c, self.sources[c].base, queue)?;
+        }
+        Ok(())
+    }
 }
 
 /// The open episode of one barrier.
@@ -269,12 +409,13 @@ pub fn simulate(
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
     config.validate()?;
-    traces.validate(machine.node_count(), machine.core_count())?;
-    Engine::new(machine, traces, config).run()
+    let check = traces.checker(machine.node_count(), machine.core_count())?;
+    let streams = Streams::new(traces, check);
+    Engine::new(machine, traces, config).run(streams)
 }
 
 /// One simulation run: the machine priced into tables, the resource
-/// clocks, every core's cursor and the two queues of runnable cores.
+/// clocks, every core's state and the two queues of runnable cores.
 ///
 /// The event order is `(time, core)` over all runnable cores (DESIGN.md
 /// §2.1). `heap` and `released` together are that priority queue:
@@ -282,7 +423,6 @@ pub fn simulate(
 /// `heap` every other runnable core.
 struct Engine<'a> {
     machine: &'a Machine,
-    traces: &'a TraceSet,
     config: &'a SimConfig,
     report: SimReport,
     /// `routes[from * nodes + to]`.
@@ -295,6 +435,8 @@ struct Engine<'a> {
     memctrl_free: Vec<f64>,
     l3_free: Vec<f64>,
     cores: Vec<CoreState>,
+    /// Per core, the barrier it is parked at while `blocked`.
+    waiting: Vec<BarrierId>,
     barriers: Vec<BarrierState>,
     /// Episode cost per barrier, from the node spread of its members.
     barrier_cost: Vec<f64>,
@@ -307,7 +449,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(machine: &'a Machine, traces: &'a TraceSet, config: &'a SimConfig) -> Self {
+    fn new(machine: &'a Machine, traces: &TraceSet, config: &'a SimConfig) -> Self {
         let cores = traces.ops.len();
         let n_links = machine.links().len() * 2;
         let n_nodes = machine.node_count();
@@ -353,7 +495,6 @@ impl<'a> Engine<'a> {
             .collect();
         Engine {
             machine,
-            traces,
             config,
             report: SimReport {
                 core_compute: vec![0.0; cores],
@@ -386,6 +527,7 @@ impl<'a> Engine<'a> {
                 };
                 cores
             ],
+            waiting: vec![BarrierId(0); cores],
             barriers: vec![BarrierState::default(); traces.barriers.len()],
             barrier_cost,
             members,
@@ -394,20 +536,19 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(mut self) -> Result<SimReport, SimError> {
+    fn run(mut self, mut streams: Streams<'_>) -> Result<SimReport, SimError> {
         for core in 0..self.cores.len() {
             self.heap.push(Reverse(Key { time: 0.0, core }));
         }
         while let Some(core) = self.pop_earliest() {
-            self.resume(core);
+            self.resume(&mut streams, core)?;
         }
         // Any core still blocked means a barrier never filled.
         for (c, st) in self.cores.iter().enumerate() {
             if st.blocked {
-                // ip - 1 is the barrier op it is stuck on.
-                if let Op::Barrier { id } = self.traces.ops[c][st.ip - 1] {
-                    return Err(SimError::BarrierDeadlock { id });
-                }
+                return Err(SimError::BarrierDeadlock {
+                    id: self.waiting[c],
+                });
             }
             self.report.makespan = self.report.makespan.max(st.time);
         }
@@ -475,15 +616,21 @@ impl<'a> Engine<'a> {
     /// state, so running them ahead of their turn changes no statistic
     /// (DESIGN.md §2.1) — or while it is still the earliest core, where
     /// going on is what a push-then-pop would do.
-    fn resume(&mut self, core: usize) {
-        let traces = self.traces;
-        let stream = &traces.ops[core];
+    fn resume(&mut self, streams: &mut Streams<'_>, core: usize) -> Result<(), SimError> {
         let node = self.machine.node_of(CoreId(core));
         let mut my_turn = true;
+        let mut ops = streams.source(core);
         loop {
-            let Some(&op) = stream.get(self.cores[core].ip) else {
+            let next = match ops.get(self.cores[core].ip) {
+                Some(&op) => Some(op),
+                None => {
+                    ops = streams.refill(core, &mut self.cores)?;
+                    ops.get(self.cores[core].ip).copied()
+                }
+            };
+            let Some(op) = next else {
                 self.report.makespan = self.report.makespan.max(self.cores[core].time);
-                return;
+                return Ok(());
             };
             match op {
                 Op::Compute { flops } => {
@@ -513,8 +660,8 @@ impl<'a> Engine<'a> {
                     if !(my_turn || commutes || self.is_earliest(core)) {
                         break;
                     }
-                    self.arrive(core, id.index());
-                    return;
+                    self.arrive(core, id);
+                    return Ok(());
                 }
                 // A transfer quantum reserves shared resources: only in
                 // this core's turn.
@@ -539,6 +686,7 @@ impl<'a> Engine<'a> {
             time: self.cores[core].time,
             core,
         }));
+        Ok(())
     }
 
     fn route(&self, from: NodeId, to: NodeId) -> Route<'a> {
@@ -572,14 +720,16 @@ impl<'a> Engine<'a> {
 
     /// Records `core`'s arrival at barrier `id`; the last arrival
     /// releases the episode as one batch.
-    fn arrive(&mut self, core: usize, id: usize) {
+    fn arrive(&mut self, core: usize, barrier: BarrierId) {
+        let id = barrier.index();
         let st = &mut self.cores[core];
         st.ip += 1;
         st.blocked = true;
+        self.waiting[core] = barrier;
         let episode = &mut self.barriers[id];
         episode.arrived += 1;
         episode.latest = episode.latest.max(st.time);
-        if episode.arrived < self.traces.barriers[id].participants.len() {
+        if episode.arrived < self.members[id].len() {
             return;
         }
         let release = episode.latest + self.barrier_cost[id];
@@ -728,6 +878,7 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use crate::topology::{CoreSpec, LinkSpec, Machine, NodeId, NodeSpec};
+    use crate::trace::Scripted;
 
     fn two_socket_machine() -> Machine {
         let socket = NodeSpec {
@@ -1182,6 +1333,142 @@ mod tests {
             "makespan {}",
             r.makespan
         );
+    }
+
+    /// Cores 0 and 2 (two sockets) as one team running `chunks`, with
+    /// the team barrier as barrier 0 and core 0 alone on barrier 1.
+    fn team(chunks: Vec<Vec<Vec<Op>>>) -> TraceSet {
+        let mut t = TraceSet::for_cores(4);
+        let cores = vec![CoreId(0), CoreId(2)];
+        t.add_barrier(cores.clone());
+        t.add_barrier(vec![CoreId(0)]);
+        t.add_program(Scripted { cores, chunks });
+        t
+    }
+
+    /// Two chunks of work closed by the team barrier: 3 ops per rank
+    /// each.
+    fn two_rounds() -> Vec<Vec<Vec<Op>>> {
+        let round = |node: usize| {
+            vec![
+                Op::Compute { flops: 1e6 },
+                Op::MemRead {
+                    node: NodeId(node),
+                    bytes: 4096.0,
+                },
+                Op::Barrier { id: BarrierId(0) },
+            ]
+        };
+        vec![vec![round(0), round(1)], vec![round(1), round(0)]]
+    }
+
+    #[test]
+    fn program_runs_like_its_pushed_replay() {
+        let m = two_socket_machine();
+        let mut t = team(two_rounds());
+        t.push(CoreId(2), Op::Compute { flops: 5e5 });
+        t.push(
+            CoreId(1),
+            Op::CacheRead {
+                node: NodeId(1),
+                bytes: 2048.0,
+            },
+        );
+        let mut replay = TraceSet::for_cores(4);
+        for spec in &t.barriers {
+            replay.add_barrier(spec.participants.clone());
+        }
+        for (c, stream) in t.streams().into_iter().enumerate() {
+            for op in stream {
+                replay.push(CoreId(c), op);
+            }
+        }
+        assert_eq!(t.op_count(), replay.op_count());
+        let program = simulate(&m, &t, &cfg()).unwrap();
+        let pushed = simulate(&m, &replay, &cfg()).unwrap();
+        assert_eq!(format!("{program:?}"), format!("{pushed:?}"));
+        assert_eq!(program.barrier_episodes, 2);
+        // A trace set simulates alike every time: each run has its own
+        // cursors.
+        let again = simulate(&m, &t, &cfg()).unwrap();
+        assert_eq!(format!("{program:?}"), format!("{again:?}"));
+    }
+
+    #[test]
+    fn bad_program_ops_fail_where_they_enter_the_stream() {
+        let m = two_socket_machine();
+        let cases = [
+            (
+                Op::MemRead {
+                    node: NodeId(9),
+                    bytes: 1.0,
+                },
+                TraceError::BadNode {
+                    core: CoreId(2),
+                    op: 4,
+                },
+            ),
+            (
+                Op::Stream {
+                    node: NodeId(0),
+                    bytes: 1.0,
+                    flops: f64::NAN,
+                    write: false,
+                },
+                TraceError::BadAmount {
+                    core: CoreId(2),
+                    op: 4,
+                },
+            ),
+            (
+                Op::Barrier { id: BarrierId(7) },
+                TraceError::BadBarrier { id: BarrierId(7) },
+            ),
+            // Core 2 is not a participant of barrier 1.
+            (
+                Op::Barrier { id: BarrierId(1) },
+                TraceError::BadBarrier { id: BarrierId(1) },
+            ),
+        ];
+        for (bad, expect) in cases {
+            // The bad op is the second of rank 1's second chunk: index 4
+            // of core 2's stream.
+            let mut chunks = two_rounds();
+            chunks[1][1].insert(1, bad);
+            let err = simulate(&m, &team(chunks), &cfg()).unwrap_err();
+            assert_eq!(err, SimError::InvalidTrace(expect), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn bad_pushed_op_after_a_program_is_named_by_its_stream_index() {
+        let m = two_socket_machine();
+        let mut t = team(two_rounds());
+        t.push(CoreId(0), Op::Compute { flops: 1.0 });
+        t.push(CoreId(0), Op::Compute { flops: -1.0 });
+        assert_eq!(
+            simulate(&m, &t, &cfg()).unwrap_err(),
+            SimError::InvalidTrace(TraceError::BadAmount {
+                core: CoreId(0),
+                op: 7,
+            })
+        );
+    }
+
+    #[test]
+    fn unbalanced_program_ends_in_a_deadlock() {
+        let m = two_socket_machine();
+        let mut chunks = two_rounds();
+        chunks[1][0].push(Op::Barrier { id: BarrierId(0) });
+        assert_eq!(
+            simulate(&m, &team(chunks), &cfg()).unwrap_err(),
+            SimError::BarrierDeadlock { id: BarrierId(0) }
+        );
+        // Up-front validation cannot see it: programs are checked op by
+        // op as they run.
+        let mut chunks = two_rounds();
+        chunks[0][1].pop();
+        team(chunks).validate(2, 4).unwrap();
     }
 
     #[test]

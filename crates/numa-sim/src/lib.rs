@@ -17,20 +17,58 @@
 //!   Local streaming, remote streaming, and latency-bound remote-cache
 //!   pulls each behave qualitatively differently, which is what makes
 //!   the original / (3+1)D / islands orderings come out of the model.
+//!   A stream is pushed op by op, or produced by a [`TeamProgram`] one
+//!   chunk at a time while the engine runs.
 //!
 //! ## Example
 //!
 //! ```
-//! use numa_sim::{simulate, CoreId, NodeId, Op, SimConfig, TraceSet, UvParams};
+//! use numa_sim::{
+//!     simulate, BarrierId, CoreId, Cursor, NodeId, Op, SimConfig, TeamProgram, TraceSet,
+//!     UvParams,
+//! };
+//!
+//! /// Three rounds of 1 Gflop per core, each closed by a team barrier:
+//! /// one chunk per round, produced when the engine reaches it.
+//! #[derive(Debug)]
+//! struct Rounds {
+//!     cores: Vec<CoreId>,
+//!     barrier: BarrierId,
+//! }
+//!
+//! impl TeamProgram for Rounds {
+//!     fn cores(&self) -> &[CoreId] {
+//!         &self.cores
+//!     }
+//!
+//!     fn cursor(&self) -> Cursor<'_> {
+//!         let mut round = 0;
+//!         Box::new(move |streams| {
+//!             if round == 3 {
+//!                 return false;
+//!             }
+//!             round += 1;
+//!             for stream in streams {
+//!                 stream.push(Op::Compute { flops: 1e9 });
+//!                 stream.push(Op::Barrier { id: self.barrier });
+//!             }
+//!             true
+//!         })
+//!     }
+//! }
 //!
 //! let machine = UvParams::uv2000(2).build();
 //! let mut traces = TraceSet::for_cores(machine.core_count());
-//! // Core 0 computes 1 Gflop, core 8 (other socket) reads 100 MB of
-//! // node 0's memory across the blade.
-//! traces.push(CoreId(0), Op::Compute { flops: 1e9 });
+//! // Core 0 and core 8 (the other socket) run the rounds; then core 8
+//! // reads 100 MB of node 0's memory across the blade.
+//! let cores = vec![CoreId(0), CoreId(8)];
+//! let barrier = traces.add_barrier(cores.clone());
+//! traces.add_program(Rounds { cores, barrier });
 //! traces.push(CoreId(8), Op::MemRead { node: NodeId(0), bytes: 100e6 });
+//! assert_eq!(traces.op_count(), 13);
 //! let report = simulate(&machine, &traces, &SimConfig::default())?;
 //! assert!(report.makespan > 0.0);
+//! assert_eq!(report.barrier_episodes, 3);
 //! assert_eq!(report.mem_remote_bytes, 100e6);
 //! # Ok::<(), numa_sim::SimError>(())
 //! ```
@@ -54,4 +92,4 @@ pub use report::summarize;
 pub use topology::{
     BuildMachineError, CoreId, CoreSpec, LinkId, LinkSpec, Machine, NodeId, NodeSpec,
 };
-pub use trace::{BarrierId, BarrierSpec, Op, TraceError, TraceSet};
+pub use trace::{BarrierId, BarrierSpec, Cursor, Op, TeamProgram, TraceError, TraceSet};

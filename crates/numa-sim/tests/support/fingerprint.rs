@@ -26,11 +26,14 @@ fn absorb_floats(h: &mut SplitMix64, xs: &[f64]) {
 }
 
 /// Every op of every core in stream order (discriminant, node, bytes,
-/// flops, barrier id) plus the barrier table.
+/// flops, barrier id) plus the barrier table. Taken over the
+/// materialised streams, so a program trace and a pushed replay of it
+/// fingerprint alike.
 pub fn trace_fingerprint(ts: &TraceSet) -> u64 {
     let mut h = hasher();
-    h.absorb(ts.ops.len() as u64);
-    for stream in &ts.ops {
+    let streams = ts.streams();
+    h.absorb(streams.len() as u64);
+    for stream in &streams {
         h.absorb(stream.len() as u64);
         for op in stream {
             let (kind, node, bytes, flops) = match *op {

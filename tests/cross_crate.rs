@@ -45,7 +45,7 @@ fn trace_extra_flops_match_overlap_analysis() {
         cache_bytes: 1 << 20,
     };
     let flops = |ts: &islands_of_cores::numa::TraceSet| -> f64 {
-        ts.ops
+        ts.streams()
             .iter()
             .flatten()
             .map(|op| match *op {

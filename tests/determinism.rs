@@ -94,7 +94,7 @@ fn planners_are_deterministic() {
     let a = plan_islands(&machine, &w, Variant::B).unwrap();
     let b = plan_islands(&machine, &w, Variant::B).unwrap();
     assert_eq!(a.op_count(), b.op_count());
-    for (sa, sb) in a.ops.iter().zip(&b.ops) {
+    for (sa, sb) in a.streams().iter().zip(&b.streams()) {
         assert_eq!(sa, sb, "trace streams must match op for op");
     }
 }
