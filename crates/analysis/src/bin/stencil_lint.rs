@@ -40,7 +40,12 @@
 //! * `exchange-fence-dropped` — a two-island Exchange schedule loses
 //!   its per-stage global barriers (`stage_synchronous` cleared), so an
 //!   island's halo reads of the shared intermediates race with its
-//!   neighbour's writes of them.
+//!   neighbour's writes of them;
+//! * `producer-dropped` — a two-island schedule lowered from an
+//!   `IslandsExecutor` loses team 0's first epoch that writes an
+//!   intermediate, so a later stage reads team scratch no earlier epoch
+//!   wrote — what the replay, which never re-zeroes scratch, would
+//!   serve from the previous step.
 //!
 //! Exit codes: 0 clean, 1 diagnostics found, 2 tracing unavailable
 //! (release build — rebuild in debug).
@@ -51,8 +56,8 @@ use islands_analysis::{
 };
 use islands_core::Partition;
 use mpdata::{
-    Boundary, ExchangeExecutor, MpdataProblem, OriginalExecutor, ScheduleKnobs, SchedulePolicy,
-    StepSchedule, TileMode,
+    Boundary, ExchangeExecutor, IslandsExecutor, MpdataProblem, OriginalExecutor, ScheduleKnobs,
+    SchedulePolicy, StepSchedule, TileMode,
 };
 use stencil_engine::{trace, Axis, Offset3, Range1, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
@@ -84,7 +89,8 @@ fn run(args: &[String]) -> i32 {
             eprintln!(
                 "usage: stencil-lint [--mutant drop-offset|overlap-partition\
                  |overlap-ranks|stale-output|overlap-chunks|fused-overlap-step2\
-                 |tile-halo-too-narrow|window-too-narrow|exchange-fence-dropped]"
+                 |tile-halo-too-narrow|window-too-narrow|exchange-fence-dropped\
+                 |producer-dropped]"
             );
             return 2;
         }
@@ -100,6 +106,7 @@ fn run(args: &[String]) -> i32 {
         Some("tile-halo-too-narrow") => mutant_tile_halo_too_narrow(),
         Some("window-too-narrow") => mutant_window_too_narrow(),
         Some("exchange-fence-dropped") => mutant_exchange_fence_dropped(),
+        Some("producer-dropped") => mutant_producer_dropped(),
         Some(other) => {
             eprintln!("stencil-lint: unknown mutant `{other}`");
             return 2;
@@ -549,6 +556,27 @@ fn mutant_exchange_fence_dropped() -> Vec<Diagnostic> {
     let exec = ExchangeExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I);
     let mut plan = lower(&exec.schedule_for(Region3::of_extent(16, 12, 6)));
     plan.stage_synchronous = false;
+    check_disjointness(&plan)
+}
+
+fn mutant_producer_dropped() -> Vec<Diagnostic> {
+    // Two islands of two ranks, lowered from the islands executor —
+    // then team 0 skips its first epoch that writes an intermediate.
+    let pool = WorkerPool::new(4);
+    let exec = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I).cache_bytes(CACHE_BYTES);
+    let schedule = exec
+        .schedule_for(Region3::of_extent(16, 12, 6))
+        .expect("the mutant domain fits the cache budget");
+    let mut plan = lower(&schedule);
+    let producer = plan.teams[0]
+        .epochs
+        .iter()
+        .position(|ep| {
+            let mut accs = ep.per_rank.iter().flatten();
+            accs.any(|a| a.write && !plan.shared[a.field])
+        })
+        .expect("team 0 produces intermediates");
+    plan.teams[0].epochs.remove(producer);
     check_disjointness(&plan)
 }
 

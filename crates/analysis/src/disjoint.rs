@@ -141,9 +141,10 @@ pub struct SchedulePlan {
 /// [`StepSchedule::scratch_windows`] travels along as each team's
 /// `windows`, so rule 6 can prove the storage the accesses land in.
 ///
-/// The stream carries no refill (`must_zero`) writes, so for graphs
-/// that need them (the MPDATA graphs do not) the checker is
-/// conservative and reports the reads as uncovered.
+/// The replay zeroes no scratch and no output cell between steps, so
+/// rules 4 and 5 (`uncovered-read`, `uncovered-output`) over this
+/// lowering are the only coverage argument; nothing at run time backs
+/// them up.
 pub fn lower(schedule: &StepSchedule) -> SchedulePlan {
     let graph = schedule.problem().graph();
     let fields = graph.fields();

@@ -9,7 +9,8 @@ use islands_analysis::{
     DiagnosticCode, KernelPath, PlannedAccess, SchedulePlan,
 };
 use mpdata::{
-    ExchangeExecutor, MpdataProblem, OriginalExecutor, ScheduleKnobs, SchedulePolicy, StepSchedule,
+    ExchangeExecutor, IslandsExecutor, MpdataProblem, OriginalExecutor, ScheduleKnobs,
+    SchedulePolicy, StepSchedule,
 };
 use stencil_engine::{trace, Axis, Offset3, Range1, Region3, StageGraph, StencilPattern};
 use work_scheduler::{TeamSpec, WorkerPool};
@@ -195,20 +196,32 @@ fn writing_an_external_is_flagged() {
 
 #[test]
 fn deleting_a_producer_epoch_is_an_uncovered_read() {
-    let problem = MpdataProblem::standard();
-    let d = Region3::of_extent(16, 12, 6);
-    let parts = d.split(Axis::I, 2);
-    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], Axis::J, CACHE).unwrap();
-    // Drop team 0's very first epoch (block 0, stage flux_i, the f1
-    // producer): the low-order update's read of f1 is now uncovered.
-    assert!(plan.teams[0].epochs[0].label.contains("flux_i"));
-    plan.teams[0].epochs.remove(0);
+    // The `producer-dropped` mutant: the schedule an islands executor
+    // replays, minus team 0's first epoch that writes an intermediate.
+    // The replay never re-zeroes scratch, so rule 4 is what stands
+    // between such a schedule and last step's values.
+    let pool = WorkerPool::new(4);
+    let exec = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I).cache_bytes(CACHE);
+    let mut plan = lower(&exec.schedule_for(Region3::of_extent(16, 12, 6)).unwrap());
+    assert_eq!(check_disjointness(&plan), vec![], "control not clean");
+    let producer = plan.teams[0]
+        .epochs
+        .iter()
+        .position(|ep| {
+            let mut accs = ep.per_rank.iter().flatten();
+            accs.any(|a| a.write && !plan.shared[a.field])
+        })
+        .unwrap();
+    // Block 0, stage flux_i, the f1 producer: the low-order update's
+    // read of f1 is now uncovered.
+    assert!(plan.teams[0].epochs[producer].label.contains("flux_i"));
+    plan.teams[0].epochs.remove(producer);
     let found = check_disjointness(&plan);
     assert!(
-        found
-            .iter()
-            .any(|f| f.code == DiagnosticCode::UncoveredRead && f.field == "f1"),
-        "expected an uncovered read of f1, got: {found:?}"
+        found.iter().any(|f| f.code == DiagnosticCode::UncoveredRead
+            && f.field == "f1"
+            && f.site.starts_with("team 0 ")),
+        "expected team 0's read of f1 uncovered, got: {found:?}"
     );
 }
 

@@ -266,9 +266,9 @@ impl ParStore {
     /// tile-fused replay, which must stay allocation-free.
     ///
     /// The buffer's previous contents become meaningless at the new
-    /// indexing; callers re-zero exactly what the tile chain reads
-    /// before writing (its plan-time `must_zero` set — empty for the
-    /// real MPDATA graphs, whose chains cover every read).
+    /// indexing; the tile chain writes every cell it reads before
+    /// reading it (the prover's `uncovered-read` rule over the tile's
+    /// scratch).
     ///
     /// # Safety contract (internal)
     ///
@@ -284,35 +284,6 @@ impl ParStore {
             .as_mut()
             .expect("buffer present")
             .rebase(region);
-    }
-
-    /// Zeroes `region` of `f` in place — the per-step refill for
-    /// persistent stores, covering exactly the cells a plan's coverage
-    /// analysis proves are read before they are written.
-    ///
-    /// # Safety contract (internal)
-    ///
-    /// Concurrent callers must target disjoint `(f, region)` pairs, and
-    /// a barrier or join must separate this from any overlapping access
-    /// — the same contract as [`ParStore::apply`] writes.
-    pub(crate) fn zero_region(&self, f: FieldId, region: Region3) {
-        if region.is_empty() {
-            return;
-        }
-        #[cfg(debug_assertions)]
-        let _claim = self.cells.claim(&[(f, region, true)], "zero-refill");
-        let _tracker = self.cells.cell(f).track_write();
-        // SAFETY: see the contract above.
-        let buf = unsafe { self.cells.cell(f).get_mut() }
-            .as_mut()
-            .expect("buffer present");
-        for i in region.i.lo..region.i.hi {
-            for j in region.j.lo..region.j.hi {
-                for v in buf.row_mut(i, j, region.k) {
-                    *v = 0.0;
-                }
-            }
-        }
     }
 
     /// Applies `stage` over `region` from one worker, resolving external
@@ -521,22 +492,6 @@ mod tests {
             ext,
         );
         assert_eq!(take(&mut ps, f1).max_abs_diff(&serial), 0.0);
-    }
-
-    #[test]
-    fn zero_region_clears_exactly_the_region() {
-        let mut ps = ParStore::new(1, MpdataProblem::standard().ext());
-        let f = FieldId(0);
-        let d = Region3::of_extent(4, 4, 4);
-        *ps.cells.cell_mut(f).get_mut_exclusive() = Some(Array3::filled(d, 7.0));
-        let sub = Region3::new(Range1::new(1, 3), Range1::new(0, 4), Range1::new(2, 4));
-        ps.zero_region(f, sub);
-        // Empty regions are a no-op, not a panic.
-        ps.zero_region(f, Region3::empty());
-        for (i, j, k, v) in take(&mut ps, f).iter_indexed() {
-            let inside = sub.contains(i, j, k);
-            assert_eq!(v, if inside { 0.0 } else { 7.0 }, "at ({i},{j},{k})");
-        }
     }
 
     #[test]

@@ -7,24 +7,25 @@
 //! churn — plus per-stage dispatch — dominates the per-sweep cost. A
 //! [`StepPlan`] hoists all of it out of the loop, in two layers:
 //!
-//! * [`StepSchedule`] — the pure tables: per-island blocking, stage →
-//!   region tables, work-unit slices, tile chains, the refill/coverage
-//!   facts and the scratch footprints, built once from the problem,
-//!   the partition and the [`ScheduleKnobs`] with no buffer allocated.
-//!   It is the **only** derivation of the island schedule in the
-//!   workspace: the replay below walks these tables, and
-//!   [`StepSchedule::accesses`] streams the same tables to the
-//!   `islands-analysis` prover, so what is proved is what runs;
+//! * [`StepSchedule`] — the pure tables: per-island blocking, one
+//!   small record per `(block, stage)` epoch, tile chains and the
+//!   scratch footprints, built once from the problem, the partition
+//!   and the [`ScheduleKnobs`] with no buffer allocated. It stores
+//!   what it cannot recompute: a work unit's slice of an epoch is the
+//!   closed-form `rank_slice`, taken when the unit runs. It is the
+//!   **only** derivation of the island schedule in the workspace: the
+//!   replay below walks these tables, and [`StepSchedule::accesses`]
+//!   streams the same tables to the `islands-analysis` prover, so what
+//!   is proved is what runs;
 //! * `StepPlan` — the schedule plus what it says to allocate: the
 //!   island [`ParStore`]s (each intermediate a sliding window of a few
-//!   i-planes, [`ScratchWindow`], persisting across steps; instead of
-//!   re-zeroing whole scratches the replay re-zeroes only the cells
-//!   the schedule's coverage analysis found read-before-written — none,
-//!   for the real MPDATA graphs), the claim queues, the x slots and
-//!   the two full-domain arrays (`cur`/`out`) `run` ping-pongs by
-//!   pointer swap under the once-per-epoch global barrier. Cached and
-//!   rebuilt whenever the domain or the executor's `PlanConfig` stops
-//!   matching.
+//!   i-planes, [`ScratchWindow`], persisting across steps and never
+//!   re-zeroed — the prover's `uncovered-read` rule shows every
+//!   scratch read is written earlier in the same fused step), the
+//!   claim queues, the x slots and the two full-domain arrays
+//!   (`cur`/`out`) `run` ping-pongs by pointer swap under the
+//!   once-per-epoch global barrier. Cached and rebuilt whenever the
+//!   domain or the executor's `PlanConfig` stops matching.
 //!
 //! The paper's baselines are the same tables in a second shape,
 //! [`StepSchedule::stage_synchronous`].
@@ -51,11 +52,11 @@
 //! Replay is bit-identical to the allocate-per-step path for every k:
 //! the kernels are pointwise in their declared neighborhoods, so
 //! computing a cell inside an enlarged region produces the same bits as
-//! computing it as somebody's "own" cell; covered scratch reads see the
-//! same in-step values, uncovered reads see zeros either way (the
-//! refill runs before every fused step), and the output cells not
-//! covered by final-stage writes (`out_gaps` — empty for any covering
-//! partition) are re-zeroed at swap time.
+//! computing it as somebody's "own" cell, and every scratch read sees
+//! the same in-step value. That the reads are covered, and that the
+//! final stages cover the whole output, are the prover's
+//! `uncovered-read` and `uncovered-output` rules over
+//! [`StepSchedule::accesses`] — the replay keeps no copy of either.
 
 use crate::exec::{rank_slice, ExtFields, ParStore};
 use crate::fields::MpdataFields;
@@ -65,7 +66,7 @@ use std::fmt;
 use std::sync::Arc;
 use stencil_engine::{
     choose_tile, tile_grid, Array3, Axis, BlockPlanner, FieldId, FieldRole, PlanBlocksError,
-    Region3, StageDef, StageGraph,
+    Region3, StageGraph,
 };
 use work_scheduler::{AccessTracker, ChunkQueue, DisjointCell, TeamCtx, TeamSpec, WorkerPool};
 
@@ -80,10 +81,10 @@ pub enum SchedulePolicy {
     /// overhead, optimal for homogeneous stages.
     #[default]
     Static,
-    /// Intra-island self-scheduling: every epoch is pre-split into
+    /// Intra-island self-scheduling: every epoch is cut into
     /// `ranks × chunks_per_rank` slices and ranks claim them from a
-    /// per-epoch [`ChunkQueue`] until drained. The chunks are computed
-    /// at plan time and the queue reset is one atomic store, so the
+    /// per-epoch [`ChunkQueue`] until drained. A chunk's slice is
+    /// closed-form and the queue reset is one atomic store, so the
     /// steady-state replay stays allocation-free; epoch fencing is
     /// unchanged, so plan-time disjointness still proves the schedule
     /// for *any* claim order.
@@ -225,12 +226,12 @@ pub(crate) struct PlanConfig {
     pub(crate) stage_sync: bool,
 }
 
-/// One barrier-fenced unit of a team's replay: one stage of one block,
-/// with every work-unit slice precomputed (so the hot loop never calls
-/// the allocating `Region3::split`). Under [`SchedulePolicy::Static`]
-/// there is exactly one unit per rank (unit index = rank); under
-/// [`SchedulePolicy::Dynamic`] there are `ranks × chunks_per_rank`
-/// units claimed from the epoch's [`ChunkQueue`].
+/// One barrier-fenced unit of a team's replay: one stage of one block.
+/// Its region is cut into the team's `n_units` work-unit slices along
+/// the team's axis by `rank_slice` when they run. Under
+/// [`SchedulePolicy::Static`] there is exactly one unit per rank (unit
+/// index = rank); under [`SchedulePolicy::Dynamic`] there are `ranks ×
+/// chunks_per_rank` units claimed from the epoch's [`ChunkQueue`].
 struct EpochPlan {
     /// Index into `graph.stages()`.
     stage: usize,
@@ -244,41 +245,27 @@ struct EpochPlan {
     step: u16,
     /// Block index within the island's wavefront blocking (trace tag).
     block: u16,
-    /// The whole epoch region (the union of `units`, which slice it
-    /// contiguously along the split axis).
+    /// The whole epoch region, which the work units slice contiguously
+    /// along the team's axis.
     region: Region3,
-    /// Slice per work unit (empty regions for surplus units).
-    units: Vec<Region3>,
-    /// Per unit: cells of the slice lying outside `part ∩
-    /// region_s(domain)` — the redundant halo recomputation this
-    /// epoch performs (fused steps before the last one recompute a
-    /// whole widened halo band), precomputed so traced kernels can
-    /// report it without any plan-time math on the hot path.
-    units_extra: Vec<u64>,
 }
 
 /// One `(i, j)` tile of a fused-step target under [`TileMode`]: the
 /// whole stage chain replayed back-to-back by one rank on that rank's
 /// private scratch, rebased to this tile's footprint.
 struct TileTask {
-    /// The owned output region (tiles partition the fused-step target,
-    /// so concurrent final-stage writes are disjoint by construction).
-    tile: Region3,
     /// Per-stage compute regions from the backward requirement analysis
     /// (`required_regions(tile, domain)`): every intra-chain read of an
-    /// intermediate resolves to a cell this chain computed earlier.
+    /// intermediate resolves to a cell this chain computed earlier. The
+    /// final stage's region is the tile itself, and tiles partition the
+    /// fused-step target, so concurrent output writes are disjoint.
     stage_regions: Vec<Region3>,
     /// Per scratch field, the region the rank store is rebased to
     /// before the chain runs — the producing stage's region, which
     /// contains every later read of the field.
     field_regions: Vec<(FieldId, Region3)>,
-    /// Scratch cells the chain reads before writing them, zeroed after
-    /// the rebase (rebased scratch holds *stale* cells of the previous
-    /// tile, not zeros, so coverage must be exact). Empty for the real
-    /// MPDATA graphs — the chain-coverage analysis proves it per tile.
-    must_zero: Vec<(FieldId, Region3)>,
     /// Per-stage redundant cells beyond `tile ∩ part ∩ base_regions[s]`
-    /// (trace attribution, mirroring `EpochPlan::units_extra`).
+    /// (trace attribution, like the untiled replay's `needed` table).
     stage_extra: Vec<u64>,
 }
 
@@ -287,21 +274,22 @@ struct TeamSchedule {
     /// The axis every epoch's units slice its region along: the knob's
     /// when given, else the team's longest ([`rank_axis_of`]).
     axis: Axis,
+    /// Work units per epoch (see [`SchedulePolicy::units_for`]).
+    n_units: usize,
     epochs: Vec<EpochPlan>,
+    /// Per stage: `part ∩ region_s(domain)`, the cells a zero-overlap
+    /// schedule would have this team compute. A unit's computed cells
+    /// outside it are the redundant halo recomputation traced kernels
+    /// report (fused steps before the last one recompute a whole
+    /// widened halo band).
+    needed: Vec<Region3>,
     /// Epoch index range per fused step: `epochs[step_bounds[s].0 ..
     /// step_bounds[s].1]` are fused step `s`'s epochs (all `(0, 0)` for
     /// empty islands and tiled schedules).
     step_bounds: Vec<(usize, usize)>,
-    /// Scratch regions this team reads before writing them in one fused
-    /// step — the cells the refill must re-zero *before every fused
-    /// step* so scratch reuse stays bit-identical to freshly zeroed
-    /// stores. Empty for the real MPDATA graphs (the `uncovered-read`
-    /// analysis proves per-step coverage).
-    must_zero: Vec<(FieldId, Region3)>,
     /// Logical extent of the team's shared scratch buffers: the hull of
-    /// every fused step's blocking (steps reuse the same scratch,
-    /// refilled before each). Empty for tiled schedules and empty
-    /// islands.
+    /// every fused step's blocking (steps reuse the same scratch).
+    /// Empty for tiled schedules and empty islands.
     scratch: Region3,
     /// Per scratch field, how many i-planes of `scratch` its buffer
     /// stores (see [`ScratchWindow`]).
@@ -394,7 +382,10 @@ pub struct ScratchWindow {
 /// The island schedule of one time step (or, with `fuse_steps = k`, one
 /// k-step fused epoch) as pure tables: what every rank of every team
 /// computes, in which order, over which regions, into which buffers.
-/// Owns no field data. [`IslandsExecutor`](crate::IslandsExecutor) —
+/// It holds the blockings and one small record per epoch, nothing the
+/// replay can recompute (work-unit slices are closed-form) and none of
+/// the prover's coverage rules. Owns no field data.
+/// [`IslandsExecutor`](crate::IslandsExecutor) —
 /// and through it [`OriginalExecutor`](crate::OriginalExecutor) and
 /// [`ExchangeExecutor`](crate::ExchangeExecutor) — replays exactly
 /// these tables; [`StepSchedule::accesses`] streams them to the
@@ -411,9 +402,6 @@ pub struct StepSchedule {
     /// Index of the final stage (the single writer of the advected
     /// output).
     final_stage: usize,
-    /// Domain cells no final-stage write covers (empty for covering
-    /// partitions); re-zeroed in the output buffer at swap time.
-    out_gaps: Vec<Region3>,
     /// See [`StepSchedule::stage_synchronous`].
     stage_sync: bool,
 }
@@ -485,8 +473,6 @@ pub(crate) struct StepPlan {
     /// `run`'s current-input buffer (`x` of the step being computed).
     cur: DisjointCell<Array3>,
     /// The shared output buffer all teams write disjoint parts of.
-    ///
-    /// Invariant between steps: cells in `out_gaps` are zero.
     out: DisjointCell<Array3>,
     /// The full-domain intermediates every team of a stage-synchronous
     /// plan reads and writes (`None` otherwise: the teams' stores hold
@@ -501,67 +487,6 @@ impl fmt::Debug for StepPlan {
             .field("schedule", &self.schedule)
             .finish_non_exhaustive()
     }
-}
-
-/// Removes `cut` from every region of `from`.
-fn subtract_all(from: Vec<Region3>, cut: Region3) -> Vec<Region3> {
-    from.into_iter().flat_map(|r| r.subtract(cut)).collect()
-}
-
-/// The scratch cells a team reads before any same-step write covers
-/// them — mirror of the analyzer's `uncovered-read` rule, restricted to
-/// intermediate fields (externals are inputs; the output is written,
-/// never read). Regions are clamped to `hull`, the extent of the
-/// team's scratch buffers.
-fn uncovered_reads(
-    graph: &StageGraph,
-    epochs: &[EpochPlan],
-    hull: Region3,
-    domain: Region3,
-) -> Vec<(FieldId, Region3)> {
-    // Coverage is checked at *epoch* granularity: an epoch's units
-    // slice `ep.region` contiguously along one axis, and halo
-    // expansion distributes over a contiguous split, so the union of
-    // the per-unit read hulls is exactly the epoch-region read hull —
-    // same gap cells, far fewer region subtractions. Writes are
-    // bucketed per field so each read only scans its own field's
-    // history instead of one flat list (this analysis used to dominate
-    // the first-step cost of whole-domain fused plans).
-    let mut written: Vec<Vec<Region3>> = vec![Vec::new(); graph.fields().len()];
-    let mut gaps: Vec<(FieldId, Region3)> = Vec::new();
-    for ep in epochs {
-        let st = &graph.stages()[ep.stage];
-        if ep.region.is_empty() {
-            continue;
-        }
-        for (f, pat) in &st.inputs {
-            if graph.fields().role(*f) != FieldRole::Intermediate {
-                continue;
-            }
-            let read = ep
-                .region
-                .expand(pat.halo())
-                .intersect(domain)
-                .intersect(hull);
-            let mut remaining = vec![read];
-            for &wr in &written[f.index()] {
-                remaining = subtract_all(remaining, wr);
-                if remaining.is_empty() {
-                    break;
-                }
-            }
-            gaps.extend(remaining.into_iter().map(|g| (*f, g)));
-        }
-        // Merge writes only after the epoch's reads: a same-epoch
-        // write→read pair has no fence between them, so it cannot
-        // provide coverage (matching the analyzer).
-        if !ep.is_final {
-            for &o in &st.outputs {
-                written[o.index()].push(ep.region);
-            }
-        }
-    }
-    gaps
 }
 
 /// The per-fused-step targets for one island: index `k-1` is the
@@ -602,8 +527,8 @@ fn rank_axis_of<'a>(mut regions: impl Iterator<Item = &'a Region3>) -> Axis {
 }
 
 /// Builds one tile's chain table: per-stage compute regions from the
-/// backward requirement analysis, the scratch footprints the rank store
-/// is rebased to, and the chain-coverage obligations.
+/// backward requirement analysis and the scratch footprints the rank
+/// store is rebased to.
 fn plan_tile(
     graph: &StageGraph,
     xout: FieldId,
@@ -616,7 +541,6 @@ fn plan_tile(
     // Scratch footprint per field = the producing stage's region, which
     // (by the backward requirement invariant) contains every later read
     // of the field clipped to the domain.
-    let mut scratch: Vec<Region3> = vec![Region3::empty(); graph.fields().len()];
     let mut field_regions = Vec::new();
     let mut stage_extra = vec![0u64; regs.len()];
     for st in graph.stages() {
@@ -631,66 +555,25 @@ fn plan_tile(
         }
         for &o in &st.outputs {
             if o != xout {
-                scratch[o.index()] = r;
                 field_regions.push((o, r));
             }
         }
     }
-    // Chain coverage: the chain is serial on one rank, so each stage's
-    // writes are visible to every later stage — merge after *each*
-    // stage (unlike the epoch analysis, which merges only across
-    // barrier fences). Rebased scratch holds stale cells of the
-    // previous tile, not zeros, so any read the chain's own writes do
-    // not cover must be zeroed first. Empty for the real MPDATA graphs:
-    // the requirement regions cover every read by construction.
-    let mut written: Vec<Vec<Region3>> = vec![Vec::new(); graph.fields().len()];
-    let mut must_zero = Vec::new();
-    for st in graph.stages() {
-        let r = regs[st.id.index()];
-        if r.is_empty() {
-            continue;
-        }
-        for (f, pat) in &st.inputs {
-            if graph.fields().role(*f) != FieldRole::Intermediate {
-                continue;
-            }
-            let read = r.expand(pat.halo()).intersect(domain);
-            debug_assert!(
-                scratch[f.index()].contains_region(read),
-                "tile chain read escapes the rebased scratch footprint"
-            );
-            let mut remaining = vec![read.intersect(scratch[f.index()])];
-            for &wr in &written[f.index()] {
-                remaining = subtract_all(remaining, wr);
-                if remaining.is_empty() {
-                    break;
-                }
-            }
-            must_zero.extend(remaining.into_iter().map(|g| (*f, g)));
-        }
-        for &o in &st.outputs {
-            if o != xout {
-                written[o.index()].push(r);
-            }
-        }
-    }
     TileTask {
-        tile,
         stage_regions: regs,
         field_regions,
-        must_zero,
         stage_extra,
     }
 }
 
 impl StepSchedule {
     /// Derives the schedule: per-island and per-fused-step blocking (or
-    /// tile grids), epoch tables with precomputed unit slices, scratch
-    /// footprints and the refill/coverage facts. `parts` holds one part
-    /// per team (empty parts allowed — surplus islands idle) and is
-    /// taken as given: the disjoint-cover check lives with the
-    /// executor's partition, so the prover can be fed seeded-bad parts.
-    /// `team_sizes` holds the rank count of each team.
+    /// tile grids), one record per epoch and the scratch footprints.
+    /// `parts` holds one part per team (empty parts allowed — surplus
+    /// islands idle) and is taken as given: the disjoint-cover check
+    /// lives with the executor's partition, so the prover can be fed
+    /// seeded-bad parts. `team_sizes` holds the rank count of each
+    /// team.
     ///
     /// # Errors
     ///
@@ -768,51 +651,31 @@ impl StepSchedule {
         // is recomputation some island performs anyway.
         let base_regions = graph.required_regions(domain, domain);
         // Appends one epoch per stage of block `b` of fused step `ts`,
-        // stage `s` sweeping `regions[s]` cut into `n_units` unit slices
-        // along the team's axis, and takes the sweeps that write the
-        // shared output out of its gaps.
-        let push_block = |team: &mut TeamSchedule,
-                          out_gaps: &mut Vec<Region3>,
-                          (ts, b): (usize, usize),
-                          part: Region3,
-                          n_units: usize,
-                          regions: &[Region3]| {
+        // stage `s` sweeping `regions[s]`.
+        let push_block = |team: &mut TeamSchedule, (ts, b): (usize, usize), regions: &[Region3]| {
             for (s, st) in graph.stages().iter().enumerate() {
-                let region = regions[st.id.index()];
-                let is_final = s == final_stage;
-                // Only the last fused step writes the shared output
-                // buffer.
-                if is_final && ts + 1 == k {
-                    *out_gaps = subtract_all(std::mem::take(out_gaps), region);
-                }
-                let units: Vec<Region3> = (0..n_units)
-                    .map(|u| rank_slice(region, team.axis, u, n_units))
-                    .collect();
-                let needed = part.intersect(base_regions[st.id.index()]);
-                let units_extra = units
-                    .iter()
-                    .map(|&mine| (mine.cells() - mine.intersect(needed).cells()) as u64)
-                    .collect();
                 team.epochs.push(EpochPlan {
                     stage: s,
                     kind: stage_kinds[s],
-                    is_final,
+                    is_final: s == final_stage,
                     step: ts.min(usize::from(u16::MAX)) as u16,
                     block: b.min(usize::from(u16::MAX)) as u16,
-                    region,
-                    units,
-                    units_extra,
+                    region: regions[st.id.index()],
                 });
             }
         };
         let mut teams = Vec::with_capacity(parts.len());
-        let mut out_gaps = vec![domain];
         for (&part, &size) in parts.iter().zip(team_sizes) {
             let mut team = TeamSchedule {
                 axis: knobs.split_axis.unwrap_or(Axis::J),
+                n_units: knobs.schedule.units_for(size),
                 epochs: Vec::new(),
+                needed: graph
+                    .stages()
+                    .iter()
+                    .map(|st| part.intersect(base_regions[st.id.index()]))
+                    .collect(),
                 step_bounds: vec![(0, 0); k],
-                must_zero: Vec::new(),
                 scratch: Region3::empty(),
                 windows: Vec::new(),
                 ranks: size,
@@ -827,9 +690,7 @@ impl StepSchedule {
                 if knobs.split_axis.is_none() {
                     team.axis = rank_axis_of(std::iter::once(&part));
                 }
-                let whole = vec![part; graph.stages().len()];
-                let n_units = knobs.schedule.units_for(size);
-                push_block(&mut team, &mut out_gaps, (0, 0), part, n_units, &whole);
+                push_block(&mut team, (0, 0), &vec![part; graph.stages().len()]);
                 team.step_bounds[0] = (0, team.epochs.len());
                 teams.push(team);
                 continue;
@@ -843,22 +704,11 @@ impl StepSchedule {
                 // Tiled: cut each fused-step target into the balanced
                 // (i, j) tile grid and table the whole chain per tile;
                 // no wavefront blocking and no shared scratch.
-                for (ts, &sp) in step_parts.iter().enumerate() {
-                    let mut tasks = Vec::new();
-                    for tile in tile_grid(sp, (ti, tj)) {
-                        let task = plan_tile(graph, xout, tile, part, domain, &base_regions);
-                        // Only the last fused step writes the shared
-                        // output buffer. The final-stage requirement
-                        // region of a tile is the tile itself, which is
-                        // what makes concurrent output writes disjoint.
-                        if ts + 1 == k {
-                            let written =
-                                task.stage_regions[graph.stages()[final_stage].id.index()];
-                            debug_assert_eq!(written, task.tile);
-                            out_gaps = subtract_all(out_gaps, written);
-                        }
-                        tasks.push(task);
-                    }
+                for &sp in &step_parts {
+                    let tasks = tile_grid(sp, (ti, tj))
+                        .into_iter()
+                        .map(|tile| plan_tile(graph, xout, tile, part, domain, &base_regions))
+                        .collect();
                     team.tiles.push(tasks);
                 }
                 let mut widest: Vec<Option<(FieldId, Region3)>> = vec![None; graph.fields().len()];
@@ -874,7 +724,6 @@ impl StepSchedule {
             } else {
                 // One wavefront blocking per fused step; the scratch
                 // spans the union of their hulls.
-                let n_units = knobs.schedule.units_for(size);
                 let mut reach = vec![0; graph.fields().len()];
                 let planner = BlockPlanner::new(knobs.cache_bytes);
                 let blockings = step_parts
@@ -892,39 +741,16 @@ impl StepSchedule {
                     }
                     let start = team.epochs.len();
                     for (b, block) in blocking.blocks.iter().enumerate() {
-                        let regions = &block.stage_regions;
-                        push_block(&mut team, &mut out_gaps, (ts, b), part, n_units, regions);
+                        push_block(&mut team, (ts, b), &block.stage_regions);
                     }
                     team.step_bounds[ts] = (start, team.epochs.len());
                 }
-                // The refill reruns before *every* fused step, so the
-                // coverage analysis is per fused step (each step must
-                // cover its own scratch reads — stale values from the
-                // previous fused step are zeroed first, exactly like a
-                // fresh store).
-                for &(lo, hi) in &team.step_bounds {
-                    team.must_zero.extend(uncovered_reads(
-                        graph,
-                        &team.epochs[lo..hi],
-                        team.scratch,
-                        domain,
-                    ));
-                }
                 // One window per scratch field, as deep as the deepest
-                // reach-back of any fused step's blocking. A schedule
-                // that needs the refill reads planes no write frontier
-                // accounts for (and the refill writes them out of sweep
-                // order), so it keeps every plane of the hull: the
-                // plain array.
+                // reach-back of any fused step's blocking.
                 let depth = team.scratch.i.len();
                 let outputs = graph.stages().iter().flat_map(|st| &st.outputs);
                 for &o in outputs.filter(|&&o| o != xout) {
-                    let planes = if team.must_zero.is_empty() {
-                        reach[o.index()].clamp(1, depth)
-                    } else {
-                        depth
-                    };
-                    team.windows.push((o, planes));
+                    team.windows.push((o, reach[o.index()].clamp(1, depth)));
                 }
             }
             if k > 1 {
@@ -939,7 +765,6 @@ impl StepSchedule {
             teams,
             stage_kinds,
             final_stage,
-            out_gaps,
             stage_sync,
         })
     }
@@ -1070,12 +895,9 @@ impl StepSchedule {
     /// functions the replay resolves its buffers with — so a consumer
     /// proves the routing that runs, not a model of it.
     ///
-    /// Not streamed: the `must_zero` refill writes (a schedule that
-    /// needs them — none of the MPDATA graphs does — therefore shows
-    /// reads no streamed write covers), and the shorter tail replays,
-    /// which perform a subset of these accesses except that their first
-    /// section reads the read-only shared input where the full table
-    /// reads an x slot.
+    /// Not streamed: the shorter tail replays, which perform a subset of
+    /// these accesses except that their first section reads the
+    /// read-only shared input where the full table reads an x slot.
     pub fn accesses(&self) -> Vec<Access> {
         let graph = self.problem.graph();
         let x = self.problem.ext().x;
@@ -1123,7 +945,8 @@ impl StepSchedule {
         };
         for (team, t) in self.teams.iter().enumerate() {
             for (epoch, ep) in t.epochs.iter().enumerate() {
-                for (slot, &region) in ep.units.iter().enumerate() {
+                for slot in 0..t.n_units {
+                    let region = rank_slice(ep.region, t.axis, slot, t.n_units);
                     let at = Access {
                         team,
                         epoch,
@@ -1205,7 +1028,7 @@ impl StepPlan {
                     queues: team
                         .epochs
                         .iter()
-                        .filter_map(|ep| queue(ep.units.len()))
+                        .filter_map(|_| queue(team.n_units))
                         .collect(),
                     tile_queues: team
                         .tiles
@@ -1317,9 +1140,8 @@ impl StepPlan {
     /// Replays one fused epoch of `epoch_len ∈ 1..=k` time steps for
     /// the calling worker's team — the *last* `epoch_len` fused-step
     /// sections of the table, so a tail epoch keeps each section's halo
-    /// enlargement exact. Per fused step: scratch refill (rank 0, only
-    /// when the coverage analysis demands it), then every `(block,
-    /// stage)` epoch fenced by [`StepPlan::fence`]; the team barrier
+    /// enlargement exact. Per fused step, every `(block, stage)` epoch
+    /// fenced by [`StepPlan::fence`]; the team barrier
     /// ending one fused step fences its x-slot writes from the next
     /// step's reads. `base_step` numbers the trace spans, so per-step
     /// attribution survives fusion. Allocation-free in release builds —
@@ -1344,29 +1166,8 @@ impl StepPlan {
         let first_ts = k - epoch_len;
         let bufs = &self.teams[ctx.team];
         let store = self.shared.as_ref().unwrap_or(&bufs.store);
-        let stages = sched.problem.graph().stages();
         for ts in first_ts..k {
             islands_trace::set_step(base_step + (ts - first_ts) as u32);
-            if !team.must_zero.is_empty() {
-                if ctx.rank == 0 {
-                    let t0 = islands_trace::now();
-                    for &(f, r) in &team.must_zero {
-                        store.zero_region(f, r);
-                    }
-                    if let Some(t0) = t0 {
-                        islands_trace::record(
-                            islands_trace::SpanKind::Refill,
-                            t0,
-                            islands_trace::now_ns(),
-                            0,
-                            0,
-                            [0; 3],
-                        );
-                    }
-                }
-                // Publish the refill to the other ranks.
-                ctx.team_barrier();
-            }
             let (step_ext, _slot_read) = self.step_inputs(bufs, ext, ts, first_ts);
             let dest = self.final_dest(bufs, ts);
             let (lo, hi) = team.step_bounds[ts];
@@ -1374,7 +1175,7 @@ impl StepPlan {
                 SchedulePolicy::Static => {
                     for ep in &team.epochs[lo..hi] {
                         // Static: unit index = rank, exactly one per epoch.
-                        self.run_unit(ep, &stages[ep.stage], store, ctx.rank, step_ext, dest);
+                        self.run_unit(team, ep, store, ctx.rank, step_ext, dest);
                         self.fence(ctx, ep);
                     }
                 }
@@ -1385,7 +1186,7 @@ impl StepPlan {
                         // chunks are pairwise disjoint and the epoch still
                         // ends at the same fence.
                         while let Some(u) = q.claim() {
-                            self.run_unit(ep, &stages[ep.stage], store, u, step_ext, dest);
+                            self.run_unit(team, ep, store, u, step_ext, dest);
                         }
                         self.fence(ctx, ep);
                     }
@@ -1459,9 +1260,9 @@ impl StepPlan {
 
     /// Runs one tile's whole stage chain on `store` (the calling rank's
     /// private scratch): rebase every scratch field to the tile
-    /// footprint, zero the (normally empty) uncovered reads, then apply
-    /// each stage over its requirement region — the final stage straight
-    /// into `dest`, everything else into the rebased scratch.
+    /// footprint, then apply each stage over its requirement region —
+    /// the final stage straight into `dest`, everything else into the
+    /// rebased scratch.
     #[inline]
     fn run_tile(
         &self,
@@ -1475,9 +1276,6 @@ impl StepPlan {
         let (domain, bc) = (sched.domain, sched.problem.boundary());
         for &(f, r) in &task.field_regions {
             store.rebase(f, r);
-        }
-        for &(f, r) in &task.must_zero {
-            store.zero_region(f, r);
         }
         for (s, st) in sched.problem.graph().stages().iter().enumerate() {
             let mine = task.stage_regions[st.id.index()];
@@ -1509,22 +1307,23 @@ impl StepPlan {
         }
     }
 
-    /// Executes one work unit of one epoch: the kernel over the unit's
-    /// slice, routed to the scratch store or (for final stages) `dest`
-    /// — the step's x output buffer — with the kernel trace span
-    /// attached.
+    /// Executes one work unit of one epoch of `team`: the kernel over
+    /// the unit's slice, routed to the scratch store or (for final
+    /// stages) `dest` — the step's x output buffer — with the kernel
+    /// trace span attached.
     #[inline]
     fn run_unit(
         &self,
+        team: &TeamSchedule,
         ep: &EpochPlan,
-        st: &StageDef,
         store: &ParStore,
         unit: usize,
         ext: ExtFields<'_>,
         dest: &DisjointCell<Array3>,
     ) {
         let (domain, bc) = (self.schedule.domain, self.schedule.problem.boundary());
-        let mine = ep.units[unit];
+        let st = &self.schedule.problem.graph().stages()[ep.stage];
+        let mine = rank_slice(ep.region, team.axis, unit, team.n_units);
         let t0 = if mine.is_empty() {
             None
         } else {
@@ -1546,13 +1345,14 @@ impl StepPlan {
             store.apply(st, ep.kind, domain, bc, mine, ext);
         }
         if let Some(t0) = t0 {
+            let redundant = mine.cells() - mine.intersect(team.needed[ep.stage]).cells();
             islands_trace::record(
                 islands_trace::SpanKind::Kernel,
                 t0,
                 islands_trace::now_ns(),
                 ep.stage.min(usize::from(u16::MAX)) as u16,
                 ep.block,
-                [mine.cells() as u64, ep.units_extra[unit], 0],
+                [mine.cells() as u64, redundant as u64, 0],
             );
         }
     }
@@ -1569,11 +1369,11 @@ impl StepPlan {
     }
 
     /// One time step: lend the plan a fresh zeroed output buffer,
-    /// replay, and hand the buffer back. The persistent `out` buffer
-    /// (and its gap invariant) is untouched, so `step` and `run` calls
-    /// interleave freely. On a fused plan this replays the one-section
-    /// tail (the unenlarged last fused step), so a single `step` stays
-    /// bit-identical for every fuse depth.
+    /// replay, and hand the buffer back. The persistent `out` buffer is
+    /// untouched, so `step` and `run` calls interleave freely. On a
+    /// fused plan this replays the one-section tail (the unenlarged last
+    /// fused step), so a single `step` stays bit-identical for every
+    /// fuse depth.
     pub(crate) fn step(
         &mut self,
         pool: &WorkerPool,
@@ -1644,14 +1444,7 @@ impl StepPlan {
                     // global barriers; the serial worker has exclusive
                     // access to both buffers.
                     unsafe { std::mem::swap(plan.cur.get_mut(), plan.out.get_mut()) };
-                    // The next epoch's output buffer is the old input: its
-                    // gap cells (never written by final stages) carry stale
-                    // values and must read as zero, like a fresh buffer.
-                    let out_arr = unsafe { plan.out.get_mut() };
-                    for &g in &plan.schedule.out_gaps {
-                        zero_region_of(out_arr, g);
-                    }
-                    // Refill the self-scheduling queues for the next epoch
+                    // Rewind the self-scheduling queues for the next epoch
                     // while every other worker is parked between the two
                     // global barriers (the release of the second barrier
                     // publishes the relaxed stores).
@@ -1673,16 +1466,5 @@ impl StepPlan {
             }
         });
         std::mem::swap(&mut fields.x, self.cur.get_mut_exclusive());
-    }
-}
-
-/// Zeroes `region` of `arr` in place.
-fn zero_region_of(arr: &mut Array3, region: Region3) {
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            for v in arr.row_mut(i, j, region.k) {
-                *v = 0.0;
-            }
-        }
     }
 }

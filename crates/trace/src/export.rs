@@ -99,7 +99,7 @@ type IslandCounter = (
 /// is non-finite — the same strictness contract as the JSON path.
 pub fn prometheus(s: &RegistrySnapshot) -> Result<String, NonFiniteError> {
     let mut out = String::new();
-    let island_counters: [IslandCounter; 8] = [
+    let island_counters: [IslandCounter; 10] = [
         (
             "islands_kernel_ns_total",
             "Kernel (stencil sweep) time per island, ns",
@@ -116,14 +116,24 @@ pub fn prometheus(s: &RegistrySnapshot) -> Result<String, NonFiniteError> {
             |i| i.global_barrier_ns,
         ),
         (
+            "islands_spin_ns_total",
+            "Barrier wait spent spinning per island, ns",
+            |i| i.spin_ns,
+        ),
+        (
+            "islands_yield_ns_total",
+            "Barrier wait spent yielding per island, ns",
+            |i| i.yield_ns,
+        ),
+        (
+            "islands_park_ns_total",
+            "Barrier wait spent parked per island, ns",
+            |i| i.park_ns,
+        ),
+        (
             "islands_swap_ns_total",
             "Serial swap time per island, ns",
             |i| i.swap_ns,
-        ),
-        (
-            "islands_refill_ns_total",
-            "Plan refill time per island, ns",
-            |i| i.refill_ns,
         ),
         (
             "islands_computed_cells_total",
@@ -291,8 +301,10 @@ pub fn json_snapshot(s: &RegistrySnapshot) -> Json {
                     "global_barrier_ns".into(),
                     Json::Num(i.global_barrier_ns as f64),
                 ),
+                ("spin_ns".into(), Json::Num(i.spin_ns as f64)),
+                ("yield_ns".into(), Json::Num(i.yield_ns as f64)),
+                ("park_ns".into(), Json::Num(i.park_ns as f64)),
                 ("swap_ns".into(), Json::Num(i.swap_ns as f64)),
-                ("refill_ns".into(), Json::Num(i.refill_ns as f64)),
                 ("computed_cells".into(), Json::Num(i.computed_cells as f64)),
                 (
                     "redundant_cells".into(),

@@ -136,10 +136,8 @@ pub enum SpanKind {
     /// Wait at the once-per-step global barrier. Same `aux` contract
     /// as [`SpanKind::TeamBarrier`].
     GlobalBarrier,
-    /// Serial buffer swap + halo-gap re-zero between time steps.
+    /// Serial buffer swap between time steps.
     Swap,
-    /// One-time refill/zero of plan scratch state before stepping.
-    Refill,
     /// A whole pool broadcast, recorded on the caller thread
     /// (island = [`NO_ISLAND`]). `aux = [workers, 0, 0]`.
     Dispatch,
@@ -153,7 +151,6 @@ impl SpanKind {
             SpanKind::TeamBarrier => "team_barrier",
             SpanKind::GlobalBarrier => "global_barrier",
             SpanKind::Swap => "swap",
-            SpanKind::Refill => "refill",
             SpanKind::Dispatch => "dispatch",
         }
     }
@@ -218,8 +215,7 @@ impl Event {
             1 => SpanKind::TeamBarrier,
             2 => SpanKind::GlobalBarrier,
             3 => SpanKind::Swap,
-            4 => SpanKind::Refill,
-            5 => SpanKind::Dispatch,
+            4 => SpanKind::Dispatch,
             _ => SpanKind::Kernel,
         };
         Event {
@@ -750,7 +746,6 @@ mod tests {
             SpanKind::TeamBarrier,
             SpanKind::GlobalBarrier,
             SpanKind::Swap,
-            SpanKind::Refill,
             SpanKind::Dispatch,
         ];
         for kind in kinds {
@@ -767,7 +762,7 @@ mod tests {
             };
             assert_eq!(Event::decode(ev.encode()), ev);
         }
-        for word in [6, 7, u64::MAX] {
+        for word in [5, 6, u64::MAX] {
             let mut w = [0; EVENT_WORDS];
             w[0] = word;
             assert_eq!(Event::decode(w).kind, SpanKind::Kernel, "kind word {word}");
@@ -833,11 +828,11 @@ mod tests {
     #[test]
     fn sessions_are_isolated() {
         let s1 = Session::start();
-        span(SpanKind::Refill, 1, 2);
+        span(SpanKind::Swap, 1, 2);
         assert_eq!(s1.finish().events.len(), 1);
         let s2 = Session::start();
-        span(SpanKind::Refill, 3, 4);
-        span(SpanKind::Refill, 5, 6);
+        span(SpanKind::Swap, 3, 4);
+        span(SpanKind::Swap, 5, 6);
         let d = s2.finish();
         // Events from session 1 were cleared.
         assert_eq!(d.events.len(), 2);

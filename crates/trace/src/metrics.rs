@@ -33,10 +33,8 @@ pub struct IslandMetrics {
     pub yield_ns: u64,
     /// Barrier wait spent parked on a condvar (subset).
     pub park_ns: u64,
-    /// Serial buffer swap + gap re-zero time.
+    /// Serial buffer swap time.
     pub swap_ns: u64,
-    /// Plan scratch refill/zero time.
-    pub refill_ns: u64,
     /// Cells computed by kernel sweeps.
     pub computed_cells: u64,
     /// Of those, cells outside the island's own partition — the
@@ -53,7 +51,7 @@ impl IslandMetrics {
 
     /// Worker time accounted to *any* phase.
     pub fn accounted_ns(&self) -> u64 {
-        self.kernel_ns + self.barrier_wait_ns() + self.swap_ns + self.refill_ns
+        self.kernel_ns + self.barrier_wait_ns() + self.swap_ns
     }
 
     fn absorb(&mut self, kind: SpanKind, dur_ns: u64, aux: [u64; 3]) {
@@ -76,7 +74,6 @@ impl IslandMetrics {
                 self.park_ns += aux[2];
             }
             SpanKind::Swap => self.swap_ns += dur_ns,
-            SpanKind::Refill => self.refill_ns += dur_ns,
             SpanKind::Dispatch => {}
         }
     }
@@ -90,7 +87,6 @@ impl IslandMetrics {
         self.yield_ns += other.yield_ns;
         self.park_ns += other.park_ns;
         self.swap_ns += other.swap_ns;
-        self.refill_ns += other.refill_ns;
         self.computed_cells += other.computed_cells;
         self.redundant_cells += other.redundant_cells;
     }
@@ -365,7 +361,6 @@ impl RunMetrics {
                             ("yield_ns".into(), num(m.yield_ns)),
                             ("park_ns".into(), num(m.park_ns)),
                             ("swap_ns".into(), num(m.swap_ns)),
-                            ("refill_ns".into(), num(m.refill_ns)),
                             ("computed_cells".into(), num(m.computed_cells)),
                             ("redundant_cells".into(), num(m.redundant_cells)),
                         ])
@@ -516,7 +511,7 @@ impl RunMetrics {
         ));
         out.push_str(
             "island workers kernel_ms team_bar_ms glob_bar_ms  spin_ms yield_ms  park_ms  \
-             swap_ms refill_ms      cells  redundant\n",
+             swap_ms      cells  redundant\n",
         );
         for m in self.totals() {
             let island = if m.island == NO_ISLAND {
@@ -526,7 +521,7 @@ impl RunMetrics {
             };
             out.push_str(&format!(
                 "{island:>6} {:>7} {:>9.3} {:>11.3} {:>11.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} \
-                 {:>9.3} {:>10} {:>10}\n",
+                 {:>10} {:>10}\n",
                 m.workers,
                 ms(m.kernel_ns),
                 ms(m.team_barrier_ns),
@@ -535,7 +530,6 @@ impl RunMetrics {
                 ms(m.yield_ns),
                 ms(m.park_ns),
                 ms(m.swap_ns),
-                ms(m.refill_ns),
                 m.computed_cells,
                 m.redundant_cells,
             ));

@@ -72,10 +72,14 @@ pub struct IslandSlot {
     pub team_barrier_ns: PadCounter,
     /// Global-barrier wait time.
     pub global_barrier_ns: PadCounter,
+    /// Barrier wait spent busy-spinning (barrier `aux[0]`).
+    pub spin_ns: PadCounter,
+    /// Barrier wait spent in `yield_now` (barrier `aux[1]`).
+    pub yield_ns: PadCounter,
+    /// Barrier wait spent parked (barrier `aux[2]`).
+    pub park_ns: PadCounter,
     /// Serial swap time.
     pub swap_ns: PadCounter,
-    /// Plan refill time.
-    pub refill_ns: PadCounter,
     /// Cells computed (kernel `aux[0]`).
     pub computed_cells: PadCounter,
     /// Redundant halo cells recomputed (kernel `aux[1]`).
@@ -97,10 +101,14 @@ pub struct IslandSnapshot {
     pub team_barrier_ns: u64,
     /// Global-barrier wait time.
     pub global_barrier_ns: u64,
+    /// Barrier wait spent busy-spinning.
+    pub spin_ns: u64,
+    /// Barrier wait spent in `yield_now`.
+    pub yield_ns: u64,
+    /// Barrier wait spent parked.
+    pub park_ns: u64,
     /// Serial swap time.
     pub swap_ns: u64,
-    /// Plan refill time.
-    pub refill_ns: u64,
     /// Cells computed.
     pub computed_cells: u64,
     /// Redundant halo cells recomputed.
@@ -181,16 +189,19 @@ impl MetricsRegistry {
                 slot.redundant_cells.add(ev.aux[1]);
                 self.kernel_span_ns.record(ev.dur_ns);
             }
-            SpanKind::TeamBarrier => {
-                slot.team_barrier_ns.add(ev.dur_ns);
-                self.barrier_span_ns.record(ev.dur_ns);
-            }
-            SpanKind::GlobalBarrier => {
-                slot.global_barrier_ns.add(ev.dur_ns);
+            SpanKind::TeamBarrier | SpanKind::GlobalBarrier => {
+                let wait = if ev.kind == SpanKind::TeamBarrier {
+                    &slot.team_barrier_ns
+                } else {
+                    &slot.global_barrier_ns
+                };
+                wait.add(ev.dur_ns);
+                slot.spin_ns.add(ev.aux[0]);
+                slot.yield_ns.add(ev.aux[1]);
+                slot.park_ns.add(ev.aux[2]);
                 self.barrier_span_ns.record(ev.dur_ns);
             }
             SpanKind::Swap => slot.swap_ns.add(ev.dur_ns),
-            SpanKind::Refill => slot.refill_ns.add(ev.dur_ns),
             SpanKind::Dispatch => unreachable!("handled above"),
         }
     }
@@ -225,8 +236,10 @@ impl MetricsRegistry {
                 kernel_ns: s.kernel_ns.get(),
                 team_barrier_ns: s.team_barrier_ns.get(),
                 global_barrier_ns: s.global_barrier_ns.get(),
+                spin_ns: s.spin_ns.get(),
+                yield_ns: s.yield_ns.get(),
+                park_ns: s.park_ns.get(),
                 swap_ns: s.swap_ns.get(),
-                refill_ns: s.refill_ns.get(),
                 computed_cells: s.computed_cells.get(),
                 redundant_cells: s.redundant_cells.get(),
                 workers: s.workers.get(),
@@ -350,6 +363,53 @@ mod tests {
         assert_eq!(s.events_folded, 4);
         assert_eq!(s.kernel_span_ns.count, 1);
         assert_eq!(s.barrier_span_ns.count, 1);
+    }
+
+    #[test]
+    fn live_fold_matches_the_post_hoc_fold() {
+        // One span set through both folds: every per-island field the
+        // two share must agree — barrier spin/yield/park included.
+        let with_aux = |mut t: TaggedEvent, aux| {
+            t.ev.aux = aux;
+            t
+        };
+        let events = vec![
+            with_aux(tagged(SpanKind::Kernel, 0, 1, 0, 100, 0), [640, 40, 0]),
+            tagged(SpanKind::Kernel, 1, 0, 0, 70, 500),
+            with_aux(tagged(SpanKind::TeamBarrier, 0, 0, 0, 30, 0), [10, 15, 5]),
+            with_aux(tagged(SpanKind::TeamBarrier, 0, 1, 1, 12, 0), [12, 0, 0]),
+            with_aux(tagged(SpanKind::GlobalBarrier, 1, 0, 1, 50, 0), [5, 5, 40]),
+            tagged(SpanKind::Swap, 0, 0, 1, 9, 0),
+            tagged(SpanKind::Dispatch, NO_ISLAND, 0, 0, 200, 2),
+        ];
+        let r = MetricsRegistry::new(4);
+        for t in &events {
+            r.absorb(t);
+        }
+        let live: Vec<_> = r
+            .snapshot()
+            .islands
+            .iter()
+            .map(|i| {
+                let phases = [i.kernel_ns, i.team_barrier_ns, i.global_barrier_ns];
+                let waits = [i.spin_ns, i.yield_ns, i.park_ns, i.swap_ns];
+                let cells = [i.computed_cells, i.redundant_cells];
+                (i.island, i.workers, phases, waits, cells)
+            })
+            .collect();
+        let drained = crate::Drained { events, dropped: 0 };
+        let post: Vec<_> = crate::metrics::RunMetrics::aggregate(&drained)
+            .totals()
+            .iter()
+            .map(|m| {
+                let phases = [m.kernel_ns, m.team_barrier_ns, m.global_barrier_ns];
+                let waits = [m.spin_ns, m.yield_ns, m.park_ns, m.swap_ns];
+                let cells = [m.computed_cells, m.redundant_cells];
+                (m.island, u64::from(m.workers), phases, waits, cells)
+            })
+            .collect();
+        assert_eq!(live, post);
+        assert_eq!(live[0].3, [22, 15, 5, 9]);
     }
 
     #[test]

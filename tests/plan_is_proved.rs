@@ -12,14 +12,15 @@
 //! and `rank_axis` must report the cut the unit slices really have. The
 //! paper's baselines, `OriginalExecutor` and `ExchangeExecutor`, are
 //! sampled the same way in their stage-synchronous shape — periodic
-//! boundaries included, which only that shape runs. A source-level
-//! test keeps the prover from growing a private copy of the schedule
-//! again.
+//! boundaries included, which only that shape runs. A prover-only
+//! list covers the corners the sampled runs do not reach. A
+//! source-level test keeps the prover from growing a private copy of
+//! the schedule again.
 
 use islands_analysis::{check_disjointness, lower};
 use mpdata::{
     random_fields, Boundary, ExchangeExecutor, IslandsExecutor, MpdataProblem, OriginalExecutor,
-    ReferenceExecutor, SchedulePolicy, StepSchedule, TileMode,
+    ReferenceExecutor, ScheduleKnobs, SchedulePolicy, StepSchedule, TileMode,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -231,6 +232,63 @@ fn stage_synchronous_baselines_run_bitwise_and_lint_clean() {
         "the samples should meet both baselines under both boundaries and idle \
          islands: {seen:?} [original, exchange] × [open, periodic], {idle} with idle islands"
     );
+}
+
+#[test]
+fn corner_schedules_lint_clean() {
+    // Corners the sampled runs above do not reach: the 4- and 30-stage
+    // graphs (iord 1 and 3), islands cut along K, single-cell and
+    // single-plane domains, and more teams than planes. The replay
+    // re-zeroes nothing, so each must prove covered as built: `[iord,
+    // ni, nj, nk, islands, ranks]`, islands cut along `axis`.
+    let cases: [([usize; 6], Axis); 8] = [
+        ([1, 5, 4, 3, 2, 2], Axis::I),
+        ([3, 6, 5, 4, 2, 2], Axis::J),
+        ([2, 6, 5, 4, 2, 2], Axis::K),
+        ([3, 4, 3, 5, 3, 1], Axis::K),
+        ([2, 1, 1, 1, 1, 1], Axis::I),
+        ([3, 1, 1, 1, 3, 2], Axis::J),
+        ([2, 2, 3, 1, 2, 3], Axis::J),
+        ([1, 2, 3, 1, 4, 2], Axis::I),
+    ];
+    let knobs = [
+        ScheduleKnobs::default(),
+        ScheduleKnobs {
+            split_axis: Some(Axis::K),
+            fuse_steps: 3,
+            ..ScheduleKnobs::default()
+        },
+        ScheduleKnobs {
+            schedule: SchedulePolicy::Dynamic { chunks_per_rank: 2 },
+            fuse_steps: 2,
+            ..ScheduleKnobs::default()
+        },
+        ScheduleKnobs {
+            tile: TileMode::Fixed { ti: 1, tj: 1 },
+            fuse_steps: 2,
+            ..ScheduleKnobs::default()
+        },
+    ];
+    for ([iord, ni, nj, nk, islands, ranks], axis) in cases {
+        let problem = MpdataProblem::with_iord(iord);
+        let domain = Region3::new(
+            Range1::new(-1, ni as i64 - 1),
+            Range1::new(2, 2 + nj as i64),
+            Range1::new(0, nk as i64),
+        );
+        let parts = domain.split(axis, islands);
+        for knobs in knobs {
+            let knobs = ScheduleKnobs {
+                cache_bytes: 48 * 1024,
+                ..knobs
+            };
+            let label = format!("iord {iord}, {domain:?}, {islands} × {ranks} along {axis:?}");
+            let sched = StepSchedule::build(&problem, domain, &parts, &vec![ranks; islands], knobs)
+                .unwrap_or_else(|e| panic!("{e} — {label}, {knobs:?}"));
+            let found = check_disjointness(&lower(&sched));
+            assert_eq!(found, vec![], "{label}, {knobs:?}");
+        }
+    }
 }
 
 /// Strips `//` comments (line and doc) so prose may name what code may
