@@ -1,14 +1,15 @@
 //! # work-scheduler
 //!
-//! Affinity-aware execution substrate for the islands-of-cores
-//! reproduction: a persistent [`WorkerPool`] of threads bound to logical
-//! CPUs of a modelled machine, grouped into [`TeamSpec`] work teams with
-//! private [`SenseBarrier`]s, plus the [`DisjointCell`] primitive that
-//! lets team ranks write disjoint regions of shared arrays.
+//! Execution substrate for the islands-of-cores reproduction: a
+//! persistent [`WorkerPool`] of threads, grouped into [`TeamSpec`] work
+//! teams with private [`SenseBarrier`]s, plus the [`DisjointCell`]
+//! primitive that lets team ranks write disjoint regions of shared
+//! arrays.
 //!
 //! The design mirrors the paper's proprietary scheduler: threads are
-//! created once and pinned (here: logically, driving the NUMA model);
-//! all work distribution, synchronization, and data placement decisions
+//! created once (the paper also pins them to cores; here they are
+//! ordinary host threads, and NUMA placement lives in `numa-sim`); all
+//! work distribution, synchronization, and data placement decisions
 //! are made by the library rather than by an OpenMP runtime.
 //!
 //! ## Example: islands synchronize only at step end
@@ -37,7 +38,6 @@
 // `DisjointCell`, and the initialized-prefix invariant of `InlineVec`.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod affinity;
 mod barrier;
 mod dynamic;
 mod inline_vec;
@@ -48,7 +48,6 @@ mod share;
 mod sync;
 mod team;
 
-pub use affinity::{AffinityMap, LogicalCpu};
 pub use barrier::{available_cores, spin_budget_for, BarrierScope, SenseBarrier};
 pub use dynamic::ChunkQueue;
 pub use inline_vec::InlineVec;

@@ -1,9 +1,9 @@
-//! A persistent pool of affinity-bound workers with scoped broadcasts.
+//! A persistent pool of workers with scoped broadcasts.
 //!
 //! The paper replaces OpenMP's worksharing with a proprietary scheduler
 //! that only uses OpenMP to create threads and pin them; all work
 //! distribution is explicit. [`WorkerPool`] plays that role here: it
-//! spawns one long-lived thread per logical CPU of the modelled machine
+//! spawns long-lived worker threads (ordinary, unpinned host threads)
 //! and executes *broadcasts* — a closure run once on every worker, with
 //! the pool guaranteeing completion before the call returns, so the
 //! closure may borrow from the caller's stack.
@@ -31,7 +31,6 @@
 //!    (`PoisonError::into_inner`) so one propagated panic cannot brick
 //!    subsequent broadcasts.
 
-use crate::affinity::{AffinityMap, LogicalCpu};
 use crate::sync::{Condvar, Mutex};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,8 +43,6 @@ use std::thread::JoinHandle;
 pub struct WorkerCtx {
     /// Dense worker index in `0..pool.len()`.
     pub worker: usize,
-    /// Logical CPU of the modelled machine this worker is bound to.
-    pub cpu: LogicalCpu,
 }
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -143,7 +140,6 @@ impl Drop for ArriveOnDrop {
 /// ```
 #[derive(Debug)]
 pub struct WorkerPool {
-    affinity: AffinityMap,
     senders: Vec<Sender<Task>>,
     handles: Vec<JoinHandle<()>>,
     /// Live telemetry collector, if attached (see
@@ -154,29 +150,20 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads bound compactly (worker `w` → CPU `w`).
+    /// Spawns `workers` threads.
     ///
     /// # Panics
     ///
     /// Panics if `workers == 0`.
     pub fn new(workers: usize) -> Self {
-        Self::with_affinity(AffinityMap::compact(workers))
-    }
-
-    /// Spawns one thread per entry of `affinity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map is empty.
-    pub fn with_affinity(affinity: AffinityMap) -> Self {
-        assert!(!affinity.is_empty(), "a pool needs at least one worker");
-        let mut senders = Vec::with_capacity(affinity.len());
-        let mut handles = Vec::with_capacity(affinity.len());
-        for (worker, cpu) in affinity.iter() {
+        assert!(workers > 0, "a pool needs at least one worker");
+        let mut senders = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
+        for worker in 0..workers {
             let (tx, rx) = channel::<Task>();
             senders.push(tx);
             let handle = std::thread::Builder::new()
-                .name(format!("worker-{worker}-{cpu}"))
+                .name(format!("worker-{worker}"))
                 .spawn(move || {
                     while let Ok(task) = rx.recv() {
                         // The worker must outlive any single task: a
@@ -191,7 +178,6 @@ impl WorkerPool {
             handles.push(handle);
         }
         WorkerPool {
-            affinity,
             senders,
             handles,
             #[cfg(not(feature = "model"))]
@@ -238,11 +224,6 @@ impl WorkerPool {
         self.senders.is_empty()
     }
 
-    /// The affinity map the pool was built with.
-    pub fn affinity(&self) -> &AffinityMap {
-        &self.affinity
-    }
-
     /// Runs `f` once on every worker and returns when all have finished.
     ///
     /// `f` may borrow from the caller because the call blocks until every
@@ -271,7 +252,7 @@ impl WorkerPool {
         // pattern with a latch in place of thread joins.
         let f_static: &'static (dyn Fn(WorkerCtx) + Sync) = unsafe { std::mem::transmute(f_ref) };
         let mut dead_worker = false;
-        for (worker, cpu) in self.affinity.iter() {
+        for worker in 0..self.len() {
             if dead_worker {
                 // A previous send failed; account for this never-sent
                 // task so `wait` below still terminates.
@@ -279,7 +260,7 @@ impl WorkerPool {
                 continue;
             }
             let latch_task = Arc::clone(&latch);
-            let ctx = WorkerCtx { worker, cpu };
+            let ctx = WorkerCtx { worker };
             let task: Task = Box::new(move || {
                 let mut guard = ArriveOnDrop {
                     latch: latch_task,
@@ -508,20 +489,6 @@ mod tests {
             });
             assert_eq!(t.load(Ordering::SeqCst), 6, "round {round}");
         }
-    }
-
-    #[test]
-    fn affinity_is_visible_in_ctx() {
-        use crate::affinity::LogicalCpu;
-        let pool =
-            WorkerPool::with_affinity(AffinityMap::explicit(vec![LogicalCpu(7), LogicalCpu(3)]));
-        let seen = std::sync::Mutex::new(Vec::new());
-        pool.broadcast(|ctx| {
-            seen.lock().unwrap().push((ctx.worker, ctx.cpu));
-        });
-        let mut v = seen.lock().unwrap().clone();
-        v.sort();
-        assert_eq!(v, vec![(0, LogicalCpu(7)), (1, LogicalCpu(3))]);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! a fixed array. This is what lets the release zero-allocation pin
 //! run with the collector live.
 
+use crate::metrics::bounds_step;
 use crate::registry::MetricsRegistry;
-use crate::{Ring, GENERATION, REGISTRY};
+use crate::{Event, Ring, GENERATION, REGISTRY};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -29,9 +30,10 @@ use std::time::Duration;
 const STEP_TRACK: usize = 16;
 
 /// Fixed-size tracker turning per-span (step, start, end) sightings
-/// into per-step wall durations. A step's duration is closed (recorded
-/// into the registry's step histogram) when the tracker evicts it for
-/// a newer step, or at collector shutdown.
+/// into per-step wall durations, by the same rule as
+/// `RunMetrics::aggregate` (`bounds_step`). A step's duration is
+/// closed — handed to `close(step, wall_ns)` — when the tracker evicts
+/// it for a newer step, or at collector shutdown.
 struct StepTracker {
     /// `(step + 1, lo_ns, hi_ns)`; key 0 = empty slot.
     slots: [(u64, u64, u64); STEP_TRACK],
@@ -44,8 +46,11 @@ impl StepTracker {
         }
     }
 
-    fn note(&mut self, reg: &MetricsRegistry, step: u32, start_ns: u64, end_ns: u64) {
-        let key = step as u64 + 1;
+    fn note(&mut self, ev: &Event, mut close: impl FnMut(u32, u64)) {
+        if !bounds_step(ev.kind) {
+            return;
+        }
+        let (key, start_ns, end_ns) = (u64::from(ev.step) + 1, ev.start_ns, ev.end_ns());
         if let Some(slot) = self.slots.iter_mut().find(|s| s.0 == key) {
             slot.1 = slot.1.min(start_ns);
             slot.2 = slot.2.max(end_ns);
@@ -61,13 +66,13 @@ impl StepTracker {
             .iter_mut()
             .min_by_key(|s| s.0)
             .expect("tracker has slots");
-        reg.step_ns.record(oldest.2.saturating_sub(oldest.1));
+        close((oldest.0 - 1) as u32, oldest.2.saturating_sub(oldest.1));
         *oldest = (key, start_ns, end_ns);
     }
 
-    fn flush(&mut self, reg: &MetricsRegistry) {
+    fn flush(&mut self, mut close: impl FnMut(u32, u64)) {
         for slot in self.slots.iter_mut().filter(|s| s.0 != 0) {
-            reg.step_ns.record(slot.2.saturating_sub(slot.1));
+            close((slot.0 - 1) as u32, slot.2.saturating_sub(slot.1));
             *slot = (0, 0, 0);
         }
     }
@@ -120,9 +125,7 @@ impl CollectorState {
         for (ring, cursor) in self.rings.iter().zip(self.cursors.iter_mut()) {
             let stats = ring.collect(*cursor, &mut |t| {
                 reg.absorb(&t);
-                if t.ev.island != crate::NO_ISLAND {
-                    steps.note(reg, t.ev.step, t.ev.start_ns, t.ev.end_ns());
-                }
+                steps.note(&t.ev, |_, wall| reg.step_ns.record(wall));
             });
             *cursor = stats.next;
             reg.add_dropped(stats.overwritten);
@@ -161,7 +164,7 @@ impl Collector {
                     }
                     thread::park_timeout(interval);
                 }
-                state.steps.flush(&registry);
+                state.steps.flush(|_, wall| registry.step_ns.record(wall));
             })
             .expect("spawn telemetry collector thread");
         Collector {
@@ -192,26 +195,66 @@ impl Drop for Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RunMetrics;
+    use crate::{Drained, SpanKind, TaggedEvent, NO_ISLAND};
+
+    fn span(kind: SpanKind, island: u32, step: u32, start_ns: u64, end_ns: u64) -> Event {
+        Event {
+            kind,
+            start_ns,
+            dur_ns: end_ns - start_ns,
+            aux: [0; 3],
+            island,
+            rank: 0,
+            step,
+            stage: 0,
+            block: 0,
+        }
+    }
 
     #[test]
     fn step_tracker_closes_evicted_and_flushed_steps() {
-        let reg = MetricsRegistry::new(1);
-        let mut tracker = StepTracker::new();
-        // Fill every slot, then one more step evicts the oldest.
-        for step in 0..STEP_TRACK as u32 {
-            tracker.note(&reg, step, step as u64 * 100, step as u64 * 100 + 40);
-            tracker.note(&reg, step, step as u64 * 100 + 10, step as u64 * 100 + 60);
+        // Twice the tracker's capacity in steps, so the first half close
+        // by eviction and the rest at the flush — each with the wall
+        // `RunMetrics::aggregate` gives it. Every step has a barrier span
+        // outside any island (it bounds the step like any island's span)
+        // and two dispatch spans wider than the step, one from a caller
+        // tagged into island 1 (neither bounds anything).
+        let mut events = Vec::new();
+        for step in 0..2 * STEP_TRACK as u32 {
+            let t = u64::from(step) * 10_000;
+            events.extend([
+                span(SpanKind::Dispatch, NO_ISLAND, step, t, t + 5000),
+                span(SpanKind::Kernel, 0, step, t + 10, t + 300 + u64::from(step)),
+                span(SpanKind::Kernel, 1, step, t + 20, t + 250),
+                span(SpanKind::TeamBarrier, NO_ISLAND, step, t + 5, t + 400),
+                span(SpanKind::Dispatch, 1, step, t, t + 900),
+            ]);
         }
-        assert_eq!(reg.step_ns.snapshot().count, 0);
-        tracker.note(&reg, STEP_TRACK as u32, 99_000, 99_010);
-        // Step 0 evicted: wall = [0, 60].
-        let s = reg.step_ns.snapshot();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.sum, 60);
-        tracker.flush(&reg);
-        assert_eq!(reg.step_ns.snapshot().count as usize, STEP_TRACK + 1);
+        let mut tracker = StepTracker::new();
+        let mut live = Vec::new();
+        for ev in &events {
+            tracker.note(ev, |s, w| live.push((s, w)));
+        }
+        assert_eq!(live.len(), STEP_TRACK);
+        tracker.flush(|s, w| live.push((s, w)));
         // Flush is idempotent.
-        tracker.flush(&reg);
-        assert_eq!(reg.step_ns.snapshot().count as usize, STEP_TRACK + 1);
+        tracker.flush(|s, w| live.push((s, w)));
+        live.sort_unstable();
+        let drained = Drained {
+            events: events
+                .iter()
+                .map(|&ev| TaggedEvent { thread: 0, ev })
+                .collect(),
+            dropped: 0,
+        };
+        let post: Vec<(u32, u64)> = RunMetrics::aggregate(&drained)
+            .steps
+            .iter()
+            .map(|s| (s.step, s.wall_ns))
+            .collect();
+        assert_eq!(live, post);
+        assert_eq!(post.len(), 2 * STEP_TRACK);
+        assert_eq!(post[3], (3, 395));
     }
 }

@@ -8,12 +8,18 @@
 //! twice and validates syntax plus counter monotonicity through it, so
 //! renderer and validator are kept in one file and round-trip tested.
 //!
+//! The per-island families (`islands_<key>_total`) and the JSON island
+//! objects both come from the one table in [`crate::metrics`]
+//! (`ISLAND_COUNTERS`, `IslandMetrics::to_json`), so `/metrics`,
+//! `/metrics.json` and `--metrics-json` name island fields alike.
+//!
 //! The JSON snapshot goes through the strict [`crate::json`] renderer:
 //! any NaN/infinity in a derived rate is a hard error, never a
 //! silently-invalid document.
 
 use crate::histogram::{bucket_ceil, HistogramSnapshot};
 use crate::json::{self, Json, NonFiniteError};
+use crate::metrics::{IslandMetrics, ISLAND_COUNTERS};
 use crate::registry::RegistrySnapshot;
 use std::fmt::Write as _;
 
@@ -85,81 +91,18 @@ fn push_quantiles(out: &mut String, base: &str, help: &str, h: &HistogramSnapsho
     }
 }
 
-/// One per-island counter column of the exposition: metric name, help
-/// text, and the snapshot accessor it samples.
-type IslandCounter = (
-    &'static str,
-    &'static str,
-    fn(&crate::registry::IslandSnapshot) -> u64,
-);
-
 /// Renders a registry snapshot as Prometheus text exposition format.
 ///
 /// Returns [`NonFiniteError`] if a derived rate (cells/s, imbalance)
 /// is non-finite — the same strictness contract as the JSON path.
 pub fn prometheus(s: &RegistrySnapshot) -> Result<String, NonFiniteError> {
     let mut out = String::new();
-    let island_counters: [IslandCounter; 10] = [
-        (
-            "islands_kernel_ns_total",
-            "Kernel (stencil sweep) time per island, ns",
-            |i| i.kernel_ns,
-        ),
-        (
-            "islands_team_barrier_ns_total",
-            "Team-barrier wait time per island, ns",
-            |i| i.team_barrier_ns,
-        ),
-        (
-            "islands_global_barrier_ns_total",
-            "Global-barrier wait time per island, ns",
-            |i| i.global_barrier_ns,
-        ),
-        (
-            "islands_spin_ns_total",
-            "Barrier wait spent spinning per island, ns",
-            |i| i.spin_ns,
-        ),
-        (
-            "islands_yield_ns_total",
-            "Barrier wait spent yielding per island, ns",
-            |i| i.yield_ns,
-        ),
-        (
-            "islands_park_ns_total",
-            "Barrier wait spent parked per island, ns",
-            |i| i.park_ns,
-        ),
-        (
-            "islands_swap_ns_total",
-            "Serial swap time per island, ns",
-            |i| i.swap_ns,
-        ),
-        (
-            "islands_computed_cells_total",
-            "Cells computed per island",
-            |i| i.computed_cells,
-        ),
-        (
-            "islands_redundant_cells_total",
-            "Redundant halo cells recomputed per island",
-            |i| i.redundant_cells,
-        ),
-        (
-            "islands_events_total",
-            "Trace spans folded per island",
-            |i| i.events,
-        ),
-    ];
-    for (name, help, get) in island_counters {
-        push_header(&mut out, name, help, "counter");
+    for c in &ISLAND_COUNTERS {
+        let name = format!("islands_{}_total", c.key);
+        push_header(&mut out, &name, c.help, "counter");
         for island in &s.islands {
-            push_u64(
-                &mut out,
-                name,
-                &format!("island=\"{}\"", island.island),
-                get(island),
-            );
+            let labels = format!("island=\"{}\"", island.island);
+            push_u64(&mut out, &name, &labels, (c.get)(island));
         }
     }
     push_header(
@@ -173,54 +116,44 @@ pub fn prometheus(s: &RegistrySnapshot) -> Result<String, NonFiniteError> {
             &mut out,
             "islands_workers",
             &format!("island=\"{}\"", island.island),
-            island.workers,
+            u64::from(island.workers),
         );
     }
-    push_header(
-        &mut out,
-        "islands_current_step",
-        "Newest time step observed",
-        "gauge",
-    );
-    push_u64(&mut out, "islands_current_step", "", s.current_step);
-    push_header(
-        &mut out,
-        "islands_dropped_events_total",
-        "Trace events lost to ring wrap",
-        "counter",
-    );
-    push_u64(
-        &mut out,
-        "islands_dropped_events_total",
-        "",
-        s.dropped_events,
-    );
-    push_header(
-        &mut out,
-        "islands_drain_unpublished_total",
-        "Concurrent-drain protocol violations (0 by proof)",
-        "counter",
-    );
-    push_u64(
-        &mut out,
-        "islands_drain_unpublished_total",
-        "",
-        s.unpublished,
-    );
-    push_header(
-        &mut out,
-        "islands_dispatch_ns_total",
-        "Pool dispatch time on caller threads, ns",
-        "counter",
-    );
-    push_u64(&mut out, "islands_dispatch_ns_total", "", s.dispatch_ns);
-    push_header(
-        &mut out,
-        "islands_events_folded_total",
-        "Trace spans folded by the collector",
-        "counter",
-    );
-    push_u64(&mut out, "islands_events_folded_total", "", s.events_folded);
+    for (name, help, kind, v) in [
+        (
+            "islands_current_step",
+            "Newest time step observed",
+            "gauge",
+            s.current_step,
+        ),
+        (
+            "islands_dropped_events_total",
+            "Trace events lost to ring wrap",
+            "counter",
+            s.dropped_events,
+        ),
+        (
+            "islands_drain_unpublished_total",
+            "Concurrent-drain protocol violations (0 by proof)",
+            "counter",
+            s.unpublished,
+        ),
+        (
+            "islands_dispatch_ns_total",
+            "Pool dispatch time on caller threads, ns",
+            "counter",
+            s.dispatch_ns,
+        ),
+        (
+            "islands_events_folded_total",
+            "Trace spans folded by the collector",
+            "counter",
+            s.events_folded,
+        ),
+    ] {
+        push_header(&mut out, name, help, kind);
+        push_u64(&mut out, name, "", v);
+    }
     push_header(
         &mut out,
         "islands_cells_per_second",
@@ -285,35 +218,7 @@ fn hist_json(h: &HistogramSnapshot) -> Json {
 
 /// Builds the JSON snapshot document for a registry snapshot.
 pub fn json_snapshot(s: &RegistrySnapshot) -> Json {
-    let islands = s
-        .islands
-        .iter()
-        .map(|i| {
-            Json::Object(vec![
-                ("island".into(), Json::Num(i.island as f64)),
-                ("workers".into(), Json::Num(i.workers as f64)),
-                ("kernel_ns".into(), Json::Num(i.kernel_ns as f64)),
-                (
-                    "team_barrier_ns".into(),
-                    Json::Num(i.team_barrier_ns as f64),
-                ),
-                (
-                    "global_barrier_ns".into(),
-                    Json::Num(i.global_barrier_ns as f64),
-                ),
-                ("spin_ns".into(), Json::Num(i.spin_ns as f64)),
-                ("yield_ns".into(), Json::Num(i.yield_ns as f64)),
-                ("park_ns".into(), Json::Num(i.park_ns as f64)),
-                ("swap_ns".into(), Json::Num(i.swap_ns as f64)),
-                ("computed_cells".into(), Json::Num(i.computed_cells as f64)),
-                (
-                    "redundant_cells".into(),
-                    Json::Num(i.redundant_cells as f64),
-                ),
-                ("events".into(), Json::Num(i.events as f64)),
-            ])
-        })
-        .collect();
+    let islands = s.islands.iter().map(IslandMetrics::to_json).collect();
     Json::Object(vec![
         ("current_step".into(), Json::Num(s.current_step as f64)),
         ("dropped_events".into(), Json::Num(s.dropped_events as f64)),
@@ -558,6 +463,42 @@ mod tests {
             .find(|s| s.name == "islands_step_duration_ns_bucket" && s.labels.contains("+Inf"))
             .unwrap();
         assert_eq!(inf.value, 2.0);
+    }
+
+    /// Masks the two values that depend on the registry's age (the
+    /// lifetime cell rate and `elapsed_ns`).
+    fn mask(text: &str) -> String {
+        let mut out = text.to_string();
+        for key in [
+            "\nislands_cells_per_second ",
+            "\"elapsed_ns\":",
+            "\"cells_per_second\":",
+        ] {
+            if let Some(at) = out.find(key) {
+                let start = at + key.len();
+                let end = out[start..]
+                    .find([',', '\n'])
+                    .map_or(out.len(), |n| start + n);
+                out.replace_range(start..end, "<masked>");
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn exposition_and_snapshot_names_do_not_move() {
+        // Both documents for the fixture, byte for byte as the
+        // renderers wrote them before the island fields moved into one
+        // shared table.
+        let s = populated_registry().snapshot();
+        assert_eq!(
+            mask(&prometheus(&s).unwrap()),
+            include_str!("../tests/golden/prometheus.txt")
+        );
+        assert_eq!(
+            mask(&render_json_snapshot(&s).unwrap()),
+            include_str!("../tests/golden/json_snapshot.json").trim_end()
+        );
     }
 
     #[test]

@@ -726,8 +726,13 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        // ordering: SeqCst — same contract as `Session::finish`.
-        ENABLED.store(false, Ordering::SeqCst);
+        // A finished session has already stopped recording and released
+        // the session lock; storing here would switch off whichever
+        // session another thread started since.
+        if self.guard.is_some() {
+            // ordering: SeqCst — same contract as `Session::finish`.
+            ENABLED.store(false, Ordering::SeqCst);
+        }
     }
 }
 
@@ -803,7 +808,9 @@ mod tests {
         assert_eq!(k.aux, [1000, 40, 0]);
         assert_eq!(k.dur_ns, 40);
         assert_eq!(k.end_ns(), 90);
-        // After finish, recording is off again.
+        // After finish, recording is off again (checked under the lock:
+        // another test's session may have started since).
+        let _idle = SESSION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!is_enabled());
     }
 

@@ -7,14 +7,25 @@
 //! yield / park), the serial buffer swap, and halo traffic — plus the
 //! computed and redundant cell counts that the static overlap analysis
 //! in `islands-core` predicts and `islands-analysis` cross-checks.
+//!
+//! The per-island vocabulary is defined here once and shared with the
+//! live [`registry`](crate::registry): `IslandMetrics::of_span` is the
+//! one routing from a span to the counters it adds to,
+//! `ISLAND_COUNTERS` the one table of counter keys (JSON members and
+//! `islands_<key>_total` Prometheus families), `bounds_step` the one
+//! rule for which spans bound a step's wall time, and
+//! `ImbalanceSummary::of` the one imbalance: the slowest island's
+//! per-worker kernel time over the worker-weighted mean.
 
 use crate::json::Json;
 use crate::{Drained, SpanKind, NO_ISLAND};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Phase totals for one island within one time step (or across a whole
-/// run when produced by [`RunMetrics::totals`]). All `*_ns` fields are
-/// *summed worker time*: an island of 4 ranks each waiting 1 µs shows
-/// 4 µs of barrier time.
+/// run when produced by [`RunMetrics::totals`], or live in a
+/// [`RegistrySnapshot`](crate::registry::RegistrySnapshot)). All `*_ns`
+/// fields are *summed worker time*: an island of 4 ranks each waiting
+/// 1 µs shows 4 µs of barrier time.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IslandMetrics {
     /// Island (team) index.
@@ -41,9 +52,94 @@ pub struct IslandMetrics {
     /// redundant halo recomputation the islands approach trades
     /// against communication.
     pub redundant_cells: u64,
+    /// Spans folded into this island.
+    pub events: u64,
+}
+
+/// One summed field of [`IslandMetrics`]: its key — the field name, the
+/// member name in both JSON documents and the stem of the Prometheus
+/// family `islands_<key>_total` — the family's help text, and accessors.
+pub(crate) struct IslandCounter {
+    /// Field name, JSON key and Prometheus family stem.
+    pub key: &'static str,
+    /// Prometheus `# HELP` text.
+    pub help: &'static str,
+    /// Reads the field.
+    pub get: fn(&IslandMetrics) -> u64,
+    /// The field, for writing.
+    pub get_mut: fn(&mut IslandMetrics) -> &mut u64,
+}
+
+macro_rules! counter {
+    ($field:ident, $help:literal) => {
+        IslandCounter {
+            key: stringify!($field),
+            help: $help,
+            get: |m| m.$field,
+            get_mut: |m| &mut m.$field,
+        }
+    };
+}
+
+/// Every summed per-island field, in exposition order. `island` and the
+/// max-wins `workers` gauge are the two fields outside it.
+pub(crate) const ISLAND_COUNTERS: [IslandCounter; 10] = [
+    counter!(kernel_ns, "Kernel (stencil sweep) time per island, ns"),
+    counter!(team_barrier_ns, "Team-barrier wait time per island, ns"),
+    counter!(global_barrier_ns, "Global-barrier wait time per island, ns"),
+    counter!(spin_ns, "Barrier wait spent spinning per island, ns"),
+    counter!(yield_ns, "Barrier wait spent yielding per island, ns"),
+    counter!(park_ns, "Barrier wait spent parked per island, ns"),
+    counter!(swap_ns, "Serial swap time per island, ns"),
+    counter!(computed_cells, "Cells computed per island"),
+    counter!(
+        redundant_cells,
+        "Redundant halo cells recomputed per island"
+    ),
+    counter!(events, "Trace spans folded per island"),
+];
+
+/// Whether a span bounds its step's wall time: every kind but
+/// `Dispatch`, which covers a whole pool broadcast on the caller thread
+/// and is no island's work. [`RunMetrics::aggregate`] and the live
+/// collector's step tracker both decide by it.
+pub(crate) fn bounds_step(kind: SpanKind) -> bool {
+    kind != SpanKind::Dispatch
+}
+
+fn num(v: u64) -> Json {
+    Json::Num(v as f64)
 }
 
 impl IslandMetrics {
+    /// The counters one span adds to its island — the single routing
+    /// behind both folds ([`RunMetrics::aggregate`] and the live
+    /// `MetricsRegistry::absorb`). A kernel span adds its time and its
+    /// `aux = [computed, redundant, _]` cells, a barrier span its wait
+    /// and the `aux = [spin, yield, park]` split of it, a swap its time;
+    /// each counts one event. A dispatch adds nothing.
+    pub(crate) fn of_span(kind: SpanKind, dur_ns: u64, aux: [u64; 3]) -> IslandMetrics {
+        let mut m = IslandMetrics {
+            events: 1,
+            ..IslandMetrics::default()
+        };
+        let [a0, a1, a2] = aux;
+        match kind {
+            SpanKind::Kernel => {
+                (m.kernel_ns, m.computed_cells, m.redundant_cells) = (dur_ns, a0, a1)
+            }
+            SpanKind::TeamBarrier => {
+                (m.team_barrier_ns, m.spin_ns, m.yield_ns, m.park_ns) = (dur_ns, a0, a1, a2)
+            }
+            SpanKind::GlobalBarrier => {
+                (m.global_barrier_ns, m.spin_ns, m.yield_ns, m.park_ns) = (dur_ns, a0, a1, a2)
+            }
+            SpanKind::Swap => m.swap_ns = dur_ns,
+            SpanKind::Dispatch => return IslandMetrics::default(),
+        }
+        m
+    }
+
     /// Total barrier wait (team + global).
     pub fn barrier_wait_ns(&self) -> u64 {
         self.team_barrier_ns + self.global_barrier_ns
@@ -54,41 +150,33 @@ impl IslandMetrics {
         self.kernel_ns + self.barrier_wait_ns() + self.swap_ns
     }
 
-    fn absorb(&mut self, kind: SpanKind, dur_ns: u64, aux: [u64; 3]) {
-        match kind {
-            SpanKind::Kernel => {
-                self.kernel_ns += dur_ns;
-                self.computed_cells += aux[0];
-                self.redundant_cells += aux[1];
-            }
-            SpanKind::TeamBarrier => {
-                self.team_barrier_ns += dur_ns;
-                self.spin_ns += aux[0];
-                self.yield_ns += aux[1];
-                self.park_ns += aux[2];
-            }
-            SpanKind::GlobalBarrier => {
-                self.global_barrier_ns += dur_ns;
-                self.spin_ns += aux[0];
-                self.yield_ns += aux[1];
-                self.park_ns += aux[2];
-            }
-            SpanKind::Swap => self.swap_ns += dur_ns,
-            SpanKind::Dispatch => {}
+    /// Adds `other`'s counters; `workers` is max-wins.
+    fn merge(&mut self, other: &IslandMetrics) {
+        self.workers = self.workers.max(other.workers);
+        for c in &ISLAND_COUNTERS {
+            *(c.get_mut)(self) += (c.get)(other);
         }
     }
 
-    fn merge(&mut self, other: &IslandMetrics) {
-        self.workers = self.workers.max(other.workers);
-        self.kernel_ns += other.kernel_ns;
-        self.team_barrier_ns += other.team_barrier_ns;
-        self.global_barrier_ns += other.global_barrier_ns;
-        self.spin_ns += other.spin_ns;
-        self.yield_ns += other.yield_ns;
-        self.park_ns += other.park_ns;
-        self.swap_ns += other.swap_ns;
-        self.computed_cells += other.computed_cells;
-        self.redundant_cells += other.redundant_cells;
+    /// The island as one JSON object: `island` (`null` for
+    /// [`NO_ISLAND`]), `workers`, then every [`ISLAND_COUNTERS`] key —
+    /// the island shape of both `--metrics-json` and `/metrics.json`.
+    pub(crate) fn to_json(&self) -> Json {
+        let island = if self.island == NO_ISLAND {
+            Json::Null
+        } else {
+            num(u64::from(self.island))
+        };
+        let mut members = vec![
+            ("island".into(), island),
+            ("workers".into(), num(u64::from(self.workers))),
+        ];
+        members.extend(
+            ISLAND_COUNTERS
+                .iter()
+                .map(|c| (c.key.into(), num((c.get)(self)))),
+        );
+        Json::Object(members)
     }
 }
 
@@ -98,7 +186,7 @@ pub struct StepMetrics {
     /// Time step index.
     pub step: u32,
     /// Wall-clock span of the step: earliest start to latest end over
-    /// all non-dispatch events tagged with this step.
+    /// all events tagged with this step except `Dispatch` spans.
     pub wall_ns: u64,
     /// Per-island totals, sorted by island index.
     pub islands: Vec<IslandMetrics>,
@@ -114,29 +202,16 @@ pub struct StepMetrics {
 }
 
 impl StepMetrics {
-    /// Kernel-time imbalance across islands: slowest / fastest island
-    /// kernel time. 1.0 means perfectly balanced; `None` with fewer
-    /// than two islands, a zero-kernel island, or any silent island
-    /// (its kernel time is unknown, not zero).
+    /// Per-worker kernel imbalance across the step's islands: the
+    /// slowest island's per-worker kernel time over the worker-weighted
+    /// mean; 1.0 is balanced, as a lone island is. `None` when no island
+    /// recorded kernel time, or with any silent island (its kernel time
+    /// is unknown, not zero).
     pub fn imbalance(&self) -> Option<f64> {
         if !self.silent_islands.is_empty() {
             return None;
         }
-        let real: Vec<u64> = self
-            .islands
-            .iter()
-            .filter(|m| m.island != NO_ISLAND)
-            .map(|m| m.kernel_ns)
-            .collect();
-        if real.len() < 2 {
-            return None;
-        }
-        let max = *real.iter().max().expect("non-empty");
-        let min = *real.iter().min().expect("non-empty");
-        if min == 0 {
-            return None;
-        }
-        Some(max as f64 / min as f64)
+        ImbalanceSummary::of(&self.islands).map(|im| im.ratio)
     }
 
     /// Fraction of total worker wall time this step that the recorded
@@ -149,22 +224,21 @@ impl StepMetrics {
         if !self.silent_islands.is_empty() {
             return None;
         }
-        let workers: u64 = self
-            .islands
-            .iter()
-            .filter(|m| m.island != NO_ISLAND)
-            .map(|m| u64::from(m.workers))
-            .sum();
+        let (accounted, workers) = self.real_load();
         if self.wall_ns == 0 || workers == 0 {
             return None;
         }
-        let accounted: u64 = self
-            .islands
+        Some(accounted as f64 / (self.wall_ns as f64 * workers as f64))
+    }
+
+    /// `(Σ accounted ns, Σ workers)` over the real islands.
+    fn real_load(&self) -> (u64, u64) {
+        self.islands
             .iter()
             .filter(|m| m.island != NO_ISLAND)
-            .map(IslandMetrics::accounted_ns)
-            .sum();
-        Some(accounted as f64 / (self.wall_ns as f64 * workers as f64))
+            .fold((0, 0), |(ns, w), m| {
+                (ns + m.accounted_ns(), w + u64::from(m.workers))
+            })
     }
 }
 
@@ -180,7 +254,7 @@ impl StepMetrics {
 /// attributable to imbalance (as opposed to oversubscription).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ImbalanceSummary {
-    /// Steps that had at least one island with recorded workers.
+    /// Steps that recorded kernel time on an island with workers.
     pub steps: usize,
     /// Mean over steps of the slowest island's per-worker kernel time.
     pub max_pw_ns: f64,
@@ -192,6 +266,39 @@ pub struct ImbalanceSummary {
     /// Mean over steps of `Σ_i workers_i × (max_pw − pw_i)`: summed
     /// worker time lost to imbalance per step.
     pub excess_ns: f64,
+}
+
+impl ImbalanceSummary {
+    /// The imbalance of one set of islands — a step's, or the live
+    /// registry's running totals — as a one-step summary: each real
+    /// island's kernel time per worker (the [`NO_ISLAND`] bucket and
+    /// worker-less islands skipped), the slowest of those over their
+    /// worker-weighted mean `Σ kernel / Σ workers`, and the excess.
+    /// `None` when no real island recorded kernel time.
+    pub(crate) fn of(islands: &[IslandMetrics]) -> Option<ImbalanceSummary> {
+        let real = || {
+            islands
+                .iter()
+                .filter(|m| m.island != NO_ISLAND && m.workers > 0)
+        };
+        let pw = |m: &IslandMetrics| m.kernel_ns as f64 / f64::from(m.workers);
+        let workers: f64 = real().map(|m| f64::from(m.workers)).sum();
+        let kernel: f64 = real().map(|m| m.kernel_ns as f64).sum();
+        if kernel == 0.0 {
+            return None;
+        }
+        let max_pw_ns = real().map(pw).fold(0.0, f64::max);
+        let mean_pw_ns = kernel / workers;
+        Some(ImbalanceSummary {
+            steps: 1,
+            max_pw_ns,
+            mean_pw_ns,
+            ratio: max_pw_ns / mean_pw_ns,
+            excess_ns: real()
+                .map(|m| f64::from(m.workers) * (max_pw_ns - pw(m)))
+                .sum(),
+        })
+    }
 }
 
 /// Run-level accounted-fraction summary, with an explicit honesty
@@ -229,67 +336,55 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Aggregates a drained event list.
+    /// Aggregates a drained event list, in any order: every span but
+    /// `Dispatch` widens its step's wall and folds through
+    /// `IslandMetrics::of_span` into its `(step, island)` row.
     pub fn aggregate(drained: &Drained) -> RunMetrics {
-        let mut steps: Vec<StepMetrics> = Vec::new();
-        // Per-step wall bounds (earliest start, latest end), aligned
-        // with `steps` by index and folded in the same pass — every
-        // step exists because at least one non-dispatch event carries
-        // its tag, so the bounds are always real, never a sentinel.
-        let mut bounds: Vec<(u64, u64)> = Vec::new();
-        for t in &drained.events {
-            let ev = &t.ev;
-            if ev.kind == SpanKind::Dispatch {
+        let mut walls: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+        let mut rows: BTreeMap<(u32, u32), IslandMetrics> = BTreeMap::new();
+        for ev in drained.events.iter().map(|t| &t.ev) {
+            if !bounds_step(ev.kind) {
                 continue;
             }
-            let idx = match steps.iter().position(|s| s.step == ev.step) {
-                Some(i) => i,
-                None => {
-                    steps.push(StepMetrics {
-                        step: ev.step,
-                        ..StepMetrics::default()
-                    });
-                    bounds.push((u64::MAX, 0));
-                    steps.len() - 1
-                }
-            };
-            let (lo, hi) = &mut bounds[idx];
+            let (lo, hi) = walls.entry(ev.step).or_insert((u64::MAX, 0));
             *lo = (*lo).min(ev.start_ns);
             *hi = (*hi).max(ev.end_ns());
-            let step = &mut steps[idx];
-            let island = match step.islands.iter_mut().find(|m| m.island == ev.island) {
-                Some(m) => m,
-                None => {
-                    step.islands.push(IslandMetrics {
-                        island: ev.island,
-                        ..IslandMetrics::default()
-                    });
-                    step.islands.last_mut().expect("just pushed")
-                }
-            };
-            island.workers = island.workers.max(ev.rank + 1);
-            island.absorb(ev.kind, ev.dur_ns, ev.aux);
+            let row = rows.entry((ev.step, ev.island)).or_insert(IslandMetrics {
+                island: ev.island,
+                ..IslandMetrics::default()
+            });
+            row.workers = row.workers.max(ev.rank + 1);
+            row.merge(&IslandMetrics::of_span(ev.kind, ev.dur_ns, ev.aux));
         }
         // Every real island the run knows about: a step missing one of
         // these recorded *no* events for it — flagged explicitly so the
         // ratio metrics refuse instead of silently deflating.
-        let mut run_islands: Vec<u32> = steps
-            .iter()
-            .flat_map(|s| s.islands.iter().map(|m| m.island))
+        let run_islands: BTreeSet<u32> = rows
+            .keys()
+            .map(|&(_, island)| island)
             .filter(|&i| i != NO_ISLAND)
             .collect();
-        run_islands.sort_unstable();
-        run_islands.dedup();
-        for (s, &(lo, hi)) in steps.iter_mut().zip(&bounds) {
-            s.wall_ns = hi - lo;
-            s.islands.sort_by_key(|m| m.island);
-            s.silent_islands = run_islands
-                .iter()
-                .copied()
-                .filter(|&i| !s.islands.iter().any(|m| m.island == i))
-                .collect();
-        }
-        steps.sort_by_key(|s| s.step);
+        // Both maps are ordered by step, and every step has a row.
+        let mut rows = rows.into_iter().peekable();
+        let steps = walls
+            .into_iter()
+            .map(|(step, (lo, hi))| {
+                let islands: Vec<IslandMetrics> =
+                    std::iter::from_fn(|| rows.next_if(|((s, _), _)| *s == step).map(|(_, m)| m))
+                        .collect();
+                let silent_islands = run_islands
+                    .iter()
+                    .copied()
+                    .filter(|i| islands.binary_search_by_key(i, |m| m.island).is_err())
+                    .collect();
+                StepMetrics {
+                    step,
+                    wall_ns: hi - lo,
+                    islands,
+                    silent_islands,
+                }
+            })
+            .collect();
         RunMetrics {
             steps,
             dropped_events: drained.dropped,
@@ -307,18 +402,8 @@ impl RunMetrics {
                 continue;
             }
             valid_steps += 1;
-            let workers: u64 = s
-                .islands
-                .iter()
-                .filter(|m| m.island != NO_ISLAND)
-                .map(|m| u64::from(m.workers))
-                .sum();
-            accounted += s
-                .islands
-                .iter()
-                .filter(|m| m.island != NO_ISLAND)
-                .map(IslandMetrics::accounted_ns)
-                .sum::<u64>() as f64;
+            let (ns, workers) = s.real_load();
+            accounted += ns as f64;
             capacity += s.wall_ns as f64 * workers as f64;
         }
         let suppressed_steps = self.steps.len() - valid_steps;
@@ -337,37 +422,8 @@ impl RunMetrics {
     /// is finite by construction, so `render()` on the result cannot
     /// fail.
     pub fn to_json(&self) -> Json {
-        fn num(v: u64) -> Json {
-            Json::Num(v as f64)
-        }
-        let islands = |ms: &[IslandMetrics]| {
-            Json::Array(
-                ms.iter()
-                    .map(|m| {
-                        Json::Object(vec![
-                            (
-                                "island".into(),
-                                if m.island == NO_ISLAND {
-                                    Json::Null
-                                } else {
-                                    num(u64::from(m.island))
-                                },
-                            ),
-                            ("workers".into(), num(u64::from(m.workers))),
-                            ("kernel_ns".into(), num(m.kernel_ns)),
-                            ("team_barrier_ns".into(), num(m.team_barrier_ns)),
-                            ("global_barrier_ns".into(), num(m.global_barrier_ns)),
-                            ("spin_ns".into(), num(m.spin_ns)),
-                            ("yield_ns".into(), num(m.yield_ns)),
-                            ("park_ns".into(), num(m.park_ns)),
-                            ("swap_ns".into(), num(m.swap_ns)),
-                            ("computed_cells".into(), num(m.computed_cells)),
-                            ("redundant_cells".into(), num(m.redundant_cells)),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
+        let islands =
+            |ms: &[IslandMetrics]| Json::Array(ms.iter().map(IslandMetrics::to_json).collect());
         let steps = Json::Array(
             self.steps
                 .iter()
@@ -429,17 +485,16 @@ impl RunMetrics {
 
     /// Per-island totals across every step, sorted by island index.
     pub fn totals(&self) -> Vec<IslandMetrics> {
-        let mut out: Vec<IslandMetrics> = Vec::new();
-        for step in &self.steps {
-            for m in &step.islands {
-                match out.iter_mut().find(|t| t.island == m.island) {
-                    Some(t) => t.merge(m),
-                    None => out.push(m.clone()),
-                }
-            }
+        let mut out: BTreeMap<u32, IslandMetrics> = BTreeMap::new();
+        for m in self.steps.iter().flat_map(|s| &s.islands) {
+            out.entry(m.island)
+                .or_insert(IslandMetrics {
+                    island: m.island,
+                    ..IslandMetrics::default()
+                })
+                .merge(m);
         }
-        out.sort_by_key(|m| m.island);
-        out
+        out.into_values().collect()
     }
 
     /// Sum of per-step wall spans.
@@ -447,52 +502,27 @@ impl RunMetrics {
         self.steps.iter().map(|s| s.wall_ns).sum()
     }
 
-    /// Per-worker kernel imbalance across islands, averaged over steps;
-    /// `None` when no step recorded an island with workers. Ignores the
-    /// [`NO_ISLAND`] bucket.
+    /// Each step's per-worker kernel imbalance, averaged over the steps
+    /// that recorded kernel time; `None` when none did.
     pub fn imbalance_summary(&self) -> Option<ImbalanceSummary> {
-        let mut steps = 0usize;
-        let mut max_sum = 0.0;
-        let mut mean_sum = 0.0;
-        let mut excess_sum = 0.0;
-        for s in &self.steps {
-            // (workers, per-worker kernel time) for every real island.
-            let real: Vec<(f64, f64)> = s
-                .islands
-                .iter()
-                .filter(|m| m.island != NO_ISLAND && m.workers > 0)
-                .map(|m| {
-                    let w = f64::from(m.workers);
-                    (w, m.kernel_ns as f64 / w)
-                })
-                .collect();
-            if real.is_empty() {
-                continue;
-            }
-            let max_pw = real.iter().map(|&(_, pw)| pw).fold(0.0, f64::max);
-            let workers: f64 = real.iter().map(|&(w, _)| w).sum();
-            let kernel: f64 = real.iter().map(|&(w, pw)| w * pw).sum();
-            steps += 1;
-            max_sum += max_pw;
-            mean_sum += kernel / workers;
-            excess_sum += real.iter().map(|&(w, pw)| w * (max_pw - pw)).sum::<f64>();
-        }
-        if steps == 0 {
+        let per_step: Vec<ImbalanceSummary> = self
+            .steps
+            .iter()
+            .filter_map(|s| ImbalanceSummary::of(&s.islands))
+            .collect();
+        if per_step.is_empty() {
             return None;
         }
-        let n = steps as f64;
-        let max_pw_ns = max_sum / n;
-        let mean_pw_ns = mean_sum / n;
+        let mean = |f: fn(&ImbalanceSummary) -> f64| {
+            per_step.iter().map(f).sum::<f64>() / per_step.len() as f64
+        };
+        let (max_pw_ns, mean_pw_ns) = (mean(|im| im.max_pw_ns), mean(|im| im.mean_pw_ns));
         Some(ImbalanceSummary {
-            steps,
+            steps: per_step.len(),
             max_pw_ns,
             mean_pw_ns,
-            ratio: if mean_pw_ns > 0.0 {
-                max_pw_ns / mean_pw_ns
-            } else {
-                1.0
-            },
-            excess_ns: excess_sum / n,
+            ratio: max_pw_ns / mean_pw_ns,
+            excess_ns: mean(|im| im.excess_ns),
         })
     }
 
@@ -664,6 +694,7 @@ mod tests {
         assert_eq!(i0.redundant_cells, 90);
         assert_eq!(i0.barrier_wait_ns(), 70);
         assert_eq!(i0.accounted_ns(), 180 + 70 + 15);
+        assert_eq!(i0.events, 6);
         let i1 = &s0.islands[1];
         assert_eq!((i1.island, i1.workers, i1.kernel_ns), (1, 1, 50));
     }
@@ -682,14 +713,76 @@ mod tests {
     fn imbalance_and_accounted_fraction() {
         let m = RunMetrics::aggregate(&synthetic());
         let s0 = &m.steps[0];
-        // Island kernel times 180 vs 50.
+        // Per worker: island 0 is 180 ns / 2, island 1 is 50 ns / 1;
+        // the worker-weighted mean is 230 / 3.
         let im = s0.imbalance().unwrap();
-        assert!((im - 180.0 / 50.0).abs() < 1e-12);
+        assert!((im - 90.0 / (230.0 / 3.0)).abs() < 1e-12, "{im}");
+        // It is the one-step summary's ratio; nothing compares without
+        // kernel time.
+        let one = ImbalanceSummary::of(&s0.islands).unwrap();
+        assert_eq!((one.steps, one.ratio), (1, im));
+        assert_eq!(ImbalanceSummary::of(&[IslandMetrics::default()]), None);
         let f = s0.accounted_fraction().unwrap();
         // accounted = 265 (island 0) + 50 (island 1); workers = 3.
         assert!((f - 315.0 / (145.0 * 3.0)).abs() < 1e-12);
-        // Single-island step has no imbalance.
+        // Step 1 ran island 0 alone, but island 1 is silent there.
         assert!(m.steps[1].imbalance().is_none());
+        // A lone island is balanced by definition.
+        let lone = Drained {
+            events: vec![ev(SpanKind::Kernel, 0, 100, 0, 0, 0, [0; 3])],
+            dropped: 0,
+        };
+        assert_eq!(RunMetrics::aggregate(&lone).steps[0].imbalance(), Some(1.0));
+    }
+
+    #[test]
+    fn aggregation_is_order_independent() {
+        let d = synthetic();
+        let mut shuffled = d.clone();
+        // A fixed permutation (stride 4 over 9 events) and a reversal.
+        let n = shuffled.events.len();
+        shuffled.events = (0..n).map(|i| d.events[(i * 4) % n]).rev().collect();
+        assert_ne!(shuffled.events, d.events);
+        let a = RunMetrics::aggregate(&d).to_json();
+        let b = RunMetrics::aggregate(&shuffled).to_json();
+        assert_eq!(a.render().unwrap(), b.render().unwrap());
+    }
+
+    #[test]
+    fn json_report_keys_are_pinned() {
+        fn keys(j: &Json) -> String {
+            let Json::Object(members) = j else {
+                panic!("not an object: {j:?}")
+            };
+            let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+            keys.join(" ")
+        }
+        let first = |j: Option<&Json>| j.and_then(Json::as_array).unwrap()[0].clone();
+        let doc = RunMetrics::aggregate(&synthetic()).to_json();
+        let step = first(doc.get("steps"));
+        let shape = [
+            keys(&doc),
+            keys(&step),
+            keys(&first(step.get("islands"))),
+            keys(&first(doc.get("totals"))),
+            keys(doc.get("accounted").unwrap()),
+            keys(doc.get("imbalance_summary").unwrap()),
+        ];
+        // `events` is the one member the island objects gained when
+        // they started sharing the live snapshot's table.
+        let island = "island workers kernel_ns team_barrier_ns global_barrier_ns spin_ns \
+                      yield_ns park_ns swap_ns computed_cells redundant_cells events";
+        assert_eq!(
+            shape,
+            [
+                "steps totals wall_ns dropped_events accounted imbalance_summary",
+                "step wall_ns islands silent_islands accounted_fraction imbalance",
+                island,
+                island,
+                "fraction valid_steps suppressed_steps dropped_events degraded",
+                "steps max_pw_ns mean_pw_ns ratio excess_ns",
+            ]
+        );
     }
 
     #[test]

@@ -10,12 +10,19 @@
 //! and may allocate; they run on the serving thread, never on the
 //! collector or a worker.
 //!
+//! This is the live half of one fold: a slot holds one counter per
+//! `ISLAND_COUNTERS` entry, a span adds what `IslandMetrics::of_span`
+//! routes it to — the routing `RunMetrics::aggregate` uses — and a
+//! snapshot's islands are the same [`IslandMetrics`] records the
+//! post-hoc totals are, with the same per-worker imbalance.
+//!
 //! Counters are monotone (Prometheus `_total` semantics); gauges are
 //! last-or-max-wins. A scrape racing the collector sees a legal
 //! historical state — per-counter atomicity is all the exposition
 //! format promises.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::metrics::{ImbalanceSummary, IslandMetrics, ISLAND_COUNTERS};
 use crate::{now_ns, SpanKind, TaggedEvent, NO_ISLAND};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,62 +68,14 @@ impl Default for PadCounter {
     }
 }
 
-/// Per-island counter block. One collector thread writes, scrapes
-/// read; the block is cacheline-aligned as a unit.
+/// Per-island counter block: one padded counter per
+/// `ISLAND_COUNTERS` entry, in table order, plus the max-wins
+/// `workers` gauge (highest rank seen + 1). One collector thread
+/// writes, scrapes read.
 #[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct IslandSlot {
-    /// Kernel (stencil sweep) time.
-    pub kernel_ns: PadCounter,
-    /// Team-barrier wait time.
-    pub team_barrier_ns: PadCounter,
-    /// Global-barrier wait time.
-    pub global_barrier_ns: PadCounter,
-    /// Barrier wait spent busy-spinning (barrier `aux[0]`).
-    pub spin_ns: PadCounter,
-    /// Barrier wait spent in `yield_now` (barrier `aux[1]`).
-    pub yield_ns: PadCounter,
-    /// Barrier wait spent parked (barrier `aux[2]`).
-    pub park_ns: PadCounter,
-    /// Serial swap time.
-    pub swap_ns: PadCounter,
-    /// Cells computed (kernel `aux[0]`).
-    pub computed_cells: PadCounter,
-    /// Redundant halo cells recomputed (kernel `aux[1]`).
-    pub redundant_cells: PadCounter,
-    /// Gauge: highest rank seen + 1.
-    pub workers: PadCounter,
-    /// Spans folded into this island.
-    pub events: PadCounter,
-}
-
-/// Plain-value copy of one island's counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IslandSnapshot {
-    /// Island index.
-    pub island: u32,
-    /// See [`IslandSlot`] for field meanings.
-    pub kernel_ns: u64,
-    /// Team-barrier wait time.
-    pub team_barrier_ns: u64,
-    /// Global-barrier wait time.
-    pub global_barrier_ns: u64,
-    /// Barrier wait spent busy-spinning.
-    pub spin_ns: u64,
-    /// Barrier wait spent in `yield_now`.
-    pub yield_ns: u64,
-    /// Barrier wait spent parked.
-    pub park_ns: u64,
-    /// Serial swap time.
-    pub swap_ns: u64,
-    /// Cells computed.
-    pub computed_cells: u64,
-    /// Redundant halo cells recomputed.
-    pub redundant_cells: u64,
-    /// Gauge: highest rank seen + 1.
-    pub workers: u64,
-    /// Spans folded into this island.
-    pub events: u64,
+struct IslandSlot {
+    counters: [PadCounter; ISLAND_COUNTERS.len()],
+    workers: PadCounter,
 }
 
 /// The registry: fixed per-island slots plus run-wide counters,
@@ -166,43 +125,32 @@ impl MetricsRegistry {
         self.islands.len()
     }
 
-    /// Folds one drained span. Allocation-free and lock-free.
+    /// Folds one drained span through the same routing as the
+    /// post-hoc fold (`IslandMetrics::of_span`). Allocation-free and
+    /// lock-free.
     pub fn absorb(&self, t: &TaggedEvent) {
         let ev = &t.ev;
         self.events_folded.add(1);
-        if ev.kind == SpanKind::Dispatch || ev.island == NO_ISLAND {
-            if ev.kind == SpanKind::Dispatch {
-                self.dispatch_ns.add(ev.dur_ns);
-            }
+        if ev.kind == SpanKind::Dispatch {
+            self.dispatch_ns.add(ev.dur_ns);
+            return;
+        }
+        if ev.island == NO_ISLAND {
             return;
         }
         self.current_step.max(ev.step as u64);
         let Some(slot) = self.islands.get(ev.island as usize) else {
             return;
         };
-        slot.events.add(1);
         slot.workers.max(ev.rank as u64 + 1);
-        match ev.kind {
-            SpanKind::Kernel => {
-                slot.kernel_ns.add(ev.dur_ns);
-                slot.computed_cells.add(ev.aux[0]);
-                slot.redundant_cells.add(ev.aux[1]);
-                self.kernel_span_ns.record(ev.dur_ns);
-            }
-            SpanKind::TeamBarrier | SpanKind::GlobalBarrier => {
-                let wait = if ev.kind == SpanKind::TeamBarrier {
-                    &slot.team_barrier_ns
-                } else {
-                    &slot.global_barrier_ns
-                };
-                wait.add(ev.dur_ns);
-                slot.spin_ns.add(ev.aux[0]);
-                slot.yield_ns.add(ev.aux[1]);
-                slot.park_ns.add(ev.aux[2]);
-                self.barrier_span_ns.record(ev.dur_ns);
-            }
-            SpanKind::Swap => slot.swap_ns.add(ev.dur_ns),
-            SpanKind::Dispatch => unreachable!("handled above"),
+        let span = IslandMetrics::of_span(ev.kind, ev.dur_ns, ev.aux);
+        for (counter, c) in slot.counters.iter().zip(&ISLAND_COUNTERS) {
+            counter.add((c.get)(&span));
+        }
+        if ev.kind == SpanKind::Kernel {
+            self.kernel_span_ns.record(ev.dur_ns);
+        } else if matches!(ev.kind, SpanKind::TeamBarrier | SpanKind::GlobalBarrier) {
+            self.barrier_span_ns.record(ev.dur_ns);
         }
     }
 
@@ -226,25 +174,22 @@ impl MetricsRegistry {
 
     /// Plain-value copy of everything (scrape-side; allocates).
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let islands: Vec<IslandSnapshot> = self
+        let islands = self
             .islands
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.events.get() > 0)
-            .map(|(i, s)| IslandSnapshot {
-                island: i as u32,
-                kernel_ns: s.kernel_ns.get(),
-                team_barrier_ns: s.team_barrier_ns.get(),
-                global_barrier_ns: s.global_barrier_ns.get(),
-                spin_ns: s.spin_ns.get(),
-                yield_ns: s.yield_ns.get(),
-                park_ns: s.park_ns.get(),
-                swap_ns: s.swap_ns.get(),
-                computed_cells: s.computed_cells.get(),
-                redundant_cells: s.redundant_cells.get(),
-                workers: s.workers.get(),
-                events: s.events.get(),
+            .map(|(i, slot)| {
+                let mut m = IslandMetrics {
+                    island: i as u32,
+                    workers: u32::try_from(slot.workers.get()).unwrap_or(u32::MAX),
+                    ..IslandMetrics::default()
+                };
+                for (counter, c) in slot.counters.iter().zip(&ISLAND_COUNTERS) {
+                    *(c.get_mut)(&mut m) = counter.get();
+                }
+                m
             })
+            .filter(|m| m.events > 0)
             .collect();
         RegistrySnapshot {
             islands,
@@ -264,8 +209,10 @@ impl MetricsRegistry {
 /// Plain-value copy of the whole registry at one scrape.
 #[derive(Clone, Debug)]
 pub struct RegistrySnapshot {
-    /// Islands that have folded at least one span, by index.
-    pub islands: Vec<IslandSnapshot>,
+    /// Islands that have folded at least one span, by index — the same
+    /// record the post-hoc [`RunMetrics::totals`](crate::metrics::RunMetrics::totals)
+    /// produces.
+    pub islands: Vec<IslandMetrics>,
     /// Per-step wall-time distribution.
     pub step_ns: HistogramSnapshot,
     /// Kernel-span duration distribution.
@@ -294,24 +241,11 @@ impl RegistrySnapshot {
         cells as f64 / (self.elapsed_ns as f64 / 1e9)
     }
 
-    /// Max/mean per-worker kernel-time ratio across active islands
-    /// (1.0 = perfectly balanced). `None` with no active islands.
+    /// Per-worker kernel imbalance across the islands so far, defined
+    /// as for [`StepMetrics::imbalance`](crate::metrics::StepMetrics::imbalance).
+    /// `None` before any kernel time.
     pub fn imbalance(&self) -> Option<f64> {
-        let per_worker: Vec<f64> = self
-            .islands
-            .iter()
-            .filter(|i| i.workers > 0)
-            .map(|i| i.kernel_ns as f64 / i.workers as f64)
-            .collect();
-        if per_worker.is_empty() {
-            return None;
-        }
-        let mean = per_worker.iter().sum::<f64>() / per_worker.len() as f64;
-        if mean <= 0.0 {
-            return None;
-        }
-        let max = per_worker.iter().cloned().fold(0.0f64, f64::max);
-        Some(max / mean)
+        ImbalanceSummary::of(&self.islands).map(|im| im.ratio)
     }
 }
 
@@ -367,8 +301,10 @@ mod tests {
 
     #[test]
     fn live_fold_matches_the_post_hoc_fold() {
-        // One span set through both folds: every per-island field the
-        // two share must agree — barrier spin/yield/park included.
+        // One span set through both folds gives the same records: island
+        // 0 has two workers and island 1 one, a barrier span outside any
+        // island and a pool dispatch fold into no island, and island 5
+        // is past this registry's capacity.
         let with_aux = |mut t: TaggedEvent, aux| {
             t.ev.aux = aux;
             t
@@ -380,36 +316,32 @@ mod tests {
             with_aux(tagged(SpanKind::TeamBarrier, 0, 1, 1, 12, 0), [12, 0, 0]),
             with_aux(tagged(SpanKind::GlobalBarrier, 1, 0, 1, 50, 0), [5, 5, 40]),
             tagged(SpanKind::Swap, 0, 0, 1, 9, 0),
+            with_aux(
+                tagged(SpanKind::TeamBarrier, NO_ISLAND, 0, 1, 8, 0),
+                [8, 0, 0],
+            ),
+            tagged(SpanKind::Kernel, 5, 3, 1, 25, 90),
             tagged(SpanKind::Dispatch, NO_ISLAND, 0, 0, 200, 2),
         ];
         let r = MetricsRegistry::new(4);
         for t in &events {
             r.absorb(t);
         }
-        let live: Vec<_> = r
-            .snapshot()
-            .islands
-            .iter()
-            .map(|i| {
-                let phases = [i.kernel_ns, i.team_barrier_ns, i.global_barrier_ns];
-                let waits = [i.spin_ns, i.yield_ns, i.park_ns, i.swap_ns];
-                let cells = [i.computed_cells, i.redundant_cells];
-                (i.island, i.workers, phases, waits, cells)
-            })
-            .collect();
         let drained = crate::Drained { events, dropped: 0 };
-        let post: Vec<_> = crate::metrics::RunMetrics::aggregate(&drained)
+        let post: Vec<IslandMetrics> = crate::metrics::RunMetrics::aggregate(&drained)
             .totals()
-            .iter()
-            .map(|m| {
-                let phases = [m.kernel_ns, m.team_barrier_ns, m.global_barrier_ns];
-                let waits = [m.spin_ns, m.yield_ns, m.park_ns, m.swap_ns];
-                let cells = [m.computed_cells, m.redundant_cells];
-                (m.island, u64::from(m.workers), phases, waits, cells)
-            })
+            .into_iter()
+            .filter(|m| (m.island as usize) < r.island_capacity())
             .collect();
-        assert_eq!(live, post);
-        assert_eq!(live[0].3, [22, 15, 5, 9]);
+        let live = r.snapshot();
+        assert_eq!(live.islands, post);
+        assert_eq!(live.events_folded, 9);
+        assert_eq!((post[0].workers, post[1].workers), (2, 1));
+        let i0 = &post[0];
+        assert_eq!(
+            [i0.spin_ns, i0.yield_ns, i0.park_ns, i0.swap_ns],
+            [22, 15, 5, 9]
+        );
     }
 
     #[test]
