@@ -9,7 +9,8 @@
 //! * the bench file is not well-formed JSON or not an array of complete
 //!   `{group, label, min_ns, median_ns, max_ns, iters}` records with
 //!   `min ≤ median ≤ max` and positive `iters`, or
-//! * `--max-boundary-ratio R` is given and the `kernel_blocks` group of
+//! * `--max-boundary-ratio R` is given (it needs a bench file: without
+//!   one it is a usage error) and the `kernel_blocks` group of
 //!   `benches/kernels.rs` shows domain faces costing more than `R`×:
 //!   the gated quantity is Σ17 `boundary/<kind>` ÷ Σ17
 //!   `interior/<kind>` (each kind weighted by its count in the
@@ -89,6 +90,9 @@ fn parse_opts() -> Result<Opts, String> {
     }
     if o.prom_paths.len() > 2 {
         return Err("--prom takes at most two scrape files".into());
+    }
+    if o.max_boundary_ratio.is_some() && o.bench_path.is_none() {
+        return Err("--max-boundary-ratio gates a bench file; none was given".into());
     }
     if o.bench_path.is_none()
         && o.chrome_path.is_none()

@@ -1,0 +1,310 @@
+//! Checks of the models behind the reproduction: the closed-form model
+//! against the engine, the cache model against the traffic model, the
+//! per-stage halo breakdown behind Table 2, and the machine model's
+//! calibration against the paper.
+
+use super::{Ctx, Report};
+use crate::{PAPER_FUSED, PAPER_ISLANDS, PAPER_ORIGINAL, PAPER_T1_ORIGINAL_SERIAL};
+use islands_core::{estimate, plan_fused, InitPolicy, Workload};
+use mpdata::{mpdata_graph, MpdataProblem};
+use numa_sim::{CacheConfig, SimConfig, UvParams};
+use perf_model::{
+    blocked_schedule_stats, fused_traffic_ideal, original_traffic, per_stage_schedule_stats,
+    predict, relative_error, FieldLayout, Table,
+};
+use std::fmt::{self, Write};
+use stencil_engine::{Axis, BlockPlanner, Region3};
+
+/// **E10 — analytic model vs discrete-event engine**: the paper's §6
+/// plans "performance models ... for modeling and management of the
+/// correlation between computation and communication costs". This row
+/// prints the closed-form model's per-step predictions
+/// (`perf_model::predict`) next to the engine's, across the processor
+/// sweep.
+pub(super) fn model_check(ctx: &Ctx, r: &mut Report) -> fmt::Result {
+    let w = Workload::paper();
+    let steps = w.steps as f64;
+
+    let mut t = Table::new(
+        "Closed-form model vs discrete-event engine, seconds per step",
+        vec![
+            "orig model".into(),
+            "orig engine".into(),
+            "fused model".into(),
+            "fused engine".into(),
+            "isl model".into(),
+            "isl engine".into(),
+        ],
+    )
+    .precision(4);
+    let mut worst: f64 = 0.0;
+    for p in [1usize, 2, 4, 8, 11, 14] {
+        let machine = UvParams::uv2000(p).build();
+        let m = predict(&machine, &w, &SimConfig::default());
+        let e = ctx.at(p);
+        let (eo, ef, ei) = (e.original / steps, e.fused / steps, e.islands / steps);
+        worst = worst
+            .max(relative_error(m.original, eo))
+            .max(relative_error(m.fused, ef))
+            .max(relative_error(m.islands, ei));
+        t.push_row(
+            format!("P = {p}"),
+            vec![m.original, eo, m.fused, ef, m.islands, ei],
+        );
+    }
+    writeln!(r, "{}", t.render())?;
+    writeln!(
+        r,
+        "worst relative error across the sweep: {:.0} %",
+        worst * 100.0
+    )?;
+    r.check(
+        "model within 40% of the engine everywhere ...",
+        worst < 0.40,
+        "",
+    )?;
+    writeln!(r, "\nJSON:\n{}", t.to_json())
+}
+
+/// **E11 — cache-model check of the (3+1)D premise** (§3.2): run the
+/// exact address streams of the per-stage schedule and the wavefront
+/// blocked schedule through a set-associative LRU cache and compare the
+/// measured miss traffic against the analytic traffic model. The blocked
+/// schedule's intermediates live in the sliding windows the executors
+/// allocate (`FieldLayout::windowed`), at two block budgets — one whose
+/// windows overflow the cache and one whose windows fit. The study
+/// runs on a geometrically scaled-down configuration (domain and cache
+/// shrunk together) because the full 1024×512×64 trace is ~3 × 10⁹
+/// accesses; the working-set : cache ratios are preserved.
+pub(super) fn cache_study(_: &Ctx, r: &mut Report) -> fmt::Result {
+    let (graph, _) = mpdata_graph();
+    // Scaled setup: domain 1/16 of the paper's per-axis footprint in i/j,
+    // cache 1/16 of the 16 MiB L3 — same ratio of sweep size to cache.
+    let domain = Region3::of_extent(96, 48, 16);
+    let cache = CacheConfig {
+        capacity_bytes: 1 << 20,
+        ways: 16,
+        line_bytes: 64,
+    };
+
+    let per_stage = per_stage_schedule_stats(&graph, domain, cache);
+    let whole = FieldLayout::new(&graph, domain).compulsory_miss_bytes(cache.line_bytes);
+
+    let mut t = Table::new(
+        format!(
+            "Measured cache-miss traffic, domain {}×{}×{}, {} KiB L3-like cache",
+            domain.i.len(),
+            domain.j.len(),
+            domain.k.len(),
+            cache.capacity_bytes / 1024
+        ),
+        vec![
+            "miss bytes [MB]".into(),
+            "miss ratio [%]".into(),
+            "floor [MB]".into(),
+            "× floor".into(),
+        ],
+    )
+    .precision(2);
+    // The per-stage sweeps store 23 whole arrays: that is their floor.
+    t.push_row(
+        "per-stage schedule (Original)",
+        vec![
+            per_stage.miss_bytes(64) / 1e6,
+            100.0 * per_stage.miss_ratio(),
+            whole / 1e6,
+            per_stage.miss_bytes(64) / whole,
+        ],
+    );
+    // The wavefront stores externals + output + the intermediates'
+    // sliding windows, sized by the blocking. The planner's budget
+    // counts the peak *live* buffers of one block (7), but all 17
+    // windows stay resident across blocks — so a block budget of half
+    // the cache overflows it, a third fits.
+    let mut excess = Vec::new();
+    for share in [2, 3] {
+        let blocking = BlockPlanner::new(cache.capacity_bytes / share)
+            .min_depth(2)
+            .plan_wavefront(&graph, domain, domain)
+            .expect("blocks fit");
+        let blocked = blocked_schedule_stats(&graph, domain, &blocking, cache);
+        let floor = FieldLayout::windowed(&graph, domain, &blocking)
+            .compulsory_miss_bytes(cache.line_bytes);
+        t.push_row(
+            format!("wavefront, budget cache/{share} (depth {})", blocking.depth),
+            vec![
+                blocked.miss_bytes(64) / 1e6,
+                100.0 * blocked.miss_ratio(),
+                floor / 1e6,
+                blocked.miss_bytes(64) / floor,
+            ],
+        );
+        excess.push((
+            blocked.miss_bytes(64) / floor,
+            per_stage.miss_bytes(64) / blocked.miss_bytes(64),
+        ));
+    }
+    writeln!(r, "{}", t.render())?;
+
+    // Analytic model at the same scaled domain for comparison.
+    let analytic_ratio = original_traffic(&graph, domain, 1).total_bytes
+        / fused_traffic_ideal(&graph, domain, 1).total_bytes;
+    let [(spill_floor, spill_cut), (fit_floor, fit_cut)] = excess[..] else {
+        unreachable!("two budgets studied");
+    };
+    writeln!(
+        r,
+        "measured traffic reduction : {spill_cut:.2}× (cache/2), {fit_cut:.2}× (cache/3)"
+    )?;
+    writeln!(
+        r,
+        "analytic model's reduction : {analytic_ratio:.2}× (ideal; write-allocate counted)"
+    )?;
+    writeln!(r)?;
+    r.check(
+        "cache/3 blocks within 1.25× of their floor ...",
+        fit_floor < 1.25,
+        "",
+    )?;
+    r.check(
+        "cache/2 blocks within 3× of their floor ......",
+        spill_floor < 3.0,
+        "",
+    )?;
+    r.check(
+        "measured reduction ≥ 2.5× at both budgets ....",
+        spill_cut.min(fit_cut) >= 2.5,
+        "",
+    )?;
+    writeln!(
+        r,
+        "\nreading: with the intermediates in sliding windows the floor is\n\
+         externals + output + windows, and a blocking whose windows fit the\n\
+         cache sits on it — the intermediates never leave the cache and the\n\
+         measured reduction approaches the analytic one. Sized to half the\n\
+         cache the 17 windows overflow it and part of them is re-fetched:\n\
+         the block budget has to leave room for every window, not only for\n\
+         one block's live buffers."
+    )
+}
+
+/// **Analysis — per-stage halo and redundancy breakdown**: where
+/// Table 2's extra elements actually come from. For every stage of the
+/// standard (`iord = 2`) MPDATA graph, print its cumulative halo (how far
+/// the final output depends on it) and its share of the redundant
+/// updates under a 2-island variant-A partition.
+pub(super) fn halo_report(_: &Ctx, r: &mut Report) -> fmt::Result {
+    let problem = MpdataProblem::standard();
+    let g = problem.graph();
+    let domain = Region3::of_extent(1024, 512, 64);
+    let halves = domain.split(Axis::I, 2);
+    let halos = g.cumulative_halos();
+    let whole = g.required_regions(domain, domain);
+    let left = g.required_regions(halves[0], domain);
+    let right = g.required_regions(halves[1], domain);
+
+    writeln!(
+        r,
+        "MPDATA iord = 2 ({} stages), domain 1024×512×64, variant A, 2 islands\n",
+        g.stage_count()
+    )?;
+    writeln!(
+        r,
+        "{:>3}  {:<12} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5}  {:>12}  {:>7}",
+        "#", "stage", "i-", "i+", "j-", "j+", "k-", "k+", "extra cells", "share"
+    )?;
+    let extras: Vec<usize> = (0..g.stage_count())
+        .map(|s| left[s].cells() + right[s].cells() - whole[s].cells())
+        .collect();
+    let total_extra: usize = extras.iter().sum();
+    for (s, st) in g.stages().iter().enumerate() {
+        let h = halos[s];
+        writeln!(
+            r,
+            "{:>3}  {:<12} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5}  {:>12}  {:>6.1}%",
+            s + 1,
+            st.name,
+            h.i_neg,
+            h.i_pos,
+            h.j_neg,
+            h.j_pos,
+            h.k_neg,
+            h.k_pos,
+            extras[s],
+            if total_extra > 0 {
+                100.0 * extras[s] as f64 / total_extra as f64
+            } else {
+                0.0
+            },
+        )?;
+    }
+    let base: usize = whole.iter().map(|r| r.cells()).sum();
+    writeln!(
+        r,
+        "\ntotal: {total_extra} extra updates over {base} base = {:.3}% (Table 2's 2-island entry)",
+        100.0 * total_extra as f64 / base as f64
+    )?;
+    writeln!(
+        r,
+        "reading: the earliest stages carry the deepest cumulative halos and so\n\
+         pay most of the redundancy — the cost of islands independence is front-\n\
+         loaded onto the upwind fluxes and the low-order update."
+    )
+}
+
+/// **Calibration** of the machine model (`UvParams`, `SimConfig`): the
+/// paper sweep at a few processor counts next to the paper's numbers,
+/// then where a fused step's time goes — per-core compute, transfer and
+/// barrier wait, and the DRAM and remote-cache traffic.
+pub(super) fn calibrate(ctx: &Ctx, r: &mut Report) -> fmt::Result {
+    writeln!(
+        r,
+        "{:>3} | {:>18} | {:>18} | {:>18} | {:>18}",
+        "P", "orig-serial", "orig-parallel", "(3+1)D", "islands"
+    )?;
+    writeln!(
+        r,
+        "{:>3} | {:>8} {:>9} | {:>8} {:>9} | {:>8} {:>9} | {:>8} {:>9}",
+        "", "sim", "paper", "sim", "paper", "sim", "paper", "sim", "paper"
+    )?;
+    for p in [1usize, 2, 4, 8, 14] {
+        let t = ctx.at(p);
+        writeln!(
+            r,
+            "{:>3} | {:>8.2} {:>9.2} | {:>8.2} {:>9.2} | {:>8.2} {:>9.2} | {:>8.2} {:>9.2}",
+            p,
+            t.original_serial,
+            PAPER_T1_ORIGINAL_SERIAL[p - 1],
+            t.original,
+            PAPER_ORIGINAL[p - 1],
+            t.fused,
+            PAPER_FUSED[p - 1],
+            t.islands,
+            PAPER_ISLANDS[p - 1],
+        )?;
+    }
+
+    writeln!(r)?;
+    let w = Workload::paper();
+    for p in [1usize, 2, 4, 14] {
+        let machine = UvParams::uv2000(p).build();
+        let ts = plan_fused(&machine, &w, InitPolicy::ParallelFirstTouch).expect("fused plans");
+        let est = estimate(&machine, &ts, &w, &SimConfig::default()).expect("fused simulates");
+        let rep = &est.report;
+        let cores = machine.core_count() as f64;
+        writeln!(
+            r,
+            "fused P={p}: step {:.1} ms | per-core avg: compute {:.1} ms, transfer {:.1} ms, \
+             barrier-wait {:.1} ms | episodes {} | dram {:.0} MB (remote {:.0}) | cache remote {:.1} MB",
+            est.step_seconds * 1e3,
+            rep.total_compute() / cores * 1e3,
+            rep.total_transfer() / cores * 1e3,
+            rep.total_barrier_wait() / cores * 1e3,
+            rep.barrier_episodes,
+            (rep.mem_local_bytes + rep.mem_remote_bytes) / 1e6,
+            rep.mem_remote_bytes / 1e6,
+            rep.cache_remote_bytes / 1e6,
+        )?;
+    }
+    Ok(())
+}

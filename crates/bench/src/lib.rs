@@ -1,25 +1,28 @@
 //! # islands-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper (see
-//! `DESIGN.md` §5 for the experiment index), plus the std-only
-//! microbenches under `benches/` (see [`microbench`]).
+//! The benchmark harness: the [`experiments`] table regenerates every
+//! table, figure and ablation of the paper into `results/` (one
+//! `experiments` binary, `--check` for the drift gate; see `DESIGN.md`
+//! §5 for the experiment index), plus the std-only microbench harness
+//! behind `benches/kernels.rs` (see [`microbench`]) and the artifact
+//! validator `bench-check`.
 //!
-//! This library holds what the binaries share: the paper's published
-//! numbers (for side-by-side printing), the measurement driver that
-//! plans and simulates each strategy on the UV 2000 model, and small
-//! formatting helpers.
+//! This library holds what the experiment rows share: the paper's
+//! published numbers (for side-by-side printing) and [`measure`], which
+//! plans and simulates each strategy on the UV 2000 model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use islands_trace::json;
 
+pub mod experiments;
 pub mod microbench;
 
 use islands_core::{
     estimate, plan_fused, plan_islands, plan_original, InitPolicy, Variant, Workload,
 };
-use numa_sim::{SimConfig, UvParams};
+use numa_sim::{Machine, SimConfig, TraceSet, UvParams};
 
 /// The processor counts of the paper's sweeps.
 pub const CPU_COUNTS: [usize; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14];
@@ -76,10 +79,17 @@ pub struct StrategyTimes {
     pub islands: f64,
 }
 
-/// The simulator configuration used by every experiment (one place to
-/// calibrate).
-pub fn sim_config() -> SimConfig {
-    SimConfig::default()
+/// Simulates `traces` on `machine` under the default [`SimConfig`] and
+/// returns the run's seconds over `w.steps`.
+///
+/// # Panics
+///
+/// Panics if the simulation fails — a programming error for the
+/// planners' traces.
+pub(crate) fn seconds(machine: &Machine, traces: &TraceSet, w: &Workload) -> f64 {
+    estimate(machine, traces, w, &SimConfig::default())
+        .expect("plan simulates")
+        .total_seconds
 }
 
 /// Runs all four strategies for `p` sockets of the UV 2000 on the given
@@ -91,45 +101,15 @@ pub fn sim_config() -> SimConfig {
 /// errors for the paper workload.
 pub fn measure(p: usize, w: &Workload) -> StrategyTimes {
     let machine = UvParams::uv2000(p).build();
-    let cfg = sim_config();
-    let original_serial = estimate(
-        &machine,
-        &plan_original(&machine, w, InitPolicy::SerialFirstTouch),
-        w,
-        &cfg,
-    )
-    .expect("original/serial simulates")
-    .total_seconds;
-    let original = estimate(
-        &machine,
-        &plan_original(&machine, w, InitPolicy::ParallelFirstTouch),
-        w,
-        &cfg,
-    )
-    .expect("original/parallel simulates")
-    .total_seconds;
-    let fused = estimate(
-        &machine,
-        &plan_fused(&machine, w, InitPolicy::ParallelFirstTouch).expect("fused plans"),
-        w,
-        &cfg,
-    )
-    .expect("fused simulates")
-    .total_seconds;
-    let islands = estimate(
-        &machine,
-        &plan_islands(&machine, w, Variant::A).expect("islands plans"),
-        w,
-        &cfg,
-    )
-    .expect("islands simulates")
-    .total_seconds;
+    let original = |init| seconds(&machine, &plan_original(&machine, w, init), w);
+    let fused = plan_fused(&machine, w, InitPolicy::ParallelFirstTouch).expect("fused plans");
+    let islands = plan_islands(&machine, w, Variant::A).expect("islands plans");
     StrategyTimes {
         p,
-        original_serial,
-        original,
-        fused,
-        islands,
+        original_serial: original(InitPolicy::SerialFirstTouch),
+        original: original(InitPolicy::ParallelFirstTouch),
+        fused: seconds(&machine, &fused, w),
+        islands: seconds(&machine, &islands, w),
     }
 }
 

@@ -10,12 +10,8 @@
 //! 2. takes `samples` timed batches after one warmup batch,
 //! 3. prints min / median / max per-iteration times.
 //!
-//! Building the bench crate with `--features criterion` multiplies the
-//! sample counts and minimum sample time for steadier numbers; the
-//! default profile keeps `cargo bench` quick enough for CI.
-//!
 //! A single positional command-line argument (as in
-//! `cargo bench --bench kernels -- fused`) filters benchmarks by
+//! `cargo bench --bench kernels -- boundary`) filters benchmarks by
 //! substring of `group/label`. `--json <path>` writes, besides the
 //! human-readable report, every result as a JSON array of `{group,
 //! label, min_ns, median_ns, max_ns, iters}` objects to `path` (the
@@ -41,8 +37,7 @@ pub struct Record {
     pub iters: u64,
 }
 
-/// Minimum duration of one timed sample, before the `criterion`
-/// feature's multiplier.
+/// Minimum duration of one timed sample.
 pub const MIN_SAMPLE_NANOS: u64 = 2_000_000;
 
 /// Upper bound on the calibrated batch size. No real benchmark body
@@ -61,14 +56,6 @@ fn grow_batch(batch: u64, elapsed_ns: u64, min_ns: u64) -> Option<u64> {
     let scale = (min_ns / elapsed_ns.max(1)).clamp(2, 1024);
     let next = batch.saturating_mul(scale);
     (next <= MAX_BATCH).then_some(next)
-}
-
-fn effort_multiplier() -> u64 {
-    if cfg!(feature = "criterion") {
-        5
-    } else {
-        1
-    }
 }
 
 /// Top-level harness: owns the filter and prints the report.
@@ -190,8 +177,8 @@ impl Group<'_> {
                 return;
             }
         }
-        let min_sample = Duration::from_nanos(MIN_SAMPLE_NANOS * effort_multiplier());
-        let samples = self.samples * effort_multiplier() as usize;
+        let min_sample = Duration::from_nanos(MIN_SAMPLE_NANOS);
+        let samples = self.samples;
 
         // Calibrate: grow the batch until one batch clears min_sample.
         let mut batch = 1_u64;
