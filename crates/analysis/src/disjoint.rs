@@ -240,8 +240,8 @@ pub fn lower(schedule: &StepSchedule) -> SchedulePlan {
 ///
 /// # Errors
 ///
-/// Returns [`PlanBlocksError`] when a part's blocks cannot fit the
-/// cache budget — the same error `IslandsExecutor::step` would surface.
+/// Propagates [`PlanBlocksError`] from [`StepSchedule::build`] — the
+/// same error `IslandsExecutor::step` would surface.
 ///
 /// # Panics
 ///

@@ -470,7 +470,7 @@ impl TeamProgram for Sweep {
 ///
 /// # Errors
 ///
-/// Returns [`PlanBlocksError`] when no block fits the cache budget.
+/// Returns [`PlanBlocksError`] when the domain is empty.
 pub fn plan_fused(
     machine: &Machine,
     w: &Workload,
@@ -502,8 +502,7 @@ pub fn plan_fused(
 ///
 /// # Errors
 ///
-/// Returns [`PlanBlocksError`] when an island's block does not fit the
-/// cache budget.
+/// Returns [`PlanBlocksError`] when an island's part is empty.
 pub fn plan_islands(
     machine: &Machine,
     w: &Workload,
@@ -518,8 +517,7 @@ pub fn plan_islands(
 ///
 /// # Errors
 ///
-/// Returns [`PlanBlocksError`] when an island's block does not fit the
-/// cache budget.
+/// Returns [`PlanBlocksError`] when an island's part is empty.
 pub fn plan_islands_with_layout(
     machine: &Machine,
     w: &Workload,
@@ -549,8 +547,7 @@ fn island_placement(domain: Region3, partition: &Partition, layout: &IslandLayou
 ///
 /// # Errors
 ///
-/// Returns [`PlanBlocksError`] when an island's block does not fit the
-/// cache budget.
+/// Returns [`PlanBlocksError`] when an island's part is empty.
 ///
 /// # Panics
 ///
@@ -611,8 +608,7 @@ pub fn plan_islands_partitioned(
 ///
 /// # Errors
 ///
-/// Returns [`PlanBlocksError`] when an island's block does not fit the
-/// cache budget.
+/// Returns [`PlanBlocksError`] when an island's part is empty.
 pub fn plan_islands_exchange(
     machine: &Machine,
     w: &Workload,

@@ -54,6 +54,10 @@
 //! sizes tiles from `--cache`; an explicit `TIxTJ` (e.g. `8x16`)
 //! forces the extents. Also bit-identical under `--verify`.
 //!
+//! `--cache BYTES` (default 2 MiB, a core's share) sizes the wavefront
+//! blocks; a budget too small for one block plans depth-1 blocks, which
+//! is what the default gives the paper grid (256×256×64).
+//!
 //! `original` and `exchange` replay the same kind of schedule in its
 //! stage-synchronous shape — one team of every worker, or one per
 //! island, each stage over the team's own part into full-domain shared
@@ -80,7 +84,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 use stencil_engine::rng::Xoshiro256pp;
-use stencil_engine::{Axis, PlanBlocksError, Region3};
+use stencil_engine::{Axis, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -276,7 +280,10 @@ fn parse_args() -> Result<Args, String> {
                      \x20          --problem gaussian|cone|random --cache BYTES --verify\n\
                      \x20          --self-schedule N --fuse-steps K --tile auto|TIxTJ\n\
                      \x20          --trace OUT.json --metrics --metrics-json OUT.json\n\
-                     \x20          --serve-metrics ADDR --metrics-interval SECS"
+                     \x20          --serve-metrics ADDR --metrics-interval SECS\n\
+                     --cache is the per-core block budget (default {} B); a budget \
+                     too small for one block plans depth-1 blocks",
+                    mpdata::DEFAULT_CACHE_BYTES
                 );
                 std::process::exit(0);
             }
@@ -493,15 +500,15 @@ fn main() -> ExitCode {
     let t0 = Instant::now();
     // Every strategy but the serial reference replays a schedule; the
     // one it ran (a plan-cache hit) feeds the summary.
-    let ran: Result<Option<Arc<StepSchedule>>, PlanBlocksError> = match a.strategy {
+    let schedule: Option<Arc<StepSchedule>> = match a.strategy {
         Strategy::Reference => {
             ReferenceExecutor::with_problem(problem()).run(&mut fields, a.steps);
-            Ok(None)
+            None
         }
         Strategy::Original | Strategy::Exchange => {
             let exec = ExchangeExecutor::with_problem(&pool, teams, Axis::I, problem());
             exec.run(&mut fields, a.steps);
-            Ok(Some(exec.schedule_for(domain)))
+            Some(exec.schedule_for(domain))
         }
         Strategy::Fused | Strategy::Islands => {
             let mut exec = IslandsExecutor::with_problem(&pool, teams, Axis::I, problem())
@@ -511,15 +518,12 @@ fn main() -> ExitCode {
             if a.self_schedule > 0 {
                 exec = exec.self_schedule(a.self_schedule);
             }
-            exec.run(&mut fields, a.steps)
-                .and_then(|()| exec.schedule_for(domain).map(Some))
-        }
-    };
-    let schedule = match ran {
-        Ok(schedule) => schedule,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            // Block planning fails only on an empty domain, which
+            // `--domain` refuses: any `--cache` plans.
+            let ran = exec
+                .run(&mut fields, a.steps)
+                .and_then(|()| exec.schedule_for(domain));
+            Some(ran.expect("domain is non-empty"))
         }
     };
     let elapsed = t0.elapsed();

@@ -233,8 +233,8 @@ impl<'p> IslandsExecutor<'p> {
     ///
     /// # Errors
     ///
-    /// Returns [`PlanBlocksError`] when an island's block does not fit
-    /// the cache budget.
+    /// Propagates [`PlanBlocksError`] from the block planner, which
+    /// refuses only empty targets; an empty part idles instead.
     ///
     /// # Panics
     ///
@@ -247,8 +247,8 @@ impl<'p> IslandsExecutor<'p> {
     ///
     /// # Errors
     ///
-    /// Returns [`PlanBlocksError`] when an island's block does not fit
-    /// the cache budget.
+    /// Propagates [`PlanBlocksError`] from the block planner, which
+    /// refuses only empty targets; an empty part idles instead.
     ///
     /// # Panics
     ///
@@ -265,8 +265,8 @@ impl<'p> IslandsExecutor<'p> {
     ///
     /// # Errors
     ///
-    /// Returns [`PlanBlocksError`] when an island's block does not fit
-    /// the cache budget.
+    /// Propagates [`PlanBlocksError`] from the block planner, which
+    /// refuses only empty targets; an empty part idles instead.
     ///
     /// # Panics
     ///
@@ -468,7 +468,7 @@ mod tests {
         let one_block = stencil_engine::BlockPlanner::new(crate::DEFAULT_CACHE_BYTES)
             .plan(MpdataProblem::standard().graph(), d, d)
             .unwrap();
-        assert_eq!(one_block.len(), 1, "16 MiB ≫ domain: a single block");
+        assert_eq!(one_block.len(), 1, "2 MiB ≫ 20×7×5 domain: a single block");
     }
 
     #[test]
@@ -503,21 +503,27 @@ mod tests {
     }
 
     #[test]
-    fn tiny_cache_errors_untiled_but_tiles_degrade() {
+    fn tiny_cache_degrades_to_depth_one_blocks_and_unit_tiles() {
+        // 1 KiB fits no block of the 12×6×4 domain: the wavefront
+        // planner falls back to depth-1 blocks and the tile sizer to
+        // 1×1 tiles. Both spill and the tiles recompute huge halos, but
+        // both stay exact.
         let pool = WorkerPool::new(2);
         let single =
             || IslandsExecutor::single_island(&pool, MpdataProblem::standard()).cache_bytes(1024);
-        // The wavefront planner cannot fit a block…
-        let big = gaussian_pulse(Region3::of_extent(64, 64, 64), (0.1, 0.0, 0.0));
-        assert!(matches!(
-            single().step(&big),
-            Err(PlanBlocksError::CacheTooSmall { .. })
-        ));
-        // …while the tile sizer degrades to 1×1 tiles instead of
-        // erroring: halo recompute explodes but the result stays exact.
         let f = gaussian_pulse(Region3::of_extent(12, 6, 4), (0.1, 0.0, 0.0));
-        let got = single().tile(TileMode::Auto).step(&f).unwrap();
-        assert_eq!(got.max_abs_diff(&ReferenceExecutor::new().step(&f)), 0.0);
+        let expect = ReferenceExecutor::new().step(&f);
+        let untiled = single();
+        let accesses = untiled.schedule_for(f.domain()).unwrap().accesses();
+        let blocks = accesses.iter().map(|a| a.block + 1).max();
+        assert_eq!(blocks, Some(12), "depth-1 blocks");
+        for (label, exec) in [
+            ("untiled", untiled),
+            ("tile auto", single().tile(TileMode::Auto)),
+        ] {
+            let got = exec.step(&f).unwrap();
+            assert_eq!(got.max_abs_diff(&expect), 0.0, "{label} diverged");
+        }
     }
 
     #[test]

@@ -70,9 +70,10 @@ use stencil_engine::{
 };
 use work_scheduler::{AccessTracker, ChunkQueue, DisjointCell, TeamCtx, TeamSpec, WorkerPool};
 
-/// Default cache budget per block: the 16 MiB L3 of the paper's Xeon
-/// E5-4627v2.
-pub const DEFAULT_CACHE_BYTES: usize = 16 << 20;
+/// Default cache budget per block: the per-core share a block's windows
+/// are sized for — the 16 MiB L3 of the paper's 8-core Xeon E5-4627v2
+/// split over its cores, and the reference host's private L2.
+pub const DEFAULT_CACHE_BYTES: usize = 2 << 20;
 
 /// How each epoch's work units are assigned to the ranks of a team.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -577,9 +578,8 @@ impl StepSchedule {
     ///
     /// # Errors
     ///
-    /// Returns [`PlanBlocksError`] when an island's block does not fit
-    /// the cache budget (per-stage sweeps only; tiling degrades to 1×1
-    /// tiles instead).
+    /// Propagates [`PlanBlocksError`] from the block planner, which
+    /// refuses only empty targets; an empty part idles instead.
     ///
     /// # Panics
     ///

@@ -36,9 +36,9 @@ pub struct ModelPrediction {
 ///
 /// # Panics
 ///
-/// Panics when the machine has no compute node or the block planner
-/// cannot fit a block (the same conditions under which the simulator
-/// planners panic for this workload).
+/// Panics when the machine has no compute node or the domain is empty
+/// (the same conditions under which the simulator planners panic for
+/// this workload).
 pub fn predict(machine: &Machine, w: &Workload, cfg: &SimConfig) -> ModelPrediction {
     let (graph, _) = mpdata_graph();
     let nodes = machine.compute_nodes();

@@ -47,7 +47,7 @@ pub fn fused_traffic_ideal(graph: &StageGraph, domain: Region3, steps: usize) ->
 ///
 /// # Errors
 ///
-/// Returns [`PlanBlocksError`] when no block fits the cache budget.
+/// Returns [`PlanBlocksError`] when the domain is empty.
 pub fn fused_traffic_blocked(
     graph: &StageGraph,
     domain: Region3,

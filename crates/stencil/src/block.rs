@@ -65,11 +65,11 @@ impl BlockPlanner {
         self.cache_bytes
     }
 
-    /// Sets the smallest admissible block depth (default 1). Raising it
-    /// above 1 also declares that blocks of that depth are acceptable
-    /// even when their working set exceeds the cache budget (real codes
-    /// tolerate partial spills rather than refuse to run); with the
-    /// default depth, a single slice that cannot fit is an error.
+    /// Sets the smallest admissible block depth (default 1). Blocks of
+    /// that depth are planned even when their working set exceeds the
+    /// cache budget: a block that spills still computes the right
+    /// result, and real codes tolerate partial spills rather than
+    /// refuse to run.
     pub fn min_depth(mut self, d: usize) -> Self {
         self.min_depth = d.max(1);
         self
@@ -94,13 +94,16 @@ impl BlockPlanner {
         graph.max_live_buffers()
     }
 
-    /// Chooses the block depth along the planning axis so the block
-    /// working set (including the cumulative halo) fits the cache budget.
+    /// Chooses the block depth along the planning axis: the deepest
+    /// block whose working set (including the cumulative halo) fits the
+    /// cache budget, clamped to `[min_depth, max_depth]` — so a budget
+    /// that fits no block plans `min_depth` ([`BlockPlanner::min_depth`])
+    /// — and to the domain.
     ///
     /// # Errors
     ///
-    /// Returns [`PlanBlocksError::CacheTooSmall`] when even the minimum
-    /// depth exceeds the budget.
+    /// Returns [`PlanBlocksError::EmptyDomain`] when a plane across the
+    /// axis holds no cells.
     pub fn choose_depth(
         &self,
         graph: &StageGraph,
@@ -127,15 +130,7 @@ impl BlockPlanner {
         depth = depth.saturating_sub(halo_span);
         depth = depth.clamp(self.min_depth, self.max_depth);
         let axis_len = domain.range(self.axis).len();
-        depth = depth.min(axis_len.max(1));
-        let need = (depth + halo_span) * per_depth;
-        if need > self.cache_bytes && depth <= self.min_depth && self.min_depth == 1 {
-            return Err(PlanBlocksError::CacheTooSmall {
-                need,
-                have: self.cache_bytes,
-            });
-        }
-        Ok(depth)
+        Ok(depth.min(axis_len.max(1)))
     }
 
     /// Plans the blocks for `domain`, computing each block's per-stage
@@ -249,25 +244,12 @@ impl BlockPlanner {
 pub enum PlanBlocksError {
     /// The domain contains no cells.
     EmptyDomain,
-    /// Even the smallest admissible block exceeds the cache budget.
-    CacheTooSmall {
-        /// Bytes required by the minimum block.
-        need: usize,
-        /// Bytes available.
-        have: usize,
-    },
 }
 
 impl fmt::Display for PlanBlocksError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanBlocksError::EmptyDomain => write!(f, "domain contains no cells"),
-            PlanBlocksError::CacheTooSmall { need, have } => {
-                write!(
-                    f,
-                    "minimum block needs {need} B but cache budget is {have} B"
-                )
-            }
         }
     }
 }
@@ -505,14 +487,21 @@ mod tests {
     }
 
     #[test]
-    fn cache_too_small_is_reported() {
+    fn cache_too_small_plans_min_depth() {
         let g = chain_graph(1, 3);
         let domain = Region3::of_extent(64, 64, 64);
-        let planner = BlockPlanner::new(16); // absurdly small
-        assert!(matches!(
-            planner.plan(&g, domain, domain),
-            Err(PlanBlocksError::CacheTooSmall { .. })
-        ));
+        for min in [1, 3] {
+            let planner = BlockPlanner::new(16).min_depth(min); // absurdly small
+            assert_eq!(planner.choose_depth(&g, domain), Ok(min));
+            let b = planner.plan(&g, domain, domain).unwrap();
+            assert_eq!(b.depth, min);
+            assert_eq!(b.len(), 64usize.div_ceil(min));
+            let total: usize = b.blocks.iter().map(|p| p.output_region.cells()).sum();
+            assert_eq!(total, domain.cells());
+            for w in b.blocks.windows(2) {
+                assert_eq!(w[0].output_region.i.hi, w[1].output_region.i.lo);
+            }
+        }
     }
 
     #[test]

@@ -340,38 +340,48 @@ impl RunMetrics {
     /// `Dispatch` widens its step's wall and folds through
     /// `IslandMetrics::of_span` into its `(step, island)` row.
     pub fn aggregate(drained: &Drained) -> RunMetrics {
-        let mut walls: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-        let mut rows: BTreeMap<(u32, u32), IslandMetrics> = BTreeMap::new();
+        // Per step: its wall and one row per island, found by a short scan.
+        type Step = ((u64, u64), Vec<IslandMetrics>);
+        let mut steps: BTreeMap<u32, Step> = BTreeMap::new();
+        // Spans arrive time-sorted, so consecutive spans mostly share a
+        // step: `last` keeps its entry and skips the map lookup.
+        let mut last: Option<(u32, &mut Step)> = None;
         for ev in drained.events.iter().map(|t| &t.ev) {
             if !bounds_step(ev.kind) {
                 continue;
             }
-            let (lo, hi) = walls.entry(ev.step).or_insert((u64::MAX, 0));
+            let entry = match last.take() {
+                Some((step, entry)) if step == ev.step => entry,
+                _ => steps.entry(ev.step).or_insert(((u64::MAX, 0), Vec::new())),
+            };
+            let ((lo, hi), islands) = &mut *entry;
             *lo = (*lo).min(ev.start_ns);
             *hi = (*hi).max(ev.end_ns());
-            let row = rows.entry((ev.step, ev.island)).or_insert(IslandMetrics {
-                island: ev.island,
-                ..IslandMetrics::default()
+            let at = islands.iter().position(|m| m.island == ev.island);
+            let at = at.unwrap_or_else(|| {
+                islands.push(IslandMetrics {
+                    island: ev.island,
+                    ..IslandMetrics::default()
+                });
+                islands.len() - 1
             });
+            let row = &mut islands[at];
             row.workers = row.workers.max(ev.rank + 1);
             row.merge(&IslandMetrics::of_span(ev.kind, ev.dur_ns, ev.aux));
+            last = Some((ev.step, entry));
         }
         // Every real island the run knows about: a step missing one of
         // these recorded *no* events for it — flagged explicitly so the
         // ratio metrics refuse instead of silently deflating.
-        let run_islands: BTreeSet<u32> = rows
-            .keys()
-            .map(|&(_, island)| island)
+        let run_islands: BTreeSet<u32> = steps
+            .values()
+            .flat_map(|(_, islands)| islands.iter().map(|m| m.island))
             .filter(|&i| i != NO_ISLAND)
             .collect();
-        // Both maps are ordered by step, and every step has a row.
-        let mut rows = rows.into_iter().peekable();
-        let steps = walls
+        let steps = steps
             .into_iter()
-            .map(|(step, (lo, hi))| {
-                let islands: Vec<IslandMetrics> =
-                    std::iter::from_fn(|| rows.next_if(|((s, _), _)| *s == step).map(|(_, m)| m))
-                        .collect();
+            .map(|(step, ((lo, hi), mut islands))| {
+                islands.sort_unstable_by_key(|m| m.island);
                 let silent_islands = run_islands
                     .iter()
                     .copied()

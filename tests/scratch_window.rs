@@ -3,8 +3,9 @@
 //!
 //! For a seeded sample of domain (prime extents, shifted bases) ×
 //! partition (1-D along I or J, 2 × P/2 grids, more islands than slabs)
-//! × schedule policy × fuse depth, under the smallest cache budget every
-//! island still plans with (thin wavefront blocks, many of them): the
+//! × schedule policy × fuse depth, under a 1-byte cache budget — below
+//! any block, so every island of every fused step plans depth-1
+//! wavefront blocks, as many as it has i-planes: the
 //! run reproduces the serial reference bitwise *through the windows*,
 //! the schedule it replayed lints clean (rule 6 `window-alias`
 //! included), every island cut into three or more blocks stores fewer
@@ -16,9 +17,11 @@
 //! block's depth idle.
 
 use islands_analysis::{check_disjointness, lower, DiagnosticCode};
-use mpdata::{random_fields, IslandsExecutor, ReferenceExecutor, SchedulePolicy};
+use mpdata::{
+    random_fields, IslandsExecutor, ReferenceExecutor, SchedulePolicy, DEFAULT_CACHE_BYTES,
+};
 use stencil_engine::rng::{Rng64, Xoshiro256pp};
-use stencil_engine::{Axis, PlanBlocksError, Range1, Region3};
+use stencil_engine::{Axis, Range1, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
 
 #[test]
@@ -65,33 +68,20 @@ fn windows_run_bitwise_lint_clean_and_are_exact() {
             _ => SchedulePolicy::Static,
         };
         let pool = WorkerPool::new(islands * ranks);
-        let build = |cache: usize| {
-            let teams = TeamSpec::even(islands * ranks, islands);
-            let exec = IslandsExecutor::new(&pool, teams, axis)
-                .cache_bytes(cache)
-                .fuse_steps(fuse)
-                .schedule(schedule);
-            if grid {
-                exec.with_partition(parts.clone())
-            } else {
-                exec
-            }
-        };
-        // The smallest budget every island plans under: its fattest
-        // fused-step target gets depth-1 blocks, the others stay thin.
-        let mut cache = 1;
-        let exec = loop {
-            let exec = build(cache);
-            match exec.schedule_for(domain) {
-                Ok(_) => break exec,
-                Err(PlanBlocksError::CacheTooSmall { need, .. }) => cache = need,
-                Err(e) => panic!("{e}"),
-            }
+        let teams = TeamSpec::even(islands * ranks, islands);
+        let exec = IslandsExecutor::new(&pool, teams, axis)
+            .cache_bytes(1)
+            .fuse_steps(fuse)
+            .schedule(schedule);
+        let exec = if grid {
+            exec.with_partition(parts.clone())
+        } else {
+            exec
         };
         let steps = 1 + rng.below(5);
         let label = format!(
             "case {case}: {domain:?}, {islands} islands × {ranks} along {axis:?} (grid: {grid}), \
-             {schedule:?}, fuse {fuse}, cache {cache}, {steps} steps"
+             {schedule:?}, fuse {fuse}, {steps} steps"
         );
         eprintln!("{label}");
 
@@ -131,13 +121,12 @@ fn windows_run_bitwise_lint_clean_and_are_exact() {
                 assert!(w.planes < w.hull.i.len(), "{w:?} keeps its hull — {label}");
             }
         }
-        // Unfused, the budget is the fattest part's minimum, so some
-        // island is cut that thin — unless there are more islands than
-        // I-slabs (one-plane parts). Fused, the fat first-step targets
-        // set the budget and the last step may fit one block.
+        // Depth-1 blocks cut some island into three or more blocks in
+        // every fused step — unless there are more islands than I-slabs
+        // (one-plane parts).
         let cut = blocks.iter().any(|&b| b >= 3);
         let one_plane_parts = axis == Axis::I && islands > ni;
-        assert!(cut || fuse > 1 || one_plane_parts, "{blocks:?} — {label}");
+        assert!(cut || one_plane_parts, "{blocks:?} — {label}");
         windowed_cases += usize::from(cut);
         let stored: usize = windows
             .iter()
@@ -169,4 +158,38 @@ fn windows_run_bitwise_lint_clean_and_are_exact() {
         "only {windowed_cases} of {} cases had an island of three or more blocks",
         SAMPLES + DEEP_TEAMS.len()
     );
+}
+
+/// The plans the default budget gives the benchmark's shapes, without
+/// stepping: the paper grid splits into depth-1 wavefront blocks whose
+/// windows fit a core's share of cache, and the small grid stays one
+/// block. Every schedule lints clean.
+#[test]
+fn default_budget_sizes_windows_for_a_core() {
+    // `[ni, nj, nk, islands, ranks]`, blocks per team, most scratch bytes.
+    let cases = [
+        ([256, 256, 64, 1, 1], 256, 5_200_000),
+        ([256, 256, 64, 2, 1], 128, 12_700_000),
+        ([32, 32, 16, 1, 2], 1, 2_300_000),
+    ];
+    for ([ni, nj, nk, islands, ranks], blocks, most) in cases {
+        let label = format!("{ni}×{nj}×{nk} on {islands}×{ranks}");
+        let domain = Region3::of_extent(ni, nj, nk);
+        let pool = WorkerPool::new(islands * ranks);
+        let teams = TeamSpec::even(islands * ranks, islands);
+        let exec = IslandsExecutor::new(&pool, teams, Axis::I);
+        let ran = exec.schedule_for(domain).unwrap();
+        assert_eq!(ran.knobs().cache_bytes, DEFAULT_CACHE_BYTES, "{label}");
+        let mut per_team = vec![0; islands];
+        for a in ran.accesses() {
+            per_team[a.team] = per_team[a.team].max(a.block + 1);
+        }
+        assert_eq!(per_team, vec![blocks; islands], "{label}");
+        assert!(
+            ran.scratch_bytes() <= most,
+            "{} B — {label}",
+            ran.scratch_bytes()
+        );
+        assert_eq!(check_disjointness(&lower(&ran)), vec![], "{label}");
+    }
 }
