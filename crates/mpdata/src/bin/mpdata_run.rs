@@ -41,7 +41,8 @@
 //! `--self-schedule N` splits each barrier-fenced epoch into N chunks
 //! per rank that the island's workers claim dynamically (islands and
 //! fused strategies) — the remedy for whatever imbalance `--metrics`
-//! reports. `--fuse-steps K` fuses K whole time steps into one replay
+//! reports; with `--tile` the workers claim whole tiles instead and N
+//! is ignored. `--fuse-steps K` fuses K whole time steps into one replay
 //! epoch (temporal blocking): islands widen their halos by K
 //! cumulative stencil radii and pay the global-barrier pair once per K
 //! steps — still bit-identical under `--verify` (islands and fused
@@ -282,7 +283,9 @@ fn parse_args() -> Result<Args, String> {
                      \x20          --trace OUT.json --metrics --metrics-json OUT.json\n\
                      \x20          --serve-metrics ADDR --metrics-interval SECS\n\
                      --cache is the per-core block budget (default {} B); a budget \
-                     too small for one block plans depth-1 blocks",
+                     too small for one block plans depth-1 blocks\n\
+                     --self-schedule N cuts each epoch into N chunks per rank; with \
+                     --tile, ranks claim whole tiles and N is ignored",
                     mpdata::DEFAULT_CACHE_BYTES
                 );
                 std::process::exit(0);

@@ -262,13 +262,14 @@ impl ParStore {
     }
 
     /// Re-targets `f`'s buffer at `region`, reusing its allocation
-    /// ([`Array3::rebase`]) — the per-tile scratch shrink of the
-    /// tile-fused replay, which must stay allocation-free.
+    /// ([`Array3::rebase`]): the tiled replay aims a field at the region
+    /// of the chain row about to write it, which contains every later
+    /// read of the field in that chain, and must stay allocation-free.
     ///
     /// The buffer's previous contents become meaningless at the new
-    /// indexing; the tile chain writes every cell it reads before
-    /// reading it (the prover's `uncovered-read` rule over the tile's
-    /// scratch).
+    /// indexing; the row writes every cell the rest of the chain reads
+    /// before it is read (the prover's `uncovered-read` rule over the
+    /// tile's scratch).
     ///
     /// # Safety contract (internal)
     ///

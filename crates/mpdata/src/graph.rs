@@ -514,90 +514,12 @@ impl MpdataProblem {
     }
 }
 
-/// Handles to the fields of the 17-stage MPDATA graph, in registration
-/// order (legacy layout kept for the analysis layer and tests).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MpdataFieldIds {
-    /// Advected scalar (external input).
-    pub x: FieldId,
-    /// Courant numbers (external inputs).
-    pub u1: FieldId,
-    /// See [`MpdataFieldIds::u1`].
-    pub u2: FieldId,
-    /// See [`MpdataFieldIds::u1`].
-    pub u3: FieldId,
-    /// Density / Jacobian (external input).
-    pub h: FieldId,
-    /// Upwind fluxes.
-    pub f1: FieldId,
-    /// See [`MpdataFieldIds::f1`].
-    pub f2: FieldId,
-    /// See [`MpdataFieldIds::f1`].
-    pub f3: FieldId,
-    /// First-order (low order) solution ψ*.
-    pub xp: FieldId,
-    /// Antidiffusive pseudo-velocities.
-    pub v1: FieldId,
-    /// See [`MpdataFieldIds::v1`].
-    pub v2: FieldId,
-    /// See [`MpdataFieldIds::v1`].
-    pub v3: FieldId,
-    /// Local maxima ψ^max.
-    pub mx: FieldId,
-    /// Local minima ψ^min.
-    pub mn: FieldId,
-    /// Pseudo fluxes of the corrective pass.
-    pub g1: FieldId,
-    /// See [`MpdataFieldIds::g1`].
-    pub g2: FieldId,
-    /// See [`MpdataFieldIds::g1`].
-    pub g3: FieldId,
-    /// β↑ limiter.
-    pub bu: FieldId,
-    /// β↓ limiter.
-    pub bd: FieldId,
-    /// Limited (monotone) fluxes.
-    pub f1l: FieldId,
-    /// See [`MpdataFieldIds::f1l`].
-    pub f2l: FieldId,
-    /// See [`MpdataFieldIds::f1l`].
-    pub f3l: FieldId,
-    /// Final advected scalar (output).
-    pub xout: FieldId,
-}
-
-/// Builds the paper's 17-stage MPDATA graph and returns the legacy
-/// field handles with it.
-pub fn mpdata_graph() -> (StageGraph, MpdataFieldIds) {
+/// Builds the paper's 17-stage MPDATA graph
+/// ([`MpdataProblem::standard`]) and returns the handles to its five
+/// external inputs with it.
+pub fn mpdata_graph() -> (StageGraph, ExternalIds) {
     let p = MpdataProblem::standard();
-    let t = p.graph().fields();
-    let find = |n: &str| t.find(n).expect("standard graph field");
-    let ids = MpdataFieldIds {
-        x: find("x"),
-        u1: find("u1"),
-        u2: find("u2"),
-        u3: find("u3"),
-        h: find("h"),
-        f1: find("f1"),
-        f2: find("f2"),
-        f3: find("f3"),
-        xp: find("xp"),
-        v1: find("v1"),
-        v2: find("v2"),
-        v3: find("v3"),
-        mx: find("mx"),
-        mn: find("mn"),
-        g1: find("g1"),
-        g2: find("g2"),
-        g3: find("g3"),
-        bu: find("bu"),
-        bd: find("bd"),
-        f1l: find("f1l"),
-        f2l: find("f2l"),
-        f3l: find("f3l"),
-        xout: find("xout"),
-    };
-    (p.graph().clone(), ids)
+    (p.graph().clone(), p.ext())
 }
 
 #[cfg(test)]
@@ -607,10 +529,11 @@ mod tests {
 
     #[test]
     fn graph_has_17_stages_5_inputs_1_output() {
-        let (g, ids) = mpdata_graph();
+        let (g, ext) = mpdata_graph();
         assert_eq!(g.stage_count(), STAGE_COUNT);
         assert_eq!(g.external_fields().len(), 5);
-        assert_eq!(g.output_fields(), vec![ids.xout]);
+        assert!(g.external_fields().contains(&ext.x));
+        assert_eq!(g.output_fields(), vec![MpdataProblem::standard().xout()]);
         assert_eq!(g.fields().len(), 23);
     }
 

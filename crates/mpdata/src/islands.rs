@@ -165,7 +165,9 @@ impl<'p> IslandsExecutor<'p> {
     /// into `chunks_per_rank` chunks per rank, claimed from a
     /// preallocated per-epoch queue. Bit-identical to the static
     /// schedule — chunk boundaries, not claim order, determine every
-    /// written value.
+    /// written value. A tiled plan ([`IslandsExecutor::tile`]) ignores
+    /// `chunks_per_rank`: its ranks claim whole tiles, one queue per
+    /// fused step.
     pub fn self_schedule(self, chunks_per_rank: usize) -> Self {
         self.schedule(SchedulePolicy::Dynamic { chunks_per_rank })
     }
@@ -189,8 +191,8 @@ impl<'p> IslandsExecutor<'p> {
     /// chain of one tile runs back-to-back on the executing rank's
     /// private scratch. Intermediates live in L2-sized rank-private
     /// buffers instead of the team's block-deep windows, and the
-    /// per-stage team barriers collapse to one per fused step, at the price of redundant halo recomputation along tile
-    /// faces. Bit-identical to the untiled replay for every tile size,
+    /// per-stage team barriers collapse to one per fused step, at the
+    /// price of redundant halo recomputation along tile faces. Bit-identical to the untiled replay for every tile size,
     /// schedule and fuse depth (the kernels are pointwise in their
     /// declared neighborhoods).
     pub fn tile(mut self, mode: TileMode) -> Self {
@@ -849,8 +851,7 @@ mod tests {
 
     #[test]
     fn tiled_more_islands_than_slabs_still_correct() {
-        // Empty parts get empty tile tables and still synchronize
-        // consistently.
+        // Empty parts get no tiles and still synchronize consistently.
         let d = Region3::of_extent(5, 6, 4);
         let f = gaussian_pulse(d, (0.2, 0.1, 0.0));
         let pool = WorkerPool::new(8);

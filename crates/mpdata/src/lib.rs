@@ -57,8 +57,8 @@ mod reference;
 pub use diagnostics::{error_norms, CflViolation, ErrorNorms};
 pub use fields::{gaussian_pulse, random_fields, rotating_cone, MpdataFields, EPS};
 pub use graph::{
-    flops_per_cell, mpdata_graph, ExternalIds, MpdataFieldIds, MpdataProblem, StageKind,
-    STAGE_COUNT, STAGE_FLOPS, STANDARD_KINDS,
+    flops_per_cell, mpdata_graph, ExternalIds, MpdataProblem, StageKind, STAGE_COUNT, STAGE_FLOPS,
+    STANDARD_KINDS,
 };
 pub use islands::{ExchangeExecutor, IslandsExecutor, OriginalExecutor};
 pub use kernels::{apply_kind, apply_kind_scalar, apply_stage, Boundary};

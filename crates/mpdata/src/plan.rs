@@ -8,8 +8,9 @@
 //! [`StepPlan`] hoists all of it out of the loop, in two layers:
 //!
 //! * [`StepSchedule`] — the pure tables: per-island blocking, one
-//!   small record per `(block, stage)` epoch, tile chains and the
-//!   scratch footprints, built once from the problem, the partition
+//!   small record per `(block, stage)` epoch — a tile is a block too,
+//!   whose stage chain one rank runs whole — and the scratch
+//!   footprints, built once from the problem, the partition
 //!   and the [`ScheduleKnobs`] with no buffer allocated. It stores
 //!   what it cannot recompute: a work unit's slice of an epoch is the
 //!   closed-form `rank_slice`, taken when the unit runs. It is the
@@ -84,7 +85,9 @@ pub enum SchedulePolicy {
     Static,
     /// Intra-island self-scheduling: every epoch is cut into
     /// `ranks × chunks_per_rank` slices and ranks claim them from a
-    /// per-epoch [`ChunkQueue`] until drained. A chunk's slice is
+    /// per-epoch [`ChunkQueue`] until drained. Tiled plans
+    /// ([`TileMode`] other than `Off`) ignore `chunks_per_rank`: ranks
+    /// claim whole tiles from one queue per fused step. A chunk's slice is
     /// closed-form and the queue reset is one atomic store, so the
     /// steady-state replay stays allocation-free; epoch fencing is
     /// unchanged, so plan-time disjointness still proves the schedule
@@ -227,12 +230,15 @@ pub(crate) struct PlanConfig {
     pub(crate) stage_sync: bool,
 }
 
-/// One barrier-fenced unit of a team's replay: one stage of one block.
-/// Its region is cut into the team's `n_units` work-unit slices along
-/// the team's axis by `rank_slice` when they run. Under
-/// [`SchedulePolicy::Static`] there is exactly one unit per rank (unit
-/// index = rank); under [`SchedulePolicy::Dynamic`] there are `ranks ×
-/// chunks_per_rank` units claimed from the epoch's [`ChunkQueue`].
+/// One row of a team's replay: one stage of one block. Untiled, a row
+/// is barrier-fenced and its region is cut into the team's `n_units`
+/// work-unit slices along the team's axis by `rank_slice` when they
+/// run. Under [`SchedulePolicy::Static`] there is exactly one unit per
+/// rank (unit index = rank); under [`SchedulePolicy::Dynamic`] there
+/// are `ranks × chunks_per_rank` units claimed from the row's
+/// [`ChunkQueue`]. Tiled, the block is a tile: its `stages` rows are
+/// one chain that a single rank runs whole (`n_units = 1`), and only
+/// fused steps are fenced.
 struct EpochPlan {
     /// Index into `graph.stages()`.
     stage: usize,
@@ -244,30 +250,12 @@ struct EpochPlan {
     is_final: bool,
     /// Fused-step index within the plan's k-step table (0-based).
     step: u16,
-    /// Block index within the island's wavefront blocking (trace tag).
+    /// Block (or tile) index within the fused step's blocking (trace
+    /// tag; saturates at `u16::MAX`).
     block: u16,
     /// The whole epoch region, which the work units slice contiguously
     /// along the team's axis.
     region: Region3,
-}
-
-/// One `(i, j)` tile of a fused-step target under [`TileMode`]: the
-/// whole stage chain replayed back-to-back by one rank on that rank's
-/// private scratch, rebased to this tile's footprint.
-struct TileTask {
-    /// Per-stage compute regions from the backward requirement analysis
-    /// (`required_regions(tile, domain)`): every intra-chain read of an
-    /// intermediate resolves to a cell this chain computed earlier. The
-    /// final stage's region is the tile itself, and tiles partition the
-    /// fused-step target, so concurrent output writes are disjoint.
-    stage_regions: Vec<Region3>,
-    /// Per scratch field, the region the rank store is rebased to
-    /// before the chain runs — the producing stage's region, which
-    /// contains every later read of the field.
-    field_regions: Vec<(FieldId, Region3)>,
-    /// Per-stage redundant cells beyond `tile ∩ part ∩ base_regions[s]`
-    /// (trace attribution, like the untiled replay's `needed` table).
-    stage_extra: Vec<u64>,
 }
 
 /// One team's replay schedule.
@@ -275,7 +263,8 @@ struct TeamSchedule {
     /// The axis every epoch's units slice its region along: the knob's
     /// when given, else the team's longest ([`rank_axis_of`]).
     axis: Axis,
-    /// Work units per epoch (see [`SchedulePolicy::units_for`]).
+    /// Work units per row (see [`SchedulePolicy::units_for`]; 1 when
+    /// tiled: a rank runs a tile's whole chain).
     n_units: usize,
     epochs: Vec<EpochPlan>,
     /// Per stage: `part ∩ region_s(domain)`, the cells a zero-overlap
@@ -284,31 +273,30 @@ struct TeamSchedule {
     /// report (fused steps before the last one recompute a whole
     /// widened halo band).
     needed: Vec<Region3>,
-    /// Epoch index range per fused step: `epochs[step_bounds[s].0 ..
-    /// step_bounds[s].1]` are fused step `s`'s epochs (all `(0, 0)` for
-    /// empty islands and tiled schedules).
+    /// Row index range per fused step: `epochs[step_bounds[s].0 ..
+    /// step_bounds[s].1]` are fused step `s`'s rows — block after block,
+    /// `stages` rows each, tiles included (all `(0, 0)` for empty
+    /// islands).
     step_bounds: Vec<(usize, usize)>,
     /// Logical extent of the team's shared scratch buffers: the hull of
     /// every fused step's blocking (steps reuse the same scratch).
-    /// Empty for tiled schedules and empty islands.
+    /// Empty for tiled schedules, whose scratch is rank-private
+    /// (`tile_scratch`), and for empty islands.
     scratch: Region3,
     /// Per scratch field, how many i-planes of `scratch` its buffer
     /// stores (see [`ScratchWindow`]).
     windows: Vec<(FieldId, usize)>,
-    /// Ranks in the team (each holds one tile scratch set when tiled).
+    /// Ranks in the team. Tiled, each rank holds one `tile_scratch`
+    /// set ([`StepSchedule::scratch_bytes`] counts it once per rank).
     ranks: usize,
     /// Extent of the team-private ping-pong buffers the advected field
     /// moves through between fused steps (`None` when `fuse_steps == 1`
     /// or the island is empty): the first (widest) fused step's target,
     /// which contains every later step's writes and reads.
     xslot: Option<Region3>,
-    /// Tile tables, one `Vec<TileTask>` per fused step (tiled schedules
-    /// only; empty when `TileMode::Off`). Tiles of step `s` partition
-    /// `fused_step_targets[s]`.
-    tiles: Vec<Vec<TileTask>>,
-    /// Per scratch field, the fattest tile footprint of any fused step:
-    /// what every rank's private store is sized to, so rebasing it tile
-    /// by tile never allocates.
+    /// Per scratch field, the widest region any tiled row writes it
+    /// over: what every rank's private store is sized to, so rebasing
+    /// it row by row never allocates (empty when untiled).
     tile_scratch: Vec<(FieldId, Region3)>,
 }
 
@@ -397,9 +385,6 @@ pub struct StepSchedule {
     /// Normalized: `fuse_steps ≥ 1`.
     knobs: ScheduleKnobs,
     teams: Vec<TeamSchedule>,
-    /// Stage kinds in stage order (the tiled replay walks the graph
-    /// directly instead of through per-epoch tables).
-    stage_kinds: Vec<StageKind>,
     /// Index of the final stage (the single writer of the advected
     /// output).
     final_stage: usize,
@@ -426,20 +411,19 @@ impl fmt::Debug for StepSchedule {
 struct TeamBuffers {
     /// The team's shared scratch store (per-stage sweeps).
     store: ParStore,
-    /// Rank-private scratch stores for the tiled replay, one per rank
-    /// (empty when `TileMode::Off`). Each holds every scratch field at
-    /// its worst-case tile footprint and is rebased tile by tile, so
-    /// the steady state allocates nothing.
+    /// Rank-private scratch stores of a tiled team, one per rank
+    /// (empty when untiled or idle). Each holds every scratch field at
+    /// its `tile_scratch` extent, and the chain loop rebases a field to
+    /// a row's region just before the row writes it, so the steady
+    /// state allocates nothing.
     rank_stores: Vec<ParStore>,
-    /// One preallocated work queue per epoch (dynamic schedules only;
-    /// empty for static). Reset between steps by one relaxed store per
-    /// epoch, inside the serial sections the barriers already fence —
-    /// so self-scheduling adds no allocation to the steady state.
+    /// One preallocated claim queue per fence interval (dynamic
+    /// schedules only; empty for static): per row untiled, over its
+    /// `n_units` chunks; per fused step tiled, over its tiles. Reset
+    /// between steps by one relaxed store per queue, inside the serial
+    /// sections the barriers already fence — so self-scheduling adds no
+    /// allocation to the steady state.
     queues: Vec<ChunkQueue>,
-    /// One preallocated claim queue per fused step over that step's
-    /// tiles (dynamic tiled plans only). Same reset contract as
-    /// `queues`.
-    tile_queues: Vec<ChunkQueue>,
     /// The x slots: fused step `s < k-1` writes slot `s % 2`, fused
     /// step `s > 0` reads slot `(s-1) % 2` (see
     /// [`StepSchedule::x_dest`] / [`StepSchedule::x_source`]).
@@ -527,46 +511,6 @@ fn rank_axis_of<'a>(mut regions: impl Iterator<Item = &'a Region3>) -> Axis {
     }
 }
 
-/// Builds one tile's chain table: per-stage compute regions from the
-/// backward requirement analysis and the scratch footprints the rank
-/// store is rebased to.
-fn plan_tile(
-    graph: &StageGraph,
-    xout: FieldId,
-    tile: Region3,
-    part: Region3,
-    domain: Region3,
-    base_regions: &[Region3],
-) -> TileTask {
-    let regs = graph.required_regions(tile, domain);
-    // Scratch footprint per field = the producing stage's region, which
-    // (by the backward requirement invariant) contains every later read
-    // of the field clipped to the domain.
-    let mut field_regions = Vec::new();
-    let mut stage_extra = vec![0u64; regs.len()];
-    for st in graph.stages() {
-        let r = regs[st.id.index()];
-        let owned = r
-            .intersect(tile)
-            .intersect(part)
-            .intersect(base_regions[st.id.index()]);
-        stage_extra[st.id.index()] = (r.cells() - owned.cells()) as u64;
-        if r.is_empty() {
-            continue;
-        }
-        for &o in &st.outputs {
-            if o != xout {
-                field_regions.push((o, r));
-            }
-        }
-    }
-    TileTask {
-        stage_regions: regs,
-        field_regions,
-        stage_extra,
-    }
-}
-
 impl StepSchedule {
     /// Derives the schedule: per-island and per-fused-step blocking (or
     /// tile grids), one record per epoch and the scratch footprints.
@@ -631,11 +575,6 @@ impl StepSchedule {
             .iter()
             .position(|st| st.outputs == [xout])
             .expect("the graph ends in the advected-output stage");
-        let stage_kinds: Vec<StageKind> = graph
-            .stages()
-            .iter()
-            .map(|st| problem.kind(st.id))
-            .collect();
         // Tile extents for tiled plans (`Fixed` is clamped to ≥ 1, so a
         // degenerate request still partitions the target).
         let tile_extents = match knobs.tile {
@@ -650,13 +589,13 @@ impl StepSchedule {
         // same baseline: everything beyond `part ∩ region_s(domain)`
         // is recomputation some island performs anyway.
         let base_regions = graph.required_regions(domain, domain);
-        // Appends one epoch per stage of block `b` of fused step `ts`,
+        // Appends one row per stage of block `b` of fused step `ts`,
         // stage `s` sweeping `regions[s]`.
         let push_block = |team: &mut TeamSchedule, (ts, b): (usize, usize), regions: &[Region3]| {
             for (s, st) in graph.stages().iter().enumerate() {
                 team.epochs.push(EpochPlan {
                     stage: s,
-                    kind: stage_kinds[s],
+                    kind: problem.kind(st.id),
                     is_final: s == final_stage,
                     step: ts.min(usize::from(u16::MAX)) as u16,
                     block: b.min(usize::from(u16::MAX)) as u16,
@@ -680,7 +619,6 @@ impl StepSchedule {
                 windows: Vec::new(),
                 ranks: size,
                 xslot: None,
-                tiles: Vec::new(),
                 tile_scratch: Vec::new(),
             };
             if stage_sync {
@@ -702,21 +640,32 @@ impl StepSchedule {
             let step_parts = fused_step_targets(graph, x, part, domain, k);
             if let Some((ti, tj)) = tile_extents {
                 // Tiled: cut each fused-step target into the balanced
-                // (i, j) tile grid and table the whole chain per tile;
-                // no wavefront blocking and no shared scratch.
-                for &sp in &step_parts {
-                    let tasks = tile_grid(sp, (ti, tj))
-                        .into_iter()
-                        .map(|tile| plan_tile(graph, xout, tile, part, domain, &base_regions))
-                        .collect();
-                    team.tiles.push(tasks);
+                // (i, j) tile grid; each tile is a block over its
+                // backward requirement regions, whose chain one rank
+                // runs whole on rank-private scratch. Every intra-chain
+                // read resolves to a cell the chain computed earlier,
+                // and tiles partition the target, so concurrent output
+                // writes are disjoint.
+                team.n_units = 1;
+                for (ts, &sp) in step_parts.iter().enumerate() {
+                    let start = team.epochs.len();
+                    for (n, tile) in tile_grid(sp, (ti, tj)).into_iter().enumerate() {
+                        push_block(&mut team, (ts, n), &graph.required_regions(tile, domain));
+                    }
+                    team.step_bounds[ts] = (start, team.epochs.len());
                 }
+                // A field's producing row contains every later read of
+                // it in the chain: the widest one sizes the rank store.
                 let mut widest: Vec<Option<(FieldId, Region3)>> = vec![None; graph.fields().len()];
-                for task in team.tiles.iter().flatten() {
-                    for &(f, r) in &task.field_regions {
+                let producers = team
+                    .epochs
+                    .iter()
+                    .filter(|ep| !ep.is_final && !ep.region.is_empty());
+                for ep in producers {
+                    for &f in &graph.stages()[ep.stage].outputs {
                         let slot = &mut widest[f.index()];
-                        if slot.is_none_or(|(_, w)| w.cells() < r.cells()) {
-                            *slot = Some((f, r));
+                        if slot.is_none_or(|(_, w)| w.cells() < ep.region.cells()) {
+                            *slot = Some((f, ep.region));
                         }
                     }
                 }
@@ -763,7 +712,6 @@ impl StepSchedule {
             domain,
             knobs,
             teams,
-            stage_kinds,
             final_stage,
             stage_sync,
         })
@@ -848,7 +796,8 @@ impl StepSchedule {
 
     /// Bytes of intermediate-field storage the replay allocates: every
     /// team's scratch windows (each shared array once), or — tiled —
-    /// every rank's tile scratch set. The rest of the executor's field
+    /// one private set per rank, each field at the widest row that
+    /// writes it (`tile_scratch`). The rest of the executor's field
     /// footprint is the five externals, the output and, in fused plans,
     /// two x slots per team.
     pub fn scratch_bytes(&self) -> usize {
@@ -861,6 +810,12 @@ impl StepSchedule {
             .iter()
             .map(|t| t.ranks * t.tile_scratch.iter().map(|(_, r)| r.cells()).sum::<usize>());
         windows.chain(tiles).sum::<usize>() * size_of::<f64>()
+    }
+
+    /// Whether every island block is a tile whose chain one rank runs
+    /// whole ([`TileMode`] other than `Off`).
+    fn tiled(&self) -> bool {
+        self.knobs.tile != TileMode::Off
     }
 
     /// The buffer fused step `ts`'s final stage writes: the shared
@@ -901,81 +856,73 @@ impl StepSchedule {
     pub fn accesses(&self) -> Vec<Access> {
         let graph = self.problem.graph();
         let x = self.problem.ext().x;
-        let mut out = Vec::new();
-        // One work unit: `at` carries its coordinates and compute region
-        // (`buffer`/`write` are filled in per access), `scratch` names
-        // the kind of store its intermediates live in.
-        let mut unit = |at: Access, scratch: fn(FieldId) -> Buffer| {
-            if at.region.is_empty() {
-                return;
-            }
-            let st = &graph.stages()[at.stage];
-            for &o in &st.outputs {
-                let buffer = if at.stage == self.final_stage {
-                    self.x_dest(at.step)
-                } else {
-                    scratch(o)
-                };
-                out.push(Access {
-                    buffer,
-                    write: true,
-                    ..at
-                });
-            }
-            for (f, pat) in &st.inputs {
-                let buffer = if *f == x {
-                    self.x_source(at.step, 0)
-                } else if graph.fields().role(*f) == FieldRole::Intermediate {
-                    scratch(*f)
-                } else {
-                    Buffer::Shared(*f)
-                };
-                out.push(Access {
-                    buffer,
-                    region: at.region.expand(pat.halo()).intersect(self.domain),
-                    write: false,
-                    ..at
-                });
-            }
-        };
+        let tiled = self.tiled();
+        // The kind of store the intermediates live in.
         let scratch: fn(FieldId) -> Buffer = if self.stage_sync {
             Buffer::Shared
+        } else if tiled {
+            Buffer::TileScratch
         } else {
             Buffer::Scratch
         };
+        let stages = graph.stages().len();
+        let mut out = Vec::new();
         for (team, t) in self.teams.iter().enumerate() {
-            for (epoch, ep) in t.epochs.iter().enumerate() {
-                for slot in 0..t.n_units {
-                    let region = rank_slice(ep.region, t.axis, slot, t.n_units);
+            for (row, ep) in t.epochs.iter().enumerate() {
+                let st = &graph.stages()[ep.stage];
+                let step = usize::from(ep.step);
+                // A tiled row is one stage of one tile's chain: the tile
+                // (its position in the step — the `block` tag saturates)
+                // is the unit of concurrency, and only steps are fenced.
+                let (epoch, tile, block) = if tiled {
+                    let tile = (row - t.step_bounds[step].0) / stages;
+                    (step * stages + ep.stage, Some(tile), 0)
+                } else {
+                    (row, None, usize::from(ep.block))
+                };
+                for u in 0..t.n_units {
+                    // One work unit; `buffer`/`write` are filled in per
+                    // access.
                     let at = Access {
                         team,
                         epoch,
-                        slot,
-                        step: usize::from(ep.step),
+                        slot: tile.unwrap_or(u),
+                        step,
                         stage: ep.stage,
-                        block: usize::from(ep.block),
+                        block,
                         buffer: Buffer::Shared(x),
-                        region,
+                        region: rank_slice(ep.region, t.axis, u, t.n_units),
                         write: false,
                     };
-                    unit(at, scratch);
-                }
-            }
-            for (step, tasks) in t.tiles.iter().enumerate() {
-                for (slot, task) in tasks.iter().enumerate() {
-                    for (stage, st) in graph.stages().iter().enumerate() {
-                        let at = Access {
-                            team,
-                            epoch: step * graph.stages().len() + stage,
-                            slot,
-                            step,
-                            stage,
-                            block: 0,
-                            buffer: Buffer::Shared(x),
-                            region: task.stage_regions[st.id.index()],
-                            write: false,
+                    if at.region.is_empty() {
+                        continue;
+                    }
+                    for &o in &st.outputs {
+                        let buffer = if ep.is_final {
+                            self.x_dest(step)
+                        } else {
+                            scratch(o)
                         };
-                        unit(at, Buffer::TileScratch);
+                        out.push(Access {
+                            buffer,
+                            write: true,
+                            ..at
+                        });
+                    }
+                    for (f, pat) in &st.inputs {
+                        let buffer = if *f == x {
+                            self.x_source(step, 0)
+                        } else if graph.fields().role(*f) == FieldRole::Intermediate {
+                            scratch(*f)
+                        } else {
+                            Buffer::Shared(*f)
+                        };
+                        out.push(Access {
+                            buffer,
+                            region: at.region.expand(pat.halo()).intersect(self.domain),
+                            write: false,
+                            ..at
+                        });
                     }
                 }
             }
@@ -1009,32 +956,33 @@ impl StepPlan {
         let graph = problem.graph();
         let new_store = || ParStore::new(graph.fields().len(), problem.ext());
         let dynamic = matches!(config.knobs.schedule, SchedulePolicy::Dynamic { .. });
-        let queue = |len: usize| dynamic.then(|| ChunkQueue::new(len));
+        let (tiled, stages) = (schedule.tiled(), graph.stages().len());
         // Bookkeeping first…
         let mut teams: Vec<TeamBuffers> = schedule
             .teams
             .iter()
-            .enumerate()
-            .map(|(t, team)| {
+            .map(|team| {
+                // Claim queues, one per fence interval: a tiled fused
+                // step's tiles, or an untiled row's chunks.
+                let units: Vec<usize> = match (dynamic, tiled) {
+                    (false, _) => Vec::new(),
+                    (true, true) => team
+                        .step_bounds
+                        .iter()
+                        .map(|(lo, hi)| (hi - lo) / stages)
+                        .collect(),
+                    (true, false) => vec![team.n_units; team.epochs.len()],
+                };
                 // Empty islands and untiled plans get no rank stores.
-                let ranks = if team.tiles.is_empty() {
-                    0
+                let ranks = if tiled && !team.epochs.is_empty() {
+                    team.ranks
                 } else {
-                    spec.members(t).len()
+                    0
                 };
                 TeamBuffers {
                     store: new_store(),
                     rank_stores: (0..ranks).map(|_| new_store()).collect(),
-                    queues: team
-                        .epochs
-                        .iter()
-                        .filter_map(|_| queue(team.n_units))
-                        .collect(),
-                    tile_queues: team
-                        .tiles
-                        .iter()
-                        .filter_map(|tasks| queue(tasks.len()))
-                        .collect(),
+                    queues: units.into_iter().map(ChunkQueue::new).collect(),
                     xslots: None,
                 }
             })
@@ -1140,53 +1088,80 @@ impl StepPlan {
     /// Replays one fused epoch of `epoch_len ∈ 1..=k` time steps for
     /// the calling worker's team — the *last* `epoch_len` fused-step
     /// sections of the table, so a tail epoch keeps each section's halo
-    /// enlargement exact. Per fused step, every `(block, stage)` epoch
-    /// fenced by [`StepPlan::fence`]; the team barrier
-    /// ending one fused step fences its x-slot writes from the next
-    /// step's reads. `base_step` numbers the trace spans, so per-step
-    /// attribution survives fusion. Allocation-free in release builds —
-    /// including with tracing compiled in but disabled, where every
+    /// enlargement exact. Per fused step: untiled, every `(block,
+    /// stage)` row fenced by [`StepPlan::fence`]; tiled, whole tile
+    /// chains — static schedules stride tiles round-robin by rank,
+    /// dynamic ones claim them from the step's [`ChunkQueue`] — and one
+    /// team barrier, except after the last step, which the caller's join
+    /// or global barrier fences. Either way the team barrier ending one
+    /// fused step fences its x-slot writes from the next step's reads.
+    /// `base_step` numbers the trace spans, so per-step attribution
+    /// survives fusion. Allocation-free in release builds — including
+    /// with tracing compiled in but disabled, where every
     /// instrumentation site below reduces to one relaxed load and a
     /// branch.
     fn replay(&self, ctx: &TeamCtx, ext: ExtFields<'_>, base_step: u32, epoch_len: usize) {
         islands_trace::set_island_rank(ctx.team as u32, ctx.rank as u32);
         let sched = &*self.schedule;
         let team = &sched.teams[ctx.team];
-        if team.epochs.is_empty() && team.tiles.is_empty() {
+        if team.epochs.is_empty() {
             // An idle island (empty part): no work, no buffers, and no
             // team barrier any of its ranks would wait at. (Idle teams
             // of a stage-synchronous plan keep empty epochs instead.)
             return;
         }
-        if sched.knobs.tile != TileMode::Off {
-            return self.replay_tiled(ctx, ext, base_step, epoch_len);
-        }
         let k = sched.knobs.fuse_steps;
         debug_assert!((1..=k).contains(&epoch_len));
         let first_ts = k - epoch_len;
         let bufs = &self.teams[ctx.team];
-        let store = self.shared.as_ref().unwrap_or(&bufs.store);
+        let stages = sched.problem.graph().stages().len();
         for ts in first_ts..k {
             islands_trace::set_step(base_step + (ts - first_ts) as u32);
             let (step_ext, _slot_read) = self.step_inputs(bufs, ext, ts, first_ts);
             let dest = self.final_dest(bufs, ts);
             let (lo, hi) = team.step_bounds[ts];
+            let rows = &team.epochs[lo..hi];
+            if sched.tiled() {
+                let store = &bufs.rank_stores[ctx.rank];
+                match sched.knobs.schedule {
+                    SchedulePolicy::Static => {
+                        for chain in rows.chunks_exact(stages).skip(ctx.rank).step_by(ctx.size) {
+                            self.run_tile(team, chain, store, step_ext, dest);
+                        }
+                    }
+                    SchedulePolicy::Dynamic { .. } => {
+                        // Self-schedule whole tiles: any claim order is
+                        // race-free — tiles own disjoint output regions
+                        // and all scratch is rank-private.
+                        while let Some(n) = bufs.queues[ts].claim() {
+                            let chain = &rows[n * stages..(n + 1) * stages];
+                            self.run_tile(team, chain, store, step_ext, dest);
+                        }
+                    }
+                }
+                if ts + 1 < k {
+                    ctx.team_barrier();
+                }
+                continue;
+            }
+            let store = self.shared.as_ref().unwrap_or(&bufs.store);
+            let domain = sched.domain;
             match sched.knobs.schedule {
                 SchedulePolicy::Static => {
-                    for ep in &team.epochs[lo..hi] {
-                        // Static: unit index = rank, exactly one per epoch.
-                        self.run_unit(team, ep, store, ctx.rank, step_ext, dest);
+                    for ep in rows {
+                        // Static: unit index = rank, exactly one per row.
+                        self.run_unit(team, ep, store, ctx.rank, step_ext, dest, domain);
                         self.fence(ctx, ep);
                     }
                 }
                 SchedulePolicy::Dynamic { .. } => {
-                    for (ep, q) in team.epochs[lo..hi].iter().zip(&bufs.queues[lo..hi]) {
+                    for (ep, q) in rows.iter().zip(&bufs.queues[lo..hi]) {
                         // Self-schedule: claim precomputed chunks until the
-                        // epoch drains. Any claim order is race-free — the
-                        // chunks are pairwise disjoint and the epoch still
+                        // row drains. Any claim order is race-free — the
+                        // chunks are pairwise disjoint and the row still
                         // ends at the same fence.
                         while let Some(u) = q.claim() {
-                            self.run_unit(team, ep, store, u, step_ext, dest);
+                            self.run_unit(team, ep, store, u, step_ext, dest, domain);
                         }
                         self.fence(ctx, ep);
                     }
@@ -1195,7 +1170,7 @@ impl StepPlan {
         }
     }
 
-    /// Ends epoch `ep`: the team barrier — intra-island synchronization
+    /// Ends row `ep`: the team barrier — intra-island synchronization
     /// only, the whole point of the approach — or, stage-synchronous,
     /// the global barrier, except after the final stage, which the
     /// step's own global barrier (or the dispatch join) fences.
@@ -1208,110 +1183,41 @@ impl StepPlan {
         }
     }
 
-    /// Tiled replay of one fused epoch: each tile of each fused-step
-    /// target runs its *whole* stage chain back-to-back on the calling
-    /// rank's private scratch, so intermediates stay cache-resident and
-    /// the per-stage team barriers collapse to one per fused step (the
-    /// barrier fences step `ts`'s x-slot and output-tile writes from
-    /// step `ts+1`'s reads; the dispatch join or global barrier fences
-    /// the last step). Static schedules stride tiles round-robin by
-    /// rank; dynamic schedules claim tiles from the step's
-    /// [`ChunkQueue`]. Allocation-free in release builds: the only
-    /// per-tile bookkeeping is rebasing the rank store's arrays.
-    fn replay_tiled(&self, ctx: &TeamCtx, ext: ExtFields<'_>, base_step: u32, epoch_len: usize) {
-        let sched = &*self.schedule;
-        let k = sched.knobs.fuse_steps;
-        debug_assert!((1..=k).contains(&epoch_len));
-        let first_ts = k - epoch_len;
-        let team = &sched.teams[ctx.team];
-        let bufs = &self.teams[ctx.team];
-        for ts in first_ts..k {
-            islands_trace::set_step(base_step + (ts - first_ts) as u32);
-            let (step_ext, _slot_read) = self.step_inputs(bufs, ext, ts, first_ts);
-            let tasks = &team.tiles[ts];
-            let store = &bufs.rank_stores[ctx.rank];
-            let dest = self.final_dest(bufs, ts);
-            match sched.knobs.schedule {
-                SchedulePolicy::Static => {
-                    let mut n = ctx.rank;
-                    while n < tasks.len() {
-                        self.run_tile(&tasks[n], n, store, step_ext, dest);
-                        n += ctx.size;
-                    }
-                }
-                SchedulePolicy::Dynamic { .. } => {
-                    // Self-schedule whole tiles: any claim order is
-                    // race-free — tiles own disjoint output regions
-                    // and all scratch is rank-private.
-                    let q = &bufs.tile_queues[ts];
-                    while let Some(n) = q.claim() {
-                        self.run_tile(&tasks[n], n, store, step_ext, dest);
-                    }
-                }
-            }
-            // One team barrier per fused step (the whole synchronization
-            // saving of tile fusion); the last step is fenced by the
-            // caller's join or global barrier instead.
-            if ts + 1 < k {
-                ctx.team_barrier();
-            }
-        }
-    }
-
-    /// Runs one tile's whole stage chain on `store` (the calling rank's
-    /// private scratch): rebase every scratch field to the tile
-    /// footprint, then apply each stage over its requirement region —
-    /// the final stage straight into `dest`, everything else into the
-    /// rebased scratch.
+    /// Runs one tile's whole stage chain (its `stages` rows) on `store`,
+    /// the calling rank's private scratch: each non-empty row but the
+    /// final one first rebases its outputs to its region — the
+    /// producer's region contains every later read of the field in the
+    /// chain — and every row runs as the single unit of its block, with
+    /// redundant cells counted against the tile (the final row's
+    /// region).
     #[inline]
     fn run_tile(
         &self,
-        task: &TileTask,
-        n: usize,
+        team: &TeamSchedule,
+        chain: &[EpochPlan],
         store: &ParStore,
         ext: ExtFields<'_>,
         dest: &DisjointCell<Array3>,
     ) {
-        let sched = &*self.schedule;
-        let (domain, bc) = (sched.domain, sched.problem.boundary());
-        for &(f, r) in &task.field_regions {
-            store.rebase(f, r);
-        }
-        for (s, st) in sched.problem.graph().stages().iter().enumerate() {
-            let mine = task.stage_regions[st.id.index()];
-            if mine.is_empty() {
-                continue;
+        let stages = self.schedule.problem.graph().stages();
+        let tile = chain[self.schedule.final_stage].region;
+        for ep in chain {
+            if !ep.is_final && !ep.region.is_empty() {
+                for &f in &stages[ep.stage].outputs {
+                    store.rebase(f, ep.region);
+                }
             }
-            let t0 = islands_trace::now();
-            if s == sched.final_stage {
-                let _wt = dest.track_write();
-                // SAFETY: tiles partition the fused-step target, so
-                // concurrent final-stage writes (this tile region) are
-                // pairwise disjoint; earlier steps' x slots are
-                // team-private.
-                let out_arr = unsafe { dest.get_mut() };
-                store.apply_into(st, sched.stage_kinds[s], domain, bc, mine, out_arr, ext);
-            } else {
-                store.apply(st, sched.stage_kinds[s], domain, bc, mine, ext);
-            }
-            if let Some(t0) = t0 {
-                islands_trace::record(
-                    islands_trace::SpanKind::Kernel,
-                    t0,
-                    islands_trace::now_ns(),
-                    s.min(usize::from(u16::MAX)) as u16,
-                    n.min(usize::from(u16::MAX)) as u16,
-                    [mine.cells() as u64, task.stage_extra[st.id.index()], 0],
-                );
-            }
+            self.run_unit(team, ep, store, 0, ext, dest, tile);
         }
     }
 
-    /// Executes one work unit of one epoch of `team`: the kernel over
-    /// the unit's slice, routed to the scratch store or (for final
-    /// stages) `dest` — the step's x output buffer — with the kernel
-    /// trace span attached.
+    /// Executes one work unit of one row of `team`: the kernel over the
+    /// unit's slice, routed to the scratch store or (for final stages)
+    /// `dest` — the step's x output buffer — with the kernel trace span
+    /// attached. Its cells outside `within ∩ needed` (`within`: the tile
+    /// of a chain, the domain for sweeps) are traced as redundant.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     fn run_unit(
         &self,
         team: &TeamSchedule,
@@ -1320,6 +1226,7 @@ impl StepPlan {
         unit: usize,
         ext: ExtFields<'_>,
         dest: &DisjointCell<Array3>,
+        within: Region3,
     ) {
         let (domain, bc) = (self.schedule.domain, self.schedule.problem.boundary());
         let st = &self.schedule.problem.graph().stages()[ep.stage];
@@ -1332,7 +1239,7 @@ impl StepPlan {
         if ep.is_final {
             // Final stage: write straight into the step's x output.
             // Blocks of different islands are disjoint on the shared
-            // output, units split disjointly, and x slots are
+            // output, units and tiles split disjointly, and x slots are
             // team-private.
             if !mine.is_empty() {
                 let _wt = dest.track_write();
@@ -1345,26 +1252,28 @@ impl StepPlan {
             store.apply(st, ep.kind, domain, bc, mine, ext);
         }
         if let Some(t0) = t0 {
-            let redundant = mine.cells() - mine.intersect(team.needed[ep.stage]).cells();
+            let owned = mine.intersect(within).intersect(team.needed[ep.stage]);
             islands_trace::record(
                 islands_trace::SpanKind::Kernel,
                 t0,
                 islands_trace::now_ns(),
                 ep.stage.min(usize::from(u16::MAX)) as u16,
                 ep.block,
-                [mine.cells() as u64, redundant as u64, 0],
+                [
+                    mine.cells() as u64,
+                    (mine.cells() - owned.cells()) as u64,
+                    0,
+                ],
             );
         }
     }
 
-    /// Rewinds every dynamic epoch queue to full (one relaxed store
-    /// per epoch; no-op for static plans). Callers must hold exclusive
+    /// Rewinds every dynamic claim queue to full (one relaxed store per
+    /// queue; no-op for static plans). Callers must hold exclusive
     /// access or be in a barrier-fenced serial section.
     fn reset_queues(&self) {
-        for team in &self.teams {
-            for q in team.queues.iter().chain(&team.tile_queues) {
-                q.reset();
-            }
+        for q in self.teams.iter().flat_map(|t| &t.queues) {
+            q.reset();
         }
     }
 

@@ -7,11 +7,11 @@ use islands_of_cores::islands::{
     Partition, Variant, Workload,
 };
 use islands_of_cores::mpdata::{
-    self, gaussian_pulse, mpdata_graph, IslandsExecutor, ReferenceExecutor,
+    self, gaussian_pulse, mpdata_graph, IslandsExecutor, ReferenceExecutor, TileMode,
 };
 use islands_of_cores::numa::{Op, SimConfig, UvParams};
 use islands_of_cores::perf::{original_traffic, sustained_gflops, useful_flops};
-use islands_of_cores::scheduler::WorkerPool;
+use islands_of_cores::scheduler::{TeamSpec, WorkerPool};
 use islands_of_cores::stencil::Region3;
 
 /// The island layout derived from the *machine model* drives the
@@ -211,4 +211,29 @@ fn multi_step_full_stack_equivalence() {
         .unwrap();
     ReferenceExecutor::new().run(&mut b, 5);
     assert_eq!(a.x.max_abs_diff(&b.x), 0.0);
+    // Tiled, on 2 islands × 2 ranks: every block is a tile whose stage
+    // chain one rank runs whole. Auto tiles and an uneven 5×3 grid,
+    // k = 1 and k = 3 (a 3-step epoch, then a 2-step tail), ranks
+    // striding tiles (static) or claiming them (dynamic).
+    let pool = WorkerPool::new(4);
+    for tile in [TileMode::Auto, TileMode::Fixed { ti: 5, tj: 3 }] {
+        for k in [1, 3] {
+            for chunks in [0, 2] {
+                let mut t = mpdata::rotating_cone(domain, 0.3);
+                let mut exec = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Variant::A.axis())
+                    .cache_bytes(64 * 1024)
+                    .fuse_steps(k)
+                    .tile(tile);
+                if chunks > 0 {
+                    exec = exec.self_schedule(chunks);
+                }
+                exec.run(&mut t, 5).unwrap();
+                assert_eq!(
+                    t.x.max_abs_diff(&b.x),
+                    0.0,
+                    "{tile:?}, fuse {k}, chunks_per_rank {chunks}"
+                );
+            }
+        }
+    }
 }
