@@ -75,6 +75,11 @@
 //! sweep along, with the sweep that decided it: `I (32 planes ≥ 32
 //! rows)` when every sweep is at least as deep as it is wide, else `J
 //! (6 planes < 256 rows)`.
+//!
+//! The `kernels` line names the vector body the stage kernels ran:
+//! `avx2` when the CPU has it, else `baseline` (SSE2 on x86-64) — picked
+//! at run time, bitwise equal either way, so a throughput read off the
+//! summary names the code that produced it.
 
 use mpdata::{
     gaussian_pulse, random_fields, rotating_cone, Boundary, ExchangeExecutor, IslandsExecutor,
@@ -558,6 +563,7 @@ fn main() -> ExitCode {
         "throughput   : {:.2} Mcells/s",
         (fields.domain().cells() * a.steps) as f64 / elapsed.as_secs_f64() / 1e6
     );
+    println!("kernels      : {}", mpdata::kernel_isa());
     if let Some(schedule) = &schedule {
         if let Some(line) = rank_cut_line(schedule) {
             println!("rank cut     : {line}");

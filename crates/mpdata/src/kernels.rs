@@ -309,6 +309,7 @@ fn lim_flux(s: &Sweep, out: &mut [&mut Array3], m: Off) {
 mod tests {
     use super::*;
     use crate::graph::mpdata_graph;
+    use crate::kernels_fast::{each_body, row_body};
     use stencil_engine::FieldRole;
 
     /// How the arrays of one `fast_paths_bitwise_equal` case are laid
@@ -373,12 +374,14 @@ mod tests {
     }
 
     /// `apply_kind` ≡ `apply_kind_scalar`, bitwise, for every kind under
-    /// both boundaries: regions touching each face, edge and corner of
-    /// the domain (incl. 1-long rows and sub-`k` windows), on an
-    /// irregular (non-origin) domain, on 1-cell / prime extents and —
-    /// under every array [`Layout`] — on domains with three or more
-    /// interior rows of 1, 2, 3 and 16 cells, where runs form. Cells
-    /// outside the region stay untouched.
+    /// both boundaries and through every vector body the CPU can run:
+    /// regions touching each face, edge and corner of the domain (incl.
+    /// 1-long rows and sub-`k` windows), on an irregular (non-origin)
+    /// domain, on 1-cell / prime extents, on a paper-shaped windowed
+    /// plane swept whole (one 254-row run of 64-cell rows) and — under
+    /// every array [`Layout`] — on domains with three or more interior
+    /// rows of 1, 2, 3 and 16 cells, where runs form. Cells outside the
+    /// region stay untouched.
     #[test]
     fn fast_paths_bitwise_equal() {
         use crate::graph::MpdataProblem;
@@ -406,8 +409,9 @@ mod tests {
         let chained = [(3, 5, 1), (3, 6, 2), (4, 5, 3), (3, 7, 16)]
             .into_iter()
             .flat_map(|(ni, nj, nk)| layouts.map(|l| (shifted(ni, nj, nk), l)));
+        let paper = (Region3::of_extent(1, 256, 64), Layout::Windowed);
         let p = MpdataProblem::standard();
-        for (domain, layout) in exact.chain(chained) {
+        for (domain, layout) in exact.chain(chained).chain([paper]) {
             // Per axis: everything, the low cell, the high cell, the interior.
             let cuts = |r: Range1| {
                 let ends = [Range1::new(r.lo, r.lo + 1), Range1::new(r.hi - 1, r.hi)];
@@ -420,6 +424,10 @@ mod tests {
                 }
             }
             regions.retain(|r| !r.is_empty());
+            if domain == paper.0 {
+                // The plane whole, as a wavefront block sweeps it.
+                regions = vec![domain];
+            }
             for st in p.graph().stages() {
                 let kind = p.kind(st.id);
                 let ins: Vec<Array3> = (0..st.inputs.len())
@@ -443,12 +451,15 @@ mod tests {
                             let bits = out.iter().flat_map(|a| a.as_slice());
                             bits.map(|v| v.to_bits()).collect::<Vec<_>>()
                         };
-                        assert_eq!(
-                            run(apply_kind),
-                            run(apply_kind_scalar),
-                            "{kind:?} ({}) {bc:?} diverged on {region:?} of {domain:?}, {layout:?}",
-                            st.name
-                        );
+                        let oracle = run(apply_kind_scalar);
+                        each_body("fast_paths_bitwise_equal", |isa| {
+                            assert!(
+                                run(apply_kind) == oracle,
+                                "{kind:?} ({}) {bc:?} diverged on {region:?} of {domain:?}, \
+                                 {layout:?}, {isa} body",
+                                st.name
+                            );
+                        });
                     }
                 }
             }
@@ -458,7 +469,8 @@ mod tests {
     /// The select-form chains return what the `f64::max`/`f64::min`
     /// chains return for NaN, ±∞ and ±0 candidates in any position
     /// (`f64::max` may pick either zero of an equal pair, so zeros
-    /// compare by value).
+    /// compare by value) — one cell at a time and as lanes of every
+    /// vector body the CPU can run.
     #[test]
     fn select_chains_match_f64_min_max() {
         let c = [
@@ -473,24 +485,39 @@ mod tests {
             7.0,
         ];
         let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0);
-        for &x in &c {
-            for &y in &c {
-                for &z in &c {
-                    let v = std::hint::black_box([x, y, z]);
-                    let sel = v.iter().fold(f64::NEG_INFINITY, |acc, &v| sel_max(acc, v));
-                    let std = v.iter().fold(f64::NEG_INFINITY, |acc, &v| acc.max(v));
-                    assert!(same(sel, std), "max chain over {v:?}: {sel} vs {std}");
-                    let sel = v.iter().fold(f64::INFINITY, |acc, &v| sel_min(acc, v));
-                    let std = v.iter().fold(f64::INFINITY, |acc, &v| acc.min(v));
-                    assert!(same(sel, std), "min chain over {v:?}: {sel} vs {std}");
-                    let sel = sel_min(sel_min(1.0, v[0]), v[1]);
-                    assert!(
-                        same(sel, 1.0_f64.min(v[0]).min(v[1])),
-                        "min(1, ..) over {v:?}"
-                    );
-                }
-            }
+        let cases: Vec<[f64; 3]> = c
+            .iter()
+            .flat_map(|&x| c.iter().flat_map(move |&y| c.map(|z| [x, y, z])))
+            .collect();
+        let chains = |v: [f64; 3]| {
+            let hi = v.iter().fold(f64::NEG_INFINITY, |acc, &v| sel_max(acc, v));
+            [hi, v.iter().fold(f64::INFINITY, |acc, &v| sel_min(acc, v))]
+        };
+        let lim = |v: [f64; 3]| [sel_min(sel_min(1.0, v[0]), v[1])];
+        let check = |how: &str, v: [f64; 3], [hi, lo, l]: [f64; 3]| {
+            let std = v.iter().fold(f64::NEG_INFINITY, |acc, &v| acc.max(v));
+            assert!(same(hi, std), "{how}: max chain over {v:?}: {hi} vs {std}");
+            let std = v.iter().fold(f64::INFINITY, |acc, &v| acc.min(v));
+            assert!(same(lo, std), "{how}: min chain over {v:?}: {lo} vs {std}");
+            let std = 1.0_f64.min(v[0]).min(v[1]);
+            assert!(same(l, std), "{how}: min(1, ..) over {v:?}: {l} vs {std}");
+        };
+        for &v in &cases {
+            let v = std::hint::black_box(v);
+            let ([hi, lo], [l]) = (chains(v), lim(v));
+            check("one cell", v, [hi, lo, l]);
         }
+        let cols: [Vec<f64>; 3] = std::array::from_fn(|t| cases.iter().map(|v| v[t]).collect());
+        let src = [&cols[0][..], &cols[1][..], &cols[2][..]];
+        each_body("select_chains_match_f64_min_max", |isa| {
+            let n = cases.len();
+            let (mut hi, mut lo, mut l) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            row_body(&src, &[0; 3], &mut hi, &mut lo, &chains);
+            row_body(&src, &[0; 3], &mut l, &mut [], &lim);
+            for (n, &v) in cases.iter().enumerate() {
+                check(&format!("{isa} body"), v, [hi[n], lo[n], l[n]]);
+            }
+        });
     }
 
     #[test]

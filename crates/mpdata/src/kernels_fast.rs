@@ -34,6 +34,19 @@
 //! the per-cell oracle. Both forms hand the expression exactly the
 //! cells the boundary policy resolves for every value that survives,
 //! and share the arithmetic, so they agree bitwise by construction.
+//!
+//! The loop over a run ([`row_body`]) is compiled twice: for the
+//! target's baseline (SSE2 on x86-64, two `f64` lanes) and, on x86-64,
+//! with AVX2 enabled (four lanes). Each call takes the AVX2 instance
+//! when the CPU reports the feature; nothing else selects it — no
+//! option, cargo feature or build flag — so one binary runs everywhere
+//! and [`kernel_isa`] names the instance in use. The two stay bitwise
+//! equal to each other and to the oracle: Rust never contracts
+//! `a * b + c` into a fused multiply-add (`fma` is not enabled), so
+//! every lane runs the same IEEE-754 add, mul, div, abs and max/min
+//! select on the same operands. The loop's operand gathers are plain
+//! index loops, because `array::from_fn` is not inlined into a
+//! `#[target_feature]` function and would cost a call per cell.
 
 use crate::kernels::{resolve, Boundary};
 use std::array::from_fn;
@@ -220,10 +233,72 @@ impl Sweep<'_> {
 }
 
 /// The vector body: `f` over `N` operand slices, each from its `skip`
-/// on. A function of its own so the output slices are `noalias`
-/// arguments and the loop vectorises without run-time overlap checks.
+/// on, written to `d0` (and `d1` when `M == 2`).
+///
+/// One loop ([`row_loop`]) compiled twice: for the x86-64 baseline
+/// (SSE2, two lanes) and, on x86-64, for AVX2 (four lanes), picked per
+/// call by the CPU's own report ([`avx2`]; std caches it, so a call
+/// costs a load and a branch). Both instances are functions of their
+/// own so the output slices are `noalias` arguments and the loop
+/// vectorises without run-time overlap checks.
+///
+/// The two agree bitwise: Rust never contracts `a * b + c` into a
+/// fused multiply-add (and `fma` is not enabled), so every lane of
+/// either instance runs the same IEEE-754 add, mul, div, abs and
+/// max/min select on the same operands as the scalar oracle does —
+/// only how many cells share an instruction differs.
+///
+/// The loop gathers its operands with plain index loops: inside a
+/// `#[target_feature]` function `array::from_fn` is not inlined and
+/// would cost a call per cell (the AVX2 instance ran about four times
+/// slower than the baseline with it).
+#[inline]
+pub(crate) fn row_body<const N: usize, const M: usize>(
+    src: &[&[f64]; N],
+    skip: &[usize; N],
+    d0: &mut [f64],
+    d1: &mut [f64],
+    f: &impl Fn([f64; N]) -> [f64; M],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: the CPU reports AVX2 (`avx2` asked it), the one
+        // requirement of calling a function built with that feature.
+        return unsafe { row_body_avx2(src, skip, d0, d1, f) };
+    }
+    row_body_baseline(src, skip, d0, d1, f);
+}
+
+/// [`row_loop`] for the target's baseline (SSE2 on x86-64).
 #[inline(never)]
-fn row_body<const N: usize, const M: usize>(
+fn row_body_baseline<const N: usize, const M: usize>(
+    src: &[&[f64]; N],
+    skip: &[usize; N],
+    d0: &mut [f64],
+    d1: &mut [f64],
+    f: &impl Fn([f64; N]) -> [f64; M],
+) {
+    row_loop(src, skip, d0, d1, f);
+}
+
+/// [`row_loop`] with AVX2 enabled: four `f64` lanes per instruction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn row_body_avx2<const N: usize, const M: usize>(
+    src: &[&[f64]; N],
+    skip: &[usize; N],
+    d0: &mut [f64],
+    d1: &mut [f64],
+    f: &impl Fn([f64; N]) -> [f64; M],
+) {
+    row_loop(src, skip, d0, d1, f);
+}
+
+/// The loop both [`row_body`] instances inline (gathers by index, not
+/// `array::from_fn`: see there).
+#[inline(always)]
+fn row_loop<const N: usize, const M: usize>(
     src: &[&[f64]; N],
     skip: &[usize; N],
     d0: &mut [f64],
@@ -231,13 +306,62 @@ fn row_body<const N: usize, const M: usize>(
     f: &impl Fn([f64; N]) -> [f64; M],
 ) {
     let len = d0.len();
-    let src: [&[f64]; N] = from_fn(|t| &src[t][skip[t]..][..len]);
+    let mut rows: [&[f64]; N] = [&[]; N];
+    for t in 0..N {
+        rows[t] = &src[t][skip[t]..][..len];
+    }
     let d1 = if M > 1 { &mut d1[..len] } else { d1 };
     for n in 0..len {
-        let v = f(from_fn(|t| src[t][n]));
+        let mut v = [0.0; N];
+        for t in 0..N {
+            v[t] = rows[t][n];
+        }
+        let v = f(v);
         d0[n] = v[0];
         if M > 1 {
             d1[n] = v[1];
         }
+    }
+}
+
+/// Whether [`row_body`] runs its AVX2 instance: the CPU has AVX2 (and
+/// no test forced the baseline on this thread).
+#[cfg(target_arch = "x86_64")]
+fn avx2() -> bool {
+    #[cfg(test)]
+    if FORCE_BASELINE.get() {
+        return false;
+    }
+    std::is_x86_feature_detected!("avx2")
+}
+
+/// Which build of the stage kernels' vector loop this process runs:
+/// `"avx2"` when the CPU has AVX2 (x86-64 only), else `"baseline"`
+/// (SSE2 on x86-64). Both give bitwise the same results.
+pub fn kernel_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        return "avx2";
+    }
+    "baseline"
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set by [`each_body`]: this thread's kernels run the baseline.
+    static FORCE_BASELINE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `body` once per [`row_body`] instance this CPU can run — the
+/// baseline (forced on this thread), then AVX2 if the CPU has it —
+/// passing the [`kernel_isa`] in force; says so when AVX2 is skipped.
+#[cfg(test)]
+pub(crate) fn each_body(test: &str, mut body: impl FnMut(&'static str)) {
+    FORCE_BASELINE.set(true);
+    body(kernel_isa());
+    FORCE_BASELINE.set(false);
+    match kernel_isa() {
+        "baseline" => eprintln!("{test}: no AVX2 on this CPU, the AVX2 body was skipped"),
+        isa => body(isa),
     }
 }
