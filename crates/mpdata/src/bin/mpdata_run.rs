@@ -410,6 +410,14 @@ fn scratch_line(schedule: &StepSchedule) -> String {
     )
 }
 
+/// Room in every trace ring registered from now on for all spans a
+/// rank records over `steps` steps of `schedule` (plus the dispatch's
+/// own), capped at 2^21 events per thread.
+fn size_trace_rings(schedule: &StepSchedule, steps: usize) {
+    let events = steps * schedule.trace_spans_per_step() + 16;
+    islands_trace::set_ring_capacity(events.clamp(1 << 16, 1 << 21));
+}
+
 fn main() -> ExitCode {
     let a = match parse_args() {
         Ok(a) => a,
@@ -441,13 +449,9 @@ fn main() -> ExitCode {
     let mut pool = WorkerPool::new(a.workers);
     let live = a.serve_metrics.is_some() || a.metrics_interval.is_some();
     let tracing = a.trace.is_some() || a.metrics || a.metrics_json.is_some() || live;
-    let session = tracing.then(|| {
-        // Room for every event of the run: ~2 spans per (step, stage,
-        // block) per worker, with generous slack so long runs do not
-        // wrap the rings.
-        islands_trace::set_ring_capacity((a.steps * 512).clamp(1 << 16, 1 << 21));
-        islands_trace::Session::start()
-    });
+    // Rings register on a thread's first span, so sizing them once the
+    // schedule is planned, before it runs, still covers every ring.
+    let session = tracing.then(islands_trace::Session::start);
     // The live telemetry plane: a background collector drains the trace
     // rings into an atomic registry mid-run; the registry is served
     // over TCP (`--serve-metrics`) and/or printed on a fixed cadence
@@ -515,8 +519,10 @@ fn main() -> ExitCode {
         }
         Strategy::Original | Strategy::Exchange => {
             let exec = ExchangeExecutor::with_problem(&pool, teams, Axis::I, problem());
+            let schedule = exec.schedule_for(domain);
+            size_trace_rings(&schedule, a.steps);
             exec.run(&mut fields, a.steps);
-            Some(exec.schedule_for(domain))
+            Some(schedule)
         }
         Strategy::Fused | Strategy::Islands => {
             let mut exec = IslandsExecutor::with_problem(&pool, teams, Axis::I, problem())
@@ -528,10 +534,11 @@ fn main() -> ExitCode {
             }
             // Block planning fails only on an empty domain, which
             // `--domain` refuses: any `--cache` plans.
-            let ran = exec
-                .run(&mut fields, a.steps)
-                .and_then(|()| exec.schedule_for(domain));
-            Some(ran.expect("domain is non-empty"))
+            const PLANS: &str = "domain is non-empty";
+            let schedule = exec.schedule_for(domain).expect(PLANS);
+            size_trace_rings(&schedule, a.steps);
+            exec.run(&mut fields, a.steps).expect(PLANS);
+            Some(schedule)
         }
     };
     let elapsed = t0.elapsed();

@@ -19,15 +19,23 @@
 //!   each other at one common pitch. Any other row — at a `j`-face of
 //!   the domain, of a `K`-cut or sub-`k` region, of an array with a
 //!   `k`-halo — is a run of one row;
-//! * on the `k`-window where no tap leaves the domain the expression
-//!   runs once per run over shifted slices ([`Plane::run`]), a
-//!   branch-free loop the auto-vectoriser handles. Between the windows
-//!   of two rows of a run lie their `k`-end cells: there the loop reads
-//!   a cell of the adjacent row where the boundary policy names
-//!   another, and stores a value nobody uses —
+//! * every output is borrowed once per run as the run's whole rows
+//!   ([`Array3::run_mut`]); on the `k`-window where no tap leaves the
+//!   domain the expression runs once per run over shifted slices
+//!   ([`Plane::run`]) into the window of those rows, a branch-free loop
+//!   the auto-vectoriser handles. Between the windows of two rows of a
+//!   run lie their `k`-end cells: there the loop reads a cell of the
+//!   adjacent row where the boundary policy names another, and stores a
+//!   value nobody uses —
 //! * because the at most two `k`-end cells of every row are then
 //!   evaluated by the *same* expression on operands read at the clamped
-//!   or wrapped `k` index, and stored over it.
+//!   or wrapped `k` index, and stored over it by index into the output
+//!   rows. Each tap's operand of one end comes from one slice stepped
+//!   by the row pitch: a sub-slice of the tap's own window run where
+//!   the resolved `k` lies inside it, else — a Periodic wrap, a 1- or
+//!   2-cell row — a run of its own from the resolved cell, which the
+//!   debug access recorder logs as one cell per row, as it would the
+//!   single reads it stands for.
 //!
 //! With `rows` off every cell evaluates the expression on operands
 //! read through [`Array3::get`]: that is [`crate::apply_kind_scalar`],
@@ -113,7 +121,22 @@ impl Sweep<'_> {
     }
 
     /// One slice per run on the k-window, then the k-end cells of its
-    /// rows by index into the same slices. (Plain loops throughout:
+    /// rows, all by plain index: neither [`Array3::get`] nor
+    /// [`Array3::set`] runs here.
+    ///
+    /// * Each output is borrowed once per run as the run's whole rows;
+    ///   the vector body writes the `k`-window of that slice and the
+    ///   end loop stores the k-end cells into it.
+    /// * Each tap's operand for one k-end comes from one slice stepped
+    ///   by `pitch` per row: a sub-slice of the tap's window run when
+    ///   the resolved `k` lies inside the window, else (a Periodic
+    ///   wrap, a 1- or 2-cell row) a [`Plane::run`] of its own from the
+    ///   resolved cell.
+    ///
+    /// The debug access recorder therefore logs what the per-cell
+    /// reads and writes did: a whole-row output run logs every cell of
+    /// its rows once, a sub-slice of a window run logs nothing more, and
+    /// a run of its own logs one cell per row. (Plain loops throughout:
     /// `array::map` of a large closure is not inlined and would cost a
     /// call per run.)
     fn by_runs<const N: usize, const M: usize>(
@@ -153,18 +176,15 @@ impl Sweep<'_> {
         let chain = if one_pitch { jlo..jhi } else { jlo..jlo };
         // Run-invariant per tap: the in-domain part `win` of its shifted
         // row, read as one slice per run from `win.lo` on; where the
-        // k-window starts in that slice; where each k-end cell's
-        // resolved index falls in a row of it (outside `win`: that one
-        // read goes through `get`).
+        // k-window starts in that slice; each k-end cell's resolved `k`.
         let mut win = [Range1::empty(); N];
         let mut skip = [0; N];
-        let mut end_at = [[None; N]; 2];
+        let mut end_k = [[0; N]; 2];
         for (t, &(_, (_, _, dk))) in taps.iter().enumerate() {
             win[t] = Range1::new(rk.lo + dk, rk.hi + dk).intersect(d.k);
             skip[t] = (klo + dk - win[t].lo) as usize;
             for (e, k) in ends.iter().enumerate() {
-                let kk = k.map_or(0, |k| resolve(bc, d.k, k + dk));
-                end_at[e][t] = win[t].contains(kk).then(|| (kk - win[t].lo) as usize);
+                end_k[e][t] = k.map_or(0, |k| resolve(bc, d.k, k + dk));
             }
         }
         // Offsets reach one cell at most, so each axis resolves once per
@@ -200,29 +220,45 @@ impl Sweep<'_> {
                         src[t] = plane[t].run(nj[at[t][1]], win[t].lo, len);
                     }
                 }
+                // Per k-end and tap, the slice whose cell `r * pitch` is
+                // row `r`'s operand: a sub-slice of the tap's run where
+                // the resolved `k` lies in `win`, else (a wrap, a 1- or
+                // 2-cell row) a run of its own from the resolved cell.
+                let mut end_src: [[&[f64]; N]; 2] = [[&[]; N]; 2];
+                for e in (0..2).filter(|&e| ends[e].is_some()) {
+                    for t in 0..N {
+                        let kk = end_k[e][t];
+                        end_src[e][t] = if win[t].contains(kk) {
+                            &src[t][(kk - win[t].lo) as usize..]
+                        } else {
+                            plane[t].run(nj[at[t][1]], kk, (rows - 1) * pitch + 1)
+                        };
+                    }
+                }
+                // Each output once, as the run's whole rows.
+                let len = (rows - 1) * pitch + rk.len();
+                let (o0, rest) = outputs.split_first_mut().expect("M >= 1");
+                let d0 = o0.run_mut(i, j, rk.lo, len);
+                let d1 = rest
+                    .first_mut()
+                    .map_or(&mut [][..], |o| o.run_mut(i, j, rk.lo, len));
                 if klo < khi {
-                    let len = (rows - 1) * pitch + (khi - klo) as usize;
-                    let (o0, rest) = outputs.split_first_mut().expect("M >= 1");
-                    let d1 = rest
-                        .first_mut()
-                        .map_or(&mut [][..], |o| o.run_mut(i, j, klo, len));
-                    row_body(&src, &skip, o0.run_mut(i, j, klo, len), d1, &f);
+                    let w = (klo - rk.lo) as usize..len - (rk.hi - khi) as usize;
+                    let w1 = if M > 1 { &mut d1[w.clone()] } else { &mut [] };
+                    row_body(&src, &skip, &mut d0[w], w1, &f);
                 }
                 for r in 0..rows {
                     for (e, k) in ends.iter().enumerate() {
                         let Some(k) = *k else { continue };
                         let mut v = [0.0; N];
                         for t in 0..N {
-                            v[t] = match end_at[e][t] {
-                                Some(at_k) => src[t][r * pitch + at_k],
-                                None => {
-                                    let kk = resolve(bc, d.k, k + taps[t].1 .2);
-                                    arr[t].get(ni[at[t][0]], nj[at[t][1]] + r as i64, kk)
-                                }
-                            };
+                            v[t] = end_src[e][t][r * pitch];
                         }
-                        for (o, v) in outputs.iter_mut().zip(f(v)) {
-                            o.set(i, j + r as i64, k, v);
+                        let v = f(v);
+                        let cell = r * pitch + (k - rk.lo) as usize;
+                        d0[cell] = v[0];
+                        if M > 1 {
+                            d1[cell] = v[1];
                         }
                     }
                 }

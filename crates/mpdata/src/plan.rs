@@ -812,6 +812,16 @@ impl StepSchedule {
         windows.chain(tiles).sum::<usize>() * size_of::<f64>()
     }
 
+    /// The most trace spans one rank records per time step of a
+    /// replay: per row of the longest fused step of any team, one
+    /// kernel span and one barrier wait, plus the step's two global
+    /// barrier waits and the leader's swap — what a traced run sizes
+    /// its per-thread rings by.
+    pub fn trace_spans_per_step(&self) -> usize {
+        let rows = self.teams.iter().flat_map(|t| &t.step_bounds);
+        2 * rows.map(|&(lo, hi)| hi - lo).max().unwrap_or(0) + 3
+    }
+
     /// Whether every island block is a tile whose chain one rank runs
     /// whole ([`TileMode`] other than `Off`).
     fn tiled(&self) -> bool {

@@ -257,3 +257,34 @@ fn summary_reports_the_rank_cut() {
         None
     );
 }
+
+/// A traced run keeps every span: the trace rings are sized from the
+/// schedule that runs. Depth-1 blocks (`--cache 1`) record ≈ 2 200
+/// spans per step here, so 40 steps hold ≈ 86 000 — more than the
+/// 2^16 a flat per-step allowance gave rings at this step count.
+#[test]
+fn traced_depth_one_run_drops_no_events() {
+    let out = run(&[
+        "--domain",
+        "64,8,4",
+        "--cache",
+        "1",
+        "--strategy",
+        "fused",
+        "--workers",
+        "1",
+        "--islands",
+        "1",
+        "--steps",
+        "40",
+        "--metrics",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("steps: 40 "),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("dropped events: 0\n"), "{stdout}");
+    assert!(!stdout.contains("DEGRADED"), "{stdout}");
+}

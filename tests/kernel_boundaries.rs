@@ -4,14 +4,36 @@
 //! faces, edges and corners under both boundaries — where interior rows
 //! chain into one slice per plane, and where a sub-`k` region or a
 //! `k`-halo on one array keeps every row a run of its own; the `k`-end
-//! cells a run sweeps across are recomputed, not left as swept; and
-//! the select-form extrema treat NaN, ±∞ and ±0 like the
-//! `f64::max`/`f64::min` chains they replaced.
+//! cells a run sweeps across are recomputed, not left as swept, with
+//! plain arrays and with windowed ones (inputs or outputs) whose
+//! planes sit in wrapped slots; the paper's 1 × 256 × 64 cross-section
+//! agrees through the same windowed layouts; and the select-form
+//! extrema treat NaN, ±∞ and ±0 like the `f64::max`/`f64::min` chains
+//! they replaced.
 
 use islands_of_cores::mpdata::{apply_kind, apply_kind_scalar, Boundary, MpdataProblem, StageKind};
 use islands_of_cores::stencil::{Array3, Range1, Region3};
 
 type Kernel = fn(StageKind, Region3, Boundary, &[&Array3], &mut [&mut Array3], Region3);
+
+/// The `n_out` outputs, each starting as a copy of `blank`, after `f`
+/// runs over `region`.
+#[allow(clippy::too_many_arguments)]
+fn sweep(
+    f: Kernel,
+    kind: StageKind,
+    n_out: usize,
+    domain: Region3,
+    bc: Boundary,
+    ins: &[&Array3],
+    region: Region3,
+    blank: &Array3,
+) -> Vec<Array3> {
+    let mut out = vec![blank.clone(); n_out];
+    let mut refs: Vec<&mut Array3> = out.iter_mut().collect();
+    f(kind, domain, bc, ins, &mut refs, region);
+    out
+}
 
 /// Bit patterns of every output array (each covering `cover`) after
 /// `f` runs over `region`.
@@ -26,13 +48,34 @@ fn run(
     region: Region3,
     cover: Region3,
 ) -> Vec<u64> {
-    let mut out = vec![Array3::filled(cover, -9.0); n_out];
-    let mut refs: Vec<&mut Array3> = out.iter_mut().collect();
-    f(kind, domain, bc, ins, &mut refs, region);
-    out.iter()
+    let blank = Array3::filled(cover, -9.0);
+    bits(&sweep(f, kind, n_out, domain, bc, ins, region, &blank))
+}
+
+/// Bit patterns of every stored cell of `arrays`.
+fn bits(arrays: &[Array3]) -> Vec<u64> {
+    arrays
+        .iter()
         .flat_map(|a| a.as_slice())
         .map(|v| v.to_bits())
         .collect()
+}
+
+/// `a`'s cells in an array answering for `hull` that stores only
+/// `planes` i-planes ([`Array3::windowed`]).
+fn windowed_copy(a: &Array3, hull: Region3, planes: usize) -> Array3 {
+    let mut w = Array3::windowed(hull, planes);
+    for (i, j, k) in a.region().points() {
+        w.set(i, j, k, a.get(i, j, k));
+    }
+    w
+}
+
+/// The smooth test field of input slot `n`.
+fn field(n: usize, cover: Region3) -> Array3 {
+    Array3::from_fn(cover, |i, j, k| {
+        0.6 + 0.01 * ((n as i64 * 29 + i * 13 + j * 7 + k * 3) % 31) as f64 - 0.75 * (n % 2) as f64
+    })
 }
 
 #[test]
@@ -62,25 +105,12 @@ fn rows_equal_the_per_cell_oracle_on_every_boundary() {
         let halo = Region3::new(domain.i, domain.j, Range1::new(-1, nk as i64 + 2));
         for st in p.graph().stages() {
             let kind = p.kind(st.id);
-            let fill = |n: usize, cover: Region3| {
-                Array3::from_fn(cover, |i, j, k| {
-                    0.6 + 0.01 * ((n as i64 * 29 + i * 13 + j * 7 + k * 3) % 31) as f64
-                        - 0.75 * (n % 2) as f64
-                })
-            };
             let slots = 0..st.inputs.len();
             let haloed: Vec<Array3> = slots
-                .map(|n| fill(n, if n % 2 == 1 { halo } else { domain }))
+                .map(|n| field(n, if n % 2 == 1 { halo } else { domain }))
                 .collect();
             let haloed: Vec<&Array3> = haloed.iter().collect();
-            let ins: Vec<Array3> = (0..st.inputs.len())
-                .map(|n| {
-                    Array3::from_fn(domain, |i, j, k| {
-                        0.6 + 0.01 * ((n as i64 * 29 + i * 13 + j * 7 + k * 3) % 31) as f64
-                            - 0.75 * (n % 2) as f64
-                    })
-                })
-                .collect();
+            let ins: Vec<Array3> = (0..st.inputs.len()).map(|n| field(n, domain)).collect();
             let ins: Vec<&Array3> = ins.iter().collect();
             for bc in [Boundary::Open, Boundary::Periodic] {
                 let n_out = st.outputs.len();
@@ -139,9 +169,15 @@ fn k_end_cells_are_recomputed_over_what_the_run_swept() {
     for nk in [3, 16] {
         let domain = Region3::of_extent(3, 7, nk);
         let (k_lo, k_hi) = (0, nk as i64 - 1);
+        // The windowed layout: arrays answering for planes -4..3 in
+        // three slots, so the domain's planes sit in wrapped slots.
+        let hull = Region3::new(Range1::new(-4, 3), domain.j, domain.k);
+        let plain_out = Array3::filled(domain, -9.0);
+        let mut windowed_out = Array3::windowed(hull, 3);
+        windowed_out.fill(-9.0);
         for st in p.graph().stages() {
             let kind = p.kind(st.id);
-            let ins: Vec<Array3> = (0..st.inputs.len())
+            let plain: Vec<Array3> = (0..st.inputs.len())
                 .map(|n| {
                     Array3::from_fn(domain, |i, j, k| {
                         if j % 2 == 0 && (k == k_lo || k == k_hi) {
@@ -153,32 +189,68 @@ fn k_end_cells_are_recomputed_over_what_the_run_swept() {
                     })
                 })
                 .collect();
+            let windowed: Vec<Array3> = plain.iter().map(|a| windowed_copy(a, hull, 3)).collect();
+            let layouts = [
+                (&plain, &plain_out, "plain"),
+                (&windowed, &plain_out, "windowed inputs"),
+                (&plain, &windowed_out, "windowed outputs"),
+            ];
+            for ((ins, blank, layout), bc) in layouts
+                .into_iter()
+                .flat_map(|l| [(l, Boundary::Open), (l, Boundary::Periodic)])
+            {
+                let ins: Vec<&Array3> = ins.iter().collect();
+                let n_out = st.outputs.len();
+                let at = |f| sweep(f, kind, n_out, domain, bc, &ins, domain, blank);
+                let (fast, oracle) = (at(apply_kind), at(apply_kind_scalar));
+                for (got, want) in fast.iter().zip(&oracle) {
+                    for (i, j, k) in domain.points() {
+                        let (got, want) = (got.get(i, j, k), want.get(i, j, k));
+                        // Two NaNs may differ in payload with operand order.
+                        assert!(
+                            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                            "{kind:?} {bc:?} {layout} nk={nk} at ({i},{j},{k}): {got:e} vs {want:e}"
+                        );
+                        if kind == StageKind::FluxK && j % 2 == 1 {
+                            assert!(
+                                got.is_finite(),
+                                "{bc:?} {layout} nk={nk} at ({i},{j},{k}): {got:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The paper's cross-section, 1 × 256 × 64, swept whole under both
+/// boundaries: its 254 interior rows are one run. Windowed scratch
+/// arrays (two slots for planes -3..1, so plane 0 sits in a wrapped
+/// slot) serve once as the inputs and once as the outputs, whose
+/// `k`-end cells the run stores through whole-row slices.
+#[test]
+fn paper_plane_equals_the_oracle_through_windowed_arrays() {
+    let p = MpdataProblem::standard();
+    let domain = Region3::of_extent(1, 256, 64);
+    let hull = Region3::new(Range1::new(-3, 1), domain.j, domain.k);
+    let plain_out = Array3::filled(domain, -9.0);
+    let mut windowed_out = Array3::windowed(hull, 2);
+    windowed_out.fill(-9.0);
+    for st in p.graph().stages() {
+        let kind = p.kind(st.id);
+        let plain: Vec<Array3> = (0..st.inputs.len()).map(|n| field(n, domain)).collect();
+        let windowed: Vec<Array3> = plain.iter().map(|a| windowed_copy(a, hull, 2)).collect();
+        for (ins, blank) in [(&windowed, &plain_out), (&plain, &windowed_out)] {
             let ins: Vec<&Array3> = ins.iter().collect();
             for bc in [Boundary::Open, Boundary::Periodic] {
                 let n_out = st.outputs.len();
-                let fast = run(apply_kind, kind, n_out, domain, bc, &ins, domain, domain);
-                let oracle = run(
-                    apply_kind_scalar,
-                    kind,
-                    n_out,
-                    domain,
-                    bc,
-                    &ins,
-                    domain,
-                    domain,
+                let at = |f| bits(&sweep(f, kind, n_out, domain, bc, &ins, domain, blank));
+                assert!(
+                    at(apply_kind) == at(apply_kind_scalar),
+                    "{kind:?} {bc:?}, outputs over {:?}",
+                    blank.region()
                 );
-                let cells = (0..n_out).flat_map(|_| domain.points());
-                for ((got, want), (i, j, k)) in fast.iter().zip(&oracle).zip(cells) {
-                    let (got, want) = (f64::from_bits(*got), f64::from_bits(*want));
-                    // Two NaNs may differ in payload with operand order.
-                    assert!(
-                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                        "{kind:?} {bc:?} nk={nk} at ({i},{j},{k}): {got:e} vs {want:e}"
-                    );
-                    if kind == StageKind::FluxK && j % 2 == 1 {
-                        assert!(got.is_finite(), "{bc:?} nk={nk} at ({i},{j},{k}): {got:e}");
-                    }
-                }
             }
         }
     }
