@@ -217,6 +217,9 @@ fn parse_args() -> Result<Args, String> {
                 if parts.len() != 3 || parts.contains(&0) {
                     return Err("--domain needs NI,NJ,NK (all positive)".into());
                 }
+                if Region3::checked_extent(parts[0], parts[1], parts[2]).is_none() {
+                    return Err(format!("--domain {v} is too large for one array"));
+                }
                 a.domain = (parts[0], parts[1], parts[2]);
             }
             "--steps" => a.steps = val()?.parse().map_err(|e| format!("bad --steps: {e}"))?,

@@ -288,7 +288,9 @@ impl ParStore {
     }
 
     /// Applies `stage` over `region` from one worker, resolving external
-    /// inputs through `ext`.
+    /// inputs through `ext`. The outputs go to their store slots, or —
+    /// given `dest` — the stage's one output goes there instead (the
+    /// replay's final stage writes the step's x output this way).
     ///
     /// # Safety contract (internal)
     ///
@@ -296,6 +298,7 @@ impl ParStore {
     /// same stage, and stages must be separated by a barrier or join.
     /// Both are guaranteed by the executors: regions come from
     /// [`rank_slice`] and stages are fenced by team or global barriers.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn apply(
         &self,
         stage: &StageDef,
@@ -303,40 +306,47 @@ impl ParStore {
         domain: Region3,
         bc: Boundary,
         region: Region3,
+        dest: Option<&mut Array3>,
         ext: ExtFields<'_>,
     ) {
         if region.is_empty() {
             return;
         }
         let ids = &self.ids;
+        // The store slots written: none when `dest` takes the output.
+        let slots: &[FieldId] = if dest.is_some() {
+            assert_eq!(stage.outputs.len(), 1, "a destination takes one output");
+            &[]
+        } else {
+            &stage.outputs
+        };
+        let held = || {
+            stage
+                .inputs
+                .iter()
+                .filter(|(f, _)| ext.get(ids, *f).is_none())
+        };
         // Debug overlap guard: claim the regions this call touches
-        // (outputs written over `region`, store-held inputs read over the
+        // (slots written over `region`, store-held inputs read over the
         // halo-expanded slice — periodic wraps are under-claimed, which
         // only weakens, never falsifies, the check) and track the cells.
         #[cfg(debug_assertions)]
         let _claims = {
-            let wanted: Vec<(FieldId, Region3, bool)> = stage
-                .outputs
+            let wanted: Vec<(FieldId, Region3, bool)> = slots
                 .iter()
                 .map(|&f| (f, region, true))
                 .chain(
-                    stage
-                        .inputs
-                        .iter()
-                        .filter(|(f, _)| ext.get(ids, *f).is_none())
-                        .map(|(f, pat)| (*f, region.expand(pat.halo()).intersect(domain), false)),
+                    held().map(|(f, pat)| (*f, region.expand(pat.halo()).intersect(domain), false)),
                 )
                 .collect();
             self.cells.claim(&wanted, &stage.name)
         };
         let mut trackers: InlineVec<AccessTracker<'_, Option<Array3>>, MAX_STAGE_ARGS> =
             InlineVec::new();
-        for (f, _) in &stage.inputs {
-            if ext.get(ids, *f).is_none() {
-                trackers.push(self.cells.cell(*f).track_read());
-            }
+        for (f, _) in held() {
+            trackers.push(self.cells.cell(*f).track_read());
         }
-        for &f in &stage.outputs {
+        for &f in slots {
             trackers.push(self.cells.cell(f).track_write());
         }
         let mut ins: InlineVec<&Array3, MAX_STAGE_ARGS> = InlineVec::new();
@@ -351,7 +361,10 @@ impl ParStore {
             }));
         }
         let mut outs: InlineVec<&mut Array3, MAX_STAGE_ARGS> = InlineVec::new();
-        for &f in &stage.outputs {
+        if let Some(d) = dest {
+            outs.push(d);
+        }
+        for &f in slots {
             // SAFETY: concurrent callers write disjoint regions (see
             // the contract above), and no caller reads an output of
             // the stage it is executing.
@@ -362,57 +375,6 @@ impl ParStore {
             );
         }
         apply_kind(kind, domain, bc, &ins, &mut outs, region);
-        drop(trackers);
-    }
-
-    /// Applies a single-output `stage` over `region`, writing into the
-    /// caller-supplied buffer instead of a store slot (used by the
-    /// islands executor to write the final stage straight into the
-    /// shared output array). Same disjointness contract as
-    /// [`ParStore::apply`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn apply_into(
-        &self,
-        stage: &StageDef,
-        kind: StageKind,
-        domain: Region3,
-        bc: Boundary,
-        region: Region3,
-        out: &mut Array3,
-        ext: ExtFields<'_>,
-    ) {
-        if region.is_empty() {
-            return;
-        }
-        assert_eq!(stage.outputs.len(), 1, "apply_into takes one output");
-        let ids = &self.ids;
-        #[cfg(debug_assertions)]
-        let _claims = {
-            let wanted: Vec<(FieldId, Region3, bool)> = stage
-                .inputs
-                .iter()
-                .filter(|(f, _)| ext.get(ids, *f).is_none())
-                .map(|(f, pat)| (*f, region.expand(pat.halo()).intersect(domain), false))
-                .collect();
-            self.cells.claim(&wanted, &stage.name)
-        };
-        let mut trackers: InlineVec<AccessTracker<'_, Option<Array3>>, MAX_STAGE_ARGS> =
-            InlineVec::new();
-        for (f, _) in &stage.inputs {
-            if ext.get(ids, *f).is_none() {
-                trackers.push(self.cells.cell(*f).track_read());
-            }
-        }
-        let mut ins: InlineVec<&Array3, MAX_STAGE_ARGS> = InlineVec::new();
-        for (f, _) in &stage.inputs {
-            ins.push(ext.get(ids, *f).unwrap_or_else(|| {
-                // SAFETY: see `apply`.
-                unsafe { self.cells.cell(*f).get_ref() }
-                    .as_ref()
-                    .expect("buffer present")
-            }));
-        }
-        apply_kind(kind, domain, bc, &ins, &mut [out], region);
         drop(trackers);
     }
 }
@@ -482,6 +444,7 @@ mod tests {
             d,
             Boundary::Open,
             Region3::new(Range1::new(0, 3), d.j, d.k),
+            None,
             ext,
         );
         ps.apply(
@@ -490,6 +453,7 @@ mod tests {
             d,
             Boundary::Open,
             Region3::new(Range1::new(3, 6), d.j, d.k),
+            None,
             ext,
         );
         assert_eq!(take(&mut ps, f1).max_abs_diff(&serial), 0.0);

@@ -230,8 +230,8 @@ impl<'p> IslandsExecutor<'p> {
     }
 
     /// The schedule this executor replays on `domain` — the very
-    /// object `step`/`run` walk (planned and cached on first use), so
-    /// a proof about it is a proof about the run.
+    /// object `run` (and so `step`) walks, planned and cached on first
+    /// use — so a proof about it is a proof about the run.
     ///
     /// # Errors
     ///
@@ -245,7 +245,10 @@ impl<'p> IslandsExecutor<'p> {
         self.with_plan(domain, |plan| Arc::clone(plan.schedule()))
     }
 
-    /// Performs one time step.
+    /// Performs one time step and returns the advected scalar: a
+    /// one-step [`IslandsExecutor::run`] on a copy of `fields`, so it
+    /// replays the same cached plan (on a fused plan, its one-section
+    /// tail) and leaves `fields` untouched.
     ///
     /// # Errors
     ///
@@ -258,9 +261,9 @@ impl<'p> IslandsExecutor<'p> {
     /// dependencies cannot be expressed by box-shaped island regions)
     /// or an explicit partition does not disjointly cover the domain.
     pub fn step(&self, fields: &MpdataFields) -> Result<Array3, PlanBlocksError> {
-        self.with_plan(fields.domain(), |plan| {
-            plan.step(self.pool, &self.teams, fields)
-        })
+        let mut next = fields.clone();
+        self.run(&mut next, 1)?;
+        Ok(next.x)
     }
 
     /// Advances `fields.x` by `steps` time steps.

@@ -47,8 +47,8 @@
 //! the last fused step writes the shared output exactly as before. A
 //! `run` whose step count is not a multiple of k replays a tail epoch
 //! made of the *last* `steps mod k` sections, which keeps every
-//! section's enlargement exactly right; `step` is the one-section tail,
-//! identical to an unfused plan.
+//! section's enlargement exactly right; a one-step `run` is the
+//! one-section tail, identical to an unfused plan.
 //!
 //! Replay is bit-identical to the allocate-per-step path for every k:
 //! the kernels are pointwise in their declared neighborhoods, so
@@ -217,8 +217,8 @@ impl PartitionKind {
 }
 
 /// The executor-side half of a cached [`StepPlan`]'s key (the other
-/// half is the domain of the fields it is run on). A `step`/`run` call
-/// whose domain or config no longer equal the cached plan's rebuilds
+/// half is the domain of the fields it is run on). A `run` call whose
+/// domain or config no longer equal the cached plan's rebuilds
 /// it; the comparison is the derived, allocation-free `==`, so cache
 /// hits cost a few field compares.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -417,12 +417,13 @@ struct TeamBuffers {
     /// a row's region just before the row writes it, so the steady
     /// state allocates nothing.
     rank_stores: Vec<ParStore>,
-    /// One preallocated claim queue per fence interval (dynamic
-    /// schedules only; empty for static): per row untiled, over its
-    /// `n_units` chunks; per fused step tiled, over its tiles. Reset
-    /// between steps by one relaxed store per queue, inside the serial
-    /// sections the barriers already fence — so self-scheduling adds no
-    /// allocation to the steady state.
+    /// One preallocated claim queue per fence interval, indexed like the
+    /// intervals: per row untiled, over its `n_units` chunks; per fused
+    /// step tiled, over its tiles. Empty for static schedules, so
+    /// [`StepPlan::units`] finds no queue and strides the units by rank
+    /// instead. Reset between steps by one relaxed store per queue,
+    /// inside the serial sections the barriers already fence — so
+    /// self-scheduling adds no allocation to the steady state.
     queues: Vec<ChunkQueue>,
     /// The x slots: fused step `s < k-1` writes slot `s % 2`, fused
     /// step `s > 0` reads slot `(s-1) % 2` (see
@@ -1098,13 +1099,14 @@ impl StepPlan {
     /// Replays one fused epoch of `epoch_len ∈ 1..=k` time steps for
     /// the calling worker's team — the *last* `epoch_len` fused-step
     /// sections of the table, so a tail epoch keeps each section's halo
-    /// enlargement exact. Per fused step: untiled, every `(block,
-    /// stage)` row fenced by [`StepPlan::fence`]; tiled, whole tile
-    /// chains — static schedules stride tiles round-robin by rank,
-    /// dynamic ones claim them from the step's [`ChunkQueue`] — and one
-    /// team barrier, except after the last step, which the caller's join
-    /// or global barrier fences. Either way the team barrier ending one
-    /// fused step fences its x-slot writes from the next step's reads.
+    /// enlargement exact. Each fused step is a run of fence intervals
+    /// whose work units [`StepPlan::units`] hands out. Untiled, an
+    /// interval is one `(block, stage)` row, its units are the row's
+    /// `rank_slice`s, and [`StepPlan::fence`] ends it. Tiled, it is the
+    /// whole fused step, its units are tile chains, and one team barrier
+    /// ends it — except after the last step, which the caller's global
+    /// barrier fences. Either way the team barrier ending one fused step
+    /// fences its x-slot writes from the next step's reads.
     /// `base_step` numbers the trace spans, so per-step attribution
     /// survives fusion. Allocation-free in release builds — including
     /// with tracing compiled in but disabled, where every
@@ -1130,51 +1132,41 @@ impl StepPlan {
             let (step_ext, _slot_read) = self.step_inputs(bufs, ext, ts, first_ts);
             let dest = self.final_dest(bufs, ts);
             let (lo, hi) = team.step_bounds[ts];
-            let rows = &team.epochs[lo..hi];
             if sched.tiled() {
                 let store = &bufs.rank_stores[ctx.rank];
-                match sched.knobs.schedule {
-                    SchedulePolicy::Static => {
-                        for chain in rows.chunks_exact(stages).skip(ctx.rank).step_by(ctx.size) {
-                            self.run_tile(team, chain, store, step_ext, dest);
-                        }
-                    }
-                    SchedulePolicy::Dynamic { .. } => {
-                        // Self-schedule whole tiles: any claim order is
-                        // race-free — tiles own disjoint output regions
-                        // and all scratch is rank-private.
-                        while let Some(n) = bufs.queues[ts].claim() {
-                            let chain = &rows[n * stages..(n + 1) * stages];
-                            self.run_tile(team, chain, store, step_ext, dest);
-                        }
-                    }
-                }
+                Self::units(ctx, (hi - lo) / stages, bufs.queues.get(ts), |n| {
+                    let chain = &team.epochs[lo + n * stages..][..stages];
+                    self.run_tile(team, chain, store, step_ext, dest);
+                });
                 if ts + 1 < k {
                     ctx.team_barrier();
                 }
                 continue;
             }
             let store = self.shared.as_ref().unwrap_or(&bufs.store);
-            let domain = sched.domain;
-            match sched.knobs.schedule {
-                SchedulePolicy::Static => {
-                    for ep in rows {
-                        // Static: unit index = rank, exactly one per row.
-                        self.run_unit(team, ep, store, ctx.rank, step_ext, dest, domain);
-                        self.fence(ctx, ep);
-                    }
-                }
-                SchedulePolicy::Dynamic { .. } => {
-                    for (ep, q) in rows.iter().zip(&bufs.queues[lo..hi]) {
-                        // Self-schedule: claim precomputed chunks until the
-                        // row drains. Any claim order is race-free — the
-                        // chunks are pairwise disjoint and the row still
-                        // ends at the same fence.
-                        while let Some(u) = q.claim() {
-                            self.run_unit(team, ep, store, u, step_ext, dest, domain);
-                        }
-                        self.fence(ctx, ep);
-                    }
+            for (row, ep) in team.epochs.iter().enumerate().take(hi).skip(lo) {
+                Self::units(ctx, team.n_units, bufs.queues.get(row), |u| {
+                    self.run_unit(team, ep, store, u, step_ext, dest, sched.domain);
+                });
+                self.fence(ctx, ep);
+            }
+        }
+    }
+
+    /// Hands the calling rank its units of one fence interval of `n`
+    /// work units: statically (no `queue`), every `size`-th unit from
+    /// its own rank on; dynamically, every unit it claims from the
+    /// interval's [`ChunkQueue`] until the queue drains. Any claim order
+    /// is race-free: an interval's units are pairwise disjoint (a row's
+    /// slices, or tiles on rank-private scratch) and the interval ends
+    /// at the same fence.
+    #[inline]
+    fn units(ctx: &TeamCtx, n: usize, queue: Option<&ChunkQueue>, mut run: impl FnMut(usize)) {
+        match queue {
+            None => (ctx.rank..n).step_by(ctx.size).for_each(run),
+            Some(q) => {
+                while let Some(u) = q.claim() {
+                    run(u);
                 }
             }
         }
@@ -1183,7 +1175,7 @@ impl StepPlan {
     /// Ends row `ep`: the team barrier — intra-island synchronization
     /// only, the whole point of the approach — or, stage-synchronous,
     /// the global barrier, except after the final stage, which the
-    /// step's own global barrier (or the dispatch join) fences.
+    /// step's own global barrier fences.
     #[inline]
     fn fence(&self, ctx: &TeamCtx, ep: &EpochPlan) {
         if !self.schedule.stage_sync {
@@ -1241,26 +1233,17 @@ impl StepPlan {
         let (domain, bc) = (self.schedule.domain, self.schedule.problem.boundary());
         let st = &self.schedule.problem.graph().stages()[ep.stage];
         let mine = rank_slice(ep.region, team.axis, unit, team.n_units);
-        let t0 = if mine.is_empty() {
-            None
-        } else {
-            islands_trace::now()
-        };
-        if ep.is_final {
-            // Final stage: write straight into the step's x output.
-            // Blocks of different islands are disjoint on the shared
-            // output, units and tiles split disjointly, and x slots are
-            // team-private.
-            if !mine.is_empty() {
-                let _wt = dest.track_write();
-                // SAFETY: all concurrent writers cover mutually
-                // disjoint regions.
-                let out_arr = unsafe { dest.get_mut() };
-                store.apply_into(st, ep.kind, domain, bc, mine, out_arr, ext);
-            }
-        } else {
-            store.apply(st, ep.kind, domain, bc, mine, ext);
+        if mine.is_empty() {
+            return;
         }
+        let t0 = islands_trace::now();
+        // A final stage writes straight into the step's x output. Blocks
+        // of different islands are disjoint on the shared output, units
+        // and tiles split disjointly, and x slots are team-private.
+        let _wt = ep.is_final.then(|| dest.track_write());
+        // SAFETY: all concurrent writers cover mutually disjoint regions.
+        let out = ep.is_final.then(|| unsafe { dest.get_mut() });
+        store.apply(st, ep.kind, domain, bc, mine, out, ext);
         if let Some(t0) = t0 {
             let owned = mine.intersect(within).intersect(team.needed[ep.stage]);
             islands_trace::record(
@@ -1285,31 +1268,6 @@ impl StepPlan {
         for q in self.teams.iter().flat_map(|t| &t.queues) {
             q.reset();
         }
-    }
-
-    /// One time step: lend the plan a fresh zeroed output buffer,
-    /// replay, and hand the buffer back. The persistent `out` buffer is
-    /// untouched, so `step` and `run` calls interleave freely. On a
-    /// fused plan this replays the one-section tail (the unenlarged last
-    /// fused step), so a single `step` stays bit-identical for every
-    /// fuse depth.
-    pub(crate) fn step(
-        &mut self,
-        pool: &WorkerPool,
-        spec: &TeamSpec,
-        fields: &MpdataFields,
-    ) -> Array3 {
-        // Rewind the self-scheduling queues before the dispatch sees them.
-        self.reset_queues();
-        let mut result = Array3::zeros(self.schedule.domain);
-        std::mem::swap(self.out.get_mut_exclusive(), &mut result);
-        let ext = ExtFields::new(fields);
-        let plan: &StepPlan = self;
-        pool.run_teams(spec, |ctx| plan.replay(&ctx, ext, 0, 1));
-        // `result` currently holds the plan's persistent buffer; swap the
-        // freshly written output out and the persistent buffer back in.
-        std::mem::swap(self.out.get_mut_exclusive(), &mut result);
-        result
     }
 
     /// Advances `fields.x` by `steps` steps inside a *single*

@@ -86,6 +86,26 @@ fn bad_input_exits_non_zero_naming_the_cause() {
     }
 }
 
+/// A domain no array can hold is refused while parsing, not by a
+/// panic inside the field generator (2^32 × 2^32 cells wrap to 0).
+#[test]
+fn oversized_domain_is_rejected_naming_the_flag() {
+    let out = run(&[
+        "--domain",
+        "4294967296,4294967296,1",
+        "--steps",
+        "1",
+        "--strategy",
+        "reference",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: --domain ") && !stderr.contains("panicked"),
+        "{stderr}"
+    );
+}
+
 /// A mistyped `--problem` / `--strategy` is rejected while parsing —
 /// naming the flag and what it accepts — before the pool is spawned or
 /// `--serve-metrics` binds and announces a port.

@@ -149,7 +149,7 @@ fn empty_island_plan_is_not_reused_for_wider_domain() {
 
 #[test]
 fn step_and_run_interleave_on_one_cache() {
-    // `step` borrows the plan's output buffer and hands it back; `run`
+    // `step` is a one-step `run` on a copy of the fields; `run`
     // ping-pongs the same plan's cur/out pair. Interleaving them must
     // keep both paths bit-identical to the reference.
     let pool = WorkerPool::new(4);

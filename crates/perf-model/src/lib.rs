@@ -36,7 +36,7 @@ pub use metrics::{
     overall_speedup, parallel_efficiency_percent, partial_speedup, sustained_gflops, useful_flops,
     utilization_percent,
 };
-pub use model::{predict, recommend, relative_error, ModelPrediction, Recommendation, Strategy};
+pub use model::{predict, relative_error, ModelPrediction};
 pub use plot::AsciiPlot;
 pub use tables::Table;
 pub use traffic::{fused_traffic_blocked, fused_traffic_ideal, original_traffic, TrafficReport};

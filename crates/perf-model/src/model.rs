@@ -122,61 +122,6 @@ pub fn relative_error(predicted: f64, measured: f64) -> f64 {
     (predicted - measured).abs() / measured
 }
 
-/// A strategy recommendation for one machine and workload.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Recommendation {
-    /// The recommended execution strategy.
-    pub strategy: Strategy,
-    /// The partition variant for islands (A unless the grid is taller
-    /// than long).
-    pub variant: Variant,
-    /// Predicted seconds per time step.
-    pub step_seconds: f64,
-    /// Predicted seconds for the whole workload.
-    pub total_seconds: f64,
-}
-
-/// The execution strategies the model chooses between.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Strategy {
-    /// Per-stage parallel sweeps with parallel first touch.
-    Original,
-    /// Pure (3+1)D decomposition.
-    Fused,
-    /// Islands-of-cores.
-    Islands,
-}
-
-/// Recommends the fastest strategy for `machine` and `w` using the
-/// closed-form model (validated against the discrete-event engine to
-/// ≤ 23 % — see experiment E10).
-///
-/// The variant follows Table 2's rule: cut the dimension with the
-/// smaller cut face, i.e. variant A when the grid is at least as long
-/// in `i` as in `j`.
-pub fn recommend(machine: &Machine, w: &Workload, cfg: &SimConfig) -> Recommendation {
-    let m = predict(machine, w, cfg);
-    let variant = if w.domain.i.len() >= w.domain.j.len() {
-        Variant::A
-    } else {
-        Variant::B
-    };
-    let (strategy, step_seconds) = [
-        (Strategy::Islands, m.islands),
-        (Strategy::Fused, m.fused),
-        (Strategy::Original, m.original),
-    ]
-    .into_iter()
-    .min_by(|a, b| a.1.total_cmp(&b.1))
-    .expect("three candidates");
-    Recommendation {
-        strategy,
-        variant,
-        step_seconds,
-        total_seconds: step_seconds * w.steps as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,25 +204,5 @@ mod tests {
     fn relative_error_basics() {
         assert_eq!(relative_error(1.0, 1.0), 0.0);
         assert!((relative_error(1.2, 1.0) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recommendation_matches_paper_conclusions() {
-        let w = Workload::paper();
-        let cfg = SimConfig::default();
-        // Multi-socket: islands, variant A (grid longer in i).
-        let rec = recommend(&UvParams::uv2000(8).build(), &w, &cfg);
-        assert_eq!(rec.strategy, Strategy::Islands);
-        assert_eq!(rec.variant, Variant::A);
-        assert!(rec.total_seconds > 0.0);
-        assert!((rec.total_seconds - rec.step_seconds * 50.0).abs() < 1e-9);
-        // Single socket: islands degenerates to (3+1)D; either of the
-        // cache-blocked strategies must win over the original.
-        let rec1 = recommend(&UvParams::uv2000(1).build(), &w, &cfg);
-        assert_ne!(rec1.strategy, Strategy::Original);
-        // A grid taller in j flips the variant.
-        let tall = Workload::new(stencil_engine::Region3::of_extent(128, 512, 16), 10);
-        let rec2 = recommend(&UvParams::uv2000(4).build(), &tall, &cfg);
-        assert_eq!(rec2.variant, Variant::B);
     }
 }

@@ -71,30 +71,6 @@ impl ChunkQueue {
         (n < self.chunks).then_some(n)
     }
 
-    /// Claims up to `batch` consecutive chunks, returning their range.
-    /// Larger batches amortize the atomic per claim; `None` when
-    /// drained (saturating, like [`ChunkQueue::claim`]).
-    pub fn claim_batch(&self, batch: usize) -> Option<std::ops::Range<usize>> {
-        let batch = batch.max(1);
-        // ordering: Relaxed — same saturation-gate contract as `claim`.
-        if self
-            .next
-            .load(ord("chunkq.fastpath-load", Ordering::Relaxed))
-            >= self.chunks
-        {
-            return None;
-        }
-        // ordering: Relaxed — same uniqueness-by-atomicity contract as
-        // the single-chunk claim RMW.
-        let start = self
-            .next
-            .fetch_add(batch, ord("chunkq.claim-batch-rmw", Ordering::Relaxed));
-        if start >= self.chunks {
-            return None;
-        }
-        Some(start..(start + batch).min(self.chunks))
-    }
-
     /// Chunks not yet claimed.
     ///
     /// # Ordering contract
@@ -167,22 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn batches_cover_without_overlap() {
-        let pool = WorkerPool::new(4);
-        let queue = ChunkQueue::new(103); // not a multiple of the batch
-        let claimed = Mutex::new(vec![0u8; 103]);
-        pool.broadcast(|_| {
-            while let Some(r) = queue.claim_batch(8) {
-                let mut g = claimed.lock().unwrap();
-                for c in r {
-                    g[c] += 1;
-                }
-            }
-        });
-        assert!(claimed.lock().unwrap().iter().all(|&c| c == 1));
-    }
-
-    #[test]
     fn imbalanced_work_is_stolen_by_idle_ranks() {
         // One chunk is 100× heavier; dynamic scheduling keeps the
         // completion spread far below the heavy chunk count.
@@ -227,7 +187,6 @@ mod tests {
         let q = ChunkQueue::new(0);
         assert!(q.is_empty());
         assert_eq!(q.claim(), None);
-        assert_eq!(q.claim_batch(4), None);
     }
 
     #[test]
@@ -240,7 +199,6 @@ mod tests {
         assert_eq!(q.claim(), Some(1));
         for _ in 0..1000 {
             assert_eq!(q.claim(), None);
-            assert_eq!(q.claim_batch(8), None);
         }
         assert_eq!(q.next.load(Ordering::Relaxed), 2, "counter kept growing");
         assert_eq!(q.remaining(), 0);
@@ -288,7 +246,6 @@ mod tests {
             0 | 1 => {
                 while !stop.load(Ordering::Relaxed) {
                     let _ = queue.claim();
-                    let _ = queue.claim_batch(4);
                 }
             }
             // Resetter: rewind mid-flight, repeatedly.

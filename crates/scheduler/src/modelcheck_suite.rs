@@ -137,29 +137,16 @@ fn barrier_reuse() -> Scenario {
     s
 }
 
-/// Two threads drain a three-chunk queue, one of them via a two-chunk
-/// batch claim. Checks: every chunk claimed exactly once, none skipped,
-/// claims past the end stay `None`.
+/// Two threads drain a three-chunk queue through `claim`, the replay's
+/// one claim path. Checks: every chunk claimed exactly once, none
+/// skipped, claims past the end stay `None`.
 fn chunkq_claims() -> Scenario {
     let mut s = Scenario::new("chunkq-claims");
     let q = Arc::new(ChunkQueue::new(3));
     let claimed: Arc<Vec<AtomicUsize>> = Arc::new((0..3).map(|_| AtomicUsize::new(0)).collect());
-    {
+    for _ in 0..2 {
         let (q, claimed) = (Arc::clone(&q), Arc::clone(&claimed));
         s.thread(move || {
-            while let Some(c) = q.claim() {
-                claimed[c].fetch_add(1, Ordering::SeqCst);
-            }
-        });
-    }
-    {
-        let (q, claimed) = (Arc::clone(&q), Arc::clone(&claimed));
-        s.thread(move || {
-            if let Some(r) = q.claim_batch(2) {
-                for c in r {
-                    claimed[c].fetch_add(1, Ordering::SeqCst);
-                }
-            }
             while let Some(c) = q.claim() {
                 claimed[c].fetch_add(1, Ordering::SeqCst);
             }
@@ -361,7 +348,7 @@ pub fn protocols() -> Vec<Proto> {
             name: "chunkq-claims",
             build: chunkq_claims,
             cfg: Config::default(),
-            bounds_note: "2 threads, 3 chunks incl. a batch claim, exhaustive",
+            bounds_note: "2 threads, 3 chunks, exhaustive",
         },
         Proto {
             name: "chunkq-reuse",
@@ -452,7 +439,6 @@ pub fn matrix() -> Vec<SiteSpec> {
         SiteSpec { site: "barrier.park-sleepers-dec-rmw",  current: Relaxed, class: Rmw,   scenario: "barrier-handoff", expect: Minimal },
         SiteSpec { site: "chunkq.fastpath-load",           current: Relaxed, class: Load,  scenario: "chunkq-claims",   expect: Minimal },
         SiteSpec { site: "chunkq.claim-rmw",               current: Relaxed, class: Rmw,   scenario: "chunkq-claims",   expect: Minimal },
-        SiteSpec { site: "chunkq.claim-batch-rmw",         current: Relaxed, class: Rmw,   scenario: "chunkq-claims",   expect: Minimal },
         SiteSpec { site: "chunkq.remaining-load",          current: Relaxed, class: Load,  scenario: "chunkq-claims",   expect: Minimal },
         SiteSpec { site: "chunkq.reset-store",             current: Relaxed, class: Store, scenario: "chunkq-reuse",    expect: Minimal },
         SiteSpec { site: "ring.reserve-load",              current: Relaxed, class: Load,  scenario: "ring-publish",    expect: Minimal },

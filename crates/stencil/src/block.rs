@@ -27,6 +27,9 @@ use crate::region::{Axis, Region3};
 use std::error::Error;
 use std::fmt;
 
+/// The axis blocks are cut along: the windowed scratch stores i-planes.
+const AXIS: Axis = Axis::I;
+
 /// Size of an `f64` grid element in bytes.
 pub const BYTES_PER_CELL: usize = 8;
 
@@ -46,7 +49,6 @@ pub struct BlockPlanner {
     cache_bytes: usize,
     min_depth: usize,
     max_depth: usize,
-    axis: Axis,
 }
 
 impl BlockPlanner {
@@ -56,7 +58,6 @@ impl BlockPlanner {
             cache_bytes,
             min_depth: 1,
             max_depth: usize::MAX,
-            axis: Axis::I,
         }
     }
 
@@ -78,12 +79,6 @@ impl BlockPlanner {
     /// Sets the largest admissible block depth (default unbounded).
     pub fn max_depth(mut self, d: usize) -> Self {
         self.max_depth = d.max(1);
-        self
-    }
-
-    /// Sets the axis along which blocks are cut (default [`Axis::I`]).
-    pub fn axis(mut self, axis: Axis) -> Self {
-        self.axis = axis;
         self
     }
 
@@ -111,16 +106,12 @@ impl BlockPlanner {
     ) -> Result<usize, PlanBlocksError> {
         let halos = graph.cumulative_halos();
         let (hn, hp) = halos.iter().fold((0_i64, 0_i64), |(n, p), h| {
-            let (a, b) = h.along(self.axis);
+            let (a, b) = h.along(AXIS);
             (n.max(a), p.max(b))
         });
         let halo_span = (hn + hp) as usize;
         // Cells per unit depth along the axis.
-        let plane: usize = match self.axis {
-            Axis::I => domain.j.len() * domain.k.len(),
-            Axis::J => domain.i.len() * domain.k.len(),
-            Axis::K => domain.i.len() * domain.j.len(),
-        };
+        let plane = domain.j.len() * domain.k.len();
         let buffers = Self::live_buffers(graph);
         let per_depth = plane * buffers * BYTES_PER_CELL;
         if per_depth == 0 {
@@ -129,7 +120,7 @@ impl BlockPlanner {
         let mut depth = self.cache_bytes / per_depth;
         depth = depth.saturating_sub(halo_span);
         depth = depth.clamp(self.min_depth, self.max_depth);
-        let axis_len = domain.range(self.axis).len();
+        let axis_len = domain.range(AXIS).len();
         Ok(depth.min(axis_len.max(1)))
     }
 
@@ -152,18 +143,14 @@ impl BlockPlanner {
         }
         let depth = self.choose_depth(graph, domain)?;
         let blocks = domain
-            .chunks(self.axis, depth)
+            .chunks(AXIS, depth)
             .into_iter()
             .map(|out| BlockPlan {
                 output_region: out,
                 stage_regions: graph.required_regions(out, clip),
             })
             .collect();
-        Ok(Blocking {
-            axis: self.axis,
-            depth,
-            blocks,
-        })
+        Ok(Blocking { depth, blocks })
     }
 }
 
@@ -198,7 +185,7 @@ impl BlockPlanner {
             return Err(PlanBlocksError::EmptyDomain);
         }
         let depth = self.choose_depth(graph, target)?;
-        let chunks = target.chunks(self.axis, depth);
+        let chunks = target.chunks(AXIS, depth);
         let mut blocks: Vec<BlockPlan> = Vec::with_capacity(chunks.len());
         // Frontier along the planning axis per stage: everything below
         // it has already been computed by earlier blocks.
@@ -206,8 +193,8 @@ impl BlockPlanner {
         let mut prefix = target;
         for chunk in chunks {
             prefix = prefix.with_range(
-                self.axis,
-                crate::region::Range1::new(target.range(self.axis).lo, chunk.range(self.axis).hi),
+                AXIS,
+                crate::region::Range1::new(target.range(AXIS).lo, chunk.range(AXIS).hi),
             );
             let req = graph.required_regions(prefix, domain);
             let mut stage_regions = Vec::with_capacity(req.len());
@@ -216,10 +203,10 @@ impl BlockPlanner {
                     stage_regions.push(Region3::empty());
                     continue;
                 }
-                let lo = frontier[s].unwrap_or(r.range(self.axis).lo);
-                let hi = r.range(self.axis).hi;
+                let lo = frontier[s].unwrap_or(r.range(AXIS).lo);
+                let hi = r.range(AXIS).hi;
                 frontier[s] = Some(hi.max(lo));
-                let slab = r.with_range(self.axis, crate::region::Range1::new(lo, hi));
+                let slab = r.with_range(AXIS, crate::region::Range1::new(lo, hi));
                 stage_regions.push(if slab.is_empty() {
                     Region3::empty()
                 } else {
@@ -231,11 +218,7 @@ impl BlockPlanner {
                 stage_regions,
             });
         }
-        Ok(Blocking {
-            axis: self.axis,
-            depth,
-            blocks,
-        })
+        Ok(Blocking { depth, blocks })
     }
 }
 
@@ -276,9 +259,7 @@ impl BlockPlan {
 /// A complete block schedule for one worker's domain part.
 #[derive(Clone, Debug)]
 pub struct Blocking {
-    /// Axis along which blocks were cut.
-    pub axis: Axis,
-    /// Chosen block depth along that axis.
+    /// Chosen block depth along [`Axis::I`].
     pub depth: usize,
     /// Blocks in execution order.
     pub blocks: Vec<BlockPlan>,
@@ -352,10 +333,10 @@ impl Blocking {
                 for (f, pat) in &st.inputs {
                     let read = region.expand(pat.halo()).intersect(domain);
                     if fields.role(*f) == FieldRole::Intermediate && !read.is_empty() {
-                        touch(f.index(), frontier[f.index()], read.range(self.axis).lo);
+                        touch(f.index(), frontier[f.index()], read.range(AXIS).lo);
                     }
                 }
-                let wrote = region.range(self.axis);
+                let wrote = region.range(AXIS);
                 for o in &st.outputs {
                     if fields.role(*o) == FieldRole::Intermediate {
                         let front = &mut frontier[o.index()];

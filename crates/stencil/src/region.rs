@@ -251,13 +251,25 @@ impl Region3 {
     }
 
     /// The region `[0, ni) × [0, nj) × [0, nk)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no array can hold it ([`Region3::checked_extent`]).
     #[inline]
     pub fn of_extent(ni: usize, nj: usize, nk: usize) -> Self {
-        Region3 {
-            i: Range1::new(0, ni as i64),
-            j: Range1::new(0, nj as i64),
-            k: Range1::new(0, nk as i64),
-        }
+        Self::checked_extent(ni, nj, nk).unwrap_or_else(|| {
+            panic!("extent {ni}×{nj}×{nk} is too large for one array of f64 cells")
+        })
+    }
+
+    /// [`Region3::of_extent`], or `None` when an extent exceeds
+    /// `i64::MAX`, the cell count overflows `usize`, or one `f64` array
+    /// over the region would exceed `isize::MAX` bytes.
+    pub fn checked_extent(ni: usize, nj: usize, nk: usize) -> Option<Self> {
+        let cells = ni.checked_mul(nj)?.checked_mul(nk)?;
+        isize::try_from(cells.checked_mul(size_of::<f64>())?).ok()?;
+        let range = |n: usize| i64::try_from(n).ok().map(|hi| Range1::new(0, hi));
+        Some(Region3::new(range(ni)?, range(nj)?, range(nk)?))
     }
 
     /// The canonical empty region.
@@ -588,6 +600,30 @@ impl Halo3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn extents_no_array_can_hold_are_refused() {
+        let big = 1usize << 32;
+        assert!(Region3::checked_extent(big, big, 1).is_none(), "cells wrap");
+        assert!(
+            Region3::checked_extent(1 << 61, 1, 1).is_none(),
+            "bytes overflow"
+        );
+        assert!(
+            Region3::checked_extent(usize::MAX, 1, 0).is_none(),
+            "extent > i64::MAX"
+        );
+        assert_eq!(
+            Region3::checked_extent(big, 2, 3),
+            Some(Region3::of_extent(big, 2, 3))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "too large for one array")]
+    fn of_extent_panics_on_an_oversized_extent() {
+        let _ = Region3::of_extent(1 << 32, 1 << 32, 1);
+    }
 
     #[test]
     fn range_basic_ops() {

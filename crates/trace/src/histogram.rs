@@ -7,7 +7,7 @@
 //! collector folds spans while the run is hot. A log2 histogram is the
 //! standard answer: 65 fixed buckets cover the full `u64` nanosecond
 //! range with ≤ 2× relative error, `record` is one relaxed
-//! `fetch_add`, and merge/percentile extraction are pure reads.
+//! `fetch_add`, and quantile extraction is a pure read.
 //!
 //! Bucket `0` holds exactly the value 0 (zero-duration spans are real:
 //! a saturating span close produces them); bucket `i ≥ 1` holds
@@ -51,8 +51,8 @@ pub fn bucket_ceil(i: usize) -> u64 {
 /// A lock-free log2-bucketed histogram of `u64` samples.
 ///
 /// All operations are wait-free except the saturating `sum` update
-/// (a bounded CAS loop, still lock-free). Concurrent `record`,
-/// `merge_from` and `snapshot` calls are all safe; a snapshot taken
+/// (a bounded CAS loop, still lock-free). Concurrent `record` and
+/// `snapshot` calls are safe; a snapshot taken
 /// mid-record is a legal historical state (counts are only ever
 /// added to).
 #[derive(Debug)]
@@ -96,28 +96,6 @@ impl Histogram {
             });
     }
 
-    /// Adds every bucket of `other` into `self`. Lock-free; a merge
-    /// racing a `record` on either side loses or gains whole samples,
-    /// never tears one.
-    pub fn merge_from(&self, other: &Histogram) {
-        let snap = other.snapshot();
-        for (b, &n) in self.buckets.iter().zip(snap.buckets.iter()) {
-            if n > 0 {
-                // ordering: Relaxed — advisory-counter contract (see
-                // `record`).
-                b.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        // ordering: Relaxed — advisory-counter contract.
-        self.count.fetch_add(snap.count, Ordering::Relaxed);
-        // ordering: Relaxed — advisory-counter contract.
-        let _ = self
-            .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(s.saturating_add(snap.sum))
-            });
-    }
-
     /// A plain-value copy of the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; BUCKETS];
@@ -140,12 +118,6 @@ impl Histogram {
     /// [`HistogramSnapshot::quantile`].
     pub fn quantile(&self, q: f64) -> u64 {
         self.snapshot().quantile(q)
-    }
-
-    /// `(p50, p90, p99)` in one snapshot.
-    pub fn percentiles(&self) -> (u64, u64, u64) {
-        let s = self.snapshot();
-        (s.quantile(0.50), s.quantile(0.90), s.quantile(0.99))
     }
 }
 

@@ -211,12 +211,19 @@ fn multi_step_full_stack_equivalence() {
         .unwrap();
     ReferenceExecutor::new().run(&mut b, 5);
     assert_eq!(a.x.max_abs_diff(&b.x), 0.0);
-    // Tiled, on 2 islands × 2 ranks: every block is a tile whose stage
-    // chain one rank runs whole. Auto tiles and an uneven 5×3 grid,
-    // k = 1 and k = 3 (a 3-step epoch, then a 2-step tail), ranks
-    // striding tiles (static) or claiming them (dynamic).
+    // On 2 islands × 2 ranks, k = 1 and k = 3 (a 3-step epoch, then a
+    // 2-step tail), ranks taking units statically or claiming them:
+    // untiled rows, whose units are rank slices; and tiles, whose stage
+    // chain one rank runs whole — auto tiles, an uneven 5×3 grid, and
+    // one tile per island, which leaves one rank of each team idle.
     let pool = WorkerPool::new(4);
-    for tile in [TileMode::Auto, TileMode::Fixed { ti: 5, tj: 3 }] {
+    let tiles = [
+        TileMode::Off,
+        TileMode::Auto,
+        TileMode::Fixed { ti: 5, tj: 3 },
+        TileMode::Fixed { ti: 64, tj: 64 },
+    ];
+    for tile in tiles {
         for k in [1, 3] {
             for chunks in [0, 2] {
                 let mut t = mpdata::rotating_cone(domain, 0.3);
