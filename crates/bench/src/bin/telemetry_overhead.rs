@@ -15,9 +15,10 @@
 //!
 //! Each side reports the *median* of its batch times (medians shrug off
 //! one preempted batch; means do not). `--gate R` exits non-zero when
-//! `live/baseline` exceeds `R` — CI runs `--gate 1.02`, the ≤ 2 %
-//! budget the observability design point promises. `--quick` shrinks
-//! the domain and batch count for smoke runs.
+//! `live/baseline` exceeds `R`. The design budget is ≤ 1.02 with a
+//! spare hardware thread for the collector; CI runs `--quick --gate
+//! 1.25` on shared runners, a backstop for gross regressions only.
+//! `--quick` shrinks the domain and batch count for smoke runs.
 
 use mpdata::{gaussian_pulse, IslandsExecutor};
 use std::sync::Arc;

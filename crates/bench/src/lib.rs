@@ -1,11 +1,13 @@
 //! # islands-bench
 //!
-//! The benchmark harness: the [`experiments`] table regenerates every
+//! The paper reproduction: the [`experiments`] table regenerates every
 //! table, figure and ablation of the paper into `results/` (one
 //! `experiments` binary, `--check` for the drift gate; see `DESIGN.md`
-//! §5 for the experiment index), plus the std-only microbench harness
-//! behind `benches/kernels.rs` (see [`microbench`]) and the artifact
-//! validator `bench-check`.
+//! §5 for the experiment index). Beside it live two small binaries:
+//! `bench-check`, which scrapes a live `mpdata-run --serve-metrics`
+//! endpoint twice and validates the exposition, and
+//! `telemetry-overhead`. Performance is measured by the `benchmark/`
+//! package alone.
 //!
 //! This library holds what the experiment rows share: the paper's
 //! published numbers (for side-by-side printing) and [`measure`], which
@@ -14,10 +16,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use islands_trace::json;
-
 pub mod experiments;
-pub mod microbench;
 
 use islands_core::{
     estimate, plan_fused, plan_islands, plan_original, InitPolicy, Variant, Workload,

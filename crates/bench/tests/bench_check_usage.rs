@@ -1,5 +1,5 @@
-//! `bench-check`'s command line: a gate flag that would gate nothing is
-//! a usage error, not a silent pass.
+//! `bench-check`'s command line: anything but `--scrape <addr>` is a
+//! usage error, not a silent pass.
 
 use std::process::Command;
 
@@ -11,14 +11,21 @@ fn bench_check(args: &[&str]) -> std::process::Output {
 }
 
 #[test]
-fn boundary_ratio_without_a_bench_file_is_a_usage_error() {
-    let out = bench_check(&["--chrome", "t.json", "--max-boundary-ratio", "1.0"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--max-boundary-ratio"), "{stderr}");
+fn no_artifact_at_all_is_a_usage_error() {
+    assert_eq!(bench_check(&[]).status.code(), Some(2));
 }
 
 #[test]
-fn no_artifact_at_all_is_a_usage_error() {
-    assert_eq!(bench_check(&[]).status.code(), Some(2));
+fn a_file_argument_is_a_usage_error() {
+    for args in [
+        &["k.json"][..],
+        &["--chrome", "t.json"],
+        &["--scrape"],
+        &["--scrape", "127.0.0.1:1", "k.json"],
+    ] {
+        let out = bench_check(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--scrape <addr>"), "{args:?}: {stderr}");
+    }
 }

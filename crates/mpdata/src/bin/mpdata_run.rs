@@ -37,7 +37,10 @@
 //! perturbs the workers beyond the wait-free ring writes they already
 //! do.
 //!
-//! Islands are cut uniformly along `i` (`Region3::split`).
+//! Islands are cut uniformly along `i` (`Region3::split`). Only
+//! `islands` and `exchange` read `--islands`, and only they need it to
+//! divide `--workers`: `fused` and `original` run one island of every
+//! worker, `reference` runs serially.
 //! `--self-schedule N` splits each barrier-fenced epoch into N chunks
 //! per rank that the island's workers claim dynamically (islands and
 //! fused strategies) — the remedy for whatever imbalance `--metrics`
@@ -115,6 +118,12 @@ impl Strategy {
     /// takes `--self-schedule`, `--fuse-steps` and `--tile`.
     fn plans_islands(self) -> bool {
         matches!(self, Strategy::Islands | Strategy::Fused)
+    }
+
+    /// Whether the strategy runs `--islands` teams; the others run one
+    /// island (`fused`, `original`) or none (`reference`).
+    fn reads_islands(self) -> bool {
+        matches!(self, Strategy::Islands | Strategy::Exchange)
     }
 }
 
@@ -304,7 +313,7 @@ fn parse_args() -> Result<Args, String> {
     if a.workers == 0 || a.islands == 0 || a.iord == 0 {
         return Err("--workers, --islands and --iord must be positive".into());
     }
-    if a.workers % a.islands != 0 {
+    if a.strategy.reads_islands() && a.workers % a.islands != 0 {
         return Err(format!(
             "--workers ({}) must be divisible by --islands ({})",
             a.workers, a.islands
@@ -450,6 +459,13 @@ fn main() -> ExitCode {
     let initial = a.verify.then(|| fields.clone());
 
     let mut pool = WorkerPool::new(a.workers);
+    // Fused and Original are the one-island schedules of the islands and
+    // exchange strategies.
+    let islands = if a.strategy.reads_islands() {
+        a.islands
+    } else {
+        1
+    };
     let live = a.serve_metrics.is_some() || a.metrics_interval.is_some();
     let tracing = a.trace.is_some() || a.metrics || a.metrics_json.is_some() || live;
     // Rings register on a thread's first span, so sizing them once the
@@ -460,7 +476,7 @@ fn main() -> ExitCode {
     // over TCP (`--serve-metrics`) and/or printed on a fixed cadence
     // (`--metrics-interval`).
     let registry =
-        live.then(|| std::sync::Arc::new(islands_trace::registry::MetricsRegistry::new(a.islands)));
+        live.then(|| std::sync::Arc::new(islands_trace::registry::MetricsRegistry::new(islands)));
     let mut server = None;
     let mut ticker: Option<(std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>)> = None;
     if let Some(registry) = &registry {
@@ -505,12 +521,6 @@ fn main() -> ExitCode {
         }
     }
     let domain = fields.domain();
-    // Fused and Original are the one-island schedules of the islands and
-    // exchange strategies.
-    let islands = match a.strategy {
-        Strategy::Fused | Strategy::Original => 1,
-        _ => a.islands,
-    };
     let teams = TeamSpec::even(a.workers, islands);
     let t0 = Instant::now();
     // Every strategy but the serial reference replays a schedule; the
@@ -564,7 +574,7 @@ fn main() -> ExitCode {
         a.domain.2,
         a.steps,
         a.workers,
-        a.islands,
+        islands,
         a.iord,
         a.boundary,
     );

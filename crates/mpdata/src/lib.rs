@@ -57,7 +57,7 @@ mod reference;
 pub use diagnostics::{error_norms, CflViolation, ErrorNorms};
 pub use fields::{gaussian_pulse, random_fields, rotating_cone, MpdataFields, EPS};
 pub use graph::{
-    flops_per_cell, mpdata_graph, ExternalIds, MpdataProblem, StageKind, STAGE_COUNT, STAGE_FLOPS,
+    flops_per_cell, mpdata_graph, ExternalIds, MpdataProblem, StageKind, STAGE_COUNT,
     STANDARD_KINDS,
 };
 pub use islands::{ExchangeExecutor, IslandsExecutor, OriginalExecutor};

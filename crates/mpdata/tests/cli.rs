@@ -293,8 +293,6 @@ fn traced_depth_one_run_drops_no_events() {
         "fused",
         "--workers",
         "1",
-        "--islands",
-        "1",
         "--steps",
         "40",
         "--metrics",
@@ -307,4 +305,77 @@ fn traced_depth_one_run_drops_no_events() {
     );
     assert!(stdout.contains("dropped events: 0\n"), "{stdout}");
     assert!(!stdout.contains("DEGRADED"), "{stdout}");
+}
+
+/// Only `islands` and `exchange` read `--islands`, so only they need it
+/// to divide `--workers`: the one-island and serial strategies run on
+/// a worker count the default `--islands 2` does not divide, and the
+/// summary names the one island they ran.
+#[test]
+fn islands_divide_workers_only_where_they_are_read() {
+    let args = |strategy| {
+        [
+            "--strategy",
+            strategy,
+            "--workers",
+            "3",
+            "--steps",
+            "2",
+            "--domain",
+            "16,8,8",
+            "--verify",
+        ]
+    };
+    for strategy in ["fused", "original", "reference"] {
+        let out = run(&args(strategy));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success()
+                && stdout.contains("workers=3 islands=1 ")
+                && stdout.contains("max |Δ| vs reference = 0.000e0"),
+            "{strategy}: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    for strategy in ["islands", "exchange"] {
+        let out = run(&args(strategy));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{strategy}: {stderr}");
+        assert!(
+            stderr.contains("--workers") && stderr.contains("--islands"),
+            "{strategy}: {stderr}"
+        );
+    }
+}
+
+/// The Chrome trace a traced run leaves on disk is one the in-repo
+/// validator accepts, read back from the file rather than from memory.
+#[test]
+fn trace_file_on_disk_validates() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-trace.json");
+    let out = run(&[
+        "--domain",
+        "32,16,8",
+        "--steps",
+        "3",
+        "--strategy",
+        "islands",
+        "--workers",
+        "2",
+        "--islands",
+        "2",
+        "--trace",
+        path.to_str().expect("utf-8 path"),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    let summary = islands_trace::chrome::validate(&text).expect("valid Chrome trace");
+    // The dispatching thread and two islands, each with complete
+    // dispatch or kernel spans.
+    assert_eq!(summary.pids, [0, 1, 2], "{summary:?}");
+    assert!(summary.category_us("kernel") > 0.0, "{summary:?}");
 }

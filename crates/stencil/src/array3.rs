@@ -327,20 +327,6 @@ impl Array3 {
         self.data.fill(value);
     }
 
-    /// Sum of all elements within `sub` (clipped to this array's region).
-    pub fn sum_region(&self, sub: Region3) -> f64 {
-        let r = self.region.intersect(sub);
-        let mut s = 0.0;
-        for i in r.i.lo..r.i.hi {
-            for j in r.j.lo..r.j.hi {
-                for k in r.k.lo..r.k.hi {
-                    s += self.get(i, j, k);
-                }
-            }
-        }
-        s
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
@@ -522,13 +508,6 @@ mod tests {
         assert_eq!(a.sum(), 0.0 + 1.0 + 1.0 + 2.0 + 1.0 + 2.0 + 2.0 + 3.0);
         assert_eq!(a.min(), 0.0);
         assert_eq!(a.max(), 3.0);
-    }
-
-    #[test]
-    fn sum_region_clips() {
-        let a = Array3::filled(Region3::of_extent(4, 4, 4), 1.0);
-        let sub = Region3::new(Range1::new(2, 10), Range1::new(0, 2), Range1::new(0, 4));
-        assert_eq!(a.sum_region(sub), (2 * 2 * 4) as f64);
     }
 
     #[test]

@@ -360,21 +360,6 @@ impl StageGraph {
         }
         live_at.into_iter().max().unwrap_or(1).max(1)
     }
-
-    /// Total flops to compute one application of the whole graph over
-    /// `domain` with no redundancy (the "original version" flop count).
-    pub fn flops_for(&self, domain: Region3) -> f64 {
-        self.stages
-            .iter()
-            .map(|s| s.flops_per_cell * domain.cells() as f64)
-            .sum()
-    }
-
-    /// Total updated cells for one application of the whole graph over
-    /// the per-stage regions `regions` (clipped upstream).
-    pub fn cells_for_regions(&self, regions: &[Region3]) -> usize {
-        regions.iter().map(|r| r.cells()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -665,15 +650,6 @@ mod tests {
         ];
         let g = StageGraph::build(t, stages).unwrap();
         assert_eq!(g.max_live_buffers(), 3); // a, b and o at stage 2
-    }
-
-    #[test]
-    fn flops_accounting() {
-        let (g, _) = fig1_graph();
-        let d = Region3::of_extent(10, 1, 1);
-        assert_eq!(g.flops_for(d), 30.0);
-        let rr = g.required_regions(d, d);
-        assert_eq!(g.cells_for_regions(&rr), 30);
     }
 
     #[test]

@@ -85,20 +85,6 @@ impl StencilPattern {
         StencilPattern { offsets: v }
     }
 
-    /// The full box of offsets `[-n..=n]` along a single axis and centre
-    /// elsewhere, e.g. `axis_box(1, 0, 0)` = `{(-1,0,0),(0,0,0),(1,0,0)}`.
-    pub fn axis_box(ri: i64, rj: i64, rk: i64) -> Self {
-        let mut v = Vec::new();
-        for di in -ri..=ri {
-            for dj in -rj..=rj {
-                for dk in -rk..=rk {
-                    v.push((di, dj, dk));
-                }
-            }
-        }
-        Self::from_offsets(v)
-    }
-
     /// The 7-point pattern: centre plus the six face neighbours.
     pub fn seven_point() -> Self {
         Self::from_offsets([
@@ -157,11 +143,6 @@ impl StencilPattern {
         v.dedup();
         StencilPattern { offsets: v }
     }
-
-    /// Whether the pattern reads only the centre cell.
-    pub fn is_pointwise(&self) -> bool {
-        self.offsets == [Offset3::CENTER]
-    }
 }
 
 impl fmt::Debug for StencilPattern {
@@ -184,7 +165,7 @@ mod tests {
     #[test]
     fn point_pattern() {
         let p = StencilPattern::point();
-        assert!(p.is_pointwise());
+        assert_eq!(p.offsets(), [Offset3::CENTER]);
         assert!(p.halo().is_zero());
         assert_eq!(p.len(), 1);
     }
@@ -212,14 +193,6 @@ mod tests {
         let p = StencilPattern::seven_point();
         assert_eq!(p.len(), 7);
         assert_eq!(p.halo(), Halo3::uniform(1));
-    }
-
-    #[test]
-    fn axis_box_counts() {
-        let p = StencilPattern::axis_box(1, 1, 1);
-        assert_eq!(p.len(), 27);
-        let q = StencilPattern::axis_box(1, 0, 0);
-        assert_eq!(q.len(), 3);
     }
 
     #[test]

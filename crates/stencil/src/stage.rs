@@ -10,7 +10,7 @@
 
 use crate::field::{FieldId, FieldStore};
 use crate::pattern::StencilPattern;
-use crate::region::{Halo3, Region3};
+use crate::region::Region3;
 use std::fmt;
 
 /// Index of a stage within its [`crate::StageGraph`], in execution order.
@@ -48,14 +48,6 @@ pub struct StageDef {
 }
 
 impl StageDef {
-    /// The union of input halos: how far this stage reads beyond the
-    /// region it writes.
-    pub fn input_halo(&self) -> Halo3 {
-        self.inputs
-            .iter()
-            .fold(Halo3::ZERO, |h, (_, p)| h.max(p.halo()))
-    }
-
     /// The pattern with which this stage reads `field`, if it reads it.
     /// If a field appears several times, the union pattern is returned.
     pub fn pattern_for(&self, field: FieldId) -> Option<StencilPattern> {
@@ -130,15 +122,6 @@ mod tests {
             flops_per_cell: 5.0,
         };
         (t, def)
-    }
-
-    #[test]
-    fn input_halo_is_union() {
-        let (_, def) = two_field_stage();
-        let h = def.input_halo();
-        assert_eq!(h.i_neg, 1);
-        assert_eq!(h.i_pos, 0);
-        assert_eq!(h.j_neg, 0);
     }
 
     #[test]
