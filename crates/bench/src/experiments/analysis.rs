@@ -6,14 +6,14 @@
 use super::{Ctx, Report};
 use crate::{PAPER_FUSED, PAPER_ISLANDS, PAPER_ORIGINAL, PAPER_T1_ORIGINAL_SERIAL};
 use islands_core::{estimate, plan_fused, InitPolicy, Workload};
-use mpdata::{mpdata_graph, MpdataProblem};
-use numa_sim::{CacheConfig, SimConfig, UvParams};
+use mpdata::{Buffer, IslandsExecutor, MpdataProblem, OriginalExecutor};
+use numa_sim::{CacheConfig, CacheStats, SimConfig, UvParams};
 use perf_model::{
-    blocked_schedule_stats, fused_traffic_ideal, original_traffic, per_stage_schedule_stats,
-    predict, relative_error, FieldLayout, Table,
+    fused_traffic_ideal, original_traffic, predict, relative_error, replay_schedule, Table,
 };
 use std::fmt::{self, Write};
-use stencil_engine::{Axis, BlockPlanner, Region3};
+use stencil_engine::{Axis, Region3};
+use work_scheduler::WorkerPool;
 
 /// **E10 — analytic model vs discrete-event engine**: the paper's §6
 /// plans "performance models ... for modeling and management of the
@@ -66,18 +66,16 @@ pub(super) fn model_check(ctx: &Ctx, r: &mut Report) -> fmt::Result {
     writeln!(r, "\nJSON:\n{}", t.to_json())
 }
 
-/// **E11 — cache-model check of the (3+1)D premise** (§3.2): run the
-/// exact address streams of the per-stage schedule and the wavefront
-/// blocked schedule through a set-associative LRU cache and compare the
-/// measured miss traffic against the analytic traffic model. The blocked
-/// schedule's intermediates live in the sliding windows the executors
-/// allocate (`FieldLayout::windowed`), at two block budgets — one whose
-/// windows overflow the cache and one whose windows fit. The study
-/// runs on a geometrically scaled-down configuration (domain and cache
-/// shrunk together) because the full 1024×512×64 trace is ~3 × 10⁹
-/// accesses; the working-set : cache ratios are preserved.
+/// **E11 — cache-model check of the (3+1)D premise** (§3.2): replay
+/// the executors' own schedules — `OriginalExecutor`'s per-stage sweeps
+/// and the one-island wavefront at two block budgets, one whose windows
+/// overflow the cache and one whose windows fit — through a
+/// set-associative LRU cache (`perf_model::replay_schedule`), against
+/// the analytic traffic model. Domain and cache are scaled down together
+/// (the full 1024×512×64 trace is ~3 × 10⁹ accesses).
 pub(super) fn cache_study(_: &Ctx, r: &mut Report) -> fmt::Result {
-    let (graph, _) = mpdata_graph();
+    let problem = MpdataProblem::standard();
+    let graph = problem.graph();
     // Scaled setup: domain 1/16 of the paper's per-axis footprint in i/j,
     // cache 1/16 of the 16 MiB L3 — same ratio of sweep size to cache.
     let domain = Region3::of_extent(96, 48, 16);
@@ -86,9 +84,19 @@ pub(super) fn cache_study(_: &Ctx, r: &mut Report) -> fmt::Result {
         ways: 16,
         line_bytes: 64,
     };
+    let pool = WorkerPool::new(1);
 
-    let per_stage = per_stage_schedule_stats(&graph, domain, cache);
-    let whole = FieldLayout::new(&graph, domain).compulsory_miss_bytes(cache.line_bytes);
+    let (per_stage, whole) =
+        replay_schedule(&OriginalExecutor::new(&pool).schedule_for(domain), cache);
+    let row = |s: CacheStats, floor: f64| {
+        let miss = s.miss_bytes(64);
+        vec![
+            miss / 1e6,
+            100.0 * s.miss_ratio(),
+            floor / 1e6,
+            miss / floor,
+        ]
+    };
 
     let mut t = Table::new(
         format!(
@@ -107,15 +115,7 @@ pub(super) fn cache_study(_: &Ctx, r: &mut Report) -> fmt::Result {
     )
     .precision(2);
     // The per-stage sweeps store 23 whole arrays: that is their floor.
-    t.push_row(
-        "per-stage schedule (Original)",
-        vec![
-            per_stage.miss_bytes(64) / 1e6,
-            100.0 * per_stage.miss_ratio(),
-            whole / 1e6,
-            per_stage.miss_bytes(64) / whole,
-        ],
-    );
+    t.push_row("per-stage schedule (Original)", row(per_stage, whole));
     // The wavefront stores externals + output + the intermediates'
     // sliding windows, sized by the blocking. The planner's budget
     // counts the peak *live* buffers of one block (7), but all 17
@@ -123,22 +123,17 @@ pub(super) fn cache_study(_: &Ctx, r: &mut Report) -> fmt::Result {
     // the cache overflows it, a third fits.
     let mut excess = Vec::new();
     for share in [2, 3] {
-        let blocking = BlockPlanner::new(cache.capacity_bytes / share)
-            .min_depth(2)
-            .plan_wavefront(&graph, domain, domain)
+        let schedule = IslandsExecutor::single_island(&pool, problem.clone())
+            .cache_bytes(cache.capacity_bytes / share)
+            .schedule_for(domain)
             .expect("blocks fit");
-        let blocked = blocked_schedule_stats(&graph, domain, &blocking, cache);
-        let floor = FieldLayout::windowed(&graph, domain, &blocking)
-            .compulsory_miss_bytes(cache.line_bytes);
-        t.push_row(
-            format!("wavefront, budget cache/{share} (depth {})", blocking.depth),
-            vec![
-                blocked.miss_bytes(64) / 1e6,
-                100.0 * blocked.miss_ratio(),
-                floor / 1e6,
-                blocked.miss_bytes(64) / floor,
-            ],
-        );
+        // A block's depth: the most i-planes of the output it writes.
+        let (output, accesses) = (Buffer::Shared(problem.xout()), schedule.accesses());
+        let writes = accesses.iter().filter(|a| a.write && a.buffer == output);
+        let depth = writes.map(|a| a.region.i.len()).max().unwrap_or(0);
+        let (blocked, floor) = replay_schedule(&schedule, cache);
+        let label = format!("wavefront, budget cache/{share} (depth {depth})");
+        t.push_row(label, row(blocked, floor));
         excess.push((
             blocked.miss_bytes(64) / floor,
             per_stage.miss_bytes(64) / blocked.miss_bytes(64),
@@ -147,8 +142,8 @@ pub(super) fn cache_study(_: &Ctx, r: &mut Report) -> fmt::Result {
     writeln!(r, "{}", t.render())?;
 
     // Analytic model at the same scaled domain for comparison.
-    let analytic_ratio = original_traffic(&graph, domain, 1).total_bytes
-        / fused_traffic_ideal(&graph, domain, 1).total_bytes;
+    let analytic_ratio = original_traffic(graph, domain, 1).total_bytes
+        / fused_traffic_ideal(graph, domain, 1).total_bytes;
     let [(spill_floor, spill_cut), (fit_floor, fit_cut)] = excess[..] else {
         unreachable!("two budgets studied");
     };

@@ -505,15 +505,7 @@ fn main() -> ExitCode {
                     let period = std::time::Duration::from_secs(secs);
                     // Stops the moment the run sends the shutdown tick.
                     while rx.recv_timeout(period).is_err() {
-                        let s = reg.snapshot();
-                        eprintln!(
-                            "telemetry    : step {} | {:.2} Mcells/s | {} events | {} dropped | p99 step {} ns",
-                            s.current_step,
-                            s.cells_per_second() / 1e6,
-                            s.events_folded,
-                            s.dropped_events,
-                            s.step_ns.quantile(0.99),
-                        );
+                        eprintln!("{}", telemetry_line(&reg.snapshot()));
                     }
                 })
                 .expect("spawn metrics ticker");
@@ -674,6 +666,19 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// One `--metrics-interval` tick. Its rate sums every stage's cells,
+/// halo included: stage-cell updates, not the summary's Mcells/s.
+fn telemetry_line(s: &islands_trace::registry::RegistrySnapshot) -> String {
+    format!(
+        "telemetry    : step {} | {:.2} M stage-cell updates/s | {} events | {} dropped | p99 step {} ns",
+        s.current_step,
+        s.cells_per_second() / 1e6,
+        s.events_folded,
+        s.dropped_events,
+        s.step_ns.quantile(0.99),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,6 +700,14 @@ mod tests {
         let err = check_inputs(&a, &f).unwrap_err();
         assert!(err.contains("`u2`") && err.contains("non-finite"), "{err}");
         check_inputs(&a, &make_fields(&a)).unwrap();
+    }
+
+    #[test]
+    fn telemetry_rate_is_labelled_as_stage_cell_updates() {
+        let registry = islands_trace::registry::MetricsRegistry::new(1);
+        let line = telemetry_line(&registry.snapshot());
+        let labelled = line.contains(" M stage-cell updates/s |");
+        assert!(labelled && !line.contains("Mcells/s"), "{line}");
     }
 
     #[test]

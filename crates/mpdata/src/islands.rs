@@ -403,6 +403,7 @@ impl<'p> ExchangeExecutor<'p> {
 mod tests {
     use super::*;
     use crate::fields::{gaussian_pulse, random_fields, rotating_cone};
+    use crate::plan::{Buffer, Storage};
     use crate::reference::ReferenceExecutor;
     use stencil_engine::rng::Xoshiro256pp;
 
@@ -528,6 +529,52 @@ mod tests {
         ] {
             let got = exec.step(&f).unwrap();
             assert_eq!(got.max_abs_diff(&expect), 0.0, "{label} diverged");
+        }
+    }
+
+    #[test]
+    fn every_access_lands_in_an_array_the_plan_allocates() {
+        // `StepSchedule::storage` lists what `StepPlan::build` allocates
+        // and `owner` names where an access lands: every access of every
+        // shape finds exactly one array, inside its hull — a tile row
+        // within its rank's store, which each row rebases.
+        let d = Region3::of_extent(16, 10, 4);
+        let pool = WorkerPool::new(4);
+        let islands = || IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I);
+        let schedules = [
+            OriginalExecutor::new(&pool).schedule_for(d),
+            ExchangeExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I).schedule_for(d),
+            islands().cache_bytes(32 << 10).schedule_for(d).unwrap(),
+            islands()
+                .fuse_steps(3)
+                .self_schedule(2)
+                .schedule_for(d)
+                .unwrap(),
+            islands()
+                .fuse_steps(2)
+                .tile(TileMode::Fixed { ti: 4, tj: 5 })
+                .self_schedule(2)
+                .schedule_for(d)
+                .unwrap(),
+        ];
+        for schedule in schedules {
+            let storage = schedule.storage();
+            let key = |s: &Storage| (s.team, s.rank, s.buffer);
+            for (n, s) in storage.iter().enumerate() {
+                assert!(
+                    !storage[..n].iter().any(|t| key(t) == key(s)),
+                    "{s:?} twice"
+                );
+            }
+            for a in schedule.accesses() {
+                let (team, rank) = schedule.owner(&a);
+                let s = storage.iter().find(|s| key(s) == (team, rank, a.buffer));
+                let s = s.unwrap_or_else(|| panic!("{a:?} lands in no array"));
+                match a.buffer {
+                    Buffer::TileScratch(_) => assert!(a.region.cells() <= s.cells(), "{a:?}"),
+                    _ => assert!(s.hull.contains_region(a.region), "{a:?} outside {s:?}"),
+                }
+            }
         }
     }
 

@@ -64,7 +64,7 @@ pub use islands::{ExchangeExecutor, IslandsExecutor, OriginalExecutor};
 pub use kernels::{apply_kind, apply_kind_scalar, apply_stage, Boundary};
 pub use kernels_fast::kernel_isa;
 pub use plan::{
-    Access, Buffer, ScheduleKnobs, SchedulePolicy, ScratchWindow, StepSchedule, TileMode,
+    Access, Buffer, ScheduleKnobs, SchedulePolicy, ScratchWindow, StepSchedule, Storage, TileMode,
     DEFAULT_CACHE_BYTES,
 };
 pub use reference::ReferenceExecutor;

@@ -278,26 +278,12 @@ struct TeamSchedule {
     /// `stages` rows each, tiles included (all `(0, 0)` for empty
     /// islands).
     step_bounds: Vec<(usize, usize)>,
-    /// Logical extent of the team's shared scratch buffers: the hull of
-    /// every fused step's blocking (steps reuse the same scratch).
-    /// Empty for tiled schedules, whose scratch is rank-private
-    /// (`tile_scratch`), and for empty islands.
-    scratch: Region3,
-    /// Per scratch field, how many i-planes of `scratch` its buffer
-    /// stores (see [`ScratchWindow`]).
-    windows: Vec<(FieldId, usize)>,
-    /// Ranks in the team. Tiled, each rank holds one `tile_scratch`
-    /// set ([`StepSchedule::scratch_bytes`] counts it once per rank).
+    /// Ranks in the team.
     ranks: usize,
-    /// Extent of the team-private ping-pong buffers the advected field
-    /// moves through between fused steps (`None` when `fuse_steps == 1`
-    /// or the island is empty): the first (widest) fused step's target,
-    /// which contains every later step's writes and reads.
-    xslot: Option<Region3>,
-    /// Per scratch field, the widest region any tiled row writes it
-    /// over: what every rank's private store is sized to, so rebasing
-    /// it row by row never allocates (empty when untiled).
-    tile_scratch: Vec<(FieldId, Region3)>,
+    /// The team's own arrays, in allocation order (see
+    /// [`StepSchedule::storage`]; empty for idle islands and
+    /// stage-synchronous schedules).
+    storage: Vec<Storage>,
 }
 
 /// The storage one [`Access`] resolves to.
@@ -368,6 +354,42 @@ pub struct ScratchWindow {
     pub hull: Region3,
 }
 
+/// One array a plan allocates ([`StepSchedule::storage`]), laid out as
+/// a [`ScratchWindow`]: plane `i` of `hull` in slot `(i - hull.i.lo)
+/// mod planes`, `planes = hull.i.len()` for a plain array.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Storage {
+    /// The owning team — `0` for the full-domain arrays all teams share.
+    pub team: usize,
+    /// The owning rank of a tile scratch store, `0` otherwise.
+    pub rank: usize,
+    /// What the array holds.
+    pub buffer: Buffer,
+    /// I-planes of storage.
+    pub planes: usize,
+    /// The logical region the array answers for.
+    pub hull: Region3,
+}
+
+impl Storage {
+    /// A plain array over `hull`, owned by `team`'s `rank`.
+    fn plain(team: usize, rank: usize, buffer: Buffer, hull: Region3) -> Storage {
+        let planes = hull.i.len();
+        Storage {
+            team,
+            rank,
+            buffer,
+            planes,
+            hull,
+        }
+    }
+
+    /// Cells of storage.
+    pub fn cells(&self) -> usize {
+        self.planes * self.hull.j.len() * self.hull.k.len()
+    }
+}
+
 /// The island schedule of one time step (or, with `fuse_steps = k`, one
 /// k-step fused epoch) as pure tables: what every rank of every team
 /// computes, in which order, over which regions, into which buffers.
@@ -413,9 +435,9 @@ struct TeamBuffers {
     store: ParStore,
     /// Rank-private scratch stores of a tiled team, one per rank
     /// (empty when untiled or idle). Each holds every scratch field at
-    /// its `tile_scratch` extent, and the chain loop rebases a field to
-    /// a row's region just before the row writes it, so the steady
-    /// state allocates nothing.
+    /// its widest row ([`StepSchedule::storage`]), and the chain loop
+    /// rebases a field to a row's region just before the row writes it,
+    /// so the steady state allocates nothing.
     rank_stores: Vec<ParStore>,
     /// One preallocated claim queue per fence interval, indexed like the
     /// intervals: per row untiled, over its `n_units` chunks; per fused
@@ -428,7 +450,7 @@ struct TeamBuffers {
     /// The x slots: fused step `s < k-1` writes slot `s % 2`, fused
     /// step `s > 0` reads slot `(s-1) % 2` (see
     /// [`StepSchedule::x_dest`] / [`StepSchedule::x_source`]).
-    xslots: Option<[DisjointCell<Array3>; 2]>,
+    xslots: [Option<DisjointCell<Array3>>; 2],
 }
 
 /// Heap room [`StepPlan::build`] reserves *below* a large plan's arrays
@@ -616,12 +638,10 @@ impl StepSchedule {
                     .map(|st| part.intersect(base_regions[st.id.index()]))
                     .collect(),
                 step_bounds: vec![(0, 0); k],
-                scratch: Region3::empty(),
-                windows: Vec::new(),
                 ranks: size,
-                xslot: None,
-                tile_scratch: Vec::new(),
+                storage: Vec::new(),
             };
+            let owner = teams.len();
             if stage_sync {
                 // One epoch per stage over the whole part. An idle team
                 // (empty part) keeps its empty epochs: its ranks must
@@ -656,7 +676,8 @@ impl StepSchedule {
                     team.step_bounds[ts] = (start, team.epochs.len());
                 }
                 // A field's producing row contains every later read of
-                // it in the chain: the widest one sizes the rank store.
+                // it in the chain: the widest one sizes every rank's
+                // store, so rebasing it row by row never allocates.
                 let mut widest: Vec<Option<(FieldId, Region3)>> = vec![None; graph.fields().len()];
                 let producers = team
                     .epochs
@@ -670,11 +691,14 @@ impl StepSchedule {
                         }
                     }
                 }
-                team.tile_scratch = widest.into_iter().flatten().collect();
+                for rank in 0..size {
+                    let tile = |&(f, r)| Storage::plain(owner, rank, Buffer::TileScratch(f), r);
+                    team.storage.extend(widest.iter().flatten().map(tile));
+                }
             } else {
                 // One wavefront blocking per fused step; the scratch
                 // spans the union of their hulls.
-                let mut reach = vec![0; graph.fields().len()];
+                let (mut reach, mut scratch) = (vec![0; graph.fields().len()], Region3::empty());
                 let planner = BlockPlanner::new(knobs.cache_bytes);
                 let blockings = step_parts
                     .iter()
@@ -685,7 +709,7 @@ impl StepSchedule {
                     team.axis = rank_axis_of(blocks.flat_map(|b| &b.stage_regions));
                 }
                 for (ts, blocking) in blockings.iter().enumerate() {
-                    team.scratch = team.scratch.hull(blocking.hull());
+                    scratch = scratch.hull(blocking.hull());
                     for (most, now) in reach.iter_mut().zip(blocking.window_depths(graph, domain)) {
                         *most = now.max(*most);
                     }
@@ -697,14 +721,20 @@ impl StepSchedule {
                 }
                 // One window per scratch field, as deep as the deepest
                 // reach-back of any fused step's blocking.
-                let depth = team.scratch.i.len();
                 let outputs = graph.stages().iter().flat_map(|st| &st.outputs);
                 for &o in outputs.filter(|&&o| o != xout) {
-                    team.windows.push((o, reach[o.index()].clamp(1, depth)));
+                    team.storage.push(Storage {
+                        planes: reach[o.index()].clamp(1, scratch.i.len()),
+                        ..Storage::plain(owner, 0, Buffer::Scratch(o), scratch)
+                    });
                 }
             }
+            // Two ping-pong x slots over the first (widest) fused step's
+            // target, which contains every later step's writes and reads.
             if k > 1 {
-                team.xslot = Some(step_parts[0]);
+                let slots =
+                    [0, 1].map(|n| Storage::plain(owner, 0, Buffer::XSlot(n), step_parts[0]));
+                team.storage.extend(slots);
             }
             teams.push(team);
         }
@@ -763,54 +793,72 @@ impl StepSchedule {
         self.stage_sync
     }
 
-    /// The storage of every intermediate the replay touches, in `(team,
-    /// stage order)` — the companion of [`StepSchedule::accesses`]:
+    /// The [`StepSchedule::storage`] of every intermediate a team's
+    /// ranks share, in storage order — the companion of
+    /// [`StepSchedule::accesses`]:
     /// accesses say which planes are touched when, this says which of
     /// them share storage. Empty for tiled schedules (tile scratch is
     /// plain and rank-private); one whole-domain window per field for
     /// stage-synchronous ones, whose arrays all teams share.
     pub fn scratch_windows(&self) -> Vec<ScratchWindow> {
-        if self.stage_sync {
-            // Every stage output but the advected one, in stage order.
-            let stages = self.problem.graph().stages();
-            let outputs = stages.iter().flat_map(|st| &st.outputs);
-            let window = |&field| ScratchWindow {
-                team: 0,
-                field,
-                planes: self.domain.i.len(),
-                hull: self.domain,
-            };
-            let xout = self.problem.xout();
-            return outputs.filter(|&&o| o != xout).map(window).collect();
+        let fields = self.problem.graph().fields();
+        let window = |s: Storage| match s.buffer {
+            Buffer::Scratch(field) | Buffer::Shared(field)
+                if fields.role(field) == FieldRole::Intermediate =>
+            {
+                let (team, planes, hull) = (s.team, s.planes, s.hull);
+                Some(ScratchWindow {
+                    team,
+                    field,
+                    planes,
+                    hull,
+                })
+            }
+            _ => None,
+        };
+        self.storage().into_iter().filter_map(window).collect()
+    }
+
+    /// Every array a plan of the schedule allocates: first the
+    /// full-domain arrays every team shares — externals, output and,
+    /// stage-synchronous, intermediates — in `FieldId` order, owned by
+    /// team 0; then, team by team, its scratch windows, the stores of
+    /// each rank of a tiled team (every field at the widest row that
+    /// writes it, within which each row rebases it) and both x slots of
+    /// a fused one. [`StepSchedule::owner`] says which of them an
+    /// [`Access`] lands in.
+    pub fn storage(&self) -> Vec<Storage> {
+        let fields = self.problem.graph().fields().iter();
+        let shared =
+            fields.filter(|&(_, _, role)| self.stage_sync || role != FieldRole::Intermediate);
+        let shared = shared.map(|(f, _, _)| Storage::plain(0, 0, Buffer::Shared(f), self.domain));
+        let teams = self.teams.iter().flat_map(|t| t.storage.iter().copied());
+        shared.chain(teams).collect()
+    }
+
+    /// The `(team, rank)` owning the [`StepSchedule::storage`] `a` lands
+    /// in. Tile scratch is the store of the rank a static hand-out runs
+    /// the tile on: tile `n` of a fused step on rank `n mod size`, the
+    /// stride of `StepPlan::units` (a self-scheduled rank claims any).
+    pub fn owner(&self, a: &Access) -> (usize, usize) {
+        match a.buffer {
+            Buffer::Shared(_) => (0, 0),
+            Buffer::TileScratch(_) => (a.team, a.slot % self.teams[a.team].ranks),
+            Buffer::Scratch(_) | Buffer::XSlot(_) => (a.team, 0),
         }
-        let mut out = Vec::new();
-        for (team, t) in self.teams.iter().enumerate() {
-            out.extend(t.windows.iter().map(|&(field, planes)| ScratchWindow {
-                team,
-                field,
-                planes,
-                hull: t.scratch,
-            }));
-        }
-        out
     }
 
     /// Bytes of intermediate-field storage the replay allocates: every
-    /// team's scratch windows (each shared array once), or — tiled —
-    /// one private set per rank, each field at the widest row that
-    /// writes it (`tile_scratch`). The rest of the executor's field
-    /// footprint is the five externals, the output and, in fused plans,
-    /// two x slots per team.
+    /// [`StepSchedule::storage`] array but the externals, the output and
+    /// the x slots.
     pub fn scratch_bytes(&self) -> usize {
-        let windows = self
-            .scratch_windows()
-            .into_iter()
-            .map(|w| w.planes * w.hull.j.len() * w.hull.k.len());
-        let tiles = self
-            .teams
-            .iter()
-            .map(|t| t.ranks * t.tile_scratch.iter().map(|(_, r)| r.cells()).sum::<usize>());
-        windows.chain(tiles).sum::<usize>() * size_of::<f64>()
+        let fields = self.problem.graph().fields();
+        let scratch = self.storage().into_iter().filter(|s| match s.buffer {
+            Buffer::Shared(f) => fields.role(f) == FieldRole::Intermediate,
+            Buffer::Scratch(_) | Buffer::TileScratch(_) => true,
+            Buffer::XSlot(_) => false,
+        });
+        scratch.map(|s| s.cells()).sum::<usize>() * size_of::<f64>()
     }
 
     /// The most trace spans one rank records per time step of a
@@ -994,7 +1042,7 @@ impl StepPlan {
                     store: new_store(),
                     rank_stores: (0..ranks).map(|_| new_store()).collect(),
                     queues: units.into_iter().map(ChunkQueue::new).collect(),
-                    xslots: None,
+                    xslots: [None, None],
                 }
             })
             .collect();
@@ -1002,22 +1050,17 @@ impl StepPlan {
         // …field data last: no small, plan-lifetime allocation sits among
         // or above the arrays, so when the plan is dropped they coalesce
         // with the top of the heap and go back to the OS in one piece
-        // (a small chunk in between would pin everything below it).
-        for (team, bufs) in schedule.teams.iter().zip(&mut teams) {
-            for &(f, planes) in &team.windows {
-                bufs.store.alloc_windowed(f, team.scratch, planes);
+        // (a small chunk in between would pin everything below it). The
+        // team arrays of `StepSchedule::storage` come straight off the
+        // plan-lifetime tables, so no temporary lands among them either.
+        for s in schedule.teams.iter().flat_map(|t| &t.storage) {
+            let bufs = &mut teams[s.team];
+            match s.buffer {
+                Buffer::Scratch(f) => bufs.store.alloc_windowed(f, s.hull, s.planes),
+                Buffer::TileScratch(f) => bufs.rank_stores[s.rank].alloc(f, s.hull),
+                Buffer::XSlot(n) => bufs.xslots[n] = Some(DisjointCell::new(Array3::zeros(s.hull))),
+                Buffer::Shared(_) => unreachable!("full-domain arrays belong to no team"),
             }
-            for rs in &mut bufs.rank_stores {
-                for &(f, r) in &team.tile_scratch {
-                    rs.alloc(f, r);
-                }
-            }
-            bufs.xslots = team.xslot.map(|r| {
-                [
-                    DisjointCell::new(Array3::zeros(r)),
-                    DisjointCell::new(Array3::zeros(r)),
-                ]
-            });
         }
         if let Some(store) = &mut shared {
             for w in schedule.scratch_windows() {
@@ -1066,7 +1109,9 @@ impl StepPlan {
     /// [`StepSchedule::x_dest`]).
     fn final_dest<'a>(&'a self, bufs: &'a TeamBuffers, ts: usize) -> &'a DisjointCell<Array3> {
         match self.schedule.x_dest(ts) {
-            Buffer::XSlot(n) => &bufs.xslots.as_ref().expect("fused plans allocate x slots")[n],
+            Buffer::XSlot(n) => bufs.xslots[n]
+                .as_ref()
+                .expect("fused plans allocate x slots"),
             _ => &self.out,
         }
     }
@@ -1083,7 +1128,9 @@ impl StepPlan {
     ) -> (ExtFields<'a>, Option<AccessTracker<'a, Array3>>) {
         match self.schedule.x_source(ts, first_ts) {
             Buffer::XSlot(n) => {
-                let slot = &bufs.xslots.as_ref().expect("fused plans allocate x slots")[n];
+                let slot = bufs.xslots[n]
+                    .as_ref()
+                    .expect("fused plans allocate x slots");
                 let tracker = slot.track_read();
                 // SAFETY: the team barrier ending fused step ts-1
                 // fences its slot writes; within this step the slot
@@ -1155,7 +1202,8 @@ impl StepPlan {
 
     /// Hands the calling rank its units of one fence interval of `n`
     /// work units: statically (no `queue`), every `size`-th unit from
-    /// its own rank on; dynamically, every unit it claims from the
+    /// its own rank on ([`StepSchedule::owner`] places tile scratch by
+    /// this stride); dynamically, every unit it claims from the
     /// interval's [`ChunkQueue`] until the queue drains. Any claim order
     /// is race-free: an interval's units are pairwise disjoint (a row's
     /// slices, or tiles on rank-private scratch) and the interval ends

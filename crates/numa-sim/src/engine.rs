@@ -21,7 +21,6 @@
 
 use crate::topology::{CoreId, LinkId, Machine, NodeId};
 use crate::trace::{BarrierId, Cursor, Op, OpCheck, TraceError, TraceSet};
-use std::cmp::Ordering as CmpOrdering;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::error::Error;
@@ -182,35 +181,26 @@ impl SimConfig {
     }
 }
 
-/// A runnable core's place in the engine's event order: by time, ties
-/// by core index.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Key {
-    time: f64,
-    core: usize,
-}
-
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        self.time
-            .total_cmp(&other.time)
-            .then_with(|| self.core.cmp(&other.core))
-    }
-}
+/// A runnable core's place in the engine's event order — by time, ties
+/// by core index — packed into one integer: the time's bits under
+/// `f64::total_cmp`'s order-preserving transform, above the core.
+/// [`Key::NONE`], the front of an empty queue, follows every real key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(u128);
 
 impl Key {
-    /// Whether this key precedes `other`; an empty queue has no key and
-    /// precedes nothing.
-    fn precedes(self, other: Option<Key>) -> bool {
-        other.is_none_or(|o| self < o)
+    const NONE: Key = Key(u128::MAX);
+
+    fn new(time: f64, core: usize) -> Self {
+        let bits = time.to_bits();
+        // Negative times flip every bit, the others only the sign bit:
+        // unsigned order is then `total_cmp`'s.
+        let ordered = bits ^ ((bits as i64 >> 63) as u64 | 1 << 63);
+        Key(u128::from(ordered) << 64 | core as u128)
+    }
+
+    fn core(self) -> usize {
+        self.0 as u64 as usize
     }
 }
 
@@ -394,6 +384,9 @@ struct Route<'a> {
     latency: f64,
     /// Narrowest link, `f64::INFINITY` for the local route.
     bandwidth: f64,
+    /// Remote cache pull rate: `miss_concurrency` latency-bound demand
+    /// misses in flight per round trip, at most `bandwidth`.
+    pull_bandwidth: f64,
 }
 
 /// Runs `traces` on `machine` under `config`.
@@ -456,10 +449,16 @@ impl<'a> Engine<'a> {
         let node_ids = || (0..n_nodes).map(NodeId);
         let routes = node_ids()
             .flat_map(|from| node_ids().map(move |to| (from, to)))
-            .map(|(from, to)| Route {
-                links: machine.route(from, to),
-                latency: machine.route_latency(from, to),
-                bandwidth: machine.route_bandwidth(from, to),
+            .map(|(from, to)| {
+                let rtt = 2.0 * machine.route_latency(to, from) + config.remote_cache_latency;
+                let pull = (config.cache_line_bytes * config.miss_concurrency / rtt).max(1.0);
+                let bandwidth = machine.route_bandwidth(from, to);
+                Route {
+                    links: machine.route(from, to),
+                    latency: machine.route_latency(from, to),
+                    bandwidth,
+                    pull_bandwidth: pull.min(bandwidth),
+                }
             })
             .collect();
         // A barrier episode costs by the widest hop distance between the
@@ -538,7 +537,7 @@ impl<'a> Engine<'a> {
 
     fn run(mut self, mut streams: Streams<'_>) -> Result<SimReport, SimError> {
         for core in 0..self.cores.len() {
-            self.heap.push(Reverse(Key { time: 0.0, core }));
+            self.heap.push(Reverse(Key::new(0.0, core)));
         }
         while let Some(core) = self.pop_earliest() {
             self.resume(&mut streams, core)?;
@@ -555,12 +554,12 @@ impl<'a> Engine<'a> {
         Ok(self.report)
     }
 
-    fn heap_front(&self) -> Option<Key> {
-        self.heap.peek().map(|e| e.0)
+    fn heap_front(&self) -> Key {
+        self.heap.peek().map_or(Key::NONE, |e| e.0)
     }
 
-    fn release_front(&self) -> Option<Key> {
-        self.released.last().map(|b| b.front)
+    fn release_front(&self) -> Key {
+        self.released.last().map_or(Key::NONE, |b| b.front)
     }
 
     /// Restores the order of `released` after the `front` of its last
@@ -580,14 +579,15 @@ impl<'a> Engine<'a> {
     fn pop_earliest(&mut self) -> Option<usize> {
         let heap_front = self.heap_front();
         let batch = match self.released.last_mut() {
-            Some(batch) if batch.front.precedes(heap_front) => batch,
-            _ => return self.heap.pop().map(|e| e.0.core),
+            Some(batch) if batch.front < heap_front => batch,
+            _ => return self.heap.pop().map(|e| e.0.core()),
         };
-        let core = batch.front.core;
+        let core = batch.front.core();
         batch.next += 1;
         match self.members[batch.barrier].get(batch.next) {
             Some(&next) => {
-                batch.front.core = next;
+                // Same release time, next core.
+                batch.front = Key(batch.front.0 >> 64 << 64 | next as u128);
                 self.settle_last_release();
             }
             None => {
@@ -600,11 +600,8 @@ impl<'a> Engine<'a> {
     /// Whether `core`, about to take its next step at its current time,
     /// precedes every queued core — pushing it would only pop it again.
     fn is_earliest(&self, core: usize) -> bool {
-        let me = Key {
-            time: self.cores[core].time,
-            core,
-        };
-        me.precedes(self.heap_front()) && me.precedes(self.release_front())
+        let me = Key::new(self.cores[core].time, core);
+        me < self.heap_front() && me < self.release_front()
     }
 
     /// Advances `core`, which precedes every queued core, until it
@@ -682,10 +679,8 @@ impl<'a> Engine<'a> {
             }
             my_turn = false;
         }
-        self.heap.push(Reverse(Key {
-            time: self.cores[core].time,
-            core,
-        }));
+        self.heap
+            .push(Reverse(Key::new(self.cores[core].time, core)));
         Ok(())
     }
 
@@ -742,10 +737,7 @@ impl<'a> Engine<'a> {
         }
         self.report.barrier_episodes += 1;
         self.released.push(ReleaseBatch {
-            front: Key {
-                time: release,
-                core: self.members[id][0],
-            },
+            front: Key::new(release, self.members[id][0]),
             barrier: id,
             next: 0,
         });
@@ -855,12 +847,7 @@ impl<'a> Engine<'a> {
         let dur = if home == node {
             q / l3_bw
         } else {
-            // Latency-bound demand misses: `miss_concurrency` lines in
-            // flight per round trip.
-            let rtt = 2.0 * self.route(node, home).latency + self.config.remote_cache_latency;
-            let eff_bw =
-                (self.config.cache_line_bytes * self.config.miss_concurrency / rtt).max(1.0);
-            q / eff_bw.min(route.bandwidth)
+            q / route.pull_bandwidth
         };
         self.reserve_links(route.links, start, q);
         self.l3_free[home.index()] = start + q / l3_bw;

@@ -1,162 +1,158 @@
-//! Trace-driven cache study: checks the (3+1)D premise with a real
-//! cache model instead of assuming it.
-//!
-//! The §3.2 claim — fusing the 17 stages into cache-sized blocks removes
-//! the intermediate arrays' main-memory round trips — rests on the
-//! intermediates actually *surviving* in cache across stages. Here we
-//! generate the exact byte-address stream of a schedule (every read of
-//! every stencil offset, every write) and feed it through the
-//! set-associative LRU model of `numa-sim`, so the miss traffic is
-//! measured, not modelled.
+//! Trace-driven cache study. The §3.2 claim — fused blocks keep the
+//! intermediates in cache across all 17 stages — is checked, not
+//! assumed: the schedule the executors run ([`StepSchedule::accesses`])
+//! becomes the exact byte-address stream of one replay, fed through the
+//! set-associative LRU model of `numa-sim`. Nothing here derives a
+//! schedule.
 
+use mpdata::{Access, Boundary, Buffer, StepSchedule};
 use numa_sim::{CacheConfig, CacheSim, CacheStats};
-use stencil_engine::{Blocking, Region3, StageGraph, BYTES_PER_CELL};
+use std::collections::HashMap;
+use std::ops::Range;
+use stencil_engine::{Range1, Region3, BYTES_PER_CELL};
 
-/// Byte addresses for the fields of a graph over one domain: fields are
-/// laid out back to back, each padded to a line boundary plus a 4 KiB
-/// stagger to avoid pathological set aliasing between fields.
-///
-/// A field stores `planes[f]` i-planes, plane `i` in slot `i mod
-/// planes[f]` — every plane of the domain for [`FieldLayout::new`]; for
-/// [`FieldLayout::windowed`] the intermediates keep only the sliding
-/// windows the executors allocate under a wavefront blocking, so the
-/// study replays the addresses the replay touches.
-#[derive(Clone, Debug)]
-pub struct FieldLayout {
-    domain: Region3,
-    nj: u64,
-    nk: u64,
-    planes: Vec<u64>,
-    bases: Vec<u64>,
+/// One buffer's storage and the cells it answers for: plane `i` of
+/// `hull` in slot `(i - hull.i.lo) mod planes` — the rule of
+/// `Array3::windowed`; `planes = hull.i.len()` is a plain array.
+#[derive(Clone, Copy, Debug)]
+struct Window {
+    base: u64,
+    bytes: u64,
+    hull: Region3,
+    planes: u64,
 }
 
-impl FieldLayout {
-    /// Lays out every field of `graph` over the whole of `domain`.
-    pub fn new(graph: &StageGraph, domain: Region3) -> Self {
-        Self::with_planes(domain, vec![domain.i.len() as u64; graph.fields().len()])
+impl Window {
+    fn addr(&self, i: i64, j: i64, k: i64) -> u64 {
+        let h = self.hull;
+        let at = |x: i64, lo: i64| (x - lo) as u64;
+        let (nj, nk) = (h.j.len() as u64, h.k.len() as u64);
+        let cell = (at(i, h.i.lo) % self.planes * nj + at(j, h.j.lo)) * nk + at(k, h.k.lo);
+        self.base + cell * BYTES_PER_CELL as u64
     }
+}
 
-    /// Lays out externals and outputs over `domain` and each
-    /// intermediate in the window [`Blocking::window_depths`] gives it
-    /// — the storage rule of `stencil_engine::Array3::windowed`.
-    pub fn windowed(graph: &StageGraph, domain: Region3, blocking: &Blocking) -> Self {
-        let depth = domain.i.len();
-        let planes = blocking
-            .window_depths(graph, domain)
-            .into_iter()
-            .map(|w| if w == 0 { depth } else { w.min(depth) } as u64)
-            .collect();
-        Self::with_planes(domain, planes)
-    }
-
-    fn with_planes(domain: Region3, planes: Vec<u64>) -> Self {
-        let (nj, nk) = (domain.j.len() as u64, domain.k.len() as u64);
-        let mut next = 0;
-        let bases = planes
-            .iter()
-            .map(|p| {
-                let base = next;
-                next += (p * nj * nk * BYTES_PER_CELL as u64).div_ceil(4096) * 4096 + 4096;
-                base
-            })
-            .collect();
-        FieldLayout {
-            domain,
-            nj,
-            nk,
+/// Where each array of [`StepSchedule::storage`] sits, keyed by owner
+/// and buffer: back to back field by field, then team by team and rank
+/// by rank, x slots last (`FieldId` order for one team's untiled,
+/// unfused schedule), each padded to 4 KiB plus a 4 KiB stagger against
+/// set aliasing.
+fn layout(schedule: &StepSchedule) -> HashMap<((usize, usize), Buffer), Window> {
+    let mut storage = schedule.storage();
+    storage.sort_by_key(|s| match s.buffer {
+        Buffer::Shared(f) | Buffer::Scratch(f) | Buffer::TileScratch(f) => {
+            (f.index(), s.team, s.rank)
+        }
+        Buffer::XSlot(n) => (usize::MAX, s.team, n),
+    });
+    let mut next = 0;
+    let mut windows = HashMap::new();
+    for s in storage {
+        let bytes = (s.cells() * BYTES_PER_CELL) as u64;
+        let (base, hull, planes) = (next, s.hull, s.planes as u64);
+        let window = Window {
+            base,
+            bytes,
+            hull,
             planes,
-            bases,
-        }
+        };
+        windows.insert(((s.team, s.rank), s.buffer), window);
+        next += bytes.div_ceil(4096) * 4096 + 4096;
     }
-
-    /// Address of cell `(i, j, k)` of `field` (domain-clamped like the
-    /// kernels' open-boundary reads).
-    #[inline]
-    fn addr(&self, field: usize, i: i64, j: i64, k: i64) -> u64 {
-        let d = self.domain;
-        let i = (i.clamp(d.i.lo, d.i.hi - 1) - d.i.lo) as u64 % self.planes[field];
-        let j = (j.clamp(d.j.lo, d.j.hi - 1) - d.j.lo) as u64;
-        let k = (k.clamp(d.k.lo, d.k.hi - 1) - d.k.lo) as u64;
-        self.bases[field] + ((i * self.nj + j) * self.nk + k) * BYTES_PER_CELL as u64
-    }
-
-    /// Compulsory (cold) miss floor: every distinct line of every
-    /// field's storage touched at least once.
-    pub fn compulsory_miss_bytes(&self, line_bytes: usize) -> f64 {
-        let plane_bytes = (self.nj * self.nk) as usize * BYTES_PER_CELL;
-        let lines = |p: &u64| (*p as usize * plane_bytes).div_ceil(line_bytes);
-        (self.planes.iter().map(lines).sum::<usize>() * line_bytes) as f64
-    }
+    windows
 }
 
-/// Runs the address stream of one stage applied to `region` through the
-/// cache.
-fn sweep_stage(
-    cache: &mut CacheSim,
-    layout: &FieldLayout,
-    graph: &StageGraph,
-    stage: usize,
-    region: Region3,
-) {
-    let st = &graph.stages()[stage];
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            for k in region.k.lo..region.k.hi {
-                for (f, pattern) in &st.inputs {
-                    for o in pattern.offsets() {
-                        cache.access(layout.addr(f.index(), i + o.di, j + o.dj, k + o.dk));
+/// Cell `(i, j, k)` where the kernels read it: projected onto `d` (open
+/// boundaries) or wrapped into it (periodic).
+fn resolve(d: Region3, periodic: bool, (i, j, k): (i64, i64, i64)) -> (i64, i64, i64) {
+    let fix = |x: i64, r: Range1| match periodic {
+        true => r.lo + (x - r.lo).rem_euclid(r.len() as i64),
+        false => x.clamp(r.lo, r.hi - 1),
+    };
+    (fix(i, d.i), fix(j, d.j), fix(k, d.k))
+}
+
+/// Streams every byte address one full replay of `schedule` touches to
+/// `visit(team, address, storage of its buffer)`, team by team in
+/// program order: each work unit's write region cell by cell in `(i, j,
+/// k)` order, each cell reading every offset of the stage's declared
+/// patterns from the buffers the unit's reads name (clamped or wrapped
+/// as the kernels do), then writing its outputs.
+pub fn address_stream(schedule: &StepSchedule, mut visit: impl FnMut(usize, u64, Range<u64>)) {
+    let (d, stages) = (schedule.domain(), schedule.problem().graph().stages());
+    let periodic = schedule.problem().boundary() == Boundary::Periodic;
+    let accesses = schedule.accesses();
+    let mut windows = layout(schedule);
+    let key = |a: &Access| (schedule.owner(a), a.buffer);
+    let units = accesses.chunk_by(|a, b| (a.team, a.epoch, a.slot) == (b.team, b.epoch, b.slot));
+    for unit in units {
+        let (team, st) = (unit[0].team, &stages[unit[0].stage]);
+        // Writes, one per output, precede reads, one per input. A tile
+        // chain's row rebases its rank store to a plain array over the
+        // row's region.
+        let (writes, reads) = unit.split_at(st.outputs.len());
+        for w in writes
+            .iter()
+            .filter(|w| matches!(w.buffer, Buffer::TileScratch(_)))
+        {
+            let store = windows.get_mut(&key(w)).expect("laid out");
+            (store.hull, store.planes) = (w.region, w.region.i.len() as u64);
+        }
+        let at = |a: &Access| windows[&key(a)];
+        let outs: Vec<Window> = writes.iter().map(at).collect();
+        let ins = reads.iter().zip(&st.inputs);
+        let ins: Vec<_> = ins.map(|(a, (_, p))| (at(a), p.offsets())).collect();
+        let mut touch =
+            |w: &Window, (i, j, k)| visit(team, w.addr(i, j, k), w.base..w.base + w.bytes);
+        let r = writes[0].region;
+        for i in r.i.lo..r.i.hi {
+            for j in r.j.lo..r.j.hi {
+                for k in r.k.lo..r.k.hi {
+                    for (w, offsets) in &ins {
+                        for o in *offsets {
+                            touch(w, resolve(d, periodic, (i + o.di, j + o.dj, k + o.dk)));
+                        }
                     }
-                }
-                for f in &st.outputs {
-                    cache.access(layout.addr(f.index(), i, j, k));
+                    outs.iter().for_each(|w| touch(w, (i, j, k)));
                 }
             }
         }
     }
 }
 
-/// Cache statistics of the **per-stage schedule** (original version):
-/// every stage sweeps the whole domain before the next starts.
-pub fn per_stage_schedule_stats(
-    graph: &StageGraph,
-    domain: Region3,
-    cache_cfg: CacheConfig,
-) -> CacheStats {
-    let layout = FieldLayout::new(graph, domain);
-    let mut cache = CacheSim::new(cache_cfg);
-    for s in 0..graph.stage_count() {
-        sweep_stage(&mut cache, &layout, graph, s, domain);
-    }
-    cache.stats()
-}
-
-/// Cache statistics of a **blocked schedule** (the (3+1)D wavefront):
-/// blocks in order, all stages per block, intermediates in their
-/// sliding windows ([`FieldLayout::windowed`]).
-pub fn blocked_schedule_stats(
-    graph: &StageGraph,
-    domain: Region3,
-    blocking: &Blocking,
-    cache_cfg: CacheConfig,
-) -> CacheStats {
-    let layout = FieldLayout::windowed(graph, domain, blocking);
-    let mut cache = CacheSim::new(cache_cfg);
-    for block in &blocking.blocks {
-        for s in 0..graph.stage_count() {
-            let r = block.stage_regions[s];
-            if !r.is_empty() {
-                sweep_stage(&mut cache, &layout, graph, s, r);
-            }
+/// Replays `schedule`'s [`address_stream`] through one cache of geometry
+/// `cache` per team, each starting cold. Returns every team's counters
+/// summed, and the compulsory floor: bytes of each distinct line each
+/// team touches, once (one bit per line of the layout, per team).
+pub fn replay_schedule(schedule: &StepSchedule, cache: CacheConfig) -> (CacheStats, f64) {
+    let line_bytes = cache.line_bytes as u64;
+    let mut teams: Vec<_> = (0..schedule.team_count())
+        .map(|_| (CacheSim::new(cache), Vec::<u64>::new()))
+        .collect();
+    let (mut stats, mut cold) = (CacheStats::default(), 0);
+    address_stream(schedule, |team, addr, _| {
+        let (sim, seen) = &mut teams[team];
+        stats.hits += u64::from(sim.access(addr));
+        stats.accesses += 1;
+        let line = addr / line_bytes;
+        let (word, bit) = ((line / 64) as usize, 1 << (line % 64));
+        if seen.len() <= word {
+            seen.resize(word + 1, 0);
         }
-    }
-    cache.stats()
+        cold += u64::from(seen[word] & bit == 0);
+        seen[word] |= bit;
+    });
+    stats.misses = stats.accesses - stats.hits;
+    (stats, (cold * line_bytes) as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpdata::mpdata_graph;
-    use stencil_engine::BlockPlanner;
+    use mpdata::{MpdataProblem, OriginalExecutor, ScheduleKnobs};
+    use std::sync::Arc;
+    use stencil_engine::FieldRole;
+    use work_scheduler::WorkerPool;
 
     fn cfg(kb: usize) -> CacheConfig {
         CacheConfig {
@@ -166,22 +162,34 @@ mod tests {
         }
     }
 
+    /// The per-stage schedule (original version): every stage sweeps the
+    /// whole domain before the next starts.
+    fn per_stage(domain: Region3) -> Arc<StepSchedule> {
+        OriginalExecutor::new(&WorkerPool::new(1)).schedule_for(domain)
+    }
+
+    /// The one-island (3+1)D wavefront at a block budget.
+    fn wavefront(domain: Region3, budget: usize) -> StepSchedule {
+        let knobs = ScheduleKnobs {
+            cache_bytes: budget,
+            ..ScheduleKnobs::default()
+        };
+        StepSchedule::build(&MpdataProblem::standard(), domain, &[domain], &[1], knobs).unwrap()
+    }
+
     #[test]
     fn blocked_schedule_slashes_misses() {
         // Scaled-down domain and cache preserving the ratio
         // working-set : cache of the paper setup.
-        let (g, _) = mpdata_graph();
         let domain = Region3::of_extent(48, 32, 8);
         let cache = cfg(256);
-        let per_stage = per_stage_schedule_stats(&g, domain, cache);
+        let per_stage = replay_schedule(&per_stage(domain), cache).0;
         // Size blocks to half the cache — the usual safety margin, and
         // what keeps the block working set clear of conflict evictions.
-        let blocking = BlockPlanner::new(cache.capacity_bytes / 2)
-            .min_depth(2)
-            .plan_wavefront(&g, domain, domain)
-            .unwrap();
-        assert!(blocking.len() > 2, "need several blocks for a fair test");
-        let blocked = blocked_schedule_stats(&g, domain, &blocking, cache);
+        let schedule = wavefront(domain, cache.capacity_bytes / 2);
+        let blocks = schedule.accesses().iter().map(|a| a.block).max().unwrap() + 1;
+        assert!(blocks > 2, "need several blocks for a fair test");
+        let blocked = replay_schedule(&schedule, cache).0;
         let ratio = per_stage.miss_bytes(64) / blocked.miss_bytes(64);
         assert!(
             ratio > 2.5,
@@ -193,18 +201,12 @@ mod tests {
 
     #[test]
     fn blocked_misses_approach_compulsory_floor() {
-        let (g, _) = mpdata_graph();
         let domain = Region3::of_extent(48, 32, 8);
         let cache = cfg(512);
-        let blocking = BlockPlanner::new(cache.capacity_bytes / 2)
-            .min_depth(2)
-            .plan_wavefront(&g, domain, domain)
-            .unwrap();
-        let blocked = blocked_schedule_stats(&g, domain, &blocking, cache);
+        let (blocked, floor) = replay_schedule(&wavefront(domain, cache.capacity_bytes / 2), cache);
         // Externals + output + windows: far below the 23 whole arrays
         // a full-hull layout would have to touch once.
-        let floor = FieldLayout::windowed(&g, domain, &blocking).compulsory_miss_bytes(64);
-        let whole = FieldLayout::new(&g, domain).compulsory_miss_bytes(64);
+        let whole = replay_schedule(&per_stage(domain), cache).1;
         assert!(
             floor < 0.6 * whole,
             "windows {floor} vs whole arrays {whole}"
@@ -220,16 +222,12 @@ mod tests {
     fn tiny_cache_defeats_blocking() {
         // With a cache far below one block's working set, even the
         // blocked schedule thrashes — blocking is not magic.
-        let (g, _) = mpdata_graph();
         let domain = Region3::of_extent(32, 32, 8);
         let big = cfg(512);
         let tiny = cfg(8);
-        let blocking = BlockPlanner::new(big.capacity_bytes)
-            .min_depth(2)
-            .plan_wavefront(&g, domain, domain)
-            .unwrap();
-        let with_big = blocked_schedule_stats(&g, domain, &blocking, big);
-        let with_tiny = blocked_schedule_stats(&g, domain, &blocking, tiny);
+        let schedule = wavefront(domain, big.capacity_bytes);
+        let with_big = replay_schedule(&schedule, big).0;
+        let with_tiny = replay_schedule(&schedule, tiny).0;
         assert!(
             with_tiny.misses > 2 * with_big.misses,
             "tiny {} vs big {}",
@@ -240,42 +238,50 @@ mod tests {
 
     #[test]
     fn layout_staggers_fields() {
-        let (g, _) = mpdata_graph();
         let domain = Region3::of_extent(8, 8, 8);
-        let l = FieldLayout::new(&g, domain);
-        let a0 = l.addr(0, 0, 0, 0);
-        let a1 = l.addr(1, 0, 0, 0);
+        let schedule = per_stage(domain);
+        let l = layout(&schedule);
+        let fields: Vec<_> = schedule.problem().graph().fields().iter().collect();
+        let a0 = l[&((0, 0), Buffer::Shared(fields[0].0))].addr(0, 0, 0);
+        let a1 = l[&((0, 0), Buffer::Shared(fields[1].0))].addr(0, 0, 0);
         assert!(a1 - a0 >= (domain.cells() * 8) as u64);
         // Clamping mirrors the kernels.
-        assert_eq!(l.addr(0, -3, 0, 0), l.addr(0, 0, 0, 0));
-        assert_eq!(l.addr(0, 9, 7, 7), l.addr(0, 7, 7, 7));
+        assert_eq!(resolve(domain, false, (-3, 0, 0)), (0, 0, 0));
+        assert_eq!(resolve(domain, false, (9, 7, 7)), (7, 7, 7));
+        let mut touches = 0;
+        address_stream(&schedule, |_, addr, storage| {
+            assert!(storage.contains(&addr), "{addr} outside {storage:?}");
+            touches += 1;
+        });
+        assert!(touches > 0);
     }
 
     #[test]
     fn windowed_layout_wraps_intermediates_only() {
-        let (g, _) = mpdata_graph();
         let domain = Region3::of_extent(32, 8, 8);
-        let blocking = BlockPlanner::new(64 * 1024)
-            .plan_wavefront(&g, domain, domain)
-            .unwrap();
-        let depths = blocking.window_depths(&g, domain);
-        let l = FieldLayout::windowed(&g, domain, &blocking);
+        let schedule = wavefront(domain, 64 * 1024);
+        let l = layout(&schedule);
+        let g = schedule.problem().graph();
         for (f, _, role) in g.fields().iter() {
-            let w = depths[f.index()] as i64;
-            if role == stencil_engine::FieldRole::Intermediate {
-                assert!(0 < w && w < 32, "field {f:?} window {w}");
+            if role == FieldRole::Intermediate {
+                let w = l[&((0, 0), Buffer::Scratch(f))];
+                let planes = w.planes as i64;
+                assert!(0 < planes && planes < 32, "field {f:?} window {planes}");
                 // The slot rule of `Array3::windowed`.
-                assert_eq!(l.addr(f.index(), 3, 1, 2), l.addr(f.index(), 3 + w, 1, 2));
-                assert_ne!(l.addr(f.index(), 3, 1, 2), l.addr(f.index(), 2 + w, 1, 2));
+                assert_eq!(w.addr(3, 1, 2), w.addr(3 + planes, 1, 2));
+                assert_ne!(w.addr(3, 1, 2), w.addr(2 + planes, 1, 2));
             } else {
+                let w = l[&((0, 0), Buffer::Shared(f))];
                 let all: std::collections::HashSet<u64> =
-                    (0..32).map(|i| l.addr(f.index(), i, 0, 0)).collect();
+                    (0..32).map(|i| w.addr(i, 0, 0)).collect();
                 assert_eq!(all.len(), 32);
             }
         }
         // Storage never overlaps between fields.
-        for f in 1..g.fields().len() {
-            assert!(l.addr(f, 0, 0, 0) > l.addr(f - 1, 31, 7, 7));
+        let mut windows: Vec<_> = l.values().collect();
+        windows.sort_by_key(|w| w.base);
+        for pair in windows.windows(2) {
+            assert!(pair[0].base + pair[0].bytes < pair[1].base);
         }
     }
 }

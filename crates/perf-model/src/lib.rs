@@ -4,7 +4,7 @@
 //! and table rendering used to regenerate every table and figure of the
 //! islands-of-cores paper (sustained Gflop/s, utilization of theoretical
 //! peak, parallel efficiency, the S_pr/S_ov speedups, and the §3.2
-//! traffic comparison).
+//! traffic comparison, also measured by [`replay_schedule`]).
 //!
 //! ## Example
 //!
@@ -31,7 +31,7 @@ mod plot;
 mod tables;
 mod traffic;
 
-pub use cache_study::{blocked_schedule_stats, per_stage_schedule_stats, FieldLayout};
+pub use cache_study::{address_stream, replay_schedule};
 pub use metrics::{
     overall_speedup, parallel_efficiency_percent, partial_speedup, sustained_gflops, useful_flops,
     utilization_percent,

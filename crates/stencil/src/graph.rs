@@ -191,32 +191,7 @@ impl StageGraph {
     /// accumulated as hulls, which for MPDATA-style graphs (all patterns
     /// are boxes) introduces no over-approximation.
     pub fn required_regions(&self, target: Region3, domain: Region3) -> Vec<Region3> {
-        let mut req: HashMap<FieldId, Region3> = HashMap::new();
-        for f in self.output_fields() {
-            req.insert(f, target.intersect(domain));
-        }
-        let mut compute = vec![Region3::empty(); self.stages.len()];
-        for st in self.stages.iter().rev() {
-            // Region this stage must produce: union of requirements on its
-            // outputs, clipped to the domain.
-            let mut r = Region3::empty();
-            for f in &st.outputs {
-                if let Some(need) = req.get(f) {
-                    r = r.hull(*need);
-                }
-            }
-            let r = r.intersect(domain);
-            compute[st.id.index()] = r;
-            if r.is_empty() {
-                continue;
-            }
-            for (f, p) in &st.inputs {
-                let need = r.expand(p.halo()).intersect(domain);
-                let e = req.entry(*f).or_insert(Region3::empty());
-                *e = e.hull(need);
-            }
-        }
-        compute
+        self.requirements(target, domain).0
     }
 
     /// The per-external-field read regions implied by
@@ -227,22 +202,41 @@ impl StageGraph {
         target: Region3,
         domain: Region3,
     ) -> HashMap<FieldId, Region3> {
-        let compute = self.required_regions(target, domain);
-        let mut out: HashMap<FieldId, Region3> = HashMap::new();
-        for st in &self.stages {
-            let r = compute[st.id.index()];
+        let req = self.requirements(target, domain).1;
+        let reads = self
+            .external_fields()
+            .into_iter()
+            .map(|f| (f, req[f.index()]));
+        reads.filter(|(_, r)| !r.is_empty()).collect()
+    }
+
+    /// Per stage, the region it is computed on; per field (by
+    /// `FieldId::index`), the hull of what those stages read of it — for
+    /// outputs, `target ∩ domain`.
+    fn requirements(&self, target: Region3, domain: Region3) -> (Vec<Region3>, Vec<Region3>) {
+        let mut req = vec![Region3::empty(); self.fields.len()];
+        for f in self.output_fields() {
+            req[f.index()] = target.intersect(domain);
+        }
+        let mut compute = vec![Region3::empty(); self.stages.len()];
+        for st in self.stages.iter().rev() {
+            // Region this stage must produce: union of requirements on its
+            // outputs, clipped to the domain.
+            let r = st
+                .outputs
+                .iter()
+                .fold(Region3::empty(), |r, f| r.hull(req[f.index()]));
+            let r = r.intersect(domain);
+            compute[st.id.index()] = r;
             if r.is_empty() {
                 continue;
             }
             for (f, p) in &st.inputs {
-                if self.fields.role(*f) == FieldRole::External {
-                    let need = r.expand(p.halo()).intersect(domain);
-                    let e = out.entry(*f).or_insert(Region3::empty());
-                    *e = e.hull(need);
-                }
+                let need = r.expand(p.halo()).intersect(domain);
+                req[f.index()] = req[f.index()].hull(need);
             }
         }
-        out
+        (compute, req)
     }
 
     /// Cumulative halo of each stage: how far the *final output* depends

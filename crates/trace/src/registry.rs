@@ -234,8 +234,8 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
-    /// Computed cells per second across all islands, over the
-    /// registry's lifetime.
+    /// Stage-cell updates (every stage's cells, redundant halo included)
+    /// per second across all islands, over the registry's lifetime.
     pub fn cells_per_second(&self) -> f64 {
         let cells: u64 = self.islands.iter().map(|i| i.computed_cells).sum();
         cells as f64 / (self.elapsed_ns as f64 / 1e9)
