@@ -3,12 +3,16 @@
 //! Drives every kernel of an MPDATA stage graph over single-cell
 //! regions with access recording on ([`stencil_engine::trace`]) and
 //! diffs the observed read/write sets against the stage's *declared*
-//! [`stencil_engine::StencilPattern`]s and outputs. Because every
-//! kernel read is boundary-resolved exactly like the checker's own
-//! `resolve` (clamp for [`Boundary::Open`], wrap for
-//! [`Boundary::Periodic`]) and kernels read their operands
-//! unconditionally, any difference is a genuine declaration/kernel
-//! mismatch, not a value-dependent artifact:
+//! [`stencil_engine::StencilPattern`]s and outputs. The real graph
+//! derives those patterns from the kernels' own taps, so for it the
+//! pass proves the traversal — row runs, `k`-end cells, the per-cell
+//! oracle — reads exactly the taps; a mutated graph
+//! ([`check_graph`]) proves the pass catches a declaration that
+//! drifted. Because every kernel read and every expected cell here
+//! resolve through the one [`Boundary::resolve`] (clamp for
+//! [`Boundary::Open`], wrap for [`Boundary::Periodic`]) and kernels
+//! read their operands unconditionally, any difference is a genuine
+//! declaration/kernel mismatch, not a value-dependent artifact:
 //!
 //! * a recorded read no declared offset resolves to ⇒ `undeclared-read`;
 //! * a declared offset whose resolved cell was never read ⇒
@@ -206,22 +210,6 @@ pub fn check_graph(
     })
 }
 
-/// Boundary resolution, bit-for-bit the formula of the kernels' `resolve`.
-fn resolve(bc: Boundary, d: Region3, i: i64, j: i64, k: i64) -> (i64, i64, i64) {
-    match bc {
-        Boundary::Open => (
-            i.clamp(d.i.lo, d.i.hi - 1),
-            j.clamp(d.j.lo, d.j.hi - 1),
-            k.clamp(d.k.lo, d.k.hi - 1),
-        ),
-        Boundary::Periodic => (
-            d.i.lo + (i - d.i.lo).rem_euclid(d.i.len() as i64),
-            d.j.lo + (j - d.j.lo).rem_euclid(d.j.len() as i64),
-            d.k.lo + (k - d.k.lo).rem_euclid(d.k.len() as i64),
-        ),
-    }
-}
-
 /// Diffs one recorded single-cell invocation against the declaration.
 #[allow(clippy::too_many_arguments)]
 fn diff_cell(
@@ -236,6 +224,12 @@ fn diff_cell(
     found: &mut BTreeSet<Diagnostic>,
 ) {
     let (ci, cj, ck) = c;
+    // Where the kernels read offset `o` of cell `c`.
+    let resolve = |o: Offset3| {
+        let d = domain;
+        let (i, j) = (bc.resolve(d.i, ci + o.di), bc.resolve(d.j, cj + o.dj));
+        (i, j, bc.resolve(d.k, ck + o.dk))
+    };
     // Expected reads: per array, the declared offsets resolved at `c`.
     let mut expected: BTreeMap<trace::ArrayKey, BTreeSet<(i64, i64, i64)>> = BTreeMap::new();
     let mut declared: BTreeMap<trace::ArrayKey, Vec<Offset3>> = BTreeMap::new();
@@ -244,7 +238,7 @@ fn diff_cell(
         let exp = expected.entry(key).or_default();
         let dec = declared.entry(key).or_default();
         for &o in pat.offsets() {
-            exp.insert(resolve(bc, domain, ci + o.di, cj + o.dj, ck + o.dk));
+            exp.insert(resolve(o));
             dec.push(o);
         }
     }
@@ -295,7 +289,7 @@ fn diff_cell(
             // resolving there. Sound anywhere: a genuinely read offset
             // resolves into the recorded set by construction.
             for o in &declared[&key] {
-                if resolve(bc, domain, ci + o.di, cj + o.dj, ck + o.dk) == miss {
+                if resolve(*o) == miss {
                     found.insert(Diagnostic {
                         code: DiagnosticCode::OverdeclaredOffset,
                         site: st.name.clone(),

@@ -1,17 +1,19 @@
 //! # islands-analysis
 //!
 //! Machine-checked access contracts for the islands-of-cores
-//! reproduction. The stage graph's declared [`StencilPattern`]s are the
-//! single source of truth three subsystems trust — the backward
-//! requirement analysis, the block planner and the overlap accounting —
-//! so this crate *proves* the two assumptions everything rests on,
+//! reproduction. The stage graph's declared [`StencilPattern`]s are
+//! what three subsystems trust — the backward requirement analysis, the
+//! block planner and the overlap accounting. MPDATA writes them once,
+//! as its kernels' taps (`mpdata`'s graph derives each input's pattern
+//! from them), so this crate *proves* the two assumptions left,
 //! instead of asserting them by convention:
 //!
 //! 1. **Pattern conformance** ([`check_problem`] / [`check_graph`]):
-//!    every kernel reads exactly the offsets its stage declares and
-//!    writes exactly the requested cells of its declared outputs,
-//!    observed through the debug-only access recorder of
-//!    [`stencil_engine::trace`].
+//!    the traversal every kernel runs reads exactly the offsets its
+//!    stage declares — its taps — and writes exactly the requested
+//!    cells of its declared outputs, observed through the debug-only
+//!    access recorder of [`stencil_engine::trace`]; a mutated
+//!    declaration ([`with_offset_removed`]) is caught.
 //! 2. **Plan-time disjointness** ([`lower`] / [`check_disjointness`]):
 //!    for the very [`mpdata::StepSchedule`] an executor replays — any
 //!    partition, team shape and knob combination, and the

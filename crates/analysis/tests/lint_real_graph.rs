@@ -1,51 +1,11 @@
-//! The real MPDATA graphs must lint clean: zero conformance
-//! diagnostics for every boundary condition and kernel path, zero
-//! disjointness diagnostics for representative island schedules.
+//! The real MPDATA schedules must lint clean: zero disjointness
+//! diagnostics for representative island schedules. (The conformance
+//! proofs of the real graphs run in the root `tests/stencil_contract.rs`.)
 
-use islands_analysis::{check_disjointness, check_problem, islands_plan, KernelPath};
+use islands_analysis::{check_disjointness, islands_plan};
 use islands_core::{Partition, Variant};
-use mpdata::{Boundary, MpdataProblem};
-use stencil_engine::{trace, Axis, Range1, Region3};
-
-/// Mixed positive/negative bases shake out coordinate-system bugs.
-fn domain() -> Region3 {
-    Region3::new(Range1::new(2, 7), Range1::new(-1, 3), Range1::new(3, 6))
-}
-
-#[test]
-fn all_17_stages_conform_under_every_config() {
-    if !trace::is_enabled() {
-        return; // conformance needs the debug-only recorder
-    }
-    for bc in [Boundary::Open, Boundary::Periodic] {
-        let problem = MpdataProblem::standard().with_boundary(bc);
-        for path in [KernelPath::Dispatch, KernelPath::Scalar] {
-            let rep = check_problem(&problem, domain(), path).unwrap();
-            assert_eq!(rep.stages, 17);
-            assert_eq!(rep.cells, 17 * domain().cells());
-            assert_eq!(
-                rep.diagnostics,
-                vec![],
-                "bc={bc:?} path={path:?} must lint clean"
-            );
-        }
-    }
-}
-
-#[test]
-fn iord3_graph_conforms_too() {
-    if !trace::is_enabled() {
-        return;
-    }
-    for bc in [Boundary::Open, Boundary::Periodic] {
-        let problem = MpdataProblem::with_iord(3).with_boundary(bc);
-        for path in [KernelPath::Dispatch, KernelPath::Scalar] {
-            let rep = check_problem(&problem, domain(), path).unwrap();
-            assert!(rep.stages > 17, "iord=3 adds stages");
-            assert_eq!(rep.diagnostics, vec![], "bc={bc:?} path={path:?}");
-        }
-    }
-}
+use mpdata::MpdataProblem;
+use stencil_engine::{Axis, Range1, Region3};
 
 #[test]
 fn real_island_schedules_are_disjoint() {

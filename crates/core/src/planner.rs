@@ -478,9 +478,7 @@ pub fn plan_fused(
 ) -> Result<TraceSet, PlanBlocksError> {
     let (graph, _) = mpdata_graph();
     let place = placement(init, w.domain, machine, Axis::I);
-    let blocking = BlockPlanner::new(w.cache_bytes)
-        .min_depth(4)
-        .plan_wavefront(&graph, w.domain, w.domain)?;
+    let blocking = BlockPlanner::new(w.cache_bytes).plan_wavefront(&graph, w.domain, w.domain)?;
     let cores: Vec<CoreId> = (0..machine.core_count()).map(CoreId).collect();
     let mut ts = TraceSet::for_cores(machine.core_count());
     let global = ts.add_barrier(cores.clone());
@@ -502,7 +500,9 @@ pub fn plan_fused(
 ///
 /// # Errors
 ///
-/// Returns [`PlanBlocksError`] when an island's part is empty.
+/// None in practice: [`PlanBlocksError`] is the block planner's, which
+/// rejects only an empty region, and an empty part (more islands than
+/// planes) is skipped — its island idles.
 pub fn plan_islands(
     machine: &Machine,
     w: &Workload,
@@ -517,7 +517,9 @@ pub fn plan_islands(
 ///
 /// # Errors
 ///
-/// Returns [`PlanBlocksError`] when an island's part is empty.
+/// None in practice: [`PlanBlocksError`] is the block planner's, which
+/// rejects only an empty region, and an empty part (more islands than
+/// planes) is skipped — its island idles.
 pub fn plan_islands_with_layout(
     machine: &Machine,
     w: &Workload,
@@ -547,7 +549,9 @@ fn island_placement(domain: Region3, partition: &Partition, layout: &IslandLayou
 ///
 /// # Errors
 ///
-/// Returns [`PlanBlocksError`] when an island's part is empty.
+/// None in practice: [`PlanBlocksError`] is the block planner's, which
+/// rejects only an empty region, and an empty part (more islands than
+/// planes) is skipped — its island idles.
 ///
 /// # Panics
 ///
@@ -576,9 +580,7 @@ pub fn plan_islands_partitioned(
         }
         // Intra-island synchronization only.
         let team_barrier = ts.add_barrier(island.cores.clone());
-        let blocking = BlockPlanner::new(w.cache_bytes)
-            .min_depth(4)
-            .plan_wavefront(&graph, *part, w.domain)?;
+        let blocking = BlockPlanner::new(w.cache_bytes).plan_wavefront(&graph, *part, w.domain)?;
         ts.add_program(Sweep {
             cores: island.cores.clone(),
             nodes: nodes_of(machine, &island.cores),
@@ -608,7 +610,9 @@ pub fn plan_islands_partitioned(
 ///
 /// # Errors
 ///
-/// Returns [`PlanBlocksError`] when an island's part is empty.
+/// None in practice: [`PlanBlocksError`] is the block planner's, which
+/// rejects only an empty region, and an empty part (more islands than
+/// planes) is skipped — its island idles.
 pub fn plan_islands_exchange(
     machine: &Machine,
     w: &Workload,
@@ -633,7 +637,6 @@ pub fn plan_islands_exchange(
                 Ok(None)
             } else {
                 BlockPlanner::new(w.cache_bytes)
-                    .min_depth(4)
                     .plan_wavefront(&graph, part, part)
                     .map(Some)
             }

@@ -10,10 +10,12 @@
 //! limited fluxes (3) and the corrective update (1). The paper's
 //! configuration is `iord = 2`: 4 + 13 = **17 stages**.
 //!
-//! Stage *kinds* ([`StageKind`]) identify the kernel arithmetic; the
-//! graph's declared patterns are the single source of truth for all
-//! dependency analysis, and the kernel implementations in
-//! [`crate::kernels`] are tested against them.
+//! Stage *kinds* ([`StageKind`]) identify the kernel arithmetic. A
+//! stage's inputs are a plain field list; the pattern it declares for
+//! each is derived from the taps its kernel sweeps at that slot
+//! ([`StageKind::taps`], in [`crate::kernels`]), so the declaration
+//! every dependency analysis trusts — required regions, block halos,
+//! the islands' recomputed halo — is the kernel's own read list.
 
 use crate::kernels::Boundary;
 use stencil_engine::{
@@ -134,49 +136,38 @@ impl MpdataProblem {
     ///
     /// Panics if `iord == 0`.
     pub fn with_iord(iord: usize) -> Self {
+        use StageKind::*;
         assert!(iord >= 1, "MPDATA needs at least the upwind pass");
         let mut t = FieldTable::new();
-        let x = t.add("x", FieldRole::External);
-        let u1 = t.add("u1", FieldRole::External);
-        let u2 = t.add("u2", FieldRole::External);
-        let u3 = t.add("u3", FieldRole::External);
-        let h = t.add("h", FieldRole::External);
+        let [x, u1, u2, u3, h] =
+            ["x", "u1", "u2", "u3", "h"].map(|n| t.add(n, FieldRole::External));
         let ext = ExternalIds { x, u1, u2, u3, h };
 
-        let point = StencilPattern::point;
-        let don = |axis: usize| {
-            let mut o = [0_i64; 3];
-            o[axis] = -1;
-            StencilPattern::from_offsets([(0, 0, 0), (o[0], o[1], o[2])])
-        };
-        let div = |axis: usize| {
-            let mut o = [0_i64; 3];
-            o[axis] = 1;
-            StencilPattern::from_offsets([(0, 0, 0), (o[0], o[1], o[2])])
-        };
-
+        // One pass's stages: kernel kind, name, outputs, inputs. Each
+        // input slot's pattern is the offsets its kernel taps there —
+        // the kernels' taps are the one stencil declaration.
+        type Pass<'a> = [(StageKind, &'a str, &'a [FieldId], &'a [FieldId])];
         let mut stages: Vec<StageDef> = Vec::new();
         let mut kinds: Vec<StageKind> = Vec::new();
-        let mut next_id = 0u32;
-        let mut push = |stages: &mut Vec<StageDef>,
-                        kinds: &mut Vec<StageKind>,
-                        kind: StageKind,
-                        name: String,
-                        outputs: Vec<FieldId>,
-                        inputs: Vec<(FieldId, StencilPattern)>| {
-            stages.push(StageDef {
-                id: StageId(next_id),
-                name,
-                outputs,
-                inputs,
-                flops_per_cell: kind.flops_per_cell(),
-            });
-            kinds.push(kind);
-            next_id += 1;
+        let mut push = |pass: &Pass, sfx: &str| {
+            for &(kind, name, outputs, inputs) in pass {
+                let taps = kind.taps();
+                let slots = taps.iter().map(|t| t.0 + 1).max();
+                assert_eq!(slots, Some(inputs.len()), "{name}: one input per slot");
+                let tapped_at = |slot| taps.iter().filter(move |t| t.0 == slot).map(|t| t.1);
+                let inputs = inputs.iter().enumerate();
+                stages.push(StageDef {
+                    id: StageId(stages.len() as u32),
+                    name: format!("{name}{sfx}"),
+                    outputs: outputs.to_vec(),
+                    inputs: inputs
+                        .map(|(slot, &f)| (f, StencilPattern::from_offsets(tapped_at(slot))))
+                        .collect(),
+                    flops_per_cell: kind.flops_per_cell(),
+                });
+                kinds.push(kind);
+            }
         };
-
-        // ---- Pass 1: upwind ------------------------------------------
-        let last_pass = iord == 1;
         let role = |last: bool| {
             if last {
                 FieldRole::Output
@@ -184,268 +175,62 @@ impl MpdataProblem {
                 FieldRole::Intermediate
             }
         };
-        let f1 = t.add("f1", FieldRole::Intermediate);
-        let f2 = t.add("f2", FieldRole::Intermediate);
-        let f3 = t.add("f3", FieldRole::Intermediate);
-        let xp = t.add(if last_pass { "xout" } else { "xp" }, role(last_pass));
-        push(
-            &mut stages,
-            &mut kinds,
-            StageKind::FluxI,
-            "flux_i".into(),
-            vec![f1],
-            vec![(x, don(0)), (u1, point())],
-        );
-        push(
-            &mut stages,
-            &mut kinds,
-            StageKind::FluxJ,
-            "flux_j".into(),
-            vec![f2],
-            vec![(x, don(1)), (u2, point())],
-        );
-        push(
-            &mut stages,
-            &mut kinds,
-            StageKind::FluxK,
-            "flux_k".into(),
-            vec![f3],
-            vec![(x, don(2)), (u3, point())],
-        );
-        push(
-            &mut stages,
-            &mut kinds,
-            StageKind::Update,
-            "low_order".into(),
-            vec![xp],
-            vec![
-                (x, point()),
-                (f1, div(0)),
-                (f2, div(1)),
-                (f3, div(2)),
-                (h, point()),
-            ],
-        );
+
+        // ---- Pass 1: upwind ------------------------------------------
+        let [f1, f2, f3] = ["f1", "f2", "f3"].map(|n| t.add(n, FieldRole::Intermediate));
+        let xp = t.add(if iord == 1 { "xout" } else { "xp" }, role(iord == 1));
+        #[rustfmt::skip]
+        push(&[
+            (FluxI, "flux_i", &[f1], &[x, u1]),
+            (FluxJ, "flux_j", &[f2], &[x, u2]),
+            (FluxK, "flux_k", &[f3], &[x, u3]),
+            (Update, "low_order", &[xp], &[x, f1, f2, f3, h]),
+        ], "");
 
         // ---- Corrective iterations -----------------------------------
         // Velocities transporting iteration k: the physical Courant
         // numbers for k = 2, the previous iteration's antidiffusive
         // velocities for k ≥ 3 (standard MPDATA recursion).
-        let mut scalar_prev = xp;
-        let mut vel_prev = (u1, u2, u3);
+        let mut xs = xp;
+        let (mut pu1, mut pu2, mut pu3) = (u1, u2, u3);
         for k in 2..=iord {
-            let last = k == iord;
             let sfx = if k == 2 {
                 String::new()
             } else {
                 format!("_{k}")
             };
-            let nm = |base: &str| format!("{base}{sfx}");
-
-            let (pu1, pu2, pu3) = vel_prev;
-            // ψ* reads of the antidiffusive velocity along each axis.
-            let xp_anti = |m: usize, p: usize, q: usize| {
-                let mut offs: Vec<(i64, i64, i64)> = Vec::new();
-                let mk = |ax: usize, s: i64| {
-                    let mut o = [0_i64; 3];
-                    o[ax] = s;
-                    (o[0], o[1], o[2])
-                };
-                for base in [[0_i64; 3], {
-                    let mut o = [0_i64; 3];
-                    o[m] = -1;
-                    o
-                }] {
-                    offs.push((base[0], base[1], base[2]));
-                    for (ax, s) in [(p, 1_i64), (p, -1), (q, 1), (q, -1)] {
-                        let d = mk(ax, s);
-                        offs.push((base[0] + d.0, base[1] + d.1, base[2] + d.2));
-                    }
-                }
-                StencilPattern::from_offsets(offs)
+            let [v1, v2, v3, mx, mn, g1, g2, g3, bu, bd, f1l, f2l, f3l] = [
+                "v1", "v2", "v3", "mx", "mn", "g1", "g2", "g3", "bu", "bd", "f1l", "f2l", "f3l",
+            ]
+            .map(|n| t.add(&format!("{n}{sfx}"), FieldRole::Intermediate));
+            let xk_name = if k == iord {
+                "xout".into()
+            } else {
+                format!("xc{sfx}")
             };
-            // Cross-velocity averages at a low-`m` face: the four
-            // surrounding faces along axis `c`.
-            let cross = |m: usize, c: usize| {
-                let mut o_m = [0_i64; 3];
-                o_m[m] = -1;
-                let mut o_c = [0_i64; 3];
-                o_c[c] = 1;
-                StencilPattern::from_offsets([
-                    (0, 0, 0),
-                    (o_m[0], o_m[1], o_m[2]),
-                    (o_c[0], o_c[1], o_c[2]),
-                    (o_m[0] + o_c[0], o_m[1] + o_c[1], o_m[2] + o_c[2]),
-                ])
-            };
-
-            let v1 = t.add(&nm("v1"), FieldRole::Intermediate);
-            let v2 = t.add(&nm("v2"), FieldRole::Intermediate);
-            let v3 = t.add(&nm("v3"), FieldRole::Intermediate);
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::AntidiffI,
-                nm("antidiff_i"),
-                vec![v1],
-                vec![
-                    (scalar_prev, xp_anti(0, 1, 2)),
-                    (pu1, point()),
-                    (pu2, cross(0, 1)),
-                    (pu3, cross(0, 2)),
-                    (h, don(0)),
-                ],
-            );
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::AntidiffJ,
-                nm("antidiff_j"),
-                vec![v2],
-                vec![
-                    (scalar_prev, xp_anti(1, 0, 2)),
-                    (pu2, point()),
-                    (pu1, cross(1, 0)),
-                    (pu3, cross(1, 2)),
-                    (h, don(1)),
-                ],
-            );
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::AntidiffK,
-                nm("antidiff_k"),
-                vec![v3],
-                vec![
-                    (scalar_prev, xp_anti(2, 0, 1)),
-                    (pu3, point()),
-                    (pu1, cross(2, 0)),
-                    (pu2, cross(2, 1)),
-                    (h, don(2)),
-                ],
-            );
-
-            let mx = t.add(&nm("mx"), FieldRole::Intermediate);
-            let mn = t.add(&nm("mn"), FieldRole::Intermediate);
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::MinMax,
-                nm("minmax"),
-                vec![mx, mn],
-                vec![
-                    (x, StencilPattern::seven_point()),
-                    (scalar_prev, StencilPattern::seven_point()),
-                ],
-            );
-
-            let g1 = t.add(&nm("g1"), FieldRole::Intermediate);
-            let g2 = t.add(&nm("g2"), FieldRole::Intermediate);
-            let g3 = t.add(&nm("g3"), FieldRole::Intermediate);
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::FluxI,
-                nm("pflux_i"),
-                vec![g1],
-                vec![(scalar_prev, don(0)), (v1, point())],
-            );
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::FluxJ,
-                nm("pflux_j"),
-                vec![g2],
-                vec![(scalar_prev, don(1)), (v2, point())],
-            );
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::FluxK,
-                nm("pflux_k"),
-                vec![g3],
-                vec![(scalar_prev, don(2)), (v3, point())],
-            );
-
-            let bu = t.add(&nm("bu"), FieldRole::Intermediate);
-            let bd = t.add(&nm("bd"), FieldRole::Intermediate);
-            let beta_inputs = |ex: FieldId| {
-                vec![
-                    (ex, point()),
-                    (scalar_prev, point()),
-                    (g1, div(0)),
-                    (g2, div(1)),
-                    (g3, div(2)),
-                    (h, point()),
-                ]
-            };
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::BetaUp,
-                nm("beta_up"),
-                vec![bu],
-                beta_inputs(mx),
-            );
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::BetaDn,
-                nm("beta_dn"),
-                vec![bd],
-                beta_inputs(mn),
-            );
-
-            let f1l = t.add(&nm("f1l"), FieldRole::Intermediate);
-            let f2l = t.add(&nm("f2l"), FieldRole::Intermediate);
-            let f3l = t.add(&nm("f3l"), FieldRole::Intermediate);
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::LimFluxI,
-                nm("lim_flux_i"),
-                vec![f1l],
-                vec![(g1, point()), (bu, don(0)), (bd, don(0))],
-            );
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::LimFluxJ,
-                nm("lim_flux_j"),
-                vec![f2l],
-                vec![(g2, point()), (bu, don(1)), (bd, don(1))],
-            );
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::LimFluxK,
-                nm("lim_flux_k"),
-                vec![f3l],
-                vec![(g3, point()), (bu, don(2)), (bd, don(2))],
-            );
-
-            let xk_name = if last { "xout".to_string() } else { nm("xc") };
-            let xk = t.add(&xk_name, role(last));
-            push(
-                &mut stages,
-                &mut kinds,
-                StageKind::Update,
-                nm("update"),
-                vec![xk],
-                vec![
-                    (scalar_prev, point()),
-                    (f1l, div(0)),
-                    (f2l, div(1)),
-                    (f3l, div(2)),
-                    (h, point()),
-                ],
-            );
-
-            scalar_prev = xk;
-            vel_prev = (v1, v2, v3);
+            let xk = t.add(&xk_name, role(k == iord));
+            #[rustfmt::skip]
+            push(&[
+                (AntidiffI, "antidiff_i", &[v1], &[xs, pu1, pu2, pu3, h]),
+                (AntidiffJ, "antidiff_j", &[v2], &[xs, pu2, pu1, pu3, h]),
+                (AntidiffK, "antidiff_k", &[v3], &[xs, pu3, pu1, pu2, h]),
+                (MinMax, "minmax", &[mx, mn], &[x, xs]),
+                // Pseudo fluxes reuse the donor-cell kernel.
+                (FluxI, "pflux_i", &[g1], &[xs, v1]),
+                (FluxJ, "pflux_j", &[g2], &[xs, v2]),
+                (FluxK, "pflux_k", &[g3], &[xs, v3]),
+                (BetaUp, "beta_up", &[bu], &[mx, xs, g1, g2, g3, h]),
+                (BetaDn, "beta_dn", &[bd], &[mn, xs, g1, g2, g3, h]),
+                (LimFluxI, "lim_flux_i", &[f1l], &[g1, bu, bd]),
+                (LimFluxJ, "lim_flux_j", &[f2l], &[g2, bu, bd]),
+                (LimFluxK, "lim_flux_k", &[f3l], &[g3, bu, bd]),
+                (Update, "update", &[xk], &[xs, f1l, f2l, f3l, h]),
+            ], &sfx);
+            xs = xk;
+            (pu1, pu2, pu3) = (v1, v2, v3);
         }
 
-        let xout = scalar_prev;
+        let xout = xs;
         let graph = StageGraph::build(t, stages).expect("MPDATA stage graph is well-formed");
         MpdataProblem {
             graph,

@@ -1,18 +1,25 @@
-//! The numerics of the 17 MPDATA stages.
+//! The numerics of the 17 MPDATA stages, and the one declaration of
+//! their stencils.
 //!
-//! Each stage is written once, as a list of reads ([`Tap`]s: which
-//! input at which offset from the output cell) and one per-cell
-//! expression over the values read. [`crate::kernels_fast::Sweep`]
-//! walks a region with it — row slices on the `k`-interior, single
-//! cells at the `k`-ends — so [`apply_kind`] (rows) and
-//! [`apply_kind_scalar`] (single cells everywhere) cannot drift apart.
-//! The taps match the offsets declared by the [`crate::graph`] stage,
-//! enforced by the `kernel_patterns` test below, which perturbs inputs
-//! outside the declared pattern and asserts the output is unaffected.
+//! Each stage kind is written once, as a list of reads — its [`Tap`]s:
+//! which input slot at which offset from the output cell, listed by
+//! [`StageKind::taps`] — and one per-cell expression over the values
+//! read. [`crate::kernels_fast::Sweep`] walks a region with the taps —
+//! row slices on the `k`-interior, single cells at the `k`-ends — so
+//! [`apply_kind`] (rows) and [`apply_kind_scalar`] (single cells
+//! everywhere) cannot drift apart. The taps are also the stage graph's
+//! stencil declaration: [`crate::MpdataProblem::with_iord`] builds each
+//! input's [`stencil_engine::StencilPattern`] from the offsets tapped
+//! at its slot, so no offset is written anywhere else. What remains to
+//! prove is that the traversal reads exactly the taps: the
+//! `islands-analysis` conformance pass records every access, and the
+//! `kernel_patterns_are_sound` test below perturbs inputs outside the
+//! pattern and asserts the output is unaffected.
 //!
-//! Boundary handling: reads are clamped to the domain box (zero-gradient
-//! extension). Combined with [`crate::fields::MpdataFields::close_boundaries`]
-//! this makes the scheme exactly conservative in a closed box, and —
+//! Boundary handling: reads resolve into the domain box through
+//! [`Boundary::resolve`] — clamped (zero-gradient extension) or
+//! wrapped. Combined with [`crate::fields::MpdataFields::close_boundaries`]
+//! clamping makes the scheme exactly conservative in a closed box, and —
 //! crucially for the reproduction — makes every execution strategy
 //! (reference, original, (3+1)D, islands) produce **bitwise identical**
 //! results, because a redundantly recomputed cell always sees exactly
@@ -36,12 +43,18 @@ pub enum Boundary {
     Periodic,
 }
 
-/// Index `i` resolved into `r` by the boundary policy.
-#[inline(always)]
-pub(crate) fn resolve(bc: Boundary, r: Range1, i: i64) -> i64 {
-    match bc {
-        Boundary::Open => i.clamp(r.lo, r.hi - 1),
-        Boundary::Periodic => r.lo + (i - r.lo).rem_euclid(r.len() as i64),
+impl Boundary {
+    /// Index `i` along one axis resolved into the domain's range `r`:
+    /// projected onto the nearest face ([`Boundary::Open`]) or wrapped
+    /// ([`Boundary::Periodic`]). The one boundary rule: every kernel
+    /// read, the cache study's address stream and the conformance
+    /// checker's expected cells resolve through it.
+    #[inline(always)]
+    pub fn resolve(self, r: Range1, i: i64) -> i64 {
+        match self {
+            Boundary::Open => i.clamp(r.lo, r.hi - 1),
+            Boundary::Periodic => r.lo + (i - r.lo).rem_euclid(r.len() as i64),
+        }
     }
 }
 
@@ -146,30 +159,51 @@ const I: Off = (1, 0, 0);
 const J: Off = (0, 1, 0);
 const K: Off = (0, 0, 1);
 
-fn add(a: Off, b: Off) -> Off {
+const fn add(a: Off, b: Off) -> Off {
     (a.0 + b.0, a.1 + b.1, a.2 + b.2)
 }
 
-fn neg(a: Off) -> Off {
+const fn neg(a: Off) -> Off {
     (-a.0, -a.1, -a.2)
 }
 
-/// The taps and the per-cell expression of every stage kind.
+impl StageKind {
+    /// The reads of this kind's kernel, in the order its expression
+    /// takes them: `(input slot, (di, dj, dk))`. The only place a
+    /// stage's offsets are written — the kernels sweep these taps, and
+    /// the stage graph declares, per input slot, the offsets tapped at
+    /// it.
+    pub(crate) fn taps(self) -> &'static [Tap] {
+        match self {
+            StageKind::FluxI => &const { flux_taps(I) },
+            StageKind::FluxJ => &const { flux_taps(J) },
+            StageKind::FluxK => &const { flux_taps(K) },
+            StageKind::Update => &UPDATE_TAPS,
+            StageKind::AntidiffI => &const { antidiff_taps(I, J, K) },
+            StageKind::AntidiffJ => &const { antidiff_taps(J, I, K) },
+            StageKind::AntidiffK => &const { antidiff_taps(K, I, J) },
+            StageKind::MinMax => &MINMAX_TAPS,
+            StageKind::BetaUp | StageKind::BetaDn => &BETA_TAPS,
+            StageKind::LimFluxI => &const { lim_flux_taps(I) },
+            StageKind::LimFluxJ => &const { lim_flux_taps(J) },
+            StageKind::LimFluxK => &const { lim_flux_taps(K) },
+        }
+    }
+}
+
+/// Every stage kind's expression over its [`StageKind::taps`].
 fn stage(kind: StageKind, s: &Sweep, out: &mut [&mut Array3]) {
+    let taps = kind.taps();
     match kind {
-        StageKind::FluxI => flux(s, out, I),
-        StageKind::FluxJ => flux(s, out, J),
-        StageKind::FluxK => flux(s, out, K),
-        StageKind::Update => update(s, out),
-        StageKind::AntidiffI => antidiff(s, out, I, J, K),
-        StageKind::AntidiffJ => antidiff(s, out, J, I, K),
-        StageKind::AntidiffK => antidiff(s, out, K, I, J),
-        StageKind::MinMax => minmax(s, out),
-        StageKind::BetaUp => beta(s, out, true),
-        StageKind::BetaDn => beta(s, out, false),
-        StageKind::LimFluxI => lim_flux(s, out, I),
-        StageKind::LimFluxJ => lim_flux(s, out, J),
-        StageKind::LimFluxK => lim_flux(s, out, K),
+        StageKind::FluxI | StageKind::FluxJ | StageKind::FluxK => flux(s, taps, out),
+        StageKind::Update => update(s, taps, out),
+        StageKind::AntidiffI | StageKind::AntidiffJ | StageKind::AntidiffK => {
+            antidiff(s, taps, out)
+        }
+        StageKind::MinMax => minmax(s, taps, out),
+        StageKind::BetaUp => beta(s, taps, out, true),
+        StageKind::BetaDn => beta(s, taps, out, false),
+        StageKind::LimFluxI | StageKind::LimFluxJ | StageKind::LimFluxK => lim_flux(s, taps, out),
     }
 }
 
@@ -204,17 +238,23 @@ fn donor(xl: f64, xr: f64, u: f64) -> f64 {
 }
 
 /// Stages 1–3 and 9–11: donor-cell flux through the low face along
-/// axis `m`. `inputs = [scalar, velocity]`, `outputs = [flux]`. 5 flops.
-fn flux(s: &Sweep, out: &mut [&mut Array3], m: Off) {
-    let taps: [Tap; 3] = [(0, neg(m)), (0, O), (1, O)];
+/// axis `m`. `inputs = [scalar, velocity]`, `outputs = [flux]`.
+const fn flux_taps(m: Off) -> [Tap; 3] {
+    [(0, neg(m)), (0, O), (1, O)]
+}
+
+/// [`flux_taps`]' expression. 5 flops.
+fn flux(s: &Sweep, taps: &[Tap], out: &mut [&mut Array3]) {
     s.run(taps, out, |[xl, xr, u]| [donor(xl, xr, u)]);
 }
 
 /// Stage 4: first-order update ψ* = ψ − div(F)/h.
-/// `inputs = [x, f1, f2, f3, h]`, `outputs = [xp]`. 7 flops.
-fn update(s: &Sweep, out: &mut [&mut Array3]) {
-    #[rustfmt::skip]
-    let taps: [Tap; 8] = [(0, O), (1, O), (1, I), (2, O), (2, J), (3, O), (3, K), (4, O)];
+/// `inputs = [x, f1, f2, f3, h]`, `outputs = [xp]`.
+#[rustfmt::skip]
+const UPDATE_TAPS: [Tap; 8] = [(0, O), (1, O), (1, I), (2, O), (2, J), (3, O), (3, K), (4, O)];
+
+/// [`UPDATE_TAPS`]' expression. 7 flops.
+fn update(s: &Sweep, taps: &[Tap], out: &mut [&mut Array3]) {
     s.run(taps, out, |[x, f1a, f1b, f2a, f2b, f3a, f3b, h]| {
         let div = (f1b - f1a) + (f2b - f2a) + (f3b - f3a);
         [x - div / h]
@@ -224,12 +264,12 @@ fn update(s: &Sweep, out: &mut [&mut Array3]) {
 /// Stages 5–7: antidiffusive pseudo-velocity through the low face along
 /// `m` (Smolarkiewicz's second-order correction with the two cross
 /// terms along `p` and `q`). `inputs = [xp, u_m, u_p, u_q, h]`,
-/// `outputs = [v_m]`. 36 flops.
-fn antidiff(s: &Sweep, out: &mut [&mut Array3], m: Off, p: Off, q: Off) {
+/// `outputs = [v_m]`.
+#[rustfmt::skip]
+const fn antidiff_taps(m: Off, p: Off, q: Off) -> [Tap; 21] {
     // `c` = this cell, `l` = the cell below the face.
     let l = neg(m);
-    #[rustfmt::skip]
-    let taps: [Tap; 21] = [
+    [
         (0, O), (0, l),
         (0, p), (0, add(l, p)), (0, neg(p)), (0, add(l, neg(p))),
         (0, q), (0, add(l, q)), (0, neg(q)), (0, add(l, neg(q))),
@@ -237,8 +277,12 @@ fn antidiff(s: &Sweep, out: &mut [&mut Array3], m: Off, p: Off, q: Off) {
         (2, O), (2, l), (2, p), (2, add(l, p)),
         (3, O), (3, l), (3, q), (3, add(l, q)),
         (4, O), (4, l),
-    ];
-    s.run(taps, out, |v| {
+    ]
+}
+
+/// [`antidiff_taps`]' expression. 36 flops.
+fn antidiff(s: &Sweep, taps: &[Tap], out: &mut [&mut Array3]) {
+    s.run(taps, out, |v: [f64; 21]| {
         let (xc, xl) = (v[0], v[1]);
         let a = (xc - xl) / (xc + xl + EPS);
         // Cross-derivative terms along p and q.
@@ -255,12 +299,17 @@ fn antidiff(s: &Sweep, out: &mut [&mut Array3], m: Off, p: Off, q: Off) {
     });
 }
 
-/// Stage 8: local extrema over ψ and ψ* (7-point neighbourhoods).
-/// `inputs = [x, xp]`, `outputs = [mx, mn]`. 26 flops.
-fn minmax(s: &Sweep, out: &mut [&mut Array3]) {
-    const OFFS: [Off; 7] = [O, (-1, 0, 0), I, (0, -1, 0), J, (0, 0, -1), K];
-    let taps: [Tap; 14] = std::array::from_fn(|t| (t % 2, OFFS[t / 2]));
-    s.run(taps, out, |v| {
+/// Stage 8: local extrema over ψ and ψ* (7-point neighbourhoods, the
+/// two inputs interleaved). `inputs = [x, xp]`, `outputs = [mx, mn]`.
+#[rustfmt::skip]
+const MINMAX_TAPS: [Tap; 14] = [
+    (0, O), (1, O), (0, neg(I)), (1, neg(I)), (0, I), (1, I),
+    (0, neg(J)), (1, neg(J)), (0, J), (1, J), (0, neg(K)), (1, neg(K)), (0, K), (1, K),
+];
+
+/// [`MINMAX_TAPS`]' expression. 26 flops.
+fn minmax(s: &Sweep, taps: &[Tap], out: &mut [&mut Array3]) {
+    s.run(taps, out, |v: [f64; 14]| {
         let (mut hi, mut lo) = (f64::NEG_INFINITY, f64::INFINITY);
         for c in v {
             hi = sel_max(hi, c);
@@ -272,10 +321,11 @@ fn minmax(s: &Sweep, out: &mut [&mut Array3]) {
 
 /// Stages 12–13: the non-oscillatory β limiters (`up` = β↑).
 /// `inputs = [extreme(mx|mn), xp, g1, g2, g3, h]`, `outputs = [bu|bd]`.
-/// 15 flops.
-fn beta(s: &Sweep, out: &mut [&mut Array3], up: bool) {
-    #[rustfmt::skip]
-    let taps: [Tap; 9] = [(0, O), (1, O), (2, O), (2, I), (3, O), (3, J), (4, O), (4, K), (5, O)];
+#[rustfmt::skip]
+const BETA_TAPS: [Tap; 9] = [(0, O), (1, O), (2, O), (2, I), (3, O), (3, J), (4, O), (4, K), (5, O)];
+
+/// [`BETA_TAPS`]' expression. 15 flops.
+fn beta(s: &Sweep, taps: &[Tap], out: &mut [&mut Array3], up: bool) {
     s.run(taps, out, |[ext, xp, g1a, g1b, g2a, g2b, g3a, g3b, h]| {
         let (num, den) = if up {
             // Inflow: positive parts of low-face fluxes minus negative
@@ -294,9 +344,13 @@ fn beta(s: &Sweep, out: &mut [&mut Array3], up: bool) {
 
 /// Stages 14–16: monotone limiting of the pseudo flux along `m`:
 /// `min(1, bd[-m], bu) · g⁺ + min(1, bu[-m], bd) · g⁻`.
-/// `inputs = [g, bu, bd]`, `outputs = [f_limited]`. 9 flops.
-fn lim_flux(s: &Sweep, out: &mut [&mut Array3], m: Off) {
-    let taps: [Tap; 5] = [(0, O), (2, neg(m)), (1, O), (1, neg(m)), (2, O)];
+/// `inputs = [g, bu, bd]`, `outputs = [f_limited]`.
+const fn lim_flux_taps(m: Off) -> [Tap; 5] {
+    [(0, O), (2, neg(m)), (1, O), (1, neg(m)), (2, O)]
+}
+
+/// [`lim_flux_taps`]' expression. 9 flops.
+fn lim_flux(s: &Sweep, taps: &[Tap], out: &mut [&mut Array3]) {
     s.run(taps, out, |[g, bd_l, bu, bu_l, bd]| {
         // A positive flux leaves the low cell and enters this one.
         let cp = sel_min(sel_min(1.0, bd_l), bu);
@@ -531,11 +585,11 @@ mod tests {
     fn open_reads_project_to_faces_and_periodic_reads_wrap() {
         let r = Range1::new(2, 5);
         assert_eq!(
-            [-5, 2, 4, 9].map(|i| resolve(Boundary::Open, r, i)),
+            [-5, 2, 4, 9].map(|i| Boundary::Open.resolve(r, i)),
             [2, 2, 4, 4]
         );
         assert_eq!(
-            [1, 5, -2, 3].map(|i| resolve(Boundary::Periodic, r, i)),
+            [1, 5, -2, 3].map(|i| Boundary::Periodic.resolve(r, i)),
             [4, 2, 4, 3]
         );
     }

@@ -7,8 +7,8 @@
 //! the next):
 //!
 //! * every tap's neighbour row `(i + di, j + dj)` is resolved through
-//!   the boundary policy — clamped for [`Boundary::Open`], wrapped for
-//!   [`Boundary::Periodic`] — so domain faces in `i` and `j` cost
+//!   [`Boundary::resolve`] — clamped for [`Boundary::Open`], wrapped
+//!   for [`Boundary::Periodic`] — so domain faces in `i` and `j` cost
 //!   nothing extra; the neighbour *plane* is borrowed once per `i`
 //!   ([`Array3::plane`]), which is where a windowed scratch array pays
 //!   for its slot lookup;
@@ -56,12 +56,12 @@
 //! index loops, because `array::from_fn` is not inlined into a
 //! `#[target_feature]` function and would cost a call per cell.
 
-use crate::kernels::{resolve, Boundary};
+use crate::kernels::Boundary;
 use std::array::from_fn;
 use stencil_engine::{Array3, Plane, Range1, Region3};
 
 /// One read of a stage: `(input slot, (di, dj, dk))`, each offset in
-/// `-1..=1`.
+/// `-1..=1` ([`crate::graph::StageKind::taps`]).
 pub(crate) type Tap = (usize, (i64, i64, i64));
 
 /// One kernel invocation: where to compute and how reads resolve.
@@ -80,13 +80,15 @@ impl Sweep<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if the input/output counts do not match the taps and `M`.
+    /// Panics if `f` does not take one operand per tap, or if the
+    /// input/output counts do not match the taps and `M`.
     pub(crate) fn run<const N: usize, const M: usize>(
         &self,
-        taps: [Tap; N],
+        taps: &[Tap],
         outputs: &mut [&mut Array3],
         f: impl Fn([f64; N]) -> [f64; M],
     ) {
+        let taps: [Tap; N] = taps.try_into().expect("one operand per tap");
         let slots = taps.iter().map(|t| t.0 + 1).max().unwrap_or(0);
         assert_eq!(self.inputs.len(), slots, "stage takes {slots} inputs");
         assert_eq!(outputs.len(), M, "stage writes {M} outputs");
@@ -111,8 +113,8 @@ impl Sweep<'_> {
         for (i, j, k) in self.region.points() {
             let mut v = [0.0; N];
             for (v, &(s, (di, dj, dk))) in v.iter_mut().zip(&taps) {
-                let (ii, jj) = (resolve(bc, d.i, i + di), resolve(bc, d.j, j + dj));
-                *v = self.inputs[s].get(ii, jj, resolve(bc, d.k, k + dk));
+                let (ii, jj) = (bc.resolve(d.i, i + di), bc.resolve(d.j, j + dj));
+                *v = self.inputs[s].get(ii, jj, bc.resolve(d.k, k + dk));
             }
             for (o, v) in outputs.iter_mut().zip(f(v)) {
                 o.set(i, j, k, v);
@@ -184,18 +186,12 @@ impl Sweep<'_> {
             win[t] = Range1::new(rk.lo + dk, rk.hi + dk).intersect(d.k);
             skip[t] = (klo + dk - win[t].lo) as usize;
             for (e, k) in ends.iter().enumerate() {
-                end_k[e][t] = k.map_or(0, |k| resolve(bc, d.k, k + dk));
+                end_k[e][t] = k.map_or(0, |k| bc.resolve(d.k, k + dk));
             }
         }
         // Offsets reach one cell at most, so each axis resolves once per
         // neighbour: `[c - 1, c, c + 1]`, indexed by offset + 1.
-        let near = |r, c| {
-            [
-                resolve(bc, r, c - 1),
-                resolve(bc, r, c),
-                resolve(bc, r, c + 1),
-            ]
-        };
+        let near = |r, c| [bc.resolve(r, c - 1), bc.resolve(r, c), bc.resolve(r, c + 1)];
         let at: [[usize; 2]; N] =
             from_fn(|t| [(taps[t].1 .0 + 1) as usize, (taps[t].1 .1 + 1) as usize]);
         for i in self.region.i.lo..self.region.i.hi {

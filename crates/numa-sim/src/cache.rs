@@ -19,15 +19,6 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// A 16 MiB, 16-way, 64 B-line cache — the UV 2000 socket's L3.
-    pub fn uv2000_l3() -> Self {
-        CacheConfig {
-            capacity_bytes: 16 << 20,
-            ways: 16,
-            line_bytes: 64,
-        }
-    }
-
     /// Number of sets implied by the geometry.
     ///
     /// # Panics
@@ -116,11 +107,6 @@ impl CacheSim {
         }
     }
 
-    /// The geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
     /// Touches the byte at `addr`; returns whether it hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
@@ -148,32 +134,25 @@ impl CacheSim {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const TINY: CacheConfig = CacheConfig {
+        capacity_bytes: 1024,
+        ways: 2,
+        line_bytes: 64,
+    };
+
     fn tiny() -> CacheSim {
-        CacheSim::new(CacheConfig {
-            capacity_bytes: 1024,
-            ways: 2,
-            line_bytes: 64,
-        }) // 8 sets × 2 ways
+        CacheSim::new(TINY) // 8 sets × 2 ways
     }
 
     #[test]
     fn geometry() {
-        assert_eq!(tiny().config().sets(), 8);
-        assert_eq!(CacheConfig::uv2000_l3().sets(), 16384);
+        assert_eq!(TINY.sets(), 8);
     }
 
     #[test]
@@ -227,15 +206,6 @@ mod tests {
         // Cold misses only.
         assert_eq!(c.stats().misses, lines);
         assert_eq!(c.stats().hits, 2 * lines);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut c = tiny();
-        c.access(0);
-        c.reset();
-        assert_eq!(c.stats(), CacheStats::default());
-        assert!(!c.access(0), "reset cache must cold-miss");
     }
 
     #[test]

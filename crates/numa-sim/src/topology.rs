@@ -154,9 +154,12 @@ pub struct Machine {
     links: Vec<LinkSpec>,
     core_node: Vec<NodeId>,
     node_cores: Vec<Vec<CoreId>>,
-    /// `routes[a][b]` = directed link resources along the path a → b.
-    routes: Vec<Vec<Vec<LinkId>>>,
-    hops: Vec<Vec<usize>>,
+    /// Every shortest path back to back: the directed link resources
+    /// along a → b start at `route_start[a * n + b]` and run for
+    /// `hops[a * n + b]` links (`n` nodes).
+    routes: Vec<LinkId>,
+    route_start: Vec<usize>,
+    hops: Vec<usize>,
 }
 
 impl Machine {
@@ -192,38 +195,40 @@ impl Machine {
             adj[l.a.index()].push((l.b.index(), idx, 0));
             adj[l.b.index()].push((l.a.index(), idx, 1));
         }
-        // BFS from every node.
-        let mut routes = vec![vec![Vec::new(); n]; n];
-        let mut hops = vec![vec![0usize; n]; n];
+        // BFS from every node, over one scratch reused across sources:
+        // per node, its distance and the (node, link) it was reached by.
+        let mut routes = Vec::new();
+        let mut route_start = Vec::with_capacity(n * n);
+        let mut hops = Vec::with_capacity(n * n);
+        let mut dist = vec![usize::MAX; n];
+        let mut prev = vec![(0, LinkId(0)); n];
+        let mut queue = std::collections::VecDeque::with_capacity(n);
         for src in 0..n {
-            let mut prev: Vec<Option<(usize, usize, usize)>> = vec![None; n];
-            let mut dist: Vec<Option<usize>> = vec![None; n];
-            dist[src] = Some(0);
-            let mut queue = std::collections::VecDeque::from([src]);
+            dist.fill(usize::MAX);
+            dist[src] = 0;
+            queue.push_back(src);
             while let Some(u) = queue.pop_front() {
                 for &(v, link, dir) in &adj[u] {
-                    if dist[v].is_none() {
-                        dist[v] = Some(dist[u].unwrap() + 1);
-                        prev[v] = Some((u, link, dir));
+                    if dist[v] == usize::MAX {
+                        dist[v] = dist[u] + 1;
+                        prev[v] = (u, LinkId(link * 2 + dir));
                         queue.push_back(v);
                     }
                 }
             }
-            for dst in 0..n {
-                match dist[dst] {
-                    None => return Err(BuildMachineError::Disconnected { node: NodeId(dst) }),
-                    Some(d) => hops[src][dst] = d,
+            for (dst, &d) in dist.iter().enumerate() {
+                if d == usize::MAX {
+                    return Err(BuildMachineError::Disconnected { node: NodeId(dst) });
                 }
-                // Reconstruct the path dst → src, then reverse it.
-                let mut path = Vec::new();
+                // The path src → dst, filled back to front from dst.
+                let start = routes.len();
+                routes.resize(start + d, LinkId(0));
                 let mut cur = dst;
-                while cur != src {
-                    let (p, link, dir) = prev[cur].expect("path exists");
-                    path.push(LinkId(link * 2 + dir));
-                    cur = p;
+                for slot in routes[start..].iter_mut().rev() {
+                    (cur, *slot) = prev[cur];
                 }
-                path.reverse();
-                routes[src][dst] = path;
+                route_start.push(start);
+                hops.push(d);
             }
         }
         Ok(Machine {
@@ -232,6 +237,7 @@ impl Machine {
             core_node,
             node_cores,
             routes,
+            route_start,
             hops,
         })
     }
@@ -282,12 +288,13 @@ impl Machine {
     /// Directed link resources along the shortest path `from → to`
     /// (empty when `from == to`).
     pub fn route(&self, from: NodeId, to: NodeId) -> &[LinkId] {
-        &self.routes[from.index()][to.index()]
+        let pair = from.index() * self.nodes.len() + to.index();
+        &self.routes[self.route_start[pair]..][..self.hops[pair]]
     }
 
     /// Hop count of the shortest path.
     pub fn hops(&self, from: NodeId, to: NodeId) -> usize {
-        self.hops[from.index()][to.index()]
+        self.hops[from.index() * self.nodes.len() + to.index()]
     }
 
     /// Bandwidth of a directed link resource in bytes/s.

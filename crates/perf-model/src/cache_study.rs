@@ -5,11 +5,11 @@
 //! set-associative LRU model of `numa-sim`. Nothing here derives a
 //! schedule.
 
-use mpdata::{Access, Boundary, Buffer, StepSchedule};
+use mpdata::{Access, Buffer, StepSchedule};
 use numa_sim::{CacheConfig, CacheSim, CacheStats};
 use std::collections::HashMap;
 use std::ops::Range;
-use stencil_engine::{Range1, Region3, BYTES_PER_CELL};
+use stencil_engine::{Region3, BYTES_PER_CELL};
 
 /// One buffer's storage and the cells it answers for: plane `i` of
 /// `hull` in slot `(i - hull.i.lo) mod planes` — the rule of
@@ -62,25 +62,15 @@ fn layout(schedule: &StepSchedule) -> HashMap<((usize, usize), Buffer), Window> 
     windows
 }
 
-/// Cell `(i, j, k)` where the kernels read it: projected onto `d` (open
-/// boundaries) or wrapped into it (periodic).
-fn resolve(d: Region3, periodic: bool, (i, j, k): (i64, i64, i64)) -> (i64, i64, i64) {
-    let fix = |x: i64, r: Range1| match periodic {
-        true => r.lo + (x - r.lo).rem_euclid(r.len() as i64),
-        false => x.clamp(r.lo, r.hi - 1),
-    };
-    (fix(i, d.i), fix(j, d.j), fix(k, d.k))
-}
-
 /// Streams every byte address one full replay of `schedule` touches to
 /// `visit(team, address, storage of its buffer)`, team by team in
 /// program order: each work unit's write region cell by cell in `(i, j,
 /// k)` order, each cell reading every offset of the stage's declared
-/// patterns from the buffers the unit's reads name (clamped or wrapped
-/// as the kernels do), then writing its outputs.
+/// patterns from the buffers the unit's reads name (resolved by the
+/// kernels' own [`mpdata::Boundary::resolve`]), then writing its outputs.
 pub fn address_stream(schedule: &StepSchedule, mut visit: impl FnMut(usize, u64, Range<u64>)) {
     let (d, stages) = (schedule.domain(), schedule.problem().graph().stages());
-    let periodic = schedule.problem().boundary() == Boundary::Periodic;
+    let bc = schedule.problem().boundary();
     let accesses = schedule.accesses();
     let mut windows = layout(schedule);
     let key = |a: &Access| (schedule.owner(a), a.buffer);
@@ -110,7 +100,8 @@ pub fn address_stream(schedule: &StepSchedule, mut visit: impl FnMut(usize, u64,
                 for k in r.k.lo..r.k.hi {
                     for (w, offsets) in &ins {
                         for o in *offsets {
-                            touch(w, resolve(d, periodic, (i + o.di, j + o.dj, k + o.dk)));
+                            let (ii, jj) = (bc.resolve(d.i, i + o.di), bc.resolve(d.j, j + o.dj));
+                            touch(w, (ii, jj, bc.resolve(d.k, k + o.dk)));
                         }
                     }
                     outs.iter().for_each(|w| touch(w, (i, j, k)));
@@ -245,9 +236,6 @@ mod tests {
         let a0 = l[&((0, 0), Buffer::Shared(fields[0].0))].addr(0, 0, 0);
         let a1 = l[&((0, 0), Buffer::Shared(fields[1].0))].addr(0, 0, 0);
         assert!(a1 - a0 >= (domain.cells() * 8) as u64);
-        // Clamping mirrors the kernels.
-        assert_eq!(resolve(domain, false, (-3, 0, 0)), (0, 0, 0));
-        assert_eq!(resolve(domain, false, (9, 7, 7)), (7, 7, 7));
         let mut touches = 0;
         address_stream(&schedule, |_, addr, storage| {
             assert!(storage.contains(&addr), "{addr} outside {storage:?}");

@@ -80,7 +80,6 @@ pub fn predict(machine: &Machine, w: &Workload, cfg: &SimConfig) -> ModelPredict
 
     // --- (3+1)D: compute + per-block remote input pulls + barriers. -----
     let blocking = BlockPlanner::new(w.cache_bytes)
-        .min_depth(4)
         .plan_wavefront(&graph, w.domain, w.domain)
         .expect("paper workload plans");
     let n_blocks = blocking.len() as f64;

@@ -40,14 +40,12 @@ pub const BYTES_PER_CELL: usize = 8;
 /// ```
 /// use stencil_engine::BlockPlanner;
 /// let planner = BlockPlanner::new(16 * 1024 * 1024) // 16 MiB L3
-///     .min_depth(2)
 ///     .max_depth(64);
 /// assert_eq!(planner.cache_bytes(), 16 * 1024 * 1024);
 /// ```
 #[derive(Clone, Debug)]
 pub struct BlockPlanner {
     cache_bytes: usize,
-    min_depth: usize,
     max_depth: usize,
 }
 
@@ -56,7 +54,6 @@ impl BlockPlanner {
     pub fn new(cache_bytes: usize) -> Self {
         BlockPlanner {
             cache_bytes,
-            min_depth: 1,
             max_depth: usize::MAX,
         }
     }
@@ -64,16 +61,6 @@ impl BlockPlanner {
     /// The cache budget in bytes.
     pub fn cache_bytes(&self) -> usize {
         self.cache_bytes
-    }
-
-    /// Sets the smallest admissible block depth (default 1). Blocks of
-    /// that depth are planned even when their working set exceeds the
-    /// cache budget: a block that spills still computes the right
-    /// result, and real codes tolerate partial spills rather than
-    /// refuse to run.
-    pub fn min_depth(mut self, d: usize) -> Self {
-        self.min_depth = d.max(1);
-        self
     }
 
     /// Sets the largest admissible block depth (default unbounded).
@@ -91,9 +78,10 @@ impl BlockPlanner {
 
     /// Chooses the block depth along the planning axis: the deepest
     /// block whose working set (including the cumulative halo) fits the
-    /// cache budget, clamped to `[min_depth, max_depth]` — so a budget
-    /// that fits no block plans `min_depth` ([`BlockPlanner::min_depth`])
-    /// — and to the domain.
+    /// cache budget, clamped to `[1, max_depth]` and to the domain. A
+    /// budget that fits no block plans depth 1: a block that spills
+    /// still computes the right result, and real codes tolerate partial
+    /// spills rather than refuse to run.
     ///
     /// # Errors
     ///
@@ -119,7 +107,7 @@ impl BlockPlanner {
         }
         let mut depth = self.cache_bytes / per_depth;
         depth = depth.saturating_sub(halo_span);
-        depth = depth.clamp(self.min_depth, self.max_depth);
+        depth = depth.clamp(1, self.max_depth);
         let axis_len = domain.range(AXIS).len();
         Ok(depth.min(axis_len.max(1)))
     }
@@ -471,17 +459,15 @@ mod tests {
     fn cache_too_small_plans_min_depth() {
         let g = chain_graph(1, 3);
         let domain = Region3::of_extent(64, 64, 64);
-        for min in [1, 3] {
-            let planner = BlockPlanner::new(16).min_depth(min); // absurdly small
-            assert_eq!(planner.choose_depth(&g, domain), Ok(min));
-            let b = planner.plan(&g, domain, domain).unwrap();
-            assert_eq!(b.depth, min);
-            assert_eq!(b.len(), 64usize.div_ceil(min));
-            let total: usize = b.blocks.iter().map(|p| p.output_region.cells()).sum();
-            assert_eq!(total, domain.cells());
-            for w in b.blocks.windows(2) {
-                assert_eq!(w[0].output_region.i.hi, w[1].output_region.i.lo);
-            }
+        let planner = BlockPlanner::new(16); // absurdly small
+        assert_eq!(planner.choose_depth(&g, domain), Ok(1));
+        let b = planner.plan(&g, domain, domain).unwrap();
+        assert_eq!(b.depth, 1);
+        assert_eq!(b.len(), 64);
+        let total: usize = b.blocks.iter().map(|p| p.output_region.cells()).sum();
+        assert_eq!(total, domain.cells());
+        for w in b.blocks.windows(2) {
+            assert_eq!(w[0].output_region.i.hi, w[1].output_region.i.lo);
         }
     }
 
