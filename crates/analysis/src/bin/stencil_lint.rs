@@ -9,57 +9,19 @@
 //! stage-synchronous Original and Exchange schedules — and exits
 //! non-zero if *any* diagnostic is produced.
 //!
-//! `--mutant <name>` instead seeds one known-bad input and runs the
-//! relevant pass on it; the exit code is still "non-zero iff
-//! diagnostics", so CI asserts the linter *fails* on these (the
-//! schedule mutants perturb the lowered real schedule):
+//! The seeded bugs that show each pass catches faults are tests:
+//! `tests/prover_mutants.rs` at the workspace root.
 //!
-//! * `drop-offset` — stage 0's donor-cell pattern loses `(-1, 0, 0)`,
-//!   so the kernel reads an undeclared offset;
-//! * `overlap-partition` — two island parts overlap, so both teams
-//!   write the same output cells with no intra-step synchronization;
-//! * `overlap-ranks` — rank 0's write slices are widened past the team
-//!   split, overlapping rank 1 inside barrier-fenced epochs;
-//! * `stale-output` — one island's writes to the shared output are
-//!   dropped, so its half of a reused output buffer would carry the
-//!   previous step's values;
-//! * `overlap-chunks` — under a self-scheduled plan, one dynamic
-//!   chunk's write region is widened into the next chunk's share, so
-//!   two concurrently claimable work units write the same cells;
-//! * `fused-overlap-step2` — in a temporally blocked (k = 3) plan, rank
-//!   0's write slices of the *second* fused step are widened past the
-//!   team split, so the fused epoch table races where the unfused one
-//!   would not;
-//! * `tile-halo-too-narrow` — in a tile-fused plan, every tile's
-//!   first-stage scratch writes are shaved by one I-slab, modelling a
-//!   rebased scratch footprint too small for the chain's halo reads;
-//!   later stages then read cells no earlier stage of the tile wrote;
-//! * `window-too-narrow` — one scratch buffer's sliding window is
-//!   declared a plane shallower than the schedule sized it, so some
-//!   block reads a plane its alias has already overwritten;
-//! * `exchange-fence-dropped` — a two-island Exchange schedule loses
-//!   its per-stage global barriers (`stage_synchronous` cleared), so an
-//!   island's halo reads of the shared intermediates race with its
-//!   neighbour's writes of them;
-//! * `producer-dropped` — a two-island schedule lowered from an
-//!   `IslandsExecutor` loses team 0's first epoch that writes an
-//!   intermediate, so a later stage reads team scratch no earlier epoch
-//!   wrote — what the replay, which never re-zeroes scratch, would
-//!   serve from the previous step.
-//!
-//! Exit codes: 0 clean, 1 diagnostics found, 2 tracing unavailable
-//! (release build — rebuild in debug).
+//! Exit codes: 0 clean, 1 diagnostics found, 2 usage error (any
+//! argument) or tracing unavailable (release build — rebuild in debug).
 
-use islands_analysis::{
-    check_disjointness, check_graph, check_problem, lower, with_offset_removed, Diagnostic, Epoch,
-    KernelPath, SchedulePlan,
-};
+use islands_analysis::{check_disjointness, check_problem, lower, Diagnostic, KernelPath};
 use islands_core::Partition;
 use mpdata::{
-    Boundary, ExchangeExecutor, IslandsExecutor, MpdataProblem, OriginalExecutor, ScheduleKnobs,
-    SchedulePolicy, StepSchedule, TileMode,
+    Boundary, ExchangeExecutor, MpdataProblem, OriginalExecutor, ScheduleKnobs, SchedulePolicy,
+    StepSchedule, TileMode,
 };
-use stencil_engine::{trace, Axis, Offset3, Range1, Region3};
+use stencil_engine::{trace, Axis, Range1, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
 
 /// Cache budget used for all disjointness plans — small enough to force
@@ -75,6 +37,10 @@ fn main() {
 }
 
 fn run(args: &[String]) -> i32 {
+    if !args.is_empty() {
+        eprintln!("usage: stencil-lint (no arguments)");
+        return 2;
+    }
     if !trace::is_enabled() {
         eprintln!(
             "stencil-lint: access tracing is compiled out of release builds; \
@@ -82,37 +48,7 @@ fn run(args: &[String]) -> i32 {
         );
         return 2;
     }
-    let mutant = match args {
-        [] => None,
-        [flag, name] if flag == "--mutant" => Some(name.as_str()),
-        _ => {
-            eprintln!(
-                "usage: stencil-lint [--mutant drop-offset|overlap-partition\
-                 |overlap-ranks|stale-output|overlap-chunks|fused-overlap-step2\
-                 |tile-halo-too-narrow|window-too-narrow|exchange-fence-dropped\
-                 |producer-dropped]"
-            );
-            return 2;
-        }
-    };
-    let diagnostics = match mutant {
-        None => full_matrix(),
-        Some("drop-offset") => mutant_drop_offset(),
-        Some("overlap-partition") => mutant_overlap_partition(),
-        Some("overlap-ranks") => mutant_overlap_ranks(),
-        Some("stale-output") => mutant_stale_output(),
-        Some("overlap-chunks") => mutant_overlap_chunks(),
-        Some("fused-overlap-step2") => mutant_fused_overlap_step2(),
-        Some("tile-halo-too-narrow") => mutant_tile_halo_too_narrow(),
-        Some("window-too-narrow") => mutant_window_too_narrow(),
-        Some("exchange-fence-dropped") => mutant_exchange_fence_dropped(),
-        Some("producer-dropped") => mutant_producer_dropped(),
-        Some(other) => {
-            eprintln!("stencil-lint: unknown mutant `{other}`");
-            return 2;
-        }
-    };
-    report(&diagnostics)
+    report(&full_matrix())
 }
 
 fn report(diagnostics: &[Diagnostic]) -> i32 {
@@ -370,7 +306,9 @@ fn prove(
     knobs: ScheduleKnobs,
     what: &str,
 ) -> Vec<Diagnostic> {
-    let found = check_disjointness(&schedule_plan(problem, domain, parts, team_sizes, knobs));
+    let schedule = StepSchedule::build(problem, domain, parts, team_sizes, knobs)
+        .expect("lint domains fit the cache budget");
+    let found = check_disjointness(&lower(&schedule));
     println!(
         "disjointness {what} schedule={:?} fuse={} tile={:?}: {} diagnostic(s)",
         knobs.schedule,
@@ -379,219 +317,4 @@ fn prove(
         found.len()
     );
     found
-}
-
-fn schedule_plan(
-    problem: &MpdataProblem,
-    domain: Region3,
-    parts: &[Region3],
-    team_sizes: &[usize],
-    knobs: ScheduleKnobs,
-) -> SchedulePlan {
-    let schedule = StepSchedule::build(problem, domain, parts, team_sizes, knobs)
-        .expect("lint domains fit the cache budget");
-    lower(&schedule)
-}
-
-fn mutant_drop_offset() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
-    // Stage 0 (donor-cell flux along i) declares x at {(0,0,0), (-1,0,0)};
-    // drop the upstream neighbour from the declaration.
-    let mutated = with_offset_removed(
-        problem.graph(),
-        0,
-        0,
-        Offset3 {
-            di: -1,
-            dj: 0,
-            dk: 0,
-        },
-    );
-    check_graph(
-        &mutated,
-        problem.kinds(),
-        problem.boundary(),
-        conformance_domain(),
-        KernelPath::Dispatch,
-    )
-    .expect("tracing checked at startup")
-    .diagnostics
-}
-
-/// The rank cut of every schedule mutant, named so that the seeded
-/// overlaps do not move with the derived choice.
-const MUTANT_SPLIT: Axis = Axis::J;
-
-/// The schedule every schedule mutant perturbs: two islands of two
-/// ranks on 16×12×6 (`parts` defaults to the even I-split) cut along
-/// [`MUTANT_SPLIT`], lowered from the real builder.
-fn mutant_plan(parts: Option<Vec<Region3>>, knobs: ScheduleKnobs) -> SchedulePlan {
-    let domain = Region3::of_extent(16, 12, 6);
-    let parts = parts.unwrap_or_else(|| domain.split(Axis::I, 2));
-    let knobs = ScheduleKnobs {
-        cache_bytes: CACHE_BYTES,
-        split_axis: Some(MUTANT_SPLIT),
-        ..knobs
-    };
-    schedule_plan(&MpdataProblem::standard(), domain, &parts, &[2, 2], knobs)
-}
-
-/// Widens slot 0's writes one slab along the split axis, into slot 1's
-/// share of the same barrier-fenced epoch, in every epoch `select`
-/// picks.
-fn widen_slot0(plan: &mut SchedulePlan, select: impl Fn(&Epoch) -> bool) {
-    let axis = MUTANT_SPLIT;
-    let hi_max = plan.domain.range(axis).hi;
-    for team in &mut plan.teams {
-        for ep in team.epochs.iter_mut().filter(|ep| select(ep)) {
-            if let Some(slot0) = ep.per_rank.first_mut() {
-                for acc in slot0.iter_mut().filter(|a| a.write) {
-                    let r = acc.region.range(axis);
-                    let hi = (r.hi + 1).min(hi_max);
-                    acc.region = acc.region.with_range(axis, Range1::new(r.lo, hi));
-                }
-            }
-        }
-    }
-}
-
-fn mutant_overlap_partition() -> Vec<Diagnostic> {
-    let halves = Region3::of_extent(16, 12, 6).split(Axis::I, 2);
-    // Widen the second island one slab into the first: both teams now
-    // write the overlap of the shared output with no step-internal sync.
-    // The parts go straight to the schedule builder — the executor's
-    // own cover assertion would reject them first.
-    let grown = halves[1].with_range(Axis::I, Range1::new(halves[1].i.lo - 1, halves[1].i.hi));
-    let plan = mutant_plan(Some(vec![halves[0], grown]), ScheduleKnobs::default());
-    check_disjointness(&plan)
-}
-
-fn mutant_overlap_ranks() -> Vec<Diagnostic> {
-    let mut plan = mutant_plan(None, ScheduleKnobs::default());
-    // Rank 0 past its split boundary, into rank 1's share.
-    widen_slot0(&mut plan, |_| true);
-    check_disjointness(&plan)
-}
-
-fn mutant_overlap_chunks() -> Vec<Diagnostic> {
-    // Two ranks × two chunks each: four claimable slots per epoch.
-    let mut plan = mutant_plan(
-        None,
-        ScheduleKnobs {
-            schedule: SchedulePolicy::Dynamic { chunks_per_rank: 2 },
-            ..ScheduleKnobs::default()
-        },
-    );
-    // The first chunk into the second chunk's share. Unlike
-    // `overlap-ranks` this overlap is between two units a *single*
-    // worker may claim back to back — still unsafe, because another
-    // worker can claim the second chunk concurrently.
-    widen_slot0(&mut plan, |_| true);
-    check_disjointness(&plan)
-}
-
-fn mutant_fused_overlap_step2() -> Vec<Diagnostic> {
-    let mut plan = mutant_plan(
-        None,
-        ScheduleKnobs {
-            fuse_steps: 3,
-            ..ScheduleKnobs::default()
-        },
-    );
-    // Only in the *second* fused step's epochs, so a checker that
-    // collapses the fused table to its first (or last) step would miss
-    // the race.
-    widen_slot0(&mut plan, |ep| ep.label.starts_with("step 1 /"));
-    check_disjointness(&plan)
-}
-
-fn mutant_tile_halo_too_narrow() -> Vec<Diagnostic> {
-    let mut plan = mutant_plan(
-        None,
-        ScheduleKnobs {
-            tile: TileMode::Fixed { ti: 4, tj: 4 },
-            ..ScheduleKnobs::default()
-        },
-    );
-    // Shave one I-slab off every tile's first-stage scratch writes: the
-    // chain now computes the producer over less than tile + halo —
-    // exactly what a rebased scratch footprint one cell too narrow
-    // would do — so later stages read cells no stage of the tile wrote.
-    for team in &mut plan.teams {
-        if let Some(ep) = team.epochs.first_mut() {
-            for accs in &mut ep.per_rank {
-                for acc in accs.iter_mut().filter(|a| a.write) {
-                    let r = acc.region.range(Axis::I);
-                    acc.region = acc.region.with_range(Axis::I, Range1::new(r.lo + 1, r.hi));
-                }
-            }
-        }
-    }
-    check_disjointness(&plan)
-}
-
-fn mutant_window_too_narrow() -> Vec<Diagnostic> {
-    // One island of two ranks on 24 planes under a budget that cuts it
-    // into several wavefront blocks, so the windows are genuinely
-    // shallower than the scratch hull.
-    let domain = Region3::of_extent(24, 12, 6);
-    let knobs = ScheduleKnobs {
-        cache_bytes: CACHE_BYTES / 2,
-        split_axis: Some(MUTANT_SPLIT),
-        ..ScheduleKnobs::default()
-    };
-    let mut plan = schedule_plan(&MpdataProblem::standard(), domain, &[domain], &[2], knobs);
-    // The first stage's output loses one plane of storage: the deepest
-    // reach-back of its consumers now lands on a recycled slot.
-    plan.teams[0].windows[0].1 -= 1;
-    check_disjointness(&plan)
-}
-
-fn mutant_exchange_fence_dropped() -> Vec<Diagnostic> {
-    // Two islands of two ranks, lowered from the Exchange executor —
-    // then the plan forgets that every stage ends at the global
-    // barrier: an island's halo reads of its neighbour's intermediates
-    // now race with the neighbour's writes.
-    let pool = WorkerPool::new(4);
-    let exec = ExchangeExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I);
-    let mut plan = lower(&exec.schedule_for(Region3::of_extent(16, 12, 6)));
-    plan.stage_synchronous = false;
-    check_disjointness(&plan)
-}
-
-fn mutant_producer_dropped() -> Vec<Diagnostic> {
-    // Two islands of two ranks, lowered from the islands executor —
-    // then team 0 skips its first epoch that writes an intermediate.
-    let pool = WorkerPool::new(4);
-    let exec = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I).cache_bytes(CACHE_BYTES);
-    let schedule = exec
-        .schedule_for(Region3::of_extent(16, 12, 6))
-        .expect("the mutant domain fits the cache budget");
-    let mut plan = lower(&schedule);
-    let producer = plan.teams[0]
-        .epochs
-        .iter()
-        .position(|ep| {
-            let mut accs = ep.per_rank.iter().flatten();
-            accs.any(|a| a.write && !plan.shared[a.field])
-        })
-        .expect("team 0 produces intermediates");
-    plan.teams[0].epochs.remove(producer);
-    check_disjointness(&plan)
-}
-
-fn mutant_stale_output() -> Vec<Diagnostic> {
-    let mut plan = mutant_plan(None, ScheduleKnobs::default());
-    // Drop the second island's writes to the shared output: its half of
-    // the domain is never produced this step, which a reused output
-    // buffer (the persistent-plan path) turns into last step's data.
-    let out = (0..plan.field_names.len())
-        .find(|&f| plan.shared[f] && !plan.external[f])
-        .expect("the graph has an output field");
-    for ep in &mut plan.teams[1].epochs {
-        for accs in &mut ep.per_rank {
-            accs.retain(|a| !(a.write && a.field == out));
-        }
-    }
-    check_disjointness(&plan)
 }

@@ -347,9 +347,9 @@ fn diff_cell(
 }
 
 /// Clones `graph` with one offset removed from the pattern of input
-/// `slot` of stage `stage` — the seeded mutant the regression tests and
-/// `stencil-lint --mutant drop-offset` feed back into [`check_graph`]
-/// to prove the linter catches under-declaration.
+/// `slot` of stage `stage` — the seeded mutant the regression tests
+/// (`dropped_offset_is_an_undeclared_read`) feed back into
+/// [`check_graph`] to prove the linter catches under-declaration.
 ///
 /// # Panics
 ///

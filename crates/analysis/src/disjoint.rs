@@ -80,8 +80,7 @@ pub struct TeamPlan {
 }
 
 /// Everything the disjointness checker needs about one planned step.
-/// All fields are public so tests and `stencil-lint --mutant …` can
-/// seed broken schedules.
+/// All fields are public so tests can seed broken schedules.
 #[derive(Clone, Debug)]
 pub struct SchedulePlan {
     /// The global domain.

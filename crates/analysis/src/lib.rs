@@ -28,8 +28,9 @@
 //! cargo run -p islands-analysis --bin stencil-lint
 //! ```
 //!
-//! exits non-zero on any diagnostic (and, via `--mutant …`, proves it
-//! *would* catch seeded declaration and schedule bugs).
+//! exits non-zero on any diagnostic. The workspace root's
+//! `tests/prover_mutants.rs` proves both passes *would* catch seeded
+//! declaration and schedule bugs, each by its diagnostic code.
 //!
 //! [`StencilPattern`]: stencil_engine::StencilPattern
 

@@ -93,8 +93,8 @@ impl Scenario {
 pub struct Counterexample {
     pub kind: FailureKind,
     pub message: String,
-    /// Decisions at branching points, in order; replay with
-    /// [`Checker::replay`].
+    /// Every decision of the execution, forced ones included, in
+    /// order; replay with [`Checker::replay`].
     pub schedule: Vec<Decision>,
     pub trace: Vec<TraceStep>,
 }
@@ -122,7 +122,7 @@ impl Report {
         self.counterexample.is_none() && !self.hit_exec_bound
     }
 
-    /// One-line summary for `protocol-check` output.
+    /// One-line summary of the exploration, for test failure messages.
     pub fn summary(&self) -> String {
         match &self.counterexample {
             Some(ce) => format!(
@@ -171,9 +171,9 @@ struct Dfs<'a> {
 
 impl Dfs<'_> {
     fn decide(&mut self, live: Vec<Decision>, descs: Vec<OpDesc>, sched: bool) -> Decision {
-        if live.len() == 1 {
-            return live[0];
-        }
+        // Forced decisions are logged too: a replay runs without the
+        // sleep sets, so a point the exploration's sleep set narrowed to
+        // one candidate may offer the replay several.
         if let Some(s) = self.replay {
             let pick = if self.replay_pos < s.len() {
                 s[self.replay_pos]
@@ -187,6 +187,10 @@ impl Dfs<'_> {
             );
             self.taken_log.push(pick);
             return pick;
+        }
+        if live.len() == 1 {
+            self.taken_log.push(live[0]);
+            return live[0];
         }
         let d = self.depth;
         self.depth += 1;

@@ -3,7 +3,8 @@
 //! Every applied operation appends one [`TraceStep`]; when an execution
 //! fails the whole step log becomes the counterexample body, and
 //! [`format_trace`] renders it as the fixed-width thread/op/location/
-//! value table `protocol-check --trace` prints.
+//! value table that model-check test failures print (and the golden
+//! lost-wakeup trace pins).
 
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;

@@ -1,7 +1,8 @@
 //! The model-checked protocol suite: the scenarios the bounded
 //! exhaustive-interleaving checker explores, the ordering-minimality
 //! matrix over the runtime's named `Ordering::` sites, and the
-//! machinery behind the `protocol-check` binary.
+//! machinery that runs them; `tests/model_protocols.rs` drives all of
+//! it as tests.
 //!
 //! Only compiled under `--features model` (see `sync.rs` for the seam).
 //! Every scenario constructs the *production* protocol objects —
@@ -14,10 +15,12 @@
 //!
 //! All scenarios run with [`Config::default`] bounds — full
 //! exhaustiveness (no preemption bound), one injected spurious wakeup
-//! per execution, 2 000 operations per execution — except where a
-//! scenario's `bounds_note` says otherwise. Model builds collapse the
-//! barrier's spin/yield budgets to one round each (`barrier.rs`), so a
-//! "waiter parks" outcome is a short path, not 320 loop iterations.
+//! per execution, 2 000 operations per execution — except
+//! `chunkq-reuse`, whose composed claim loops and barrier episodes are
+//! bounded at three preemptions (see [`protocols`]). Model builds
+//! collapse the barrier's spin/yield budgets to one round each
+//! (`barrier.rs`), so a "waiter parks" outcome is a short path, not 320
+//! loop iterations.
 //!
 //! # The minimality matrix
 //!
@@ -27,14 +30,17 @@
 //!
 //! * [`Expect::Caught`] — the weakened run must produce a
 //!   counterexample: the ordering is load-bearing, and the weakened
-//!   variant doubles as a seeded mutant for CI.
+//!   variant doubles as a seeded mutant that the matrix test requires
+//!   to be caught and to replay.
 //! * [`Expect::Minimal`] — the site already uses the weakest ordering
 //!   its operation class admits; there is nothing to weaken.
 //!
 //! Sites that were *demoted* to their current ordering with the
 //! checker's blessing (the suite runs clean at the demoted strength,
 //! plus an analytic argument in the site's `// ordering:` comment) are
-//! listed by [`demoted_sites`].
+//! listed by [`demoted_sites`]; a unit test holds each row to the
+//! matrix's `current` ordering, so re-strengthening a site without
+//! updating the table fails.
 
 use crate::pool::Latch;
 use crate::{ChunkQueue, SenseBarrier};
@@ -47,18 +53,16 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One checked protocol scenario.
 pub struct Proto {
-    /// Scenario name (stable; used by `--mutant` diagnostics).
+    /// Scenario name (stable; the matrix rows name it).
     pub name: &'static str,
     /// Builds a fresh scenario (re-invoked once per execution).
     pub build: fn() -> Scenario,
     /// Exploration bounds for this scenario.
     pub cfg: Config,
-    /// Human-readable statement of what is covered and at what bounds.
-    pub bounds_note: &'static str,
 }
 
 /// Global lock serializing everything that touches the site-override
-/// map (the matrix, `--mutant` runs) against plain suite runs. The
+/// map (the matrix, weakened-site replays) against plain suite runs. The
 /// override map is process-global, so concurrent tests must hold this.
 pub fn serial_guard() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -336,19 +340,16 @@ pub fn protocols() -> Vec<Proto> {
             name: "barrier-handoff",
             build: barrier_handoff,
             cfg: Config::default(),
-            bounds_note: "2 threads, 1 episode, full park escalation, exhaustive",
         },
         Proto {
             name: "barrier-reuse",
             build: barrier_reuse,
             cfg: Config::default(),
-            bounds_note: "2 threads, 2 episodes (sense reversal + counter reset), exhaustive",
         },
         Proto {
             name: "chunkq-claims",
             build: chunkq_claims,
             cfg: Config::default(),
-            bounds_note: "2 threads, 3 chunks, exhaustive",
         },
         Proto {
             name: "chunkq-reuse",
@@ -361,25 +362,21 @@ pub fn protocols() -> Vec<Proto> {
                 preemption_bound: Some(3),
                 ..Config::default()
             },
-            bounds_note: "2 threads, 2 barrier-fenced epochs over 1 chunk, <= 3 preemptions",
         },
         Proto {
             name: "latch-completion",
             build: latch_completion,
             cfg: Config::default(),
-            bounds_note: "2 arrivals + 1 waiter, panic payload handoff, exhaustive",
         },
         Proto {
             name: "ring-publish",
             build: ring_publish,
             cfg: Config::default(),
-            bounds_note: "1 producer (2 pushes) + 1 concurrent collector, 2 slots, exhaustive",
         },
         Proto {
             name: "ring-drain",
             build: ring_drain,
             cfg: Config::default(),
-            bounds_note: "1 producer (2 pushes, wrap) + 1 concurrent collector, 1 slot, exhaustive",
         },
     ]
 }
@@ -455,42 +452,51 @@ pub fn matrix() -> Vec<SiteSpec> {
 
 /// Sites demoted to their current ordering with the checker's blessing:
 /// the suite explores clean at the demoted strength, and the site's
-/// `// ordering:` comment carries the analytic argument.
-pub fn demoted_sites() -> Vec<(&'static str, &'static str, &'static str)> {
+/// `// ordering:` comment carries the analytic argument. Each row is
+/// `(site, from, to, why)`.
+pub fn demoted_sites() -> Vec<(&'static str, Ordering, Ordering, &'static str)> {
+    use Ordering::{Acquire, Relaxed, Release, SeqCst};
     vec![
         (
             "barrier.count-reset-store",
-            "Release -> Relaxed",
+            Release,
+            Relaxed,
             "the SeqCst sense flip is the release edge every next-episode arrival acquires",
         ),
         (
             "barrier.sense-prime-load",
-            "SeqCst -> Relaxed",
+            SeqCst,
+            Relaxed,
             "coherence alone suffices: every participant observed the previous flip, so the prime read cannot go stale",
         ),
         (
             "barrier.sense-spin-load",
-            "SeqCst -> Acquire",
+            SeqCst,
+            Acquire,
             "the SeqCst park recheck is the lost-wakeup safety net; the spin load only needs the flip's release edge",
         ),
         (
             "barrier.sense-yield-load",
-            "SeqCst -> Acquire",
+            SeqCst,
+            Acquire,
             "same safety net as the spin load",
         ),
         (
             "barrier.park-sleepers-dec-rmw",
-            "SeqCst -> Relaxed",
+            SeqCst,
+            Relaxed,
             "a stale-high sleeper count only causes a harmless extra notify; RMW atomicity keeps the count exact",
         ),
         (
             "ring.slot-commit-store",
-            "Release -> Relaxed",
+            Release,
+            Relaxed,
             "every reader reaches the slot through the Acquired publish window, which program-order-follows this commit and already orders the seq and the words",
         ),
         (
             "ring.slot-validate-load",
-            "Acquire -> Relaxed",
+            Acquire,
+            Relaxed,
             "the Acquired window floors this load at the committed seq; a concurrent recycler is caught by the word-load Acquire edge and the s2 re-check",
         ),
     ]
@@ -564,12 +570,28 @@ mod tests {
         }
     }
 
+    /// A demotion is a walk down its site's weakening ladder that ends
+    /// at the ordering the matrix row carries now.
     #[test]
-    fn demoted_sites_are_matrix_rows() {
-        for (site, _, _) in demoted_sites() {
+    fn demoted_sites_sit_at_their_demoted_ordering() {
+        for (site, from, to, why) in demoted_sites() {
+            assert!(!why.is_empty(), "{site}: demotion without a reason");
+            let spec =
+                find_site(site).unwrap_or_else(|| panic!("{site}: demoted but not in matrix"));
+            assert_eq!(
+                spec.current, to,
+                "{site}: the matrix row reads {:?}, the demotion table {to:?}",
+                spec.current
+            );
+            let below_from: Vec<Ordering> =
+                std::iter::successors(one_step_weaker(from, spec.class), |&o| {
+                    one_step_weaker(o, spec.class)
+                })
+                .collect();
             assert!(
-                find_site(site).is_some(),
-                "{site}: demoted but not in matrix"
+                below_from.contains(&to),
+                "{site}: {to:?} is not below {from:?} on the {:?} ladder",
+                spec.class
             );
         }
     }

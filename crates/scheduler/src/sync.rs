@@ -17,8 +17,8 @@
 //!   weaker without recompiling.
 //!
 //! Every protocol `Ordering::` site goes through [`ord`] with a stable
-//! `"file.site-name"` label; the labels double as the mutant names in
-//! `protocol-check --mutant`.
+//! `"file.site-name"` label; the labels double as the row names of the
+//! minimality matrix (`modelcheck_suite::matrix`).
 
 pub(crate) use imp::*;
 

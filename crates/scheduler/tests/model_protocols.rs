@@ -1,68 +1,71 @@
-//! Model-checker protocol suite as a test target (`--features model`).
+//! The model-checked protocol suite as tests (`--features model`).
 //!
-//! The same scenarios, matrix and traces `protocol-check` drives in CI,
-//! pinned as tests so `cargo test --features model` exercises them
-//! locally. Every test takes [`serial_guard`] — the ordering-override
-//! map behind the minimality matrix is process-global.
+//! Every scenario of `suite::protocols()` explores clean at counts
+//! pinned here, every row of the ordering-minimality matrix gets its
+//! expected verdict, and every caught counterexample replays from its
+//! recorded schedule. Every test takes [`serial_guard`] — the
+//! ordering-override map behind the minimality matrix is
+//! process-global.
 #![cfg(feature = "model")]
 
-use islands_modelcheck::{format_trace, Checker};
+use islands_modelcheck::format_trace;
 use work_scheduler::modelcheck_suite as suite;
 use work_scheduler::modelcheck_suite::serial_guard;
 
-fn check(name: &str) -> islands_modelcheck::Report {
-    let proto = suite::protocols()
-        .into_iter()
-        .find(|p| p.name == name)
-        .expect("known protocol");
-    Checker::new(proto.cfg).check(proto.build)
-}
+/// Each scenario's exploration totals (EXPERIMENTS.md E16):
+/// `(scenario, executions, pruned, spurious wakeups, max depth)`. The
+/// DFS and its sleep-set pruning hold no randomized state, so a refactor
+/// that collapses a scenario's interleaving space moves these. The
+/// non-zero spurious counts of `barrier-handoff` and `latch-completion`
+/// show the barrier's `cv.wait` recheck and the latch's
+/// `remaining != 0` loop really are driven through injected wakeups.
+const EXPLORED: [(&str, u64, u64, u64, usize); 7] = [
+    ("barrier-handoff", 60, 108, 48, 20),
+    ("barrier-reuse", 5_334, 3_419, 5_140, 35),
+    ("chunkq-claims", 362, 38, 0, 11),
+    ("chunkq-reuse", 9_999, 4_091, 11_601, 78),
+    ("latch-completion", 28, 0, 22, 5),
+    ("ring-publish", 6, 34, 0, 26),
+    ("ring-drain", 41_426, 34_372, 0, 36),
+];
 
 #[test]
-fn fast_protocols_explore_clean() {
+fn every_protocol_explores_clean_at_its_pinned_counts() {
     let _g = serial_guard();
-    for name in [
-        "barrier-handoff",
-        "chunkq-claims",
-        "latch-completion",
-        "ring-publish",
-    ] {
-        let report = check(name);
+    let protocols = suite::protocols();
+    assert_eq!(protocols.len(), EXPLORED.len(), "a scenario lacks its pin");
+    for proto in protocols {
+        let &(_, executions, pruned, spurious, depth) = EXPLORED
+            .iter()
+            .find(|pin| pin.0 == proto.name)
+            .unwrap_or_else(|| panic!("{}: no pinned counts", proto.name));
+        let report = suite::run_protocol(proto.name);
         assert!(
             report.exhaustive_and_clean(),
-            "{name}: {}",
-            report.summary()
+            "{}\n{}",
+            report.summary(),
+            report
+                .counterexample
+                .as_ref()
+                .map_or(String::new(), |ce| format_trace(&ce.trace))
         );
-        assert!(report.executions > 0, "{name}: explored nothing");
+        assert_eq!(
+            (
+                report.executions,
+                report.pruned,
+                report.spurious_injected,
+                report.max_depth
+            ),
+            (executions, pruned, spurious, depth),
+            "{}: (executions, pruned, spurious, depth) moved",
+            proto.name
+        );
     }
 }
 
-#[test]
-fn barrier_reuse_explores_clean() {
-    let _g = serial_guard();
-    let report = check("barrier-reuse");
-    assert!(report.exhaustive_and_clean(), "{}", report.summary());
-}
-
-#[test]
-fn chunkq_reuse_explores_clean() {
-    let _g = serial_guard();
-    let report = check("chunkq-reuse");
-    assert!(report.exhaustive_and_clean(), "{}", report.summary());
-}
-
-/// The wrap-around drain race: a collector must never see a torn mix
-/// of the push being overwritten and the push overwriting it, and
-/// every lost event must be counted.
-#[test]
-fn ring_drain_explores_clean() {
-    let _g = serial_guard();
-    let report = check("ring-drain");
-    assert!(report.exhaustive_and_clean(), "{}", report.summary());
-}
-
 /// The ordering-minimality matrix: weakening any load-bearing site one
-/// step must be caught with a counterexample; every other site must
+/// step must be caught with a counterexample whose recorded schedule
+/// replays to the same failure and trace; every other site must
 /// already sit at the weakest ordering its class admits.
 #[test]
 fn minimality_matrix_expectations_hold() {
@@ -78,11 +81,27 @@ fn minimality_matrix_expectations_hold() {
             ),
             Some(report) => match spec.expect {
                 suite::Expect::Caught => {
-                    assert!(
-                        report.counterexample.is_some(),
-                        "{}: weakened mutant NOT caught — {}",
-                        spec.site,
-                        report.summary()
+                    let Some(ce) = &report.counterexample else {
+                        panic!(
+                            "{}: weakened mutant NOT caught — {}",
+                            spec.site,
+                            report.summary()
+                        )
+                    };
+                    let replayed = suite::replay_weakened(&spec, &ce.schedule)
+                        .counterexample
+                        .unwrap_or_else(|| panic!("{}: schedule replays clean", spec.site));
+                    assert_eq!(
+                        replayed.kind.name(),
+                        ce.kind.name(),
+                        "{}: replay diverged from the recorded failure",
+                        spec.site
+                    );
+                    assert_eq!(
+                        format_trace(&replayed.trace),
+                        format_trace(&ce.trace),
+                        "{}: replayed trace diverged",
+                        spec.site
                     );
                     caught += 1;
                 }
@@ -93,30 +112,15 @@ fn minimality_matrix_expectations_hold() {
             },
         }
     }
-    // The issue's floor: at least four weakened-ordering mutants pinned.
-    assert!(caught >= 4, "only {caught} mutants caught");
-}
-
-/// Spurious condvar wakeups are actually injected into the park loops:
-/// the barrier's `cv.wait` recheck and the latch's `remaining != 0`
-/// loop both survive them (the clean reports above) *and* the checker
-/// really explored those paths.
-#[test]
-fn spurious_wakeups_are_exercised() {
-    let _g = serial_guard();
-    for name in ["barrier-handoff", "latch-completion"] {
-        let report = check(name);
-        assert!(
-            report.spurious_injected > 0,
-            "{name}: no spurious wakeup was ever injected"
-        );
-    }
+    // E16's count: a matrix that quietly loses a load-bearing row
+    // moves it.
+    assert_eq!(caught, 11, "caught mutants");
 }
 
 /// The canonical lost-wakeup counterexample: weakening the releaser's
 /// sleepers gate load to `Acquire` lets it miss the parked waiter's
 /// increment (the classic store-buffering shape), so the notify is
-/// skipped. Golden-pins the `--trace` pretty-printer output.
+/// skipped. Golden-pins the trace pretty-printer's output.
 #[test]
 fn gate_load_mutant_trace_matches_golden() {
     let _g = serial_guard();
@@ -129,25 +133,5 @@ fn gate_load_mutant_trace_matches_golden() {
     assert_eq!(
         rendered, golden,
         "trace table diverged from golden/gate_load_trace.txt:\n{rendered}"
-    );
-}
-
-/// Counterexample schedules are replayable: feeding the recorded
-/// decision sequence back in reproduces the identical failure.
-#[test]
-fn counterexample_schedule_replays_deterministically() {
-    let _g = serial_guard();
-    let spec = suite::find_site("barrier.park-sleepers-inc-rmw").expect("site in matrix");
-    let report = suite::run_weakened(&spec).expect("site is weakenable");
-    let ce = report.counterexample.expect("mutant must be caught");
-    let replay = suite::replay_weakened(&spec, &ce.schedule);
-    let replayed = replay
-        .counterexample
-        .expect("replay reproduces the failure");
-    assert_eq!(replayed.kind.name(), ce.kind.name());
-    assert_eq!(
-        format_trace(&replayed.trace),
-        format_trace(&ce.trace),
-        "replayed trace diverged"
     );
 }

@@ -1,13 +1,14 @@
 //! Atomic-ordering audit: every `Ordering::` site in production code
 //! must carry an adjacent `// ordering:` justification comment.
 //!
-//! The model checker (`crates/modelcheck`, `protocol-check`) proves the
-//! runtime protocols' orderings minimal; this lint keeps the *prose*
-//! honest — any new atomic site must state its contract next to the
-//! code, where the next reader (and the next weakening attempt) will
-//! find it. A site is justified when the line itself, or the comment
-//! block reachable through at most [`CONTINUATION_BUDGET`] lines of the
-//! same statement above it, contains `ordering:`.
+//! The model checker (`crates/modelcheck`, driven by the scheduler's
+//! `tests/model_protocols.rs`) proves the runtime protocols' orderings
+//! minimal; this lint keeps the *prose* honest — any new atomic site
+//! must state its contract next to the code, where the next reader (and
+//! the next weakening attempt) will find it. A site is justified when
+//! the line itself, or the comment block reachable through at most
+//! [`CONTINUATION_BUDGET`] lines of the same statement above it,
+//! contains `ordering:`.
 //!
 //! Files that mention orderings as *data* rather than as
 //! synchronization sites (the checker's own memory model, the
