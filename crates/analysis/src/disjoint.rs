@@ -352,26 +352,32 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
     // Rule 3: cross-team — writes to shared fields must not intersect
     // any other team's access to them between two fences the teams
     // share: the whole step, or one epoch of a stage-synchronous plan.
-    let fenced = |team: &TeamPlan| -> Vec<Vec<PlannedAccess>> {
-        let span = |eps: &[Epoch]| -> Vec<PlannedAccess> {
-            let accesses = eps.iter().flat_map(|ep| ep.per_rank.iter().flatten());
-            accesses.cloned().collect()
-        };
-        if plan.stage_synchronous {
-            team.epochs.chunks(1).map(span).collect()
-        } else {
-            vec![span(&team.epochs)]
-        }
-    };
-    for ta in 0..plan.teams.len() {
-        let spans_a = fenced(&plan.teams[ta]);
-        for tb in 0..plan.teams.len() {
+    // Per team, per such span: its accesses to shared fields.
+    let spans: Vec<Vec<Vec<&PlannedAccess>>> = plan
+        .teams
+        .iter()
+        .map(|team| {
+            let fences: Vec<&[Epoch]> = if plan.stage_synchronous {
+                team.epochs.chunks(1).collect()
+            } else {
+                vec![&team.epochs]
+            };
+            fences
+                .into_iter()
+                .map(|eps| {
+                    let accesses = eps.iter().flat_map(|ep| ep.per_rank.iter().flatten());
+                    accesses.filter(|a| plan.shared[a.field]).collect()
+                })
+                .collect()
+        })
+        .collect();
+    for (ta, spans_a) in spans.iter().enumerate() {
+        for (tb, spans_b) in spans.iter().enumerate() {
             if ta == tb {
                 continue;
             }
-            let spans_b = fenced(&plan.teams[tb]);
-            for (n, (accs_a, accs_b)) in spans_a.iter().zip(&spans_b).enumerate() {
-                for wa in accs_a.iter().filter(|a| a.write && plan.shared[a.field]) {
+            for (n, (accs_a, accs_b)) in spans_a.iter().zip(spans_b).enumerate() {
+                for wa in accs_a.iter().filter(|a| a.write) {
                     for ab in accs_b.iter().filter(|b| b.field == wa.field) {
                         if (ab.write && ta > tb) || !wa.region.overlaps(ab.region) {
                             continue;
@@ -429,13 +435,14 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
         (&plan.shared, "this team")
     };
     for history in histories {
-        let mut written: Vec<(usize, Region3)> = Vec::new();
+        // Per field: the regions written so far, in program order.
+        let mut written: Vec<Vec<Region3>> = vec![Vec::new(); plan.field_names.len()];
         for round in history {
             for &(t, ep) in &round {
                 for (rank, accs) in ep.per_rank.iter().enumerate() {
                     for rd in accs.iter().filter(|a| !a.write && !exempt[a.field]) {
                         let mut remaining = vec![rd.region];
-                        for (_, wr) in written.iter().filter(|(wf, _)| *wf == rd.field) {
+                        for wr in &written[rd.field] {
                             remaining = remaining
                                 .into_iter()
                                 .flat_map(|r| r.subtract(*wr))
@@ -462,7 +469,7 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
             // checked: same-epoch write→read has no fence between them.
             for (_, ep) in round {
                 for wr in ep.per_rank.iter().flatten().filter(|a| a.write) {
-                    written.push((wr.field, wr.region));
+                    written[wr.field].push(wr.region);
                 }
             }
         }

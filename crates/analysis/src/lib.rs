@@ -22,14 +22,10 @@
 //!    synchronization epoch, and all reads of produced fields are
 //!    covered by earlier writes behind a fence.
 //!
-//! The `stencil-lint` binary wires both passes into CI:
-//!
-//! ```text
-//! cargo run -p islands-analysis --bin stencil-lint
-//! ```
-//!
-//! exits non-zero on any diagnostic. The workspace root's
-//! `tests/prover_mutants.rs` proves both passes *would* catch seeded
+//! The workspace root's tests run both passes: `tests/stencil_contract.rs`
+//! proves every real stage graph conformant, `tests/plan_is_proved.rs`
+//! proves its lattice of executor schedules disjoint at a pinned count,
+//! and `tests/prover_mutants.rs` proves both passes *would* catch seeded
 //! declaration and schedule bugs, each by its diagnostic code.
 //!
 //! [`StencilPattern`]: stencil_engine::StencilPattern

@@ -161,10 +161,8 @@ fn sub_box(rng: &mut Xoshiro256pp, domain: Region3) -> Region3 {
 }
 
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "needs the debug-only access recorder")]
 fn required_regions_match_recorded_reads() {
-    if !trace::is_enabled() {
-        return; // needs the debug-only recorder
-    }
     let problem = MpdataProblem::standard();
     let domains = [
         // Prime extents with mixed bases.

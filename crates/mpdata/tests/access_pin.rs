@@ -33,10 +33,8 @@ const PINS: [(StageKind, u64); 13] = [
 ];
 
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "needs the debug-only access recorder")]
 fn recorded_access_sets_equal_the_row_traversals() {
-    if !trace::is_enabled() {
-        return;
-    }
     // Shifted bases; four interior rows, so runs of several rows form.
     let domain = Region3::new(Range1::new(-1, 4), Range1::new(2, 8), Range1::new(1, 6));
     let p = MpdataProblem::standard();

@@ -342,21 +342,6 @@ impl Array3 {
         self.data.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Copies the elements of `src` within `sub` into `self`. `sub` is
-    /// clipped to the intersection of both arrays' regions.
-    pub fn copy_region_from(&mut self, src: &Array3, sub: Region3) {
-        let r = self.region.intersect(src.region).intersect(sub);
-        for i in r.i.lo..r.i.hi {
-            for j in r.j.lo..r.j.hi {
-                // Copy contiguous k-rows.
-                let d0 = self.offset(i, j, r.k.lo);
-                let s0 = src.offset(i, j, r.k.lo);
-                let n = r.k.len();
-                self.data[d0..d0 + n].copy_from_slice(&src.data[s0..s0 + n]);
-            }
-        }
-    }
-
     /// Largest absolute element-wise difference on the intersection of the
     /// two regions.
     pub fn max_abs_diff(&self, other: &Array3) -> f64 {
@@ -409,17 +394,6 @@ impl Array3 {
             #[cfg(debug_assertions)]
             i,
         }
-    }
-
-    /// Mutably borrows the contiguous `k`-row of cells `(i, j, kr)`: a
-    /// [`Array3::run_mut`] of one row.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Array3::row`].
-    #[inline]
-    pub fn row_mut(&mut self, i: i64, j: i64, kr: Range1) -> &mut [f64] {
-        self.run_mut(i, j, kr.lo, kr.len())
     }
 
     /// Mutably borrows the `len` cells that follow `(i, j, k)` in layout
@@ -511,20 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_region_from_contiguous_rows() {
-        let src = Array3::from_fn(Region3::of_extent(4, 4, 4), |i, j, k| {
-            (i * 16 + j * 4 + k) as f64
-        });
-        let mut dst = Array3::zeros(Region3::of_extent(4, 4, 4));
-        let sub = Region3::new(Range1::new(1, 3), Range1::new(1, 3), Range1::new(0, 4));
-        dst.copy_region_from(&src, sub);
-        assert_eq!(dst.get(1, 1, 0), src.get(1, 1, 0));
-        assert_eq!(dst.get(2, 2, 3), src.get(2, 2, 3));
-        assert_eq!(dst.get(0, 0, 0), 0.0);
-        assert_eq!(dst.get(3, 3, 3), 0.0);
-    }
-
-    #[test]
     fn max_abs_diff_on_intersection() {
         let a = Array3::filled(Region3::of_extent(3, 3, 3), 2.0);
         let mut b = Array3::filled(Region3::of_extent(3, 3, 3), 2.0);
@@ -555,7 +515,7 @@ mod tests {
         assert_eq!(row.len(), 4);
         assert_eq!(row[0], a.get(3, 2, 11));
         assert_eq!(row[3], a.get(3, 2, 14));
-        let row = a.row_mut(4, 1, Range1::new(10, 16));
+        let row = a.run_mut(4, 1, 10, 6);
         row[5] = -7.0;
         assert_eq!(a.get(4, 1, 15), -7.0);
     }
@@ -638,7 +598,7 @@ mod tests {
         for i in r.i.lo..r.i.hi {
             for j in r.j.lo..r.j.hi {
                 if (i + j) % 2 == 0 {
-                    for (n, v) in a.row_mut(i, j, r.k).iter_mut().enumerate() {
+                    for (n, v) in a.run_mut(i, j, r.k.lo, r.k.len()).iter_mut().enumerate() {
                         *v = val(i, j, r.k.lo + n as i64);
                     }
                 } else {
@@ -659,25 +619,6 @@ mod tests {
         }
         // Plane i and plane i + 4 are one slot.
         assert_eq!(a.get(0, 2, 1), val(4, 2, 1));
-    }
-
-    #[test]
-    fn windowed_copy_region_from_in_both_directions() {
-        let (r, mut w) = window_fixture();
-        let plain = Array3::from_fn(r, |i, j, k| (i * 100 + j * 10 + k) as f64);
-        // Four planes straddling the wrap (slots 2, 3, 0, 1).
-        let band = Region3::new(Range1::new(3, 7), r.j, Range1::new(2, 6));
-        w.copy_region_from(&plain, band);
-        let mut back = Array3::zeros(r);
-        back.copy_region_from(&w, band);
-        for (i, j, k) in r.points() {
-            let expect = if band.contains(i, j, k) {
-                plain.get(i, j, k)
-            } else {
-                0.0
-            };
-            assert_eq!(back.get(i, j, k), expect, "at ({i},{j},{k})");
-        }
     }
 
     #[test]

@@ -39,34 +39,23 @@ pub const BYTES_PER_CELL: usize = 8;
 ///
 /// ```
 /// use stencil_engine::BlockPlanner;
-/// let planner = BlockPlanner::new(16 * 1024 * 1024) // 16 MiB L3
-///     .max_depth(64);
+/// let planner = BlockPlanner::new(16 * 1024 * 1024); // 16 MiB L3
 /// assert_eq!(planner.cache_bytes(), 16 * 1024 * 1024);
 /// ```
 #[derive(Clone, Debug)]
 pub struct BlockPlanner {
     cache_bytes: usize,
-    max_depth: usize,
 }
 
 impl BlockPlanner {
     /// Creates a planner targeting a cache of `cache_bytes` bytes.
     pub fn new(cache_bytes: usize) -> Self {
-        BlockPlanner {
-            cache_bytes,
-            max_depth: usize::MAX,
-        }
+        BlockPlanner { cache_bytes }
     }
 
     /// The cache budget in bytes.
     pub fn cache_bytes(&self) -> usize {
         self.cache_bytes
-    }
-
-    /// Sets the largest admissible block depth (default unbounded).
-    pub fn max_depth(mut self, d: usize) -> Self {
-        self.max_depth = d.max(1);
-        self
     }
 
     /// Number of buffers that must live in cache simultaneously: the
@@ -78,7 +67,7 @@ impl BlockPlanner {
 
     /// Chooses the block depth along the planning axis: the deepest
     /// block whose working set (including the cumulative halo) fits the
-    /// cache budget, clamped to `[1, max_depth]` and to the domain. A
+    /// cache budget, at least 1 and at most the domain. A
     /// budget that fits no block plans depth 1: a block that spills
     /// still computes the right result, and real codes tolerate partial
     /// spills rather than refuse to run.
@@ -105,9 +94,8 @@ impl BlockPlanner {
         if per_depth == 0 {
             return Err(PlanBlocksError::EmptyDomain);
         }
-        let mut depth = self.cache_bytes / per_depth;
-        depth = depth.saturating_sub(halo_span);
-        depth = depth.clamp(1, self.max_depth);
+        let depth = (self.cache_bytes / per_depth).saturating_sub(halo_span);
+        let depth = depth.max(1);
         let axis_len = domain.range(AXIS).len();
         Ok(depth.min(axis_len.max(1)))
     }
@@ -440,6 +428,19 @@ mod tests {
         StageGraph::build(t, stages).unwrap()
     }
 
+    /// A planner whose cache budget fits blocks exactly `depth` planes
+    /// deep over `domain`'s (j, k) planes.
+    fn planner_for_depth(g: &StageGraph, domain: Region3, depth: usize) -> BlockPlanner {
+        let (hn, hp) = g.cumulative_halos().iter().fold((0, 0), |(n, p), h| {
+            let (a, b) = h.along(AXIS);
+            (n.max(a), p.max(b))
+        });
+        let per_depth = domain.j.len() * domain.k.len() * g.max_live_buffers() * BYTES_PER_CELL;
+        let planner = BlockPlanner::new((depth + (hn + hp) as usize) * per_depth);
+        assert_eq!(planner.choose_depth(g, domain), Ok(depth));
+        planner
+    }
+
     #[test]
     fn choose_depth_respects_cache() {
         let g = chain_graph(1, 3);
@@ -475,7 +476,7 @@ mod tests {
     fn blocks_tile_domain_on_output() {
         let g = chain_graph(1, 3);
         let domain = Region3::of_extent(64, 8, 8);
-        let planner = BlockPlanner::new(1 << 20).max_depth(10);
+        let planner = planner_for_depth(&g, domain, 10);
         let b = planner.plan(&g, domain, domain).unwrap();
         let total: usize = b.blocks.iter().map(|p| p.output_region.cells()).sum();
         assert_eq!(total, domain.cells());
@@ -489,7 +490,7 @@ mod tests {
     fn stage_regions_overlap_neighbouring_blocks() {
         let g = chain_graph(1, 3);
         let domain = Region3::of_extent(64, 8, 8);
-        let planner = BlockPlanner::new(1 << 20).max_depth(8);
+        let planner = planner_for_depth(&g, domain, 8);
         let b = planner.plan(&g, domain, domain).unwrap();
         // Interior block: first stage reaches 2 beyond output on each side.
         let mid = &b.blocks[b.len() / 2];
@@ -505,7 +506,7 @@ mod tests {
         let domain = Region3::of_extent(64, 8, 8);
         // An island that owns only [0, 32) and may not compute beyond it...
         let part = Region3::new(crate::region::Range1::new(0, 32), domain.j, domain.k);
-        let planner = BlockPlanner::new(1 << 20).max_depth(8);
+        let planner = planner_for_depth(&g, domain, 8);
         // ...except that the islands executor clips to the *enlarged*
         // island region; here we just verify the clip argument is honoured.
         let b = planner.plan(&g, part, part).unwrap();
@@ -520,8 +521,7 @@ mod tests {
     fn scratch_region_covers_all_stage_regions() {
         let g = chain_graph(1, 4);
         let domain = Region3::of_extent(32, 4, 4);
-        let b = BlockPlanner::new(1 << 20)
-            .max_depth(6)
+        let b = planner_for_depth(&g, domain, 6)
             .plan(&g, domain, domain)
             .unwrap();
         for n in 0..b.len() {
@@ -581,7 +581,7 @@ mod tests {
         // The defining property: no intra-target redundancy.
         let g = chain_graph(1, 4);
         let domain = Region3::of_extent(48, 6, 6);
-        let planner = BlockPlanner::new(1 << 20).max_depth(5);
+        let planner = planner_for_depth(&g, domain, 5);
         let b = planner.plan_wavefront(&g, domain, domain).unwrap();
         let required: usize = g
             .required_regions(domain, domain)
@@ -598,8 +598,7 @@ mod tests {
         let g = chain_graph(2, 3);
         let domain = Region3::of_extent(40, 4, 4);
         let target = Region3::new(Range1::new(8, 32), domain.j, domain.k);
-        let b = BlockPlanner::new(1 << 20)
-            .max_depth(6)
+        let b = planner_for_depth(&g, domain, 6)
             .plan_wavefront(&g, target, domain)
             .unwrap();
         let req = g.required_regions(target, domain);
@@ -625,8 +624,7 @@ mod tests {
     fn wavefront_early_stages_run_ahead() {
         let g = chain_graph(1, 3);
         let domain = Region3::of_extent(30, 4, 4);
-        let b = BlockPlanner::new(1 << 20)
-            .max_depth(5)
+        let b = planner_for_depth(&g, domain, 5)
             .plan_wavefront(&g, domain, domain)
             .unwrap();
         let first = &b.blocks[0];
@@ -647,8 +645,7 @@ mod tests {
         // read one plane either side by the next stage.
         let g = chain_graph(1, 4);
         let domain = Region3::of_extent(40, 4, 4);
-        let b = BlockPlanner::new(1 << 20)
-            .max_depth(3)
+        let b = planner_for_depth(&g, domain, 3)
             .plan_wavefront(&g, domain, domain)
             .unwrap();
         assert!(b.len() > 10);

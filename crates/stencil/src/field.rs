@@ -4,10 +4,8 @@
 //! external input (loaded from main memory each time step), an
 //! intermediate (ideally kept in cache under the (3+1)D decomposition), or
 //! an output. [`FieldId`] is a cheap index newtype; [`FieldTable`] interns
-//! names; [`FieldStore`] owns the actual [`Array3`] buffers during
-//! execution.
+//! names.
 
-use crate::array3::Array3;
 use std::fmt;
 
 /// Identifier of a field within one [`crate::StageGraph`].
@@ -122,83 +120,9 @@ impl FieldTable {
     }
 }
 
-/// Owns the array buffers for the fields of a stage graph during one
-/// execution. Buffers may cover different regions (e.g. block-local
-/// scratch for intermediates vs. whole-domain externals).
-///
-/// Kernels typically *take* their output buffer, read their inputs through
-/// [`FieldStore::get`], and *put* the output back — the move is O(1).
-#[derive(Debug)]
-pub struct FieldStore {
-    slots: Vec<Option<Array3>>,
-}
-
-impl FieldStore {
-    /// Creates a store with `n` empty slots.
-    pub fn with_capacity(n: usize) -> Self {
-        FieldStore {
-            slots: (0..n).map(|_| None).collect(),
-        }
-    }
-
-    /// Number of slots (filled or not).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the store has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Installs `array` as the buffer for `id`, returning any previous one.
-    pub fn put(&mut self, id: FieldId, array: Array3) -> Option<Array3> {
-        self.slots[id.index()].replace(array)
-    }
-
-    /// Removes and returns the buffer for `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is empty.
-    pub fn take(&mut self, id: FieldId) -> Array3 {
-        self.slots[id.index()]
-            .take()
-            .unwrap_or_else(|| panic!("field {id} has no buffer"))
-    }
-
-    /// Borrows the buffer for `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is empty.
-    pub fn get(&self, id: FieldId) -> &Array3 {
-        self.slots[id.index()]
-            .as_ref()
-            .unwrap_or_else(|| panic!("field {id} has no buffer"))
-    }
-
-    /// Mutably borrows the buffer for `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is empty.
-    pub fn get_mut(&mut self, id: FieldId) -> &mut Array3 {
-        self.slots[id.index()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("field {id} has no buffer"))
-    }
-
-    /// Whether `id` currently has a buffer.
-    pub fn has(&self, id: FieldId) -> bool {
-        self.slots[id.index()].is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::region::Region3;
 
     #[test]
     fn table_add_and_lookup() {
@@ -219,28 +143,6 @@ mod tests {
         let mut t = FieldTable::new();
         t.add("x", FieldRole::External);
         t.add("x", FieldRole::Output);
-    }
-
-    #[test]
-    fn store_take_put_roundtrip() {
-        let mut t = FieldTable::new();
-        let x = t.add("x", FieldRole::External);
-        let mut s = FieldStore::with_capacity(t.len());
-        assert!(!s.has(x));
-        s.put(x, Array3::filled(Region3::of_extent(2, 2, 2), 3.0));
-        assert!(s.has(x));
-        assert_eq!(s.get(x).sum(), 24.0);
-        let a = s.take(x);
-        assert!(!s.has(x));
-        s.put(x, a);
-        assert!(s.has(x));
-    }
-
-    #[test]
-    #[should_panic]
-    fn take_empty_slot_panics() {
-        let mut s = FieldStore::with_capacity(1);
-        let _ = s.take(FieldId(0));
     }
 
     #[test]

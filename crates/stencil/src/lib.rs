@@ -7,7 +7,7 @@
 //!
 //! The crate deliberately separates the *shape* of a computation (which
 //! cells each stage reads and writes — [`StageDef`], [`StageGraph`]) from
-//! its *numerics* (a [`Kernel`] looked up per stage at execution time).
+//! its *numerics*, which live with the problem (`mpdata`'s stage kernels).
 //! The same shape information then drives three different consumers:
 //!
 //! 1. the real multithreaded executors in the `mpdata` crate,
@@ -62,9 +62,9 @@ pub use block::{
     fused_traffic_bytes, original_traffic_bytes, staged_traffic_bytes, tiled_traffic_bytes,
     BlockPlan, BlockPlanner, Blocking, PlanBlocksError, BYTES_PER_CELL,
 };
-pub use field::{FieldId, FieldRole, FieldStore, FieldTable};
+pub use field::{FieldId, FieldRole, FieldTable};
 pub use graph::{BuildGraphError, StageGraph};
 pub use pattern::{Offset3, StencilPattern};
 pub use region::{Axis, Halo3, Range1, Region3};
-pub use stage::{Kernel, StageDef, StageId};
+pub use stage::{StageDef, StageId};
 pub use tile::{choose_tile, tile_grid};

@@ -2,15 +2,13 @@
 //!
 //! A [`StageDef`] describes the *shape* of a kernel — which fields it
 //! writes, which fields it reads with which [`StencilPattern`], and its
-//! arithmetic intensity — without fixing the arithmetic itself. The actual
-//! numerics are supplied at execution time through a [`Kernel`]
-//! implementation looked up by [`StageId`]; this split is what lets one
-//! dependency analysis serve the real executor, the extra-element counter
-//! and the trace generator for the NUMA simulator.
+//! arithmetic intensity — without fixing the arithmetic itself; this
+//! split is what lets one dependency analysis serve the real executor,
+//! the extra-element counter and the trace generator for the NUMA
+//! simulator.
 
-use crate::field::{FieldId, FieldStore};
+use crate::field::FieldId;
 use crate::pattern::StencilPattern;
-use crate::region::Region3;
 use std::fmt;
 
 /// Index of a stage within its [`crate::StageGraph`], in execution order.
@@ -74,37 +72,10 @@ impl StageDef {
     }
 }
 
-/// Executable numerics for one stage.
-///
-/// The kernel must write exactly the cells of `region` in every output
-/// buffer and read inputs only at offsets declared by the matching
-/// [`StageDef`] — the property tests in the `mpdata` crate enforce this by
-/// comparing against declared patterns.
-pub trait Kernel: Send + Sync {
-    /// Applies the stage to `region`, reading and writing buffers in
-    /// `store` at global coordinates.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `store` lacks a required buffer or a
-    /// buffer does not cover the region implied by the stage's patterns.
-    fn apply(&self, store: &mut FieldStore, region: Region3);
-}
-
-impl<F> Kernel for F
-where
-    F: Fn(&mut FieldStore, Region3) + Send + Sync,
-{
-    fn apply(&self, store: &mut FieldStore, region: Region3) {
-        self(store, region)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::field::{FieldRole, FieldTable};
-    use crate::region::Range1;
 
     fn two_field_stage() -> (FieldTable, StageDef) {
         let mut t = FieldTable::new();
@@ -157,24 +128,5 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert_eq!(p.halo().i_neg, 1);
         assert_eq!(p.halo().i_pos, 1);
-    }
-
-    #[test]
-    fn closure_kernel_applies() {
-        use crate::array3::Array3;
-        let (t, _) = two_field_stage();
-        let x = t.find("x").unwrap();
-        let mut store = FieldStore::with_capacity(t.len());
-        store.put(x, Array3::filled(Region3::of_extent(2, 2, 2), 1.0));
-        let kernel = |s: &mut FieldStore, r: Region3| {
-            let mut a = s.take(FieldId(0));
-            for (i, j, k) in r.points() {
-                a.set(i, j, k, 2.0);
-            }
-            s.put(FieldId(0), a);
-        };
-        let region = Region3::new(Range1::new(0, 1), Range1::new(0, 2), Range1::new(0, 2));
-        Kernel::apply(&kernel, &mut store, region);
-        assert_eq!(store.get(x).sum(), 4.0 * 2.0 + 4.0 * 1.0);
     }
 }

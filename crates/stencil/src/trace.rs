@@ -7,7 +7,7 @@
 //! concrete `Array3` methods the row kernels monomorphize against), the
 //! accessors [`crate::Array3::get`], [`crate::Array3::set`],
 //! [`crate::Plane::run`] and [`crate::Array3::run_mut`] (and the one-row
-//! forms built on them, `row` and `row_mut`) call into this module. A
+//! form built on them, `row`) call into this module. A
 //! run is logged as the `k`-window it stands for in each of its rows,
 //! not as the slice it borrows.
 //!
@@ -178,10 +178,8 @@ mod tests {
     use crate::region::{Range1, Region3};
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "needs the debug-only access recorder")]
     fn record_captures_get_and_set() {
-        if !is_enabled() {
-            return;
-        }
         let mut a = Array3::zeros(Region3::of_extent(3, 3, 3));
         let key = array_key(&a);
         let (_, log) = record(|| {
@@ -193,15 +191,13 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "needs the debug-only access recorder")]
     fn record_expands_rows_per_cell() {
-        if !is_enabled() {
-            return;
-        }
         let mut a = Array3::zeros(Region3::of_extent(2, 2, 4));
         let key = array_key(&a);
         let (_, log) = record(|| {
             let _ = a.row(1, 0, Range1::new(1, 4));
-            let _ = a.row_mut(0, 1, Range1::new(0, 2));
+            let _ = a.run_mut(0, 1, 0, 2);
         });
         assert_eq!(
             log.reads,
@@ -211,10 +207,8 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "needs the debug-only access recorder")]
     fn record_expands_runs_per_row_window() {
-        if !is_enabled() {
-            return;
-        }
         let r = Region3::new(Range1::new(0, 2), Range1::new(3, 7), Range1::new(-1, 3));
         let mut a = Array3::zeros(r);
         let key = array_key(&a);
@@ -240,10 +234,8 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "needs the debug-only access recorder")]
     fn keys_distinguish_arrays() {
-        if !is_enabled() {
-            return;
-        }
         let a = Array3::zeros(Region3::of_extent(2, 2, 2));
         let b = Array3::zeros(Region3::of_extent(2, 2, 2));
         assert_ne!(array_key(&a), array_key(&b));
@@ -263,10 +255,8 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "needs the debug-only access recorder")]
     fn recording_recovers_after_inner_panic() {
-        if !is_enabled() {
-            return;
-        }
         let caught = std::panic::catch_unwind(|| record(|| panic!("boom")));
         assert!(caught.is_err());
         // The gate and slot must be reset: a fresh recording works.

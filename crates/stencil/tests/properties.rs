@@ -229,18 +229,6 @@ fn array_from_fn_matches_get() {
     }
 }
 
-#[test]
-fn array_copy_region_roundtrip() {
-    let mut rng = Xoshiro256pp::seed_from_u64(0x57E0_000B);
-    for case in 0..cases(64) {
-        let r = nonempty_region(&mut rng);
-        let src = Array3::from_fn(r, |i, j, k| (i + 2 * j + 3 * k) as f64);
-        let mut dst = Array3::zeros(r);
-        dst.copy_region_from(&src, r);
-        assert_eq!(dst.max_abs_diff(&src), 0.0, "case {case}");
-    }
-}
-
 // Builds a random chain graph and checks requirement monotonicity: a
 // larger target never yields smaller per-stage regions.
 #[test]

@@ -12,17 +12,28 @@
 //! and `rank_axis` must report the cut the unit slices really have. The
 //! paper's baselines, `OriginalExecutor` and `ExchangeExecutor`, are
 //! sampled the same way in their stage-synchronous shape — periodic
-//! boundaries included, which only that shape runs. A prover-only
-//! list covers the corners the sampled runs do not reach. A
+//! boundaries included, which only that shape runs.
+//!
+//! The prover-only `lattice()` is the whole list of proved schedules:
+//! 936, built the way their executors build them and proved without
+//! running —
+//! partitions × named and derived rank cuts × team shapes × the knob
+//! lattice on two domains, sliver tiles, the benchmark's exact
+//! `knobs_mid` configuration, the Original and Exchange baselines for
+//! `iord` 2 and 3, and corners (`iord` 1 and 3, K island cuts,
+//! single-cell domains, more teams than planes). It is pinned at its
+//! row count and proved in five shards; `cargo test --test
+//! plan_is_proved lattice_has -- --nocapture` lists its labels. A
 //! source-level test keeps the prover from growing a private copy of
 //! the schedule again.
 
-use islands_analysis::{check_disjointness, lower};
+use islands_analysis::{check_disjointness, lower, Diagnostic};
+use islands_core::{Partition, Variant};
 use mpdata::{
     random_fields, Boundary, ExchangeExecutor, IslandsExecutor, MpdataProblem, OriginalExecutor,
     ReferenceExecutor, ScheduleKnobs, SchedulePolicy, StepSchedule, TileMode,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use stencil_engine::rng::{Rng64, Xoshiro256pp};
 use stencil_engine::{Axis, Range1, Region3};
@@ -234,14 +245,303 @@ fn stage_synchronous_baselines_run_bitwise_and_lint_clean() {
     );
 }
 
-#[test]
-fn corner_schedules_lint_clean() {
-    // Corners the sampled runs above do not reach: the 4- and 30-stage
-    // graphs (iord 1 and 3), islands cut along K, single-cell and
-    // single-plane domains, and more teams than planes. The replay
-    // re-zeroes nothing, so each must prove covered as built: `[iord,
-    // ni, nj, nk, islands, ranks]`, islands cut along `axis`.
-    let cases: [([usize; 6], Axis); 8] = [
+/// The cache budget of the lattice's islands rows: small enough to cut
+/// several wavefront blocks per island on its domains.
+const CACHE_BYTES: usize = 64 * 1024;
+
+/// How many schedules [`lattice`] proves.
+const LATTICE_ROWS: usize = 936;
+
+/// The lattice is proved in this many test functions, row `n` in the
+/// `n % SHARDS`-th, so the test harness spreads it over its threads.
+/// Five is prime to the knob lattice's loops of 2, 3 and 4, so each
+/// shard gets its share of the costly tile modes.
+const SHARDS: usize = 5;
+
+/// How one lattice schedule is built: the way the executor that
+/// replays it builds it.
+enum Build {
+    /// [`StepSchedule::build`] straight from its inputs: the islands
+    /// schedule of one partition, team shape and knob combination.
+    Islands {
+        parts: Vec<Region3>,
+        ranks: Vec<usize>,
+        knobs: ScheduleKnobs,
+    },
+    /// `OriginalExecutor`'s one team of `ranks` workers.
+    Original { ranks: usize },
+    /// `ExchangeExecutor`'s `islands` teams of `ranks`, cut along `axis`.
+    Exchange {
+        islands: usize,
+        axis: Axis,
+        ranks: usize,
+    },
+}
+
+/// One schedule of the lattice — the `iord` graph's on `domain` — and
+/// the label its failures name.
+struct Row {
+    label: String,
+    iord: usize,
+    domain: Region3,
+    build: Build,
+}
+
+impl Row {
+    /// Builds the schedule, lowers it and proves it.
+    fn diagnostics(&self) -> Vec<Diagnostic> {
+        let problem = MpdataProblem::with_iord(self.iord);
+        let schedule = match &self.build {
+            Build::Islands {
+                parts,
+                ranks,
+                knobs,
+            } => {
+                let built = StepSchedule::build(&problem, self.domain, parts, ranks, *knobs);
+                Arc::new(built.unwrap_or_else(|e| panic!("{e} — {}", self.label)))
+            }
+            Build::Original { ranks } => {
+                let pool = WorkerPool::new(*ranks);
+                OriginalExecutor::with_problem(&pool, problem).schedule_for(self.domain)
+            }
+            Build::Exchange {
+                islands,
+                axis,
+                ranks,
+            } => {
+                let pool = WorkerPool::new(islands * ranks);
+                let teams = TeamSpec::even(islands * ranks, *islands);
+                let exec = ExchangeExecutor::with_problem(&pool, teams, *axis, problem);
+                exec.schedule_for(self.domain)
+            }
+        };
+        check_disjointness(&lower(&schedule))
+    }
+}
+
+/// Appends the islands schedule of `what` under `knobs`, labelled with
+/// the knobs.
+fn push_islands(
+    rows: &mut Vec<Row>,
+    what: &str,
+    iord: usize,
+    domain: Region3,
+    parts: &[Region3],
+    ranks: Vec<usize>,
+    knobs: ScheduleKnobs,
+) {
+    rows.push(Row {
+        label: format!(
+            "{what} schedule={:?} fuse={} tile={:?}",
+            knobs.schedule, knobs.fuse_steps, knobs.tile
+        ),
+        iord,
+        domain,
+        build: Build::Islands {
+            parts: parts.to_vec(),
+            ranks,
+            knobs,
+        },
+    });
+}
+
+/// The knob lattice the executor offers, at [`CACHE_BYTES`]: schedule
+/// policy × fuse depth × tile mode — a mid-size tile that straddles
+/// part boundaries, a fat tile that swallows whole parts, and the
+/// cache-driven auto sizer.
+fn knob_lattice(split_axis: Option<Axis>) -> Vec<ScheduleKnobs> {
+    let mut out = Vec::new();
+    for schedule in [
+        SchedulePolicy::Static,
+        SchedulePolicy::Dynamic { chunks_per_rank: 3 },
+    ] {
+        for fuse_steps in [1, 2, 3] {
+            for tile in [
+                TileMode::Off,
+                TileMode::Fixed { ti: 3, tj: 2 },
+                TileMode::Fixed { ti: 64, tj: 64 },
+                TileMode::Auto,
+            ] {
+                out.push(ScheduleKnobs {
+                    cache_bytes: CACHE_BYTES,
+                    split_axis,
+                    schedule,
+                    fuse_steps,
+                    tile,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// The partitions of `domain` the lattice proves, described: 1, 2, 4
+/// and 16 islands along I (16 exceed both domains' slab count, so the
+/// surplus parts are empty, as in the executor), three along J, a 2 × 2
+/// grid, uneven explicit cuts at `uneven_cuts` (any "equal shares"
+/// assumption in the planner would misalign), a 1-cell-wide island next
+/// to the rest, and three more islands than there are I-slabs.
+fn partitions(domain: Region3, uneven_cuts: [i64; 4]) -> Vec<(String, Vec<Region3>)> {
+    let described = |p: Partition| (p.description().to_string(), p.parts().to_vec());
+    let mut out: Vec<_> = [1, 2, 4, 16]
+        .map(|islands| described(Partition::one_d(domain, Variant::A, islands).unwrap()))
+        .into();
+    out.push(described(Partition::one_d(domain, Variant::B, 3).unwrap()));
+    out.push(described(Partition::grid2d(domain, 2, 2).unwrap()));
+    let uneven = uneven_cuts
+        .windows(2)
+        .map(|c| domain.with_range(Axis::I, Range1::new(c[0], c[1])))
+        .collect();
+    out.push(("uneven 1D A x 3".to_string(), uneven));
+    let ir = domain.range(Axis::I);
+    let sliver = vec![
+        domain.with_range(Axis::I, Range1::new(ir.lo, ir.lo + 1)),
+        domain.with_range(Axis::I, Range1::new(ir.lo + 1, ir.hi)),
+    ];
+    out.push(("1-cell sliver + remainder".to_string(), sliver));
+    let (desc, parts) = described(Partition::one_d(domain, Variant::A, ir.len() + 3).unwrap());
+    out.push((format!("{desc} (P > nx)"), parts));
+    out
+}
+
+/// Every schedule the prover must find race-free, labelled. Rows are
+/// only ever appended, so a label list diffs cleanly against an older
+/// one.
+fn lattice() -> Vec<Row> {
+    let mut rows = Vec::new();
+    // Both domains × every partition × the rank cuts J, K, I and the
+    // one an executor derives when none is named (each team's longest
+    // axis among I and J) × two team shapes × the knob lattice. The
+    // whole knob lattice runs on uniform teams cut along J, and its
+    // untiled half again under the derived cut, which follows the
+    // fused steps' regions (tiles are handed out whole: no cut); the
+    // other combinations prove the two schedule policies of the classic
+    // per-step sweeps. Each domain carries the I-cut points of its
+    // uneven three-island partition (widths 8/7/9 and 4/4/5).
+    let domains = [
+        (Region3::of_extent(24, 12, 6), [0, 8, 15, 24]),
+        // Prime extents (13 × 7 × 5) with mixed bases.
+        (
+            Region3::new(Range1::new(-3, 10), Range1::new(2, 9), Range1::new(0, 5)),
+            [-3, 1, 5, 10],
+        ),
+    ];
+    for (domain, uneven_cuts) in domains {
+        for (desc, parts) in partitions(domain, uneven_cuts) {
+            for split_axis in [Some(Axis::J), Some(Axis::K), Some(Axis::I), None] {
+                let split = split_axis.map_or("derived".to_string(), |a| format!("{a:?}"));
+                for shape in ["uniform-2", "mixed"] {
+                    let ranks: Vec<usize> = match shape {
+                        "uniform-2" => vec![2; parts.len()],
+                        _ => (0..parts.len()).map(|n| 1 + n % 3).collect(),
+                    };
+                    let what =
+                        format!("domain={domain:?} partition={desc} split={split} teams={shape}");
+                    for knobs in knob_lattice(split_axis) {
+                        let classic = knobs.fuse_steps == 1 && knobs.tile == TileMode::Off;
+                        let wider = shape == "uniform-2"
+                            && match split_axis {
+                                Some(Axis::J) => true,
+                                None => knobs.tile == TileMode::Off,
+                                Some(_) => false,
+                            };
+                        if classic || wider {
+                            push_islands(&mut rows, &what, 2, domain, &parts, ranks.clone(), knobs);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // Sliver tiles on a small prime-extent domain: every tile is a
+    // single (i, j) column, the degenerate extreme of the tile cutter.
+    let domain = Region3::of_extent(11, 7, 4);
+    let what = format!("domain={domain:?} partition=1D x 2");
+    for fuse_steps in [1, 2] {
+        let knobs = ScheduleKnobs {
+            cache_bytes: CACHE_BYTES,
+            fuse_steps,
+            tile: TileMode::Fixed { ti: 1, tj: 1 },
+            ..ScheduleKnobs::default()
+        };
+        let parts = domain.split(Axis::I, 2);
+        push_islands(&mut rows, &what, 2, domain, &parts, vec![2, 2], knobs);
+    }
+
+    // The benchmark's `knobs_mid` workload, exactly as it runs: one
+    // island of two workers on 128×128×64 under the library-default
+    // cache budget, auto tiles × 2-step epochs × 4 chunks per rank.
+    let domain = Region3::of_extent(128, 128, 64);
+    let knobs = ScheduleKnobs {
+        schedule: SchedulePolicy::Dynamic { chunks_per_rank: 4 },
+        fuse_steps: 2,
+        tile: TileMode::Auto,
+        ..ScheduleKnobs::default()
+    };
+    let what = format!("domain={domain:?} partition=whole (knobs_mid)");
+    push_islands(&mut rows, &what, 2, domain, &[domain], vec![2], knobs);
+
+    // The stage-synchronous baselines, from the executors that replay
+    // them: Original on 1–8 ranks, Exchange on 1–4 islands of 1–2
+    // ranks cut along I or J — on a domain thinner than four cells both
+    // ways too (P > nx: idle islands) — for both graphs.
+    for iord in [2, 3] {
+        for domain in [
+            Region3::of_extent(24, 12, 6),
+            Region3::new(Range1::new(-3, 10), Range1::new(2, 9), Range1::new(0, 5)),
+            Region3::of_extent(3, 3, 4),
+        ] {
+            for ranks in 1..=8 {
+                rows.push(Row {
+                    label: format!("original iord={iord} domain={domain:?} ranks={ranks}"),
+                    iord,
+                    domain,
+                    build: Build::Original { ranks },
+                });
+            }
+            for islands in 1..=4 {
+                for axis in [Axis::I, Axis::J] {
+                    for ranks in 1..=2 {
+                        rows.push(Row {
+                            label: format!(
+                                "exchange iord={iord} domain={domain:?} partition={axis:?} x \
+                                 {islands} ranks={ranks}"
+                            ),
+                            iord,
+                            domain,
+                            build: Build::Exchange {
+                                islands,
+                                axis,
+                                ranks,
+                            },
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    // Three islands of the prime domain cut evenly along I (5/4/4), two
+    // ranks each, split along J.
+    let domain = Region3::new(Range1::new(-3, 10), Range1::new(2, 9), Range1::new(0, 5));
+    let even = Partition::one_d(domain, Variant::A, 3).unwrap();
+    let knobs = ScheduleKnobs {
+        cache_bytes: CACHE_BYTES,
+        split_axis: Some(Axis::J),
+        ..ScheduleKnobs::default()
+    };
+    let what = format!(
+        "domain={domain:?} partition={} split=J teams=uniform-2",
+        even.description()
+    );
+    push_islands(&mut rows, &what, 2, domain, even.parts(), vec![2; 3], knobs);
+
+    // Corners: the 4- and 30-stage graphs (iord 1 and 3), islands cut
+    // along K, single-cell and single-plane domains, and more teams
+    // than planes: `[iord, ni, nj, nk, islands, ranks]`, islands cut
+    // along `axis`.
+    let corners: [([usize; 6], Axis); 8] = [
         ([1, 5, 4, 3, 2, 2], Axis::I),
         ([3, 6, 5, 4, 2, 2], Axis::J),
         ([2, 6, 5, 4, 2, 2], Axis::K),
@@ -251,7 +551,7 @@ fn corner_schedules_lint_clean() {
         ([2, 2, 3, 1, 2, 3], Axis::J),
         ([1, 2, 3, 1, 4, 2], Axis::I),
     ];
-    let knobs = [
+    let corner_knobs = [
         ScheduleKnobs::default(),
         ScheduleKnobs {
             split_axis: Some(Axis::K),
@@ -269,26 +569,89 @@ fn corner_schedules_lint_clean() {
             ..ScheduleKnobs::default()
         },
     ];
-    for ([iord, ni, nj, nk, islands, ranks], axis) in cases {
-        let problem = MpdataProblem::with_iord(iord);
+    for ([iord, ni, nj, nk, islands, ranks], axis) in corners {
         let domain = Region3::new(
             Range1::new(-1, ni as i64 - 1),
             Range1::new(2, 2 + nj as i64),
             Range1::new(0, nk as i64),
         );
         let parts = domain.split(axis, islands);
-        for knobs in knobs {
+        for knobs in corner_knobs {
+            let split = knobs
+                .split_axis
+                .map_or("derived".to_string(), |a| format!("{a:?}"));
+            let what = format!(
+                "iord={iord} domain={domain:?} partition={axis:?} x {islands} split={split} \
+                 teams=uniform-{ranks}"
+            );
             let knobs = ScheduleKnobs {
                 cache_bytes: 48 * 1024,
                 ..knobs
             };
-            let label = format!("iord {iord}, {domain:?}, {islands} × {ranks} along {axis:?}");
-            let sched = StepSchedule::build(&problem, domain, &parts, &vec![ranks; islands], knobs)
-                .unwrap_or_else(|e| panic!("{e} — {label}, {knobs:?}"));
-            let found = check_disjointness(&lower(&sched));
-            assert_eq!(found, vec![], "{label}, {knobs:?}");
+            push_islands(
+                &mut rows,
+                &what,
+                iord,
+                domain,
+                &parts,
+                vec![ranks; islands],
+                knobs,
+            );
         }
     }
+    rows
+}
+
+/// Proves every `SHARDS`-th lattice row from `shard` on.
+fn prove_shard(shard: usize) {
+    let mut failures = Vec::new();
+    for row in lattice().into_iter().skip(shard).step_by(SHARDS) {
+        let found = row.diagnostics();
+        failures.extend(found.iter().map(|d| format!("{}: {d}", row.label)));
+    }
+    assert!(
+        failures.is_empty(),
+        "{} diagnostic(s), the first:\n{}",
+        failures.len(),
+        failures[..failures.len().min(40)].join("\n")
+    );
+}
+
+#[test]
+fn lattice_has_its_pinned_rows() {
+    let rows = lattice();
+    let labels: BTreeSet<&str> = rows.iter().map(|r| r.label.as_str()).collect();
+    assert_eq!(labels.len(), rows.len(), "two rows share a label");
+    assert_eq!(rows.len(), LATTICE_ROWS);
+    // `-- --nocapture` lists what the lattice proves.
+    for row in &rows {
+        println!("{}", row.label);
+    }
+}
+
+#[test]
+fn lattice_shard_0_lints_clean() {
+    prove_shard(0);
+}
+
+#[test]
+fn lattice_shard_1_lints_clean() {
+    prove_shard(1);
+}
+
+#[test]
+fn lattice_shard_2_lints_clean() {
+    prove_shard(2);
+}
+
+#[test]
+fn lattice_shard_3_lints_clean() {
+    prove_shard(3);
+}
+
+#[test]
+fn lattice_shard_4_lints_clean() {
+    prove_shard(4);
 }
 
 /// Strips `//` comments (line and doc) so prose may name what code may

@@ -12,7 +12,7 @@ use mpdata::{
     ExchangeExecutor, IslandsExecutor, MpdataProblem, OriginalExecutor, ScheduleKnobs,
     SchedulePolicy, StepSchedule,
 };
-use stencil_engine::{trace, Axis, Offset3, Range1, Region3, StageGraph, StencilPattern};
+use stencil_engine::{Axis, Offset3, Range1, Region3, StageGraph, StencilPattern};
 use work_scheduler::{TeamSpec, WorkerPool};
 
 fn domain() -> Region3 {
@@ -48,10 +48,8 @@ fn fused(fuse_steps: usize) -> ScheduleKnobs {
 }
 
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "needs the debug-only access recorder")]
 fn dropped_offset_is_an_undeclared_read() {
-    if !trace::is_enabled() {
-        return;
-    }
     let problem = MpdataProblem::standard();
     let mutated = with_offset_removed(
         problem.graph(),
@@ -102,10 +100,8 @@ fn with_offset_added(
 }
 
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "needs the debug-only access recorder")]
 fn padded_pattern_is_an_overdeclared_offset() {
-    if !trace::is_enabled() {
-        return;
-    }
     let problem = MpdataProblem::standard();
     // Stage 0 reads the Courant field u1 pointwise; declare a phantom
     // (0, 0, -1) dependency on it.

@@ -11,7 +11,7 @@
 
 use islands_analysis::{check_problem, KernelPath};
 use mpdata::{Boundary, MpdataProblem};
-use stencil_engine::{trace, Range1, Region3};
+use stencil_engine::{Range1, Region3};
 
 /// The `iord = 3` graph's stages: name, then each input as
 /// `field[di,dj,dk ...]`. `iord` 1 and 2 read the first 4 and 17 rows.
@@ -82,10 +82,8 @@ fn domain() -> Region3 {
 }
 
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "needs the debug-only access recorder")]
 fn all_17_stages_conform_under_every_config() {
-    if !trace::is_enabled() {
-        return; // conformance needs the debug-only recorder
-    }
     for bc in [Boundary::Open, Boundary::Periodic] {
         let problem = MpdataProblem::standard().with_boundary(bc);
         for path in [KernelPath::Dispatch, KernelPath::Scalar] {
@@ -102,10 +100,8 @@ fn all_17_stages_conform_under_every_config() {
 }
 
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "needs the debug-only access recorder")]
 fn iord3_graph_conforms_too() {
-    if !trace::is_enabled() {
-        return;
-    }
     for bc in [Boundary::Open, Boundary::Periodic] {
         let problem = MpdataProblem::with_iord(3).with_boundary(bc);
         for path in [KernelPath::Dispatch, KernelPath::Scalar] {
