@@ -316,15 +316,26 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
 
     // Rule 2: intra-team, per epoch — a rank's write region must not
     // intersect any other rank's read-or-write region of the field.
+    // Each rank's accesses stably sorted by field: a write meets only
+    // the other ranks' same-field accesses, in program order.
+    let mut by_field: Vec<Vec<&PlannedAccess>> = Vec::new();
     for (t, team) in plan.teams.iter().enumerate() {
         for ep in &team.epochs {
+            by_field.resize_with(ep.per_rank.len(), Vec::new);
+            for (sorted, accs) in by_field.iter_mut().zip(&ep.per_rank) {
+                sorted.clear();
+                sorted.extend(accs);
+                sorted.sort_by_key(|a| a.field);
+            }
             for (ra, accs_a) in ep.per_rank.iter().enumerate() {
-                for (rb, accs_b) in ep.per_rank.iter().enumerate() {
+                for (rb, sorted_b) in by_field.iter().enumerate() {
                     if ra == rb {
                         continue;
                     }
                     for wa in accs_a.iter().filter(|a| a.write) {
-                        for ab in accs_b.iter().filter(|b| b.field == wa.field) {
+                        let lo = sorted_b.partition_point(|b| b.field < wa.field);
+                        let same = sorted_b[lo..].iter().take_while(|b| b.field == wa.field);
+                        for ab in same {
                             // Write–read pairs are reported once (from
                             // the writer); write–write pairs once per
                             // unordered pair.
@@ -434,6 +445,8 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
     } else {
         (&plan.shared, "this team")
     };
+    // A read's uncovered pieces, and the next ones as a write is cut out.
+    let (mut remaining, mut rest) = (Vec::new(), Vec::new());
     for history in histories {
         // Per field: the regions written so far, in program order.
         let mut written: Vec<Vec<Region3>> = vec![Vec::new(); plan.field_names.len()];
@@ -441,12 +454,19 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
             for &(t, ep) in &round {
                 for (rank, accs) in ep.per_rank.iter().enumerate() {
                     for rd in accs.iter().filter(|a| !a.write && !exempt[a.field]) {
-                        let mut remaining = vec![rd.region];
+                        remaining.clear();
+                        remaining.push(rd.region);
                         for wr in &written[rd.field] {
-                            remaining = remaining
-                                .into_iter()
-                                .flat_map(|r| r.subtract(*wr))
-                                .collect();
+                            // A write that misses the read misses every
+                            // piece (any write covers an empty read).
+                            if !wr.overlaps(rd.region) && !rd.region.is_empty() {
+                                continue;
+                            }
+                            rest.clear();
+                            for r in &remaining {
+                                r.subtract_each(*wr, |piece| rest.push(piece));
+                            }
+                            std::mem::swap(&mut remaining, &mut rest);
                             if remaining.is_empty() {
                                 break;
                             }

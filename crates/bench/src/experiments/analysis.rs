@@ -6,7 +6,7 @@
 use super::{Ctx, Report};
 use crate::{PAPER_FUSED, PAPER_ISLANDS, PAPER_ORIGINAL, PAPER_T1_ORIGINAL_SERIAL};
 use islands_core::{estimate, plan_fused, InitPolicy, Workload};
-use mpdata::{Buffer, IslandsExecutor, MpdataProblem, OriginalExecutor};
+use mpdata::{IslandsExecutor, MpdataProblem, OriginalExecutor};
 use numa_sim::{CacheConfig, CacheStats, SimConfig, UvParams};
 use perf_model::{
     fused_traffic_ideal, original_traffic, predict, relative_error, replay_schedule, Table,
@@ -127,10 +127,9 @@ pub(super) fn cache_study(_: &Ctx, r: &mut Report) -> fmt::Result {
             .cache_bytes(cache.capacity_bytes / share)
             .schedule_for(domain)
             .expect("blocks fit");
-        // A block's depth: the most i-planes of the output it writes.
-        let (output, accesses) = (Buffer::Shared(problem.xout()), schedule.accesses());
-        let writes = accesses.iter().filter(|a| a.write && a.buffer == output);
-        let depth = writes.map(|a| a.region.i.len()).max().unwrap_or(0);
+        // A block's depth: the most i-planes of the output it owns.
+        let blocks = schedule.blocks(0, 0).iter();
+        let depth = blocks.map(|b| b.output_region.i.len()).max().unwrap_or(0);
         let (blocked, floor) = replay_schedule(&schedule, cache);
         let label = format!("wavefront, budget cache/{share} (depth {depth})");
         t.push_row(label, row(blocked, floor));

@@ -88,12 +88,11 @@ use mpdata::{
     gaussian_pulse, random_fields, rotating_cone, Boundary, ExchangeExecutor, IslandsExecutor,
     MpdataFields, MpdataProblem, ReferenceExecutor, StepSchedule, TileMode,
 };
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 use stencil_engine::rng::Xoshiro256pp;
-use stencil_engine::{Axis, Region3};
+use stencil_engine::{Axis, FieldRole, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -331,6 +330,45 @@ fn parse_args() -> Result<Args, String> {
     Ok(a)
 }
 
+/// Refuses a run whose full-domain arrays alone — the five inputs,
+/// `--verify`'s snapshot of them, a schedule's `cur`/`out` pair and the
+/// shared intermediates of `original`/`exchange` — exceed what the
+/// process may map, before any is allocated: on Linux, the smaller of
+/// its address-space limit and `MemAvailable`. A lower bound: scratch,
+/// trace rings and the reference pass come on top.
+fn check_memory(a: &Args) -> Result<(), String> {
+    // The first number after `key` on its line of `path`.
+    let read = |path: &str, key: &str| -> Option<u64> {
+        let text = std::fs::read_to_string(path).ok()?;
+        let line = text.lines().find_map(|l| l.strip_prefix(key))?;
+        line.split_whitespace().next()?.parse().ok()
+    };
+    let limit = read("/proc/self/limits", "Max address space").map(|b| (b, "address-space limit"));
+    let free = read("/proc/meminfo", "MemAvailable:")
+        .map(|kb| (kb.saturating_mul(1024), "available memory"));
+    let Some((ceiling, what)) = [limit, free].into_iter().flatten().min() else {
+        return Ok(());
+    };
+    let problem = MpdataProblem::with_iord(a.iord);
+    let shared = problem.graph().fields().with_role(FieldRole::Intermediate);
+    let arrays = match a.strategy {
+        Strategy::Reference => 5,
+        Strategy::Fused | Strategy::Islands => 7,
+        Strategy::Original | Strategy::Exchange => 7 + shared.len(),
+    } + if a.verify { 5 } else { 0 };
+    let (ni, nj, nk) = a.domain;
+    let bytes = ((ni * nj * nk * size_of::<f64>()) as u64).saturating_mul(arrays as u64);
+    if !cfg!(target_os = "linux") || bytes <= ceiling {
+        return Ok(());
+    }
+    Err(format!(
+        "--domain {ni},{nj},{nk} needs at least {:.1} GB for {arrays} full-domain arrays; \
+         the {what} is {:.1} GB",
+        bytes as f64 / 1e9,
+        ceiling as f64 / 1e9
+    ))
+}
+
 fn make_fields(a: &Args) -> MpdataFields {
     let d = Region3::of_extent(a.domain.0, a.domain.1, a.domain.2);
     match a.problem {
@@ -363,28 +401,26 @@ fn check_inputs(a: &Args, fields: &MpdataFields) -> Result<(), String> {
 /// The summary's `rank cut` line: the axis the first working team's
 /// ranks slice every sweep along, and why — the sweep closest to (or
 /// furthest past) the longest-axis rule's tipping point, read off the
-/// schedule's own write regions. `None` for tiled schedules, whose
-/// ranks take whole tiles.
+/// schedule's own blocks. `None` for tiled schedules, whose ranks take
+/// whole tiles.
 fn rank_cut_line(schedule: &StepSchedule) -> Option<String> {
     if schedule.knobs().tile != TileMode::Off {
         return None;
     }
-    let accesses = schedule.accesses();
-    let team = accesses.first()?.team;
+    // A team's non-empty `(block, stage)` sweeps, in program order.
+    let sweeps = |team| {
+        let steps = (0..schedule.knobs().fuse_steps).flat_map(move |ts| schedule.blocks(team, ts));
+        steps
+            .flat_map(|b| &b.stage_regions)
+            .filter(|r| !r.is_empty())
+    };
+    let team = (0..schedule.team_count()).find(|&t| sweeps(t).next().is_some())?;
     let axis = schedule.rank_axis(team);
     if schedule.knobs().split_axis.is_some() {
         return Some(format!("{axis:?} (explicit)"));
     }
-    // Per epoch, the sweep its slots cut up; then the least deep for
-    // its width.
-    let mut sweeps: BTreeMap<usize, Region3> = BTreeMap::new();
-    for a in accesses.iter().filter(|a| a.write && a.team == team) {
-        let sweep = sweeps.entry(a.epoch).or_insert(a.region);
-        *sweep = sweep.hull(a.region);
-    }
-    let tip = sweeps
-        .values()
-        .min_by_key(|r| r.i.len() as i64 - r.j.len() as i64)?;
+    // The least deep sweep for its width.
+    let tip = sweeps(team).min_by_key(|r| r.i.len() as i64 - r.j.len() as i64)?;
     let (planes, rows) = (tip.i.len(), tip.j.len());
     let cmp = if planes >= rows { '≥' } else { '<' };
     Some(format!("{axis:?} ({planes} planes {cmp} {rows} rows)"))
@@ -443,6 +479,10 @@ fn main() -> ExitCode {
             "error: --boundary periodic is not supported by --strategy fused|islands\n\
              (cache-blocked schedules cannot express wrap-around dependencies)"
         );
+        return ExitCode::FAILURE;
+    }
+    if let Err(e) = check_memory(&a) {
+        eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
     let problem = || MpdataProblem::with_iord(a.iord).with_boundary(a.boundary);

@@ -520,9 +520,8 @@ mod tests {
         let f = gaussian_pulse(Region3::of_extent(12, 6, 4), (0.1, 0.0, 0.0));
         let expect = ReferenceExecutor::new().step(&f);
         let untiled = single();
-        let accesses = untiled.schedule_for(f.domain()).unwrap().accesses();
-        let blocks = accesses.iter().map(|a| a.block + 1).max();
-        assert_eq!(blocks, Some(12), "depth-1 blocks");
+        let blocks = untiled.schedule_for(f.domain()).unwrap().blocks(0, 0).len();
+        assert_eq!(blocks, 12, "depth-1 blocks");
         for (label, exec) in [
             ("untiled", untiled),
             ("tile auto", single().tile(TileMode::Auto)),

@@ -7,17 +7,17 @@
 //! churn — plus per-stage dispatch — dominates the per-sweep cost. A
 //! [`StepPlan`] hoists all of it out of the loop, in two layers:
 //!
-//! * [`StepSchedule`] — the pure tables: per-island blocking, one
-//!   small record per `(block, stage)` epoch — a tile is a block too,
-//!   whose stage chain one rank runs whole — and the scratch
-//!   footprints, built once from the problem, the partition
-//!   and the [`ScheduleKnobs`] with no buffer allocated. It stores
-//!   what it cannot recompute: a work unit's slice of an epoch is the
-//!   closed-form `rank_slice`, taken when the unit runs. It is the
-//!   **only** derivation of the island schedule in the workspace: the
-//!   replay below walks these tables, and [`StepSchedule::accesses`]
-//!   streams the same tables to the `islands-analysis` prover, so what
-//!   is proved is what runs;
+//! * [`StepSchedule`] — the pure tables: per island and fused step,
+//!   the blocks the planner chose ([`StepSchedule::blocks`]; a tile is
+//!   a block too, whose stage chain one rank runs whole), and the
+//!   scratch footprints, built once from the problem, the partition
+//!   and the [`ScheduleKnobs`] with no buffer allocated. A sweep's
+//!   kernel, buffers and fence follow from its stage, and a work
+//!   unit's slice of it is the closed-form `rank_slice`, taken when the
+//!   unit runs. It is the **only** derivation of the island schedule in
+//!   the workspace: the replay below walks these tables, and
+//!   [`StepSchedule::accesses`] streams them to the `islands-analysis`
+//!   prover, so what is proved is what runs;
 //! * `StepPlan` — the schedule plus what it says to allocate: the
 //!   island [`ParStore`]s (each intermediate a sliding window of a few
 //!   i-planes, [`ScratchWindow`], persisting across steps and never
@@ -35,10 +35,10 @@
 //!
 //! With `fuse_steps = k > 1` the plan fuses k whole time steps into one
 //! replay epoch, so `run` pays the global-barrier pair once per k steps
-//! instead of once per step. Each team's epoch table then holds k
-//! *fused-step* sections: the last section computes the island's own
-//! part of the final step; every earlier section's target is enlarged
-//! backwards by one cumulative stencil halo
+//! instead of once per step. Each team's table then holds k
+//! *fused-step* sections of blocks: the last section computes the
+//! island's own part of the final step; every earlier section's target
+//! is enlarged backwards by one cumulative stencil halo
 //! (`StageGraph::external_read_regions` on the advected field), so a
 //! team can compute step s+1 of its enlarged region entirely from its
 //! *own* step-s values — no other island's output is ever read between
@@ -61,13 +61,13 @@
 
 use crate::exec::{rank_slice, ExtFields, ParStore};
 use crate::fields::MpdataFields;
-use crate::graph::{MpdataProblem, StageKind};
+use crate::graph::MpdataProblem;
 use crate::kernels::Boundary;
 use std::fmt;
 use std::sync::Arc;
 use stencil_engine::{
-    choose_tile, tile_grid, Array3, Axis, BlockPlanner, FieldId, FieldRole, PlanBlocksError,
-    Region3, StageGraph,
+    choose_tile, tile_grid, Array3, Axis, BlockPlan, BlockPlanner, FieldId, FieldRole,
+    PlanBlocksError, Region3, StageGraph,
 };
 use work_scheduler::{AccessTracker, ChunkQueue, DisjointCell, TeamCtx, TeamSpec, WorkerPool};
 
@@ -230,60 +230,48 @@ pub(crate) struct PlanConfig {
     pub(crate) stage_sync: bool,
 }
 
-/// One row of a team's replay: one stage of one block. Untiled, a row
-/// is barrier-fenced and its region is cut into the team's `n_units`
-/// work-unit slices along the team's axis by `rank_slice` when they
-/// run. Under [`SchedulePolicy::Static`] there is exactly one unit per
-/// rank (unit index = rank); under [`SchedulePolicy::Dynamic`] there
-/// are `ranks × chunks_per_rank` units claimed from the row's
-/// [`ChunkQueue`]. Tiled, the block is a tile: its `stages` rows are
-/// one chain that a single rank runs whole (`n_units = 1`), and only
-/// fused steps are fenced.
-struct EpochPlan {
-    /// Index into `graph.stages()`.
-    stage: usize,
-    /// The stage's kernel.
-    kind: StageKind,
-    /// Final stage: written straight into the step's x output — the
-    /// shared output buffer for the last fused step, a team-private
-    /// x slot for earlier ones.
-    is_final: bool,
-    /// Fused-step index within the plan's k-step table (0-based).
-    step: u16,
-    /// Block (or tile) index within the fused step's blocking (trace
-    /// tag; saturates at `u16::MAX`).
-    block: u16,
-    /// The whole epoch region, which the work units slice contiguously
-    /// along the team's axis.
-    region: Region3,
-}
-
-/// One team's replay schedule.
+/// One team's replay schedule. Untiled, each `(block, stage)` sweep is
+/// barrier-fenced and cut into `n_units` work-unit slices along the
+/// team's axis by `rank_slice` when they run: one per rank under
+/// [`SchedulePolicy::Static`], `ranks × chunks_per_rank` claimed from
+/// the sweep's [`ChunkQueue`] under [`SchedulePolicy::Dynamic`].
+/// Tiled, a block is a tile whose stage chain a single rank runs whole
+/// (`n_units = 1`), and only fused steps are fenced.
 struct TeamSchedule {
-    /// The axis every epoch's units slice its region along: the knob's
+    /// The axis every sweep's units slice its region along: the knob's
     /// when given, else the team's longest ([`rank_axis_of`]).
     axis: Axis,
-    /// Work units per row (see [`SchedulePolicy::units_for`]; 1 when
+    /// Work units per sweep (see [`SchedulePolicy::units_for`]; 1 when
     /// tiled: a rank runs a tile's whole chain).
     n_units: usize,
-    epochs: Vec<EpochPlan>,
+    /// Per fused step, its blocks in execution order (see
+    /// [`StepSchedule::blocks`]; no blocks for idle islands).
+    steps: Vec<Vec<BlockPlan>>,
     /// Per stage: `part ∩ region_s(domain)`, the cells a zero-overlap
     /// schedule would have this team compute. A unit's computed cells
     /// outside it are the redundant halo recomputation traced kernels
     /// report (fused steps before the last one recompute a whole
     /// widened halo band).
     needed: Vec<Region3>,
-    /// Row index range per fused step: `epochs[step_bounds[s].0 ..
-    /// step_bounds[s].1]` are fused step `s`'s rows — block after block,
-    /// `stages` rows each, tiles included (all `(0, 0)` for empty
-    /// islands).
-    step_bounds: Vec<(usize, usize)>,
     /// Ranks in the team.
     ranks: usize,
     /// The team's own arrays, in allocation order (see
     /// [`StepSchedule::storage`]; empty for idle islands and
     /// stage-synchronous schedules).
     storage: Vec<Storage>,
+}
+
+impl TeamSchedule {
+    /// Every `(block, stage)` sweep in program order, as `(fused step,
+    /// block index, stage, region)`.
+    fn sweeps(&self) -> impl Iterator<Item = (usize, usize, usize, Region3)> + '_ {
+        self.steps.iter().enumerate().flat_map(|(ts, blocks)| {
+            blocks.iter().enumerate().flat_map(move |(b, block)| {
+                let regions = block.stage_regions.iter().enumerate();
+                regions.map(move |(s, &r)| (ts, b, s, r))
+            })
+        })
+    }
 }
 
 /// The storage one [`Access`] resolves to.
@@ -393,9 +381,10 @@ impl Storage {
 /// The island schedule of one time step (or, with `fuse_steps = k`, one
 /// k-step fused epoch) as pure tables: what every rank of every team
 /// computes, in which order, over which regions, into which buffers.
-/// It holds the blockings and one small record per epoch, nothing the
-/// replay can recompute (work-unit slices are closed-form) and none of
-/// the prover's coverage rules. Owns no field data.
+/// It holds the blocks of every fused step, nothing the replay can
+/// recompute (work-unit slices are closed-form, a sweep's kernel and
+/// buffers follow from its stage) and none of the prover's coverage
+/// rules. Owns no field data.
 /// [`IslandsExecutor`](crate::IslandsExecutor) —
 /// and through it [`OriginalExecutor`](crate::OriginalExecutor) and
 /// [`ExchangeExecutor`](crate::ExchangeExecutor) — replays exactly
@@ -421,10 +410,6 @@ impl fmt::Debug for StepSchedule {
             .field("knobs", &self.knobs)
             .field("stage_synchronous", &self.stage_sync)
             .field("teams", &self.teams.len())
-            .field(
-                "epochs",
-                &self.teams.iter().map(|t| t.epochs.len()).sum::<usize>(),
-            )
             .finish_non_exhaustive()
     }
 }
@@ -435,13 +420,13 @@ struct TeamBuffers {
     store: ParStore,
     /// Rank-private scratch stores of a tiled team, one per rank
     /// (empty when untiled or idle). Each holds every scratch field at
-    /// its widest row ([`StepSchedule::storage`]), and the chain loop
-    /// rebases a field to a row's region just before the row writes it,
-    /// so the steady state allocates nothing.
+    /// its widest sweep ([`StepSchedule::storage`]), and the chain loop
+    /// rebases a field to a sweep's region just before the sweep writes
+    /// it, so the steady state allocates nothing.
     rank_stores: Vec<ParStore>,
     /// One preallocated claim queue per fence interval, indexed like the
-    /// intervals: per row untiled, over its `n_units` chunks; per fused
-    /// step tiled, over its tiles. Empty for static schedules, so
+    /// intervals: per `(block, stage)` sweep untiled, over its `n_units`
+    /// chunks; per fused step tiled, over its tiles. Empty for static schedules, so
     /// [`StepPlan::units`] finds no queue and strides the units by rank
     /// instead. Reset between steps by one relaxed store per queue,
     /// inside the serial sections the barriers already fence — so
@@ -535,8 +520,8 @@ fn rank_axis_of<'a>(mut regions: impl Iterator<Item = &'a Region3>) -> Axis {
 }
 
 impl StepSchedule {
-    /// Derives the schedule: per-island and per-fused-step blocking (or
-    /// tile grids), one record per epoch and the scratch footprints.
+    /// Derives the schedule: per-island and per-fused-step blocks (or
+    /// tiles) and the scratch footprints.
     /// `parts` holds one part per team (empty parts allowed — surplus
     /// islands idle) and is taken as given: the disjoint-cover check
     /// lives with the executor's partition, so the prover can be fed
@@ -612,45 +597,33 @@ impl StepSchedule {
         // same baseline: everything beyond `part ∩ region_s(domain)`
         // is recomputation some island performs anyway.
         let base_regions = graph.required_regions(domain, domain);
-        // Appends one row per stage of block `b` of fused step `ts`,
-        // stage `s` sweeping `regions[s]`.
-        let push_block = |team: &mut TeamSchedule, (ts, b): (usize, usize), regions: &[Region3]| {
-            for (s, st) in graph.stages().iter().enumerate() {
-                team.epochs.push(EpochPlan {
-                    stage: s,
-                    kind: problem.kind(st.id),
-                    is_final: s == final_stage,
-                    step: ts.min(usize::from(u16::MAX)) as u16,
-                    block: b.min(usize::from(u16::MAX)) as u16,
-                    region: regions[st.id.index()],
-                });
-            }
-        };
         let mut teams = Vec::with_capacity(parts.len());
         for (&part, &size) in parts.iter().zip(team_sizes) {
             let mut team = TeamSchedule {
                 axis: knobs.split_axis.unwrap_or(Axis::J),
                 n_units: knobs.schedule.units_for(size),
-                epochs: Vec::new(),
+                steps: vec![Vec::new(); k],
                 needed: graph
                     .stages()
                     .iter()
                     .map(|st| part.intersect(base_regions[st.id.index()]))
                     .collect(),
-                step_bounds: vec![(0, 0); k],
                 ranks: size,
                 storage: Vec::new(),
             };
             let owner = teams.len();
             if stage_sync {
-                // One epoch per stage over the whole part. An idle team
-                // (empty part) keeps its empty epochs: its ranks must
-                // cross every global barrier the working teams do.
+                // One block sweeping every stage over the whole part. An
+                // idle team (empty part) keeps its empty sweeps: its
+                // ranks must cross every global barrier the working
+                // teams do.
                 if knobs.split_axis.is_none() {
                     team.axis = rank_axis_of(std::iter::once(&part));
                 }
-                push_block(&mut team, (0, 0), &vec![part; graph.stages().len()]);
-                team.step_bounds[0] = (0, team.epochs.len());
+                team.steps[0].push(BlockPlan {
+                    output_region: part,
+                    stage_regions: vec![part; graph.stages().len()],
+                });
                 teams.push(team);
                 continue;
             }
@@ -668,26 +641,27 @@ impl StepSchedule {
                 // and tiles partition the target, so concurrent output
                 // writes are disjoint.
                 team.n_units = 1;
-                for (ts, &sp) in step_parts.iter().enumerate() {
-                    let start = team.epochs.len();
-                    for (n, tile) in tile_grid(sp, (ti, tj)).into_iter().enumerate() {
-                        push_block(&mut team, (ts, n), &graph.required_regions(tile, domain));
-                    }
-                    team.step_bounds[ts] = (start, team.epochs.len());
+                for (blocks, &sp) in team.steps.iter_mut().zip(&step_parts) {
+                    let tiles = tile_grid(sp, (ti, tj)).into_iter();
+                    *blocks = tiles
+                        .map(|tile| BlockPlan {
+                            output_region: tile,
+                            stage_regions: graph.required_regions(tile, domain),
+                        })
+                        .collect();
                 }
-                // A field's producing row contains every later read of
+                // A field's producing sweep contains every later read of
                 // it in the chain: the widest one sizes every rank's
-                // store, so rebasing it row by row never allocates.
+                // store, so rebasing it sweep by sweep never allocates.
                 let mut widest: Vec<Option<(FieldId, Region3)>> = vec![None; graph.fields().len()];
                 let producers = team
-                    .epochs
-                    .iter()
-                    .filter(|ep| !ep.is_final && !ep.region.is_empty());
-                for ep in producers {
-                    for &f in &graph.stages()[ep.stage].outputs {
+                    .sweeps()
+                    .filter(|&(_, _, s, r)| s != final_stage && !r.is_empty());
+                for (_, _, s, region) in producers {
+                    for &f in &graph.stages()[s].outputs {
                         let slot = &mut widest[f.index()];
-                        if slot.is_none_or(|(_, w)| w.cells() < ep.region.cells()) {
-                            *slot = Some((f, ep.region));
+                        if slot.is_none_or(|(_, w)| w.cells() < region.cells()) {
+                            *slot = Some((f, region));
                         }
                     }
                 }
@@ -708,16 +682,12 @@ impl StepSchedule {
                     let blocks = blockings.iter().flat_map(|b| &b.blocks);
                     team.axis = rank_axis_of(blocks.flat_map(|b| &b.stage_regions));
                 }
-                for (ts, blocking) in blockings.iter().enumerate() {
+                for (blocks, blocking) in team.steps.iter_mut().zip(blockings) {
                     scratch = scratch.hull(blocking.hull());
                     for (most, now) in reach.iter_mut().zip(blocking.window_depths(graph, domain)) {
                         *most = now.max(*most);
                     }
-                    let start = team.epochs.len();
-                    for (b, block) in blocking.blocks.iter().enumerate() {
-                        push_block(&mut team, (ts, b), &block.stage_regions);
-                    }
-                    team.step_bounds[ts] = (start, team.epochs.len());
+                    *blocks = blocking.blocks;
                 }
                 // One window per scratch field, as deep as the deepest
                 // reach-back of any fused step's blocking.
@@ -823,8 +793,8 @@ impl StepSchedule {
     /// full-domain arrays every team shares — externals, output and,
     /// stage-synchronous, intermediates — in `FieldId` order, owned by
     /// team 0; then, team by team, its scratch windows, the stores of
-    /// each rank of a tiled team (every field at the widest row that
-    /// writes it, within which each row rebases it) and both x slots of
+    /// each rank of a tiled team (every field at the widest sweep that
+    /// writes it, within which each sweep rebases it) and both x slots of
     /// a fused one. [`StepSchedule::owner`] says which of them an
     /// [`Access`] lands in.
     pub fn storage(&self) -> Vec<Storage> {
@@ -861,14 +831,29 @@ impl StepSchedule {
         scratch.map(|s| s.cells()).sum::<usize>() * size_of::<f64>()
     }
 
+    /// The blocks `team` runs in fused step `step`, in order, each
+    /// sweeping every stage over its `stage_regions` (indexed like
+    /// `graph.stages()`): the step's wavefront blocking; its tiles over
+    /// their requirement regions; or, stage-synchronous, one block over
+    /// the team's part (empty parts included). Idle islands have none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `team >= self.team_count()` or `step >=
+    /// self.knobs().fuse_steps`.
+    pub fn blocks(&self, team: usize, step: usize) -> &[BlockPlan] {
+        &self.teams[team].steps[step]
+    }
+
     /// The most trace spans one rank records per time step of a
-    /// replay: per row of the longest fused step of any team, one
-    /// kernel span and one barrier wait, plus the step's two global
-    /// barrier waits and the leader's swap — what a traced run sizes
-    /// its per-thread rings by.
+    /// replay: per `(block, stage)` sweep of the longest fused step of
+    /// any team, one kernel span and one barrier wait, plus the step's
+    /// two global barrier waits and the leader's swap — what a traced
+    /// run sizes its per-thread rings by.
     pub fn trace_spans_per_step(&self) -> usize {
-        let rows = self.teams.iter().flat_map(|t| &t.step_bounds);
-        2 * rows.map(|&(lo, hi)| hi - lo).max().unwrap_or(0) + 3
+        let stages = self.problem.graph().stages().len();
+        let blocks = self.teams.iter().flat_map(|t| &t.steps).map(Vec::len);
+        2 * stages * blocks.max().unwrap_or(0) + 3
     }
 
     /// Whether every island block is a tile whose chain one rank runs
@@ -927,17 +912,15 @@ impl StepSchedule {
         let stages = graph.stages().len();
         let mut out = Vec::new();
         for (team, t) in self.teams.iter().enumerate() {
-            for (row, ep) in t.epochs.iter().enumerate() {
-                let st = &graph.stages()[ep.stage];
-                let step = usize::from(ep.step);
-                // A tiled row is one stage of one tile's chain: the tile
-                // (its position in the step — the `block` tag saturates)
-                // is the unit of concurrency, and only steps are fenced.
+            for (n, (step, b, stage, region)) in t.sweeps().enumerate() {
+                let st = &graph.stages()[stage];
+                // Untiled, every sweep is its own epoch. A tiled sweep is
+                // one stage of one tile's chain: the tile is the unit of
+                // concurrency, and only steps are fenced.
                 let (epoch, tile, block) = if tiled {
-                    let tile = (row - t.step_bounds[step].0) / stages;
-                    (step * stages + ep.stage, Some(tile), 0)
+                    (step * stages + stage, Some(b), 0)
                 } else {
-                    (row, None, usize::from(ep.block))
+                    (n, None, b)
                 };
                 for u in 0..t.n_units {
                     // One work unit; `buffer`/`write` are filled in per
@@ -947,17 +930,17 @@ impl StepSchedule {
                         epoch,
                         slot: tile.unwrap_or(u),
                         step,
-                        stage: ep.stage,
+                        stage,
                         block,
                         buffer: Buffer::Shared(x),
-                        region: rank_slice(ep.region, t.axis, u, t.n_units),
+                        region: rank_slice(region, t.axis, u, t.n_units),
                         write: false,
                     };
                     if at.region.is_empty() {
                         continue;
                     }
                     for &o in &st.outputs {
-                        let buffer = if ep.is_final {
+                        let buffer = if stage == self.final_stage {
                             self.x_dest(step)
                         } else {
                             scratch(o)
@@ -1022,18 +1005,17 @@ impl StepPlan {
             .iter()
             .map(|team| {
                 // Claim queues, one per fence interval: a tiled fused
-                // step's tiles, or an untiled row's chunks.
+                // step's tiles, or an untiled sweep's chunks.
                 let units: Vec<usize> = match (dynamic, tiled) {
                     (false, _) => Vec::new(),
-                    (true, true) => team
-                        .step_bounds
-                        .iter()
-                        .map(|(lo, hi)| (hi - lo) / stages)
-                        .collect(),
-                    (true, false) => vec![team.n_units; team.epochs.len()],
+                    (true, true) => team.steps.iter().map(Vec::len).collect(),
+                    (true, false) => {
+                        let blocks = team.steps.iter().map(Vec::len).sum::<usize>();
+                        vec![team.n_units; blocks * stages]
+                    }
                 };
                 // Empty islands and untiled plans get no rank stores.
-                let ranks = if tiled && !team.epochs.is_empty() {
+                let ranks = if tiled && team.steps.iter().any(|b| !b.is_empty()) {
                     team.ranks
                 } else {
                     0
@@ -1148,8 +1130,8 @@ impl StepPlan {
     /// sections of the table, so a tail epoch keeps each section's halo
     /// enlargement exact. Each fused step is a run of fence intervals
     /// whose work units [`StepPlan::units`] hands out. Untiled, an
-    /// interval is one `(block, stage)` row, its units are the row's
-    /// `rank_slice`s, and [`StepPlan::fence`] ends it. Tiled, it is the
+    /// interval is one `(block, stage)` sweep, its units are the sweep's
+    /// `rank_slice`s, and a barrier ends it. Tiled, it is the
     /// whole fused step, its units are tile chains, and one team barrier
     /// ends it — except after the last step, which the caller's global
     /// barrier fences. Either way the team barrier ending one fused step
@@ -1163,10 +1145,10 @@ impl StepPlan {
         islands_trace::set_island_rank(ctx.team as u32, ctx.rank as u32);
         let sched = &*self.schedule;
         let team = &sched.teams[ctx.team];
-        if team.epochs.is_empty() {
+        if team.steps.iter().all(Vec::is_empty) {
             // An idle island (empty part): no work, no buffers, and no
             // team barrier any of its ranks would wait at. (Idle teams
-            // of a stage-synchronous plan keep empty epochs instead.)
+            // of a stage-synchronous plan keep an empty block instead.)
             return;
         }
         let k = sched.knobs.fuse_steps;
@@ -1174,16 +1156,18 @@ impl StepPlan {
         let first_ts = k - epoch_len;
         let bufs = &self.teams[ctx.team];
         let stages = sched.problem.graph().stages().len();
+        // The untiled claim queues are numbered by sweep from the first
+        // fused step of the full table.
+        let mut sweep = stages * team.steps[..first_ts].iter().map(Vec::len).sum::<usize>();
         for ts in first_ts..k {
             islands_trace::set_step(base_step + (ts - first_ts) as u32);
             let (step_ext, _slot_read) = self.step_inputs(bufs, ext, ts, first_ts);
             let dest = self.final_dest(bufs, ts);
-            let (lo, hi) = team.step_bounds[ts];
+            let blocks = &team.steps[ts];
             if sched.tiled() {
                 let store = &bufs.rank_stores[ctx.rank];
-                Self::units(ctx, (hi - lo) / stages, bufs.queues.get(ts), |n| {
-                    let chain = &team.epochs[lo + n * stages..][..stages];
-                    self.run_tile(team, chain, store, step_ext, dest);
+                Self::units(ctx, blocks.len(), bufs.queues.get(ts), |n| {
+                    self.run_tile(team, n, &blocks[n], store, step_ext, dest);
                 });
                 if ts + 1 < k {
                     ctx.team_barrier();
@@ -1191,11 +1175,23 @@ impl StepPlan {
                 continue;
             }
             let store = self.shared.as_ref().unwrap_or(&bufs.store);
-            for (row, ep) in team.epochs.iter().enumerate().take(hi).skip(lo) {
-                Self::units(ctx, team.n_units, bufs.queues.get(row), |u| {
-                    self.run_unit(team, ep, store, u, step_ext, dest, sched.domain);
-                });
-                self.fence(ctx, ep);
+            for (b, block) in blocks.iter().enumerate() {
+                for stage in 0..stages {
+                    Self::units(ctx, team.n_units, bufs.queues.get(sweep), |u| {
+                        let at = (b, block, stage);
+                        self.run_unit(team, at, store, u, step_ext, dest, sched.domain);
+                    });
+                    sweep += 1;
+                    // The team barrier — intra-island synchronization
+                    // only, the whole point of the approach — or the
+                    // stage-synchronous global one, which the step's own
+                    // global barrier replaces after the final stage.
+                    if !sched.stage_sync {
+                        ctx.team_barrier();
+                    } else if stage != sched.final_stage {
+                        ctx.global_barrier();
+                    }
+                }
             }
         }
     }
@@ -1205,7 +1201,7 @@ impl StepPlan {
     /// its own rank on ([`StepSchedule::owner`] places tile scratch by
     /// this stride); dynamically, every unit it claims from the
     /// interval's [`ChunkQueue`] until the queue drains. Any claim order
-    /// is race-free: an interval's units are pairwise disjoint (a row's
+    /// is race-free: an interval's units are pairwise disjoint (a sweep's
     /// slices, or tiles on rank-private scratch) and the interval ends
     /// at the same fence.
     #[inline]
@@ -1220,67 +1216,57 @@ impl StepPlan {
         }
     }
 
-    /// Ends row `ep`: the team barrier — intra-island synchronization
-    /// only, the whole point of the approach — or, stage-synchronous,
-    /// the global barrier, except after the final stage, which the
-    /// step's own global barrier fences.
-    #[inline]
-    fn fence(&self, ctx: &TeamCtx, ep: &EpochPlan) {
-        if !self.schedule.stage_sync {
-            ctx.team_barrier();
-        } else if !ep.is_final {
-            ctx.global_barrier();
-        }
-    }
-
-    /// Runs one tile's whole stage chain (its `stages` rows) on `store`,
-    /// the calling rank's private scratch: each non-empty row but the
-    /// final one first rebases its outputs to its region — the
-    /// producer's region contains every later read of the field in the
-    /// chain — and every row runs as the single unit of its block, with
-    /// redundant cells counted against the tile (the final row's
-    /// region).
+    /// Runs tile `n`'s whole stage chain on `store`, the calling rank's
+    /// private scratch: each non-empty sweep but the final one first
+    /// rebases its outputs to its region — the producer's region
+    /// contains every later read of the field in the chain — and every
+    /// sweep runs as the single unit of its block, with redundant cells
+    /// counted against the tile.
     #[inline]
     fn run_tile(
         &self,
         team: &TeamSchedule,
-        chain: &[EpochPlan],
+        n: usize,
+        tile: &BlockPlan,
         store: &ParStore,
         ext: ExtFields<'_>,
         dest: &DisjointCell<Array3>,
     ) {
         let stages = self.schedule.problem.graph().stages();
-        let tile = chain[self.schedule.final_stage].region;
-        for ep in chain {
-            if !ep.is_final && !ep.region.is_empty() {
-                for &f in &stages[ep.stage].outputs {
-                    store.rebase(f, ep.region);
+        for (stage, st) in stages.iter().enumerate() {
+            let region = tile.stage_regions[stage];
+            if stage != self.schedule.final_stage && !region.is_empty() {
+                for &f in &st.outputs {
+                    store.rebase(f, region);
                 }
             }
-            self.run_unit(team, ep, store, 0, ext, dest, tile);
+            let at = (n, tile, stage);
+            self.run_unit(team, at, store, 0, ext, dest, tile.output_region);
         }
     }
 
-    /// Executes one work unit of one row of `team`: the kernel over the
-    /// unit's slice, routed to the scratch store or (for final stages)
-    /// `dest` — the step's x output buffer — with the kernel trace span
-    /// attached. Its cells outside `within ∩ needed` (`within`: the tile
-    /// of a chain, the domain for sweeps) are traced as redundant.
+    /// Executes one work unit of the `(block index, block, stage)`
+    /// sweep of `team`: the stage's kernel over the unit's slice,
+    /// routed to the scratch store or (for the final stage) `dest` —
+    /// the step's x output buffer — with the kernel trace span
+    /// attached. Its cells outside `within ∩ needed` (`within`: the
+    /// tile of a chain, the domain for sweeps) are traced as redundant.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn run_unit(
         &self,
         team: &TeamSchedule,
-        ep: &EpochPlan,
+        (b, block, stage): (usize, &BlockPlan, usize),
         store: &ParStore,
         unit: usize,
         ext: ExtFields<'_>,
         dest: &DisjointCell<Array3>,
         within: Region3,
     ) {
-        let (domain, bc) = (self.schedule.domain, self.schedule.problem.boundary());
-        let st = &self.schedule.problem.graph().stages()[ep.stage];
-        let mine = rank_slice(ep.region, team.axis, unit, team.n_units);
+        let sched = &*self.schedule;
+        let (domain, bc) = (sched.domain, sched.problem.boundary());
+        let st = &sched.problem.graph().stages()[stage];
+        let mine = rank_slice(block.stage_regions[stage], team.axis, unit, team.n_units);
         if mine.is_empty() {
             return;
         }
@@ -1288,18 +1274,20 @@ impl StepPlan {
         // A final stage writes straight into the step's x output. Blocks
         // of different islands are disjoint on the shared output, units
         // and tiles split disjointly, and x slots are team-private.
-        let _wt = ep.is_final.then(|| dest.track_write());
+        let is_final = stage == sched.final_stage;
+        let _wt = is_final.then(|| dest.track_write());
         // SAFETY: all concurrent writers cover mutually disjoint regions.
-        let out = ep.is_final.then(|| unsafe { dest.get_mut() });
-        store.apply(st, ep.kind, domain, bc, mine, out, ext);
+        let out = is_final.then(|| unsafe { dest.get_mut() });
+        store.apply(st, sched.problem.kind(st.id), domain, bc, mine, out, ext);
         if let Some(t0) = t0 {
-            let owned = mine.intersect(within).intersect(team.needed[ep.stage]);
+            let owned = mine.intersect(within).intersect(team.needed[stage]);
+            let tag = |n: usize| n.min(usize::from(u16::MAX)) as u16;
             islands_trace::record(
                 islands_trace::SpanKind::Kernel,
                 t0,
                 islands_trace::now_ns(),
-                ep.stage.min(usize::from(u16::MAX)) as u16,
-                ep.block,
+                tag(stage),
+                tag(b),
                 [
                     mine.cells() as u64,
                     (mine.cells() - owned.cells()) as u64,

@@ -379,3 +379,19 @@ fn trace_file_on_disk_validates() {
     assert_eq!(summary.pids, [0, 1, 2], "{summary:?}");
     assert!(summary.category_us("kernel") > 0.0, "{summary:?}");
 }
+
+/// A domain whose full-domain arrays alone exceed the address-space
+/// limit is refused with exit code 1 before anything is allocated, not
+/// aborted inside the allocator. The shell gives up if it cannot set
+/// the limit: without it the run would try to allocate tens of GB.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_domain_beyond_the_memory_limit_is_refused() {
+    let bin = env!("CARGO_BIN_EXE_mpdata-run");
+    let script = format!("ulimit -v 2000000 || exit 97; exec '{bin}' --domain 1024,1024,256");
+    let out = Command::new("sh").args(["-c", &script]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let refused = stderr.starts_with("error: --domain 1024,1024,256 needs at least");
+    assert!(refused && stderr.contains("address-space limit") && stderr.lines().count() == 1);
+}

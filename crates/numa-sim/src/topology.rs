@@ -374,37 +374,6 @@ impl Machine {
         out
     }
 
-    /// Renders the topology as a Graphviz `dot` graph: sockets as boxes
-    /// (labelled with cores and bandwidth), hubs/switches as points,
-    /// links labelled with per-direction GB/s.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("graph machine {\n  layout=neato;\n");
-        for (n, node) in self.nodes.iter().enumerate() {
-            if node.cores > 0 {
-                let _ = writeln!(
-                    out,
-                    "  n{n} [shape=box, label=\"node{n}\\n{} cores\\n{:.0} GB/s DRAM\"];",
-                    node.cores,
-                    node.dram_bandwidth / 1e9
-                );
-            } else {
-                let _ = writeln!(out, "  n{n} [shape=point, label=\"\"];");
-            }
-        }
-        for l in &self.links {
-            let _ = writeln!(
-                out,
-                "  n{} -- n{} [label=\"{:.1} GB/s\"];",
-                l.a.index(),
-                l.b.index(),
-                l.bandwidth / 1e9
-            );
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Theoretical peak double-precision performance of all cores, flop/s.
     pub fn peak_flops(&self) -> f64 {
         self.nodes
@@ -536,22 +505,6 @@ mod tests {
         // Single-socket machines skip the interconnect line.
         let one = Machine::build(vec![socket(4)], vec![]).unwrap();
         assert!(!one.summary().contains("interconnect"));
-    }
-
-    #[test]
-    fn dot_export_mentions_every_node_and_link() {
-        let m = Machine::build(
-            vec![socket(2), socket(2), hub()],
-            vec![link(0, 2), link(1, 2)],
-        )
-        .unwrap();
-        let dot = m.to_dot();
-        assert!(dot.starts_with("graph machine {"));
-        assert!(dot.contains("n0 [shape=box"));
-        assert!(dot.contains("n2 [shape=point"));
-        assert_eq!(dot.matches(" -- ").count(), 2);
-        assert!(dot.contains("6.7 GB/s"));
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

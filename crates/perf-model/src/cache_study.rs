@@ -178,7 +178,7 @@ mod tests {
         // Size blocks to half the cache — the usual safety margin, and
         // what keeps the block working set clear of conflict evictions.
         let schedule = wavefront(domain, cache.capacity_bytes / 2);
-        let blocks = schedule.accesses().iter().map(|a| a.block).max().unwrap() + 1;
+        let blocks = schedule.blocks(0, 0).len();
         assert!(blocks > 2, "need several blocks for a fair test");
         let blocked = replay_schedule(&schedule, cache).0;
         let ratio = per_stage.miss_bytes(64) / blocked.miss_bytes(64);

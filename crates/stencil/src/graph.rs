@@ -276,48 +276,6 @@ impl StageGraph {
             .collect()
     }
 
-    /// Renders the graph as Graphviz `dot`: stages as boxes in execution
-    /// order, fields as ellipses, edges labelled with the halo extents
-    /// of each read.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph stages {\n  rankdir=TB;\n");
-        for (f, name, role) in self.fields.iter() {
-            let style = match role {
-                FieldRole::External => "filled\", fillcolor=\"lightblue",
-                FieldRole::Output => "filled\", fillcolor=\"lightgreen",
-                FieldRole::Intermediate => "solid",
-            };
-            let _ = writeln!(out, "  f{} [label=\"{}\", style=\"{}\"];", f.0, name, style);
-        }
-        for st in &self.stages {
-            let _ = writeln!(
-                out,
-                "  s{} [shape=box, label=\"{}. {}\"];",
-                st.id.0,
-                st.id.0 + 1,
-                st.name
-            );
-            for (f, p) in &st.inputs {
-                let h = p.halo();
-                let label = if h.is_zero() {
-                    String::new()
-                } else {
-                    format!(
-                        " [label=\"i{}..{} j{}..{} k{}..{}\"]",
-                        -h.i_neg, h.i_pos, -h.j_neg, h.j_pos, -h.k_neg, h.k_pos
-                    )
-                };
-                let _ = writeln!(out, "  f{} -> s{}{};", f.0, st.id.0, label);
-            }
-            for f in &st.outputs {
-                let _ = writeln!(out, "  s{} -> f{};", st.id.0, f.0);
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Maximum number of simultaneously *live* non-external buffers over
     /// the stage sequence — the number of block-local scratch arrays the
     /// (3+1)D decomposition must hold in cache at once. A field is live
@@ -644,20 +602,6 @@ mod tests {
         ];
         let g = StageGraph::build(t, stages).unwrap();
         assert_eq!(g.max_live_buffers(), 3); // a, b and o at stage 2
-    }
-
-    #[test]
-    fn dot_export_structure() {
-        let (g, _) = fig1_graph();
-        let dot = g.to_dot();
-        assert!(dot.starts_with("digraph stages {"));
-        // 4 fields, 3 stages, 3 input edges + 3 output edges.
-        assert_eq!(dot.matches("shape=box").count(), 3);
-        assert_eq!(dot.matches(" -> ").count(), 6);
-        assert!(dot.contains("lightblue")); // external x
-        assert!(dot.contains("lightgreen")); // output C
-        assert!(dot.contains("i-1..1")); // halo label
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

@@ -30,8 +30,8 @@
 use islands_analysis::{check_disjointness, lower, Diagnostic};
 use islands_core::{Partition, Variant};
 use mpdata::{
-    random_fields, Boundary, ExchangeExecutor, IslandsExecutor, MpdataProblem, OriginalExecutor,
-    ReferenceExecutor, ScheduleKnobs, SchedulePolicy, StepSchedule, TileMode,
+    random_fields, Access, Boundary, ExchangeExecutor, IslandsExecutor, MpdataProblem,
+    OriginalExecutor, ReferenceExecutor, ScheduleKnobs, SchedulePolicy, StepSchedule, TileMode,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -315,8 +315,59 @@ impl Row {
                 exec.schedule_for(self.domain)
             }
         };
+        assert_blocks_are_swept(&schedule, &self.label);
         check_disjointness(&lower(&schedule))
     }
+}
+
+/// `blocks()` and the access stream describe one schedule: walking
+/// every team's blocks in program order, the distinct write slices of
+/// each `(block, stage)` sweep — the block is the tile slot of a tiled
+/// access — come next in the stream and tile exactly that stage's
+/// region of the block, and no write is left over. So every non-empty
+/// stage region is swept, and every sweep is one of `blocks()`. A
+/// stage-synchronous team, idle ones included, runs one block.
+fn assert_blocks_are_swept(sched: &StepSchedule, label: &str) {
+    let tiled = sched.knobs().tile != TileMode::Off;
+    let key_of = |a: &Access| {
+        [
+            a.team,
+            a.step,
+            if tiled { a.slot } else { a.block },
+            a.stage,
+        ]
+    };
+    let accesses = sched.accesses();
+    let mut writes = accesses.iter().filter(|a| a.write).peekable();
+    let mut slices: Vec<Region3> = Vec::new();
+    for team in 0..sched.team_count() {
+        if sched.stage_synchronous() {
+            assert_eq!(sched.blocks(team, 0).len(), 1, "team {team} — {label}");
+        }
+        for step in 0..sched.knobs().fuse_steps {
+            for (block, b) in sched.blocks(team, step).iter().enumerate() {
+                for (stage, &region) in b.stage_regions.iter().enumerate() {
+                    let key = [team, step, block, stage];
+                    slices.clear();
+                    while let Some(a) = writes.next_if(|a| key_of(a) == key) {
+                        if !slices.contains(&a.region) {
+                            slices.push(a.region);
+                        }
+                    }
+                    for (n, slice) in slices.iter().enumerate() {
+                        assert!(
+                            region.contains_region(*slice)
+                                && !slices[..n].iter().any(|s| s.overlaps(*slice)),
+                            "{key:?} writes {slice:?} in {region:?} — {label}"
+                        );
+                    }
+                    let cells = slices.iter().map(|s| s.cells()).sum::<usize>();
+                    assert_eq!(cells, region.cells(), "{key:?} — {label}");
+                }
+            }
+        }
+    }
+    assert_eq!(writes.next(), None, "a write outside every block — {label}");
 }
 
 /// Appends the islands schedule of `what` under `knobs`, labelled with

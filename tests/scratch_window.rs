@@ -100,16 +100,16 @@ fn windows_run_bitwise_lint_clean_and_are_exact() {
             }
         }
 
-        // Blocks per island, off the stream the prover reads: of the
-        // fused step with the fewest (each step has its own blocking,
-        // and a window must serve the deepest).
-        let mut per_step = vec![vec![0; fuse]; islands];
-        for a in ran.accesses() {
-            per_step[a.team][a.step] = per_step[a.team][a.step].max(a.block + 1);
-        }
-        let blocks: Vec<usize> = per_step
-            .iter()
-            .map(|steps| steps.iter().copied().min().unwrap_or(0))
+        // Blocks per island, of the fused step with the fewest (each
+        // step has its own blocking, and a window must serve the
+        // deepest).
+        let blocks: Vec<usize> = (0..islands)
+            .map(|team| {
+                (0..fuse)
+                    .map(|ts| ran.blocks(team, ts).len())
+                    .min()
+                    .unwrap_or(0)
+            })
             .collect();
         let windows = ran.scratch_windows();
         for w in &windows {
@@ -180,10 +180,7 @@ fn default_budget_sizes_windows_for_a_core() {
         let exec = IslandsExecutor::new(&pool, teams, Axis::I);
         let ran = exec.schedule_for(domain).unwrap();
         assert_eq!(ran.knobs().cache_bytes, DEFAULT_CACHE_BYTES, "{label}");
-        let mut per_team = vec![0; islands];
-        for a in ran.accesses() {
-            per_team[a.team] = per_team[a.team].max(a.block + 1);
-        }
+        let per_team: Vec<usize> = (0..islands).map(|t| ran.blocks(t, 0).len()).collect();
         assert_eq!(per_team, vec![blocks; islands], "{label}");
         assert!(
             ran.scratch_bytes() <= most,
